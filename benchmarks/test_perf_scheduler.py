@@ -129,7 +129,10 @@ def test_edf_meets_deadlines_fifo_misses(results_dir):
     # them once early bootstrap errors have inflated the margin — so it is
     # recorded in fused_kinds but not required.
     assert "packed" in on_run["fused_kinds"]
-    assert off_run["plans_logged"] == 0  # planner off: no plan path at all
+    # Planner off still drains through the plan path — one record per drain —
+    # but never fuses: every plan is its anchor group alone.
+    assert off_run["plans_logged"] > 0 and off_run["fused_plans"] == 0
+    assert all(entry["groups"] == 1 for entry in off_run["plan_decisions"])
     # The strict >= 1.0 verdict lives in the JSON (planner_not_slower) for
     # the archived trend; the assertion keeps a jitter band like the wfq
     # throughput check above.

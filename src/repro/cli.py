@@ -744,36 +744,28 @@ def _health(argv: list[str]) -> int:
     return 0 if healthy else 1
 
 
+#: Subcommands with their own argument parser, in ``list`` order; everything
+#: else is a figure/table target of the default parser.
+SUBCOMMANDS = {
+    "serve-batch": _serve_batch,
+    "trace": _trace,
+    "stats": _stats,
+    "health": _health,
+    "bench-traversal": _bench_traversal,
+    "bench-scheduler": _bench_scheduler,
+    "lint": _lint,
+    "store": _store,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "serve-batch":
-        return _serve_batch(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace(argv[1:])
-    if argv and argv[0] == "stats":
-        return _stats(argv[1:])
-    if argv and argv[0] == "health":
-        return _health(argv[1:])
-    if argv and argv[0] == "bench-traversal":
-        return _bench_traversal(argv[1:])
-    if argv and argv[0] == "bench-scheduler":
-        return _bench_scheduler(argv[1:])
-    if argv and argv[0] == "lint":
-        return _lint(argv[1:])
-    if argv and argv[0] == "store":
-        return _store(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
 
     args = _build_parser().parse_args(argv)
     if args.target == "list":
-        print("\n".join(ALL_FIGURES))
-        print("serve-batch")
-        print("trace")
-        print("stats")
-        print("health")
-        print("bench-traversal")
-        print("bench-scheduler")
-        print("lint")
-        print("store")
+        print("\n".join((*ALL_FIGURES, *SUBCOMMANDS)))
         return 0
 
     targets = list(ALL_FIGURES) if args.target == "all" else [args.target]

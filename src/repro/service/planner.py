@@ -97,19 +97,34 @@ class FusionPlan:
             if key in claimed:
                 survivors.append(claimed[key])  # repro: noqa[REPRO101] — O(groups) per drain
                 kept_keys.append(key)  # repro: noqa[REPRO101] — O(groups) per drain
-        self.groups = survivors
         self.rider_keys = kept_keys
+        self.narrow(survivors)
+        return self
+
+    def narrow(self, groups: list[list[Job]]) -> None:
+        """Keep only ``groups``: what the claim, expiry or source validation left."""
+        self.groups = groups
         if not self.fused:
             # Every rider evaporated: the plan degrades to its baseline shape.
-            self.kind = self._baseline_kind(self.application, self.groups[0])
+            self.kind = self._baseline_kind(self.application, groups[0])
             self.estimate = None
-        return self
 
     @staticmethod
     def _baseline_kind(application: Application, anchor: list[Job]) -> str:
         if application.is_streaming:
             return "streaming"
         return "multisource" if len(anchor) > 1 else "solo"
+
+    @classmethod
+    def baseline(cls, anchor: list[Job]) -> "FusionPlan":
+        """The unfused plan: the anchor group alone, no riders."""
+        request = anchor[0].request
+        return cls(
+            kind=cls._baseline_kind(request.application, anchor),
+            application=request.application,
+            graph=request.graph,
+            groups=[list(anchor)],
+        )
 
 
 class FusionPlanner:
@@ -136,12 +151,7 @@ class FusionPlanner:
         application = request.application
         graph = request.graph
         anchor_key = request.batch_key
-        baseline = FusionPlan(
-            kind=FusionPlan._baseline_kind(application, anchor),
-            application=application,
-            graph=graph,
-            groups=[list(anchor)],
-        )
+        baseline = FusionPlan.baseline(anchor)
         riders = self._compatible_riders(anchor_key, application, graph, snapshot)
         if not riders:
             return baseline, []

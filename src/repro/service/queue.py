@@ -263,7 +263,9 @@ class RequestQueue:
 
         ``build(anchor_jobs, snapshot)`` runs *without* the queue lock (it may
         consult the cost model freely) and returns ``(plan, rider_keys)``;
-        the plan object is opaque to the queue.  Returns ``(plan, claimed)``
+        ``snapshot`` is :meth:`snapshot_groups` itself, so a build that plans
+        no riders never pays for the backlog copy, and the plan object is
+        opaque to the queue.  Returns ``(plan, claimed)``
         where ``claimed`` maps each successfully claimed rider key to its
         jobs, or ``None`` when the queue was idle.  The scheduling policy
         stays in charge of *which* work drains next — planning only decides
@@ -272,7 +274,7 @@ class RequestQueue:
         anchor = self.pop_batch()
         if not anchor:
             return None
-        plan, rider_keys = build(anchor, self.snapshot_groups())
+        plan, rider_keys = build(anchor, self.snapshot_groups)
         claimed = self.claim_groups(rider_keys) if rider_keys else {}
         return plan, claimed
 

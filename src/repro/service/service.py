@@ -1220,11 +1220,10 @@ class Service:
     def _drain_one_batch(self) -> None:
         """One worker wakeup: pick work, drain it, never strand a job.
 
-        On the built-in engine path with planning enabled the pick is a
-        whole :class:`~repro.service.planner.FusionPlan` — the policy-
-        selected anchor group plus whatever compatible backlog the planner
-        decided should ride along.  With an injected engine or
-        ``config.planner`` off, the pick is the classic single group.
+        The pick is always a whole :class:`~repro.service.planner.FusionPlan`
+        — the policy-selected anchor group plus whatever compatible backlog
+        the planner decided should ride along (nothing, with an injected
+        engine or ``config.planner`` off; see :meth:`_build_plan`).
 
         The catch-alls exist because the future this runs in is never
         awaited — an exception escaping a drain would strand every popped
@@ -1233,40 +1232,28 @@ class Service:
         rest fail with the escaped error.
         """
         pick_started = time.perf_counter()
-        use_planner = self._engine is None and self.config.planner
         try:
-            if use_planner:
-                popped = self._queue.pop_plan(self._build_plan)
-            else:
-                batch = self._queue.pop_batch()
+            popped = self._queue.pop_plan(self._build_plan)
         except Exception:  # noqa: BLE001 - keep the drain loop alive
             logger.exception("scheduler failed to pick a batch group")
             return
-        # Schedule-pick cost: policy selection plus (on the planner path)
-        # plan enumeration, attributed to the drained batch's sweep span.
+        # Schedule-pick cost: policy selection plus plan enumeration,
+        # attributed to the drained batch's sweep span.
         schedule_seconds = time.perf_counter() - pick_started
-        if use_planner:
-            if popped is None:
-                # Another worker already drained the group this wakeup was for.
-                return
-            plan, claimed = popped
+        if popped is None:
+            # Another worker already drained the group this wakeup was for.
+            return
+        plan, claimed = popped
+        if plan.fused:
             plan.restrict(claimed)
-            try:
-                self._execute_plan(plan, schedule_seconds)
-            except Exception as exc:  # noqa: BLE001 - never strand popped jobs
-                logger.exception("plan execution failed outside job-level isolation")
-                self._fail_stranded(plan.jobs, exc)
-            return
-        if not batch:
-            return
         try:
-            self._drain_batch(batch, schedule_seconds)
+            self._execute_plan(plan, schedule_seconds)
         except Exception as exc:  # noqa: BLE001 - never strand popped jobs
-            logger.exception("batch drain failed outside job-level isolation")
-            self._fail_stranded(batch, exc)
+            logger.exception("plan execution failed outside job-level isolation")
+            self._fail_stranded(plan.jobs, exc)
 
     def _fail_stranded(self, jobs: list[Job], exc: BaseException) -> None:
-        """Terminal backstop: fail every popped job the drain left unfinished."""
+        """Fail every popped job that no engine got to finish, with ``exc``."""
         stranded = [job for job in jobs if not job.done]
         for job in stranded:
             job.mark_failed(exc)
@@ -1276,10 +1263,20 @@ class Service:
                 self._failed += len(stranded)
                 self._note_finished_locked(*stranded)
 
-    def _build_plan(self, anchor: list[Job], snapshot: dict) -> tuple[FusionPlan, list]:
-        """Queue callback: plan one drain and export the decision counters."""
+    def _build_plan(self, anchor: list[Job], snapshot) -> tuple[FusionPlan, list]:
+        """Queue callback: plan one drain and export the decision counters.
+
+        With ``config.planner`` off the anchor group drains alone as the
+        baseline plan; an injected engine additionally runs it job by job,
+        which the plan records as kind ``solo``.
+        """
         started = time.perf_counter()
-        plan, rider_keys = self._planner.build(anchor, snapshot)
+        if self._engine is not None or not self.config.planner:
+            plan, rider_keys = FusionPlan.baseline(anchor), []
+            if self._engine is not None:
+                plan.kind = "solo"
+        else:
+            plan, rider_keys = self._planner.build(anchor, snapshot())
         plan.planning_seconds = time.perf_counter() - started
         self._m_plans_built.inc(plan.candidates_built)
         if plan.candidates_rejected:
@@ -1292,7 +1289,7 @@ class Service:
 
         Expiry filtering, batch accounting, the registry retry ladder and
         the plan-level observability (span + decision log) all live here;
-        the per-shape executors below only run engines.
+        :meth:`_execute_sweep` only runs engines.
         """
         groups = []
         for group in plan.groups:
@@ -1304,9 +1301,6 @@ class Service:
             # not count as batches — amortization stays executions-per-sweep.
             return
         plan.groups = groups
-        if not plan.fused and plan.kind == "packed":
-            # Expiry ate every rider; degrade the label to the real shape.
-            plan.kind = FusionPlan._baseline_kind(plan.application, groups[0])
         with self._lock:
             # Ridden-along groups still count as drained batches so
             # amortization stays executions-per-sweep.
@@ -1321,12 +1315,7 @@ class Service:
                 if self._maybe_retry("registry", all_jobs, attempt, exc):
                     attempt += 1
                     continue
-                for job in all_jobs:
-                    job.mark_failed(exc)
-                    self._queue.release(job)
-                with self._lock:
-                    self._failed += len(all_jobs)
-                    self._note_finished_locked(*all_jobs)
+                self._fail_stranded(all_jobs, exc)
                 return
             break
         if plan.fused:
@@ -1334,32 +1323,33 @@ class Service:
             if plan.estimate is not None:
                 self._m_plan_savings.observe(plan.estimate.savings_seconds)
         started = time.perf_counter()
-        if plan.kind == "streaming":
-            self._execute_streaming(plan, graph, schedule_seconds)
-        elif plan.kind == "packed":
-            self._execute_packed(plan, graph, schedule_seconds)
+        if self._engine is None:
+            # Record the shape that ran: the groups that rode the sweep (the
+            # chosen ones if no source was usable), relabelled if riderless.
+            swept = self._execute_sweep(
+                groups, graph, schedule_seconds, plan.planning_seconds
+            )
+            plan.narrow(swept or groups)
         else:
-            self._execute_builtin(groups[0], graph, schedule_seconds)
+            runner = self._job_runner(lambda job: self._engine(job.request, graph))
+            for job in all_jobs:
+                self._execute_one(job, graph, runner, schedule_seconds=schedule_seconds)
         elapsed = time.perf_counter() - started
-        self._emit_plan_span(plan, started, elapsed, schedule_seconds)
-        self._note_plan_decision(plan, elapsed)
+        self._record_plan(plan, started, elapsed, schedule_seconds)
 
-    def _emit_plan_span(
+    def _record_plan(
         self, plan: FusionPlan, started: float, elapsed: float, schedule_seconds: float
     ) -> None:
-        """Record one ``plan`` span: chosen shape, estimated vs actual cost.
+        """Log one plan decision and emit it as a ``plan`` span.
 
-        Like ``engine_sweep`` spans, plan spans carry their own trace id —
-        one plan serves many request traces, and the per-request lifecycle
-        tiling (admission+queue+sweep+cache == latency) must stay exact.
+        One record feeds both: chosen shape, candidates, estimated vs actual
+        cost.  Like ``engine_sweep`` spans, plan spans carry their own trace
+        id — one plan serves many request traces, and the per-request
+        lifecycle tiling (admission+queue+sweep+cache == latency) must stay
+        exact.
         """
-        if not self._tracer.enabled:
-            return
-        traced = next((job for job in plan.jobs if job.trace_id is not None), None)
-        if traced is None:
-            return
-        plan_id = f"plan-{next(self._plan_ids)}"
-        attrs = {
+        estimate = plan.estimate  # None for an unfused plan
+        decision = {
             "kind": plan.kind,
             "shape": plan.shape,
             "graph": plan.graph,
@@ -1367,15 +1357,24 @@ class Service:
             "groups": len(plan.groups),
             "lanes": plan.lanes,
             "jobs": len(plan.jobs),
-            "schedule_seconds": schedule_seconds,
-            "planning_seconds": plan.planning_seconds,
-            "actual_seconds": elapsed,
             "candidates_built": plan.candidates_built,
+            "candidates_rejected": plan.candidates_rejected,
+            "estimated_shared_seconds": getattr(estimate, "shared_seconds", None),
+            "estimated_solo_seconds": getattr(estimate, "solo_seconds", None),
+            "estimated_savings_seconds": getattr(estimate, "savings_seconds", None),
+            "actual_seconds": elapsed,
         }
-        if plan.estimate is not None:
-            attrs["estimated_shared_seconds"] = plan.estimate.shared_seconds
-            attrs["estimated_solo_seconds"] = plan.estimate.solo_seconds
-            attrs["estimated_savings_seconds"] = plan.estimate.savings_seconds
+        with self._lock:
+            self._plan_log.append(decision)
+        if not self._tracer.enabled:
+            return
+        traced = next((job for job in plan.jobs if job.trace_id is not None), None)
+        if traced is None:
+            return
+        plan_id = f"plan-{next(self._plan_ids)}"
+        attrs = {key: value for key, value in decision.items() if value is not None}
+        attrs["schedule_seconds"] = schedule_seconds
+        attrs["planning_seconds"] = plan.planning_seconds
         self._tracer.emit(
             Span(
                 trace_id=plan_id,
@@ -1387,70 +1386,10 @@ class Service:
             )
         )
 
-    def _note_plan_decision(self, plan: FusionPlan, elapsed: float) -> None:
-        """Append one JSON-ready decision record to the bounded plan log."""
-        estimate = plan.estimate
-        decision = {
-            "kind": plan.kind,
-            "shape": plan.shape,
-            "graph": plan.graph,
-            "application": plan.application.value,
-            "groups": len(plan.groups),
-            "lanes": plan.lanes,
-            "jobs": len(plan.jobs),
-            "candidates_built": plan.candidates_built,
-            "candidates_rejected": plan.candidates_rejected,
-            "estimated_shared_seconds": (
-                estimate.shared_seconds if estimate is not None else None
-            ),
-            "estimated_solo_seconds": (
-                estimate.solo_seconds if estimate is not None else None
-            ),
-            "estimated_savings_seconds": (
-                estimate.savings_seconds if estimate is not None else None
-            ),
-            "actual_seconds": elapsed,
-        }
-        with self._lock:
-            self._plan_log.append(decision)
-
     def plan_decisions(self) -> list[dict]:
         """Recent fusion-plan decisions, oldest first (bounded ring buffer)."""
         with self._lock:
             return list(self._plan_log)
-
-    def _drain_batch(self, batch: list[Job], schedule_seconds: float) -> None:
-        batch = self._fail_expired(batch)
-        if not batch:
-            # Fully expired groups never reach an engine sweep, so they do
-            # not count as batches — amortization stays executions-per-sweep.
-            return
-        with self._lock:
-            self._batches += 1
-        self._m_batches.inc()
-        graph_name = batch[0].request.graph
-        attempt = 0
-        while True:
-            try:
-                graph = self.registry.get(graph_name)
-            except Exception as exc:  # noqa: BLE001 - retry, then every waiter
-                if self._maybe_retry("registry", batch, attempt, exc):
-                    attempt += 1
-                    continue
-                for job in batch:
-                    job.mark_failed(exc)
-                    self._queue.release(job)
-                with self._lock:
-                    self._failed += len(batch)
-                    self._note_finished_locked(*batch)
-                return
-            break
-        if self._engine is None:
-            self._execute_builtin(batch, graph, schedule_seconds)
-            return
-        runner = self._job_runner(lambda job: self._engine(job.request, graph))
-        for job in batch:
-            self._execute_one(job, graph, runner, schedule_seconds=schedule_seconds)
 
     def _fail_expired(self, batch: list[Job]) -> list[Job]:
         """Fail the jobs whose deadline lapsed in the queue; return the rest.
@@ -1550,87 +1489,124 @@ class Service:
             with self._lock:
                 self._note_finished_locked(job)
 
-    def _execute_builtin(
-        self, batch: list[Job], graph: CSRGraph, schedule_seconds: float = 0.0
-    ) -> None:
-        """Drain one batch group on the built-in engine path.
+    def _execute_sweep(
+        self,
+        groups: list[list[Job]],
+        graph: CSRGraph,
+        schedule_seconds: float = 0.0,
+        fusion_seconds: float = 0.0,
+    ) -> list[list[Job]]:
+        """Drain the batch groups of one plan in ONE shared engine sweep.
 
-        BFS/SSSP groups with several distinct sources execute as ONE batched
-        multi-source traversal over an arena-shared engine — each frontier
-        sweep is paid once per group instead of once per job.  Everything
-        else (streaming apps, singleton groups) runs per job against a
-        leased engine, so the engine construction is still amortized across
-        the group.  Cross-group fusion is the planner's job
-        (:meth:`_execute_plan`), not this method's.
+        Every batched shape runs this ladder; they differ only in the engine
+        call, the span label and how many lanes a group occupies:
+
+        * ``multisource`` — one BFS/SSSP group: each job is a lane of one
+          :func:`~repro.traversal.multisource.run_batch` over an arena-shared
+          engine, the frontier sweeps paid once per group instead of per job;
+        * ``packed`` — several BFS/SSSP groups of different platform
+          configurations: each job is a lane of one
+          :func:`~repro.traversal.multisource.run_packed_batch` word, lanes
+          of one group sharing that group's engine;
+        * ``streaming`` — CC/PageRank groups: the algorithm pass is
+          engine-independent, so each *group* is one (strategy, system) lane
+          of one :func:`~repro.traversal.streaming.run_streaming_batch` and
+          every job of the group receives that lane's result.
+
+        Values and per-lane attribution are bit-identical to solo runs in
+        every shape, and a failure anywhere isolates across the *whole*
+        sweep (solo re-runs), so a poisoned rider lane cannot take the
+        anchor down with it.  Returns the groups left after source validation.
         """
-        runnable = []
-        for job in batch:
-            source = job.request.source
-            # Pre-validate so one bad source fails its own job, never the
-            # whole batch it happened to be grouped with.  A missing source
-            # on a source-requiring application is just as poisonous to
-            # run_batch as an out-of-range one, so both take the solo path
-            # (where _run_leased raises for exactly these conditions).
-            invalid = not job.request.application.is_streaming and (
-                source is None or not 0 <= source < graph.num_vertices
-            )
-            if invalid:
+        application = groups[0][0].request.application
+        streaming = application.is_streaming
+        solo_runner = self._job_runner(lambda job: self._run_leased(job.request, graph))
+        if not streaming:
+            # Pre-validate so one bad source fails its own job solo, never
+            # the word it rode.  A missing source is just as poisonous to the
+            # batch engines as an out-of-range one (_run_leased raises for
+            # exactly these conditions).
+            valid_groups = []
+            for group in groups:
+                runnable = []
+                for job in group:
+                    source = job.request.source
+                    if source is None or not 0 <= source < graph.num_vertices:
+                        self._execute_one(
+                            job, graph, solo_runner, schedule_seconds=schedule_seconds
+                        )
+                    else:
+                        runnable.append(job)
+                if runnable:
+                    valid_groups.append(runnable)
+            groups = valid_groups
+        all_jobs = [job for group in groups for job in group]
+        if not streaming and len(all_jobs) <= 1:
+            # A lone source gains nothing from a word: run it on a leased engine.
+            for job in all_jobs:
                 self._execute_one(
-                    job,
-                    graph,
-                    self._job_runner(lambda job: self._run_leased(job.request, graph)),
-                    schedule_seconds=schedule_seconds,
+                    job, graph, solo_runner, schedule_seconds=schedule_seconds
                 )
-            else:
-                runnable.append(job)
-        if not runnable:
-            return
-        request = runnable[0].request
-        application = request.application
-        if application.is_streaming or len(runnable) == 1:
-            for job in runnable:
-                self._execute_one(
-                    job,
-                    graph,
-                    self._job_runner(lambda job: self._run_leased(job.request, graph)),
-                    schedule_seconds=schedule_seconds,
-                )
-            return
-
-        for job in runnable:
+            return groups
+        requests = [job.request for job in all_jobs]
+        if streaming:
+            kind = "streaming"
+            lanes = [
+                (group[0].request.strategy, group[0].request.system) for group in groups
+            ]
+        elif len(groups) == 1:
+            kind = "multisource"
+            lanes = [request.source for request in requests]
+        else:
+            kind = "packed"
+            lanes = [
+                PackedLane(request.source, request.strategy, request.system)
+                for request in requests
+            ]
+        total_lanes = len(lanes)
+        family = requests[0].batch_key
+        for job in all_jobs:
             job.mark_running()
-        relax_method = self._relax_method()
+        # Only sweeps that reach the lane relax kernel (SSSP) consult the
+        # native-backend breaker and report to it; BFS and the streaming
+        # applications never run that kernel, so their outcomes say nothing
+        # about it.
+        relax_method = self._relax_method() if application is Application.SSSP else None
         if relax_method == "scatter":
             # Breaker already open: the whole drain is served degraded.
             self._note_degraded()
         attempt = 0
         while True:
             started = time.perf_counter()
-            token = self._sweep_token(
-                request.batch_key, len(runnable), "multisource sweep"
-            )
+            token = self._sweep_token(family, len(all_jobs), f"{kind} sweep")
             try:
-                for job in runnable:
+                for job in all_jobs:
                     self._check_job_fault(job)
                 with cancellation_scope(token):
-                    outcome = run_batch(
-                        application,
-                        graph,
-                        [job.request.source for job in runnable],
-                        strategy=request.strategy,
-                        system=request.system,
-                        arena=self._arena,
-                        relax_method=relax_method,
-                    )
+                    if kind == "streaming":
+                        outcome = run_streaming_batch(
+                            application, graph, lanes, arena=self._arena
+                        )
+                    elif kind == "multisource":
+                        outcome = run_batch(
+                            application, graph, lanes,
+                            strategy=requests[0].strategy, system=requests[0].system,
+                            arena=self._arena, relax_method=relax_method,
+                        )
+                    else:
+                        outcome = run_packed_batch(
+                            application, graph, lanes,
+                            arena=self._arena, relax_method=relax_method,
+                        )
             except Exception as exc:  # noqa: BLE001 - resilience ladder below
                 elapsed = time.perf_counter() - started
                 with self._lock:
                     self._engine_seconds += elapsed
                 self._m_engine_seconds.inc(elapsed)
                 sweep_ref = self._emit_sweep_span(
-                    runnable, started, elapsed, lanes=len(runnable),
-                    kind="multisource", schedule_seconds=schedule_seconds,
-                    error=exc,
+                    all_jobs, started, elapsed, lanes=total_lanes, kind=kind,
+                    schedule_seconds=schedule_seconds,
+                    fusion_seconds=fusion_seconds, error=exc,
                 )
                 if isinstance(exc, NativeBackendError) and relax_method == "native":
                     # Breaker ladder: count the failure (opening the breaker
@@ -1641,230 +1617,18 @@ class Service:
                     relax_method = "scatter"
                     self._note_degraded()
                     logger.warning(
-                        "native relax kernel failed (%s); re-running drain "
-                        "on the scatter backend", exc,
+                        "native relax kernel failed (%s); re-running %s drain "
+                        "on the scatter backend", exc, kind,
                     )
                     continue
-                if self._maybe_retry("sweep", runnable, attempt, exc, sweep_ref):
-                    attempt += 1
-                    continue
-                if len(runnable) > 1:
-                    self._isolate_group(runnable, graph, exc, schedule_seconds)
-                    return
-                self._fail_group(runnable, exc, started + elapsed)
-                return
-            break
-        if relax_method == "native":
-            self._breaker.record_success()
-        elapsed = time.perf_counter() - started
-        now = started + elapsed
-        for job in runnable:
-            job.compute_finished_at = now
-        # One shared sweep span for the whole word: every rider's per-request
-        # sweep span will point at it via sweep_ref.
-        self._emit_sweep_span(
-            runnable, started, elapsed, lanes=len(runnable), kind="multisource",
-            schedule_seconds=schedule_seconds, metrics_list=outcome.batch_metrics,
-        )
-        backend = self._record_kernel_counters(
-            application.value, outcome.batch_metrics
-        )
-        logger.info(
-            "drained %d %s job(s) on %s in %.3fs (relax backend: %s)",
-            len(runnable), application.value, graph.name, elapsed,
-            backend or "n/a",
-        )
-        with self._lock:
-            self._executions += len(runnable)
-            self._completed += len(runnable)
-            self._engine_seconds += elapsed
-        self._m_executions.inc(len(runnable))
-        self._m_engine_seconds.inc(elapsed)
-        # One observation per drained group: width + wall-clock seconds is
-        # exactly the (per-sweep, per-job) sample the cost model EWMAs want.
-        self._observe_cost(request.batch_key, len(runnable), elapsed)
-        self._note_family_counters(request.batch_key, outcome.batch_metrics)
-        for job, result in zip(runnable, outcome.results):
-            self._cache_put_safe(job.request.cache_key, result)
-            job.mark_done(result)
-            self._queue.release(job)
-        with self._lock:
-            self._note_finished_locked(*runnable)
-
-    def _execute_streaming(
-        self, plan: FusionPlan, graph: CSRGraph, schedule_seconds: float = 0.0
-    ) -> None:
-        """Drain a streaming plan: one shared algorithm pass, many lanes.
-
-        The algorithm pass is engine-independent, so one
-        :func:`~repro.traversal.streaming.run_streaming_batch` serves every
-        group the planner fused — each group becomes one (strategy, system)
-        lane with its own arena-leased engine, and each job receives its own
-        lane's result (values shared, metrics per platform, both identical
-        to a solo run's).  Works for CC and PageRank alike.
-        """
-        groups = plan.groups
-        application = plan.application
-        lanes = [(group[0].request.strategy, group[0].request.system) for group in groups]
-        all_jobs = plan.jobs
-        for job in all_jobs:
-            job.mark_running()
-        attempt = 0
-        while True:
-            started = time.perf_counter()
-            token = self._sweep_token(
-                groups[0][0].request.batch_key, len(all_jobs), "streaming sweep"
-            )
-            try:
-                for job in all_jobs:
-                    self._check_job_fault(job)
-                with cancellation_scope(token):
-                    outcome = run_streaming_batch(
-                        application, graph, lanes, arena=self._arena
-                    )
-            except Exception as exc:  # noqa: BLE001 - resilience ladder below
-                elapsed = time.perf_counter() - started
-                with self._lock:
-                    self._engine_seconds += elapsed
-                self._m_engine_seconds.inc(elapsed)
-                sweep_ref = self._emit_sweep_span(
-                    all_jobs, started, elapsed, lanes=len(groups), kind="streaming",
-                    schedule_seconds=schedule_seconds,
-                    fusion_seconds=plan.planning_seconds, error=exc,
-                )
                 if self._maybe_retry("sweep", all_jobs, attempt, exc, sweep_ref):
                     attempt += 1
                     continue
                 if len(all_jobs) > 1:
                     self._isolate_group(all_jobs, graph, exc, schedule_seconds)
-                    return
-                self._fail_group(all_jobs, exc, started + elapsed)
-                return
-            break
-        elapsed = time.perf_counter() - started
-        now = started + elapsed
-        for job in all_jobs:
-            job.compute_finished_at = now
-        lane_metrics = [result.metrics for result in outcome.results]
-        self._emit_sweep_span(
-            all_jobs, started, elapsed, lanes=len(groups), kind="streaming",
-            schedule_seconds=schedule_seconds, fusion_seconds=plan.planning_seconds,
-            metrics_list=lane_metrics,
-        )
-        self._record_kernel_counters(application.value, lane_metrics)
-        logger.info(
-            "drained %d %s job(s) as %d fused lane(s) on %s in %.3fs",
-            len(all_jobs), application.value, len(groups), graph.name, elapsed,
-        )
-        with self._lock:
-            self._executions += len(all_jobs)
-            self._completed += len(all_jobs)
-            self._engine_seconds += elapsed
-        self._m_executions.inc(len(all_jobs))
-        self._m_engine_seconds.inc(elapsed)
-        # Each fused group contributes one cost-model observation; the shared
-        # wall-clock is split evenly across lanes (the engine sweeps dominate
-        # and every lane sweeps the full stream).
-        share = elapsed / len(groups)
-        for group, result in zip(groups, outcome.results):
-            self._observe_cost(group[0].request.batch_key, len(group), share)
-            self._note_family_counters(group[0].request.batch_key, [result.metrics])
-            for job in group:
-                self._cache_put_safe(job.request.cache_key, result)
-                job.mark_done(result)
-                self._queue.release(job)
-        with self._lock:
-            self._note_finished_locked(*all_jobs)
-
-    def _execute_packed(
-        self, plan: FusionPlan, graph: CSRGraph, schedule_seconds: float = 0.0
-    ) -> None:
-        """Drain a packed plan: cross-config BFS/SSSP groups in one fused word.
-
-        Every job becomes one lane of a single
-        :func:`~repro.traversal.multisource.run_packed_batch` — lanes of one
-        group share that group's engine, lanes of different groups run under
-        their own platform configuration, and the union frontier sweep is
-        paid once for all of them.  Values and per-lane attribution follow
-        the same bit-identity contract as the plain multi-source word, and
-        a failure anywhere isolates across the *whole* plan (solo re-runs),
-        so a poisoned rider lane cannot take the anchor down with it.
-        """
-        solo_runner = self._job_runner(lambda job: self._run_leased(job.request, graph))
-        groups: list[list[Job]] = []
-        for group in plan.groups:
-            runnable = []
-            for job in group:
-                source = job.request.source
-                # Same pre-validation as the unfused path: one bad source
-                # fails its own job solo, never the word it rode.
-                if source is None or not 0 <= source < graph.num_vertices:
-                    self._execute_one(
-                        job, graph, solo_runner, schedule_seconds=schedule_seconds
-                    )
                 else:
-                    runnable.append(job)
-            if runnable:
-                groups.append(runnable)  # repro: noqa[REPRO101] — O(groups) per drain
-        if not groups:
-            return
-        plan.groups = groups
-        if len(groups) == 1:
-            self._execute_builtin(groups[0], graph, schedule_seconds)
-            return
-        application = groups[0][0].request.application
-        all_jobs = [job for group in groups for job in group]
-        lanes = [
-            PackedLane(job.request.source, job.request.strategy, job.request.system)
-            for job in all_jobs
-        ]
-        for job in all_jobs:
-            job.mark_running()
-        relax_method = self._relax_method()
-        if relax_method == "scatter":
-            # Breaker already open: the whole drain is served degraded.
-            self._note_degraded()
-        attempt = 0
-        while True:
-            started = time.perf_counter()
-            token = self._sweep_token(
-                groups[0][0].request.batch_key, len(all_jobs), "packed sweep"
-            )
-            try:
-                for job in all_jobs:
-                    self._check_job_fault(job)
-                with cancellation_scope(token):
-                    outcome = run_packed_batch(
-                        application,
-                        graph,
-                        lanes,
-                        arena=self._arena,
-                        relax_method=relax_method,
-                    )
-            except Exception as exc:  # noqa: BLE001 - resilience ladder below
-                elapsed = time.perf_counter() - started
-                with self._lock:
-                    self._engine_seconds += elapsed
-                self._m_engine_seconds.inc(elapsed)
-                sweep_ref = self._emit_sweep_span(
-                    all_jobs, started, elapsed, lanes=len(all_jobs), kind="packed",
-                    schedule_seconds=schedule_seconds,
-                    fusion_seconds=plan.planning_seconds, error=exc,
-                )
-                if isinstance(exc, NativeBackendError) and relax_method == "native":
-                    self._breaker.record_failure()
-                    relax_method = "scatter"
-                    self._note_degraded()
-                    logger.warning(
-                        "native relax kernel failed (%s); re-running packed "
-                        "drain on the scatter backend", exc,
-                    )
-                    continue
-                if self._maybe_retry("sweep", all_jobs, attempt, exc, sweep_ref):
-                    attempt += 1
-                    continue
-                self._isolate_group(all_jobs, graph, exc, schedule_seconds)
-                return
+                    self._fail_group(all_jobs, exc, started + elapsed)
+                return groups
             break
         if relax_method == "native":
             self._breaker.record_success()
@@ -1872,19 +1636,26 @@ class Service:
         now = started + elapsed
         for job in all_jobs:
             job.compute_finished_at = now
+        # Streaming lanes each carry their own engine's full metrics; a word's
+        # engines report theirs as batch metrics.
+        sweep_metrics = (
+            [result.metrics for result in outcome.results]
+            if streaming
+            else outcome.batch_metrics
+        )
+        # One shared sweep span for the whole sweep: every rider's
+        # per-request sweep span will point at it via sweep_ref.
         self._emit_sweep_span(
-            all_jobs, started, elapsed, lanes=len(all_jobs), kind="packed",
-            schedule_seconds=schedule_seconds, fusion_seconds=plan.planning_seconds,
-            metrics_list=outcome.batch_metrics,
+            all_jobs, started, elapsed, lanes=total_lanes, kind=kind,
+            schedule_seconds=schedule_seconds, fusion_seconds=fusion_seconds,
+            metrics_list=sweep_metrics,
         )
-        backend = self._record_kernel_counters(
-            application.value, outcome.batch_metrics
-        )
+        backend = self._record_kernel_counters(application.value, sweep_metrics)
         logger.info(
-            "drained %d %s job(s) from %d group(s) as one packed word on %s "
-            "in %.3fs (relax backend: %s)",
-            len(all_jobs), application.value, len(groups), graph.name, elapsed,
-            backend or "n/a",
+            "drained %d %s job(s) from %d group(s) as one %s sweep of %d lane(s) "
+            "on %s in %.3fs (relax backend: %s)",
+            len(all_jobs), application.value, len(groups), kind, total_lanes,
+            graph.name, elapsed, backend or "n/a",
         )
         with self._lock:
             self._executions += len(all_jobs)
@@ -1892,24 +1663,32 @@ class Service:
             self._engine_seconds += elapsed
         self._m_executions.inc(len(all_jobs))
         self._m_engine_seconds.inc(elapsed)
-        # Each fused group contributes one cost observation: the shared
-        # wall-clock split by lane share (sources dominate packed cost).
-        index = 0
+        # One cost observation per group — width + seconds is exactly the
+        # (per-sweep, per-job) sample the cost model EWMAs want — with the
+        # shared wall-clock split by lane share: sources dominate a word's
+        # cost, and every streaming lane sweeps the full stream.
+        published: list[tuple[Job, TraversalResult]] = []
+        lane = 0
         for group in groups:
-            lane_metrics = [
-                result.metrics
-                for result in outcome.results[index : index + len(group)]
-            ]
-            index += len(group)
-            share = elapsed * len(group) / len(all_jobs)
-            self._observe_cost(group[0].request.batch_key, len(group), share)
-            self._note_family_counters(group[0].request.batch_key, lane_metrics)
-        for job, result in zip(all_jobs, outcome.results):
+            width = 1 if streaming else len(group)
+            lane_results = outcome.results[lane : lane + width]
+            lane += width
+            group_key = group[0].request.batch_key
+            self._observe_cost(group_key, len(group), elapsed * width / total_lanes)
+            self._note_family_counters(
+                group_key, [result.metrics for result in lane_results]
+            )
+            # A lane's result goes to its job, or to every job of its group.
+            published += zip(
+                group, lane_results * len(group) if streaming else lane_results
+            )
+        for job, result in published:
             self._cache_put_safe(job.request.cache_key, result)
             job.mark_done(result)
             self._queue.release(job)
         with self._lock:
             self._note_finished_locked(*all_jobs)
+        return groups
 
     def _run_leased(self, request: TraversalRequest, graph: CSRGraph) -> TraversalResult:
         """Run one request against an engine leased from the arena."""
@@ -2057,13 +1836,9 @@ class Service:
                 return
             # Terminal, typed failure: waiters blocked in result() observe
             # ServiceClosedError instead of hanging until their timeout.
-            exc = ServiceClosedError("service closed before the job was executed")
-            for job in batch:
-                job.mark_failed(exc)
-                self._queue.release(job)
-            with self._lock:
-                self._failed += len(batch)
-                self._note_finished_locked(*batch)
+            self._fail_stranded(
+                batch, ServiceClosedError("service closed before the job was executed")
+            )
 
     def __enter__(self) -> "Service":
         return self

@@ -71,20 +71,43 @@ WORD_BITS = 64
 _ONE = np.uint64(1)
 
 
+@dataclass(frozen=True)
+class PackedLane:
+    """One lane of a batch: a source plus the (strategy, system) it should be
+    accounted under."""
+
+    source: int
+    strategy: AccessStrategy = EMOGI_STRATEGY
+    system: SystemConfig | None = None
+
+    def config_key(self) -> tuple:
+        """Engine-sharing identity: lanes with equal keys share one engine."""
+        fingerprint = None if self.system is None else self.system.fingerprint()
+        return (self.strategy, fingerprint)
+
+
 @dataclass
 class MultiSourceResult:
     """Outcome of one batched multi-source run.
 
-    ``results`` holds one :class:`TraversalResult` per requested source, in
-    request order, with attributed per-source metrics; ``batch_metrics`` holds
-    the shared engine's run-level metrics for each executed ≤64-source word.
+    ``results`` holds one :class:`TraversalResult` per requested lane, in
+    request order, with attributed per-lane metrics; ``batch_metrics`` holds
+    each engine's run-level metrics (one entry per distinct configuration per
+    executed ≤64-lane word).
     """
 
     application: Application
     graph_name: str
-    strategy: AccessStrategy
+    lanes: list[PackedLane] = field(default_factory=list)
     results: list[TraversalResult] = field(default_factory=list)
     batch_metrics: list[TraversalMetrics] = field(default_factory=list)
+    #: Shared algorithm executions performed (one per ≤64-lane word).
+    words: int = 0
+
+    @property
+    def strategy(self) -> AccessStrategy:
+        """Access strategy of the batch (of its first lane, when they differ)."""
+        return self.lanes[0].strategy
 
     @property
     def num_sources(self) -> int:
@@ -92,7 +115,7 @@ class MultiSourceResult:
 
     @property
     def num_batches(self) -> int:
-        return len(self.batch_metrics)
+        return self.words
 
     @property
     def batch_seconds(self) -> float:
@@ -145,14 +168,59 @@ def run_batch(
 ) -> MultiSourceResult:
     """Run a batched multi-source traversal, chunking sources into 64-bit words.
 
-    One engine serves the whole batch: either the caller's ``engine``, one
-    leased from ``arena`` (an :class:`~repro.traversal.arena.EngineArena`),
-    or a private one constructed here.  Between words the engine is recycled
-    with :meth:`TraversalEngine.reset` instead of being rebuilt.
+    The one-configuration spelling of :func:`run_packed_batch`: every source
+    is a lane of the same ``(strategy, system)``, so one engine serves the
+    whole batch — the caller's ``engine``, one leased from ``arena`` (an
+    :class:`~repro.traversal.arena.EngineArena`), or a private one.
 
     ``relax_method`` selects the SSSP relaxation backend (see
     :data:`repro.traversal.relax.RELAX_METHODS`); ``None`` picks the fastest
     available.  Every backend produces bit-identical per-source values.
+    """
+    lanes = [
+        PackedLane(int(source), strategy, system)
+        for source in np.asarray(list(sources)).ravel()
+    ]
+    return _run_words(application, graph, lanes, arena, relax_method, engine)
+
+
+def run_packed_batch(
+    application: Application | str,
+    graph: CSRGraph,
+    lanes,
+    arena=None,
+    relax_method: str | None = None,
+) -> MultiSourceResult:
+    """Run BFS/SSSP lanes spanning *different* configurations in one sweep.
+
+    What the fusion planner packs with: up to 64 ``(source, strategy,
+    system)`` lanes share one union-frontier execution per word, with one
+    engine per distinct configuration replaying every frontier sweep.
+    Frontier evolution is engine-independent (engines only account traffic),
+    so each lane's ``values`` are bit-identical to its solo run regardless of
+    what other configurations ride along; each lane's metrics are its own
+    engine's cost attributed across that engine's lanes.
+    """
+    lanes = [
+        lane if isinstance(lane, PackedLane) else PackedLane(*lane) for lane in lanes
+    ]
+    return _run_words(application, graph, lanes, arena, relax_method)
+
+
+def _run_words(
+    application: Application | str,
+    graph: CSRGraph,
+    lanes: list[PackedLane],
+    arena,
+    relax_method: str | None,
+    engine: TraversalEngine | None = None,
+) -> MultiSourceResult:
+    """The one word loop behind :func:`run_batch` and :func:`run_packed_batch`.
+
+    Engines are acquired once per distinct configuration for the whole batch
+    — ``engine`` (one-configuration batches only), a lease from ``arena``, or
+    a private one — and recycled with :meth:`TraversalEngine.reset` between
+    words instead of being rebuilt.
     """
     application = Application(application)
     if application is Application.BFS:
@@ -163,11 +231,10 @@ def run_batch(
         raise ConfigurationError(
             f"batched execution supports bfs and sssp, not {application.value}"
         )
-    source_list = [int(source) for source in np.asarray(list(sources)).ravel()]
-    if not source_list:
-        raise ConfigurationError("run_batch needs at least one source")
-    for source in source_list:
-        _check_source(graph, source)
+    if not lanes:
+        raise ConfigurationError("a batch needs at least one source lane")
+    for lane in lanes:
+        _check_source(graph, lane.source)
 
     weights = None
     if application is Application.SSSP and graph.has_weights:
@@ -178,212 +245,78 @@ def run_batch(
         # materialized at all, per word or otherwise.
         weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
 
-    leased = None
-    if engine is None:
-        if arena is not None:
-            leased = arena.acquire(
-                graph, strategy, system=system, needs_weights=needs_weights
-            )
-            engine = leased
-        else:
-            engine = TraversalEngine(
-                graph, strategy, system=system, needs_weights=needs_weights
-            )
-
+    # A configuration's key hashes its whole SystemConfig; lanes nearly always
+    # share a handful of config objects, so it is computed once per object.
+    key_of: dict[tuple, tuple] = {}
+    keys = []
+    for lane in lanes:
+        config = (lane.strategy, id(lane.system))
+        if config not in key_of:
+            key_of[config] = lane.config_key()
+        keys.append(key_of[config])
     outcome = MultiSourceResult(
-        application=application, graph_name=graph.name, strategy=strategy
+        application=application, graph_name=graph.name, lanes=lanes
     )
+    engines: dict[tuple, TraversalEngine] = {}
+    leased: list[TraversalEngine] = []
     try:
-        for offset in range(0, len(source_list), WORD_BITS):
-            word = source_list[offset : offset + WORD_BITS]
+        for key, lane in zip(keys, lanes):
+            if key in engines:
+                continue
+            options = dict(system=lane.system, needs_weights=needs_weights)
+            if engine is not None:
+                engines[key] = engine
+            elif arena is not None:
+                engines[key] = arena.acquire(graph, lane.strategy, **options)
+                leased.append(engines[key])
+            else:
+                engines[key] = TraversalEngine(graph, lane.strategy, **options)
+        for offset in range(0, len(lanes), WORD_BITS):
+            word_lanes = lanes[offset : offset + WORD_BITS]
+            # The word's engines: one per configuration present in it, in
+            # first-appearance order.
+            slots: dict[tuple, int] = {}
+            lane_engine = np.array(
+                [
+                    slots.setdefault(key, len(slots))
+                    for key in keys[offset : offset + WORD_BITS]
+                ],
+                dtype=np.int64,
+            )
+            word_engines = [engines[key] for key in slots]
             # Reset before every word (the first included): a caller-supplied
-            # engine may carry a previous run's counters, which would
-            # contaminate this batch's metrics.  Resetting a fresh engine is
-            # a cheap no-op.
-            engine.reset()
+            # or leased engine may carry a previous run's counters, which
+            # would contaminate this batch's metrics.  Resetting a fresh
+            # engine is a cheap no-op.
+            for word_engine in word_engines:
+                word_engine.reset()
             values, attribution = chunk_runner(
-                graph, word, [engine], None, weights, relax_method
+                graph,
+                [int(lane.source) for lane in word_lanes],
+                word_engines,
+                lane_engine,
+                weights,
+                relax_method,
             )
-            lane_breakdowns = attribution.breakdowns
-            lane_iterations = attribution.iterations
-            lane_fractions = attribution.fractions()
-            batch_metrics = engine.finalize()
-            outcome.batch_metrics.append(batch_metrics)
-            batch_counters = batch_metrics.counters
-            for lane, source in enumerate(word):
-                breakdown = lane_breakdowns[lane]
-                # Per-source kernel counters carry the lane's own iteration
-                # count and its attributed share of the shared sweep's work;
-                # max_frontier is the union frontier's (a batch-level fact),
-                # and the relax backend is shared by construction.
-                lane_counters = KernelCounters(
-                    iterations=int(lane_iterations[lane]),
-                    frontier_vertices=int(
-                        round(batch_counters.frontier_vertices * lane_fractions[lane])
-                    ),
-                    edges_traversed=int(
-                        round(batch_counters.edges_traversed * lane_fractions[lane])
-                    ),
-                    max_frontier=batch_counters.max_frontier,
-                    relax_candidates=int(
-                        round(batch_counters.relax_candidates * lane_fractions[lane])
-                    ),
-                    relax_backend=batch_counters.relax_backend,
-                )
-                metrics = TraversalMetrics(
-                    seconds=breakdown.total(),
-                    breakdown=breakdown,
-                    traffic=batch_metrics.traffic.scaled(lane_fractions[lane]),
-                    iterations=int(lane_iterations[lane]),
-                    dataset_bytes=engine.dataset_bytes,
-                    strategy=strategy,
-                    system_name=engine.system.name,
-                    counters=lane_counters,
-                )
-                outcome.results.append(
-                    TraversalResult(
-                        application=application,
-                        graph_name=graph.name,
-                        strategy=strategy,
-                        source=source,
-                        values=values[lane].copy(),
-                        metrics=metrics,
-                    )
-                )
-    finally:
-        if leased is not None:
-            arena.release(leased)
-    return outcome
-
-
-@dataclass(frozen=True)
-class PackedLane:
-    """One lane of a packed cross-configuration batch: a source plus the
-    (strategy, system) it should be accounted under."""
-
-    source: int
-    strategy: AccessStrategy = EMOGI_STRATEGY
-    system: SystemConfig | None = None
-
-    def config_key(self) -> tuple:
-        """Engine-sharing identity: lanes with equal keys share one engine."""
-        fingerprint = None if self.system is None else self.system.fingerprint()
-        return (self.strategy, fingerprint)
-
-
-@dataclass
-class PackedBatchResult:
-    """Outcome of one packed cross-configuration multi-source run.
-
-    ``results`` holds one :class:`TraversalResult` per requested lane, in
-    request order; ``batch_metrics`` holds each engine's run-level metrics
-    (one entry per distinct configuration per executed ≤64-lane word).
-    """
-
-    application: Application
-    graph_name: str
-    lanes: list[PackedLane] = field(default_factory=list)
-    results: list[TraversalResult] = field(default_factory=list)
-    batch_metrics: list[TraversalMetrics] = field(default_factory=list)
-    #: Shared algorithm executions performed (one per ≤64-lane word).
-    words: int = 0
-
-
-def run_packed_batch(
-    application: Application | str,
-    graph: CSRGraph,
-    lanes,
-    arena=None,
-    relax_method: str | None = None,
-) -> PackedBatchResult:
-    """Run BFS/SSSP lanes spanning *different* configurations in one sweep.
-
-    The generalization of :func:`run_batch` the fusion planner packs with:
-    up to 64 ``(source, strategy, system)`` lanes share one union-frontier
-    execution per word, with one engine per distinct configuration replaying
-    every frontier sweep.  Frontier evolution is engine-independent (engines
-    only account traffic), so each lane's ``values`` are bit-identical to
-    its solo run regardless of what other configurations ride along; each
-    lane's metrics are its own engine's cost attributed across that engine's
-    lanes, exactly as :func:`run_batch` attributes a single engine's.
-    """
-    application = Application(application)
-    if application is Application.BFS:
-        chunk_runner, needs_weights = _bfs_word, False
-    elif application is Application.SSSP:
-        chunk_runner, needs_weights = _sssp_word, True
-    else:
-        raise ConfigurationError(
-            f"packed execution supports bfs and sssp, not {application.value}"
-        )
-    lane_list = [
-        lane if isinstance(lane, PackedLane) else PackedLane(*lane) for lane in lanes
-    ]
-    if not lane_list:
-        raise ConfigurationError("run_packed_batch needs at least one lane")
-    for lane in lane_list:
-        _check_source(graph, lane.source)
-
-    weights = None
-    if application is Application.SSSP and graph.has_weights:
-        # Same hoist as run_batch: one exact float64 view per batch.
-        weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
-
-    outcome = PackedBatchResult(
-        application=application, graph_name=graph.name, lanes=lane_list
-    )
-    for offset in range(0, len(lane_list), WORD_BITS):
-        word_lanes = lane_list[offset : offset + WORD_BITS]
-        word_sources = [int(lane.source) for lane in word_lanes]
-        # One engine per distinct configuration, in first-appearance order.
-        config_index: dict[tuple, int] = {}
-        configs: list[PackedLane] = []
-        lane_engine = np.zeros(len(word_lanes), dtype=np.int64)
-        for position, lane in enumerate(word_lanes):
-            key = lane.config_key()
-            index = config_index.get(key)
-            if index is None:
-                index = config_index[key] = len(configs)
-                configs.append(lane)
-            lane_engine[position] = index
-        engines: list[TraversalEngine] = []
-        leased: list[TraversalEngine] = []
-        try:
-            for config in configs:
-                if arena is not None:
-                    engine = arena.acquire(
-                        graph,
-                        config.strategy,
-                        system=config.system,
-                        needs_weights=needs_weights,
-                    )
-                    leased.append(engine)
-                else:
-                    engine = TraversalEngine(
-                        graph,
-                        config.strategy,
-                        system=config.system,
-                        needs_weights=needs_weights,
-                    )
-                engine.reset()
-                engines.append(engine)
-            values, attribution = chunk_runner(
-                graph, word_sources, engines, lane_engine, weights, relax_method
-            )
-            engine_metrics = [engine.finalize() for engine in engines]
+            engine_metrics = [word_engine.finalize() for word_engine in word_engines]
             outcome.batch_metrics.extend(engine_metrics)
             engine_lane_fractions = [
-                attribution.engine_fractions(index) for index in range(len(engines))
+                attribution.engine_fractions(index)
+                for index in range(len(word_engines))
             ]
             for position, lane in enumerate(word_lanes):
                 index = int(lane_engine[position])
-                engine = engines[index]
                 batch_metrics = engine_metrics[index]
                 batch_counters = batch_metrics.counters
                 fraction = float(engine_lane_fractions[index][position])
                 breakdown = attribution.breakdowns[position]
+                iterations = int(attribution.iterations[position])
+                # Per-lane kernel counters carry the lane's own iteration
+                # count and its attributed share of its engine's work;
+                # max_frontier is the union frontier's (a batch-level fact),
+                # and the relax backend is shared by construction.
                 lane_counters = KernelCounters(
-                    iterations=int(attribution.iterations[position]),
+                    iterations=iterations,
                     frontier_vertices=int(
                         round(batch_counters.frontier_vertices * fraction)
                     ),
@@ -400,10 +333,10 @@ def run_packed_batch(
                     seconds=breakdown.total(),
                     breakdown=breakdown,
                     traffic=batch_metrics.traffic.scaled(fraction),
-                    iterations=int(attribution.iterations[position]),
-                    dataset_bytes=engine.dataset_bytes,
+                    iterations=iterations,
+                    dataset_bytes=word_engines[index].dataset_bytes,
                     strategy=lane.strategy,
-                    system_name=engine.system.name,
+                    system_name=word_engines[index].system.name,
                     counters=lane_counters,
                 )
                 outcome.results.append(
@@ -417,9 +350,9 @@ def run_packed_batch(
                     )
                 )
             outcome.words += 1
-        finally:
-            for engine in leased:
-                arena.release(engine)
+    finally:
+        for word_engine in leased:
+            arena.release(word_engine)
     return outcome
 
 
@@ -431,7 +364,7 @@ def _bfs_word(
     graph: CSRGraph,
     word: list[int],
     engines: list[TraversalEngine],
-    lane_engine: np.ndarray | None = None,
+    lane_engine: np.ndarray,
     weights=None,
     relax_method=None,
 ):
@@ -449,7 +382,7 @@ def _bfs_word(
         visited_bits[source] |= bit
         levels[lane, source] = 0
 
-    attribution = _Attribution(lanes, lane_engine=lane_engine)
+    attribution = _Attribution(lanes, lane_engine)
     frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE)
     depth = 0
     while frontier.size:
@@ -462,9 +395,7 @@ def _bfs_word(
         # when lanes span different (strategy, system) configurations.
         for engine_index, engine in enumerate(engines):
             iteration = engine.process_frontier(frontier, starts, ends)
-            attribution.record(
-                iteration, active_bits, degrees, engine_index=engine_index
-            )
+            attribution.record(iteration, active_bits, degrees, engine_index)
 
         destinations = gather_frontier_destinations(graph, frontier, starts, ends)
         edge_bits = np.repeat(active_bits, degrees)
@@ -492,7 +423,7 @@ def _sssp_word(
     graph: CSRGraph,
     word: list[int],
     engines: list[TraversalEngine],
-    lane_engine: np.ndarray | None = None,
+    lane_engine: np.ndarray,
     weights: np.ndarray | None = None,
     relax_method: str | None = None,
 ):
@@ -510,7 +441,7 @@ def _sssp_word(
     snapshot = make_snapshot(num_vertices, lanes)
     next_scratch = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
 
-    attribution = _Attribution(lanes, lane_engine=lane_engine)
+    attribution = _Attribution(lanes, lane_engine)
     iterations = 0
     max_iterations = max(1, num_vertices)
     frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE)
@@ -538,9 +469,9 @@ def _sssp_word(
                 iteration,
                 active_bits,
                 degrees,
+                engine_index,
                 lane_edges=outcome.lane_edges,
                 active=outcome.active_lanes,
-                engine_index=engine_index,
             )
 
         # Double-buffer: the consumed frontier word becomes next sweep's
@@ -592,14 +523,13 @@ class _Attribution:
     frontier's degree sum over the sum across all active sources).  Iterations
     whose active sources own no edges at all split the fixed costs evenly.
 
-    With ``lane_engine`` (packed cross-config batches), lanes are partitioned
-    across several engines and each engine's iteration cost is split only
-    among *its own* lanes: per-engine attributed seconds still sum to that
-    engine's own sweep total.  Without it (the single-engine path), every
-    lane shares one engine and the behaviour is unchanged.
+    ``lane_engine`` partitions the lanes across the word's engines, and each
+    engine's iteration cost is split only among *its own* lanes: per-engine
+    attributed seconds sum to that engine's own sweep total (with one engine,
+    to the batch total).
     """
 
-    def __init__(self, lanes: int, lane_engine: np.ndarray | None = None) -> None:
+    def __init__(self, lanes: int, lane_engine: np.ndarray) -> None:
         self.lanes = lanes
         self.lane_engine = lane_engine
         self.breakdowns = [TimeBreakdown() for _ in range(lanes)]
@@ -611,9 +541,9 @@ class _Attribution:
         iteration: TimeBreakdown,
         active_bits: np.ndarray,
         degrees: np.ndarray,
+        engine_index: int,
         lane_edges: np.ndarray | None = None,
         active: np.ndarray | None = None,
-        engine_index: int | None = None,
     ) -> None:
         if active is None:
             active = active_lane_mask(active_bits, self.lanes)
@@ -622,10 +552,9 @@ class _Attribution:
             for lane in np.flatnonzero(active):
                 mask = _lane_mask(active_bits, lane)
                 lane_edges[lane] = int(degrees[mask].sum())
-        if self.lane_engine is not None and engine_index is not None:
-            owned = self.lane_engine == engine_index
-            active = active & owned
-            lane_edges = np.where(owned, lane_edges, 0)
+        owned = self.lane_engine == engine_index
+        active = active & owned
+        lane_edges = np.where(owned, lane_edges, 0)
         self.iterations += active
         total = float(lane_edges.sum())
         if total > 0:
@@ -638,13 +567,6 @@ class _Attribution:
             if shares[lane] > 0:
                 self.breakdowns[lane].add(iteration.scaled(float(shares[lane])))
 
-    def fractions(self) -> np.ndarray:
-        """Each source's overall share of the batch, for traffic attribution."""
-        total = float(self.attributed_edges.sum())
-        if total <= 0:
-            return np.full(self.lanes, 1.0 / self.lanes)
-        return self.attributed_edges / total
-
     def engine_fractions(self, engine_index: int) -> np.ndarray:
         """Lane shares normalized within one engine's own lane subset.
 
@@ -652,8 +574,6 @@ class _Attribution:
         attributed totals summing to that engine's own sweep, independent of
         how much work the other engines' lanes did.
         """
-        if self.lane_engine is None:
-            return self.fractions()
         owned = self.lane_engine == engine_index
         edges = np.where(owned, self.attributed_edges, 0.0)
         total = float(edges.sum())

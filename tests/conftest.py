@@ -102,6 +102,49 @@ def to_networkx(graph, weighted: bool = False):
     return nx_graph
 
 
+def metrics_fields(metrics) -> tuple:
+    """Every simulated number of one TraversalMetrics, floats bit-exact."""
+    breakdown, traffic, counters = metrics.breakdown, metrics.traffic, metrics.counters
+    return (
+        float(metrics.seconds).hex(),
+        metrics.iterations,
+        metrics.dataset_bytes,
+        str(metrics.strategy),
+        metrics.system_name,
+        tuple(
+            float(value).hex()
+            for value in (
+                breakdown.interconnect_seconds,
+                breakdown.dram_seconds,
+                breakdown.compute_seconds,
+                breakdown.fault_handling_seconds,
+                breakdown.host_preprocess_seconds,
+                breakdown.kernel_launch_seconds,
+            )
+        ),
+        tuple(sorted(traffic.request_histogram.counts.items())),
+        traffic.uvm_migrated_bytes,
+        traffic.uvm_migrations,
+        traffic.uvm_pages_touched,
+        traffic.block_transfer_bytes,
+        traffic.block_transfers,
+        traffic.dram_bytes,
+        traffic.useful_bytes,
+        traffic.edges_processed,
+        traffic.vertices_processed,
+        traffic.kernel_launches,
+        # The backend *label* depends on whether the host has a C compiler;
+        # every backend produces the same numbers, so only its presence and
+        # the counters are pinned.
+        counters.iterations,
+        counters.frontier_vertices,
+        counters.edges_traversed,
+        counters.max_frontier,
+        counters.relax_candidates,
+        counters.relax_backend is not None,
+    )
+
+
 def pytest_sessionfinish(session, exitstatus):
     """With REPRO_LOCKCHECK armed, unreviewed ordering cycles fail the run.
 

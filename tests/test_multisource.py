@@ -1,11 +1,14 @@
 """Tests for batched multi-source traversal: bit-exact equivalence and
 attribution invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.traversal.api import run_average
+from repro.traversal.arena import EngineArena
 from repro.traversal.bfs import bfs_levels, run_bfs
 from repro.traversal.engine import TraversalEngine
 from repro.traversal.multisource import (
@@ -18,6 +21,8 @@ from repro.traversal.multisource import (
 )
 from repro.traversal.sssp import run_sssp, sssp_distances
 from repro.types import AccessStrategy, Application
+
+from .conftest import metrics_fields
 
 ALL_STRATEGIES = tuple(AccessStrategy)
 
@@ -236,3 +241,102 @@ class TestPackedCrossConfigEquivalence:
     def test_cc_rejected(self, random_graph):
         with pytest.raises(ConfigurationError):
             run_packed_batch(Application.CC, random_graph, [PackedLane(0)])
+
+
+def _outcome_digest(outcome) -> str:
+    parts = [
+        (result.source, hashlib.sha256(result.values.tobytes()).hexdigest())
+        + metrics_fields(result.metrics)
+        for result in outcome.results
+    ]
+    parts += [metrics_fields(metrics) for metrics in outcome.batch_metrics]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+THREE_CONFIGS = (
+    AccessStrategy.MERGED_ALIGNED,
+    AccessStrategy.UVM,
+    AccessStrategy.NAIVE,
+)
+
+
+def _front_digests(graph, application, lanes) -> dict:
+    """Digest of every front over one shape: ``{"one": {...}, "three": {...}}``.
+
+    "one" runs a single configuration through ``run_batch`` (plain, ``arena=``
+    and a dirtied caller ``engine=``) and ``run_packed_batch`` (plain,
+    ``arena=``); "three" spreads the same sources round-robin over three
+    strategies in ``run_packed_batch`` (plain, ``arena=``).
+    """
+    sources = [(index * 37) % graph.num_vertices for index in range(lanes)]
+    strategy = AccessStrategy.MERGED_ALIGNED
+    one = [PackedLane(source, strategy) for source in sources]
+    three = [
+        PackedLane(source, THREE_CONFIGS[index % 3])
+        for index, source in enumerate(sources)
+    ]
+    engine = TraversalEngine(graph, strategy, needs_weights=application == "sssp")
+    # Dirty the caller's engine first: its counters must not leak in.
+    run_batch(application, graph, sources[:2], strategy=strategy, engine=engine)
+    outcomes = {
+        "one": {
+            "run_batch": run_batch(application, graph, sources, strategy=strategy),
+            "run_batch arena=": run_batch(
+                application, graph, sources, strategy=strategy, arena=EngineArena()
+            ),
+            "run_batch engine=": run_batch(
+                application, graph, sources, strategy=strategy, engine=engine
+            ),
+            "run_packed_batch": run_packed_batch(application, graph, one),
+            "run_packed_batch arena=": run_packed_batch(
+                application, graph, one, arena=EngineArena()
+            ),
+        },
+        "three": {
+            "run_packed_batch": run_packed_batch(application, graph, three),
+            "run_packed_batch arena=": run_packed_batch(
+                application, graph, three, arena=EngineArena()
+            ),
+        },
+    }
+    return {
+        configs: {front: _outcome_digest(outcome) for front, outcome in fronts.items()}
+        for configs, fronts in outcomes.items()
+    }
+
+
+#: Recorded at the commit before run_batch and run_packed_batch were merged
+#: onto one word runner (where every front of a shape already agreed):
+#: (graph fixture, application, lanes) -> {configs: digest}.
+PINNED_DIGESTS = {
+    ("random_graph", "bfs", 3): {"one": "4f486011cb81a4e8", "three": "e2d2abd2e479d7a0"},
+    ("random_graph", "bfs", 64): {"one": "e93684e29d6fa173", "three": "384f97f782cb8694"},
+    ("random_graph", "bfs", 70): {"one": "0a132bb4e6d9b212", "three": "5839d55d2bd2a922"},
+    ("random_graph", "sssp", 3): {"one": "89dabff5cb17c794", "three": "f5df1b3009697750"},
+    ("random_graph", "sssp", 64): {"one": "848fe034ac4164c5", "three": "e9cbd669c141ab0d"},
+    ("random_graph", "sssp", 70): {"one": "1306d4f9ff36d76b", "three": "6c319733a4b287c2"},
+    ("weighted_uniform_graph", "bfs", 3): {"one": "4d55f2feba294881", "three": "32dee48edee50f86"},
+    ("weighted_uniform_graph", "bfs", 64): {"one": "db03e2db9971d1b6", "three": "5277476733f2d27c"},
+    ("weighted_uniform_graph", "bfs", 70): {"one": "22d26b6e5bb12e8d", "three": "8319f6400b30498b"},
+    ("weighted_uniform_graph", "sssp", 3): {"one": "f96b8f79fc48cfa7", "three": "920e1327de0f53c3"},
+    ("weighted_uniform_graph", "sssp", 64): {"one": "42186151943802ec", "three": "b484acc0633b1131"},
+    ("weighted_uniform_graph", "sssp", 70): {"one": "25c76c0f8c65f0cd", "three": "e284beb9b9a5393f"},
+}
+
+
+class TestPinnedAttributedMetrics:
+    """Attributed metrics are guarded across commits, not only against solo
+    runs: every front must reproduce the pinned digest of its shape — each
+    lane's values, attributed metrics and kernel counters plus the engines'
+    batch metrics — bit for bit."""
+
+    @pytest.mark.parametrize("lanes", (3, 64, 70))
+    @pytest.mark.parametrize("application", ("bfs", "sssp"))
+    @pytest.mark.parametrize("fixture", ("random_graph", "weighted_uniform_graph"))
+    def test_every_front_matches_the_pinned_digest(
+        self, request, fixture, application, lanes
+    ):
+        graph = request.getfixturevalue(fixture)
+        pinned = PINNED_DIGESTS[(fixture, application, lanes)]
+        for configs, fronts in _front_digests(graph, application, lanes).items():
+            assert fronts == dict.fromkeys(fronts, pinned[configs]), configs

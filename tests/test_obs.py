@@ -299,7 +299,7 @@ class TestServiceTracing:
             for job in jobs:
                 job.trace_id = service._tracer.begin()
                 job.enqueued_at = job.submitted_at
-            service._execute_builtin(jobs, random_graph)
+            service._execute_sweep([jobs], random_graph)
             spans = service.drain_traces()
         refs = {job.sweep_ref for job in jobs}
         assert len(refs) == 1 and None not in refs
@@ -369,7 +369,7 @@ class TestServiceMetrics:
                 )
                 for i in range(3)
             ]
-            service._execute_builtin(jobs, random_graph)
+            service._execute_sweep([jobs], random_graph)
             metrics = service.collect_metrics()
         backend = jobs[0].result.metrics.counters.relax_backend
         assert backend in ("native", "scatter", "reduceat")

@@ -21,7 +21,11 @@ from repro.service.costmodel import CostModel
 from repro.service.jobs import Job, JobStatus
 from repro.service.planner import MAX_LANES, FusionPlan, FusionPlanner
 from repro.traversal.api import run
+from repro.traversal.multisource import run_batch
+from repro.traversal.streaming import run_streaming_batch
 from repro.types import AccessStrategy, Application
+
+from .conftest import metrics_fields
 
 
 @pytest.fixture(autouse=True)
@@ -339,6 +343,111 @@ class TestPlannedDrainBitIdentity:
                     )
         for cache_key, (on, off) in values.items():
             assert np.array_equal(on, off), cache_key
+
+    def test_planner_off_drains_through_the_plan_path(self):
+        """Without the planner every group still drains as a (baseline) plan:
+        one single-group decision and one batch per group, and each job's
+        metrics are those of a direct engine call of its group's shape."""
+        graph = make_graph()
+        with Service(config=ServiceConfig(planner=False)) as service:
+            service.registry.register_graph(graph)
+            jobs = enqueue_without_draining(service, mixed_backlog(graph.name))
+            drain_all(service)
+            decisions = service.plan_decisions()
+            stats = service.stats()
+            spans = service.drain_traces()
+        groups: dict[tuple, list[Job]] = {}
+        for job in jobs:
+            assert job.status is JobStatus.DONE
+            groups.setdefault(job.request.batch_key, []).append(job)
+        assert len(decisions) == stats.batches == len(groups)
+        assert all(entry["groups"] == 1 for entry in decisions)
+        assert sorted(entry["jobs"] for entry in decisions) == sorted(
+            len(group) for group in groups.values()
+        )
+        assert len([s for s in spans if s["name"] == "plan"]) == len(groups)
+        for group in groups.values():
+            request = group[0].request
+            config = {"strategy": request.strategy, "system": request.system}
+            if request.application.is_streaming:
+                lane = (request.strategy, request.system)
+                direct = run_streaming_batch(request.application, graph, [lane])
+                expected = direct.results * len(group)
+            elif len(group) == 1:
+                expected = [run(request.application, graph, request.source, **config)]
+            else:
+                sources = [job.request.source for job in group]
+                expected = run_batch(request.application, graph, sources, **config).results
+            for job, reference in zip(group, expected):
+                assert metrics_fields(job.result.metrics) == metrics_fields(
+                    reference.metrics
+                ), request.describe()
+
+    def test_injected_engine_drains_through_the_plan_path(self):
+        """An injected engine runs once per job; its drains are ``solo`` plans."""
+        graph = make_graph()
+        calls = []
+
+        def counting_engine(request, resolved):
+            calls.append(request.cache_key)
+            return run(
+                request.application, resolved, source=request.source,
+                strategy=request.strategy, system=request.system,
+            )
+
+        with Service(config=ServiceConfig(), engine=counting_engine) as service:
+            service.registry.register_graph(graph)
+            jobs = enqueue_without_draining(service, mixed_backlog(graph.name))
+            drain_all(service)
+            decisions = service.plan_decisions()
+            stats = service.stats()
+        assert all(job.status is JobStatus.DONE for job in jobs)
+        assert sorted(calls) == sorted(job.request.cache_key for job in jobs)
+        group_sizes: dict[tuple, int] = {}
+        for job in jobs:
+            key = job.request.batch_key
+            group_sizes[key] = group_sizes.get(key, 0) + 1
+        assert len(decisions) == stats.batches == len(group_sizes)
+        assert {entry["kind"] for entry in decisions} == {"solo"}
+        assert all(entry["groups"] == 1 for entry in decisions)
+        assert sorted(entry["lanes"] for entry in decisions) == sorted(group_sizes.values())
+        assert stats.executions == len(jobs)
+
+    def test_plan_record_counts_only_lanes_that_rode_the_word(self):
+        """A rider with an out-of-range source fails solo before the word
+        forms; the plan record describes the sweep that actually ran."""
+        graph = make_graph()
+        bad = graph.num_vertices + 5
+        for rider_sources, expected in (
+            ([bad], {"kind": "multisource", "groups": 1, "lanes": 3, "jobs": 3}),
+            ([4, bad], {"kind": "packed", "groups": 2, "lanes": 4, "jobs": 4}),
+        ):
+            with Service(config=ServiceConfig()) as service:
+                service.registry.register_graph(graph)
+                requests = [
+                    TraversalRequest("bfs", graph.name, source=s) for s in range(3)
+                ]
+                requests += [
+                    TraversalRequest("bfs", graph.name, source=s, strategy="uvm")
+                    for s in rider_sources
+                ]
+                jobs = enqueue_without_draining(service, requests)
+                drain_all(service)
+                (decision,) = service.plan_decisions()
+                spans = service.drain_traces()
+            for job in jobs:
+                failed = job.request.source == bad
+                assert job.status is (JobStatus.FAILED if failed else JobStatus.DONE)
+            assert {key: decision[key] for key in expected} == expected
+            assert decision["shape"] == "{kind}:{groups}x{lanes}".format(**expected)
+            shared = [
+                span["attributes"]
+                for span in spans
+                if span["name"] == "engine_sweep" and span["attributes"]["jobs"] > 1
+            ]
+            assert [(s["kind"], s["lanes"]) for s in shared] == [
+                (expected["kind"], expected["lanes"])
+            ]
 
     def test_poisoned_packed_lane_fails_alone_bit_identically(self):
         plan = FaultPlan.from_spec("seed=17;worker.task:permanent:source=2")

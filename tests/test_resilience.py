@@ -28,7 +28,10 @@ from repro.service import faults
 from repro.service.resilience import BREAKER_STATE_CODES, iteration_checkpoint
 from repro.errors import PermanentFaultError, TransientFaultError
 from repro.graph.generators import uniform_random_graph
+from repro.traversal import _native
 from repro.types import Application
+
+from .test_chaos import drain_all, enqueue_without_draining
 
 
 @pytest.fixture(autouse=True)
@@ -417,6 +420,76 @@ class TestServiceRetries:
         assert faults.active_plan() is plan
         service.close()
         assert faults.active_plan() is None
+
+
+# --------------------------------------------------------------------------- #
+# The native breaker only hears from sweeps that run the native kernel
+# --------------------------------------------------------------------------- #
+@pytest.mark.skipif(not _native.available(), reason="native relax kernel unavailable")
+class TestBreakerIgnoresSweepsWithoutRelax:
+    """Regression: batched BFS drains used to ask the native-relax breaker for
+    a backend and report success to it, although BFS never runs that kernel."""
+
+    @staticmethod
+    def _drain_group(service, application, sources):
+        """Queue one same-config group, then drain it on the test thread."""
+        jobs = enqueue_without_draining(
+            service,
+            [
+                TraversalRequest(graph="resil", application=application, source=s)
+                for s in sources
+            ],
+        )
+        drain_all(service)
+        assert all(job.result is not None for job in jobs)
+        return jobs
+
+    def _service(self, faults_spec, **config):
+        service = Service(config=ServiceConfig(fault_plan=faults_spec, **config))
+        service.registry.register_graph(make_graph())
+        return service
+
+    def test_bfs_drain_does_not_take_the_half_open_probe(self):
+        with self._service(
+            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=0
+        ) as service:
+            self._drain_group(service, Application.SSSP, (0, 1, 2))
+            tripped = service._breaker.snapshot()
+            assert tripped["state"] == "half_open"  # open, cooldown of 0 elapsed
+            self._drain_group(service, Application.BFS, (0, 1, 2))
+            assert service._breaker.snapshot() == tripped
+            # The next SSSP drain is the probe: the fault is spent, the
+            # native kernel really runs, and only that closes the breaker.
+            probe = self._drain_group(service, Application.SSSP, (3, 4, 5))
+            assert service.stats().breaker_state == "closed"
+            assert probe[0].result.metrics.counters.relax_backend == "native"
+            transitions = service.metrics.get("repro_native_breaker_transitions_total")
+            assert transitions.value(state="half_open") == 1
+            assert transitions.value(state="closed") == 1
+
+    def test_bfs_drain_under_an_open_breaker_is_not_counted_degraded(self):
+        with self._service(
+            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=60
+        ) as service:
+            self._drain_group(service, Application.SSSP, (0, 1, 2))
+            assert service.stats().breaker_state == "open"
+            assert service.stats().degraded == 1
+            self._drain_group(service, Application.BFS, (0, 1, 2))
+            stats = service.stats()
+            assert stats.breaker_state == "open"
+            assert stats.degraded == 1
+            assert service.metrics.get("repro_native_degraded_total").value() == 1
+
+    def test_bfs_success_does_not_reset_the_failure_count(self):
+        with self._service(
+            "native.invoke:permanent:limit=2", breaker_threshold=2, breaker_cooldown=60
+        ) as service:
+            self._drain_group(service, Application.SSSP, (0, 1, 2))
+            assert service._breaker.snapshot()["consecutive_failures"] == 1
+            self._drain_group(service, Application.BFS, (0, 1, 2))
+            assert service._breaker.snapshot()["consecutive_failures"] == 1
+            self._drain_group(service, Application.SSSP, (3, 4, 5))
+            assert service.stats().breaker_state == "open"
 
 
 # --------------------------------------------------------------------------- #

@@ -239,7 +239,7 @@ class TestBuiltinBatchedExecution:
                 Job(job_id=f"poison-{i}", request=request)
                 for i, request in enumerate([*good_requests, poisoned])
             ]
-            service._execute_builtin(jobs, random_graph)
+            service._execute_sweep([jobs], random_graph)
         for job, request in zip(jobs[:2], good_requests):
             assert job.status is JobStatus.DONE
             direct = run(Application.BFS, random_graph, source=request.source)
