@@ -83,7 +83,7 @@ class LintConfig:
     fault_sites: tuple = ()
     #: Bare call names treated as fault-site checks alongside faults.check.
     fault_check_names: tuple = ("check", "_check_fault")
-    #: Registered metric series (REPRO106); resolved from the live catalog.
+    #: Declared metric series (REPRO106); resolved from the live catalog.
     metric_names: frozenset = frozenset()
     metric_prefix: str = "repro_"
 
@@ -94,12 +94,12 @@ def default_config() -> LintConfig:
     Imported lazily so that importing :mod:`repro.analysis` (e.g. for
     :mod:`~repro.analysis.lockorder`) never drags the whole serving layer in.
     """
-    from ..obs.metrics import METRIC_NAMES
+    from ..obs.metrics import CATALOG
     from ..service.faults import SITES
 
     return LintConfig(
         fault_sites=tuple(SITES),
-        metric_names=frozenset(METRIC_NAMES),
+        metric_names=frozenset(CATALOG),
     )
 
 

@@ -16,8 +16,8 @@ REPRO104    every ``REPRO_*`` environment read routed through
             ``repro.envflags``
 REPRO105    every fault-site literal armed at a ``faults.check(...)`` call
             exists in ``repro.service.faults.SITES``
-REPRO106    every ``repro_*`` metric name is pre-registered in
-            ``repro.obs.metrics.METRIC_NAMES``
+REPRO106    every ``repro_*`` metric-series literal is declared in
+            ``repro.obs.metrics.CATALOG``
 ==========  ===============================================================
 
 See ``docs/lint-rules.md`` for the catalog with rationale and suppression

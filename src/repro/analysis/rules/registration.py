@@ -11,14 +11,17 @@ REPRO105
     :data:`repro.service.faults.SITES`.
 
 REPRO106
-    Every string literal starting with ``repro_`` passed as the first
-    argument of a ``.counter(`` / ``.gauge(`` / ``.summary(`` call must be
-    pre-registered in :data:`repro.obs.metrics.METRIC_NAMES`.
+    Every string literal spelled like a metric series — ``repro_`` followed
+    by lowercase letters, digits and underscores — must be declared in
+    :data:`repro.obs.metrics.CATALOG`, wherever it appears: the subscript of
+    an instrumentation call site (``metrics["repro_..."].inc()``), an
+    argument, a dict key.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 
 from ..findings import Finding
 from . import dotted_name, literal_str
@@ -70,24 +73,18 @@ class MetricNameRule:
     rule_id = "REPRO106"
     severity = "error"
     hint = (
-        "register the series in repro.obs.metrics.METRIC_NAMES or fix the "
-        "typo — unregistered names silently never export"
+        "declare the series in repro.obs.metrics.CATALOG or fix the typo — "
+        "an undeclared name is a KeyError at the call site"
     )
 
-    _methods = ("counter", "gauge", "summary")
-
     def check(self, tree: ast.Module, path: str, config) -> list[Finding]:
+        series = re.compile(re.escape(config.metric_prefix) + r"[a-z0-9_]+")
         findings: list[Finding] = []
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute) or func.attr not in self._methods:
-                continue
-            name = literal_str(node.args[0])
+            name = literal_str(node)
             if (
                 name is not None
-                and name.startswith(config.metric_prefix)
+                and series.fullmatch(name)
                 and name not in config.metric_names
             ):
                 findings.append(
@@ -97,8 +94,8 @@ class MetricNameRule:
                         line=node.lineno,
                         severity=self.severity,
                         message=(
-                            f"metric name {name!r} is not pre-registered in "
-                            "repro.obs.metrics.METRIC_NAMES"
+                            f"metric name {name!r} is not declared in "
+                            "repro.obs.metrics.CATALOG"
                         ),
                         hint=self.hint,
                     )

@@ -682,14 +682,10 @@ def _stats(argv: list[str]) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"stats failed: {exc}", file=sys.stderr)
         return 2
-    registry = report.metrics
-    if registry is None:  # defensive: run_workload always attaches a registry
-        print("stats failed: workload report carries no metrics", file=sys.stderr)
-        return 2
     if args.format == "json":
-        print(json.dumps(registry.render_json(), indent=2, sort_keys=True))
+        print(json.dumps(report.metrics.render_json(), indent=2, sort_keys=True))
     else:
-        sys.stdout.write(registry.render_prometheus())
+        sys.stdout.write(report.metrics.render_prometheus())
     return 0
 
 

@@ -8,10 +8,11 @@ the time went*.  Three pieces:
   to, a bounded ring buffer, and JSONL export.  Sampling is configurable
   (:attr:`repro.config.ServiceConfig.trace_sample`) and ``REPRO_TRACE=0``
   kills span recording entirely, mirroring ``REPRO_NATIVE``.
-* :mod:`repro.obs.metrics` — a registry of counters / gauges / summaries
-  (quantiles computed by the same :class:`~repro.service.stats.LatencyStats`
-  formula the service stats use) with Prometheus-text and JSON renderers,
-  behind ``repro.cli stats --format prom|json``.
+* :mod:`repro.obs.metrics` — the catalog of every ``repro_*`` series and a
+  registry of counters / gauges / summaries built from it (the service's one
+  ledger: ``Service.stats()`` is read from it, percentiles included) with
+  Prometheus-text and JSON renderers, behind
+  ``repro.cli stats --format prom|json``.
 * :mod:`repro.obs.check` — validates a drained trace file: every completed
   request must carry the full lifecycle and its span durations must tile its
   measured latency (the CI smoke gate).

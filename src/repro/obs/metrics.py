@@ -5,96 +5,223 @@ Three instrument kinds, deliberately minimal:
 * :class:`Counter` — monotonically increasing, optionally labelled.
 * :class:`Gauge` — last-write-wins point-in-time value, optionally labelled.
 * :class:`Summary` — a bounded sliding window of observations plus cumulative
-  ``sum``/``count``.  Quantiles are computed with the exact same ceil-based
-  nearest-rank formula as :class:`repro.service.stats.LatencyStats`, so the
-  ``p50/p95/p99`` an operator scrapes match the ones ``Service.stats()``
-  prints.
+  ``sum``/``count``.  Its quantiles are a :class:`LatencyStats` over that
+  window — the one ceil-based nearest-rank formula in the tree — so the
+  ``p50/p95/p99`` an operator scrapes are the ones ``Service.stats()`` prints.
 
 The registry renders either Prometheus text exposition format (``# HELP`` /
 ``# TYPE`` headers, ``{label="value"}`` children, summaries as ``quantile``
 series plus ``_sum``/``_count``) or a nested JSON document, behind
 ``repro.cli stats --format prom|json``.
 
-Everything is guarded by one registry-wide lock; instruments never call back
-into the service, so there is no lock-ordering hazard with the service's own
-lock.  (Both locks are created through
+Each instrument guards its children with its own ``obs.Instrument._lock``
+(the registry's lock only covers the name table); instruments never call
+back into the service, so there is no lock-ordering hazard with the
+service's own lock.  (All of them are created through
 :func:`repro.analysis.lockorder.tracked_lock`, so ``REPRO_LOCKCHECK=1``
 verifies that claim dynamically instead of trusting the comment.)
 
-Every ``repro_*`` series the codebase emits must be pre-registered in
-:data:`METRIC_NAMES` below — the ``REPRO106`` lint rule cross-references
-instrumentation sites against this catalog, so a typo'd name that would
-silently never export fails ``repro.cli lint`` instead.
+Every ``repro_*`` series the codebase emits is declared exactly once, in
+:data:`CATALOG` below: the service builds its registry from it and reaches a
+series as ``metrics["repro_..."]``, and the ``REPRO106`` lint rule rejects
+any series-shaped string literal in the tree that the catalog does not
+declare — so a typo'd name fails ``repro.cli lint`` instead of raising
+``KeyError`` in production.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from ..analysis.lockorder import tracked_lock
 
 _LabelKey = tuple[tuple[str, str], ...]
 
-#: Catalog of every ``repro_*`` series this codebase emits: name -> help.
-#: Instrumentation sites using a ``repro_*`` literal not present here are
-#: rejected by the ``REPRO106`` lint rule (see :mod:`repro.analysis`).
-METRIC_NAMES: dict[str, str] = {
-    "repro_requests_submitted_total": "Requests accepted by submit().",
-    "repro_requests_total": "Requests reaching a terminal state, by outcome.",
-    "repro_requests_deduplicated_total": "Requests coalesced onto in-flight jobs.",
-    "repro_requests_cache_served_total": "Requests answered from the result cache.",
-    "repro_requests_rejected_total": "Submissions refused at admission, by reason.",
-    "repro_request_latency_seconds": "End-to-end request latency.",
-    "repro_queue_wait_seconds": "Time between enqueue and drain.",
-    "repro_batches_total": "Batch groups drained.",
-    "repro_executions_total": "Jobs executed (cache misses).",
-    "repro_engine_seconds_total": "Wall-clock seconds spent in engine sweeps.",
-    "repro_deadlines_total": "Deadline-carrying requests, by outcome.",
-    "repro_costmodel_abs_error_seconds": "Absolute cost-model estimate error.",
-    "repro_costmodel_observations_total": "Cost-model observations folded in.",
-    "repro_kernel_iterations_total": "Traversal iterations executed, by app.",
-    "repro_kernel_frontier_vertices_total": "Frontier vertices expanded, by app.",
-    "repro_kernel_edges_total": "Edges traversed, by app.",
-    "repro_kernel_relax_candidates_total": "Relaxation candidates streamed, by app.",
-    "repro_kernel_backend_total": "Sweeps executed, by app and relax backend.",
-    "repro_retries_total": "Transient-failure retries, by site.",
-    "repro_sweep_timeouts_total": "Sweeps cancelled by the watchdog.",
-    "repro_fused_isolations_total": "Fused groups re-run member-by-member.",
-    "repro_native_degraded_total": "Sweeps degraded to the numpy backend.",
-    "repro_native_breaker_transitions_total": "Circuit-breaker transitions, by state.",
-    "repro_faults_injected_total": "Injected faults fired, by site.",
-    "repro_cache_errors_total": "Result-cache errors absorbed, by operation.",
-    "repro_rejected_after_close_total": "Submissions refused after close().",
+#: Every ``repro_*`` series this codebase emits, declared once:
+#: name -> ``(kind, help, *label names)``.  Adding a series is one line here
+#: plus its call site (``metrics["repro_..."].inc(...)``).
+CATALOG: dict[str, tuple[str, ...]] = {
+    "repro_requests_submitted_total": ("counter", "Requests accepted by submit()."),
+    "repro_requests_total": (
+        "counter",
+        "Requests reaching a terminal state, by outcome (completed / failed / expired).",
+        "outcome",
+    ),
+    "repro_requests_deduplicated_total": (
+        "counter", "Requests coalesced onto in-flight jobs.",
+    ),
+    "repro_requests_cache_served_total": (
+        "counter", "Requests answered from the result cache.",
+    ),
+    "repro_requests_rejected_total": (
+        "counter", "Submissions refused at admission, by reason.", "reason",
+    ),
+    "repro_tenant_jobs_total": (
+        "counter",
+        "Jobs completed / deadline-carrying jobs missed, by owning tenant "
+        '("" = anonymous).',
+        "tenant",
+        "result",
+    ),
+    "repro_request_latency_seconds": ("summary", "End-to-end request latency."),
+    "repro_queue_wait_seconds": (
+        "summary", "Queueing delay from submission to execution start.",
+    ),
+    "repro_batches_total": ("counter", "Batch groups drained."),
+    "repro_executions_total": ("counter", "Jobs executed (cache misses)."),
+    "repro_engine_seconds_total": (
+        "counter", "Wall-clock seconds spent in engine sweeps.",
+    ),
+    "repro_deadlines_total": (
+        "counter", "Deadline-carrying waiters, by result (met / missed).", "result",
+    ),
+    "repro_costmodel_abs_error_seconds": (
+        "summary", "Absolute cost-model estimate error.",
+    ),
+    "repro_costmodel_observations_total": (
+        "counter", "Cost-model observations folded in.",
+    ),
+    "repro_kernel_iterations_total": (
+        "counter", "Traversal iterations executed, by app.", "app",
+    ),
+    "repro_kernel_frontier_vertices_total": (
+        "counter", "Frontier vertices expanded, by app.", "app",
+    ),
+    "repro_kernel_edges_total": ("counter", "Edges traversed, by app.", "app"),
+    "repro_kernel_relax_candidates_total": (
+        "counter", "Relaxation candidates streamed, by app.", "app",
+    ),
+    "repro_kernel_backend_total": (
+        "counter", "Sweeps executed, by app and relax backend.", "app", "backend",
+    ),
+    "repro_retries_total": ("counter", "Transient-failure retries, by site.", "site"),
+    "repro_sweep_timeouts_total": ("counter", "Sweeps cancelled by the watchdog."),
+    "repro_fused_isolations_total": (
+        "counter", "Fused groups re-run member-by-member.",
+    ),
+    "repro_native_degraded_total": (
+        "counter", "Sweeps degraded to the numpy backend.",
+    ),
+    "repro_native_breaker_transitions_total": (
+        "counter", "Circuit-breaker transitions, by state.", "state",
+    ),
+    "repro_faults_injected_total": (
+        "counter", "Injected faults fired, by site.", "site",
+    ),
+    "repro_cache_errors_total": (
+        "counter", "Result-cache errors absorbed, by operation.", "op",
+    ),
+    "repro_rejected_after_close_total": (
+        "counter", "Submissions refused because the service or its pool was closed.",
+    ),
     "repro_queue_policy_fallback_total": (
+        "counter",
         "Drains where the policy named a non-pending group and the queue "
-        "fell back to arrival order."
+        "fell back to arrival order.",
     ),
-    "repro_planner_plans_built_total": "Candidate fusion plans enumerated.",
-    "repro_planner_plans_chosen_total": "Fusion plans executed, by kind.",
+    "repro_planner_plans_built_total": (
+        "counter", "Candidate fusion plans enumerated.",
+    ),
+    "repro_planner_plans_chosen_total": (
+        "counter", "Fusion plans executed, by kind.", "kind",
+    ),
     "repro_planner_plans_rejected_total": (
-        "Candidate fusion plans scored but not chosen."
+        "counter", "Candidate fusion plans scored but not chosen.",
     ),
-    "repro_planner_packed_lanes_total": "Lanes executed inside chosen fused plans.",
+    "repro_planner_packed_lanes_total": (
+        "counter", "Lanes executed inside chosen fused plans.",
+    ),
     "repro_planner_estimated_savings_seconds": (
-        "Estimated solo-minus-shared seconds of each chosen plan."
+        "summary", "Estimated solo-minus-shared seconds of each chosen plan.",
     ),
-    "repro_pending_jobs": "Jobs queued, not yet picked up.",
-    "repro_active_workers": "Worker tasks queued or running.",
-    "repro_uptime_seconds": "Seconds since service construction.",
-    "repro_cache_entries": "Results held by the result cache.",
-    "repro_cache_hit_rate": "Result cache hit rate in [0, 1].",
-    "repro_costmodel_mean_abs_error_seconds": "Mean absolute cost-model error.",
-    "repro_trace_buffered_spans": "Spans buffered in the tracer ring.",
-    "repro_native_breaker_state": "Circuit-breaker state code (0/1/2).",
-    "repro_store_operations_total": "Durable-store operations, by op and outcome.",
-    "repro_store_hits_total": "Requests answered from the persistent result cache.",
-    "repro_store_flushes_total": "Write-through batches committed by the flush thread.",
-    "repro_store_dropped_writes_total": "Pending store writes dropped (queue full).",
-    "repro_store_breaker_transitions_total": "Store breaker transitions, by state.",
-    "repro_store_state": "Durable-store state code (0 ok / 1 degraded / 2 quarantined / 3 disabled).",
-    "repro_store_pending_writes": "Store writes queued for the flush thread.",
+    "repro_pending_jobs": ("gauge", "Jobs queued, not yet picked up."),
+    "repro_active_workers": ("gauge", "Worker tasks queued or running."),
+    "repro_uptime_seconds": ("gauge", "Seconds since service construction."),
+    "repro_cache_entries": ("gauge", "Results held by the result cache."),
+    "repro_cache_hit_rate": ("gauge", "Result cache hit rate in [0, 1]."),
+    "repro_costmodel_mean_abs_error_seconds": (
+        "gauge", "Mean absolute cost-model error.",
+    ),
+    "repro_trace_buffered_spans": ("gauge", "Spans buffered in the tracer ring."),
+    "repro_native_breaker_state": (
+        "gauge", "Circuit-breaker state code (0 closed / 1 half_open / 2 open).",
+    ),
+    "repro_store_operations_total": (
+        "counter", "Durable-store operations, by op and outcome.", "op", "outcome",
+    ),
+    "repro_store_hits_total": (
+        "counter", "Requests answered from the persistent result cache.",
+    ),
+    "repro_store_flushes_total": (
+        "counter", "Write-through batches committed by the flush thread.",
+    ),
+    "repro_store_dropped_writes_total": (
+        "counter", "Pending store writes dropped (queue full).",
+    ),
+    "repro_store_breaker_transitions_total": (
+        "counter", "Store breaker transitions, by state.", "state",
+    ),
+    "repro_store_state": (
+        "gauge",
+        "Durable-store state code (0 ok / 1 degraded / 2 quarantined / 3 disabled).",
+    ),
+    "repro_store_pending_writes": (
+        "gauge", "Store writes queued for the flush thread.",
+    ),
 }
+
+
+@dataclass(frozen=True)
+class LatencyStats:
+    """Percentile summary of a sliding window of per-job latency samples.
+
+    Computed over the most recent ``ServiceConfig.latency_window`` finished
+    jobs, so a long-running server reports current behaviour rather than an
+    all-time average that no longer means anything.
+    """
+
+    count: int = 0
+    mean_seconds: float = 0.0
+    p50_seconds: float = 0.0
+    p95_seconds: float = 0.0
+    p99_seconds: float = 0.0
+    max_seconds: float = 0.0
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[float]) -> "LatencyStats":
+        ordered = sorted(samples)
+        if not ordered:
+            return cls()
+
+        def percentile(fraction: float) -> float:
+            # Ceil-based nearest rank over the n-1 gaps: round *up* to the
+            # next sample, never down.  ``round`` here (with Python's
+            # banker's rounding) used to make p50 of an even-sized window
+            # return the lower sample — p50 of two samples was the minimum —
+            # silently understating every even-window percentile.  A latency
+            # percentile should err conservative.
+            index = min(len(ordered) - 1, math.ceil(fraction * (len(ordered) - 1)))
+            return ordered[index]
+
+        return cls(
+            count=len(ordered),
+            mean_seconds=sum(ordered) / len(ordered),
+            p50_seconds=percentile(0.50),
+            p95_seconds=percentile(0.95),
+            p99_seconds=percentile(0.99),
+            max_seconds=ordered[-1],
+        )
+
+    def describe_ms(self) -> str:
+        """Compact ``p50/p95/p99`` rendering in milliseconds."""
+        return (
+            f"{self.p50_seconds * 1e3:.2f}/{self.p95_seconds * 1e3:.2f}/"
+            f"{self.p99_seconds * 1e3:.2f} ms"
+        )
+
 
 #: Quantiles rendered for summaries, matching LatencyStats' fields.
 SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
@@ -146,14 +273,42 @@ class _Instrument:
         raise NotImplementedError
 
 
-class Counter(_Instrument):
-    """Monotonic counter with optional labels (one child per label set)."""
-
-    kind = "counter"
+class _Scalar(_Instrument):
+    """What counters and gauges share: one float per label set."""
 
     def __init__(self, name: str, help: str = "", label_names: Iterable[str] = ()) -> None:
         super().__init__(name, help, tuple(label_names))
         self._children: dict[_LabelKey, float] = {}
+
+    def value(self, **labels: Any) -> float:
+        key = _label_key(self.label_names, labels)
+        with self._lock:
+            return self._children.get(key, 0.0)
+
+    def render_prometheus(self) -> list[str]:
+        with self._lock:
+            children = dict(self._children)
+        if not children and not self.label_names:
+            children = {(): 0.0}
+        return [
+            f"{self.name}{_render_labels(key)} {_format_value(value)}"
+            for key, value in sorted(children.items())
+        ]
+
+    def render_json(self) -> Any:
+        with self._lock:
+            if not self.label_names:
+                return self._children.get((), 0.0)
+            return [
+                {"labels": dict(key), "value": value}
+                for key, value in sorted(self._children.items())
+            ]
+
+
+class Counter(_Scalar):
+    """Monotonic counter with optional labels (one child per label set)."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
@@ -162,68 +317,29 @@ class Counter(_Instrument):
         with self._lock:
             self._children[key] = self._children.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
-        key = _label_key(self.label_names, labels)
+    def samples(self) -> dict[tuple[str, ...], float]:
+        """Every child's value, keyed by its label values in label-name order."""
         with self._lock:
-            return self._children.get(key, 0.0)
+            return {
+                tuple(value for _, value in key): count
+                for key, count in self._children.items()
+            }
 
-    def render_prometheus(self) -> list[str]:
+    def total(self) -> float:
+        """Sum over all children: a labelled series read without its labels."""
         with self._lock:
-            children = dict(self._children)
-        if not children and not self.label_names:
-            children = {(): 0.0}
-        return [
-            f"{self.name}{_render_labels(key)} {_format_value(value)}"
-            for key, value in sorted(children.items())
-        ]
-
-    def render_json(self) -> Any:
-        with self._lock:
-            if not self.label_names:
-                return self._children.get((), 0.0)
-            return [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self._children.items())
-            ]
+            return sum(self._children.values())
 
 
-class Gauge(_Instrument):
+class Gauge(_Scalar):
     """Point-in-time value with optional labels; ``set`` is last-write-wins."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", label_names: Iterable[str] = ()) -> None:
-        super().__init__(name, help, tuple(label_names))
-        self._children: dict[_LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
         key = _label_key(self.label_names, labels)
         with self._lock:
             self._children[key] = float(value)
-
-    def value(self, **labels: Any) -> float:
-        key = _label_key(self.label_names, labels)
-        with self._lock:
-            return self._children.get(key, 0.0)
-
-    def render_prometheus(self) -> list[str]:
-        with self._lock:
-            children = dict(self._children)
-        if not children and not self.label_names:
-            children = {(): 0.0}
-        return [
-            f"{self.name}{_render_labels(key)} {_format_value(value)}"
-            for key, value in sorted(children.items())
-        ]
-
-    def render_json(self) -> Any:
-        with self._lock:
-            if not self.label_names:
-                return self._children.get((), 0.0)
-            return [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self._children.items())
-            ]
 
 
 class _SummaryChild:
@@ -236,7 +352,7 @@ class _SummaryChild:
 
 
 class Summary(_Instrument):
-    """Sliding-window observations with LatencyStats-compatible quantiles.
+    """Sliding-window observations whose quantiles are a :class:`LatencyStats`.
 
     ``sum``/``count`` are cumulative (Prometheus summary semantics); the
     quantiles come from a bounded window of the most recent observations so a
@@ -269,10 +385,8 @@ class Summary(_Instrument):
             child.sum += float(value)
             child.count += 1
 
-    def snapshot(self, **labels: Any) -> "Any":
+    def snapshot(self, **labels: Any) -> LatencyStats:
         """LatencyStats over the current window for one label set."""
-        from ..service.stats import LatencyStats  # local: avoids import cycle
-
         key = _label_key(self.label_names, labels)
         with self._lock:
             child = self._children.get(key)
@@ -280,8 +394,6 @@ class Summary(_Instrument):
         return LatencyStats.from_samples(samples)
 
     def render_prometheus(self) -> list[str]:
-        from ..service.stats import LatencyStats  # local: avoids import cycle
-
         with self._lock:
             children = [
                 (key, list(child.window), child.sum, child.count)
@@ -305,8 +417,6 @@ class Summary(_Instrument):
         return lines
 
     def render_json(self) -> Any:
-        from ..service.stats import LatencyStats  # local: avoids import cycle
-
         with self._lock:
             children = [
                 (key, list(child.window), child.sum, child.count)
@@ -335,15 +445,29 @@ class Summary(_Instrument):
 class MetricsRegistry:
     """Name-keyed collection of instruments with idempotent constructors.
 
+    Built from a catalog (``MetricsRegistry(CATALOG, window=...)``, what the
+    service does) every declared series exists up front and call sites reach
+    it as ``registry["repro_..."]``; an undeclared name is a ``KeyError``.
     ``registry.counter("x")`` returns the existing counter if one is already
     registered under that name (and raises if the name is taken by a different
-    kind or label set), so instrumentation sites never need to coordinate
-    creation order.
+    kind or label set), so ad-hoc instrumentation sites never need to
+    coordinate creation order.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, catalog: Mapping[str, tuple[str, ...]] | None = None, window: int = 1024
+    ) -> None:
+        """Declare every ``catalog`` series; ``window`` sizes its summaries."""
         self._lock = tracked_lock("obs.MetricsRegistry._lock")
         self._instruments: dict[str, _Instrument] = {}
+        for name, (kind, help, *label_names) in (catalog or {}).items():
+            sized = {"window": window} if kind == Summary.kind else {}
+            getattr(self, kind)(name, help, label_names, **sized)
+
+    def __getitem__(self, name: str) -> Any:
+        # Lock-free on purpose: this is the per-request path, a dict read is
+        # atomic, and instruments are only ever added, never replaced.
+        return self._instruments[name]
 
     def counter(
         self, name: str, help: str = "", label_names: Iterable[str] = ()

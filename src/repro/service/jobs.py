@@ -3,8 +3,12 @@
 A job moves ``PENDING → RUNNING → DONE`` (or ``FAILED``); completion is
 signalled through a :class:`threading.Event` so any number of clients —
 including the duplicates that were coalesced onto this job — can block on the
-same result.  Wall-clock timestamps record queueing delay and execution time
-separately, which is what the serving benchmark reports as latency.
+same result.  Reaching the terminal state and signalling it are two steps
+(:meth:`Job.mark_done` / :meth:`Job.mark_failed`, then :meth:`Job.wake`): the
+service does its accounting in between, so a client woken by a job finds that
+job in every stat, series and trace.  Wall-clock timestamps record queueing
+delay and execution time separately, which is what the serving benchmark
+reports as latency.
 """
 
 from __future__ import annotations
@@ -131,7 +135,6 @@ class Job:
         self.from_cache = from_cache
         self.status = JobStatus.DONE
         self.finished_at = time.perf_counter()
-        self._event.set()
 
     def mark_failed(self, error: BaseException) -> None:
         if self.started_at is None:
@@ -139,6 +142,9 @@ class Job:
         self.error = error
         self.status = JobStatus.FAILED
         self.finished_at = time.perf_counter()
+
+    def wake(self) -> None:
+        """Signal completion to every waiter; the last step of a lifecycle."""
         self._event.set()
 
     # ------------------------------------------------------------------ #
@@ -146,7 +152,7 @@ class Job:
     # ------------------------------------------------------------------ #
     @property
     def done(self) -> bool:
-        """True once the job reached a terminal state (DONE or FAILED)."""
+        """True once the job's terminal state (DONE or FAILED) was signalled."""
         return self._event.is_set()
 
     def wait(self, timeout: float | None = None) -> bool:

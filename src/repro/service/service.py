@@ -37,7 +37,7 @@ from ..errors import (
     SweepTimeoutError,
 )
 from ..graph.csr import CSRGraph
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import CATALOG, MetricsRegistry
 from ..obs.trace import Span, Tracer
 from ..traversal import _native
 from ..traversal.api import run
@@ -67,7 +67,7 @@ from .resilience import (
     cancellation_scope,
 )
 from .scheduler import make_policy
-from .stats import LatencyStats, ServiceStats, TenantStats
+from .stats import ServiceStats
 from .store import STORE_STATE_CODES, ServingStore
 from .workers import WorkerPool
 
@@ -108,6 +108,10 @@ class Service:
             budget_bytes=self.config.registry_budget_bytes
         )
         self.system = system or default_system()
+        #: The one ledger: every count the service keeps is written here, once,
+        #: and :meth:`stats` reads it back.  Built before anything that reports
+        #: into it (queue, breaker, fault plan, store).
+        self._metrics = MetricsRegistry(CATALOG, window=self.config.latency_window)
         #: ``None`` selects the built-in batched execution path (shared
         #: engines from the arena, multi-source batches per drained group);
         #: injecting a callable forces per-job execution through it, which is
@@ -130,9 +134,8 @@ class Service:
                 cost_model=self._costmodel,
             ),
             cost_model=self._costmodel,
-            on_policy_fallback=self._note_policy_fallback,
+            on_policy_fallback=self._metrics["repro_queue_policy_fallback_total"].inc,
         )
-        self._policy_fallbacks = 0
         #: Backlog-wide fusion planner: every built-in drain asks it for the
         #: cheapest way to execute the policy-selected anchor group together
         #: with compatible pending work (see :mod:`repro.service.planner`).
@@ -152,27 +155,6 @@ class Service:
         #: submission path re-acquires ``self._lock`` internally.
         self._admission_lock = tracked_lock("service.Service._admission_lock")
         self._job_ids = itertools.count(1)
-        self._submitted = 0
-        self._deduplicated = 0
-        self._completed = 0
-        self._failed = 0
-        self._rejected = 0
-        self._rejected_infeasible = 0
-        self._expired = 0
-        self._deadlines_met = 0
-        self._deadlines_missed = 0
-        #: Lifetime per-tenant outcome counters (two ints per distinct tenant
-        #: label ever seen).  Tenants are expected to be a small, stable set
-        #: of service classes — do not encode per-user or per-request IDs
-        #: into :attr:`TraversalRequest.tenant`, which would grow these (and
-        #: the WFQ policy's virtual clocks) with label cardinality.
-        self._tenant_completed: dict[str | None, int] = {}
-        self._tenant_missed: dict[str | None, int] = {}
-        self._executions = 0
-        self._batches = 0
-        self._engine_seconds = 0.0
-        self._wait_samples: deque[float] = deque(maxlen=self.config.latency_window)
-        self._latency_samples: deque[float] = deque(maxlen=self.config.latency_window)
         #: Span sink for request traces (see :mod:`repro.obs.trace`): bounded
         #: ring buffer, systematic sampling, ``REPRO_TRACE`` kill switch.
         self._tracer = Tracer(
@@ -182,8 +164,6 @@ class Service:
         )
         self._sweep_ids = itertools.count(1)
         self._plan_ids = itertools.count(1)
-        self._metrics = MetricsRegistry()
-        self._init_metrics()
         # Resilience substrate: fault plan (explicit, spec string, or the
         # REPRO_FAULTS environment fallback), retry policy, and the native
         # circuit breaker.  The plan is activated globally so the hook sites
@@ -210,12 +190,6 @@ class Service:
             cooldown_seconds=self.config.breaker_cooldown,
             on_transition=self._note_breaker_transition,
         )
-        self._retries = 0
-        self._sweep_timeouts = 0
-        self._isolations = 0
-        self._degraded = 0
-        self._cache_errors = 0
-        self._rejected_closed = 0
         # Durable serving store (optional).  Opened after the fault plan is
         # activated so chaos drills can poison the open itself; store trouble
         # degrades serving to in-memory-only behavior and never raises into
@@ -267,191 +241,23 @@ class Service:
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
-    def _init_metrics(self) -> None:
-        """Pre-register every always-on metric series (cheap counter bumps)."""
-        m = self._metrics
-        window = self.config.latency_window
-        self._m_submitted = m.counter(
-            "repro_requests_submitted_total", "Accepted submit() calls."
-        )
-        self._m_outcomes = m.counter(
-            "repro_requests_total",
-            "Requests by terminal outcome (completed / failed / expired).",
-            ("outcome",),
-        )
-        self._m_dedup = m.counter(
-            "repro_requests_deduplicated_total",
-            "Submissions coalesced onto an identical in-flight job.",
-        )
-        self._m_cache_served = m.counter(
-            "repro_requests_cache_served_total",
-            "Submissions answered from the result cache without execution.",
-        )
-        self._m_rejected = m.counter(
-            "repro_requests_rejected_total",
-            "Submissions refused by admission control, by reason.",
-            ("reason",),
-        )
-        self._m_latency = m.summary(
-            "repro_request_latency_seconds",
-            "End-to-end request latency (submission to completion).",
-            window=window,
-        )
-        self._m_wait = m.summary(
-            "repro_queue_wait_seconds",
-            "Queueing delay before execution started.",
-            window=window,
-        )
-        self._m_batches = m.counter(
-            "repro_batches_total", "Batch groups drained by workers."
-        )
-        self._m_executions = m.counter(
-            "repro_executions_total", "Engine invocations (jobs actually run)."
-        )
-        self._m_engine_seconds = m.counter(
-            "repro_engine_seconds_total", "Wall-clock seconds spent inside engines."
-        )
-        self._m_deadlines = m.counter(
-            "repro_deadlines_total",
-            "Deadline-carrying waiter outcomes (met / missed).",
-            ("result",),
-        )
-        self._m_cost_error = m.summary(
-            "repro_costmodel_abs_error_seconds",
-            "Cost model |predicted - actual| engine seconds per observation.",
-            window=window,
-        )
-        self._m_cost_observations = m.counter(
-            "repro_costmodel_observations_total",
-            "Group executions scored against the cost model.",
-        )
-        self._m_kernel_iterations = m.counter(
-            "repro_kernel_iterations_total",
-            "Traversal iterations (simulated kernel launches), per application.",
-            ("app",),
-        )
-        self._m_kernel_vertices = m.counter(
-            "repro_kernel_frontier_vertices_total",
-            "Frontier vertices expanded by engine sweeps, per application.",
-            ("app",),
-        )
-        self._m_kernel_edges = m.counter(
-            "repro_kernel_edges_total",
-            "Edges relaxed/scanned by engine sweeps, per application.",
-            ("app",),
-        )
-        self._m_kernel_candidates = m.counter(
-            "repro_kernel_relax_candidates_total",
-            "(lane, edge) candidates fed to the lane relax kernel, per application.",
-            ("app",),
-        )
-        self._m_kernel_backend = m.counter(
-            "repro_kernel_backend_total",
-            "Engine executions per chosen relax backend.",
-            ("app", "backend"),
-        )
-        self._m_retries = m.counter(
-            "repro_retries_total",
-            "Backoff retries of transient graph-load / sweep failures, by site.",
-            ("site",),
-        )
-        self._m_sweep_timeouts = m.counter(
-            "repro_sweep_timeouts_total",
-            "Sweeps cancelled by the cooperative iteration-boundary watchdog.",
-        )
-        self._m_isolations = m.counter(
-            "repro_fused_isolations_total",
-            "Fused groups re-executed member-by-member after a group failure.",
-        )
-        self._m_degraded = m.counter(
-            "repro_native_degraded_total",
-            "Sweeps served by the numpy relax backend under an open/tripping breaker.",
-        )
-        self._m_breaker_transitions = m.counter(
-            "repro_native_breaker_transitions_total",
-            "Native-backend circuit breaker transitions, by new state.",
-            ("state",),
-        )
-        self._m_faults = m.counter(
-            "repro_faults_injected_total",
-            "Faults fired by the active injection plan, by site.",
-            ("site",),
-        )
-        self._m_cache_errors = m.counter(
-            "repro_cache_errors_total",
-            "Result-cache failures absorbed by the service, by operation.",
-            ("op",),
-        )
-        self._m_rejected_closed = m.counter(
-            "repro_rejected_after_close_total",
-            "Submissions refused because the service was already closed.",
-        )
-        self._m_queue_fallback = m.counter(
-            "repro_queue_policy_fallback_total",
-            "Drains where the policy named a non-pending group and the queue "
-            "fell back to arrival order.",
-        )
-        self._m_plans_built = m.counter(
-            "repro_planner_plans_built_total",
-            "Candidate fusion plans enumerated across all drains.",
-        )
-        self._m_plans_chosen = m.counter(
-            "repro_planner_plans_chosen_total",
-            "Plans selected for execution, by plan kind.",
-            ("kind",),
-        )
-        self._m_plans_rejected = m.counter(
-            "repro_planner_plans_rejected_total",
-            "Candidate plans scored but not selected.",
-        )
-        self._m_packed_lanes = m.counter(
-            "repro_planner_packed_lanes_total",
-            "Lanes executed inside chosen fused (packed/streaming) plans.",
-        )
-        self._m_plan_savings = m.summary(
-            "repro_planner_estimated_savings_seconds",
-            "Estimated solo-minus-shared engine seconds of each chosen plan.",
-            window=window,
-        )
-        self._m_store_ops = m.counter(
-            "repro_store_operations_total",
-            "Durable-store operations (open/read/write/checkpoint), by outcome.",
-            ("op", "outcome"),
-        )
-        self._m_store_hits = m.counter(
-            "repro_store_hits_total",
-            "Requests answered from the persistent result cache.",
-        )
-        self._m_store_flushes = m.counter(
-            "repro_store_flushes_total",
-            "Write-through batches committed by the store flush thread.",
-        )
-        self._m_store_dropped = m.counter(
-            "repro_store_dropped_writes_total",
-            "Pending store writes dropped because the flush queue was full.",
-        )
-        self._m_store_breaker = m.counter(
-            "repro_store_breaker_transitions_total",
-            "Durable-store circuit breaker transitions, by new state.",
-            ("state",),
-        )
-
     def _note_store_event(self, kind: str, labels: dict) -> None:
         """Store event hook: map store activity onto the metric series."""
+        m = self._metrics
         if kind == "op":
-            self._m_store_ops.inc(
+            m["repro_store_operations_total"].inc(
                 op=labels.get("op", "unknown"),
                 outcome=labels.get("outcome", "unknown"),
             )
         elif kind == "hit":
-            self._m_store_hits.inc()
+            m["repro_store_hits_total"].inc()
         elif kind == "flush":
-            self._m_store_flushes.inc()
+            m["repro_store_flushes_total"].inc()
         elif kind == "drop":
-            self._m_store_dropped.inc()
+            m["repro_store_dropped_writes_total"].inc()
         elif kind == "breaker":
             state = labels.get("state", "unknown")
-            self._m_store_breaker.inc(state=state)
+            m["repro_store_breaker_transitions_total"].inc(state=state)
             logger.warning("durable store circuit breaker -> %s", state)
 
     def _on_graph_load(self, name: str, graph: CSRGraph) -> None:
@@ -476,21 +282,10 @@ class Service:
 
     def _note_fault(self, site: str) -> None:
         """Fault-plan listener: export every injected fault as a counter bump."""
-        self._m_faults.inc(site=site)
-
-    def _note_policy_fallback(self) -> None:
-        """Queue hook: count arrival-order fallbacks after a policy misfire.
-
-        Called under the queue lock before ``_init_metrics`` may have run
-        (the queue is constructed first), so the counter access is guarded.
-        """
-        self._policy_fallbacks += 1
-        counter = getattr(self, "_m_queue_fallback", None)
-        if counter is not None:
-            counter.inc()
+        self._metrics["repro_faults_injected_total"].inc(site=site)
 
     def _note_breaker_transition(self, state: str) -> None:
-        self._m_breaker_transitions.inc(state=state)
+        self._metrics["repro_native_breaker_transitions_total"].inc(state=state)
         logger.warning("native relax backend circuit breaker -> %s", state)
 
     @property
@@ -507,40 +302,18 @@ class Service:
         """Refresh the point-in-time gauges from :meth:`stats` and return the registry."""
         snapshot = self.stats()
         m = self._metrics
-        m.gauge("repro_pending_jobs", "Jobs queued, not yet picked up.").set(
-            snapshot.pending
+        m["repro_pending_jobs"].set(snapshot.pending)
+        m["repro_active_workers"].set(snapshot.active_workers)
+        m["repro_uptime_seconds"].set(snapshot.uptime_seconds)
+        m["repro_cache_entries"].set(snapshot.cache.entries)
+        m["repro_cache_hit_rate"].set(snapshot.cache.hit_rate)
+        m["repro_costmodel_mean_abs_error_seconds"].set(
+            snapshot.cost_model.mean_abs_error_seconds
         )
-        m.gauge("repro_active_workers", "Worker tasks queued or running.").set(
-            snapshot.active_workers
-        )
-        m.gauge("repro_uptime_seconds", "Seconds since service construction.").set(
-            snapshot.uptime_seconds
-        )
-        m.gauge("repro_cache_entries", "Results held by the result cache.").set(
-            snapshot.cache.entries
-        )
-        m.gauge("repro_cache_hit_rate", "Result cache hit rate in [0, 1].").set(
-            snapshot.cache.hit_rate
-        )
-        m.gauge(
-            "repro_costmodel_mean_abs_error_seconds",
-            "Lifetime mean absolute cost-model estimate error.",
-        ).set(snapshot.cost_model.mean_abs_error_seconds)
-        m.gauge(
-            "repro_trace_buffered_spans", "Spans waiting in the trace ring buffer."
-        ).set(len(self._tracer))
-        m.gauge(
-            "repro_native_breaker_state",
-            "Native relax breaker state (0=closed, 1=half_open, 2=open).",
-        ).set(BREAKER_STATE_CODES[snapshot.breaker_state])
-        m.gauge(
-            "repro_store_state",
-            "Durable-store state (0=ok, 1=degraded, 2=quarantined, 3=disabled).",
-        ).set(STORE_STATE_CODES.get(snapshot.store_state, 3))
-        m.gauge(
-            "repro_store_pending_writes",
-            "Store writes queued for the flush thread.",
-        ).set(snapshot.store_pending)
+        m["repro_trace_buffered_spans"].set(len(self._tracer))
+        m["repro_native_breaker_state"].set(BREAKER_STATE_CODES[snapshot.breaker_state])
+        m["repro_store_state"].set(STORE_STATE_CODES.get(snapshot.store_state, 3))
+        m["repro_store_pending_writes"].set(snapshot.store_pending)
         return m
 
     def drain_traces(self) -> list[dict]:
@@ -551,8 +324,8 @@ class Service:
         """Feed the cost model and export the estimate error as a series."""
         error = self._costmodel.observe(family, jobs, seconds)
         if error is not None:
-            self._m_cost_error.observe(error)
-            self._m_cost_observations.inc()
+            self._metrics["repro_costmodel_abs_error_seconds"].observe(error)
+            self._metrics["repro_costmodel_observations_total"].inc()
             store = self._store
             if store is not None:
                 # Persist the family's post-observation EWMA state so a
@@ -564,22 +337,27 @@ class Service:
 
     def _record_kernel_counters(self, app: str, metrics_list) -> str | None:
         """Aggregate engine-level counters into the registry; returns the backend."""
+        m = self._metrics
         backend = None
         for metrics in metrics_list:
             counters = getattr(metrics, "counters", None)
             if counters is None:
                 continue
             if counters.iterations:
-                self._m_kernel_iterations.inc(counters.iterations, app=app)
+                m["repro_kernel_iterations_total"].inc(counters.iterations, app=app)
             if counters.frontier_vertices:
-                self._m_kernel_vertices.inc(counters.frontier_vertices, app=app)
+                m["repro_kernel_frontier_vertices_total"].inc(
+                    counters.frontier_vertices, app=app
+                )
             if counters.edges_traversed:
-                self._m_kernel_edges.inc(counters.edges_traversed, app=app)
+                m["repro_kernel_edges_total"].inc(counters.edges_traversed, app=app)
             if counters.relax_candidates:
-                self._m_kernel_candidates.inc(counters.relax_candidates, app=app)
+                m["repro_kernel_relax_candidates_total"].inc(
+                    counters.relax_candidates, app=app
+                )
             if counters.relax_backend:
                 backend = counters.relax_backend
-                self._m_kernel_backend.inc(app=app, backend=backend)
+                m["repro_kernel_backend_total"].inc(app=app, backend=backend)
         return backend
 
     def _note_family_counters(self, family, metrics_list) -> None:
@@ -688,12 +466,7 @@ class Service:
         started = clamp(job.started_at, enqueued)
         compute = clamp(job.compute_finished_at, started)
         request = job.request
-        if job.status is JobStatus.DONE:
-            outcome = "completed"
-        elif isinstance(job.error, DeadlineExceededError):
-            outcome = "expired"
-        else:
-            outcome = "failed"
+        outcome = self._outcome(job.error)
         trace_id = job.trace_id
         common = {"job_id": job.job_id}
         admission_attrs = {
@@ -744,9 +517,7 @@ class Service:
         try:
             result = self._cache.get(key)
         except Exception:  # noqa: BLE001 - cache faults degrade to a miss
-            with self._lock:
-                self._cache_errors += 1
-            self._m_cache_errors.inc(op="get")
+            self._metrics["repro_cache_errors_total"].inc(op="get")
             logger.warning("result cache get failed; treating as miss", exc_info=True)
             return None
         if result is not None or self._store is None:
@@ -765,9 +536,7 @@ class Service:
         try:
             self._cache.put(key, result)
         except Exception:  # noqa: BLE001 - cache faults drop the entry
-            with self._lock:
-                self._cache_errors += 1
-            self._m_cache_errors.inc(op="put")
+            self._metrics["repro_cache_errors_total"].inc(op="put")
             logger.warning("result cache put failed; result not cached", exc_info=True)
 
     def _cache_put_safe(self, key: tuple, result: TraversalResult) -> None:
@@ -821,9 +590,7 @@ class Service:
         deadline = self._group_deadline(jobs)
         if deadline is not None and time.perf_counter() + delay >= deadline:
             return False
-        with self._lock:
-            self._retries += 1
-        self._m_retries.inc(site=site)
+        self._metrics["repro_retries_total"].inc(site=site)
         self._emit_retry_span(site, jobs, attempt, delay, exc, sweep_ref)
         logger.warning(
             "retrying %s for %d job(s) after %s (attempt %d, backoff %.3fs)",
@@ -905,17 +672,17 @@ class Service:
             return "native"
         return "scatter"
 
-    def _note_degraded(self) -> None:
-        with self._lock:
-            self._degraded += 1
-        self._m_degraded.inc()
-
     def _classify_failure(self, exc: BaseException) -> None:
         """Bump failure-class counters for one terminal group/job failure."""
         if isinstance(exc, SweepTimeoutError):
-            with self._lock:
-                self._sweep_timeouts += 1
-            self._m_sweep_timeouts.inc()
+            self._metrics["repro_sweep_timeouts_total"].inc()
+
+    @staticmethod
+    def _outcome(error: BaseException | None) -> str:
+        """Terminal outcome label: completed, expired (in the queue) or failed."""
+        if error is None:
+            return "completed"
+        return "expired" if isinstance(error, DeadlineExceededError) else "failed"
 
     def _job_runner(self, call: Callable) -> Callable:
         """Wrap a per-job engine call with the solo resilience ladder.
@@ -947,15 +714,11 @@ class Service:
         for job in jobs:
             job.compute_finished_at = now
         self._classify_failure(exc)
-        with self._lock:
-            self._executions += len(jobs)
-            self._failed += len(jobs)
-        self._m_executions.inc(len(jobs))
+        self._metrics["repro_executions_total"].inc(len(jobs))
         for job in jobs:
             job.mark_failed(exc)
             self._queue.release(job)
-        with self._lock:
-            self._note_finished_locked(*jobs)
+        self._settle(*jobs)
 
     def _isolate_group(
         self, jobs: list[Job], graph: CSRGraph, exc: BaseException, schedule_seconds: float
@@ -966,9 +729,7 @@ class Service:
         group's — while its siblings complete with results bit-identical to
         what the fused pass would have produced.
         """
-        with self._lock:
-            self._isolations += 1
-        self._m_isolations.inc()
+        self._metrics["repro_fused_isolations_total"].inc()
         logger.warning(
             "fused %d-job group on %s failed (%s: %s); re-executing members solo",
             len(jobs), graph.name, type(exc).__name__, exc,
@@ -1007,9 +768,7 @@ class Service:
         # job can slip into the queue or the pool behind it.
         with self._admission_lock:
             if self._closed:
-                with self._lock:
-                    self._rejected_closed += 1
-                self._m_rejected_closed.inc()
+                self._metrics["repro_rejected_after_close_total"].inc()
                 raise ServiceClosedError("service is closed")
             job = Job(job_id=f"job-{next(self._job_ids)}", request=request)
             job.trace_id = self._tracer.begin()
@@ -1028,23 +787,15 @@ class Service:
                     workers=self.config.max_workers,
                 )
             except AdmissionError as exc:
-                with self._lock:
-                    self._rejected += 1
-                    if isinstance(exc, InfeasibleDeadlineError):
-                        self._rejected_infeasible += 1
-                self._m_rejected.inc(
+                self._metrics["repro_requests_rejected_total"].inc(
                     reason="infeasible"
                     if isinstance(exc, InfeasibleDeadlineError)
                     else "admission"
                 )
                 raise
-            with self._lock:
-                self._submitted += 1
-            self._m_submitted.inc()
+            self._metrics["repro_requests_submitted_total"].inc()
             if outcome == "joined":
-                with self._lock:
-                    self._deduplicated += 1
-                self._m_dedup.inc()
+                self._metrics["repro_requests_deduplicated_total"].inc()
                 return payload
             if outcome == "cached":
                 # Stage boundaries for the trace: admission ends now, the
@@ -1053,11 +804,10 @@ class Service:
                 job.enqueued_at = time.perf_counter()
                 job.mark_done(payload, from_cache=True)
                 job.compute_finished_at = job.started_at
-                self._m_cache_served.inc()
+                self._metrics["repro_requests_cache_served_total"].inc()
                 with self._lock:
-                    self._completed += 1
                     self._jobs[job.job_id] = job
-                    self._note_finished_locked(job)  # also enforces retention
+                self._settle(job)  # also enforces retention
                 return job
             job.enqueued_at = time.perf_counter()
             with self._lock:
@@ -1074,14 +824,14 @@ class Service:
             except ServiceError as exc:
                 # Defensive only: with the admission lock held, close()
                 # cannot race this dispatch, so the pool refusing means it
-                # failed for its own reasons.  Withdraw the job so nobody
-                # blocks forever on a wakeup that will never come; if a
-                # worker already grabbed it, that worker owns its completion.
+                # failed for its own reasons.  It is a refusal after close
+                # all the same, and counted as one.  Withdraw the job so
+                # nobody blocks forever on a wakeup that will never come; if
+                # a worker already grabbed it, that worker owns its completion.
+                self._metrics["repro_rejected_after_close_total"].inc()
                 if self._queue.discard(job):
                     job.mark_failed(exc)
-                    with self._lock:
-                        self._failed += 1
-                        self._note_finished_locked(job)
+                    self._settle(job)
             return job
 
     def submit_many(self, requests: Iterable[TraversalRequest]) -> list[Job]:
@@ -1116,55 +866,64 @@ class Service:
             job.retention_noted = True
             self._finished_order.append(job.job_id)
 
-    def _note_finished_locked(self, *jobs: Job) -> None:
-        """Record latency samples and deadline outcomes for finished jobs.
+    def _settle(self, *jobs: Job) -> None:
+        """Account for jobs that just reached a terminal state, then wake them.
 
-        Caller holds ``self._lock``.  Every path that moves a job to a
-        terminal state funnels through here so the percentile window and the
-        deadline hit counters see cache hits, failures and expiries alike.
-        Deadlines are judged per *waiter*: a deduplicated job carrying both a
-        tight and a patient budget can count one miss and one met.
+        Every path that moves a job to a terminal state funnels through here,
+        after ``mark_done`` / ``mark_failed`` and after the dedup entry is
+        released (so no duplicate can still join and mutate the waiter list
+        mid-accounting).  Accounting first, completion signal second: a
+        client that wakes from :meth:`result` finds the job in every stat,
+        series and trace — and is woken even if the accounting raises.
         """
+        with self._lock:
+            try:
+                self._note_finished_locked(*jobs)
+            finally:
+                for job in jobs:
+                    job.wake()
+
+    def _note_finished_locked(self, *jobs: Job) -> None:
+        """Record outcomes, latency samples and deadline results of ``jobs``.
+
+        Caller holds ``self._lock``.  The percentile window and the deadline
+        hit counters see cache hits, failures and expiries alike.  Deadlines
+        are judged per *waiter*: a deduplicated job carrying both a tight and
+        a patient budget can count one miss and one met.
+        """
+        m = self._metrics
         spans: list[Span] = []
         for job in jobs:
+            m["repro_requests_total"].inc(outcome=self._outcome(job.error))
             wait = job.wait_seconds
             if wait is not None:
-                self._wait_samples.append(wait)
-                self._m_wait.observe(wait)
+                m["repro_queue_wait_seconds"].observe(wait)
             total = job.total_seconds
             if total is not None:
-                self._latency_samples.append(total)
-                self._m_latency.observe(total)
+                m["repro_request_latency_seconds"].observe(total)
             if job.job_id in self._jobs:
                 self._mark_prunable_locked(job)
             # Per-tenant breakdown, attributed to the job's owning tenant
-            # (the first submitter; joined duplicates ride along): completed
-            # jobs, and deadline-carrying jobs that blew their tightest
-            # budget (late, failed or expired).
-            tenant = job.request.tenant
+            # (the first submitter; joined duplicates ride along; anonymous
+            # traffic is labelled ""): completed jobs, and deadline-carrying
+            # jobs that blew their tightest budget (late, failed or expired).
+            # Tenants are expected to be a small, stable set of service
+            # classes — do not encode per-user or per-request IDs into
+            # :attr:`TraversalRequest.tenant`, which would grow this series
+            # (and the WFQ policy's virtual clocks) with label cardinality.
+            tenant = job.request.tenant or ""
             if job.status is JobStatus.DONE:
-                self._tenant_completed[tenant] = (
-                    self._tenant_completed.get(tenant, 0) + 1
-                )
-                self._m_outcomes.inc(outcome="completed")
-            elif isinstance(job.error, DeadlineExceededError):
-                self._m_outcomes.inc(outcome="expired")
-            else:
-                self._m_outcomes.inc(outcome="failed")
+                m["repro_tenant_jobs_total"].inc(tenant=tenant, result="completed")
             if job.met_deadline is False:
-                self._tenant_missed[tenant] = self._tenant_missed.get(tenant, 0) + 1
+                m["repro_tenant_jobs_total"].inc(tenant=tenant, result="missed")
             finished_at = job.finished_at
             for deadline_at in job.deadline_waiters:
-                if (
+                met = (
                     job.status is JobStatus.DONE
                     and finished_at is not None
                     and finished_at <= deadline_at
-                ):
-                    self._deadlines_met += 1
-                    self._m_deadlines.inc(result="met")
-                else:
-                    self._deadlines_missed += 1
-                    self._m_deadlines.inc(result="missed")
+                )
+                m["repro_deadlines_total"].inc(result="met" if met else "missed")
             # Terminal state is the one point every lifecycle funnels
             # through, so sampled jobs emit their tiling spans here.
             if job.trace_id is not None and self._tracer.enabled:
@@ -1256,12 +1015,13 @@ class Service:
         """Fail every popped job that no engine got to finish, with ``exc``."""
         stranded = [job for job in jobs if not job.done]
         for job in stranded:
-            job.mark_failed(exc)
+            # A job that reached its terminal state but was not settled yet
+            # keeps its outcome; it only still needs accounting and a wakeup.
+            if job.finished_at is None:
+                job.mark_failed(exc)
             self._queue.release(job)
         if stranded:
-            with self._lock:
-                self._failed += len(stranded)
-                self._note_finished_locked(*stranded)
+            self._settle(*stranded)
 
     def _build_plan(self, anchor: list[Job], snapshot) -> tuple[FusionPlan, list]:
         """Queue callback: plan one drain and export the decision counters.
@@ -1278,10 +1038,11 @@ class Service:
         else:
             plan, rider_keys = self._planner.build(anchor, snapshot())
         plan.planning_seconds = time.perf_counter() - started
-        self._m_plans_built.inc(plan.candidates_built)
+        m = self._metrics
+        m["repro_planner_plans_built_total"].inc(plan.candidates_built)
         if plan.candidates_rejected:
-            self._m_plans_rejected.inc(plan.candidates_rejected)
-        self._m_plans_chosen.inc(kind=plan.kind)
+            m["repro_planner_plans_rejected_total"].inc(plan.candidates_rejected)
+        m["repro_planner_plans_chosen_total"].inc(kind=plan.kind)
         return plan, rider_keys
 
     def _execute_plan(self, plan: FusionPlan, schedule_seconds: float) -> None:
@@ -1301,11 +1062,9 @@ class Service:
             # not count as batches — amortization stays executions-per-sweep.
             return
         plan.groups = groups
-        with self._lock:
-            # Ridden-along groups still count as drained batches so
-            # amortization stays executions-per-sweep.
-            self._batches += len(groups)
-        self._m_batches.inc(len(groups))
+        # Ridden-along groups still count as drained batches so amortization
+        # stays executions-per-sweep.
+        self._metrics["repro_batches_total"].inc(len(groups))
         all_jobs = plan.jobs
         attempt = 0
         while True:
@@ -1319,9 +1078,11 @@ class Service:
                 return
             break
         if plan.fused:
-            self._m_packed_lanes.inc(plan.lanes)
+            self._metrics["repro_planner_packed_lanes_total"].inc(plan.lanes)
             if plan.estimate is not None:
-                self._m_plan_savings.observe(plan.estimate.savings_seconds)
+                self._metrics["repro_planner_estimated_savings_seconds"].observe(
+                    plan.estimate.savings_seconds
+                )
         started = time.perf_counter()
         if self._engine is None:
             # Record the shape that ran: the groups that rode the sweep (the
@@ -1416,10 +1177,7 @@ class Service:
                     f"{now - job.submitted_at:.3f}s ({job.request.describe()})"
                 )
             )
-        with self._lock:
-            self._failed += len(expired)
-            self._expired += len(expired)
-            self._note_finished_locked(*expired)
+        self._settle(*expired)
         return live
 
     def _execute_one(
@@ -1442,14 +1200,6 @@ class Service:
                 schedule_seconds=schedule_seconds, error=exc,
             )
             self._classify_failure(exc)
-            # Counters first, completion signal second: a client that wakes
-            # from result() must already see this job in the stats.
-            with self._lock:
-                self._executions += 1
-                self._failed += 1
-                self._engine_seconds += elapsed
-            self._m_executions.inc()
-            self._m_engine_seconds.inc(elapsed)
             job.mark_failed(exc)
         else:
             elapsed = time.perf_counter() - started
@@ -1467,12 +1217,6 @@ class Service:
                     "executed %s on %s in %.3fs (relax backend: %s)",
                     job.job_id, graph.name, elapsed, backend,
                 )
-            with self._lock:
-                self._executions += 1
-                self._completed += 1
-                self._engine_seconds += elapsed
-            self._m_executions.inc()
-            self._m_engine_seconds.inc(elapsed)
             # Only successful runs feed the cost model: a failure can raise
             # long before any frontier sweep, and that near-zero timing says
             # nothing about what draining this family actually costs.
@@ -1480,14 +1224,14 @@ class Service:
             self._note_family_counters(job.request.batch_key, result_metrics)
             self._cache_put_safe(job.request.cache_key, result)
             job.mark_done(result)
-        finally:
-            # Release only after the cache holds the result, so identical
-            # requests always find either the in-flight job or the cached
-            # answer — and note only after the release, so no duplicate can
-            # still join and mutate the waiter list mid-accounting.
-            self._queue.release(job)
-            with self._lock:
-                self._note_finished_locked(job)
+        # Release only after the cache holds the result, so identical
+        # requests always find either the in-flight job or the cached
+        # answer — and settle only after the release, so no duplicate can
+        # still join and mutate the waiter list mid-accounting.
+        self._metrics["repro_executions_total"].inc()
+        self._metrics["repro_engine_seconds_total"].inc(elapsed)
+        self._queue.release(job)
+        self._settle(job)
 
     def _execute_sweep(
         self,
@@ -1574,7 +1318,7 @@ class Service:
         relax_method = self._relax_method() if application is Application.SSSP else None
         if relax_method == "scatter":
             # Breaker already open: the whole drain is served degraded.
-            self._note_degraded()
+            self._metrics["repro_native_degraded_total"].inc()
         attempt = 0
         while True:
             started = time.perf_counter()
@@ -1600,9 +1344,7 @@ class Service:
                         )
             except Exception as exc:  # noqa: BLE001 - resilience ladder below
                 elapsed = time.perf_counter() - started
-                with self._lock:
-                    self._engine_seconds += elapsed
-                self._m_engine_seconds.inc(elapsed)
+                self._metrics["repro_engine_seconds_total"].inc(elapsed)
                 sweep_ref = self._emit_sweep_span(
                     all_jobs, started, elapsed, lanes=total_lanes, kind=kind,
                     schedule_seconds=schedule_seconds,
@@ -1615,7 +1357,7 @@ class Service:
                     # same values, just a slower sweep.
                     self._breaker.record_failure()
                     relax_method = "scatter"
-                    self._note_degraded()
+                    self._metrics["repro_native_degraded_total"].inc()
                     logger.warning(
                         "native relax kernel failed (%s); re-running %s drain "
                         "on the scatter backend", exc, kind,
@@ -1657,12 +1399,8 @@ class Service:
             len(all_jobs), application.value, len(groups), kind, total_lanes,
             graph.name, elapsed, backend or "n/a",
         )
-        with self._lock:
-            self._executions += len(all_jobs)
-            self._completed += len(all_jobs)
-            self._engine_seconds += elapsed
-        self._m_executions.inc(len(all_jobs))
-        self._m_engine_seconds.inc(elapsed)
+        self._metrics["repro_executions_total"].inc(len(all_jobs))
+        self._metrics["repro_engine_seconds_total"].inc(elapsed)
         # One cost observation per group — width + seconds is exactly the
         # (per-sweep, per-job) sample the cost model EWMAs want — with the
         # shared wall-clock split by lane share: sources dominate a word's
@@ -1686,8 +1424,7 @@ class Service:
             self._cache_put_safe(job.request.cache_key, result)
             job.mark_done(result)
             self._queue.release(job)
-        with self._lock:
-            self._note_finished_locked(*all_jobs)
+        self._settle(*all_jobs)
         return groups
 
     def _run_leased(self, request: TraversalRequest, graph: CSRGraph) -> TraversalResult:
@@ -1738,67 +1475,27 @@ class Service:
         return self._costmodel
 
     def stats(self) -> ServiceStats:
-        store_fields: dict = {}
-        if self._store is not None:
-            # Snapshot outside self._lock: the store has its own locks and
-            # runs a COUNT query, neither of which belongs under the
-            # service-wide lock.
-            store_snapshot = self._store.stats()
-            store_fields = {
-                "store_state": store_snapshot.state,
-                "store_hits": store_snapshot.hits,
-                "store_writes": store_snapshot.writes,
-                "store_flushes": store_snapshot.flushes,
-                "store_errors": store_snapshot.errors,
-                "store_pending": store_snapshot.pending,
-                "store_backfilled": store_snapshot.backfilled,
-            }
+        """Read the ledger, plus the snapshots the components own."""
+        # Outside self._lock: the store has its own locks and runs a COUNT
+        # query, neither of which belongs under the service-wide lock.
+        store = self._store.stats() if self._store is not None else None
+        # Under it: the series a finishing job writes together (latency,
+        # deadlines, tenants) are read together.
         with self._lock:
-            return ServiceStats(
-                submitted=self._submitted,
-                deduplicated=self._deduplicated,
-                completed=self._completed,
-                failed=self._failed,
-                executions=self._executions,
-                batches=self._batches,
+            return ServiceStats.from_ledger(
+                self._metrics,
+                store,
                 pending=self._queue.pending_count(),
                 active_workers=self._pool.active,
-                engine_seconds=self._engine_seconds,
                 uptime_seconds=time.perf_counter() - self._started_at,
                 cache=self._cache.stats(),
                 registry=self.registry.stats(),
                 policy=self.config.policy,
-                rejected=self._rejected,
-                rejected_infeasible=self._rejected_infeasible,
-                expired=self._expired,
-                deadlines_met=self._deadlines_met,
-                deadlines_missed=self._deadlines_missed,
-                queue_wait=LatencyStats.from_samples(self._wait_samples),
-                latency=LatencyStats.from_samples(self._latency_samples),
                 cost_model=self._costmodel.stats(),
-                tenants={
-                    tenant: TenantStats(
-                        completed=self._tenant_completed.get(tenant, 0),
-                        missed=self._tenant_missed.get(tenant, 0),
-                    )
-                    for tenant in sorted(
-                        self._tenant_completed.keys() | self._tenant_missed.keys(),
-                        key=lambda t: (t is None, t),
-                    )
-                },
-                retries=self._retries,
-                sweep_timeouts=self._sweep_timeouts,
-                isolations=self._isolations,
-                degraded=self._degraded,
                 breaker_state=self._breaker.snapshot()["state"],
-                rejected_after_close=(
-                    self._rejected_closed + self._pool.rejected_after_close
-                ),
                 faults_injected=(
                     self._faults.total_fired() if self._faults is not None else 0
                 ),
-                cache_errors=self._cache_errors,
-                **store_fields,
             )
 
     def close(self, wait: bool = True, cancel_pending: bool = False) -> None:

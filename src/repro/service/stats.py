@@ -1,69 +1,25 @@
 """Aggregated serving statistics.
 
 :meth:`repro.service.Service.stats` returns one immutable
-:class:`ServiceStats` snapshot combining the service's own counters with those
-of its result cache and graph registry, so operators (and tests) read a single
-consistent view instead of poking at internals.
+:class:`ServiceStats` snapshot, *read* from the service's one ledger — the
+catalog-declared :class:`~repro.obs.metrics.MetricsRegistry` every count is
+written to exactly once — plus the snapshots its components own (result
+cache, graph registry, store, cost model, ...), so operators (and tests) read
+a single consistent view instead of poking at internals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
+from ..obs.metrics import LatencyStats, MetricsRegistry
 from .cache import CacheStats
 from .costmodel import CostModelStats
 from .registry import RegistryStats
+from .store import StoreStats
 
-
-@dataclass(frozen=True)
-class LatencyStats:
-    """Percentile summary of a sliding window of per-job latency samples.
-
-    Computed over the most recent ``ServiceConfig.latency_window`` finished
-    jobs, so a long-running server reports current behaviour rather than an
-    all-time average that no longer means anything.
-    """
-
-    count: int = 0
-    mean_seconds: float = 0.0
-    p50_seconds: float = 0.0
-    p95_seconds: float = 0.0
-    p99_seconds: float = 0.0
-    max_seconds: float = 0.0
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[float]) -> "LatencyStats":
-        ordered = sorted(samples)
-        if not ordered:
-            return cls()
-
-        def percentile(fraction: float) -> float:
-            # Ceil-based nearest rank over the n-1 gaps: round *up* to the
-            # next sample, never down.  ``round`` here (with Python's
-            # banker's rounding) used to make p50 of an even-sized window
-            # return the lower sample — p50 of two samples was the minimum —
-            # silently understating every even-window percentile.  A latency
-            # percentile should err conservative.
-            index = min(len(ordered) - 1, math.ceil(fraction * (len(ordered) - 1)))
-            return ordered[index]
-
-        return cls(
-            count=len(ordered),
-            mean_seconds=sum(ordered) / len(ordered),
-            p50_seconds=percentile(0.50),
-            p95_seconds=percentile(0.95),
-            p99_seconds=percentile(0.99),
-            max_seconds=ordered[-1],
-        )
-
-    def describe_ms(self) -> str:
-        """Compact ``p50/p95/p99`` rendering in milliseconds."""
-        return (
-            f"{self.p50_seconds * 1e3:.2f}/{self.p95_seconds * 1e3:.2f}/"
-            f"{self.p99_seconds * 1e3:.2f} ms"
-        )
+__all__ = ["LatencyStats", "ServiceStats", "TenantStats"]
 
 
 @dataclass(frozen=True)
@@ -165,6 +121,70 @@ class ServiceStats:
     #: Cached results re-installed into the in-memory cache at graph load
     #: (warm restart backfill).
     store_backfilled: int = 0
+
+    @classmethod
+    def from_ledger(
+        cls, metrics: MetricsRegistry, store: StoreStats | None = None, **snapshots
+    ) -> "ServiceStats":
+        """Read every counted field off ``metrics``; the rest is ``snapshots``.
+
+        ``snapshots`` are the point-in-time fields the service's components
+        own (``pending``, ``cache``, ``registry``, ``cost_model``, ...), and
+        ``store`` the durable store's, when one is attached.
+        """
+
+        def count(name: str, **labels) -> int:
+            return int(metrics[name].value(**labels))
+
+        def total(name: str) -> int:
+            return int(metrics[name].total())
+
+        expired = count("repro_requests_total", outcome="expired")
+        tally = metrics["repro_tenant_jobs_total"].samples()
+        if store is not None:
+            snapshots.update(
+                store_state=store.state,
+                store_hits=store.hits,
+                store_writes=store.writes,
+                store_flushes=store.flushes,
+                store_errors=store.errors,
+                store_pending=store.pending,
+                store_backfilled=store.backfilled,
+            )
+        return cls(
+            submitted=count("repro_requests_submitted_total"),
+            deduplicated=count("repro_requests_deduplicated_total"),
+            completed=count("repro_requests_total", outcome="completed"),
+            failed=count("repro_requests_total", outcome="failed") + expired,
+            executions=count("repro_executions_total"),
+            batches=count("repro_batches_total"),
+            engine_seconds=metrics["repro_engine_seconds_total"].value(),
+            rejected=total("repro_requests_rejected_total"),
+            rejected_infeasible=count(
+                "repro_requests_rejected_total", reason="infeasible"
+            ),
+            expired=expired,
+            deadlines_met=count("repro_deadlines_total", result="met"),
+            deadlines_missed=count("repro_deadlines_total", result="missed"),
+            queue_wait=metrics["repro_queue_wait_seconds"].snapshot(),
+            latency=metrics["repro_request_latency_seconds"].snapshot(),
+            tenants={
+                # The anonymous tenant is labelled "" (no real tenant can be)
+                # and listed last.
+                tenant or None: TenantStats(
+                    completed=int(tally.get((tenant, "completed"), 0)),
+                    missed=int(tally.get((tenant, "missed"), 0)),
+                )
+                for tenant in sorted({t for t, _ in tally}, key=lambda t: (not t, t))
+            },
+            retries=total("repro_retries_total"),
+            sweep_timeouts=count("repro_sweep_timeouts_total"),
+            isolations=count("repro_fused_isolations_total"),
+            degraded=count("repro_native_degraded_total"),
+            rejected_after_close=count("repro_rejected_after_close_total"),
+            cache_errors=total("repro_cache_errors_total"),
+            **snapshots,
+        )
 
     @property
     def throughput_rps(self) -> float:

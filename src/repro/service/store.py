@@ -245,7 +245,7 @@ class ServingStore:
     ``on_event`` (optional) receives ``(kind, labels)`` for every countable
     event — ``op`` (labels op/outcome), ``hit``, ``flush``, ``drop``,
     ``breaker`` (label state) — which is how the service maps store activity
-    onto its pre-registered ``repro_store_*`` metric series without the
+    onto its catalog-declared ``repro_store_*`` metric series without the
     store importing the metrics registry.
     """
 

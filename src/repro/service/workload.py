@@ -62,6 +62,7 @@ from ..graph.generators import (
     uniform_random_graph,
     web_graph,
 )
+from ..obs.metrics import MetricsRegistry
 from ..types import EMOGI_STRATEGY
 from .jobs import JobStatus
 from .requests import TraversalRequest
@@ -86,6 +87,8 @@ class WorkloadReport:
     latencies: tuple[float, ...]
     failures: int
     stats: ServiceStats
+    #: The service's metrics registry with gauges refreshed at run end.
+    metrics: MetricsRegistry
     #: Submissions refused by admission control (queue limit / tenant quota /
     #: infeasible deadline).
     rejected: int = 0
@@ -94,9 +97,6 @@ class WorkloadReport:
     #: Spans drained from the service at the end of the run (JSON-ready
     #: dicts, oldest first; empty when tracing is disabled or sampled out).
     traces: tuple = ()
-    #: The service's metrics registry with gauges refreshed at run end
-    #: (``None`` only for reports built by legacy callers).
-    metrics: object | None = None
 
     @property
     def requests_per_second(self) -> float:
@@ -141,109 +141,59 @@ def load_workload(path: str | Path) -> dict:
     return spec
 
 
-def config_from_spec(
-    spec: dict,
-    workers: int | None = None,
-    budget_mib: float | None = None,
-    cache_entries: int | None = None,
-    policy: str | None = None,
-    queue_limit: int | None = None,
-    tenant_quota: int | None = None,
-    tenant_weights: dict | None = None,
-    cost_alpha: float | None = None,
-    reject_infeasible: bool | None = None,
-    trace_sample: float | None = None,
-    fault_plan: str | None = None,
-    retry_limit: int | None = None,
-    sweep_timeout: float | None = None,
-    sweep_timeout_multiplier: float | None = None,
-    breaker_threshold: int | None = None,
-    breaker_cooldown: float | None = None,
-    planner: bool | None = None,
-    store_path: str | None = None,
-    store_flush_interval: float | None = None,
-) -> ServiceConfig:
-    """Service knobs from a workload spec, with optional (CLI) overrides."""
-    if budget_mib is None:
-        budget_mib = spec.get("registry_budget_mib")
-    if policy is None:
-        # `or` also maps an explicit JSON null onto the default, matching
-        # how null queue_limit/tenant_quota mean "use the default" below.
-        policy = spec.get("policy") or "fifo"
-    if queue_limit is None:
-        queue_limit = spec.get("queue_limit")
-    if tenant_quota is None:
-        tenant_quota = spec.get("tenant_quota")
-    if tenant_weights is None:
-        tenant_weights = spec.get("tenant_weights")
-    if cost_alpha is None:
-        cost_alpha = spec.get("cost_alpha")
-    if reject_infeasible is None:
-        reject_infeasible = spec.get("reject_infeasible")
-    if trace_sample is None:
-        trace_sample = spec.get("trace_sample")
-    if fault_plan is None:
-        fault_plan = spec.get("fault_plan")
-    if retry_limit is None:
-        retry_limit = spec.get("retry_limit")
-    if sweep_timeout is None:
-        sweep_timeout = spec.get("sweep_timeout")
-    if sweep_timeout_multiplier is None:
-        sweep_timeout_multiplier = spec.get("sweep_timeout_multiplier")
-    if breaker_threshold is None:
-        breaker_threshold = spec.get("breaker_threshold")
-    if breaker_cooldown is None:
-        breaker_cooldown = spec.get("breaker_cooldown")
-    if planner is None:
-        planner = spec.get("planner")
-    if store_path is None:
-        store_path = spec.get("store_path")
-    if store_flush_interval is None:
-        store_flush_interval = spec.get("store_flush_interval")
-    # Only forward the knobs that were actually given, so ServiceConfig's
-    # own defaults stay the single source of truth.
-    extra = {}
-    if tenant_weights is not None:
-        extra["tenant_weights"] = tenant_weights
-    if cost_alpha is not None:
-        extra["cost_alpha"] = float(cost_alpha)
-    if reject_infeasible is not None:
-        extra["reject_infeasible"] = bool(reject_infeasible)
-    if trace_sample is not None:
-        extra["trace_sample"] = float(trace_sample)
-    if fault_plan is not None:
-        extra["fault_plan"] = str(fault_plan)
-    if retry_limit is not None:
-        extra["retry_limit"] = int(retry_limit)
-    if sweep_timeout is not None:
-        extra["sweep_timeout"] = float(sweep_timeout)
-    if sweep_timeout_multiplier is not None:
-        extra["sweep_timeout_multiplier"] = float(sweep_timeout_multiplier)
-    if breaker_threshold is not None:
-        extra["breaker_threshold"] = int(breaker_threshold)
-    if breaker_cooldown is not None:
-        extra["breaker_cooldown"] = float(breaker_cooldown)
-    if planner is not None:
-        extra["planner"] = bool(planner)
-    if store_path is not None:
-        extra["store_path"] = str(store_path)
-    if store_flush_interval is not None:
-        extra["store_flush_interval"] = float(store_flush_interval)
-    return ServiceConfig(
-        max_workers=int(workers if workers is not None else spec.get("workers", 4)),
-        registry_budget_bytes=(
-            int(budget_mib * 1024**2) if budget_mib is not None else None
+#: Knobs a workload file (or a CLI override of the same name) hands straight
+#: to the :class:`ServiceConfig` field of that name: key -> cast.  They are
+#: forwarded only when given, so ServiceConfig's own defaults stay the single
+#: source of truth.
+_FORWARDED_KNOBS = {
+    "queue_limit": int,
+    "tenant_quota": int,
+    "tenant_weights": lambda weights: weights,  # ServiceConfig normalizes them
+    "cost_alpha": float,
+    "reject_infeasible": bool,
+    "trace_sample": float,
+    "fault_plan": str,
+    "retry_limit": int,
+    "sweep_timeout": float,
+    "sweep_timeout_multiplier": float,
+    "breaker_threshold": int,
+    "breaker_cooldown": float,
+    "planner": bool,
+    "store_path": str,
+    "store_flush_interval": float,
+}
+
+
+def config_from_spec(spec: dict, **overrides) -> ServiceConfig:
+    """Service knobs from a workload spec, with optional (CLI) overrides.
+
+    An override — ``workers``, ``budget_mib``, ``cache_entries``, ``policy``
+    or any :data:`_FORWARDED_KNOBS` key — beats the file; ``None`` means "not
+    given", as does a JSON null in the file.
+    """
+
+    def given(name: str, key: str | None = None):
+        value = overrides.pop(name, None)
+        return value if value is not None else spec.get(key or name)
+
+    workers = given("workers")
+    budget_mib = given("budget_mib", "registry_budget_mib")
+    cache_entries = given("cache_entries", "result_cache_entries")
+    knobs = {
+        "max_workers": int(4 if workers is None else workers),
+        "registry_budget_bytes": (
+            None if budget_mib is None else int(budget_mib * 1024**2)
         ),
-        result_cache_entries=int(
-            cache_entries
-            if cache_entries is not None
-            else spec.get("result_cache_entries", 1024)
-        ),
-        policy=str(policy),
-        queue_limit=int(queue_limit) if queue_limit is not None else None,
-        tenant_quota=int(tenant_quota) if tenant_quota is not None else None,
-        **extra,
-    )
+        "result_cache_entries": int(1024 if cache_entries is None else cache_entries),
+        "policy": str(given("policy") or "fifo"),
+    }
+    for name, cast in _FORWARDED_KNOBS.items():
+        value = given(name)
+        if value is not None:
+            knobs[name] = cast(value)
+    if overrides:
+        raise TypeError(f"unknown workload override(s): {', '.join(sorted(overrides))}")
+    return ServiceConfig(**knobs)
 
 
 def build_service(spec: dict, config: ServiceConfig | None = None, **overrides) -> Service:

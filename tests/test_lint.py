@@ -274,6 +274,19 @@ class TestMetricNameRule:
         )
         assert findings == []
 
+    def test_series_literal_checked_wherever_it_appears(self):
+        findings = lint(
+            """
+            def read(metrics, count):
+                metrics["repro_requests_total"].inc(outcome="completed")
+                metrics["repro_request_total"].inc(outcome="completed")
+                return count("repro_retrys_total"), "repro_", "not repro_a_series"
+            """
+        )
+        assert rules_of(findings) == ["REPRO106", "REPRO106"]
+        assert "repro_request_total" in findings[0].message
+        assert "repro_retrys_total" in findings[1].message
+
 
 class TestEngine:
     def test_syntax_error_reported_not_raised(self):
@@ -384,6 +397,15 @@ class TestCLI:
                 return os.environ.get("REPRO_LOCKCHECK")
             """,
             "REPRO104",
+        ),
+        (
+            # A typo at an instrumentation call site, not at a declaration.
+            """
+            class Service:
+                def submit(self, request):
+                    self._metrics["repro_requests_submited_total"].inc()
+            """,
+            "REPRO106",
         ),
     ],
 )

@@ -10,15 +10,19 @@ the Prometheus exposition.
 
 import json
 import threading
+import time
 
 import pytest
 
 from repro.config import ServiceConfig
+from repro.errors import AdmissionError
 from repro.obs import MetricsRegistry, Span, Tracer, tracing_enabled
 from repro.obs.check import LIFECYCLE_STAGES, check_trace_lines
+from repro.obs.metrics import CATALOG
 from repro.obs.trace import ENV_SWITCH
-from repro.service import GraphRegistry, Job, Service, TraversalRequest
+from repro.service import GraphRegistry, Job, Service, TraversalRequest, faults
 from repro.service.stats import LatencyStats
+from repro.traversal import _native
 from repro.traversal.api import run
 from repro.traversal.multisource import run_batch
 from repro.types import Application
@@ -360,6 +364,25 @@ class TestServiceMetrics:
         assert "repro_request_latency_seconds_count 3" in text
         assert "repro_costmodel_abs_error_seconds_count" in text
 
+    def test_exposition_is_exactly_the_catalog(self, registry, random_graph):
+        """Every series is declared once, in the catalog: an idle service
+        exposes all of them and nothing else, with the catalog's kind, label
+        names and help text."""
+        with make_service(registry) as service:
+            service.submit(TraversalRequest("bfs", random_graph.name, source=0))
+            assert service.wait_all(timeout=30)
+            metrics = service.collect_metrics()
+        assert set(metrics.names()) == set(CATALOG)
+        rendered = metrics.render_prometheus()
+        for name, (kind, help_text, *label_names) in CATALOG.items():
+            instrument = metrics.get(name)
+            assert instrument.kind == kind, name
+            assert instrument.label_names == tuple(label_names), name
+            assert f"# HELP {name} {help_text}\n# TYPE {name} {kind}\n" in rendered
+        assert rendered.count("# HELP ") == len(CATALOG)
+        with pytest.raises(KeyError):
+            metrics["repro_requests_submited_total"]
+
     def test_backend_counter_from_batched_sssp(self, registry, random_graph):
         with make_service(registry) as service:
             jobs = [
@@ -400,3 +423,198 @@ class TestServiceMetrics:
         assert metrics.get("repro_requests_submitted_total").value() == 2
         assert metrics.get("repro_requests_deduplicated_total").value() == 1
         assert metrics.get("repro_requests_total").value(outcome="completed") == 1
+
+
+# ---------------------------------------------------------------------- #
+# One ledger: stats, metric series and traces agree exactly
+# ---------------------------------------------------------------------- #
+CI_CHAOS_PLAN = (
+    "seed=9;registry.load:transient:n=1:limit=2;"
+    "cache.put:transient:n=2:limit=2;engine.sweep:transient:n=3:limit=1"
+)
+
+
+def _series(metrics, name, **labels) -> float:
+    """One child of a series, or the sum over its children without labels."""
+    instrument = metrics.get(name)
+    if labels:
+        return instrument.value(**labels)
+    values = instrument.render_json()
+    if isinstance(values, list):
+        return sum(child["value"] for child in values)
+    return values
+
+
+def _mixed_requests(graph_name):
+    """Every shape at once: fused words, streaming, repeats, tenants, deadlines."""
+    requests = [TraversalRequest("bfs", graph_name, source=s) for s in range(9)]
+    requests += [TraversalRequest("bfs", graph_name, source=s) for s in (0, 1)]
+    requests += [TraversalRequest("sssp", graph_name, source=s) for s in range(4)]
+    requests += [TraversalRequest("cc", graph_name)] * 2
+    requests += [TraversalRequest("pagerank", graph_name)]
+    requests += [
+        TraversalRequest(
+            "bfs", graph_name, source=s, strategy="uvm", tenant="gold", deadline=60.0
+        )
+        for s in (0, 1)
+    ]
+    return requests
+
+
+def _serve_backlog(service, requests, settle=0.0):
+    """Queue everything first, then drain on this thread (deterministic plans).
+
+    Returns how many submissions admission control refused.
+    """
+    dispatch = service._pool.submit
+    service._pool.submit = lambda fn, *args, **kwargs: None
+    refused = 0
+    try:
+        for request in requests:
+            try:
+                service.submit(request)
+            except AdmissionError:
+                refused += 1
+    finally:
+        service._pool.submit = dispatch
+    time.sleep(settle)
+    while service._queue.pending_count():
+        service._drain_one_batch()
+    return refused
+
+
+def assert_one_ledger(service):
+    """ServiceStats, the metric series and the drained trace tell one story."""
+    stats = service.stats()
+    metrics = service.collect_metrics()
+    spans = service.drain_traces()
+    completed = _series(metrics, "repro_requests_total", outcome="completed")
+    failed = _series(metrics, "repro_requests_total", outcome="failed")
+    expired = _series(metrics, "repro_requests_total", outcome="expired")
+    from_series = {
+        "submitted": _series(metrics, "repro_requests_submitted_total"),
+        "deduplicated": _series(metrics, "repro_requests_deduplicated_total"),
+        "completed": completed,
+        "failed": failed + expired,
+        "expired": expired,
+        "executions": _series(metrics, "repro_executions_total"),
+        "batches": _series(metrics, "repro_batches_total"),
+        "engine_seconds": _series(metrics, "repro_engine_seconds_total"),
+        "rejected": _series(metrics, "repro_requests_rejected_total"),
+        "rejected_infeasible": _series(
+            metrics, "repro_requests_rejected_total", reason="infeasible"
+        ),
+        "deadlines_met": _series(metrics, "repro_deadlines_total", result="met"),
+        "deadlines_missed": _series(metrics, "repro_deadlines_total", result="missed"),
+        "retries": _series(metrics, "repro_retries_total"),
+        "sweep_timeouts": _series(metrics, "repro_sweep_timeouts_total"),
+        "isolations": _series(metrics, "repro_fused_isolations_total"),
+        "degraded": _series(metrics, "repro_native_degraded_total"),
+        "cache_errors": _series(metrics, "repro_cache_errors_total"),
+        "rejected_after_close": _series(metrics, "repro_rejected_after_close_total"),
+        "faults_injected": _series(metrics, "repro_faults_injected_total"),
+        "store_hits": _series(metrics, "repro_store_hits_total"),
+        "store_flushes": _series(metrics, "repro_store_flushes_total"),
+        "pending": _series(metrics, "repro_pending_jobs"),
+    }
+    from_stats = {name: getattr(stats, name) for name in from_series}
+    assert from_stats == from_series
+    assert stats.latency == metrics.get("repro_request_latency_seconds").snapshot()
+    assert stats.queue_wait == metrics.get("repro_queue_wait_seconds").snapshot()
+    assert stats.cache.hits + stats.store_hits == _series(
+        metrics, "repro_requests_cache_served_total"
+    )
+    # Every terminal job left one admission span naming the same outcome.
+    admissions = [span for span in spans if span["name"] == "admission"]
+    by_outcome = {"completed": 0, "failed": 0, "expired": 0}
+    for span in admissions:
+        by_outcome[span["attributes"]["outcome"]] += 1
+    assert by_outcome == {"completed": completed, "failed": failed, "expired": expired}
+    assert stats.submitted - stats.deduplicated == len(admissions)
+    plans = [span for span in spans if span["name"] == "plan"]
+    assert (
+        len(plans)
+        == len(service.plan_decisions())
+        == _series(metrics, "repro_planner_plans_chosen_total")
+    )
+    retries = [span for span in spans if span["name"] == "retry"]
+    assert len(retries) == stats.retries
+    return stats
+
+
+class TestOneLedger:
+    @pytest.fixture
+    def lazy_registry(self, random_graph):
+        # A loader instead of register_graph, so `registry.load` faults fire.
+        registry = GraphRegistry()
+        registry.register(random_graph.name, lambda: random_graph)
+        return registry
+
+    @pytest.fixture(autouse=True)
+    def _no_leaked_plan(self):
+        faults.deactivate()
+        yield
+        faults.deactivate()
+        _native.reset_probe()
+
+    def _service(self, registry, **overrides):
+        return make_service(registry, trace_sample=1.0, trace_buffer=4096, **overrides)
+
+    @pytest.mark.parametrize(
+        "plan, expect",
+        [
+            (None, {}),
+            (CI_CHAOS_PLAN, {"retries": 3, "cache_errors": 2, "faults_injected": 5}),
+            (
+                "seed=3;worker.task:permanent:source=7;native.invoke:permanent:limit=1",
+                {"failed": 1, "isolations": 1},
+            ),
+        ],
+        ids=["plain", "ci-chaos", "permanent"],
+    )
+    def test_backlog_under_fault_plan(self, lazy_registry, random_graph, plan, expect):
+        service = self._service(lazy_registry, fault_plan=plan, breaker_threshold=1)
+        with service:
+            _serve_backlog(service, _mixed_requests(random_graph.name))
+            # A second wave of repeats is answered by the result cache.
+            _serve_backlog(service, _mixed_requests(random_graph.name)[:4])
+        stats = assert_one_ledger(service)
+        assert stats.submitted == 24 and stats.deduplicated == 3
+        assert stats.completed + stats.failed == 21
+        assert stats.deadlines_met + stats.deadlines_missed == 2
+        for name, value in expect.items():
+            assert getattr(stats, name) == value, name
+
+    def test_worker_threads(self, lazy_registry, random_graph):
+        with self._service(lazy_registry, max_workers=4) as service:
+            service.submit_many(_mixed_requests(random_graph.name))
+            assert service.wait_all(timeout=60)
+        stats = assert_one_ledger(service)
+        assert stats.submitted == 20 and stats.failed == 0
+
+    def test_store_cold_then_warm(self, lazy_registry, random_graph, tmp_path):
+        requests = _mixed_requests(random_graph.name)
+        path = str(tmp_path / "ledger.sqlite")
+        with self._service(lazy_registry, store_path=path) as cold:
+            _serve_backlog(cold, requests)
+        cold_stats = assert_one_ledger(cold)
+        assert cold_stats.store_hits == 0 and cold_stats.store_writes > 0
+        warm_registry = GraphRegistry()
+        warm_registry.register(random_graph.name, lambda: random_graph)
+        with self._service(warm_registry, store_path=path) as warm:
+            _serve_backlog(warm, requests)
+        warm_stats = assert_one_ledger(warm)
+        assert warm_stats.store_hits + warm_stats.store_backfilled > 0
+        assert warm_stats.executions < cold_stats.executions
+
+    def test_deadline_expiry_and_queue_limit(self, lazy_registry, random_graph):
+        name = random_graph.name
+        requests = [TraversalRequest("bfs", name, source=0, deadline=0.01, tenant="t")]
+        requests += [TraversalRequest("bfs", name, source=s) for s in (1, 2, 3)]
+        requests += [TraversalRequest("sssp", name, source=0)]  # over the limit
+        with self._service(lazy_registry, queue_limit=4) as service:
+            refused = _serve_backlog(service, requests, settle=0.05)
+        stats = assert_one_ledger(service)
+        assert refused == stats.rejected == 1
+        assert (stats.expired, stats.failed, stats.completed) == (1, 1, 3)
+        assert stats.deadlines_missed == 1

@@ -515,6 +515,26 @@ class TestServiceClosed:
             )
         assert service.stats().rejected_after_close >= 1
 
+    def test_pool_refusal_is_counted_once_on_every_surface(self):
+        """``rejected_after_close`` has one definition: a refusal by the
+        service *or* by its pool.  The stats field used to add the pool's own
+        tally while the exported series did not, so they disagreed."""
+        service = Service()
+        service.registry.register_graph(make_graph())
+        service._pool.shutdown()  # the pool refuses while the service is open
+        job = service.submit(
+            TraversalRequest(graph="resil", application=Application.BFS, source=0)
+        )
+        assert job.wait(10) and isinstance(job.error, ServiceClosedError)
+        service.close()
+        with pytest.raises(ServiceClosedError):  # now the service itself refuses
+            service.submit(
+                TraversalRequest(graph="resil", application=Application.BFS, source=1)
+            )
+        series = service.collect_metrics().get("repro_rejected_after_close_total")
+        assert service.stats().rejected_after_close == series.value() == 2
+        assert service.stats().failed == 1
+
     def test_close_cancel_pending_fails_queued_jobs_with_typed_error(self):
         release = threading.Event()
         entered = threading.Event()

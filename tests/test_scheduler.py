@@ -1119,6 +1119,25 @@ class TestWorkloadPlumbing:
         assert bare.reject_infeasible is False
         assert bare.cost_alpha == ServiceConfig().cost_alpha
 
+    def test_config_from_spec_knob_table(self):
+        import dataclasses
+
+        from repro.service.workload import _FORWARDED_KNOBS
+
+        spec = {"graphs": [{"name": "g"}], "requests": [{"app": "bfs", "graph": "g"}]}
+        # Every forwarded knob is a ServiceConfig field of the same name ...
+        fields = {field.name for field in dataclasses.fields(ServiceConfig)}
+        assert set(_FORWARDED_KNOBS) <= fields
+        # ... only what was given is forwarded (JSON null = not given) ...
+        assert config_from_spec({**spec, "retry_limit": None, "workers": None}) == (
+            ServiceConfig()
+        )
+        given = config_from_spec({**spec, "retry_limit": "3"}, breaker_cooldown=2)
+        assert (given.retry_limit, given.breaker_cooldown) == (3, 2.0)
+        # ... and an override that is not a knob is refused, not dropped.
+        with pytest.raises(TypeError, match="bogus"):
+            config_from_spec(spec, bogus=1)
+
     def test_expand_requests_carries_deadline_and_tenant(self, random_graph):
         registry = GraphRegistry()
         registry.register_graph(random_graph)

@@ -4,15 +4,18 @@ The latency percentiles a long-running service reports come from a bounded
 sliding window (``ServiceConfig.latency_window``); these tests pin the
 retention/wraparound behaviour — only the most recent N samples survive — and
 the per-tenant completed/missed accounting under genuinely concurrent
-submissions, where a lost update would silently under-count a tenant.
+submissions, where a lost update would silently under-count a tenant.  All of
+it is read the way an operator reads it — ``stats()`` and the metric series it
+is computed from — never from service internals.
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro.config import ServiceConfig
-from repro.errors import SimulationError
+from repro.errors import JobFailedError, SimulationError
 from repro.service import (
     GraphRegistry,
     Service,
@@ -67,7 +70,10 @@ class TestLatencyWindowRetention:
         # The window wrapped: only the newest 4 of 7 samples back the stats.
         assert stats.latency.count == 4
         assert stats.queue_wait.count == 4
-        assert len(service._latency_samples) == 4
+        # The summary behind it: a window of 4, a lifetime count of 7.
+        summary = service.metrics.get("repro_request_latency_seconds")
+        assert summary.snapshot() == service.stats().latency
+        assert summary.render_json()["count"] == 7
 
     def test_wraparound_drops_oldest_first(self, registry, random_graph):
         with make_service(registry, max_workers=1, latency_window=3) as service:
@@ -78,9 +84,12 @@ class TestLatencyWindowRetention:
                 )
                 service.result(job, timeout=30)
                 jobs.append(job)
-            retained = list(service._latency_samples)
-        expected = [job.total_seconds for job in jobs[-3:]]
-        assert retained == expected
+        # Closed, so every sample is in.  Count, mean, median and max pin all
+        # three retained samples: exactly the newest three jobs' latencies.
+        expected = LatencyStats.from_samples(job.total_seconds for job in jobs[-3:])
+        assert service.stats().latency == expected
+        summary = service.metrics.get("repro_request_latency_seconds")
+        assert summary.snapshot() == expected
 
     def test_window_not_yet_full(self, registry, random_graph):
         with make_service(registry, latency_window=1024) as service:
@@ -154,10 +163,14 @@ class TestTenantStatsConcurrency:
 
         assert stats.completed == 16
         assert stats.failed == 16
+        series = service.metrics.get("repro_tenant_jobs_total")
         for tenant in ("even", "odd"):
             outcome = stats.tenants[tenant]
             assert outcome.completed == 8
             assert outcome.missed == 8
+            assert series.value(tenant=tenant, result="completed") == 8
+            assert series.value(tenant=tenant, result="missed") == 8
+        assert list(stats.tenants) == ["even", "odd"]
         assert stats.deadlines_missed == 16
         assert stats.deadlines_met == 0
 
@@ -171,3 +184,59 @@ class TestTenantStatsConcurrency:
             stats = service.stats()
         assert stats.tenants["a"].completed == 1
         assert stats.tenants[None].completed == 1
+        assert list(stats.tenants) == ["a", None]  # anonymous listed last
+        # The anonymous tenant's series label is "", which no request can carry.
+        series = service.metrics.get("repro_tenant_jobs_total")
+        assert series.value(tenant="", result="completed") == 1
+
+
+class TestCountsVisibleBeforeResult:
+    def test_a_returned_result_is_already_in_the_stats(self, registry, random_graph):
+        """8 clients; whenever ``result()`` has returned (or raised) for n jobs,
+        ``stats()`` taken afterwards must already count at least n terminal
+        jobs, n executions and n latency samples — accounting first,
+        completion signal second."""
+        engine = FailingSourcesEngine(range(0, 48, 5))
+        returned = 0
+        tally = threading.Lock()
+        violations = []
+
+        def client(index: int, service: Service) -> None:
+            nonlocal returned
+            for k in range(6):
+                job = service.submit(
+                    TraversalRequest("bfs", random_graph.name, source=index * 6 + k)
+                )
+                try:
+                    service.result(job, timeout=30)
+                except JobFailedError:
+                    pass
+                with tally:
+                    returned += 1
+                    seen = returned
+                stats = service.stats()
+                counted = (
+                    stats.completed + stats.failed,
+                    stats.executions,
+                    stats.latency.count,
+                )
+                if min(counted) < seen:
+                    violations.append((seen, counted))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_service(registry, engine=engine, max_workers=4) as service:
+                threads = [
+                    threading.Thread(target=client, args=(i, service)) for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert violations == []
+        stats = service.stats()
+        assert (stats.completed, stats.failed, stats.executions) == (38, 10, 48)
