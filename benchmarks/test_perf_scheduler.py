@@ -122,20 +122,17 @@ def test_edf_meets_deadlines_fifo_misses(results_dir):
         assert run["finished_in_time"]
         assert run["failed"] == 0
         assert run["completed"] == planner["workload"]["jobs"]
-    assert on_run["fused_plans"] > 0
-    # Packed fusion must fire (the BFS/SSSP strategy groups are wide and
-    # always profitable); streaming fusion is opportunistic — the CC/PageRank
-    # singletons drain open-loop, and the confidence gate rightly refuses
-    # them once early bootstrap errors have inflated the margin — so it is
-    # recorded in fused_kinds but not required.
-    assert "packed" in on_run["fused_kinds"]
+    # Plans are decided by shape alone, so both fused kinds must fire however
+    # this machine's timings fall (the queued-then-drained shape contract is
+    # tier-1: tests/test_planner.py::TestPlanShapesAreAFunctionOfTheBacklog).
+    assert {"packed", "streaming"} <= set(on_run["fused_kinds"])
     # Planner off still drains through the plan path — one record per drain —
     # but never fuses: every plan is its anchor group alone.
     assert off_run["plans_logged"] > 0 and off_run["fused_plans"] == 0
     assert all(entry["groups"] == 1 for entry in off_run["plan_decisions"])
-    # The strict >= 1.0 verdict lives in the JSON (planner_not_slower) for
-    # the archived trend; the assertion keeps a jitter band like the wfq
-    # throughput check above.
+    # Timing, the one non-gating half: the strict >= 1.0 verdict lives in the
+    # JSON (planner_not_slower) for the archived trend; the assertion keeps a
+    # jitter band like the wfq throughput check above.
     ratio = planner["summary"]["throughput_ratio_on_over_off"]
     assert ratio >= 0.85, f"planner-on throughput collapsed: {ratio:.3f}"
     assert decision_lines and len(decision_lines) == on_run["plans_logged"]

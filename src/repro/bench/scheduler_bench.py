@@ -354,7 +354,7 @@ def bench_multi_tenant(
 #: strategy groups of this width bin-pack comfortably into one 64-lane word.
 DEFAULT_PLANNER_SOURCES = 6
 #: Strategy spread of the planner scenario: three same-graph groups per
-#: application, each a distinct platform configuration the planner may fuse.
+#: application, each a distinct platform configuration the planner fuses.
 _PLANNER_STRATEGIES = (
     AccessStrategy.MERGED_ALIGNED,
     AccessStrategy.UVM,
@@ -426,8 +426,8 @@ def bench_planner(
     """Mixed-application fusible workload: fusion planner on vs off.
 
     Interleaved best-of-N per mode so runner noise cannot decide the
-    contrast; the planner-on arm's plan-decision log (every drain's chosen
-    shape, estimate and actual seconds) rides along for the archived trend.
+    contrast; the planner-on arm's plan-decision log (every drain's shape
+    and actual seconds) rides along for the archived trend.
     """
     graph = graphs[0]
     # Warm the engine code paths once so the first timed arm pays no one-off
@@ -694,9 +694,9 @@ def bench_scheduler(
 def plan_decision_lines(report: dict) -> list[str]:
     """The planner-on arm's plan-decision log as JSONL lines.
 
-    One line per drain decision (kind, shape, lane counts, estimated vs
-    actual seconds) — the artifact CI archives next to the report so a
-    regression in planning quality is diagnosable from the run that hit it.
+    One line per drain decision (kind, shape, lane counts, actual seconds)
+    — the artifact CI archives next to the report so a regression in
+    planning is diagnosable from the run that hit it.
     """
     planner = report.get("planner")
     if planner is None:

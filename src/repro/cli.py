@@ -127,7 +127,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--planner",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="enable/disable the cost-model-driven fusion planner "
+        help="enable/disable the fusion planner "
         "(--no-planner drains every group solo; overrides the workload file; "
         "default on)",
     )

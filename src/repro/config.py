@@ -374,13 +374,12 @@ class ServiceConfig:
     #: estimated engine seconds for the group (used when ``sweep_timeout`` is
     #: ``None``; ``None`` disables the watchdog entirely).
     sweep_timeout_multiplier: float | None = None
-    #: Cost-model-driven fusion planning on the built-in execution path: each
-    #: drain enumerates candidate fused shapes (multi-source words, ≤64-lane
-    #: packed cross-config words, streaming platform lanes) over the pending
-    #: backlog and executes the cheapest plan whose predicted saving beats
-    #: the model's own estimate error (:mod:`repro.service.planner`).  With
-    #: ``False`` every policy-selected group drains alone — the
-    #: planner-off baseline the scheduler benchmark compares against.
+    #: Fusion planning on the built-in execution path: each drain takes every
+    #: compatible pending group that fits (≤64-lane packed cross-config
+    #: words, streaming platform lanes) along with the policy-selected one
+    #: (:mod:`repro.service.planner`).  With ``False`` every policy-selected
+    #: group drains alone — the planner-off baseline the scheduler benchmark
+    #: compares against.
     planner: bool = True
     #: Consecutive native-kernel failures that trip the circuit breaker from
     #: closed to open (degrading sweeps to the bit-identical numpy backend).

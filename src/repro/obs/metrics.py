@@ -122,20 +122,11 @@ CATALOG: dict[str, tuple[str, ...]] = {
         "Drains where the policy named a non-pending group and the queue "
         "fell back to arrival order.",
     ),
-    "repro_planner_plans_built_total": (
-        "counter", "Candidate fusion plans enumerated.",
-    ),
     "repro_planner_plans_chosen_total": (
         "counter", "Fusion plans executed, by kind.", "kind",
     ),
-    "repro_planner_plans_rejected_total": (
-        "counter", "Candidate fusion plans scored but not chosen.",
-    ),
     "repro_planner_packed_lanes_total": (
-        "counter", "Lanes executed inside chosen fused plans.",
-    ),
-    "repro_planner_estimated_savings_seconds": (
-        "summary", "Estimated solo-minus-shared seconds of each chosen plan.",
+        "counter", "Lanes executed inside fused plans.",
     ),
     "repro_pending_jobs": ("gauge", "Jobs queued, not yet picked up."),
     "repro_active_workers": ("gauge", "Worker tasks queued or running."),

@@ -5,7 +5,9 @@ before running it*: weighted-fair queueing charges each tenant its drain
 cost, and deadline-aware admission must reject a request whose backlog
 already exceeds its budget.  Neither can afford to run the work to find out,
 so this module learns costs online from the executions the service performs
-anyway.
+anyway.  Its three consumers are WFQ charges, infeasible-deadline admission
+and the sweep watchdog's budget; what fuses with what is decided by shape
+alone (:mod:`repro.service.planner`) and never consults an estimate.
 
 A **batch family** is everything that determines a group's execution profile:
 :attr:`~repro.service.requests.TraversalRequest.batch_key`, i.e. ``(graph,
@@ -47,13 +49,6 @@ BOOTSTRAP_SECONDS_PER_VERTEX = 5e-7
 #: graph is registered but not resident, so peeking at it would force a load).
 DEFAULT_BOOTSTRAP_SECONDS = 2e-3
 
-#: Fraction of a drained group's wall-clock attributed to the *shared*
-#: per-sweep work (frontier unions, whole-stream passes) that fused lanes
-#: ride for free; the remainder scales with per-lane work fusion cannot
-#: amortize (result materialization, per-lane accounting).  Calibrated
-#: against the simulated engines, where the shared numpy sweeps dominate.
-SHARED_PASS_FRACTION = 0.7
-
 #: Resolves a graph name to ``(num_vertices, num_edges)`` or None; estimates
 #: must never force a graph load, so "unknown" is an expected answer.
 GraphSizeLookup = Callable[[str], "tuple[int, int] | None"]
@@ -76,32 +71,6 @@ class _FamilyEstimate:
             self.group_seconds += alpha * (seconds - self.group_seconds)
             self.job_seconds += alpha * (per_job - self.job_seconds)
         self.samples += 1
-
-
-@dataclass(frozen=True)
-class SharedEstimate:
-    """Predicted cost of draining several batch families as one fused pass.
-
-    Produced by :meth:`CostModel.estimate_shared` and consumed by the fusion
-    planner: ``solo_seconds`` is what running every family separately would
-    cost, ``shared_seconds`` what the fused execution is predicted to cost,
-    and ``margin_seconds`` the model's own mean absolute estimate error —
-    the planner only trusts a predicted saving larger than the model's
-    typical mistake.
-    """
-
-    shared_seconds: float
-    solo_seconds: float
-    margin_seconds: float
-
-    @property
-    def savings_seconds(self) -> float:
-        return self.solo_seconds - self.shared_seconds
-
-    @property
-    def confident(self) -> bool:
-        """True when the predicted saving exceeds the model's typical error."""
-        return self.shared_seconds + self.margin_seconds < self.solo_seconds
 
 
 @dataclass(frozen=True)
@@ -143,11 +112,6 @@ class CostModel:
         self._graph_size_lookup = graph_size_lookup
         self._lock = tracked_lock("service.CostModel._lock")
         self._families: dict[Hashable, _FamilyEstimate] = {}
-        #: Kernel-counter feature: EWMA of traversal iterations per family,
-        #: fed by the service's per-sweep counters.  A fused sweep runs until
-        #: its slowest lane converges, so relative iteration counts tell
-        #: :meth:`estimate_shared` how much fusing stretches the fast lanes.
-        self._iterations: dict[Hashable, float] = {}
         self._error_sum = 0.0
         self._error_samples = 0
 
@@ -178,22 +142,6 @@ class CostModel:
             estimate.update(jobs, seconds, self.alpha)
             return error
 
-    def note_counters(self, family: Hashable, iterations: int) -> None:
-        """Fold one sweep's kernel iteration count into the family's EWMA.
-
-        Iterations are the kernel-counter feature :meth:`estimate_shared`
-        uses to price the stretch a fused sweep imposes on lanes that would
-        have converged earlier on their own.
-        """
-        if iterations <= 0:
-            return
-        with self._lock:
-            known = self._iterations.get(family)
-            if known is None:
-                self._iterations[family] = float(iterations)
-            else:
-                self._iterations[family] = known + self.alpha * (iterations - known)
-
     # ------------------------------------------------------------------ #
     # Estimation
     # ------------------------------------------------------------------ #
@@ -205,50 +153,6 @@ class CostModel:
     def estimate_job(self, family: Hashable) -> float:
         """Predicted marginal engine seconds of one job of this family."""
         return self.estimate_group(family, 1)
-
-    def estimate_shared(
-        self, families: "list[tuple[Hashable, int]]", words: int = 1
-    ) -> SharedEstimate:
-        """Price running several ``(family, width)`` groups as one fused pass.
-
-        The solo cost is each family's own group estimate, summed.  The
-        shared cost models what fusion actually changes: per execution word
-        the :data:`SHARED_PASS_FRACTION` of the sweep work is paid *once* —
-        by the most expensive participating lane, stretched to the slowest
-        lane's iteration count when the kernel counters have taught the
-        model per-family iterations — while the remaining per-lane fraction
-        is still paid by everyone.  ``margin_seconds`` carries the model's
-        lifetime mean absolute estimate error (the
-        ``repro_costmodel_abs_error_seconds`` series), so callers can demand
-        a saving larger than the model's typical mistake.
-        """
-        with self._lock:
-            solo = 0.0
-            sweep = 0.0
-            max_iterations = 0.0
-            best_per_iteration = 0.0
-            for family, jobs in families:
-                solo += self._estimate_group_locked(family, max(1, jobs))
-                single = self._estimate_group_locked(family, 1)
-                sweep = max(sweep, single)
-                iterations = self._iterations.get(family, 0.0)
-                if iterations > 0:
-                    max_iterations = max(max_iterations, iterations)
-                    best_per_iteration = max(best_per_iteration, single / iterations)
-            if max_iterations > 0 and best_per_iteration > 0:
-                # The fused sweep runs max(iterations) passes; price them at
-                # the most expensive known per-iteration rate.
-                sweep = max(sweep, max_iterations * best_per_iteration)
-            shared = (
-                max(1, words) * SHARED_PASS_FRACTION * sweep
-                + (1.0 - SHARED_PASS_FRACTION) * solo
-            )
-            margin = (
-                self._error_sum / self._error_samples if self._error_samples else 0.0
-            )
-            return SharedEstimate(
-                shared_seconds=shared, solo_seconds=solo, margin_seconds=margin
-            )
 
     def _estimate_group_locked(self, family: Hashable, jobs: int) -> float:
         estimate = self._families.get(family)
@@ -282,7 +186,7 @@ class CostModel:
         """The family's current EWMA state, or ``None`` before any sample.
 
         The dict shape matches :meth:`seed` entries — it is what the durable
-        store appends to its cost-history table after every observation.
+        store keeps, one row per family, after every observation.
         """
         with self._lock:
             estimate = self._families.get(family)
@@ -293,17 +197,15 @@ class CostModel:
                 "group_seconds": estimate.group_seconds,
                 "job_seconds": estimate.job_seconds,
                 "samples": estimate.samples,
-                "iterations": self._iterations.get(family),
             }
 
     def seed(self, entries: "list[dict]") -> int:
         """Install persisted EWMA state for families with no live samples.
 
-        Each entry carries ``family``, ``group_seconds``, ``job_seconds``,
-        ``samples`` and optional ``iterations`` (the shapes
-        :meth:`family_state` exports).  Families that already accumulated
-        live observations are left alone — fresh evidence beats history.
-        Returns the number of families seeded.
+        Each entry carries ``family``, ``group_seconds``, ``job_seconds`` and
+        ``samples`` (the shape :meth:`family_state` exports).  Families that
+        already accumulated live observations are left alone — fresh evidence
+        beats history.  Returns the number of families seeded.
         """
         seeded = 0
         with self._lock:
@@ -328,9 +230,6 @@ class CostModel:
                     job_seconds=job_seconds,
                     samples=samples,
                 )
-                iterations = entry.get("iterations")
-                if iterations is not None and float(iterations) > 0:
-                    self._iterations.setdefault(family, float(iterations))
                 seeded += 1
         return seeded
 

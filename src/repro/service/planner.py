@@ -1,24 +1,26 @@
-"""Cost-model-driven fusion planner: one decision point for every drain.
+"""Fusion planner: one decision point for every drain, decided by shape.
 
 Fusion used to live in two ad-hoc branches of the drain path — multi-source
 batching inside one group, and a CC-only "pop every sibling group" streaming
-merge.  Both fused unconditionally and invisibly.  This module replaces them
-with an explicit planning step: each drain snapshots the pending backlog,
-enumerates the candidate :class:`FusionPlan` shapes the engines can execute —
+merge.  This module replaces them with an explicit planning step: each drain
+snapshots the pending backlog and builds the one :class:`FusionPlan` the
+engines can execute for it —
 
-* **solo / multisource** — the policy-selected anchor group alone (the
-  baseline every fused candidate must beat),
+* **solo / multisource** — the policy-selected anchor group alone, when no
+  pending group can share its execution,
 * **packed** — the anchor plus small same-graph, same-application BFS/SSSP
   groups of *different* platform configurations, bin-packed into the ≤64
   lanes of one :func:`~repro.traversal.multisource.run_packed_batch` word,
 * **streaming** — the anchor plus every same-graph pending group of the same
   streaming application (CC or PageRank), each group one platform lane of a
-  shared :func:`~repro.traversal.streaming.run_streaming_batch` pass —
+  shared :func:`~repro.traversal.streaming.run_streaming_batch` pass.
 
-and scores each against :meth:`~repro.service.costmodel.CostModel.\
-estimate_shared`.  A fused plan is chosen only when its predicted saving
-exceeds the cost model's own mean estimate error, so a model that is still
-guessing cannot justify aggressive fusion on noise.
+The rule is structural, like the paper's coalescer merging every access that
+falls in one 128-byte line: every rider that fits is taken.  The plan is a
+pure function of the anchor and the snapshot — no cost estimate, clock or
+learned state enters it — so the same backlog yields the same plan on any
+machine at any load (``docs/fusion-planner.md`` records why the earlier
+cost-model gate was deleted).
 
 The planner is *policy-visible*: the anchor group is still whatever the
 scheduling policy selected, riders are claimed through
@@ -32,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..types import Application
-from .costmodel import CostModel, SharedEstimate
 from .jobs import Job
 
 #: Lane capacity of one packed execution word (mirrors the traversal layer's
@@ -47,8 +48,7 @@ class FusionPlan:
 
     ``groups`` always starts with the policy-selected anchor group;
     ``rider_keys`` names the batch keys of every non-anchor group the plan
-    wants claimed from the queue.  ``estimate`` is the cost model's shared
-    pricing for fused plans (``None`` for the unfused baseline).
+    wants claimed from the queue.
     """
 
     kind: str  # "solo" | "multisource" | "packed" | "streaming"
@@ -56,12 +56,7 @@ class FusionPlan:
     graph: str
     groups: list[list[Job]]
     rider_keys: list[tuple] = field(default_factory=list)
-    estimate: SharedEstimate | None = None
-    #: Candidate plans the planner enumerated / scored-but-discarded while
-    #: choosing this one (carried on the winner for observability).
-    candidates_built: int = 1
-    candidates_rejected: int = 0
-    #: Seconds spent planning (snapshot scoring), for span attribution.
+    #: Seconds spent planning (snapshot + packing), for span attribution.
     planning_seconds: float = 0.0
 
     @property
@@ -107,7 +102,6 @@ class FusionPlan:
         if not self.fused:
             # Every rider evaporated: the plan degrades to its baseline shape.
             self.kind = self._baseline_kind(self.application, groups[0])
-            self.estimate = None
 
     @staticmethod
     def _baseline_kind(application: Application, anchor: list[Job]) -> str:
@@ -128,20 +122,18 @@ class FusionPlan:
 
 
 class FusionPlanner:
-    """Enumerates and scores fusion plans for one drained anchor group.
+    """Builds the fusion plan for one drained anchor group.
 
-    Stateless apart from the shared :class:`CostModel`; safe to call from
-    every worker thread concurrently.
+    Stateless; safe to call from every worker thread concurrently.
     """
 
-    def __init__(self, cost_model: CostModel, max_lanes: int = MAX_LANES) -> None:
-        self._cost_model = cost_model
+    def __init__(self, max_lanes: int = MAX_LANES) -> None:
         self._max_lanes = max_lanes
 
     def build(
         self, anchor: list[Job], snapshot: dict[tuple, tuple[Job, ...]]
     ) -> tuple[FusionPlan, list[tuple]]:
-        """Choose the cheapest plan for ``anchor`` given the backlog snapshot.
+        """The plan for ``anchor`` given the backlog snapshot: every rider that fits.
 
         Returns ``(plan, rider_keys)`` — the keys the caller should claim
         atomically; the plan must then be :meth:`FusionPlan.restrict`-ed to
@@ -149,45 +141,26 @@ class FusionPlanner:
         """
         request = anchor[0].request
         application = request.application
-        graph = request.graph
-        anchor_key = request.batch_key
-        baseline = FusionPlan.baseline(anchor)
-        riders = self._compatible_riders(anchor_key, application, graph, snapshot)
-        if not riders:
-            return baseline, []
-        if application.is_streaming:
-            chosen_riders = riders  # every group is one lane; words chunk at 64
-        else:
-            chosen_riders = self._bin_pack(len(anchor), riders)
-            if not chosen_riders:
-                return baseline, []
-        families = [(anchor_key, len(anchor))]
-        families += [(key, len(jobs)) for key, jobs in chosen_riders]  # repro: noqa[REPRO101] — O(groups) per drain
-        total_lanes = (
-            len(families)
-            if application.is_streaming
-            else sum(width for _, width in families)
+        riders = self._compatible_riders(
+            request.batch_key, application, request.graph, snapshot
         )
-        words = max(1, -(-total_lanes // self._max_lanes))
-        estimate = self._cost_model.estimate_shared(families, words=words)
-        fused = FusionPlan(
+        if not application.is_streaming:
+            # Streaming groups are one lane each (words chunk at 64 inside
+            # the engine); BFS/SSSP lanes are per job and must fit the word.
+            riders = self._bin_pack(len(anchor), riders)
+        if not riders:
+            return FusionPlan.baseline(anchor), []
+        plan = FusionPlan(
             kind="streaming" if application.is_streaming else "packed",
             application=application,
-            graph=graph,
-            groups=[list(anchor)] + [list(jobs) for _, jobs in chosen_riders],
-            rider_keys=[key for key, _ in chosen_riders],
-            estimate=estimate,
-            candidates_built=2,
+            graph=request.graph,
+            groups=[list(anchor)] + [list(jobs) for _, jobs in riders],
+            rider_keys=[key for key, _ in riders],
         )
-        if estimate.confident:
-            fused.candidates_rejected = 1  # the baseline lost
-            return fused, fused.rider_keys
-        baseline.candidates_built = 2
-        baseline.candidates_rejected = 1  # the fused candidate lost
-        return baseline, []
+        return plan, plan.rider_keys
 
     # ------------------------------------------------------------------ #
-    # Candidate enumeration
+    # Rider selection
     # ------------------------------------------------------------------ #
     def _compatible_riders(
         self,

@@ -225,9 +225,9 @@ class RequestQueue:
     def snapshot_groups(self) -> dict[tuple, tuple[Job, ...]]:
         """Point-in-time copy of the pending backlog, keyed by batch key.
 
-        Fusion planning input: the caller enumerates candidate plans over the
-        snapshot *without* holding the queue lock, then claims the groups a
-        chosen plan needs through :meth:`claim_groups` — which tolerates any
+        Fusion planning input: the caller picks riders from the snapshot
+        *without* holding the queue lock, then claims the groups its plan
+        needs through :meth:`claim_groups` — which tolerates any
         group another worker drained in between.  Job tuples are copies; the
         queue's own group lists are never exposed.
         """

@@ -136,10 +136,10 @@ class Service:
             cost_model=self._costmodel,
             on_policy_fallback=self._metrics["repro_queue_policy_fallback_total"].inc,
         )
-        #: Backlog-wide fusion planner: every built-in drain asks it for the
-        #: cheapest way to execute the policy-selected anchor group together
-        #: with compatible pending work (see :mod:`repro.service.planner`).
-        self._planner = FusionPlanner(self._costmodel)
+        #: Backlog-wide fusion planner: every built-in drain asks it which
+        #: compatible pending groups ride with the policy-selected anchor
+        #: group (see :mod:`repro.service.planner`).
+        self._planner = FusionPlanner()
         #: Bounded log of recent plan decisions for benchmarks / debugging.
         self._plan_log: deque[dict] = deque(maxlen=256)
         self._pool = WorkerPool(self.config.max_workers)
@@ -359,22 +359,6 @@ class Service:
                 backend = counters.relax_backend
                 m["repro_kernel_backend_total"].inc(app=app, backend=backend)
         return backend
-
-    def _note_family_counters(self, family, metrics_list) -> None:
-        """Feed one family's per-sweep iteration count to the cost model.
-
-        The planner's shared-cost estimate scales with how long the slowest
-        fused lane iterates, so the model keeps a per-family iterations EWMA
-        next to its seconds EWMAs.  Lanes of one family report the same sweep,
-        hence ``max`` rather than a sum.
-        """
-        iterations = 0
-        for metrics in metrics_list:
-            counters = getattr(metrics, "counters", None)
-            if counters is not None and counters.iterations:
-                iterations = max(iterations, counters.iterations)
-        if iterations:
-            self._costmodel.note_counters(family, iterations)
 
     def _emit_sweep_span(
         self,
@@ -1024,7 +1008,7 @@ class Service:
             self._settle(*stranded)
 
     def _build_plan(self, anchor: list[Job], snapshot) -> tuple[FusionPlan, list]:
-        """Queue callback: plan one drain and export the decision counters.
+        """Queue callback: plan one drain.
 
         With ``config.planner`` off the anchor group drains alone as the
         baseline plan; an injected engine additionally runs it job by job,
@@ -1038,11 +1022,6 @@ class Service:
         else:
             plan, rider_keys = self._planner.build(anchor, snapshot())
         plan.planning_seconds = time.perf_counter() - started
-        m = self._metrics
-        m["repro_planner_plans_built_total"].inc(plan.candidates_built)
-        if plan.candidates_rejected:
-            m["repro_planner_plans_rejected_total"].inc(plan.candidates_rejected)
-        m["repro_planner_plans_chosen_total"].inc(kind=plan.kind)
         return plan, rider_keys
 
     def _execute_plan(self, plan: FusionPlan, schedule_seconds: float) -> None:
@@ -1077,12 +1056,6 @@ class Service:
                 self._fail_stranded(all_jobs, exc)
                 return
             break
-        if plan.fused:
-            self._metrics["repro_planner_packed_lanes_total"].inc(plan.lanes)
-            if plan.estimate is not None:
-                self._metrics["repro_planner_estimated_savings_seconds"].observe(
-                    plan.estimate.savings_seconds
-                )
         started = time.perf_counter()
         if self._engine is None:
             # Record the shape that ran: the groups that rode the sweep (the
@@ -1101,15 +1074,18 @@ class Service:
     def _record_plan(
         self, plan: FusionPlan, started: float, elapsed: float, schedule_seconds: float
     ) -> None:
-        """Log one plan decision and emit it as a ``plan`` span.
+        """Count one executed plan, log its decision and emit its ``plan`` span.
 
-        One record feeds both: chosen shape, candidates, estimated vs actual
-        cost.  Like ``engine_sweep`` spans, plan spans carry their own trace
-        id — one plan serves many request traces, and the per-request
-        lifecycle tiling (admission+queue+sweep+cache == latency) must stay
-        exact.
+        One record feeds all three: the shape that ran and what it cost.  A
+        plan that never reached an engine (every job expired, or the graph
+        load failed for good) is neither counted, logged nor traced.  Like
+        ``engine_sweep`` spans, plan spans carry their own trace id — one
+        plan serves many request traces, and the per-request lifecycle
+        tiling (admission+queue+sweep+cache == latency) must stay exact.
         """
-        estimate = plan.estimate  # None for an unfused plan
+        self._metrics["repro_planner_plans_chosen_total"].inc(kind=plan.kind)
+        if plan.fused:
+            self._metrics["repro_planner_packed_lanes_total"].inc(plan.lanes)
         decision = {
             "kind": plan.kind,
             "shape": plan.shape,
@@ -1118,11 +1094,6 @@ class Service:
             "groups": len(plan.groups),
             "lanes": plan.lanes,
             "jobs": len(plan.jobs),
-            "candidates_built": plan.candidates_built,
-            "candidates_rejected": plan.candidates_rejected,
-            "estimated_shared_seconds": getattr(estimate, "shared_seconds", None),
-            "estimated_solo_seconds": getattr(estimate, "solo_seconds", None),
-            "estimated_savings_seconds": getattr(estimate, "savings_seconds", None),
             "actual_seconds": elapsed,
         }
         with self._lock:
@@ -1133,9 +1104,6 @@ class Service:
         if traced is None:
             return
         plan_id = f"plan-{next(self._plan_ids)}"
-        attrs = {key: value for key, value in decision.items() if value is not None}
-        attrs["schedule_seconds"] = schedule_seconds
-        attrs["planning_seconds"] = plan.planning_seconds
         self._tracer.emit(
             Span(
                 trace_id=plan_id,
@@ -1143,7 +1111,11 @@ class Service:
                 name="plan",
                 start_unix=traced.wall_clock(started),
                 duration_seconds=elapsed,
-                attributes=attrs,
+                attributes=dict(
+                    decision,
+                    schedule_seconds=schedule_seconds,
+                    planning_seconds=plan.planning_seconds,
+                ),
             )
         )
 
@@ -1221,7 +1193,6 @@ class Service:
             # long before any frontier sweep, and that near-zero timing says
             # nothing about what draining this family actually costs.
             self._observe_cost(job.request.batch_key, 1, elapsed)
-            self._note_family_counters(job.request.batch_key, result_metrics)
             self._cache_put_safe(job.request.cache_key, result)
             job.mark_done(result)
         # Release only after the cache holds the result, so identical
@@ -1411,10 +1382,8 @@ class Service:
             width = 1 if streaming else len(group)
             lane_results = outcome.results[lane : lane + width]
             lane += width
-            group_key = group[0].request.batch_key
-            self._observe_cost(group_key, len(group), elapsed * width / total_lanes)
-            self._note_family_counters(
-                group_key, [result.metrics for result in lane_results]
+            self._observe_cost(
+                group[0].request.batch_key, len(group), elapsed * width / total_lanes
             )
             # A lane's result goes to its job, or to every job of its group.
             published += zip(

@@ -19,11 +19,16 @@ Result cache
     rows the moment a graph's content is observed to have changed.
 
 Cost-model history
-    Append-only rows of per-family EWMA state (group/job seconds, sample
-    count, iterations EWMA) written every time the live model absorbs an
-    observation.  :meth:`load_cost_seed` returns the latest row per family
-    so a restarted :class:`~repro.service.costmodel.CostModel` starts from
-    learned estimates instead of the size-based bootstrap.
+    One row per family holding its current EWMA state (group/job seconds,
+    sample count), replaced — delete-then-insert inside the flush
+    transaction — every time the live model absorbs an observation, so the
+    table is bounded by the number of families, not by uptime.
+    :meth:`load_cost_seed` returns the latest row per family (a file written
+    before this rule may still hold several) so a restarted
+    :class:`~repro.service.costmodel.CostModel` starts from learned
+    estimates instead of the size-based bootstrap.  The nullable
+    ``iterations`` column is a leftover of the deleted fusion gate: kept so
+    existing files open unchanged, neither read nor written.
 
 Pragma discipline follows the Paper-Scanner schema in SNIPPETS.md:
 ``journal_mode=WAL``, ``foreign_keys=ON``, ``synchronous=NORMAL``,
@@ -595,8 +600,7 @@ class ServingStore:
             with self._read_lock:
                 faults.check("store.read", table="cost_history")
                 rows = conn.execute(
-                    "SELECT family, group_seconds, job_seconds, samples,"
-                    "       iterations"
+                    "SELECT family, group_seconds, job_seconds, samples"
                     " FROM cost_history WHERE id IN"
                     " (SELECT MAX(id) FROM cost_history GROUP BY family)"
                 ).fetchall()
@@ -608,7 +612,7 @@ class ServingStore:
         self._breaker.record_success()
         self._emit("op", {"op": "read", "outcome": "ok"})
         seeds = []
-        for family_text, group_seconds, job_seconds, samples, iterations in rows:
+        for family_text, group_seconds, job_seconds, samples in rows:
             try:
                 family = family_from_text(family_text)
             except (ValueError, TypeError):
@@ -619,9 +623,6 @@ class ServingStore:
                     "group_seconds": float(group_seconds),
                     "job_seconds": float(job_seconds),
                     "samples": int(samples),
-                    "iterations": (
-                        float(iterations) if iterations is not None else None
-                    ),
                 }
             )
         return seeds
@@ -712,7 +713,7 @@ class ServingStore:
         self._enqueue(("result", key, result))
 
     def enqueue_cost(self, family, state: dict) -> None:
-        """Append one cost-history row for a family's current EWMA state."""
+        """Replace the family's cost-history row with its current EWMA state."""
         self._enqueue(
             (
                 "cost",
@@ -720,7 +721,6 @@ class ServingStore:
                 float(state["group_seconds"]),
                 float(state["job_seconds"]),
                 int(state["samples"]),
-                state.get("iterations"),
             )
         )
 
@@ -991,20 +991,14 @@ class ServingStore:
                 (name,),
             )
         elif kind == "cost":
-            _, family_text, group_seconds, job_seconds, samples, iterations = op
+            _, family_text, group_seconds, job_seconds, samples = op
+            # One row per family: only the newest is ever read back.
+            conn.execute("DELETE FROM cost_history WHERE family = ?", (family_text,))
             conn.execute(
                 "INSERT INTO cost_history"
-                " (family, group_seconds, job_seconds, samples, iterations,"
-                "  recorded_at)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    family_text,
-                    group_seconds,
-                    job_seconds,
-                    samples,
-                    iterations,
-                    now,
-                ),
+                " (family, group_seconds, job_seconds, samples, recorded_at)"
+                " VALUES (?, ?, ?, ?, ?)",
+                (family_text, group_seconds, job_seconds, samples, now),
             )
         else:  # pragma: no cover - enqueue sites are the only producers
             raise StoreError(f"unknown store op {kind!r}")

@@ -376,6 +376,7 @@ def _bfs_word(
     frontier_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
     visited_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
     scratch_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
+    lane_edges = np.zeros(lanes, dtype=np.int64)  # repro: noqa[REPRO101] — once per word, refilled every sweep
     for lane, source in enumerate(word):
         bit = _ONE << np.uint64(lane)
         frontier_bits[source] |= bit
@@ -389,17 +390,23 @@ def _bfs_word(
         starts, ends = frontier_offsets(graph, frontier)
         degrees = ends - starts
         active_bits = frontier_bits[frontier]
+        # Each lane's share of the sweep — the edges its own frontier owns —
+        # is a fact of the word, counted once for all of its engines.
+        active = active_lane_mask(active_bits, lanes)
+        lane_edges.fill(0)
+        for lane in np.flatnonzero(active):
+            lane_edges[lane] = degrees[_lane_mask(active_bits, lane)].sum()
         # Every engine replays the shared union frontier: frontier evolution
         # never depends on the simulated platform (engines only account
         # traffic), so per-lane levels stay bit-identical to solo runs even
         # when lanes span different (strategy, system) configurations.
         for engine_index, engine in enumerate(engines):
             iteration = engine.process_frontier(frontier, starts, ends)
-            attribution.record(iteration, active_bits, degrees, engine_index)
+            attribution.record(iteration, engine_index, lane_edges, active)
 
         destinations = gather_frontier_destinations(graph, frontier, starts, ends)
         edge_bits = np.repeat(active_bits, degrees)
-        next_bits = _scatter_or(num_vertices, destinations, edge_bits, out=scratch_bits)
+        next_bits = _scatter_or(destinations, edge_bits, out=scratch_bits)
         np.bitwise_and(next_bits, ~visited_bits, out=next_bits)
         visited_bits |= next_bits
 
@@ -466,12 +473,7 @@ def _sssp_word(
             iteration = engine.process_frontier(frontier, starts, ends)
             engine.note_relax(outcome.method, outcome.candidates)
             attribution.record(
-                iteration,
-                active_bits,
-                degrees,
-                engine_index,
-                lane_edges=outcome.lane_edges,
-                active=outcome.active_lanes,
+                iteration, engine_index, outcome.lane_edges, outcome.active_lanes
             )
 
         # Double-buffer: the consumed frontier word becomes next sweep's
@@ -494,23 +496,17 @@ def _lane_mask(bits: np.ndarray, lane: int) -> np.ndarray:
 
 @hot_path
 def _scatter_or(
-    num_vertices: int,
-    destinations: np.ndarray,
-    bits: np.ndarray,
-    out: np.ndarray | None = None,
+    destinations: np.ndarray, bits: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """OR-scatter ``bits`` into a per-vertex word array by destination.
+    """OR-scatter ``bits`` into the per-vertex word array ``out`` by destination.
 
     ``np.bitwise_or.at`` takes numpy's indexed-ufunc fast path for integer
     index arrays, which profiles an order of magnitude faster than the
-    sort + ``reduceat`` formulation at frontier-sweep sizes.  ``out``, when
-    given, is zeroed and reused so fixed-point callers avoid an O(V)
-    allocation per sweep.
+    sort + ``reduceat`` formulation at frontier-sweep sizes.  ``out`` is
+    zeroed and reused, so the fixed-point caller pays no O(V) allocation per
+    sweep.
     """
-    if out is None:
-        out = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — solo-call fallback
-    else:
-        out.fill(0)
+    out.fill(0)
     if destinations.size:
         np.bitwise_or.at(out, destinations, bits)
     return out
@@ -539,19 +535,16 @@ class _Attribution:
     def record(
         self,
         iteration: TimeBreakdown,
-        active_bits: np.ndarray,
-        degrees: np.ndarray,
         engine_index: int,
-        lane_edges: np.ndarray | None = None,
-        active: np.ndarray | None = None,
+        lane_edges: np.ndarray,
+        active: np.ndarray,
     ) -> None:
-        if active is None:
-            active = active_lane_mask(active_bits, self.lanes)
-        if lane_edges is None:
-            lane_edges = np.zeros(self.lanes, dtype=np.int64)
-            for lane in np.flatnonzero(active):
-                mask = _lane_mask(active_bits, lane)
-                lane_edges[lane] = int(degrees[mask].sum())
+        """Split one engine's ``iteration`` cost across the lanes it owns.
+
+        ``lane_edges`` / ``active`` describe the whole word's sweep (edges
+        each lane's frontier owns, lanes with any frontier vertex) and are
+        the same for every engine of the word; neither is modified.
+        """
         owned = self.lane_engine == engine_index
         active = active & owned
         lane_edges = np.where(owned, lane_edges, 0)

@@ -8,10 +8,13 @@ generated once per session.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.config import default_system, volta_pcie3
+from repro.errors import AdmissionError
 from repro.graph.builder import from_edge_array, from_neighbor_lists
 from repro.graph.generators import random_weights, rmat_graph, uniform_random_graph
 
@@ -143,6 +146,28 @@ def metrics_fields(metrics) -> tuple:
         counters.relax_candidates,
         counters.relax_backend is not None,
     )
+
+
+def _serve_backlog(service, requests, settle=0.0):
+    """Queue everything first, then drain on this thread (deterministic plans).
+
+    Returns how many submissions admission control refused.
+    """
+    dispatch = service._pool.submit
+    service._pool.submit = lambda fn, *args, **kwargs: None
+    refused = 0
+    try:
+        for request in requests:
+            try:
+                service.submit(request)
+            except AdmissionError:
+                refused += 1
+    finally:
+        service._pool.submit = dispatch
+    time.sleep(settle)
+    while service._queue.pending_count():
+        service._drain_one_batch()
+    return refused
 
 
 def pytest_sessionfinish(session, exitstatus):

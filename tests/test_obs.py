@@ -10,12 +10,10 @@ the Prometheus exposition.
 
 import json
 import threading
-import time
 
 import pytest
 
 from repro.config import ServiceConfig
-from repro.errors import AdmissionError
 from repro.obs import MetricsRegistry, Span, Tracer, tracing_enabled
 from repro.obs.check import LIFECYCLE_STAGES, check_trace_lines
 from repro.obs.metrics import CATALOG
@@ -26,6 +24,8 @@ from repro.traversal import _native
 from repro.traversal.api import run
 from repro.traversal.multisource import run_batch
 from repro.types import Application
+
+from .conftest import _serve_backlog
 
 
 @pytest.fixture
@@ -461,28 +461,6 @@ def _mixed_requests(graph_name):
     return requests
 
 
-def _serve_backlog(service, requests, settle=0.0):
-    """Queue everything first, then drain on this thread (deterministic plans).
-
-    Returns how many submissions admission control refused.
-    """
-    dispatch = service._pool.submit
-    service._pool.submit = lambda fn, *args, **kwargs: None
-    refused = 0
-    try:
-        for request in requests:
-            try:
-                service.submit(request)
-            except AdmissionError:
-                refused += 1
-    finally:
-        service._pool.submit = dispatch
-    time.sleep(settle)
-    while service._queue.pending_count():
-        service._drain_one_batch()
-    return refused
-
-
 def assert_one_ledger(service):
     """ServiceStats, the metric series and the drained trace tell one story."""
     stats = service.stats()
@@ -618,3 +596,19 @@ class TestOneLedger:
         assert refused == stats.rejected == 1
         assert (stats.expired, stats.failed, stats.completed) == (1, 1, 3)
         assert stats.deadlines_missed == 1
+
+    def test_fully_expired_plan_is_on_no_surface(self, lazy_registry, random_graph):
+        lone = TraversalRequest("bfs", random_graph.name, source=0, deadline=0.01)
+        with self._service(lazy_registry) as service:
+            _serve_backlog(service, [lone], settle=0.05)
+        stats = assert_one_ledger(service)
+        assert (stats.expired, stats.completed, stats.batches) == (1, 0, 0)
+        assert service.plan_decisions() == []
+
+    def test_plan_without_a_graph_is_on_no_surface(self, lazy_registry, random_graph):
+        service = self._service(lazy_registry, fault_plan="seed=5;registry.load:permanent")
+        with service:
+            _serve_backlog(service, _mixed_requests(random_graph.name))
+        stats = assert_one_ledger(service)
+        assert stats.failed == stats.submitted - stats.deduplicated == 17
+        assert stats.executions == 0 and service.plan_decisions() == []

@@ -1,23 +1,28 @@
-"""Tests for the cost-model-driven fusion planner.
+"""Tests for the fusion planner.
 
-Two layers: :class:`FusionPlanner` unit tests on synthetic backlog
-snapshots (candidate enumeration, ≤64-lane bin-packing, the confidence
-gate), and property-style end-to-end tests asserting the PR's core
-invariant — every result a planner-fused drain produces is bit-identical
-to the same request run solo, including under seeded lane poisoning.
+Three layers: :class:`FusionPlanner` unit tests on synthetic backlog
+snapshots (rider selection, ≤64-lane bin-packing) with a Hypothesis property
+over generated backlogs pinning the rule — every rider that fits is taken,
+and the plan is a function of the backlog alone; service-level tests that
+the logged plan shapes do not depend on what the cost model has learned;
+and property-style end-to-end tests asserting the core invariant — every
+result a planner-fused drain produces is bit-identical to the same request
+run solo, including under seeded lane poisoning.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ServiceConfig, ampere_pcie4
 from repro.errors import PermanentFaultError
 from repro.graph.generators import uniform_random_graph
+from repro.bench.scheduler_bench import DEFAULT_PLANNER_SOURCES, _planner_workload
 from repro.service import FaultPlan, Service, TraversalRequest
 from repro.service import faults
-from repro.service.costmodel import CostModel
 from repro.service.jobs import Job, JobStatus
 from repro.service.planner import MAX_LANES, FusionPlan, FusionPlanner
 from repro.traversal.api import run
@@ -25,7 +30,7 @@ from repro.traversal.multisource import run_batch
 from repro.traversal.streaming import run_streaming_batch
 from repro.types import AccessStrategy, Application
 
-from .conftest import metrics_fields
+from .conftest import _serve_backlog, metrics_fields
 
 
 @pytest.fixture(autouse=True)
@@ -60,7 +65,7 @@ def snapshot_of(*groups):
 
 class TestPlannerUnit:
     def test_no_riders_yields_baseline(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("bfs", count=3)
         plan, rider_keys = planner.build(anchor, snapshot_of(anchor))
         assert rider_keys == []
@@ -69,14 +74,14 @@ class TestPlannerUnit:
         assert plan.jobs == anchor
 
     def test_single_job_anchor_is_solo(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("bfs", count=1)
         plan, _ = planner.build(anchor, snapshot_of(anchor))
         assert plan.kind == "solo"
         assert plan.shape == "solo:1x1"
 
     def test_packs_same_app_same_graph_configs(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("bfs", count=4)
         rider_a = make_jobs("bfs", count=2, strategy="uvm")
         rider_b = make_jobs("bfs", count=3, strategy="naive")
@@ -95,7 +100,7 @@ class TestPlannerUnit:
         assert [len(group) for group in plan.groups] == [4, 2, 3]
 
     def test_incompatible_riders_excluded(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("bfs", count=2)
         other_graph = make_jobs("bfs", graph="h", count=2, strategy="uvm")
         other_app = make_jobs("sssp", count=2, strategy="uvm")
@@ -106,7 +111,7 @@ class TestPlannerUnit:
         assert plan.kind == "multisource"
 
     def test_bin_pack_respects_word_width(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("bfs", count=MAX_LANES - 3)
         small = make_jobs("bfs", count=2, strategy="uvm")
         big = make_jobs("bfs", count=10, strategy="naive")
@@ -116,7 +121,7 @@ class TestPlannerUnit:
         assert plan.lanes <= MAX_LANES
 
     def test_full_anchor_packs_nothing(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("bfs", count=MAX_LANES)
         rider = make_jobs("bfs", count=1, strategy="uvm")
         plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
@@ -124,7 +129,7 @@ class TestPlannerUnit:
         assert plan.kind == "multisource"
 
     def test_streaming_takes_every_compatible_group(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("cc")
         rider_a = make_jobs("cc", strategy="uvm")
         rider_b = make_jobs("cc", strategy="naive")
@@ -138,55 +143,25 @@ class TestPlannerUnit:
         assert plan.shape == "streaming:3x3"
 
     def test_pagerank_groups_stream_like_cc(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("pagerank")
         rider = make_jobs("pagerank", strategy="uvm")
         plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
         assert plan.kind == "streaming"
         assert rider_keys == [rider[0].request.batch_key]
 
-    def test_untrained_model_fuses_by_default(self):
-        # Zero samples means zero error margin: the shared estimate beats the
-        # solo sum on bootstrap priors alone, preserving the historical
-        # fuse-whenever-compatible behavior until the model learns better.
-        planner = FusionPlanner(CostModel())
+    def test_riders_are_taken_whenever_they_fit(self):
+        # The rule that replaced the cost gate: fitting is the whole test.
+        planner = FusionPlanner()
         anchor = make_jobs("bfs", count=2)
         rider = make_jobs("bfs", count=2, strategy="uvm")
-        plan, _ = planner.build(anchor, snapshot_of(anchor, rider))
-        assert plan.kind == "packed"
-        assert plan.estimate is not None
-        assert plan.estimate.confident
-        assert plan.candidates_built == 2
-        assert plan.candidates_rejected == 1
-
-    def test_noisy_model_rejects_fusion(self):
-        # One wildly mispredicted observation inflates the model's mean abs
-        # error past any predictable saving: the gate must fall back solo.
-        model = CostModel()
-        anchor = make_jobs("bfs", count=2)
-        rider = make_jobs("bfs", count=2, strategy="uvm")
-        model.observe(anchor[0].request.batch_key, 2, 100.0)
-        planner = FusionPlanner(model)
         plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
-        assert rider_keys == []
-        assert plan.kind == "multisource"
-        assert plan.candidates_built == 2
-        assert plan.candidates_rejected == 1
-
-    def test_accurate_model_restores_confidence(self):
-        model = CostModel()
-        anchor = make_jobs("bfs", count=2)
-        rider = make_jobs("bfs", count=2, strategy="uvm")
-        for _ in range(100):  # EWMA converges, per-observation error -> 0
-            model.observe(anchor[0].request.batch_key, 2, 0.5)
-            model.observe(rider[0].request.batch_key, 2, 0.5)
-        planner = FusionPlanner(model)
-        plan, _ = planner.build(anchor, snapshot_of(anchor, rider))
         assert plan.kind == "packed"
-        assert plan.estimate.savings_seconds > 0
+        assert plan.shape == "packed:2x4"
+        assert rider_keys == [rider[0].request.batch_key]
 
     def test_restrict_drops_unclaimed_riders(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("bfs", count=2)
         rider_a = make_jobs("bfs", count=1, strategy="uvm")
         rider_b = make_jobs("bfs", count=1, strategy="naive")
@@ -200,14 +175,13 @@ class TestPlannerUnit:
         assert plan.kind == "packed"
 
     def test_restrict_to_anchor_degrades_to_baseline(self):
-        planner = FusionPlanner(CostModel())
+        planner = FusionPlanner()
         anchor = make_jobs("cc")
         rider = make_jobs("cc", strategy="uvm")
         plan, _ = planner.build(anchor, snapshot_of(anchor, rider))
         plan.restrict({})
         assert plan.kind == "streaming"
         assert not plan.fused
-        assert plan.estimate is None
 
         anchor = make_jobs("bfs", count=1)
         rider = make_jobs("bfs", count=1, strategy="uvm")
@@ -215,6 +189,70 @@ class TestPlannerUnit:
         assert plan.kind == "packed"
         plan.restrict({})
         assert plan.kind == "solo"
+
+
+# --------------------------------------------------------------------- #
+# The rule, over generated backlogs
+# --------------------------------------------------------------------- #
+
+_group_configs = st.tuples(
+    st.sampled_from(["bfs", "sssp", "cc", "pagerank"]),
+    st.sampled_from(["g", "h"]),
+    st.sampled_from(["merged_aligned", "merged", "naive", "uvm"]),
+)
+#: A backlog: distinct (application, graph, strategy) groups, each 1-70 wide
+#: (so anchors and riders on both sides of the 64-lane word), in queue order.
+_backlogs = st.dictionaries(
+    _group_configs, st.integers(min_value=1, max_value=70), min_size=1, max_size=12
+)
+
+
+class TestPlanIsAFunctionOfTheBacklog:
+    @settings(max_examples=80, deadline=None)
+    @given(backlog=_backlogs, data=st.data())
+    def test_every_rider_that_fits_is_taken(self, backlog, data):
+        # Any queue order, and (being a permutation) any group as the anchor.
+        order = data.draw(st.permutations(list(backlog)))
+        groups = [
+            make_jobs(app, graph=graph, count=backlog[app, graph, strategy], strategy=strategy)
+            for app, graph, strategy in order
+        ]
+        snapshot = snapshot_of(*groups)
+        anchor = groups[0]
+        request = anchor[0].request
+
+        plan, rider_keys = FusionPlanner().build(anchor, snapshot)
+        again, again_keys = FusionPlanner().build(anchor, dict(snapshot))
+        assert plan == again and rider_keys == again_keys
+
+        compatible = {
+            key: jobs
+            for key, jobs in snapshot.items()
+            if key != request.batch_key
+            and key[:2] == (request.graph, request.application.value)
+        }
+        assert plan.groups[0] == anchor
+        assert rider_keys == plan.rider_keys
+        assert len(set(rider_keys)) == len(rider_keys)
+        assert set(rider_keys) <= set(compatible)
+        assert plan.groups[1:] == [list(snapshot[key]) for key in rider_keys]
+        assert plan.fused == bool(rider_keys)
+        if request.application.is_streaming:
+            assert list(rider_keys) == list(compatible)
+            assert plan.kind == "streaming"
+            return
+        taken = [len(compatible[key]) for key in rider_keys]
+        skipped = [len(jobs) for key, jobs in compatible.items() if key not in rider_keys]
+        if rider_keys:
+            assert plan.kind == "packed"
+            assert plan.lanes == len(anchor) + sum(taken) <= MAX_LANES
+        else:
+            assert plan.kind == ("multisource" if len(anchor) > 1 else "solo")
+        # Smallest-first: nothing skipped is smaller than anything taken, and
+        # the smallest skipped group does not fit the lanes left over.
+        if skipped:
+            assert min(skipped) >= max(taken, default=0)
+            assert len(anchor) + sum(taken) + min(skipped) > MAX_LANES
 
 
 # --------------------------------------------------------------------- #
@@ -268,6 +306,58 @@ def mixed_backlog(graph_name):
         TraversalRequest("bfs", graph_name, source=7, system=ampere_pcie4())
     )
     return requests
+
+
+def logged_plans(graph, requests, prime=None, **config):
+    """Queue ``requests`` on a fresh service, drain, return the plan records."""
+    with Service(config=ServiceConfig(**config)) as service:
+        service.registry.register_graph(graph)
+        if prime is not None:
+            prime(service)
+        assert _serve_backlog(service, requests) == 0
+        assert service.stats().completed == len(requests)
+        return service.plan_decisions()
+
+
+class TestPlanShapesAreAFunctionOfTheBacklog:
+    """The check to run after any planner change: same backlog, same shapes."""
+
+    def test_shapes_ignore_what_the_cost_model_learned(self):
+        graph = make_graph()
+        requests = mixed_backlog(graph.name)
+
+        def mislead(service):
+            # What used to close the gate for good: 100-second samples inflate
+            # every family's estimate and the model's mean error.
+            for request in requests:  # families as the service keys them
+                pinned = request.with_system(request.system or service.system)
+                service._costmodel.observe(pinned.batch_key, 1, 100.0)
+
+        fresh = logged_plans(graph, requests)
+        misled = logged_plans(graph, requests, prime=mislead)
+        shapes = [entry["shape"] for entry in fresh]
+        assert shapes == [entry["shape"] for entry in misled]
+        assert shapes == [
+            "packed:4x10", "packed:2x4", "streaming:3x3", "streaming:2x2",
+        ]
+
+    def test_bench_workload_fuses_both_kinds_twice_alike(self):
+        graph = make_graph()
+        requests = _planner_workload(graph, DEFAULT_PLANNER_SOURCES)
+        first = logged_plans(graph, requests)
+        second = logged_plans(graph, requests)
+        assert [entry["shape"] for entry in first] == [
+            entry["shape"] for entry in second
+        ]
+        fused = {entry["kind"] for entry in first if entry["groups"] > 1}
+        assert fused == {"packed", "streaming"}
+
+    def test_bench_workload_planner_off_never_fuses(self):
+        graph = make_graph()
+        requests = _planner_workload(graph, DEFAULT_PLANNER_SOURCES)
+        decisions = logged_plans(graph, requests, planner=False)
+        assert len(decisions) == len({request.batch_key for request in requests})
+        assert all(entry["groups"] == 1 for entry in decisions)
 
 
 class TestPlannedDrainBitIdentity:

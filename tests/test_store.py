@@ -247,6 +247,49 @@ class TestWarmRestart:
             # within the model's own estimate-error margin.
             assert seeded_estimate == pytest.approx(live_estimate, rel=1e-9)
 
+    def test_cost_history_keeps_one_row_per_family(self, tmp_path):
+        path = tmp_path / "store.db"
+        graph = make_graph()
+        with make_service(path) as service:
+            service.registry.register("durable", lambda: graph)
+            for source in range(5):  # awaited one by one: five observations
+                request = TraversalRequest("bfs", "durable", source=source)
+                family = service.submit(request).request.batch_key
+                service.wait_all(timeout=30)
+            assert service._costmodel.family_samples(family) == 5
+            live_estimate = service._costmodel.estimate_job(family)
+        assert store_info(path)["cost_history"] == 1
+        with make_service(path) as service:
+            assert service._costmodel.family_samples(family) == 5
+            assert service._costmodel.estimate_job(family) == live_estimate
+
+    def test_older_append_only_file_seeds_then_collapses(self, tmp_path):
+        # Older builds appended a row per observation and filled `iterations`.
+        path = tmp_path / "store.db"
+        family = ("durable", "bfs", "merged_aligned", "sys")
+        ServingStore(path).close()
+        conn = sqlite3.connect(path)
+        conn.executemany(
+            "INSERT INTO cost_history (family, group_seconds, job_seconds,"
+            " samples, iterations, recorded_at) VALUES (?, ?, ?, ?, 7.5, 'then')",
+            [(family_to_text(family), 0.1 * n, 0.05 * n, n) for n in (1, 2, 3)],
+        )
+        conn.commit()
+        conn.close()
+        assert store_verify(path)[0]
+        with ServingStore(path) as store:
+            (seed,) = store.load_cost_seed()
+            assert seed == {
+                "family": family,
+                "group_seconds": pytest.approx(0.3),
+                "job_seconds": pytest.approx(0.15),
+                "samples": 3,
+            }
+            store.enqueue_cost(family, {**seed, "samples": 4})
+            store.flush()
+            assert [entry["samples"] for entry in store.load_cost_seed()] == [4]
+        assert store_info(path)["cost_history"] == 1
+
     def test_seed_does_not_override_live_samples(self, tmp_path):
         model = CostModel()
         model.observe(("bfs", "g"), 2, 0.5)
@@ -258,14 +301,12 @@ class TestWarmRestart:
                     "group_seconds": 99.0,
                     "job_seconds": 99.0,
                     "samples": 7,
-                    "iterations": None,
                 },
                 {
                     "family": ("sssp", "g"),
                     "group_seconds": 1.0,
                     "job_seconds": 0.5,
                     "samples": 3,
-                    "iterations": 4.0,
                 },
             ]
         )
