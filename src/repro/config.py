@@ -240,8 +240,31 @@ class SystemConfig:
         configuration values are equal, so the digest is safe to use in cache
         keys where the human-readable ``name`` is not (two differently named
         configs may be physically identical, and vice versa).
+
+        Digested once per instance: this class and everything nested in it
+        are frozen, so the value cannot change.  The memo lives in the
+        instance ``__dict__`` rather than in a field, which keeps it out of
+        ``==``, ``hash``, ``repr``, ``astuple`` and ``replace`` (a replaced
+        copy digests afresh); pickle and deepcopy carry it along with the
+        field values it was computed from.
         """
-        return hashlib.sha1(repr(astuple(self)).encode()).hexdigest()[:12]
+        memo = self.__dict__
+        try:
+            return memo["_fingerprint"]
+        except KeyError:
+            digest = hashlib.sha1(repr(astuple(self)).encode()).hexdigest()[:12]
+            memo["_fingerprint"] = digest
+            return digest
+
+
+def system_key(system: SystemConfig | None) -> str:
+    """Identity of a platform in cache, batch and engine keys.
+
+    ``None`` — no explicit platform, so whatever the executing service or
+    engine defaults to — is spelled ``"default"``; anything else is its
+    :meth:`SystemConfig.fingerprint`.
+    """
+    return "default" if system is None else system.fingerprint()
 
 
 #: Scheduling policies accepted by :attr:`ServiceConfig.policy`; the

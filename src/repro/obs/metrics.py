@@ -219,11 +219,14 @@ SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
 
 
 def _label_key(label_names: tuple[str, ...], labels: Mapping[str, Any]) -> _LabelKey:
-    if set(labels) != set(label_names):
-        raise ValueError(
-            f"expected labels {sorted(label_names)}, got {sorted(labels)}"
-        )
-    return tuple((name, str(labels[name])) for name in label_names)
+    # ``label_names`` are distinct (checked where the instrument is built), so
+    # as many labels as names with every name present is exactly the names.
+    if len(labels) == len(label_names):
+        try:
+            return tuple([(name, str(labels[name])) for name in label_names])
+        except KeyError:
+            pass
+    raise ValueError(f"expected labels {sorted(label_names)}, got {sorted(labels)}")
 
 
 def _format_value(value: float) -> str:
@@ -255,6 +258,8 @@ class _Instrument:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
+        if len(set(self.label_names)) != len(self.label_names):
+            raise ValueError(f"{name} repeats a label name: {self.label_names}")
         self._lock = tracked_lock("obs.Instrument._lock")
 
     def render_prometheus(self) -> list[str]:  # pragma: no cover - overridden

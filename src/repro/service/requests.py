@@ -10,9 +10,9 @@ caching fall out of ordinary dict/set membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from ..config import SystemConfig
+from ..config import SystemConfig, system_key as _platform_key
 from ..traversal.api import (
     normalize_application,
     normalize_deadline,
@@ -21,10 +21,6 @@ from ..traversal.api import (
     normalize_tenant,
 )
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY
-
-#: Fingerprint used in cache keys when a request has no explicit platform and
-#: therefore runs on whatever the service's default system is.
-DEFAULT_SYSTEM_KEY = "default"
 
 
 @dataclass(frozen=True)
@@ -56,9 +52,7 @@ class TraversalRequest:
     @property
     def system_key(self) -> str:
         """Stable fingerprint of the requested platform (or ``"default"``)."""
-        if self.system is None:
-            return DEFAULT_SYSTEM_KEY
-        return self.system.fingerprint()
+        return _platform_key(self.system)
 
     @property
     def cache_key(self) -> tuple:
@@ -89,8 +83,15 @@ class TraversalRequest:
         return (self.graph, self.application.value, self.strategy.value, self.system_key)
 
     def with_system(self, system: SystemConfig) -> "TraversalRequest":
-        """Pin an unpinned request to a concrete platform."""
-        return replace(self, system=system)
+        """Pin an unpinned request to a concrete platform.
+
+        Equal to ``dataclasses.replace(self, system=system)``, without running
+        the normalizers again: every other field of an existing request is
+        already canonical, and ``system`` is the one field they do not touch.
+        """
+        pinned = object.__new__(type(self))
+        pinned.__dict__.update(self.__dict__, system=system)
+        return pinned
 
     def describe(self) -> str:
         source = "-" if self.source is None else str(self.source)

@@ -744,7 +744,8 @@ class Service:
             # Fail fast at the front door: a typo'd graph name should not
             # consume a worker slot before being rejected.
             self.registry.get(request.graph)  # raises UnknownGraphError
-        request = request.with_system(request.system or self.system)
+        if request.system is None:
+            request = request.with_system(self.system)
 
         # The closed check, the dedup/cache/enqueue step and the worker
         # wakeup all happen under one admission lock, making submission

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from ..analysis.lockorder import tracked_lock
-from ..config import SystemConfig
+from ..config import SystemConfig, system_key
 from ..errors import ConfigurationError
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy
@@ -53,8 +53,7 @@ class EngineArena:
         system: SystemConfig | None,
         needs_weights: bool,
     ) -> tuple:
-        system_key = "default" if system is None else system.fingerprint()
-        return (graph.name, strategy, system_key, bool(needs_weights))
+        return (graph.name, strategy, system_key(system), bool(needs_weights))
 
     # ------------------------------------------------------------------ #
     # Leasing

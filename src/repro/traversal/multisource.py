@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import SystemConfig
+from ..config import SystemConfig, system_key
 from ..errors import ConfigurationError
 from ..graph.csr import CSRGraph
 from ..hotpath import hot_path
@@ -82,8 +82,7 @@ class PackedLane:
 
     def config_key(self) -> tuple:
         """Engine-sharing identity: lanes with equal keys share one engine."""
-        fingerprint = None if self.system is None else self.system.fingerprint()
-        return (self.strategy, fingerprint)
+        return (self.strategy, system_key(self.system))
 
 
 @dataclass
@@ -245,15 +244,7 @@ def _run_words(
         # materialized at all, per word or otherwise.
         weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
 
-    # A configuration's key hashes its whole SystemConfig; lanes nearly always
-    # share a handful of config objects, so it is computed once per object.
-    key_of: dict[tuple, tuple] = {}
-    keys = []
-    for lane in lanes:
-        config = (lane.strategy, id(lane.system))
-        if config not in key_of:
-            key_of[config] = lane.config_key()
-        keys.append(key_of[config])
+    keys = [lane.config_key() for lane in lanes]
     outcome = MultiSourceResult(
         application=application, graph_name=graph.name, lanes=lanes
     )

@@ -146,6 +146,33 @@ class TestMetrics:
         with pytest.raises(ValueError):
             counter.inc(wrong_label="x")
 
+    def test_wrong_label_names_are_rejected_on_every_call(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("sweeps", label_names=("application", "backend"))
+        counter.inc(application="bfs", backend="numpy")
+        wrong = [
+            {"application": "bfs"},  # missing
+            {"application": "bfs", "backend": "numpy", "graph": "GK"},  # extra
+            {"application": "bfs", "backened": "numpy"},  # misspelled, same count
+            {},
+        ]
+        for labels in wrong:
+            with pytest.raises(ValueError, match="expected labels"):
+                counter.inc(**labels)
+            with pytest.raises(ValueError, match="expected labels"):
+                counter.value(**labels)
+        assert counter.samples() == {("bfs", "numpy"): 1.0}
+        # A label on an unlabelled instrument, whatever its kind.
+        with pytest.raises(ValueError, match="expected labels"):
+            registry.counter("plain").inc(application="bfs")
+        with pytest.raises(ValueError, match="expected labels"):
+            registry.gauge("depth").set(3, application="bfs")
+        with pytest.raises(ValueError, match="expected labels"):
+            registry.summary("seconds").observe(0.1, application="bfs")
+        # The count-then-lookup check is exact only over distinct names.
+        with pytest.raises(ValueError, match="repeats a label name"):
+            registry.counter("twice", label_names=("application", "application"))
+
     def test_gauge_last_write_wins(self):
         gauge = MetricsRegistry().gauge("pending")
         gauge.set(5)
@@ -461,11 +488,12 @@ def _mixed_requests(graph_name):
     return requests
 
 
-def assert_one_ledger(service):
+def assert_one_ledger(service, spans=None):
     """ServiceStats, the metric series and the drained trace tell one story."""
     stats = service.stats()
     metrics = service.collect_metrics()
-    spans = service.drain_traces()
+    if spans is None:
+        spans = service.drain_traces()
     completed = _series(metrics, "repro_requests_total", outcome="completed")
     failed = _series(metrics, "repro_requests_total", outcome="failed")
     expired = _series(metrics, "repro_requests_total", outcome="expired")
@@ -584,6 +612,33 @@ class TestOneLedger:
         warm_stats = assert_one_ledger(warm)
         assert warm_stats.store_hits + warm_stats.store_backfilled > 0
         assert warm_stats.executions < cold_stats.executions
+
+    def test_all_hit_traffic_keeps_every_surface(
+        self, lazy_registry, random_graph, tmp_path
+    ):
+        name = random_graph.name
+        catalogue = [TraversalRequest("bfs", name, source=s) for s in range(8)]
+        catalogue += [TraversalRequest("sssp", name, source=s) for s in range(4)]
+        path = str(tmp_path / "hot.sqlite")
+        with self._service(lazy_registry, store_path=path) as cold:
+            _serve_backlog(cold, catalogue)
+        # A cache a third of the catalogue: cycling through it evicts, so hits
+        # come from memory and from the store both, and nothing executes.
+        traffic = (catalogue + catalogue[:6] + catalogue[::-1]) * 2
+        hot = self._service(lazy_registry, store_path=path, result_cache_entries=4)
+        with hot:
+            jobs = [hot.submit(request) for request in traffic]
+            assert all(job.done and job.from_cache for job in jobs)
+            spans = hot.drain_traces()
+        stats = assert_one_ledger(hot, spans)
+        assert stats.submitted == stats.completed == len(traffic) == 60
+        assert (stats.executions, stats.batches, stats.deduplicated) == (0, 0, 0)
+        assert stats.store_hits > 0 and stats.cache.hits > 0
+        assert stats.cache.evictions > 0
+        assert len(spans) == 4 * len(traffic)
+        checked, errors = check_trace_lines([json.dumps(span) for span in spans])
+        assert (checked, errors) == (len(traffic), [])
+        assert {span["trace_id"] for span in spans} == {job.trace_id for job in jobs}
 
     def test_deadline_expiry_and_queue_limit(self, lazy_registry, random_graph):
         name = random_graph.name
