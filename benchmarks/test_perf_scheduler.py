@@ -138,7 +138,9 @@ def test_edf_meets_deadlines_fifo_misses(results_dir):
     assert decision_lines and len(decision_lines) == on_run["plans_logged"]
     for line in decision_lines:
         entry = json.loads(line)
-        assert {"kind", "shape", "groups", "lanes", "actual_seconds"} <= set(entry)
+        assert {
+            "kind", "shape", "groups", "lanes", "predicted_seconds", "actual_seconds"
+        } <= set(entry)
 
     # Resilience substrate: an armed-but-idle fault plan never fired and its
     # hot-path cost stays recorded in the archived trend.  The 5% gate itself

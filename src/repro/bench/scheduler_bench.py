@@ -258,7 +258,8 @@ def _run_multi_tenant_policy(
         and stats.expired > 0,
         "rejected_infeasible": stats.rejected_infeasible,
         "expired": stats.expired,
-        "cost_model_families": stats.cost_model.families,
+        # Key kept for BENCH_scheduler.json readers: it counts learned rates.
+        "cost_model_families": stats.cost_model.applications,
         "cost_model_mean_abs_error_ms": 1e3 * stats.cost_model.mean_abs_error_seconds,
     }
 

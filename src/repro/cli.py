@@ -117,13 +117,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "'interactive=4,bulk=1' (overrides the workload file)",
     )
     parser.add_argument(
-        "--cost-alpha",
-        type=float,
-        default=None,
-        help="EWMA weight of the newest cost-model observation, in (0, 1] "
-        "(overrides the workload file)",
-    )
-    parser.add_argument(
         "--planner",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -164,7 +157,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="SQLite file backing the durable serving store: graph catalog, "
-        "persistent result cache, cost-model history (overrides the "
+        "persistent result cache, cost-model rates (overrides the "
         "workload file's store_path; default: no durability)",
     )
     return parser
@@ -629,7 +622,6 @@ def _serve_batch(argv: list[str]) -> int:
             queue_limit=args.queue_limit,
             tenant_quota=args.tenant_quota,
             tenant_weights=args.tenant_weights,
-            cost_alpha=args.cost_alpha,
             planner=args.planner,
             reject_infeasible=args.reject_infeasible,
             trace_sample=args.trace_sample,

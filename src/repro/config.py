@@ -343,10 +343,6 @@ class ServiceConfig:
     #: ``a`` drain three units of estimated engine cost for every one of
     #: ``b``'s while both are backlogged.
     tenant_weights: tuple | None = None
-    #: EWMA smoothing factor of the online cost model
-    #: (:mod:`repro.service.costmodel`): weight of the newest observation.
-    #: Must be in (0, 1].
-    cost_alpha: float = 0.25
     #: Reject deadline-carrying submissions whose estimated queue wait plus
     #: execution already exceeds their budget
     #: (:class:`~repro.errors.InfeasibleDeadlineError` at ``submit``) instead
@@ -383,12 +379,6 @@ class ServiceConfig:
     #: sweep that failed with a transient
     #: :class:`~repro.errors.RetryableError`.  ``0`` disables retries.
     retry_limit: int = 2
-    #: Base of the exponential retry backoff in seconds (doubled per attempt,
-    #: plus up to ``retry_jitter`` relative jitter, clipped to the group's
-    #: nearest request deadline).
-    retry_backoff: float = 0.02
-    #: Relative jitter applied to each backoff delay, in [0, 1].
-    retry_jitter: float = 0.25
     #: Absolute per-sweep watchdog budget in seconds; a sweep past it raises
     #: :class:`~repro.errors.SweepTimeoutError` at the next iteration
     #: boundary.  ``None`` defers to ``sweep_timeout_multiplier``.
@@ -412,7 +402,7 @@ class ServiceConfig:
     breaker_cooldown: float = 30.0
     #: Filesystem path of the durable serving store
     #: (:mod:`repro.service.store`): an SQLite/WAL database persisting the
-    #: graph catalog, result cache and cost-model history across restarts.
+    #: graph catalog, result cache and cost-model rates across restarts.
     #: ``None`` (the default) disables durability — today's in-memory-only
     #: behavior.
     store_path: str | None = None
@@ -437,12 +427,6 @@ class ServiceConfig:
         object.__setattr__(
             self, "tenant_weights", normalize_tenant_weights(self.tenant_weights)
         )
-        if not isinstance(self.cost_alpha, (int, float)) or not (
-            0.0 < float(self.cost_alpha) <= 1.0
-        ):
-            raise ConfigurationError(
-                f"cost_alpha must be in (0, 1], got {self.cost_alpha!r}"
-            )
         if self.queue_limit is not None and self.queue_limit <= 0:
             raise ConfigurationError("queue_limit must be positive or None")
         if self.tenant_quota is not None and self.tenant_quota <= 0:
@@ -469,12 +453,6 @@ class ServiceConfig:
             )
         if self.retry_limit < 0:
             raise ConfigurationError("retry_limit cannot be negative")
-        if self.retry_backoff < 0:
-            raise ConfigurationError("retry_backoff cannot be negative")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ConfigurationError(
-                f"retry_jitter must be in [0, 1], got {self.retry_jitter!r}"
-            )
         if self.sweep_timeout is not None and self.sweep_timeout <= 0:
             raise ConfigurationError("sweep_timeout must be positive or None")
         if (

@@ -13,9 +13,9 @@ the serving stacks built over specialized engines:
 * :class:`SchedulingPolicy` — pluggable drain ordering: FIFO, largest batch
   first, earliest deadline first, weighted-fair queueing over tenants
   (:mod:`repro.service.scheduler`);
-* :class:`CostModel` — online EWMA estimates of per-batch-family engine
-  seconds, feeding WFQ ordering and infeasible-deadline admission
-  (:mod:`repro.service.costmodel`);
+* :class:`CostModel` — one learned seconds-per-edge-word rate per
+  application, pricing WFQ ordering, infeasible-deadline admission and the
+  sweep watchdog (:mod:`repro.service.costmodel`);
 * :class:`WorkerPool` — bounded thread-pool execution
   (:mod:`repro.service.workers`);
 * :class:`ResultCache` — LRU result reuse with hit/miss accounting

@@ -1,255 +1,149 @@
-"""Online cost model: predicted engine seconds per batch family.
+"""Online cost model: engine seconds predicted from the work a sweep does.
 
-Scheduling and admission decisions need to know *how long work will take
-before running it*: weighted-fair queueing charges each tenant its drain
-cost, and deadline-aware admission must reject a request whose backlog
-already exceeds its budget.  Neither can afford to run the work to find out,
-so this module learns costs online from the executions the service performs
-anyway.  Its three consumers are WFQ charges, infeasible-deadline admission
-and the sweep watchdog's budget; what fuses with what is decided by shape
-alone (:mod:`repro.service.planner`) and never consults an estimate.
+WFQ charges, infeasible-deadline admission and the sweep watchdog need to
+know *how long work will take before running it*; what fuses with what never
+does (:mod:`repro.service.planner` decides that by shape alone).
 
-A **batch family** is everything that determines a group's execution profile:
-:attr:`~repro.service.requests.TraversalRequest.batch_key`, i.e. ``(graph,
-application, strategy, system)``.  Jobs in one family differ only in their
-source vertex, and a drained group pays its frontier sweeps once for the
-whole group — so the model tracks two EWMAs per family:
+A traversal's time is set by how much edge list it sweeps, not by which
+dataset ran before it, so the only learned state is one **rate per
+application**: seconds per *edge-word*.  A group of ``n`` jobs on graph ``G``
+rides ``ceil(n / 64)`` lane words, each costing about one sweep of ``G``'s
+edges whatever its occupancy, and is priced
+``rate[application] * G.num_edges * ceil(n / 64)``.
 
-* ``group_seconds`` — observed wall-clock engine seconds of one drained
-  group (the shared per-sweep cost), and
-* ``job_seconds`` — observed engine seconds divided by the group's width
-  (the marginal per-job cost at typical batch sizes).
-
-A group of ``n`` jobs is estimated as ``max(group_ewma, n * job_ewma)``: near
-the typical width the shared-sweep term dominates (batching amortizes), while
-far above it the marginal term takes over, keeping wide-burst estimates from
-collapsing to one sweep's cost.
-
-Families with no samples yet are **bootstrapped from graph size**: the
-simulated engines sweep vertex and edge arrays, so seconds scale with
-``num_edges`` and ``num_vertices``.  The constants below only need the right
-order of magnitude — one observation later, the EWMA takes over.
+A fused sweep is priced as the sum of its groups, and every engine invocation
+feeds back one observation, ``seconds / sum(work)``, folded into the
+application's rate as an EWMA.  Strategy and platform are pooled on purpose:
+they change the *simulated* time, while the host seconds priced here follow
+the edges swept — so a rate learned on one graph prices every other graph in
+proportion to its edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable, Iterable
 
 from ..analysis.lockorder import tracked_lock
-from ..errors import ConfigurationError
+from ..traversal.multisource import WORD_BITS
 
-#: Bootstrap engine-seconds per edge / per vertex of the target graph, used
-#: until a family has real samples.  Calibrated to the order of magnitude of
-#: the pure-python simulated engines on the repo's scaled-down graphs.
-BOOTSTRAP_SECONDS_PER_EDGE = 1e-7
-BOOTSTRAP_SECONDS_PER_VERTEX = 5e-7
-#: Bootstrap per-job estimate when even the graph's size is unknown (the
-#: graph is registered but not resident, so peeking at it would force a load).
-DEFAULT_BOOTSTRAP_SECONDS = 2e-3
-
-#: Resolves a graph name to ``(num_vertices, num_edges)`` or None; estimates
-#: must never force a graph load, so "unknown" is an expected answer.
-GraphSizeLookup = Callable[[str], "tuple[int, int] | None"]
-
-
-@dataclass
-class _FamilyEstimate:
-    """EWMA state of one batch family (internal, guarded by the model lock)."""
-
-    group_seconds: float = 0.0
-    job_seconds: float = 0.0
-    samples: int = 0
-
-    def update(self, jobs: int, seconds: float, alpha: float) -> None:
-        per_job = seconds / jobs
-        if self.samples == 0:
-            self.group_seconds = seconds
-            self.job_seconds = per_job
-        else:
-            self.group_seconds += alpha * (seconds - self.group_seconds)
-            self.job_seconds += alpha * (per_job - self.job_seconds)
-        self.samples += 1
+#: EWMA weight of the newest observation.
+EWMA_WEIGHT = 0.25
+#: Rate of an application never observed: the order of magnitude of the
+#: pure-python simulated engines on the repo's scaled-down graphs.
+PRIOR_SECONDS_PER_EDGE = 1e-7
+#: Flat price of one word on a graph that is registered but not resident: it
+#: has no edge count to read, and an estimate must never force a load.
+UNSIZED_WORD_SECONDS = 2e-3
+#: One batch group of a sweep, ``(batch_key, jobs)``; of the key only the
+#: graph name and the application are read.
+Group = tuple[tuple, int]
 
 
 @dataclass(frozen=True)
 class CostModelStats:
     """Snapshot of the cost model's coverage and accuracy."""
 
-    #: Batch families with at least one observed execution.
-    families: int = 0
-    #: Total observations fed into the EWMAs.
+    #: Applications with a learned rate.
+    applications: int = 0
+    #: Observations folded into the rates (one per engine invocation).
     samples: int = 0
-    #: Mean absolute error of the estimate made *before* each observation
-    #: (bootstrapped first-contact estimates included), in seconds.
+    #: Mean absolute error of the prediction made *before* each observation
+    #: (prior-priced first contacts included), in seconds.
     mean_abs_error_seconds: float = 0.0
 
     def describe(self) -> str:
         return (
-            f"{self.families} families / {self.samples} samples, "
+            f"{self.applications} applications / {self.samples} samples, "
             f"mean abs estimate error {self.mean_abs_error_seconds * 1e3:.2f} ms"
         )
 
 
 class CostModel:
-    """Thread-safe online estimator of per-family engine seconds.
+    """Thread-safe estimator: one seconds-per-edge-word rate per application.
 
-    ``alpha`` is the EWMA weight of the newest observation; the optional
-    ``graph_size_lookup`` supplies ``(num_vertices, num_edges)`` for
-    bootstrap estimates of never-observed families (it must be cheap and
-    side-effect free — see :meth:`GraphRegistry.peek`).
+    ``edge_lookup`` resolves a graph name to the ``num_edges`` of a *resident*
+    graph, or None (it must be cheap and never force a load — see
+    :meth:`GraphRegistry.peek`); it is never called with the model lock held.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.25,
-        graph_size_lookup: GraphSizeLookup | None = None,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"cost model alpha must be in (0, 1], got {alpha!r}")
-        self.alpha = alpha
-        self._graph_size_lookup = graph_size_lookup
+    def __init__(self, edge_lookup: Callable[[str], int | None] | None = None) -> None:
+        self._edge_lookup = edge_lookup or (lambda name: None)
         self._lock = tracked_lock("service.CostModel._lock")
-        self._families: dict[Hashable, _FamilyEstimate] = {}
+        self._rates: dict[str, float] = {}
+        self._samples = 0
         self._error_sum = 0.0
-        self._error_samples = 0
 
-    # ------------------------------------------------------------------ #
-    # Learning
-    # ------------------------------------------------------------------ #
-    def observe(self, family: Hashable, jobs: int, seconds: float) -> float | None:
-        """Fold one observed group execution into the family's EWMAs.
+    def _work(self, groups: Iterable[Group]) -> list[tuple[str, int, int | None]]:
+        """``(application, words, num_edges or None)`` per group; takes no lock."""
+        return [
+            (key[1], max(0, -(-jobs // WORD_BITS)), self._edge_lookup(key[0]))
+            for key, jobs in groups
+        ]
 
-        ``jobs`` is the group's width and ``seconds`` the wall-clock engine
-        time of draining it.  The estimate the model *would have given* for
-        this group is scored against the observation first, so the accuracy
-        snapshot reflects predictions, not hindsight.  Returns that
-        observation's absolute estimate error in seconds (the quantity the
-        metrics registry exports as a per-observation series), or ``None``
-        when the sample was discarded.
-        """
-        if jobs <= 0 or seconds < 0 or not math.isfinite(seconds):
-            return None  # defensive: never let a clock glitch poison the EWMAs
+    def _price_locked(self, work) -> float:
+        return sum(
+            UNSIZED_WORD_SECONDS * words
+            if edges is None
+            else self._rates.get(application, PRIOR_SECONDS_PER_EDGE) * edges * words
+            for application, words, edges in work
+        )
+
+    def estimate_sweep(self, groups: Iterable[Group]) -> float:
+        """Predicted engine seconds of one sweep: the sum over its groups."""
+        work = self._work(groups)
         with self._lock:
-            predicted = self._estimate_group_locked(family, jobs)
+            return self._price_locked(work)
+
+    def estimate_group(self, batch_key: tuple, jobs: int) -> float:
+        """Predicted engine seconds to drain one group of ``jobs`` jobs."""
+        return self.estimate_sweep(((batch_key, jobs),))
+
+    def rate(self, application: str) -> float | None:
+        """The application's learned seconds per edge-word; None before any."""
+        with self._lock:
+            return self._rates.get(application)
+
+    def observe(
+        self, groups: Iterable[Group], seconds: float, predicted: float | None = None
+    ) -> float | None:
+        """Fold one engine invocation into its application's rate.
+
+        ``groups`` (one application — a sweep never mixes them) were swept in
+        ``seconds``.  The sample is scored against ``predicted``, the estimate
+        made before running it (made here, before the update, when not given).
+        Returns the absolute error, or None for a discarded sample: a clock
+        glitch, an empty group or an unsized sweep must never poison a rate.
+        """
+        work = self._work(groups)
+        edge_words = sum(words * (edges or 0) for _, words, edges in work)
+        if edge_words <= 0 or not 0 <= seconds < math.inf:
+            return None
+        application = work[0][0]
+        observed = seconds / edge_words
+        with self._lock:
+            if predicted is None:
+                predicted = self._price_locked(work)
+            rate = self._rates.get(application)
+            self._rates[application] = (
+                observed if rate is None else rate + EWMA_WEIGHT * (observed - rate)
+            )
             error = abs(predicted - seconds)
+            self._samples += 1
             self._error_sum += error
-            self._error_samples += 1
-            estimate = self._families.get(family)
-            if estimate is None:
-                estimate = self._families[family] = _FamilyEstimate()
-            estimate.update(jobs, seconds, self.alpha)
-            return error
+        return error
 
-    # ------------------------------------------------------------------ #
-    # Estimation
-    # ------------------------------------------------------------------ #
-    def estimate_group(self, family: Hashable, jobs: int) -> float:
-        """Predicted engine seconds to drain a group of ``jobs`` jobs."""
+    def seed(self, rates: dict[str, float]) -> int:
+        """Seed sane persisted rates where no live one exists; returns how many."""
         with self._lock:
-            return self._estimate_group_locked(family, max(1, jobs))
-
-    def estimate_job(self, family: Hashable) -> float:
-        """Predicted marginal engine seconds of one job of this family."""
-        return self.estimate_group(family, 1)
-
-    def _estimate_group_locked(self, family: Hashable, jobs: int) -> float:
-        estimate = self._families.get(family)
-        if estimate is not None and estimate.samples > 0:
-            return max(estimate.group_seconds, jobs * estimate.job_seconds)
-        return jobs * self._bootstrap_job_seconds(family)
-
-    def _bootstrap_job_seconds(self, family: Hashable) -> float:
-        """Size-based prior for a family with no samples yet.
-
-        The family key's first element is the graph name by construction
-        (:attr:`TraversalRequest.batch_key`); anything else falls back to the
-        flat default, as does a graph the lookup does not know.
-        """
-        if self._graph_size_lookup is not None and isinstance(family, tuple) and family:
-            graph = family[0]
-            if isinstance(graph, str):
-                size = self._graph_size_lookup(graph)
-                if size is not None:
-                    num_vertices, num_edges = size
-                    return (
-                        num_edges * BOOTSTRAP_SECONDS_PER_EDGE
-                        + num_vertices * BOOTSTRAP_SECONDS_PER_VERTEX
-                    )
-        return DEFAULT_BOOTSTRAP_SECONDS
-
-    # ------------------------------------------------------------------ #
-    # Persistence (durable store warm restarts)
-    # ------------------------------------------------------------------ #
-    def family_state(self, family: Hashable) -> dict | None:
-        """The family's current EWMA state, or ``None`` before any sample.
-
-        The dict shape matches :meth:`seed` entries — it is what the durable
-        store keeps, one row per family, after every observation.
-        """
-        with self._lock:
-            estimate = self._families.get(family)
-            if estimate is None or estimate.samples == 0:
-                return None
-            return {
-                "family": family,
-                "group_seconds": estimate.group_seconds,
-                "job_seconds": estimate.job_seconds,
-                "samples": estimate.samples,
-            }
-
-    def seed(self, entries: "list[dict]") -> int:
-        """Install persisted EWMA state for families with no live samples.
-
-        Each entry carries ``family``, ``group_seconds``, ``job_seconds`` and
-        ``samples`` (the shape :meth:`family_state` exports).  Families that
-        already accumulated live observations are left alone — fresh evidence
-        beats history.  Returns the number of families seeded.
-        """
-        seeded = 0
-        with self._lock:
-            for entry in entries:
-                family = entry["family"]
-                samples = int(entry.get("samples", 0))
-                group_seconds = float(entry.get("group_seconds", 0.0))
-                job_seconds = float(entry.get("job_seconds", 0.0))
-                if (
-                    samples <= 0
-                    or not math.isfinite(group_seconds)
-                    or not math.isfinite(job_seconds)
-                    or group_seconds < 0
-                    or job_seconds < 0
-                ):
-                    continue
-                existing = self._families.get(family)
-                if existing is not None and existing.samples > 0:
-                    continue
-                self._families[family] = _FamilyEstimate(
-                    group_seconds=group_seconds,
-                    job_seconds=job_seconds,
-                    samples=samples,
-                )
-                seeded += 1
-        return seeded
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def family_samples(self, family: Hashable) -> int:
-        """Observations recorded for one family (0 = still bootstrapped)."""
-        with self._lock:
-            estimate = self._families.get(family)
-            return estimate.samples if estimate is not None else 0
+            before = len(self._rates)
+            for application, rate in rates.items():
+                if 0 <= rate < math.inf:
+                    self._rates.setdefault(application, float(rate))
+            return len(self._rates) - before
 
     def stats(self) -> CostModelStats:
         with self._lock:
-            return CostModelStats(
-                families=len(self._families),
-                samples=sum(e.samples for e in self._families.values()),
-                mean_abs_error_seconds=(
-                    self._error_sum / self._error_samples
-                    if self._error_samples
-                    else 0.0
-                ),
-            )
+            mean_error = self._error_sum / max(1, self._samples)
+            return CostModelStats(len(self._rates), self._samples, mean_error)

@@ -28,7 +28,7 @@ Sites
     fused group.
 ``store.open`` / ``store.read`` / ``store.write`` / ``store.checkpoint``
     In :class:`~repro.service.store.ServingStore`: opening (and re-opening)
-    the database (context: ``path``), every persistent-cache / history read
+    the database (context: ``path``), every persistent-cache / cost-rate read
     (context: ``table``), each flush-thread batch commit (context: ``ops``),
     and the WAL checkpoint at close (context: ``path``).  The store absorbs
     all of them — its circuit breaker degrades serving to in-memory-only

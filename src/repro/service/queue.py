@@ -155,12 +155,12 @@ class RequestQueue:
                 and self._cost_model is not None
                 and job.request.deadline is not None
             ):
-                backlog = sum(
-                    self._cost_model.estimate_group(group_key, len(group_jobs))
+                backlog = self._cost_model.estimate_sweep(
+                    (group_key, len(group_jobs))
                     for group_key, group_jobs in self._groups.items()
                 )
-                estimated = backlog / max(1, workers) + self._cost_model.estimate_job(
-                    job.request.batch_key
+                estimated = backlog / max(1, workers) + self._cost_model.estimate_group(
+                    job.request.batch_key, 1
                 )
                 if estimated > job.request.deadline:
                     raise InfeasibleDeadlineError(

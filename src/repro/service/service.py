@@ -119,14 +119,12 @@ class Service:
         self._engine = engine
         self._arena = EngineArena(max_idle=max(8, 2 * self.config.max_workers))
         self._cache = ResultCache(self.config.result_cache_entries)
-        #: Online per-batch-family cost estimator, fed by every successful
-        #: execution below and consumed by the WFQ policy and by
-        #: infeasible-deadline admission.  Bootstrap estimates peek at the
-        #: registry (resident graphs only — estimating must never force a
-        #: load or an eviction).
-        self._costmodel = CostModel(
-            alpha=self.config.cost_alpha, graph_size_lookup=self._graph_size
-        )
+        #: Online cost estimator (one rate per application), fed by every
+        #: successful engine invocation below and consumed by the WFQ policy,
+        #: infeasible-deadline admission and the sweep watchdog.  Edge counts
+        #: are peeked from the registry (resident graphs only — estimating
+        #: must never force a load or an eviction).
+        self._costmodel = CostModel(edge_lookup=self._resident_edges)
         self._queue = RequestQueue(
             policy=make_policy(
                 self.config.policy,
@@ -178,11 +176,7 @@ class Service:
         if plan is not None:
             plan.add_listener(self._note_fault)
             faults.activate(plan)
-        self._retry_policy = RetryPolicy(
-            limit=self.config.retry_limit,
-            backoff_seconds=self.config.retry_backoff,
-            jitter=self.config.retry_jitter,
-        )
+        self._retry_policy = RetryPolicy(limit=self.config.retry_limit)
         #: Jitter RNG for retry backoff; seeded so chaos runs replay exactly.
         self._retry_rng = random.Random(0x5EED)
         self._breaker = CircuitBreaker(
@@ -203,10 +197,10 @@ class Service:
                 flush_interval=self.config.store_flush_interval,
                 on_event=self._note_store_event,
             )
-            seeded = self._costmodel.seed(self._store.load_cost_seed())
+            seeded = self._costmodel.seed(self._store.load_cost_rates())
             if seeded:
                 logger.info(
-                    "cost model warm-started from store history (%d families)",
+                    "cost model warm-started from stored rates (%d applications)",
                     seeded,
                 )
             self.registry.add_load_listener(self._on_graph_load)
@@ -231,12 +225,10 @@ class Service:
             service.registry.register_dataset(symbol, **load_kwargs)
         return service
 
-    def _graph_size(self, name: str) -> tuple[int, int] | None:
-        """(vertices, edges) of a *resident* graph for cost bootstrapping."""
+    def _resident_edges(self, name: str) -> int | None:
+        """Edge count of a *resident* graph, for the cost model; never loads."""
         graph = self.registry.peek(name)
-        if graph is None:
-            return None
-        return graph.num_vertices, graph.num_edges
+        return None if graph is None else graph.num_edges
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -320,20 +312,25 @@ class Service:
         """Return and clear the buffered spans as JSON-ready dicts (oldest first)."""
         return [span.to_json() for span in self._tracer.drain()]
 
-    def _observe_cost(self, family, jobs: int, seconds: float) -> None:
-        """Feed the cost model and export the estimate error as a series."""
-        error = self._costmodel.observe(family, jobs, seconds)
+    @staticmethod
+    def _sweep_groups(groups: list[list[Job]]) -> list[tuple[tuple, int]]:
+        """One sweep's groups as the cost model prices them: ``(batch_key, jobs)``."""
+        return [(group[0].request.batch_key, len(group)) for group in groups]
+
+    def _observe_cost(
+        self, groups: list[list[Job]], seconds: float, predicted: float
+    ) -> None:
+        """Feed the cost model one engine invocation, scored against ``predicted``."""
+        error = self._costmodel.observe(self._sweep_groups(groups), seconds, predicted)
         if error is not None:
             self._metrics["repro_costmodel_abs_error_seconds"].observe(error)
             self._metrics["repro_costmodel_observations_total"].inc()
             store = self._store
             if store is not None:
-                # Persist the family's post-observation EWMA state so a
-                # restarted service seeds admission estimates from history
-                # instead of the size-based bootstrap.
-                state = self._costmodel.family_state(family)
-                if state is not None:
-                    store.enqueue_cost(family, state)
+                # Persist the application's updated rate so a restarted
+                # service prices admission from it instead of the prior.
+                application = groups[0][0].request.application.value
+                store.enqueue_cost(application, self._costmodel.rate(application))
 
     def _record_kernel_counters(self, app: str, metrics_list) -> str | None:
         """Aggregate engine-level counters into the registry; returns the backend."""
@@ -618,28 +615,28 @@ class Service:
             )
         )
 
-    def _sweep_token(self, family, width: int, label: str) -> Cancellation | None:
+    def _sweep_token(
+        self, application: Application, predicted: float, label: str
+    ) -> Cancellation | None:
         """Watchdog token for one engine invocation, or None for no budget.
 
         An absolute ``config.sweep_timeout`` wins; otherwise the budget is
-        ``sweep_timeout_multiplier`` x the cost model's group estimate — so
-        the watchdog tightens as the model learns, and stays off for families
-        the model has never seen (estimate 0 from an unsized graph).
+        ``sweep_timeout_multiplier`` x ``predicted``, the cost model's one
+        estimate of this invocation — so the watchdog tightens as the model
+        learns.  It waits for a learned rate: the prior is an
+        order-of-magnitude guess, easily tight enough to cancel a perfectly
+        healthy first-contact sweep.
         """
         budget = self.config.sweep_timeout
         if budget is None:
             multiplier = self.config.sweep_timeout_multiplier
-            if multiplier is None:
+            if (
+                multiplier is None
+                or predicted <= 0
+                or self._costmodel.rate(application.value) is None
+            ):
                 return None
-            if self._costmodel.family_samples(family) == 0:
-                # The multiplier watchdog waits for real samples: a size
-                # bootstrap is an order-of-magnitude guess, easily tight
-                # enough to cancel a perfectly healthy first-contact sweep.
-                return None
-            estimate = self._costmodel.estimate_group(family, width)
-            if estimate <= 0:
-                return None
-            budget = multiplier * estimate
+            budget = multiplier * predicted
         return Cancellation(budget, label=label)
 
     def _relax_method(self) -> str | None:
@@ -672,16 +669,19 @@ class Service:
         """Wrap a per-job engine call with the solo resilience ladder.
 
         Each attempt arms the ``worker.task`` fault site and runs under its
-        own watchdog token; transient failures back off and re-run within
-        the retry budget, everything else propagates to
-        :meth:`_execute_one`'s job-level isolation.
+        own watchdog token, budgeted from the job's one ``predicted`` cost;
+        transient failures back off and re-run within the retry budget,
+        everything else propagates to :meth:`_execute_one`'s job-level
+        isolation.
         """
 
-        def runner(job: Job) -> TraversalResult:
+        def runner(job: Job, predicted: float) -> TraversalResult:
             attempt = 0
             while True:
                 self._check_job_fault(job)
-                token = self._sweep_token(job.request.batch_key, 1, "solo sweep")
+                token = self._sweep_token(
+                    job.request.application, predicted, "solo sweep"
+                )
                 try:
                     with cancellation_scope(token):
                         return call(job)
@@ -1061,23 +1061,32 @@ class Service:
         if self._engine is None:
             # Record the shape that ran: the groups that rode the sweep (the
             # chosen ones if no source was usable), relabelled if riderless.
-            swept = self._execute_sweep(
+            swept, predicted = self._execute_sweep(
                 groups, graph, schedule_seconds, plan.planning_seconds
             )
             plan.narrow(swept or groups)
         else:
             runner = self._job_runner(lambda job: self._engine(job.request, graph))
+            predicted = 0.0
             for job in all_jobs:
-                self._execute_one(job, graph, runner, schedule_seconds=schedule_seconds)
+                predicted += self._execute_one(
+                    job, graph, runner, schedule_seconds=schedule_seconds
+                )
         elapsed = time.perf_counter() - started
-        self._record_plan(plan, started, elapsed, schedule_seconds)
+        self._record_plan(plan, started, elapsed, schedule_seconds, predicted)
 
     def _record_plan(
-        self, plan: FusionPlan, started: float, elapsed: float, schedule_seconds: float
+        self,
+        plan: FusionPlan,
+        started: float,
+        elapsed: float,
+        schedule_seconds: float,
+        predicted: float,
     ) -> None:
         """Count one executed plan, log its decision and emit its ``plan`` span.
 
-        One record feeds all three: the shape that ran and what it cost.  A
+        One record feeds all three: the shape that ran, what the cost model
+        predicted for its engine work and what the plan took.  A
         plan that never reached an engine (every job expired, or the graph
         load failed for good) is neither counted, logged nor traced.  Like
         ``engine_sweep`` spans, plan spans carry their own trace id — one
@@ -1095,6 +1104,7 @@ class Service:
             "groups": len(plan.groups),
             "lanes": plan.lanes,
             "jobs": len(plan.jobs),
+            "predicted_seconds": predicted,
             "actual_seconds": elapsed,
         }
         with self._lock:
@@ -1159,12 +1169,16 @@ class Service:
         graph: CSRGraph,
         runner: Callable,
         schedule_seconds: float = 0.0,
-    ) -> None:
-        """Run one job with full bookkeeping and job-level failure isolation."""
+    ) -> float:
+        """Run one job with full bookkeeping and job-level failure isolation.
+
+        Returns the engine seconds the cost model predicted for it.
+        """
         job.mark_running()
+        predicted = self._costmodel.estimate_sweep(self._sweep_groups([[job]]))
         started = time.perf_counter()
         try:
-            result = runner(job)
+            result = runner(job, predicted)
         except Exception as exc:  # noqa: BLE001 - job-level isolation
             elapsed = time.perf_counter() - started
             job.compute_finished_at = started + elapsed
@@ -1192,8 +1206,8 @@ class Service:
                 )
             # Only successful runs feed the cost model: a failure can raise
             # long before any frontier sweep, and that near-zero timing says
-            # nothing about what draining this family actually costs.
-            self._observe_cost(job.request.batch_key, 1, elapsed)
+            # nothing about what sweeping this graph actually costs.
+            self._observe_cost([[job]], elapsed, predicted)
             self._cache_put_safe(job.request.cache_key, result)
             job.mark_done(result)
         # Release only after the cache holds the result, so identical
@@ -1204,6 +1218,7 @@ class Service:
         self._metrics["repro_engine_seconds_total"].inc(elapsed)
         self._queue.release(job)
         self._settle(job)
+        return predicted
 
     def _execute_sweep(
         self,
@@ -1211,7 +1226,7 @@ class Service:
         graph: CSRGraph,
         schedule_seconds: float = 0.0,
         fusion_seconds: float = 0.0,
-    ) -> list[list[Job]]:
+    ) -> tuple[list[list[Job]], float]:
         """Drain the batch groups of one plan in ONE shared engine sweep.
 
         Every batched shape runs this ladder; they differ only in the engine
@@ -1232,7 +1247,8 @@ class Service:
         Values and per-lane attribution are bit-identical to solo runs in
         every shape, and a failure anywhere isolates across the *whole*
         sweep (solo re-runs), so a poisoned rider lane cannot take the
-        anchor down with it.  Returns the groups left after source validation.
+        anchor down with it.  Returns the groups left after source validation
+        and the engine seconds predicted for sweeping them.
         """
         application = groups[0][0].request.application
         streaming = application.is_streaming
@@ -1259,11 +1275,12 @@ class Service:
         all_jobs = [job for group in groups for job in group]
         if not streaming and len(all_jobs) <= 1:
             # A lone source gains nothing from a word: run it on a leased engine.
+            predicted = 0.0
             for job in all_jobs:
-                self._execute_one(
+                predicted += self._execute_one(
                     job, graph, solo_runner, schedule_seconds=schedule_seconds
                 )
-            return groups
+            return groups, predicted
         requests = [job.request for job in all_jobs]
         if streaming:
             kind = "streaming"
@@ -1280,7 +1297,9 @@ class Service:
                 for request in requests
             ]
         total_lanes = len(lanes)
-        family = requests[0].batch_key
+        # One prediction per sweep, the sum over its groups: it budgets the
+        # watchdog, scores the observation and is logged beside the actual.
+        predicted = self._costmodel.estimate_sweep(self._sweep_groups(groups))
         for job in all_jobs:
             job.mark_running()
         # Only sweeps that reach the lane relax kernel (SSSP) consult the
@@ -1294,7 +1313,7 @@ class Service:
         attempt = 0
         while True:
             started = time.perf_counter()
-            token = self._sweep_token(family, len(all_jobs), f"{kind} sweep")
+            token = self._sweep_token(application, predicted, f"{kind} sweep")
             try:
                 for job in all_jobs:
                     self._check_job_fault(job)
@@ -1342,7 +1361,7 @@ class Service:
                     self._isolate_group(all_jobs, graph, exc, schedule_seconds)
                 else:
                     self._fail_group(all_jobs, exc, started + elapsed)
-                return groups
+                return groups, predicted
             break
         if relax_method == "native":
             self._breaker.record_success()
@@ -1373,19 +1392,13 @@ class Service:
         )
         self._metrics["repro_executions_total"].inc(len(all_jobs))
         self._metrics["repro_engine_seconds_total"].inc(elapsed)
-        # One cost observation per group — width + seconds is exactly the
-        # (per-sweep, per-job) sample the cost model EWMAs want — with the
-        # shared wall-clock split by lane share: sources dominate a word's
-        # cost, and every streaming lane sweeps the full stream.
+        self._observe_cost(groups, elapsed, predicted)
         published: list[tuple[Job, TraversalResult]] = []
         lane = 0
         for group in groups:
             width = 1 if streaming else len(group)
             lane_results = outcome.results[lane : lane + width]
             lane += width
-            self._observe_cost(
-                group[0].request.batch_key, len(group), elapsed * width / total_lanes
-            )
             # A lane's result goes to its job, or to every job of its group.
             published += zip(
                 group, lane_results * len(group) if streaming else lane_results
@@ -1395,7 +1408,7 @@ class Service:
             job.mark_done(result)
             self._queue.release(job)
         self._settle(*all_jobs)
-        return groups
+        return groups, predicted
 
     def _run_leased(self, request: TraversalRequest, graph: CSRGraph) -> TraversalResult:
         """Run one request against an engine leased from the arena."""

@@ -1,4 +1,4 @@
-"""Durable serving state on SQLite/WAL: catalog, result cache, cost history.
+"""Durable serving state on SQLite/WAL: catalog, result cache, cost rates.
 
 A :class:`ServingStore` makes the three pieces of serving state that used to
 die with the process survive restarts:
@@ -18,17 +18,14 @@ Result cache
     treated as a miss*, never served; :meth:`record_load` purges mismatched
     rows the moment a graph's content is observed to have changed.
 
-Cost-model history
-    One row per family holding its current EWMA state (group/job seconds,
-    sample count), replaced — delete-then-insert inside the flush
-    transaction — every time the live model absorbs an observation, so the
-    table is bounded by the number of families, not by uptime.
-    :meth:`load_cost_seed` returns the latest row per family (a file written
-    before this rule may still hold several) so a restarted
-    :class:`~repro.service.costmodel.CostModel` starts from learned
-    estimates instead of the size-based bootstrap.  The nullable
-    ``iterations`` column is a leftover of the deleted fusion gate: kept so
-    existing files open unchanged, neither read nor written.
+Cost-model rates
+    One row per application holding its learned seconds per edge-word,
+    replaced (``INSERT OR REPLACE``) every time the live model absorbs an
+    observation — four rows at most.  :meth:`load_cost_rates` returns them so
+    a restarted :class:`~repro.service.costmodel.CostModel` prices work from
+    what it learned instead of the prior.  A version-1 file kept per-family
+    EWMA rows in ``cost_history``; opening one drops that table in place (the
+    new model cannot read it) and keeps its catalog and cached results.
 
 Pragma discipline follows the Paper-Scanner schema in SNIPPETS.md:
 ``journal_mode=WAL``, ``foreign_keys=ON``, ``synchronous=NORMAL``,
@@ -85,7 +82,7 @@ from ..traversal.results import TraversalResult
 from . import faults
 from .resilience import CircuitBreaker
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Numeric encoding of store states for the ``repro_store_state`` gauge.
 STORE_STATE_CODES = {
@@ -143,17 +140,13 @@ CREATE TABLE IF NOT EXISTS result_cache (
     created_at TEXT NOT NULL,
     PRIMARY KEY (graph, application, source, strategy, system)
 );
-CREATE TABLE IF NOT EXISTS cost_history (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    family TEXT NOT NULL,
-    group_seconds REAL NOT NULL,
-    job_seconds REAL NOT NULL,
-    samples INTEGER NOT NULL,
-    iterations REAL,
+CREATE TABLE IF NOT EXISTS cost_rates (
+    application TEXT PRIMARY KEY,
+    seconds_per_edge_word REAL NOT NULL,
     recorded_at TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_cost_history_family
-    ON cost_history (family, id);
+-- Version 1 kept per-family EWMA rows the rate model cannot read.
+DROP TABLE IF EXISTS cost_history;
 """
 
 
@@ -178,32 +171,6 @@ def graph_fingerprint(graph: CSRGraph) -> str:
         f"|d={int(graph.directed)}|b={graph.element_bytes}".encode("ascii")
     )
     return digest.hexdigest()[:16]
-
-
-def family_to_text(family) -> str:
-    """Canonical JSON encoding of a (possibly nested-tuple) family key."""
-
-    def convert(value):
-        if isinstance(value, tuple):
-            return {"__tuple__": [convert(item) for item in value]}
-        if isinstance(value, list):
-            return [convert(item) for item in value]
-        return value
-
-    return json.dumps(convert(family), sort_keys=True)
-
-
-def family_from_text(text: str):
-    """Inverse of :func:`family_to_text` (tuples restored as tuples)."""
-
-    def restore(value):
-        if isinstance(value, dict) and set(value) == {"__tuple__"}:
-            return tuple(restore(item) for item in value["__tuple__"])
-        if isinstance(value, list):
-            return [restore(item) for item in value]
-        return value
-
-    return restore(json.loads(text))
 
 
 def _key_columns(key: tuple) -> tuple[str, str, str, str, str]:
@@ -241,7 +208,7 @@ class StoreStats:
     breaker_state: str
     catalog_rows: int
     result_rows: int
-    history_rows: int
+    rate_rows: int
 
 
 class ServingStore:
@@ -402,9 +369,9 @@ class ServingStore:
             return True
         except sqlite3.Error:
             return False
-        if version is not None and int(version[0]) != SCHEMA_VERSION:
-            return False
-        return True
+        # Version 1 differs only in its cost table, which _init_schema drops:
+        # it upgrades in place.  Anything else is not ours to interpret.
+        return version is None or version[0] in ("1", str(SCHEMA_VERSION))
 
     def _quarantine(self) -> None:
         """Rename a corrupt database (and sidecars) aside, keep its name."""
@@ -476,7 +443,7 @@ class ServingStore:
             return self._quarantined_from
 
     def stats(self) -> StoreStats:
-        catalog = results = history = 0
+        catalog = results = rates = 0
         conn = self._read_conn
         if conn is not None and self._breaker.state == CircuitBreaker.CLOSED:
             try:
@@ -487,8 +454,8 @@ class ServingStore:
                     results = conn.execute(
                         "SELECT COUNT(*) FROM result_cache"
                     ).fetchone()[0]
-                    history = conn.execute(
-                        "SELECT COUNT(*) FROM cost_history"
+                    rates = conn.execute(
+                        "SELECT COUNT(*) FROM cost_rates"
                     ).fetchone()[0]
             except sqlite3.Error:
                 pass
@@ -520,7 +487,7 @@ class ServingStore:
             breaker_state=self._breaker.snapshot()["state"],
             catalog_rows=catalog,
             result_rows=results,
-            history_rows=history,
+            rate_rows=rates,
         )
 
     def _count_error(self) -> None:
@@ -591,41 +558,25 @@ class ServingStore:
         self._emit("hit", {})
         return result
 
-    def load_cost_seed(self) -> list[dict]:
-        """Latest history row per cost-model family, decoded for seeding."""
+    def load_cost_rates(self) -> dict[str, float]:
+        """The persisted cost-model rate of each application, for seeding."""
         conn = self._guarded_read_connection("read")
         if conn is None:
-            return []
+            return {}
         try:
             with self._read_lock:
-                faults.check("store.read", table="cost_history")
+                faults.check("store.read", table="cost_rates")
                 rows = conn.execute(
-                    "SELECT family, group_seconds, job_seconds, samples"
-                    " FROM cost_history WHERE id IN"
-                    " (SELECT MAX(id) FROM cost_history GROUP BY family)"
+                    "SELECT application, seconds_per_edge_word FROM cost_rates"
                 ).fetchall()
         except Exception:
             self._count_error()
             self._breaker.record_failure()
             self._emit("op", {"op": "read", "outcome": "error"})
-            return []
+            return {}
         self._breaker.record_success()
         self._emit("op", {"op": "read", "outcome": "ok"})
-        seeds = []
-        for family_text, group_seconds, job_seconds, samples in rows:
-            try:
-                family = family_from_text(family_text)
-            except (ValueError, TypeError):
-                continue
-            seeds.append(
-                {
-                    "family": family,
-                    "group_seconds": float(group_seconds),
-                    "job_seconds": float(job_seconds),
-                    "samples": int(samples),
-                }
-            )
-        return seeds
+        return {application: float(rate) for application, rate in rows}
 
     # ------------------------------------------------------------------ #
     # Graph lifecycle (load path: synchronous reads are fine here)
@@ -712,17 +663,9 @@ class ServingStore:
         """Write-through a finished result (pickled later, off-thread)."""
         self._enqueue(("result", key, result))
 
-    def enqueue_cost(self, family, state: dict) -> None:
-        """Replace the family's cost-history row with its current EWMA state."""
-        self._enqueue(
-            (
-                "cost",
-                family_to_text(family),
-                float(state["group_seconds"]),
-                float(state["job_seconds"]),
-                int(state["samples"]),
-            )
-        )
+    def enqueue_cost(self, application: str, rate: float) -> None:
+        """Replace the application's row with its current cost-model rate."""
+        self._enqueue(("cost", application, float(rate)))
 
     def _enqueue(self, op: tuple) -> None:
         if self._closed or self._stop.is_set():
@@ -991,14 +934,12 @@ class ServingStore:
                 (name,),
             )
         elif kind == "cost":
-            _, family_text, group_seconds, job_seconds, samples = op
-            # One row per family: only the newest is ever read back.
-            conn.execute("DELETE FROM cost_history WHERE family = ?", (family_text,))
+            _, application, rate = op
             conn.execute(
-                "INSERT INTO cost_history"
-                " (family, group_seconds, job_seconds, samples, recorded_at)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (family_text, group_seconds, job_seconds, samples, now),
+                "INSERT OR REPLACE INTO cost_rates"
+                " (application, seconds_per_edge_word, recorded_at)"
+                " VALUES (?, ?, ?)",
+                (application, rate, now),
             )
         else:  # pragma: no cover - enqueue sites are the only producers
             raise StoreError(f"unknown store op {kind!r}")
@@ -1148,10 +1089,14 @@ def store_info(path: str | Path) -> dict:
         meta = dict(conn.execute("SELECT key, value FROM store_meta"))
         info["schema_version"] = meta.get("schema_version")
         info["opened_at"] = meta.get("opened_at")
-        for table in ("graph_catalog", "result_cache", "cost_history"):
-            info[table] = conn.execute(
-                f"SELECT COUNT(*) FROM {table}"
-            ).fetchone()[0]
+        present = {name for (name,) in conn.execute("SELECT name FROM sqlite_master")}
+        for table in ("graph_catalog", "result_cache", "cost_rates"):
+            # A version-1 file has no cost_rates until a service opens it.
+            info[table] = (
+                conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                if table in present
+                else 0
+            )
         info["graphs"] = [
             {
                 "name": name,

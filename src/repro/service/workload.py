@@ -25,9 +25,9 @@ result cache from a workload file.
 
 Scheduling and admission knobs ride along: top-level ``policy`` ("fifo" /
 "largest" / "edf" / "wfq"), ``queue_limit``, ``tenant_quota``,
-``tenant_weights`` (a tenant→share object for WFQ), ``cost_alpha`` (cost
-model EWMA) and ``reject_infeasible`` (reject deadlines the cost model deems
-unmeetable at arrival) configure the service, and per-request ``deadline``
+``tenant_weights`` (a tenant→share object for WFQ) and ``reject_infeasible``
+(reject deadlines the cost model deems unmeetable at arrival) configure the
+service, and per-request ``deadline``
 (seconds) / ``tenant`` mark entries for deadline-aware ordering and
 per-tenant accounting.  Submissions shed by admission control are reported,
 not fatal.
@@ -149,7 +149,6 @@ _FORWARDED_KNOBS = {
     "queue_limit": int,
     "tenant_quota": int,
     "tenant_weights": lambda weights: weights,  # ServiceConfig normalizes them
-    "cost_alpha": float,
     "reject_infeasible": bool,
     "trace_sample": float,
     "fault_plan": str,

@@ -543,6 +543,14 @@ def assert_one_ledger(service, spans=None):
         == len(service.plan_decisions())
         == _series(metrics, "repro_planner_plans_chosen_total")
     )
+    # Each plan span carries its decision record: predicted beside actual.
+    assert sorted(
+        (span["attributes"]["predicted_seconds"], span["attributes"]["actual_seconds"])
+        for span in plans
+    ) == sorted(
+        (entry["predicted_seconds"], entry["actual_seconds"])
+        for entry in service.plan_decisions()
+    )
     retries = [span for span in spans if span["name"] == "retry"]
     assert len(retries) == stats.retries
     return stats

@@ -328,10 +328,11 @@ class TestPlanShapesAreAFunctionOfTheBacklog:
 
         def mislead(service):
             # What used to close the gate for good: 100-second samples inflate
-            # every family's estimate and the model's mean error.
-            for request in requests:  # families as the service keys them
-                pinned = request.with_system(request.system or service.system)
-                service._costmodel.observe(pinned.batch_key, 1, 100.0)
+            # every application's rate and the model's mean error.
+            service.registry.get(graph.name)  # resident, so the samples are sized
+            for request in requests:
+                service.cost_model.observe([(request.batch_key, 1)], 100.0)
+            assert service.cost_model.estimate_group(requests[0].batch_key, 1) > 10
 
         fresh = logged_plans(graph, requests)
         misled = logged_plans(graph, requests, prime=mislead)
@@ -390,6 +391,7 @@ class TestPlannedDrainBitIdentity:
             for entry in decisions:
                 assert entry["lanes"] <= MAX_LANES or entry["kind"] == "streaming"
                 assert entry["actual_seconds"] >= 0
+                assert entry["predicted_seconds"] > 0
 
     def test_streaming_backlog_fuses_across_configs(self):
         # A fresh model (zero error margin) must fuse compatible streaming

@@ -402,8 +402,9 @@ class TestServiceRetries:
             assert stats.breaker_state == "closed"
 
     def test_multiplier_watchdog_waits_for_cost_samples(self):
-        # With only a multiplier configured, an unsampled family has no
-        # estimate, so the watchdog stays off and the sweep completes.
+        # With only a multiplier configured, an application without a learned
+        # rate has only the prior, so the watchdog stays off and the sweep
+        # completes.
         config = ServiceConfig(sweep_timeout_multiplier=5.0)
         with Service(config=config) as service:
             service.registry.register_graph(make_graph())
@@ -411,6 +412,51 @@ class TestServiceRetries:
                 TraversalRequest(graph="resil", application=Application.BFS, source=0)
             )
             assert service.result(job, timeout=30).values is not None
+            assert service.stats().sweep_timeouts == 0
+
+    def test_packed_sweep_is_budgeted_as_the_sum_of_its_groups(self, monkeypatch):
+        # Regression: a word packing several configurations was budgeted as
+        # the *first* group's family x every job of every group.  Now a sweep
+        # is predicted once, as the sum over its groups, and that number
+        # budgets the watchdog and is logged with the plan.
+        budgets = []
+
+        class Recording(Cancellation):
+            def __init__(self, budget_seconds=None, label="sweep"):
+                budgets.append((label, budget_seconds))
+                super().__init__(budget_seconds, label=label)
+
+        monkeypatch.setattr("repro.service.service.Cancellation", Recording)
+        config = ServiceConfig(max_workers=1, sweep_timeout_multiplier=200.0)
+        with Service(config=config) as service:
+            service.registry.register_graph(make_graph())
+            first = service.submit(
+                TraversalRequest(graph="resil", application=Application.BFS, source=0)
+            )
+            service.result(first, timeout=30)
+            assert budgets == [], "no budget before the application has a rate"
+            assert service.cost_model.rate("bfs") is not None
+            jobs = enqueue_without_draining(
+                service,
+                [
+                    TraversalRequest(
+                        graph="resil", application=Application.BFS,
+                        source=source, strategy=strategy,
+                    )
+                    for strategy in ("merged_aligned", "uvm")
+                    for source in range(1, 17)
+                ],
+            )
+            keys = sorted({job.request.batch_key for job in jobs})
+            one_group = service.cost_model.estimate_group(keys[0], 16)
+            expected = service.cost_model.estimate_sweep([(key, 16) for key in keys])
+            assert expected == pytest.approx(2 * one_group)
+            drain_all(service)
+            assert all(job.status.value == "done" for job in jobs)
+            (plan,) = [p for p in service.plan_decisions() if p["kind"] == "packed"]
+            assert plan["shape"] == "packed:2x32"
+            assert plan["predicted_seconds"] == pytest.approx(expected)
+            assert budgets == [("packed sweep", pytest.approx(200.0 * expected))]
             assert service.stats().sweep_timeouts == 0
 
     def test_close_deactivates_the_plan(self):

@@ -325,11 +325,12 @@ class TestWeightedFairPolicy:
         # fresh tag: virtual finish ~1, beating the 5-wide group — with the
         # stale (finish=10) tag it would lose and be scheduled dead last
         assert policy.select(groups) == ("K",)
-        model = CostModel()
+        # one learned BFS rate: the graphs' edge counts set the two costs
+        model = CostModel(edge_lookup={"small": 1_000, "huge": 1_000_000}.get)
         cheap = ("small", "bfs", "merged_aligned", "default")
         costly = ("huge", "bfs", "merged_aligned", "default")
-        model.observe(cheap, 1, 0.001)
-        model.observe(costly, 1, 1.0)
+        model.observe([(cheap, 1)], 0.001)
+        assert model.estimate_group(costly, 1) == pytest.approx(1.0)
         policy = WeightedFairPolicy(cost_model=model)
         groups = self.groups(
             (costly, [make_job("big", 0, tenant="a")]),
@@ -362,10 +363,6 @@ class TestWeightedFairPolicy:
     def test_config_accepts_wfq_policy(self):
         assert "wfq" in SCHEDULING_POLICIES
         assert ServiceConfig(policy="wfq").policy == "wfq"
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(cost_alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(cost_alpha=1.5)
 
 
 # --------------------------------------------------------------------- #
@@ -592,13 +589,14 @@ class TestQueueScheduling:
         assert queue.find_inflight(rescued.request.cache_key) is rescued
 
     def test_infeasible_deadline_rejected_at_push(self):
-        model = CostModel()
-        family = TraversalRequest(Application.BFS, "g", source=0).batch_key
-        model.observe(family, 1, 0.5)  # this family costs ~500ms per job
+        model = CostModel(edge_lookup={"g": 1_000}.get)
+        key = TraversalRequest(Application.BFS, "g", source=0).batch_key
+        model.observe([(key, 1)], 0.5)  # a BFS word over g costs ~500ms
         queue = RequestQueue(cost_model=model)
         for i in range(3):
             queue.push_or_join(make_job(f"b{i}", i))
-        # ~1.5s of backlog + ~0.5s of its own execution cannot fit in 0.2s
+        # ~0.5s of backlog (one word) + ~0.5s of its own execution cannot
+        # fit in 0.2s
         with pytest.raises(InfeasibleDeadlineError) as excinfo:
             queue.push_or_join(
                 make_job("doomed", 9, deadline=0.2, tenant="acme"),
@@ -613,9 +611,9 @@ class TestQueueScheduling:
         assert outcome == "queued"
 
     def test_infeasibility_check_is_opt_in_and_spares_joiners(self):
-        model = CostModel()
-        family = TraversalRequest(Application.BFS, "g", source=0).batch_key
-        model.observe(family, 1, 0.5)
+        model = CostModel(edge_lookup={"g": 1_000}.get)
+        key = TraversalRequest(Application.BFS, "g", source=0).batch_key
+        model.observe([(key, 1)], 0.5)
         queue = RequestQueue(cost_model=model)
         first = make_job("a", 0)
         queue.push_or_join(first)
@@ -976,16 +974,12 @@ class TestServiceScheduling:
             service.close()
         stats = service.stats()
         model = service.cost_model
-        # the service pins requests to its default system, so the executed
-        # family key carries the platform fingerprint, not "default"
-        family = jobs[0].request.batch_key
-        assert model.family_samples(family) == 6
-        assert stats.cost_model.families >= 1
+        assert stats.cost_model.applications == 1
         assert stats.cost_model.samples == 6
         # the EWMA estimate tracks what the engine actually costs: within a
         # small factor of the observed mean seconds per execution
         observed = stats.engine_seconds / stats.executions
-        estimate = model.estimate_job(family)
+        estimate = model.estimate_group(jobs[0].request.batch_key, 1)
         assert observed / 3 <= estimate <= observed * 3
         assert "cost model:" in stats.describe()
 
@@ -1097,13 +1091,11 @@ class TestWorkloadPlumbing:
             "requests": [{"app": "bfs", "graph": "g"}],
             "policy": "wfq",
             "tenant_weights": {"interactive": 4, "bulk": 1},
-            "cost_alpha": 0.5,
             "reject_infeasible": True,
         }
         config = config_from_spec(spec)
         assert config.policy == "wfq"
         assert config.tenant_weights == (("bulk", 1.0), ("interactive", 4.0))
-        assert config.cost_alpha == 0.5
         assert config.reject_infeasible is True
         # CLI-style overrides beat the file
         override = config_from_spec(
@@ -1117,7 +1109,6 @@ class TestWorkloadPlumbing:
         )
         assert bare.tenant_weights is None
         assert bare.reject_infeasible is False
-        assert bare.cost_alpha == ServiceConfig().cost_alpha
 
     def test_config_from_spec_knob_table(self):
         import dataclasses

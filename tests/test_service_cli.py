@@ -35,7 +35,7 @@ class TestServeBatch:
     def test_wfq_overrides(self, capsys):
         assert main(["serve-batch", str(WORKLOAD), "--policy", "wfq",
                      "--tenant-weights", "interactive=4,bulk=1",
-                     "--cost-alpha", "0.5", "--reject-infeasible"]) == 0
+                     "--reject-infeasible"]) == 0
         output = capsys.readouterr().out
         assert "policy=wfq" in output
         assert "cost model:" in output

@@ -27,8 +27,6 @@ from repro.service import (
 from repro.service import faults
 from repro.service.costmodel import CostModel
 from repro.service.store import (
-    family_from_text,
-    family_to_text,
     store_info,
     store_vacuum,
     store_verify,
@@ -75,11 +73,12 @@ class TestSchemaAndPragmas:
                 "SELECT name FROM sqlite_master WHERE type = 'table'"
             )
         }
-        assert {"store_meta", "graph_catalog", "result_cache", "cost_history"} <= tables
+        assert {"store_meta", "graph_catalog", "result_cache", "cost_rates"} <= tables
+        assert "cost_history" not in tables
         version = conn.execute(
             "SELECT value FROM store_meta WHERE key = 'schema_version'"
         ).fetchone()
-        assert version == ("1",)
+        assert version == ("2",)
         conn.close()
 
     def test_timestamps_are_utc_iso8601(self, tmp_path):
@@ -113,10 +112,6 @@ class TestFingerprint:
         c = make_graph(seed=6)
         assert graph_fingerprint(a) == graph_fingerprint(b)
         assert graph_fingerprint(a) != graph_fingerprint(c)
-
-    def test_family_text_round_trips_nested_tuples(self):
-        family = ("bfs", ("g", 4), None, "merged_aligned")
-        assert family_from_text(family_to_text(family)) == family
 
 
 class TestResultRoundTrip:
@@ -189,8 +184,7 @@ class TestWarmRestart:
 
         with make_service(path) as service:
             service.registry.register("durable", lambda: graph)
-            model = service._costmodel
-            assert model.stats().families >= 1, "history must seed the model"
+            assert service.cost_model.rate("bfs") is not None, "rates must seed the model"
             for request in requests:
                 service.result(service.submit(request), timeout=30)
             warm = service.stats()
@@ -230,89 +224,97 @@ class TestWarmRestart:
             ]
             for job in jobs:
                 service.result(job, timeout=30)
-            model = service._costmodel
-            # The service normalizes the request's system key, so the family
-            # must come from a submitted job, not a raw request.
-            family = jobs[0].request.batch_key
-            live_estimate = model.estimate_job(family)
-            live_state = model.family_state(family)
-            assert live_state is not None
+            # The service pins the request's platform, so the key must come
+            # from a submitted job, not a raw request.
+            key = jobs[0].request.batch_key
+            live_estimate = service.cost_model.estimate_group(key, 1)
+            assert service.cost_model.rate("bfs") is not None
 
         with make_service(path) as service:
-            seeded = service._costmodel
-            assert seeded.family_samples(family) > 0
-            seeded_estimate = seeded.estimate_job(family)
-            # The EWMA state round-trips through TEXT/REAL columns: the
-            # restarted model must reproduce the same admission estimate
-            # within the model's own estimate-error margin.
-            assert seeded_estimate == pytest.approx(live_estimate, rel=1e-9)
+            service.registry.register("durable", lambda: graph)
+            service.registry.get("durable")  # resident, so the estimate is sized
+            assert service.cost_model.stats().samples == 0, "seeded, not re-observed"
+            # The rate round-trips through a REAL column: the restarted model
+            # reproduces the same admission estimate.
+            assert service.cost_model.estimate_group(key, 1) == pytest.approx(
+                live_estimate, rel=1e-9
+            )
 
-    def test_cost_history_keeps_one_row_per_family(self, tmp_path):
+    def test_cost_rates_keep_one_row_per_application(self, tmp_path):
         path = tmp_path / "store.db"
         graph = make_graph()
         with make_service(path) as service:
             service.registry.register("durable", lambda: graph)
             for source in range(5):  # awaited one by one: five observations
-                request = TraversalRequest("bfs", "durable", source=source)
-                family = service.submit(request).request.batch_key
+                service.submit(TraversalRequest("bfs", "durable", source=source))
                 service.wait_all(timeout=30)
-            assert service._costmodel.family_samples(family) == 5
-            live_estimate = service._costmodel.estimate_job(family)
-        assert store_info(path)["cost_history"] == 1
+            service.result(service.submit(TraversalRequest("cc", "durable")), timeout=30)
+            assert service.cost_model.stats().samples == 6
+            live = {app: service.cost_model.rate(app) for app in ("bfs", "cc")}
+        assert store_info(path)["cost_rates"] == 2
         with make_service(path) as service:
-            assert service._costmodel.family_samples(family) == 5
-            assert service._costmodel.estimate_job(family) == live_estimate
+            assert {app: service.cost_model.rate(app) for app in live} == live
+            assert service.cost_model.rate("sssp") is None
 
-    def test_older_append_only_file_seeds_then_collapses(self, tmp_path):
-        # Older builds appended a row per observation and filled `iterations`.
+    def test_version_1_file_upgrades_in_place_and_keeps_its_results(self, tmp_path):
+        # Version 1 kept per-family EWMA rows in `cost_history`, which the
+        # rate model cannot read: the table goes, everything else stays.
         path = tmp_path / "store.db"
-        family = ("durable", "bfs", "merged_aligned", "sys")
-        ServingStore(path).close()
+        graph = make_graph()
+        request = TraversalRequest("bfs", "durable", source=0)
+        with make_service(path) as service:
+            service.registry.register("durable", lambda: graph)
+            service.result(service.submit(request), timeout=30)
         conn = sqlite3.connect(path)
-        conn.executemany(
-            "INSERT INTO cost_history (family, group_seconds, job_seconds,"
-            " samples, iterations, recorded_at) VALUES (?, ?, ?, ?, 7.5, 'then')",
-            [(family_to_text(family), 0.1 * n, 0.05 * n, n) for n in (1, 2, 3)],
+        conn.executescript(
+            """
+            DROP TABLE cost_rates;
+            CREATE TABLE cost_history (
+                id INTEGER PRIMARY KEY AUTOINCREMENT, family TEXT NOT NULL,
+                group_seconds REAL NOT NULL, job_seconds REAL NOT NULL,
+                samples INTEGER NOT NULL, iterations REAL, recorded_at TEXT NOT NULL
+            );
+            CREATE INDEX idx_cost_history_family ON cost_history (family, id);
+            INSERT INTO cost_history
+                (family, group_seconds, job_seconds, samples, recorded_at)
+                VALUES ('{"__tuple__": ["durable", "bfs"]}', 0.3, 0.15, 3, 'then');
+            UPDATE store_meta SET value = '1' WHERE key = 'schema_version';
+            """
         )
         conn.commit()
         conn.close()
-        assert store_verify(path)[0]
-        with ServingStore(path) as store:
-            (seed,) = store.load_cost_seed()
-            assert seed == {
-                "family": family,
-                "group_seconds": pytest.approx(0.3),
-                "job_seconds": pytest.approx(0.15),
-                "samples": 3,
-            }
-            store.enqueue_cost(family, {**seed, "samples": 4})
-            store.flush()
-            assert [entry["samples"] for entry in store.load_cost_seed()] == [4]
-        assert store_info(path)["cost_history"] == 1
+        before = store_info(path)  # the operator helper reads a version-1 file
+        assert before["schema_version"] == "1" and before["cost_rates"] == 0
+        with make_service(path) as service:
+            service.registry.register("durable", lambda: graph)
+            assert service.stats().store_state == "ok", "upgraded, not quarantined"
+            assert service.store.quarantined_path is None
+            assert service.cost_model.stats().applications == 0
+            service.result(service.submit(request), timeout=30)
+            stats = service.stats()
+            assert stats.executions == 0 and stats.store_hits == 1
+        info = store_info(path)
+        assert info["schema_version"] == "2" and info["result_cache"] == 1
+        tables = {
+            row[0]
+            for row in sqlite3.connect(path).execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        assert "cost_history" not in tables and "cost_rates" in tables
 
     def test_seed_does_not_override_live_samples(self, tmp_path):
-        model = CostModel()
-        model.observe(("bfs", "g"), 2, 0.5)
-        before = model.estimate_job(("bfs", "g"))
+        model = CostModel(edge_lookup={"g": 1_000}.get)
+        key = ("g", "bfs", "merged_aligned", "default")
+        model.observe([(key, 2)], 0.5)
+        before = model.estimate_group(key, 1)
         seeded = model.seed(
-            [
-                {
-                    "family": ("bfs", "g"),
-                    "group_seconds": 99.0,
-                    "job_seconds": 99.0,
-                    "samples": 7,
-                },
-                {
-                    "family": ("sssp", "g"),
-                    "group_seconds": 1.0,
-                    "job_seconds": 0.5,
-                    "samples": 3,
-                },
-            ]
+            {"bfs": 99.0, "sssp": 2e-7, "cc": float("nan"), "pagerank": -1.0}
         )
-        assert seeded == 1
-        assert model.estimate_job(("bfs", "g")) == before
-        assert model.family_samples(("sssp", "g")) == 3
+        assert seeded == 1, "live evidence and garbage rows are both left out"
+        assert model.estimate_group(key, 1) == before
+        assert model.rate("sssp") == 2e-7
+        assert model.rate("cc") is None and model.rate("pagerank") is None
 
 
 class TestQuarantine:
@@ -427,11 +429,11 @@ class TestOperatorHelpers:
             job = service.submit(TraversalRequest("bfs", "durable", source=0))
             service.result(job, timeout=30)
         info = store_info(path)
-        assert info["schema_version"] == "1"
+        assert info["schema_version"] == "2"
         assert info["journal_mode"] == "wal"
         assert info["graph_catalog"] == 1
         assert info["result_cache"] >= 1
-        assert info["cost_history"] >= 1
+        assert info["cost_rates"] == 1
         assert info["graphs"][0]["name"] == "durable"
         assert info["graphs"][0]["fingerprint"] == graph_fingerprint(graph)
         ok, detail = store_verify(path)

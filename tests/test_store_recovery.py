@@ -95,8 +95,8 @@ def test_sigkill_mid_write_recovers_warm(tmp_path):
     )
     with Service(config=config) as service:
         service.registry.register("crash", lambda: graph)
-        assert service._costmodel.stats().families >= 1, (
-            "cost history must survive the crash and seed the model"
+        assert service.cost_model.rate("bfs") is not None, (
+            "the learned rate must survive the crash and seed the model"
         )
         job = service.submit(TraversalRequest("bfs", "crash", source=0))
         result = service.result(job, timeout=30)
