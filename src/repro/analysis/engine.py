@@ -34,7 +34,13 @@ _NOQA_PATTERN = re.compile(
 #: allocation discipline REPRO101 enforces even without a ``@hot_path`` mark.
 DEFAULT_HOT_FUNCTIONS = {
     "relax.py": ("relax_lanes", "active_lane_mask", "expand_lane_pairs"),
-    "multisource.py": ("_bfs_word", "_sssp_word", "_scatter_or", "_lane_mask"),
+    "multisource.py": (
+        "_bfs_word",
+        "_bfs_sweep_numpy",
+        "_sssp_word",
+        "_scatter_or",
+        "_lane_mask",
+    ),
     "streaming.py": ("run_streaming_batch",),
     "frontier.py": (
         "frontier_offsets",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..config import SystemConfig
 from ..timing import TimeBreakdown
-from .coalescer import RequestHistogram
+from .coalescer import REQUEST_SIZES, RequestHistogram
 from .interconnect import PCIeLink
 
 
@@ -50,34 +50,35 @@ class TrafficRecord:
             return 0.0
         return self.host_bytes_read / dataset_bytes
 
-    def scaled(self, fraction: float) -> "TrafficRecord":
-        """A copy with every counter scaled by ``fraction`` (rounded to ints).
+    def counter_row(self) -> tuple[int, ...]:
+        """Every integer counter, the four request sizes first, then the
+        scalar counters in field order (the inverse of
+        :meth:`from_counter_row`).
 
-        Attribution helper for batched multi-source runs: the batch engine
-        records one shared traffic stream, and each source's share is the
-        stream scaled by the fraction of work that source contributed.
+        Batched multi-source runs scale whole rows of these at once: the
+        batch engine records one shared traffic stream, and each source's
+        share is that stream scaled by the fraction of work it contributed.
         """
-        if fraction < 0:
-            raise ValueError("fraction cannot be negative")
-        histogram = RequestHistogram(
-            {
-                size: int(round(count * fraction))
-                for size, count in self.request_histogram.counts.items()
-            }
+        counts = self.request_histogram.counts
+        return (
+            *(counts[size] for size in REQUEST_SIZES),
+            self.uvm_migrated_bytes,
+            self.uvm_migrations,
+            self.uvm_pages_touched,
+            self.block_transfer_bytes,
+            self.block_transfers,
+            self.dram_bytes,
+            self.useful_bytes,
+            self.edges_processed,
+            self.vertices_processed,
+            self.kernel_launches,
         )
-        return TrafficRecord(
-            request_histogram=histogram,
-            uvm_migrated_bytes=int(round(self.uvm_migrated_bytes * fraction)),
-            uvm_migrations=int(round(self.uvm_migrations * fraction)),
-            uvm_pages_touched=int(round(self.uvm_pages_touched * fraction)),
-            block_transfer_bytes=int(round(self.block_transfer_bytes * fraction)),
-            block_transfers=int(round(self.block_transfers * fraction)),
-            dram_bytes=int(round(self.dram_bytes * fraction)),
-            useful_bytes=int(round(self.useful_bytes * fraction)),
-            edges_processed=int(round(self.edges_processed * fraction)),
-            vertices_processed=int(round(self.vertices_processed * fraction)),
-            kernel_launches=int(round(self.kernel_launches * fraction)),
-        )
+
+    @classmethod
+    def from_counter_row(cls, row) -> "TrafficRecord":
+        """Rebuild a record from a :meth:`counter_row` sequence."""
+        sizes = len(REQUEST_SIZES)
+        return cls(RequestHistogram(dict(zip(REQUEST_SIZES, row[:sizes]))), *row[sizes:])
 
     def merge(self, other: "TrafficRecord") -> None:
         self.request_histogram.merge_in_place(other.request_histogram)

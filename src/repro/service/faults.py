@@ -16,9 +16,9 @@ Sites
     Every :meth:`TraversalEngine.process_frontier` iteration — solo,
     multisource and streaming sweeps all funnel through it (no context).
 ``native.compile`` / ``native.invoke``
-    In :mod:`repro.traversal._native`, before compiling the C kernel and at
-    each kernel invocation; both surface as ``NativeBackendError`` so the
-    circuit breaker sees them.
+    In :mod:`repro.traversal._native`, before compiling the C kernels and at
+    each invocation of either (BFS word, SSSP relaxation); both surface as
+    ``NativeBackendError`` so the circuit breaker sees them.
 ``cache.get`` / ``cache.put``
     In :class:`ResultCache`; the service absorbs these (a failing read is a
     miss, a failing write is dropped) so cache faults never fail requests.

@@ -20,12 +20,12 @@ Retry backoff
     nearest deadline so a retry never runs past an EDF/WFQ budget.
 
 Circuit breaker
-    :class:`CircuitBreaker` guards the native relaxation backend: closed
-    (native allowed) → open after ``failure_threshold`` consecutive
-    ``NativeBackendError``s (numpy only) → half-open after
-    ``cooldown_seconds`` (one probe sweep may try native again).  Because
-    every relaxation backend is bit-identical, degradation changes latency,
-    never values.
+    :class:`CircuitBreaker` guards the native word kernels (BFS sweep and
+    SSSP relaxation): closed (native allowed) → open after
+    ``failure_threshold`` consecutive ``NativeBackendError``s (numpy only) →
+    half-open after ``cooldown_seconds`` (one probe sweep may try native
+    again).  Because every backend is bit-identical, degradation changes
+    latency, never values.
 """
 
 from __future__ import annotations

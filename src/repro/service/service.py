@@ -278,7 +278,7 @@ class Service:
 
     def _note_breaker_transition(self, state: str) -> None:
         self._metrics["repro_native_breaker_transitions_total"].inc(state=state)
-        logger.warning("native relax backend circuit breaker -> %s", state)
+        logger.warning("native backend circuit breaker -> %s", state)
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -640,12 +640,13 @@ class Service:
         return Cancellation(budget, label=label)
 
     def _relax_method(self) -> str | None:
-        """Relaxation backend for this drain, as arbitrated by the breaker.
+        """Word-kernel backend for this BFS/SSSP drain, as the breaker allows.
 
-        ``None`` (engine default) when the native kernel never compiled —
+        ``None`` (engine default) when the native kernels never compiled —
         the breaker only arbitrates a backend that nominally works.  While
-        closed (or probing half-open) the native kernel is used; while open,
-        the bit-identical "scatter" numpy path serves degraded traffic.
+        closed (or probing half-open) the native kernels are used; while
+        open, the bit-identical numpy paths ("scatter" relaxation, the numpy
+        BFS sweep) serve degraded traffic.
         """
         if not _native.available():
             return None
@@ -1302,11 +1303,11 @@ class Service:
         predicted = self._costmodel.estimate_sweep(self._sweep_groups(groups))
         for job in all_jobs:
             job.mark_running()
-        # Only sweeps that reach the lane relax kernel (SSSP) consult the
-        # native-backend breaker and report to it; BFS and the streaming
-        # applications never run that kernel, so their outcomes say nothing
-        # about it.
-        relax_method = self._relax_method() if application is Application.SSSP else None
+        # Every BFS/SSSP word sweep runs a native kernel (the BFS word or the
+        # SSSP relaxation), so those consult the native-backend breaker and
+        # report to it; the streaming applications (CC, PageRank) never run
+        # native code, so their outcomes say nothing about it.
+        relax_method = None if streaming else self._relax_method()
         if relax_method == "scatter":
             # Breaker already open: the whole drain is served degraded.
             self._metrics["repro_native_degraded_total"].inc()
@@ -1350,8 +1351,8 @@ class Service:
                     relax_method = "scatter"
                     self._metrics["repro_native_degraded_total"].inc()
                     logger.warning(
-                        "native relax kernel failed (%s); re-running %s drain "
-                        "on the scatter backend", exc, kind,
+                        "native kernel failed (%s); re-running %s drain "
+                        "on the numpy backend", exc, kind,
                     )
                     continue
                 if self._maybe_retry("sweep", all_jobs, attempt, exc, sweep_ref):

@@ -89,7 +89,7 @@ class ServiceStats:
     #: Fused multisource/streaming groups whose members were re-executed solo
     #: after a group failure (fault isolation).
     isolations: int = 0
-    #: Sweeps served by the numpy relaxation backend because the native
+    #: BFS/SSSP sweeps served by the numpy backend because the native
     #: circuit breaker was open or tripping (values stay bit-identical).
     degraded: int = 0
     #: Native-backend circuit breaker state: closed / half_open / open.

@@ -83,6 +83,21 @@ class TimeBreakdown:
             extra={key: value * factor for key, value in self.extra.items()},
         )
 
+    def components(self) -> tuple[float, float, float, float, float, float]:
+        """The six fixed components in field order (``extra`` excluded).
+
+        ``TimeBreakdown(*components)`` rebuilds the breakdown; the batched
+        engines accumulate attributed time as rows of these.
+        """
+        return (
+            self.interconnect_seconds,
+            self.dram_seconds,
+            self.compute_seconds,
+            self.fault_handling_seconds,
+            self.host_preprocess_seconds,
+            self.kernel_launch_seconds,
+        )
+
     def overlapped_transfer_seconds(self) -> float:
         """The data-movement critical path (link, DRAM and compute overlap)."""
         return max(self.interconnect_seconds, self.dram_seconds, self.compute_seconds)

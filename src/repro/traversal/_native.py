@@ -1,24 +1,34 @@
-"""Optional native (C) backend for the lane-parallel relaxation kernel.
+"""Optional native (C) backend for the two batched word kernels.
 
-The numpy formulations in :mod:`repro.traversal.relax` are bound by numpy's
-pass-at-a-time execution: every (lane, edge) candidate costs several 8-byte
-memory passes across index and value temporaries.  The relaxation inner loop
-is tiny — gather two doubles, add, compare, occasionally store — so a
-compiled loop over the bit-packed lane words (`ctz` over each vertex's
-active-lane mask, vertex-major ``(num_vertices, lanes)`` value rows so one
-vertex's lanes share cache lines) runs the same work an order of magnitude
-faster.
+The numpy formulations of a batched sweep are bound by numpy's
+pass-at-a-time execution and by Python loops over the ≤ 64 lanes of a word.
+Both inner loops are tiny, so a compiled loop over the bit-packed lane words
+(`ctz` over each vertex's active-lane mask) runs the same work an order of
+magnitude faster.  Two kernels share one shared object:
 
-This module builds that loop *at runtime* with whatever C compiler the host
+* ``repro_relax_word`` — one SSSP relaxation sweep
+  (:func:`relax_word`, fronted by :func:`repro.traversal.relax.relax_lanes`):
+  gather two doubles, add, compare, occasionally store, over vertex-major
+  ``(num_vertices, lanes)`` value rows so one vertex's lanes share cache
+  lines;
+* ``repro_bfs_word`` — one BFS sweep (:func:`bfs_word`, called by
+  :mod:`repro.traversal.multisource`): per-lane edge counts, OR-scatter of
+  the frontier words, and one pass over the vertices that keeps the unvisited
+  bits, writes their levels and emits the next frontier.
+
+This module builds both *at runtime* with whatever C compiler the host
 already has (``gcc``/``cc``), caches the shared object under
 ``~/.cache/repro-native/`` keyed by a hash of the source and flags, and loads
 it through :mod:`ctypes` (stdlib — no new dependency).  Everything is gated:
 no compiler, a failed compile, or ``REPRO_NATIVE=0`` simply mean
-:func:`available` returns False and callers stay on the numpy kernel, which
-is kept bit-identical by the relax-kernel equivalence tests.
+:func:`available` returns False and callers stay on the numpy paths, which
+the relax and multisource equivalence tests keep bit-identical.  Both
+kernels fire the same ``native.invoke`` fault site and raise the same
+:class:`~repro.errors.NativeBackendError`, so the service's one native
+circuit breaker guards BFS and SSSP sweeps alike.
 
-The C call releases the GIL (plain ``ctypes.CDLL``), so service workers
-draining separate batches relax concurrently.
+The C calls release the GIL (plain ``ctypes.CDLL``), so service workers
+draining separate batches sweep concurrently.
 """
 
 from __future__ import annotations
@@ -43,9 +53,9 @@ _ENV_SWITCH = "REPRO_NATIVE"
 #: Override for the shared-object cache directory.
 _ENV_CACHE_DIR = "REPRO_NATIVE_DIR"
 
-#: Sanitizer build mode: ``asan`` or ``ubsan`` compiles the kernel with the
+#: Sanitizer build mode: ``asan`` or ``ubsan`` compiles the kernels with the
 #: matching ``-fsanitize=`` flags (plus frame pointers and debug info) so the
-#: relax bit-identity property tests double as memory/UB checks in CI.  The
+#: relax and multisource bit-identity tests double as memory/UB checks in CI.  The
 #: sanitized object is cached under its own flag digest, so switching modes
 #: never serves a stale unsanitized build.
 _ENV_SANITIZE = "REPRO_NATIVE_SANITIZE"
@@ -125,6 +135,69 @@ int64_t repro_relax_word(const int64_t *frontier,
         }
     }
     return improved;
+}
+
+/* One BFS sweep of a <= 64-lane word.
+ *
+ * frontier (ascending) holds the union frontier and active_bits[f] the lane
+ * word of frontier[f].  lane_edges (lanes entries) is overwritten with each
+ * lane's frontier edge count.  Every frontier word is OR-scattered into
+ * next_bits at its neighbours; then one ascending pass over the vertices
+ * keeps the bits not yet in visited_bits, marks them visited, writes depth
+ * into their lanes' rows of the (lanes, num_vertices) row-major levels
+ * matrix, and appends the vertex and its new lane word to next_frontier /
+ * next_active (num_vertices capacity each).  next_bits must arrive zeroed
+ * and is left zeroed.  Returns the next frontier's size.
+ */
+int64_t repro_bfs_word(const int64_t *frontier,
+                       const uint64_t *active_bits,
+                       const int64_t *starts,
+                       const int64_t *ends,
+                       int64_t num_frontier,
+                       const int64_t *edges,
+                       uint64_t *next_bits,
+                       uint64_t *visited_bits,
+                       int64_t *levels,
+                       int64_t num_vertices,
+                       int64_t depth,
+                       int64_t *lane_edges,
+                       int64_t lanes,
+                       int64_t *next_frontier,
+                       uint64_t *next_active)
+{
+    for (int64_t lane = 0; lane < lanes; lane++) lane_edges[lane] = 0;
+    for (int64_t f = 0; f < num_frontier; f++) {
+        uint64_t bits = active_bits[f];
+        if (!bits) continue;
+        int64_t edge_start = starts[f], edge_end = ends[f];
+        int64_t degree = edge_end - edge_start;
+        uint64_t b = bits;
+        while (b) {
+            lane_edges[__builtin_ctzll(b)] += degree;
+            b &= b - 1;
+        }
+        for (int64_t e = edge_start; e < edge_end; e++) {
+            next_bits[edges[e]] |= bits;
+        }
+    }
+    int64_t count = 0;
+    for (int64_t v = 0; v < num_vertices; v++) {
+        uint64_t reached = next_bits[v];
+        if (!reached) continue;
+        next_bits[v] = 0;
+        uint64_t fresh = reached & ~visited_bits[v];
+        if (!fresh) continue;
+        visited_bits[v] |= fresh;
+        next_frontier[count] = v;
+        next_active[count] = fresh;
+        count++;
+        while (fresh) {
+            int lane = __builtin_ctzll(fresh);
+            fresh &= fresh - 1;
+            levels[(int64_t)lane * num_vertices + v] = depth;
+        }
+    }
+    return count;
 }
 """
 
@@ -244,6 +317,24 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
             pointer(np.int64, flags="C_CONTIGUOUS"),   # lane_edges
             ctypes.c_int64,                            # lanes
         ]
+        library.repro_bfs_word.restype = ctypes.c_int64
+        library.repro_bfs_word.argtypes = [
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # frontier
+            pointer(np.uint64, flags="C_CONTIGUOUS"),  # active_bits
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # starts
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # ends
+            ctypes.c_int64,                            # num_frontier
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # edges
+            pointer(np.uint64, flags="C_CONTIGUOUS"),  # next_bits
+            pointer(np.uint64, flags="C_CONTIGUOUS"),  # visited_bits
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # levels
+            ctypes.c_int64,                            # num_vertices
+            ctypes.c_int64,                            # depth
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # lane_edges
+            ctypes.c_int64,                            # lanes
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # next_frontier
+            pointer(np.uint64, flags="C_CONTIGUOUS"),  # next_active
+        ]
     except OSError as exc:
         return None, f"load failed: {exc}"
     return library, f"compiled with {compiler}{sanitize_note}"
@@ -259,7 +350,7 @@ def _ensure_loaded() -> ctypes.CDLL | None:
 
 
 def available() -> bool:
-    """True when the compiled relaxation kernel is usable on this host."""
+    """True when the compiled word kernels are usable on this host."""
     return _ensure_loaded() is not None
 
 
@@ -267,6 +358,26 @@ def status() -> str:
     """Human-readable availability note (for benchmark reports)."""
     _ensure_loaded()
     return _status or "unknown"
+
+
+def _invoke(kernel: str, *args) -> int:
+    """Call one compiled kernel behind the ``native.invoke`` fault site.
+
+    Injected invoke faults, a missing library and ctypes-level failures all
+    surface as :class:`NativeBackendError`, so the circuit breaker cannot
+    tell an injected failure from a real one.
+    """
+    try:
+        _check_fault("native.invoke")
+    except Exception as exc:
+        raise NativeBackendError(f"native {kernel} kernel failed: {exc}") from exc
+    library = _ensure_loaded()
+    if library is None:
+        raise NativeBackendError(f"native {kernel} kernel unavailable: {status()}")
+    try:
+        return int(getattr(library, f"repro_{kernel}_word")(*args))
+    except (ctypes.ArgumentError, OSError) as exc:
+        raise NativeBackendError(f"native {kernel} kernel failed: {exc}") from exc
 
 
 def relax_word(
@@ -281,41 +392,79 @@ def relax_word(
     next_bits: np.ndarray,
     lane_edges: np.ndarray,
 ) -> int:
-    """Invoke the compiled sweep; see the C source for the contract.
+    """Invoke the compiled relaxation sweep; see the C source for the contract.
 
     ``values`` is the vertex-major ``(num_vertices, lanes)`` matrix updated in
     place; ``next_bits`` and ``lane_edges`` must arrive zeroed.  The caller
     guarantees contiguity and dtypes (this is the kernel's private fast path,
     fronted by :func:`repro.traversal.relax.relax_lanes`).
     """
-    try:
-        _check_fault("native.invoke")
-    except Exception as exc:
-        # Injected invoke faults surface as the same error class as real
-        # kernel failures so the circuit breaker cannot tell them apart.
-        raise NativeBackendError(f"native relaxation kernel failed: {exc}") from exc
-    library = _ensure_loaded()
-    if library is None:
-        raise NativeBackendError(
-            f"native relaxation kernel unavailable: {status()}"
-        )
-    lanes = values.shape[1]
-    try:
-        return int(
-            library.repro_relax_word(
-                frontier,
-                active_bits,
-                starts,
-                ends,
-                frontier.size,
-                edges,
-                weights.ctypes.data if weights is not None else None,
-                values.reshape(-1),
-                snapshot.reshape(-1),
-                next_bits,
-                lane_edges,
-                lanes,
-            )
-        )
-    except (ctypes.ArgumentError, OSError) as exc:
-        raise NativeBackendError(f"native relaxation kernel failed: {exc}") from exc
+    return _invoke(
+        "relax",
+        frontier,
+        active_bits,
+        starts,
+        ends,
+        frontier.size,
+        edges,
+        weights.ctypes.data if weights is not None else None,
+        values.reshape(-1),
+        snapshot.reshape(-1),
+        next_bits,
+        lane_edges,
+        values.shape[1],
+    )
+
+
+def bfs_word(
+    frontier: np.ndarray,
+    active_bits: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    edges: np.ndarray,
+    next_bits: np.ndarray,
+    visited_bits: np.ndarray,
+    levels: np.ndarray,
+    depth: int,
+    lane_edges: np.ndarray,
+    next_frontier: np.ndarray,
+    next_active: np.ndarray,
+) -> int:
+    """Invoke the compiled BFS sweep; see the C source for the contract.
+
+    ``levels`` is the ``(lanes, num_vertices)`` matrix updated in place;
+    ``next_bits`` must arrive zeroed (it is left zeroed).  Returns the next
+    frontier's size: ``next_frontier[:size]`` / ``next_active[:size]``.  The
+    caller guarantees contiguity and dtypes (this is the private fast path of
+    :func:`repro.traversal.multisource.run_batch`).
+    """
+    lanes, num_vertices = levels.shape
+    if not (
+        lanes <= 64
+        and lane_edges.size == lanes
+        and frontier.size == active_bits.size == starts.size == ends.size
+        and num_vertices
+        == next_bits.size
+        == visited_bits.size
+        == next_frontier.size
+        == next_active.size
+    ):
+        raise ValueError("bfs_word buffers do not match the (lanes, num_vertices) levels")
+    return _invoke(
+        "bfs",
+        frontier,
+        active_bits,
+        starts,
+        ends,
+        frontier.size,
+        edges,
+        next_bits,
+        visited_bits,
+        levels.reshape(-1),
+        num_vertices,
+        depth,
+        lane_edges,
+        lanes,
+        next_frontier,
+        next_active,
+    )

@@ -13,10 +13,15 @@ once — one edge gather, one :meth:`TraversalEngine.process_frontier` sweep —
 and bitwise operations keep every source's frontier evolution exactly what
 its solo run would have been:
 
-* **BFS** propagates frontier bits with an OR-scatter over the gathered
-  destinations; a vertex's newly set bits are exactly the sources whose solo
-  BFS would discover it this iteration, so per-source levels are bit-identical
-  to :func:`repro.traversal.bfs.run_bfs`.
+* **BFS** propagates frontier bits with an OR-scatter over the frontier's
+  edges; a vertex's newly set bits are exactly the sources whose solo BFS
+  would discover it this iteration, so per-source levels are bit-identical
+  to :func:`repro.traversal.bfs.run_bfs`.  One sweep — per-lane edge counts,
+  the scatter, the visited update, the level writes and the next frontier —
+  is one call of the compiled ``repro_bfs_word`` loop of
+  :mod:`repro.traversal._native` when the host has a compiler, and a numpy
+  sweep (the fallback, and the reference the tests pin the kernel against)
+  otherwise.
 * **SSSP** runs on the lane-parallel relaxation kernel of
   :mod:`repro.traversal.relax`: each iteration expands the union frontier's
   lane bit-masks into shared (lane, edge) candidate streams — one ragged
@@ -40,10 +45,15 @@ engines; see :mod:`repro.traversal.streaming`.
 Per-source :class:`TraversalMetrics` are derived by *attributing* the shared
 traffic: each iteration's time is split across the sources active in it,
 proportionally to their share of the edges swept, and the run-level traffic
-counters are split by each source's overall share.  Attributed *seconds* sum
-exactly to the batch total; the integer traffic counters are rounded per
-source, so their sums match the batch totals only to rounding (compare
-against ``batch_metrics`` for exact run-level numbers).
+counters are split by each source's overall share.  Both are matrices, not
+per-lane objects: the attributed seconds are one ``(lanes, 6)`` float64
+accumulator (one multiply-then-add per element per iteration, the order of
+summing ``TimeBreakdown.scaled`` copies), and every lane's integer counters
+are one ``(lanes, counters)`` product rounded half to even; the per-lane
+result objects are built once per word from their rows.  Attributed
+*seconds* sum exactly to the batch total; the integer traffic counters are
+rounded per source, so their sums match the batch totals only to rounding
+(compare against ``batch_metrics`` for exact run-level numbers).
 """
 
 from __future__ import annotations
@@ -53,11 +63,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import SystemConfig, system_key
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..graph.csr import CSRGraph
 from ..hotpath import hot_path
+from ..memsim.metrics import TrafficRecord
 from ..timing import TimeBreakdown
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
+from . import _native
 from .bfs import UNREACHED, _check_source
 from .engine import TraversalEngine
 from .frontier import frontier_offsets, gather_frontier_destinations
@@ -69,6 +81,9 @@ from .sssp import UNREACHABLE
 WORD_BITS = 64
 
 _ONE = np.uint64(1)
+
+#: Columns of the attributed-seconds matrix (see TimeBreakdown.components).
+_COMPONENTS = len(TimeBreakdown().components())
 
 
 @dataclass(frozen=True)
@@ -174,7 +189,9 @@ def run_batch(
 
     ``relax_method`` selects the SSSP relaxation backend (see
     :data:`repro.traversal.relax.RELAX_METHODS`); ``None`` picks the fastest
-    available.  Every backend produces bit-identical per-source values.
+    available.  For BFS, ``None`` and ``"native"`` run the native word
+    kernel when it is available; any other method runs the numpy sweep.
+    Every backend produces bit-identical per-source values and metrics.
     """
     lanes = [
         PackedLane(int(source), strategy, system)
@@ -291,45 +308,10 @@ def _run_words(
             )
             engine_metrics = [word_engine.finalize() for word_engine in word_engines]
             outcome.batch_metrics.extend(engine_metrics)
-            engine_lane_fractions = [
-                attribution.engine_fractions(index)
-                for index in range(len(word_engines))
-            ]
-            for position, lane in enumerate(word_lanes):
-                index = int(lane_engine[position])
-                batch_metrics = engine_metrics[index]
-                batch_counters = batch_metrics.counters
-                fraction = float(engine_lane_fractions[index][position])
-                breakdown = attribution.breakdowns[position]
-                iterations = int(attribution.iterations[position])
-                # Per-lane kernel counters carry the lane's own iteration
-                # count and its attributed share of its engine's work;
-                # max_frontier is the union frontier's (a batch-level fact),
-                # and the relax backend is shared by construction.
-                lane_counters = KernelCounters(
-                    iterations=iterations,
-                    frontier_vertices=int(
-                        round(batch_counters.frontier_vertices * fraction)
-                    ),
-                    edges_traversed=int(
-                        round(batch_counters.edges_traversed * fraction)
-                    ),
-                    max_frontier=batch_counters.max_frontier,
-                    relax_candidates=int(
-                        round(batch_counters.relax_candidates * fraction)
-                    ),
-                    relax_backend=batch_counters.relax_backend,
-                )
-                metrics = TraversalMetrics(
-                    seconds=breakdown.total(),
-                    breakdown=breakdown,
-                    traffic=batch_metrics.traffic.scaled(fraction),
-                    iterations=iterations,
-                    dataset_bytes=word_engines[index].dataset_bytes,
-                    strategy=lane.strategy,
-                    system_name=word_engines[index].system.name,
-                    counters=lane_counters,
-                )
+            lane_metrics = _lane_metrics(
+                word_lanes, word_engines, engine_metrics, attribution
+            )
+            for position, (lane, metrics) in enumerate(zip(word_lanes, lane_metrics)):
                 outcome.results.append(
                     TraversalResult(
                         application=application,
@@ -347,6 +329,68 @@ def _run_words(
     return outcome
 
 
+def _lane_metrics(
+    word_lanes: list[PackedLane],
+    engines: list[TraversalEngine],
+    engine_metrics: list[TraversalMetrics],
+    attribution: _Attribution,
+) -> list[TraversalMetrics]:
+    """Every lane's metrics for one word, from its engine's run-level metrics.
+
+    A lane carries its attributed seconds and iteration count, and its
+    engine's integer counters scaled by its share of that engine's edges —
+    one ``(lanes, counters)`` product rounded by ``np.rint``, which rounds
+    half to even on the same float64 product as ``int(round(count *
+    fraction))``.  ``max_frontier`` is the union frontier's (a batch-level
+    fact), and the relax backend is shared by construction.
+    """
+    counts = np.array(
+        [
+            (
+                *metrics.traffic.counter_row(),
+                metrics.counters.frontier_vertices,
+                metrics.counters.edges_traversed,
+                metrics.counters.relax_candidates,
+            )
+            for metrics in engine_metrics
+        ],
+        dtype=np.int64,
+    )
+    lane_engine = attribution.lane_engine
+    scaled = np.rint(attribution.lane_fractions()[:, None] * counts[lane_engine])
+    lanes = []
+    for lane, index, row, seconds, iterations in zip(
+        word_lanes,
+        lane_engine.tolist(),
+        scaled.astype(np.int64).tolist(),
+        attribution.seconds.tolist(),
+        attribution.iterations.tolist(),
+    ):
+        engine, batch_counters = engines[index], engine_metrics[index].counters
+        *traffic, frontier_vertices, edges_traversed, relax_candidates = row
+        breakdown = TimeBreakdown(*seconds)
+        lanes.append(
+            TraversalMetrics(
+                seconds=breakdown.total(),
+                breakdown=breakdown,
+                traffic=TrafficRecord.from_counter_row(traffic),
+                iterations=iterations,
+                dataset_bytes=engine.dataset_bytes,
+                strategy=lane.strategy,
+                system_name=engine.system.name,
+                counters=KernelCounters(
+                    iterations=iterations,
+                    frontier_vertices=frontier_vertices,
+                    edges_traversed=edges_traversed,
+                    max_frontier=batch_counters.max_frontier,
+                    relax_candidates=relax_candidates,
+                    relax_backend=batch_counters.relax_backend,
+                ),
+            )
+        )
+    return lanes
+
+
 # ---------------------------------------------------------------------- #
 # Word-level execution (≤64 sources)
 # ---------------------------------------------------------------------- #
@@ -361,32 +405,48 @@ def _bfs_word(
 ):
     num_vertices = graph.num_vertices
     lanes = len(word)
-    # Per-word setup: these three O(V) arrays are allocated once per <=64
-    # sources, then reused across every sweep below.
+    # Per-word setup: these O(V) arrays are allocated once per <=64 sources,
+    # then reused across every sweep below.
     levels = np.full((lanes, num_vertices), UNREACHED, dtype=np.int64)  # repro: noqa[REPRO101] — once per word, not per sweep
-    frontier_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
     visited_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
-    scratch_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
-    lane_edges = np.zeros(lanes, dtype=np.int64)  # repro: noqa[REPRO101] — once per word, refilled every sweep
+    next_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, the scatter target of every sweep
+    lane_edges = np.zeros(lanes, dtype=np.int64)  # repro: noqa[REPRO101] — O(lanes) <= 64 elements, refilled every sweep
     for lane, source in enumerate(word):
-        bit = _ONE << np.uint64(lane)
-        frontier_bits[source] |= bit
-        visited_bits[source] |= bit
+        visited_bits[source] |= _ONE << np.uint64(lane)
         levels[lane, source] = 0
+    # Depth 0: the frontier is the sources, and visited holds exactly their bits.
+    frontier = np.flatnonzero(visited_bits).astype(VERTEX_DTYPE, copy=False)
+    active_bits = visited_bits[frontier]
+    native = relax_method in (None, "native") and _native.available()
+    if native:
+        # The kernel appends the next frontier (vertex ids and their new lane
+        # words) into one slot while the engines replay the other.
+        frontier_slots = np.empty((2, num_vertices), dtype=VERTEX_DTYPE)  # repro: noqa[REPRO101] — once per word, double-buffered below
+        active_slots = np.empty((2, num_vertices), dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
 
     attribution = _Attribution(lanes, lane_engine)
-    frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE)
     depth = 0
     while frontier.size:
         starts, ends = frontier_offsets(graph, frontier)
-        degrees = ends - starts
-        active_bits = frontier_bits[frontier]
-        # Each lane's share of the sweep — the edges its own frontier owns —
-        # is a fact of the word, counted once for all of its engines.
         active = active_lane_mask(active_bits, lanes)
-        lane_edges.fill(0)
-        for lane in np.flatnonzero(active):
-            lane_edges[lane] = degrees[_lane_mask(active_bits, lane)].sum()
+        depth += 1
+        # One sweep writes the new levels and the next frontier, and counts
+        # each lane's share of it — the edges its own frontier owns — once
+        # for all of the word's engines.
+        if native:
+            slot = depth % 2
+            size = _native.bfs_word(
+                frontier, active_bits, starts, ends, graph.edges, next_bits,
+                visited_bits, levels, depth, lane_edges,
+                frontier_slots[slot], active_slots[slot],
+            )
+            next_frontier = frontier_slots[slot, :size]
+            next_active = active_slots[slot, :size]
+        else:
+            next_frontier, next_active = _bfs_sweep_numpy(
+                graph, frontier, active_bits, starts, ends, active,
+                next_bits, visited_bits, levels, depth, lane_edges,
+            )
         # Every engine replays the shared union frontier: frontier evolution
         # never depends on the simulated platform (engines only account
         # traffic), so per-lane levels stay bit-identical to solo runs even
@@ -394,26 +454,50 @@ def _bfs_word(
         for engine_index, engine in enumerate(engines):
             iteration = engine.process_frontier(frontier, starts, ends)
             attribution.record(iteration, engine_index, lane_edges, active)
-
-        destinations = gather_frontier_destinations(graph, frontier, starts, ends)
-        edge_bits = np.repeat(active_bits, degrees)
-        next_bits = _scatter_or(destinations, edge_bits, out=scratch_bits)
-        np.bitwise_and(next_bits, ~visited_bits, out=next_bits)
-        visited_bits |= next_bits
-
-        depth += 1
-        frontier = np.flatnonzero(next_bits).astype(VERTEX_DTYPE)
-        if frontier.size:
-            new_bits = next_bits[frontier]
-            for lane in range(lanes):
-                hit = _lane_mask(new_bits, lane)
-                if hit.any():
-                    levels[lane, frontier[hit]] = depth
-        # Double-buffer: the consumed frontier word becomes next sweep's
-        # scatter target (zeroed inside _scatter_or).
-        frontier_bits, scratch_bits = next_bits, frontier_bits
+        frontier, active_bits = next_frontier, next_active
 
     return levels, attribution
+
+
+@hot_path
+def _bfs_sweep_numpy(
+    graph: CSRGraph,
+    frontier: np.ndarray,
+    active_bits: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    active: np.ndarray,
+    next_bits: np.ndarray,
+    visited_bits: np.ndarray,
+    levels: np.ndarray,
+    depth: int,
+    lane_edges: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One BFS sweep in numpy: the fallback for, and reference of,
+    :func:`repro.traversal._native.bfs_word` (same contract, except that
+    ``next_bits`` is zeroed here rather than on the way out).
+
+    Returns the next frontier and its lane words.
+    """
+    lanes = levels.shape[0]
+    degrees = ends - starts
+    lane_edges.fill(0)
+    for lane in np.flatnonzero(active):
+        lane_edges[lane] = degrees[_lane_mask(active_bits, lane)].sum()
+
+    destinations = gather_frontier_destinations(graph, frontier, starts, ends)
+    edge_bits = np.repeat(active_bits, degrees)
+    next_bits = _scatter_or(destinations, edge_bits, out=next_bits)
+    np.bitwise_and(next_bits, ~visited_bits, out=next_bits)
+    visited_bits |= next_bits
+
+    next_frontier = np.flatnonzero(next_bits).astype(VERTEX_DTYPE)
+    next_active = next_bits[next_frontier]
+    for lane in range(lanes):
+        hit = _lane_mask(next_active, lane)
+        if hit.any():
+            levels[lane, next_frontier[hit]] = depth
+    return next_frontier, next_active
 
 
 @hot_path
@@ -514,12 +598,19 @@ class _Attribution:
     engine's iteration cost is split only among *its own* lanes: per-engine
     attributed seconds sum to that engine's own sweep total (with one engine,
     to the batch total).
+
+    The attributed seconds are one ``(lanes, 6)`` float64 matrix, columns in
+    :meth:`TimeBreakdown.components` order; each lane's
+    :class:`TimeBreakdown` is built once, from its row, when the word ends.
     """
 
     def __init__(self, lanes: int, lane_engine: np.ndarray) -> None:
         self.lanes = lanes
         self.lane_engine = lane_engine
-        self.breakdowns = [TimeBreakdown() for _ in range(lanes)]
+        self._owned = [
+            lane_engine == index for index in range(int(lane_engine.max()) + 1)
+        ]
+        self.seconds = np.zeros((lanes, _COMPONENTS))
         self.iterations = np.zeros(lanes, dtype=np.int64)
         self.attributed_edges = np.zeros(lanes, dtype=np.float64)
 
@@ -534,9 +625,17 @@ class _Attribution:
 
         ``lane_edges`` / ``active`` describe the whole word's sweep (edges
         each lane's frontier owns, lanes with any frontier vertex) and are
-        the same for every engine of the word; neither is modified.
+        the same for every engine of the word; neither is modified.  Each
+        element is one multiply then one add, the order of
+        ``breakdown.add(iteration.scaled(share))``, so the seconds are bit
+        for bit what per-lane breakdowns would accumulate.
         """
-        owned = self.lane_engine == engine_index
+        if iteration.extra:
+            raise SimulationError(
+                "batched attribution splits the six fixed time components; "
+                f"this iteration carries extra ones: {sorted(iteration.extra)}"
+            )
+        owned = self._owned[engine_index]
         active = active & owned
         lane_edges = np.where(owned, lane_edges, 0)
         self.iterations += active
@@ -547,21 +646,22 @@ class _Attribution:
             count = int(np.count_nonzero(active))
             shares = np.where(active, 1.0 / max(count, 1), 0.0)
         self.attributed_edges += lane_edges
-        for lane in range(self.lanes):
-            if shares[lane] > 0:
-                self.breakdowns[lane].add(iteration.scaled(float(shares[lane])))
+        self.seconds += shares[:, None] * np.array(iteration.components())
 
-    def engine_fractions(self, engine_index: int) -> np.ndarray:
-        """Lane shares normalized within one engine's own lane subset.
+    def lane_fractions(self) -> np.ndarray:
+        """Each lane's share of its own engine's edges, over the whole word.
 
-        Scaling an engine's run-level traffic by these keeps each engine's
-        attributed totals summing to that engine's own sweep, independent of
-        how much work the other engines' lanes did.
+        Normalized within each engine's lane subset: scaling an engine's
+        run-level counters by these keeps each engine's attributed totals
+        summing to that engine's own sweep, independent of how much work the
+        other engines' lanes did.
         """
-        owned = self.lane_engine == engine_index
-        edges = np.where(owned, self.attributed_edges, 0.0)
-        total = float(edges.sum())
-        if total <= 0:
-            count = int(np.count_nonzero(owned))
-            return np.where(owned, 1.0 / max(count, 1), 0.0)
-        return edges / total
+        fractions = np.zeros(self.lanes)
+        for owned in self._owned:
+            edges = np.where(owned, self.attributed_edges, 0.0)
+            total = float(edges.sum())
+            if total <= 0:
+                fractions[owned] = 1.0 / max(int(np.count_nonzero(owned)), 1)
+            else:
+                fractions[owned] = (edges / total)[owned]
+        return fractions

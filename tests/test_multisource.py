@@ -2,11 +2,17 @@
 attribution invariants."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.graph.builder import from_edge_array
+from repro.timing import TimeBreakdown
+from repro.traversal import _native, multisource
 from repro.traversal.api import run_average
 from repro.traversal.arena import EngineArena
 from repro.traversal.bfs import bfs_levels, run_bfs
@@ -14,6 +20,8 @@ from repro.traversal.engine import TraversalEngine
 from repro.traversal.multisource import (
     WORD_BITS,
     PackedLane,
+    _Attribution,
+    _lane_metrics,
     run_batch,
     run_bfs_batch,
     run_packed_batch,
@@ -340,3 +348,159 @@ class TestPinnedAttributedMetrics:
         pinned = PINNED_DIGESTS[(fixture, application, lanes)]
         for configs, fronts in _front_digests(graph, application, lanes).items():
             assert fronts == dict.fromkeys(fronts, pinned[configs]), configs
+
+
+# ---------------------------------------------------------------------- #
+# Native vs numpy BFS word
+# ---------------------------------------------------------------------- #
+class _RecordingAttribution(_Attribution):
+    """Logs every (engine, lane edge counts, active lanes) it is handed."""
+
+    log: list = []
+
+    def record(self, iteration, engine_index, lane_edges, active):
+        self.log.append((engine_index, lane_edges.tolist(), active.tolist()))
+        super().record(iteration, engine_index, lane_edges, active)
+
+
+def _traced_bfs(graph, lanes, method):
+    """``run_packed_batch`` on one BFS backend plus its per-iteration log."""
+    _RecordingAttribution.log = []
+    with mock.patch.object(multisource, "_Attribution", _RecordingAttribution):
+        outcome = run_packed_batch("bfs", graph, lanes, relax_method=method)
+    return outcome, _RecordingAttribution.log
+
+
+@st.composite
+def bfs_words(draw):
+    """A random CSR graph with self-loops, multi-edges and isolated vertices,
+    plus a word of lanes over mixed configurations."""
+    reachable = draw(st.integers(1, 40))
+    isolated = draw(st.integers(0, 5))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, reachable - 1), st.integers(0, reachable - 1)),
+            max_size=160,
+        )
+    )
+    # Multi-edges and self-loops, whatever else was drawn.
+    pairs += pairs[: draw(st.integers(0, 8))]
+    pairs += [(vertex, vertex) for vertex in range(0, reachable, 7)]
+    sources, destinations = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    graph = from_edge_array(
+        sources, destinations, num_vertices=reachable + isolated,
+        directed=draw(st.booleans()), name="hypothesis",
+    )
+    width = draw(st.sampled_from((1, 63, 64, 65, 70)))
+    vertex = st.integers(0, graph.num_vertices - 1)
+    picks = draw(st.lists(st.tuples(vertex, st.sampled_from(ALL_STRATEGIES)),
+                          min_size=width, max_size=width))
+    if width > 1:
+        picks[-1] = (picks[0][0], picks[-1][1])  # the same source in two lanes
+    return graph, [PackedLane(source, strategy) for source, strategy in picks]
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestNativeBFSWord:
+    """The C BFS word against the numpy sweep it replaces: the same levels,
+    the same per-iteration lane edge counts and the same attributed metrics,
+    bit for bit."""
+
+    @given(word=bfs_words())
+    @settings(max_examples=60, deadline=None)
+    def test_native_matches_numpy(self, word):
+        graph, lanes = word
+        native, native_log = _traced_bfs(graph, lanes, "native")
+        numpy, numpy_log = _traced_bfs(graph, lanes, "scatter")
+        assert native_log == numpy_log
+        assert _outcome_digest(native) == _outcome_digest(numpy)
+        for lane, a, b in zip(lanes, native.results, numpy.results):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.values, bfs_levels(graph, lane.source))
+            assert a.metrics.counters.relax_backend is None
+
+    def test_none_takes_the_native_kernel(self, random_graph, monkeypatch):
+        calls = []
+        kernel = _native.bfs_word
+        monkeypatch.setattr(
+            _native, "bfs_word", lambda *args: calls.append(1) or kernel(*args)
+        )
+        run_bfs_batch(random_graph, [0, 3, 17])
+        assert calls
+        calls.clear()
+        run_batch("bfs", random_graph, [0, 3, 17], relax_method="scatter")
+        assert not calls
+
+
+# ---------------------------------------------------------------------- #
+# Attribution accumulator and lane assembly
+# ---------------------------------------------------------------------- #
+class TestAttributionMatrix:
+    def test_accumulator_equals_summed_scaled_breakdowns(self, random_graph):
+        """The (lanes, 6) matrix holds, bit for bit, what one TimeBreakdown
+        per lane accumulated with ``add(iteration.scaled(share))``."""
+        rng = np.random.default_rng(8)
+        lanes = 9
+        lane_engine = np.array([0, 1, 0, 0, 1, 1, 0, 1, 0])
+        engines = [
+            TraversalEngine(random_graph, AccessStrategy.MERGED_ALIGNED),
+            TraversalEngine(random_graph, AccessStrategy.UVM),
+        ]
+        attribution = _Attribution(lanes, lane_engine)
+        expected = [TimeBreakdown() for _ in range(lanes)]
+        for sweep in range(12):
+            frontier = np.unique(rng.integers(0, random_graph.num_vertices, 1 + sweep * 7))
+            active = rng.random(lanes) < 0.7
+            # Every third sweep owns no edges at all: the even split.
+            lane_edges = np.where(active, rng.integers(0, 50, lanes), 0) * (sweep % 3 != 2)
+            for index, engine in enumerate(engines):
+                iteration = engine.process_frontier(frontier)
+                attribution.record(iteration, index, lane_edges, active)
+                owned = lane_engine == index
+                owned_edges = np.where(owned, lane_edges, 0)
+                total = float(owned_edges.sum())
+                if total > 0:
+                    shares = owned_edges / total
+                else:
+                    count = int(np.count_nonzero(active & owned))
+                    shares = np.where(active & owned, 1.0 / max(count, 1), 0.0)
+                for lane in range(lanes):
+                    if shares[lane] > 0:
+                        expected[lane].add(iteration.scaled(float(shares[lane])))
+        for lane in range(lanes):
+            assert attribution.seconds[lane].tolist() == list(expected[lane].components())
+            rebuilt = TimeBreakdown(*attribution.seconds[lane].tolist())
+            assert rebuilt.total() == expected[lane].total()
+
+    def test_extra_components_are_refused(self):
+        attribution = _Attribution(2, np.zeros(2, dtype=np.int64))
+        iteration = TimeBreakdown(compute_seconds=1.0, extra={"sync": 0.5})
+        with pytest.raises(SimulationError, match="extra"):
+            attribution.record(
+                iteration, 0, np.array([1, 1]), np.array([True, True])
+            )
+
+    def test_lane_counters_round_half_to_even_like_round(self, random_graph):
+        """``np.rint`` over the lane matrix is ``int(round(count * fraction))``
+        per counter, ties included (odd counts at fractions 0.5 / 0.25)."""
+        engine = TraversalEngine(random_graph, AccessStrategy.UVM)
+        for frontier in ([0, 1, 2], [5], [7, 11, 13, 17, 19]):
+            engine.process_frontier(np.array(frontier))
+        batch = engine.finalize()
+        attribution = _Attribution(4, np.zeros(4, dtype=np.int64))
+        attribution.attributed_edges[:] = [1.0, 1.0, 2.0, 0.0]
+        lanes = [PackedLane(0, AccessStrategy.UVM)] * 4
+        metrics = _lane_metrics(lanes, [engine], [batch], attribution)
+        row = batch.traffic.counter_row()
+        counters = batch.counters
+        for fraction, lane in zip((0.25, 0.25, 0.5, 0.0), metrics):
+            assert lane.traffic.counter_row() == tuple(
+                int(round(count * fraction)) for count in row
+            )
+            assert lane.counters.edges_traversed == int(
+                round(counters.edges_traversed * fraction)
+            )
+            assert lane.counters.frontier_vertices == int(
+                round(counters.frontier_vertices * fraction)
+            )
+        assert any(count % 2 for count in row), "no odd count: no tie exercised"

@@ -240,6 +240,9 @@ class TestSanitizerBuildMode:
         assert len({plain, asan, ubsan}) == 3
 
     def test_misconfigured_sanitizer_degrades_loudly(self, monkeypatch):
+        # The backend switch is checked first; this test is about the
+        # sanitizer knob, so it holds under a REPRO_NATIVE=0 run too.
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "asam")
         assert not _native.available()
         assert "sanitizer misconfigured" in _native.status()

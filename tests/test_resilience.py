@@ -3,6 +3,7 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.config import ServiceConfig
@@ -29,6 +30,7 @@ from repro.service.resilience import BREAKER_STATE_CODES, iteration_checkpoint
 from repro.errors import PermanentFaultError, TransientFaultError
 from repro.graph.generators import uniform_random_graph
 from repro.traversal import _native
+from repro.traversal.bfs import bfs_levels
 from repro.types import Application
 
 from .test_chaos import drain_all, enqueue_without_draining
@@ -469,73 +471,132 @@ class TestServiceRetries:
 
 
 # --------------------------------------------------------------------------- #
-# The native breaker only hears from sweeps that run the native kernel
+# The native breaker hears from every sweep that runs a native kernel (BFS and
+# SSSP words) and from no other
 # --------------------------------------------------------------------------- #
-@pytest.mark.skipif(not _native.available(), reason="native relax kernel unavailable")
-class TestBreakerIgnoresSweepsWithoutRelax:
-    """Regression: batched BFS drains used to ask the native-relax breaker for
-    a backend and report success to it, although BFS never runs that kernel."""
+def _drain_group(service, application, sources=(None,), strategies=("merged_aligned",)):
+    """Queue one group per strategy, then drain them on the test thread."""
+    jobs = enqueue_without_draining(
+        service,
+        [
+            TraversalRequest(
+                graph="resil", application=application, source=s, strategy=strategy
+            )
+            for strategy in strategies
+            for s in sources
+        ],
+    )
+    drain_all(service)
+    assert all(job.result is not None for job in jobs)
+    return jobs
 
-    @staticmethod
-    def _drain_group(service, application, sources):
-        """Queue one same-config group, then drain it on the test thread."""
-        jobs = enqueue_without_draining(
-            service,
-            [
-                TraversalRequest(graph="resil", application=application, source=s)
-                for s in sources
-            ],
-        )
-        drain_all(service)
-        assert all(job.result is not None for job in jobs)
-        return jobs
 
-    def _service(self, faults_spec, **config):
-        service = Service(config=ServiceConfig(fault_plan=faults_spec, **config))
-        service.registry.register_graph(make_graph())
-        return service
+def _breaker_service(faults_spec, **config):
+    service = Service(config=ServiceConfig(fault_plan=faults_spec, **config))
+    service.registry.register_graph(make_graph())
+    return service
 
-    def test_bfs_drain_does_not_take_the_half_open_probe(self):
-        with self._service(
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestBreakerIgnoresStreamingSweeps:
+    """CC and PageRank drains run no native code: they must neither take the
+    breaker's half-open probe, nor count as degraded, nor reset its count."""
+
+    def test_streaming_drain_does_not_take_the_half_open_probe(self):
+        with _breaker_service(
             "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=0
         ) as service:
-            self._drain_group(service, Application.SSSP, (0, 1, 2))
+            _drain_group(service, Application.SSSP, (0, 1, 2))
             tripped = service._breaker.snapshot()
             assert tripped["state"] == "half_open"  # open, cooldown of 0 elapsed
-            self._drain_group(service, Application.BFS, (0, 1, 2))
+            _drain_group(service, Application.CC, strategies=("merged_aligned", "uvm"))
             assert service._breaker.snapshot() == tripped
             # The next SSSP drain is the probe: the fault is spent, the
             # native kernel really runs, and only that closes the breaker.
-            probe = self._drain_group(service, Application.SSSP, (3, 4, 5))
+            probe = _drain_group(service, Application.SSSP, (3, 4, 5))
             assert service.stats().breaker_state == "closed"
             assert probe[0].result.metrics.counters.relax_backend == "native"
             transitions = service.metrics.get("repro_native_breaker_transitions_total")
             assert transitions.value(state="half_open") == 1
             assert transitions.value(state="closed") == 1
 
-    def test_bfs_drain_under_an_open_breaker_is_not_counted_degraded(self):
-        with self._service(
+    def test_streaming_drain_under_an_open_breaker_is_not_counted_degraded(self):
+        with _breaker_service(
             "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=60
         ) as service:
-            self._drain_group(service, Application.SSSP, (0, 1, 2))
+            _drain_group(service, Application.SSSP, (0, 1, 2))
             assert service.stats().breaker_state == "open"
             assert service.stats().degraded == 1
-            self._drain_group(service, Application.BFS, (0, 1, 2))
+            _drain_group(service, Application.PAGERANK, strategies=("merged_aligned", "uvm"))
             stats = service.stats()
             assert stats.breaker_state == "open"
             assert stats.degraded == 1
             assert service.metrics.get("repro_native_degraded_total").value() == 1
 
-    def test_bfs_success_does_not_reset_the_failure_count(self):
-        with self._service(
+    def test_streaming_success_does_not_reset_the_failure_count(self):
+        with _breaker_service(
             "native.invoke:permanent:limit=2", breaker_threshold=2, breaker_cooldown=60
         ) as service:
-            self._drain_group(service, Application.SSSP, (0, 1, 2))
+            _drain_group(service, Application.SSSP, (0, 1, 2))
             assert service._breaker.snapshot()["consecutive_failures"] == 1
-            self._drain_group(service, Application.BFS, (0, 1, 2))
+            _drain_group(service, Application.CC)
             assert service._breaker.snapshot()["consecutive_failures"] == 1
-            self._drain_group(service, Application.SSSP, (3, 4, 5))
+            _drain_group(service, Application.SSSP, (3, 4, 5))
             assert service.stats().breaker_state == "open"
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestBFSSweepsGoThroughTheBreaker:
+    """Regression: a failing native BFS word used to bypass the breaker and
+    fail the whole fused sweep into solo re-runs."""
+
+    @staticmethod
+    def _assert_levels(jobs):
+        graph = make_graph()
+        for job in jobs:
+            assert np.array_equal(job.result.values, bfs_levels(graph, job.request.source))
+
+    def test_one_fault_degrades_the_drain_with_identical_values(self):
+        with _breaker_service(
+            "native.invoke:permanent:limit=1", breaker_threshold=2, breaker_cooldown=60
+        ) as service:
+            jobs = _drain_group(
+                service, Application.BFS, (0, 1, 2), strategies=("merged_aligned", "uvm")
+            )
+            self._assert_levels(jobs)
+            stats = service.stats()
+            assert stats.degraded == 1
+            assert stats.failed == 0 and stats.isolations == 0
+            assert stats.breaker_state == "closed"
+            assert service._breaker.snapshot()["consecutive_failures"] == 1
+            # A clean native BFS drain is a success the breaker hears about.
+            self._assert_levels(_drain_group(service, Application.BFS, (3, 4, 5)))
+            assert service._breaker.snapshot()["consecutive_failures"] == 0
+            assert service.stats().degraded == 1
+
+    def test_bfs_faults_open_the_breaker_at_its_threshold(self):
+        with _breaker_service(
+            "native.invoke:permanent:limit=2", breaker_threshold=2, breaker_cooldown=60
+        ) as service:
+            self._assert_levels(_drain_group(service, Application.BFS, (0, 1, 2)))
+            assert service.stats().breaker_state == "closed"
+            self._assert_levels(_drain_group(service, Application.BFS, (3, 4, 5)))
+            assert service.stats().breaker_state == "open"
+            assert service.stats().degraded == 2
+            # While open, a whole BFS drain is served by numpy and counted.
+            self._assert_levels(_drain_group(service, Application.BFS, (6, 7, 8)))
+            stats = service.stats()
+            assert stats.breaker_state == "open"
+            assert stats.degraded == 3 and stats.failed == 0
+
+    def test_bfs_drain_takes_the_half_open_probe(self):
+        with _breaker_service(
+            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=0
+        ) as service:
+            _drain_group(service, Application.SSSP, (0, 1, 2))
+            assert service._breaker.snapshot()["state"] == "half_open"
+            self._assert_levels(_drain_group(service, Application.BFS, (3, 4, 5)))
+            assert service.stats().breaker_state == "closed"
 
 
 # --------------------------------------------------------------------------- #
