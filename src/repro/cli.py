@@ -722,9 +722,9 @@ def _health(argv: list[str]) -> int:
         f"(reads degraded to misses, writes dropped)",
         f"rejected after close: {stats.rejected_after_close}",
         f"durable store       : {stats.store_state} "
-        f"({stats.store_hits} persistent hits, {stats.store_writes} writes "
-        f"in {stats.store_flushes} flushes, {stats.store_backfilled} "
-        f"backfilled, {stats.store_errors} errors absorbed)",
+        f"({stats.store_hits} persistent hits, {stats.store_writes} writes, "
+        f"{stats.store_backfilled} backfilled, "
+        f"{stats.store_errors} errors absorbed)",
         "-" * 55,
         f"health: {'ok' if healthy else 'degraded'}",
     ]

@@ -406,9 +406,6 @@ class ServiceConfig:
     #: ``None`` (the default) disables durability — today's in-memory-only
     #: behavior.
     store_path: str | None = None
-    #: Seconds the store's flush thread waits between write-through batches;
-    #: smaller flushes sooner at more commit overhead.
-    store_flush_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_workers <= 0:
@@ -472,8 +469,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"store_path must be a non-empty path or None, got {self.store_path!r}"
             )
-        if self.store_flush_interval <= 0:
-            raise ConfigurationError("store_flush_interval must be positive")
 
 
 #: PCIe 3.0 x16 as measured in the paper (cudaMemcpy peak ≈ 12.3 GB/s).

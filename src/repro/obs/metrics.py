@@ -146,11 +146,8 @@ CATALOG: dict[str, tuple[str, ...]] = {
     "repro_store_hits_total": (
         "counter", "Requests answered from the persistent result cache.",
     ),
-    "repro_store_flushes_total": (
-        "counter", "Write-through batches committed by the flush thread.",
-    ),
     "repro_store_dropped_writes_total": (
-        "counter", "Pending store writes dropped (queue full).",
+        "counter", "Sweep writes dropped because the writer's queue was full.",
     ),
     "repro_store_breaker_transitions_total": (
         "counter", "Store breaker transitions, by state.", "state",
@@ -160,7 +157,7 @@ CATALOG: dict[str, tuple[str, ...]] = {
         "Durable-store state code (0 ok / 1 degraded / 2 quarantined / 3 disabled).",
     ),
     "repro_store_pending_writes": (
-        "gauge", "Store writes queued for the flush thread.",
+        "gauge", "Sweep writes queued for or running on the store's writer thread.",
     ),
 }
 

@@ -29,7 +29,7 @@ Sites
 ``store.open`` / ``store.read`` / ``store.write`` / ``store.checkpoint``
     In :class:`~repro.service.store.ServingStore`: opening (and re-opening)
     the database (context: ``path``), every persistent-cache / cost-rate read
-    (context: ``table``), each flush-thread batch commit (context: ``ops``),
+    (context: ``table``), each write transaction (context: ``path``),
     and the WAL checkpoint at close (context: ``path``).  The store absorbs
     all of them — its circuit breaker degrades serving to in-memory-only
     behavior, so store faults never fail requests.

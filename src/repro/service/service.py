@@ -193,9 +193,7 @@ class Service:
         self._store: ServingStore | None = None
         if self.config.store_path is not None:
             self._store = ServingStore(
-                self.config.store_path,
-                flush_interval=self.config.store_flush_interval,
-                on_event=self._note_store_event,
+                self.config.store_path, on_event=self._note_store_event
             )
             seeded = self._costmodel.seed(self._store.load_cost_rates())
             if seeded:
@@ -243,8 +241,6 @@ class Service:
             )
         elif kind == "hit":
             m["repro_store_hits_total"].inc()
-        elif kind == "flush":
-            m["repro_store_flushes_total"].inc()
         elif kind == "drop":
             m["repro_store_dropped_writes_total"].inc()
         elif kind == "breaker":
@@ -265,7 +261,7 @@ class Service:
         if store is None:
             return
         for key, result in store.record_load(name, graph):
-            self._cache_put_memory_safe(key, result)
+            self._cache_put_safe(key, result)
 
     def _on_graph_evict(self, name: str) -> None:
         store = self._store
@@ -325,12 +321,6 @@ class Service:
         if error is not None:
             self._metrics["repro_costmodel_abs_error_seconds"].observe(error)
             self._metrics["repro_costmodel_observations_total"].inc()
-            store = self._store
-            if store is not None:
-                # Persist the application's updated rate so a restarted
-                # service prices admission from it instead of the prior.
-                application = groups[0][0].request.application.value
-                store.enqueue_cost(application, self._costmodel.rate(application))
 
     def _record_kernel_counters(self, app: str, metrics_list) -> str | None:
         """Aggregate engine-level counters into the registry; returns the backend."""
@@ -509,29 +499,20 @@ class Service:
         # in-memory cache so repeats stay at memory speed.
         result = self._store.lookup(key)
         if result is not None:
-            self._cache_put_memory_safe(key, result)
+            self._cache_put_safe(key, result)
         return result
 
-    def _cache_put_memory_safe(self, key: tuple, result: TraversalResult) -> None:
-        """In-memory-only cache fill (store backfills / persistent hits)."""
+    def _cache_put_safe(self, key: tuple, result: TraversalResult) -> None:
+        """Result-cache fill that drops the entry instead of failing the job.
+
+        In-memory only: a computed result reaches the durable store through
+        its sweep's one write (:meth:`_persist_sweep`).
+        """
         try:
             self._cache.put(key, result)
         except Exception:  # noqa: BLE001 - cache faults drop the entry
             self._metrics["repro_cache_errors_total"].inc(op="put")
             logger.warning("result cache put failed; result not cached", exc_info=True)
-
-    def _cache_put_safe(self, key: tuple, result: TraversalResult) -> None:
-        """Result-cache fill that drops the entry instead of failing the job.
-
-        With a durable store attached the result also writes through —
-        asynchronously, off the request hot path: the store's flush thread
-        picks it up from a bounded queue and tags it with the graph's
-        catalog fingerprint.
-        """
-        self._cache_put_memory_safe(key, result)
-        store = self._store
-        if store is not None:
-            store.enqueue_result(key, result)
 
     def _check_job_fault(self, job: Job) -> None:
         """Arm the per-job ``worker.task`` injection site with match context."""
@@ -868,6 +849,24 @@ class Service:
             finally:
                 for job in jobs:
                     job.wake()
+
+    def _persist_sweep(
+        self, graph: CSRGraph, published: list[tuple[Job, TraversalResult]]
+    ) -> None:
+        """Queue one engine invocation's store write, before its jobs settle.
+
+        One op carries the sweep's results and its application's current
+        rate (so a restarted service prices admission from it, not the
+        prior); the store's flush thread commits it.  Queued before the
+        wake, so a woken client's ``store.flush()`` covers it.
+        """
+        store = self._store
+        if store is not None:
+            store.record_sweep(
+                graph,
+                [(job.request.cache_key, result) for job, result in published],
+                self._costmodel.rate,
+            )
 
     def _note_finished_locked(self, *jobs: Job) -> None:
         """Record outcomes, latency samples and deadline results of ``jobs``.
@@ -1210,6 +1209,7 @@ class Service:
             # nothing about what sweeping this graph actually costs.
             self._observe_cost([[job]], elapsed, predicted)
             self._cache_put_safe(job.request.cache_key, result)
+            self._persist_sweep(graph, [(job, result)])
             job.mark_done(result)
         # Release only after the cache holds the result, so identical
         # requests always find either the in-flight job or the cached
@@ -1408,6 +1408,7 @@ class Service:
             self._cache_put_safe(job.request.cache_key, result)
             job.mark_done(result)
             self._queue.release(job)
+        self._persist_sweep(graph, published)
         self._settle(*all_jobs)
         return groups, predicted
 

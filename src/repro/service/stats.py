@@ -109,14 +109,13 @@ class ServiceStats:
     #: Requests answered from the persistent result cache (reads the
     #: in-memory cache missed).
     store_hits: int = 0
-    #: Rows written through to the store by the flush thread.
+    #: Rows committed to the store (results, rates, catalog upserts, purges
+    #: and evictions).
     store_writes: int = 0
-    #: Write-through batches committed (each one transaction).
-    store_flushes: int = 0
     #: Store failures absorbed (armed faults included); these trip the store
     #: breaker, never requests.
     store_errors: int = 0
-    #: Pending write-through ops queued for the flush thread.
+    #: Sweep writes queued for or running on the store's writer thread.
     store_pending: int = 0
     #: Cached results re-installed into the in-memory cache at graph load
     #: (warm restart backfill).
@@ -146,7 +145,6 @@ class ServiceStats:
                 store_state=store.state,
                 store_hits=store.hits,
                 store_writes=store.writes,
-                store_flushes=store.flushes,
                 store_errors=store.errors,
                 store_pending=store.pending,
                 store_backfilled=store.backfilled,
@@ -244,7 +242,7 @@ class ServiceStats:
             f"{self.faults_injected} faults injected, "
             f"{self.cache_errors} cache errors absorbed",
             f"store: {self.store_state}, {self.store_hits} hits, "
-            f"{self.store_writes} writes in {self.store_flushes} flushes, "
+            f"{self.store_writes} writes, "
             f"{self.store_backfilled} backfilled, "
             f"{self.store_errors} errors absorbed, "
             f"{self.store_pending} pending",

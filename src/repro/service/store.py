@@ -12,18 +12,20 @@ Graph catalog
 
 Result cache
     One row per :attr:`TraversalRequest.cache_key`, payload pickled, tagged
-    with the graph fingerprint current when the result was computed.  A
-    lookup joins against the catalog so a row whose fingerprint no longer
-    matches the graph's last-load fingerprint is *detected as stale and
-    treated as a miss*, never served; :meth:`record_load` purges mismatched
-    rows the moment a graph's content is observed to have changed.
+    with the fingerprint of the graph object the sweep ran on.  A lookup
+    joins against the catalog so a row whose fingerprint no longer matches
+    the graph's last-load fingerprint is *detected as stale and treated as a
+    miss*, never served; :meth:`record_load` purges mismatched rows the
+    moment a graph's content is observed to have changed.  The table has no
+    foreign key: the join does the validation, so a result never waits for
+    its graph's catalog row.
 
 Cost-model rates
     One row per application holding its learned seconds per edge-word,
-    replaced (``INSERT OR REPLACE``) every time the live model absorbs an
-    observation — four rows at most.  :meth:`load_cost_rates` returns them so
-    a restarted :class:`~repro.service.costmodel.CostModel` prices work from
-    what it learned instead of the prior.  A version-1 file kept per-family
+    replaced (``INSERT OR REPLACE``) in every sweep's transaction — four
+    rows at most.  :meth:`load_cost_rates` returns them so a restarted
+    :class:`~repro.service.costmodel.CostModel` prices work from what it
+    learned instead of the prior.  A version-1 file kept per-family
     EWMA rows in ``cost_history``; opening one drops that table in place (the
     new model cannot read it) and keeps its catalog and cached results.
 
@@ -37,14 +39,23 @@ Robustness model
 
 The store must never make a request fail:
 
-* All writes are **asynchronous**: producers enqueue small op tuples onto a
-  bounded queue (pickling deferred to the flush thread, so the request hot
-  path pays one ``put_nowait``); a daemon flush thread batches them into
-  single transactions.  A full queue drops the newest op and counts it.
+* Sweep writes are **asynchronous**: a worker queues one op per engine
+  invocation (:meth:`record_sweep`; pickling deferred to the flush thread,
+  so neither a client nor the next sweep waits on SQLite), and a daemon
+  flush thread commits each burst of them as one transaction.  A full
+  queue drops the newest op and counts it, as does :meth:`close` for ops a
+  stalled flush thread never took.  Loads and evictions commit inline on
+  the thread that observed them; the flush thread pickles and hashes
+  before it takes the write lock, so they wait only for its inserts.
+* A failed or skipped write is counted and **not retried** — every row can
+  be re-derived: a result by recomputing it, a rate from the next
+  observation, a catalog row from the next load.  Until a load's catalog
+  row commits, its graph's cached rows are hidden from lookups, so a lost
+  catalog write costs misses, never a stale hit.
 * Every SQLite touch runs behind a **circuit breaker**.  Consecutive
   failures (including armed ``store.*`` faults) open it: reads answer
-  ``None`` immediately, write batches are re-queued and retried after the
-  cooldown's half-open probe.  While open the service is exactly the old
+  ``None`` and writes are skipped immediately until the cooldown's
+  half-open probe.  While open the service is exactly the old
   in-memory-only system — *degraded, not failing*.
 * :meth:`open` runs ``PRAGMA integrity_check`` first.  A corrupt or torn
   database (a crash mid-write, a truncated file) is **quarantined**: the
@@ -72,7 +83,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..analysis.lockorder import tracked_lock
 from ..errors import StoreError
@@ -93,18 +104,18 @@ STORE_STATE_CODES = {
 }
 
 #: Pending-write queue bound: beyond this, the newest op is dropped (and
-#: counted) instead of blocking a request thread.
+#: counted) instead of blocking a worker.
 DEFAULT_QUEUE_LIMIT = 4096
 
 #: Max ops folded into one flush transaction.
 FLUSH_BATCH_LIMIT = 256
 
-#: Seconds the flush thread waits for work before re-checking shutdown.
-DEFAULT_FLUSH_INTERVAL = 0.05
+#: Seconds the flush thread holds a batch open for the rest of its burst.
+FLUSH_INTERVAL = 0.05
 
-#: Flush attempts a result op survives while waiting for its graph's
-#: catalog upsert to land (see :meth:`ServingStore._apply_op`).
-RESULT_DEFER_LIMIT = 8
+#: Seconds flush() and close() wait on a stalled flush thread before giving
+#: up on the ops still queued.
+DRAIN_TIMEOUT = 5.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -199,7 +210,6 @@ class StoreStats:
     hits: int
     misses: int
     writes: int
-    flushes: int
     dropped: int
     errors: int
     backfilled: int
@@ -215,16 +225,15 @@ class ServingStore:
     """SQLite/WAL durability layer behind a circuit breaker.
 
     ``on_event`` (optional) receives ``(kind, labels)`` for every countable
-    event — ``op`` (labels op/outcome), ``hit``, ``flush``, ``drop``,
-    ``breaker`` (label state) — which is how the service maps store activity
-    onto its catalog-declared ``repro_store_*`` metric series without the
-    store importing the metrics registry.
+    event — ``op`` (labels op/outcome), ``hit``, ``drop``, ``breaker``
+    (label state) — which is how the service maps store activity onto its
+    catalog-declared ``repro_store_*`` metric series without the store
+    importing the metrics registry.
     """
 
     def __init__(
         self,
         path: str | Path,
-        flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 2.0,
@@ -254,10 +263,14 @@ class ServingStore:
         #: for a single serving process per database; the sharded tier will
         #: need cross-process invalidation here.
         self._known_keys: set[tuple[str, str, str, str, str]] = set()
+        #: name -> (graph, fingerprint) of each graph's last recorded load, so
+        #: a sweep over that very object is tagged without re-hashing it.
+        #: Dropped at eviction, which keeps the store from pinning a graph
+        #: the registry let go.
+        self._loaded: dict[str, tuple[CSRGraph, str]] = {}
         self._hits = 0
         self._misses = 0
         self._writes = 0
-        self._flushes = 0
         self._dropped = 0
         self._errors = 0
         self._backfilled = 0
@@ -271,7 +284,6 @@ class ServingStore:
         # Set by flush()/close() to cut the flusher's coalescing wait
         # short; the flusher clears it after each wakeup.
         self._kick = threading.Event()
-        self._flush_interval = max(0.001, float(flush_interval))
         # First open happens inline so a corrupt database is quarantined
         # before the service accepts any request; failures degrade rather
         # than raise (the breaker's half-open probe retries later).
@@ -329,7 +341,11 @@ class ServingStore:
                     " FROM result_cache"
                 ).fetchall()
             with self._state_lock:
-                self._known_keys = {tuple(row) for row in rows}
+                # A graph loaded while the store was unreachable has no catalog
+                # row for its content yet, so its old rows stay hidden.
+                self._known_keys = {
+                    tuple(row) for row in rows if row[0] not in self._loaded
+                }
         except Exception:
             self._count_error()
             self._breaker.record_failure()
@@ -465,7 +481,6 @@ class ServingStore:
                 self._hits,
                 self._misses,
                 self._writes,
-                self._flushes,
                 self._dropped,
                 self._errors,
                 self._backfilled,
@@ -478,10 +493,9 @@ class ServingStore:
             hits=counters[0],
             misses=counters[1],
             writes=counters[2],
-            flushes=counters[3],
-            dropped=counters[4],
-            errors=counters[5],
-            backfilled=counters[6],
+            dropped=counters[3],
+            errors=counters[4],
+            backfilled=counters[5],
             pending=self._pending.qsize(),
             quarantined=quarantined,
             breaker_state=self._breaker.snapshot()["state"],
@@ -517,17 +531,19 @@ class ServingStore:
         be returned.  Any store trouble — armed fault, locked file, broken
         connection — is absorbed into a miss.
         """
-        conn = self._guarded_read_connection("read")
-        if conn is None:
-            return None
         columns = _key_columns(key)
         # Misses are decided from the in-memory key set — no SQLite, no GIL
         # handoff to a C call — because on a loaded service the miss is the
         # common case and the request thread competes with numpy kernels.
+        # Decided before the breaker is asked, so such a miss never takes a
+        # half-open probe it would leave unresolved.
         with self._state_lock:
             if columns not in self._known_keys:
                 self._misses += 1
                 return None
+        conn = self._guarded_read_connection("read")
+        if conn is None:
+            return None
         try:
             with self._read_lock:
                 faults.check("store.read", table="result_cache")
@@ -579,38 +595,83 @@ class ServingStore:
         return {application: float(rate) for application, rate in rows}
 
     # ------------------------------------------------------------------ #
-    # Graph lifecycle (load path: synchronous reads are fine here)
+    # Graph lifecycle (load path: synchronous I/O is fine here)
     # ------------------------------------------------------------------ #
     def record_load(
         self, name: str, graph: CSRGraph
     ) -> list[tuple[tuple, TraversalResult]]:
         """Catalog a completed graph load; return rows to backfill.
 
-        Upserts the catalog row (enqueued, async), purges cached results
-        whose fingerprint no longer matches the loaded content, and reads
-        back the still-valid rows so the service can warm its in-memory
-        cache — restart repeats then hit at memory speed.
+        One transaction upserts the catalog row and purges cached results
+        whose fingerprint no longer matches the loaded content; the
+        still-valid rows are then read back so the service can warm its
+        in-memory cache — restart repeats then hit at memory speed.
+
+        The graph's rows are hidden from :meth:`lookup` until that
+        transaction commits: if it fails or the breaker skips it, the catalog
+        still holds the previous content's fingerprint, so they stay hidden
+        (lookups miss) until a later load of ``name`` commits.
         """
         fingerprint = graph_fingerprint(graph)
         stats = degree_stats(graph)
         params = json.dumps(dict(graph.meta), sort_keys=True, default=str)
-        self._enqueue(
-            (
-                "catalog_load",
-                name,
-                fingerprint,
-                stats.num_vertices,
-                stats.num_edges,
-                graph.total_bytes,
-                stats.average_degree,
-                stats.median_degree,
-                stats.max_degree,
-                stats.min_degree,
-                stats.std_degree,
-                params,
+        with self._state_lock:
+            self._loaded[name] = (graph, fingerprint)
+            self._known_keys = {k for k in self._known_keys if k[0] != name}
+        now = _utcnow()
+
+        def apply(conn: sqlite3.Connection) -> int:
+            conn.execute(
+                "INSERT INTO graph_catalog"
+                " (name, fingerprint, num_vertices, num_edges, total_bytes,"
+                "  average_degree, median_degree, max_degree, min_degree,"
+                "  std_degree, params, resident, loads, evictions,"
+                "  first_loaded_at, last_loaded_at)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 1, 1, 0, ?, ?)"
+                " ON CONFLICT(name) DO UPDATE SET"
+                "  fingerprint = excluded.fingerprint,"
+                "  num_vertices = excluded.num_vertices,"
+                "  num_edges = excluded.num_edges,"
+                "  total_bytes = excluded.total_bytes,"
+                "  average_degree = excluded.average_degree,"
+                "  median_degree = excluded.median_degree,"
+                "  max_degree = excluded.max_degree,"
+                "  min_degree = excluded.min_degree,"
+                "  std_degree = excluded.std_degree,"
+                "  params = excluded.params,"
+                "  resident = 1,"
+                "  loads = graph_catalog.loads + 1,"
+                "  last_loaded_at = excluded.last_loaded_at",
+                (
+                    name,
+                    fingerprint,
+                    stats.num_vertices,
+                    stats.num_edges,
+                    graph.total_bytes,
+                    stats.average_degree,
+                    stats.median_degree,
+                    stats.max_degree,
+                    stats.min_degree,
+                    stats.std_degree,
+                    params,
+                    now,
+                    now,
+                ),
             )
-        )
-        self._enqueue(("purge_stale", name, fingerprint))
+            conn.execute(
+                "DELETE FROM result_cache WHERE graph = ? AND fingerprint != ?",
+                (name, fingerprint),
+            )
+            survivors = conn.execute(
+                "SELECT graph, application, source, strategy, system"
+                " FROM result_cache WHERE graph = ?",
+                (name,),
+            ).fetchall()
+            with self._state_lock:
+                self._known_keys.update(tuple(row) for row in survivors)
+            return 2
+
+        self._commit(apply)
         return self._backfill_rows(name, fingerprint)
 
     def _backfill_rows(
@@ -654,62 +715,145 @@ class ServingStore:
         return entries
 
     def record_eviction(self, name: str) -> None:
-        self._enqueue(("catalog_evict", name))
+        """Mark the graph non-resident in the catalog and count the eviction."""
+        with self._state_lock:
+            self._loaded.pop(name, None)
+
+        def apply(conn: sqlite3.Connection) -> int:
+            conn.execute(
+                "UPDATE graph_catalog SET resident = 0,"
+                " evictions = evictions + 1 WHERE name = ?",
+                (name,),
+            )
+            return 1
+
+        self._commit(apply)
 
     # ------------------------------------------------------------------ #
-    # Writes (hot path: enqueue only)
+    # Sweep writes (hot path: enqueue only)
     # ------------------------------------------------------------------ #
-    def enqueue_result(self, key: tuple, result: TraversalResult) -> None:
-        """Write-through a finished result (pickled later, off-thread)."""
-        self._enqueue(("result", key, result))
+    def record_sweep(
+        self,
+        graph: CSRGraph,
+        results: Sequence[tuple[tuple, TraversalResult]],
+        rate_of: Callable[[str], float | None],
+    ) -> None:
+        """Queue one engine invocation's write for the flush thread.
 
-    def enqueue_cost(self, application: str, rate: float) -> None:
-        """Replace the application's row with its current cost-model rate."""
-        self._enqueue(("cost", application, float(rate)))
-
-    def _enqueue(self, op: tuple) -> None:
-        if self._closed or self._stop.is_set():
+        Every ``(cache_key, result)`` pair (at least one; one graph, one
+        application) lands in ``result_cache``, tagged with the fingerprint
+        of ``graph`` — the object the sweep ran on, not whatever the catalog
+        holds when the write commits — unless its graph has been loaded with
+        other content since, in which case the rows are not written at all.
+        ``rate_of`` (the cost model's ``rate``; ``None`` for an application
+        with no learned rate yet) is read when the flush thread takes the
+        op, so the last commit persists the newest rate.
+        """
+        if self._stop.is_set():
             return
         try:
-            self._pending.put_nowait(op)
+            self._pending.put_nowait((graph, list(results), rate_of))
         except queue.Full:
             with self._state_lock:
                 self._dropped += 1
             self._emit("drop", {})
 
+    def _sweep_rows(
+        self, graph: CSRGraph, results: list[tuple[tuple, TraversalResult]]
+    ) -> tuple[str, list[tuple]]:
+        """Fingerprint and pickle one queued sweep, before the write lock."""
+        with self._state_lock:
+            loaded = self._loaded.get(str(results[0][0][0]))
+        # Hash only a graph object that is not the recorded load.
+        if loaded is not None and loaded[0] is graph:
+            fingerprint = loaded[1]
+        else:
+            fingerprint = graph_fingerprint(graph)
+        now = _utcnow()
+        return fingerprint, [
+            (*_key_columns(key), fingerprint, pickle.dumps(result), now)
+            for key, result in results
+        ]
+
+    def _write_batch(self, batch: list[tuple]) -> None:
+        """Commit a batch of queued sweeps and their rates as one transaction.
+
+        Pickling and hashing happen first, so ``_db_lock`` — which a graph
+        load or eviction on a worker thread also waits for — covers only the
+        inserts and the commit.
+        """
+        try:
+            sweeps = [self._sweep_rows(graph, results) for graph, results, _ in batch]
+            now = _utcnow()
+            rates = []
+            for application, rate_of in {
+                str(results[0][0][1]): rate_of for _, results, rate_of in batch
+            }.items():
+                rate = rate_of(application)
+                if rate is not None:
+                    rates.append((application, float(rate), now))
+        except Exception:
+            # A result that will not pickle is a data problem, not a store
+            # failure: count the dropped batch, leave the breaker alone.
+            self._count_error()
+            self._emit("op", {"op": "write", "outcome": "error"})
+            return
+
+        def apply(conn: sqlite3.Connection) -> int:
+            written = len(rates)
+            for fingerprint, rows in sweeps:
+                with self._state_lock:
+                    loaded = self._loaded.get(rows[0][0])
+                    if loaded is not None and loaded[1] != fingerprint:
+                        # Computed on content its graph has since lost.
+                        continue
+                    # Registered before the commit: at worst a transient
+                    # false positive, which costs a lookup one SQLite miss.
+                    self._known_keys.update(row[:5] for row in rows)
+                conn.executemany(
+                    "INSERT OR REPLACE INTO result_cache"
+                    " (graph, application, source, strategy, system,"
+                    "  fingerprint, payload, created_at)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    rows,
+                )
+                written += len(rows)
+            conn.executemany(
+                "INSERT OR REPLACE INTO cost_rates"
+                " (application, seconds_per_edge_word, recorded_at)"
+                " VALUES (?, ?, ?)",
+                rates,
+            )
+            return written
+
+        self._commit(apply)
+
     # ------------------------------------------------------------------ #
     # Flush thread
     # ------------------------------------------------------------------ #
     def _flush_loop(self) -> None:
-        while not self._stop.is_set():
-            batch = self._collect_batch(timeout=self._flush_interval)
+        """Commit queued sweeps, one burst per transaction, until closed and drained."""
+        while not (self._stop.is_set() and self._pending.empty()):
+            batch = self._collect_batch(timeout=FLUSH_INTERVAL)
             if not batch:
                 continue
             if not self._stop.is_set() and len(batch) < FLUSH_BATCH_LIMIT:
                 # The get() above wakes on a burst's *first* op.  Hold the
-                # batch open for one flush interval so the rest of the
-                # burst coalesces into the same transaction — without this
-                # a lightly loaded service commits once per op, and those
-                # per-op WAL commits (not the request path) are what shows
-                # up as serving overhead.  flush()/close() kick the event
-                # to cut the wait short for synchronous drains; clearing
-                # *before* the wait discards a kick left over from an
-                # already-finished drain (a live flush() re-sets it every
-                # millisecond, so no cut-short is ever lost).
+                # batch open for one flush interval so the rest of the burst
+                # coalesces into the same transaction — and so a burst's
+                # first stretch runs without write work beside it: writing
+                # each sweep at once measured +9-20 % p50 on a store-backed
+                # serve-backlog wave on a 2-core host.  flush()/close() kick
+                # the event to cut the wait short; clearing *before* the wait
+                # discards a kick left over from an already-finished drain (a
+                # live flush() re-sets it every millisecond, so no cut-short
+                # is lost).
                 self._kick.clear()
-                self._kick.wait(self._flush_interval)
+                self._kick.wait(FLUSH_INTERVAL)
                 batch.extend(self._collect_batch(timeout=0.0))
-            ok, deferred = self._write_batch(batch)
-            if not ok:
-                # Batch retained for the breaker's next probe window.
-                self._requeue(batch)
-            elif deferred:
-                # Give the racing catalog upsert one flush interval to
-                # arrive instead of spinning the deferral budget dry.
-                self._requeue(deferred)
-            self._finish(batch)
-            if not ok or deferred:
-                self._stop.wait(self._flush_interval)
+            self._write_batch(batch)
+            for _ in batch:
+                self._pending.task_done()
 
     def _collect_batch(self, timeout: float | None) -> list[tuple]:
         batch: list[tuple] = []
@@ -731,218 +875,50 @@ class ServingStore:
                 kept.append(op)
         return kept
 
-    def _requeue(self, batch: list[tuple]) -> None:
-        for op in batch:
+    def _drop_pending(self) -> None:
+        """Empty the queue without writing, counting each sweep as dropped."""
+        while True:
             try:
-                self._pending.put_nowait(op)
-            except queue.Full:
+                op = self._pending.get_nowait()
+            except queue.Empty:
+                return
+            self._pending.task_done()
+            if op is not None:
                 with self._state_lock:
                     self._dropped += 1
                 self._emit("drop", {})
 
-    def _finish(self, batch: list[tuple]) -> None:
-        """Balance the queue's unfinished-task count for one batch.
+    def _commit(self, apply: Callable[[sqlite3.Connection], int]) -> None:
+        """Run ``apply`` as one write transaction behind the breaker.
 
-        Every op collected from the queue is marked done exactly once,
-        *after* any re-queue ``put`` for it — so ``unfinished_tasks`` only
-        reaches zero when no op is queued or held in flight by a flushing
-        thread.  :meth:`flush` relies on that to know a drain is complete.
+        ``apply`` returns how many rows it wrote, for :attr:`StoreStats.writes`.
+        Never raises and never retries: a skipped (breaker open) or failed
+        write is counted on the ``op``/``outcome`` events and dropped —
+        every row the store holds can be re-derived.
         """
-        for _ in batch:
-            self._pending.task_done()
-
-    def _write_batch(self, batch: list[tuple]) -> "tuple[bool, list[tuple]]":
-        """Apply one batch in a single transaction.
-
-        Returns ``(ok, deferred)``: ``ok`` False keeps the whole batch
-        queued (transaction failed); ``deferred`` holds result ops that
-        raced their graph's catalog upsert and should be retried after it
-        lands (each carries a decremented retry budget).
-        """
-        conn = self._guarded_connection("write")
-        if conn is None:
-            return False, []
-        deferred: list[tuple] = []
-        # Result ops are applied *after* everything else in the batch, as
-        # one prefetch SELECT plus one executemany: they then see every
-        # catalog upsert the batch carries (fewer spurious deferrals), a
-        # current-fingerprint row trivially survives its own graph's
-        # purge_stale, and — the reason this is worth the asymmetry — a
-        # burst of N results costs two GIL release/re-acquire round-trips
-        # instead of N+1.  Each re-acquire stalls behind whatever compute
-        # thread holds the interpreter, so per-op INSERTs made the flush
-        # thread's wall cost scale with the sweep load beside it.
-        results: list[tuple] = []
+        if self._guarded_connection("write") is None:
+            return
         try:
             with self._db_lock:
-                faults.check("store.write", ops=len(batch))
-                for op in batch:
-                    if op[0] == "result":
-                        results.append(op)
-                    else:
-                        self._apply_op(conn, op, deferred)
-                if results:
-                    self._apply_results(conn, results, deferred)
-                conn.commit()
-        except Exception:
-            try:
-                with self._db_lock:
+                conn = self._conn
+                if conn is None:  # closed after the breaker let this through
+                    return
+                try:
+                    faults.check("store.write", path=str(self.path))
+                    rows = apply(conn)
+                    conn.commit()
+                except BaseException:
                     conn.rollback()
-            except Exception:
-                pass
+                    raise
+        except Exception:
             self._count_error()
             self._breaker.record_failure()
             self._emit("op", {"op": "write", "outcome": "error"})
-            return False, []
-        retained = [op for op in deferred if op[3] > 0]
-        exhausted = len(deferred) - len(retained)
+            return
         with self._state_lock:
-            self._writes += len(batch) - len(deferred)
-            self._flushes += 1
-            self._dropped += exhausted
-        for _ in range(exhausted):
-            self._emit("drop", {})
+            self._writes += rows
         self._breaker.record_success()
         self._emit("op", {"op": "write", "outcome": "ok"})
-        self._emit("flush", {})
-        return True, retained
-
-    def _apply_results(
-        self, conn: sqlite3.Connection, ops: list[tuple], deferred: list[tuple]
-    ) -> None:
-        """Insert a batch of result ops with two statements total.
-
-        One prefetch maps each distinct graph to its catalog fingerprint;
-        ops whose graph has no catalog row yet are deferred — a worker
-        that *joined* a load can finish and enqueue its result before the
-        loader thread's listener enqueues the catalog upsert, and an
-        unversionable row would be unservable, so it retries (bounded
-        budget) rather than dropping.  The rest land in one executemany.
-        """
-        now = _utcnow()
-        names = sorted({_key_columns(op[1])[0] for op in ops})
-        placeholders = ", ".join("?" for _ in names)
-        fingerprints = dict(
-            conn.execute(
-                "SELECT name, fingerprint FROM graph_catalog"
-                f" WHERE name IN ({placeholders})",
-                names,
-            ).fetchall()
-        )
-        rows: list[tuple] = []
-        inserted: list[tuple] = []
-        for op in ops:
-            _, key, result = op[:3]
-            remaining = op[3] if len(op) > 3 else RESULT_DEFER_LIMIT
-            columns = _key_columns(key)
-            fingerprint = fingerprints.get(columns[0])
-            if fingerprint is None:
-                deferred.append(("result", key, result, remaining - 1))
-                continue
-            rows.append((*columns, fingerprint, pickle.dumps(result), now))
-            inserted.append(columns)
-        if rows:
-            conn.executemany(
-                "INSERT OR REPLACE INTO result_cache"
-                " (graph, application, source, strategy, system,"
-                "  fingerprint, payload, created_at)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-            # Keys registered before the transaction commits are at worst
-            # transient false positives: the lookup pays one SQLite miss.
-            with self._state_lock:
-                self._known_keys.update(inserted)
-
-    def _apply_op(
-        self, conn: sqlite3.Connection, op: tuple, deferred: list[tuple]
-    ) -> None:
-        kind = op[0]
-        now = _utcnow()
-        if kind == "catalog_load":
-            (
-                _,
-                name,
-                fingerprint,
-                num_vertices,
-                num_edges,
-                total_bytes,
-                average_degree,
-                median_degree,
-                max_degree,
-                min_degree,
-                std_degree,
-                params,
-            ) = op
-            conn.execute(
-                "INSERT INTO graph_catalog"
-                " (name, fingerprint, num_vertices, num_edges, total_bytes,"
-                "  average_degree, median_degree, max_degree, min_degree,"
-                "  std_degree, params, resident, loads, evictions,"
-                "  first_loaded_at, last_loaded_at)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 1, 1, 0, ?, ?)"
-                " ON CONFLICT(name) DO UPDATE SET"
-                "  fingerprint = excluded.fingerprint,"
-                "  num_vertices = excluded.num_vertices,"
-                "  num_edges = excluded.num_edges,"
-                "  total_bytes = excluded.total_bytes,"
-                "  average_degree = excluded.average_degree,"
-                "  median_degree = excluded.median_degree,"
-                "  max_degree = excluded.max_degree,"
-                "  min_degree = excluded.min_degree,"
-                "  std_degree = excluded.std_degree,"
-                "  params = excluded.params,"
-                "  resident = 1,"
-                "  loads = graph_catalog.loads + 1,"
-                "  last_loaded_at = excluded.last_loaded_at",
-                (
-                    name,
-                    fingerprint,
-                    num_vertices,
-                    num_edges,
-                    total_bytes,
-                    average_degree,
-                    median_degree,
-                    max_degree,
-                    min_degree,
-                    std_degree,
-                    params,
-                    now,
-                    now,
-                ),
-            )
-        elif kind == "purge_stale":
-            _, name, fingerprint = op
-            conn.execute(
-                "DELETE FROM result_cache WHERE graph = ? AND fingerprint != ?",
-                (name, fingerprint),
-            )
-            survivors = conn.execute(
-                "SELECT graph, application, source, strategy, system"
-                " FROM result_cache WHERE graph = ?",
-                (name,),
-            ).fetchall()
-            with self._state_lock:
-                self._known_keys = {
-                    k for k in self._known_keys if k[0] != name
-                } | {tuple(row) for row in survivors}
-        elif kind == "catalog_evict":
-            _, name = op
-            conn.execute(
-                "UPDATE graph_catalog SET resident = 0,"
-                " evictions = evictions + 1 WHERE name = ?",
-                (name,),
-            )
-        elif kind == "cost":
-            _, application, rate = op
-            conn.execute(
-                "INSERT OR REPLACE INTO cost_rates"
-                " (application, seconds_per_edge_word, recorded_at)"
-                " VALUES (?, ?, ?)",
-                (application, rate, now),
-            )
-        else:  # pragma: no cover - enqueue sites are the only producers
-            raise StoreError(f"unknown store op {kind!r}")
 
     # ------------------------------------------------------------------ #
     # Checkpoint / close
@@ -967,78 +943,50 @@ class ServingStore:
         return True
 
     def flush(self) -> None:
-        """Drain every pending write synchronously (best effort).
+        """Return once every sweep queued so far has committed (or failed).
 
-        While the flush thread is alive it stays the *only* consumer: a
-        second drainer stealing ops from the queue would break FIFO order
-        (a result op can then retry against a catalog upsert still held in
-        the flusher's open batch, spinning its deferral budget dry), so
-        this path just kicks the flusher out of its coalescing wait and
-        waits for the queue to settle.  The inline drain below is for
-        after the flusher has exited (close) or died.
+        Nothing is retried, so each op leaves the queue's unfinished count
+        after one attempt; kicking the flusher out of its coalescing wait
+        keeps the drain prompt.  Gives up after :data:`DRAIN_TIMEOUT` — a
+        stalled write (a latency fault, another process's lock) must not
+        hang the caller.
         """
-        if self._flusher.is_alive() and not self._stop.is_set():
-            errors_before = self._errors
-            deadline = time.monotonic() + 5.0
-            while self._pending.unfinished_tasks:
-                if self._errors > errors_before:
-                    # The store is failing writes; stay best-effort like
-                    # the inline path and leave retries to the flusher.
-                    return
-                if time.monotonic() > deadline:
-                    # Breaker-open stores fail writes without counting
-                    # errors; don't wait out their probe cadence forever.
-                    return
-                self._kick.set()
-                time.sleep(0.001)
-            return
-        while True:
-            batch = self._collect_batch(timeout=0.0)
-            if not batch:
-                # The queue looks empty, but the flush thread may hold a
-                # collected batch it has not committed yet — the queue's
-                # unfinished-task count covers exactly that window.  Failed
-                # or deferred ops come back as visible puts, so this wait
-                # cannot outlive the in-flight transaction.
-                if self._pending.unfinished_tasks == 0:
-                    return
-                time.sleep(0.001)
-                continue
-            ok, deferred = self._write_batch(batch)
-            if not ok:
-                # Keep durability best-effort on a broken store: the ops are
-                # requeued once so close() doesn't spin, then abandoned.
-                self._requeue(batch)
-                self._finish(batch)
-                return
-            if deferred:
-                # Decrementing retry budgets guarantee this loop terminates
-                # even if the catalog row never arrives.
-                self._requeue(deferred)
-            self._finish(batch)
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        while (
+            self._pending.unfinished_tasks
+            and self._flusher.is_alive()
+            and time.monotonic() < deadline
+        ):
+            self._kick.set()
+            time.sleep(0.001)
 
     def close(self) -> None:
-        """Drain pending writes, checkpoint the WAL, close the connection."""
+        """Drain pending writes, checkpoint the WAL, close both connections.
+
+        A flush thread still busy after :data:`DRAIN_TIMEOUT` is stalled in
+        a transaction: the ops it has not taken are dropped and counted, so
+        close waits out that one transaction, not one per queued op.
+        """
         if self._closed:
             return
         self._stop.set()
         self._kick.set()
         try:
-            # Wake the flusher out of its blocking get immediately — with a
-            # long flush interval the join below would otherwise wait out
-            # the whole interval (or its 5s cap) for nothing.
+            # Wake a flusher blocked in get(); it drains the queue and exits.
             self._pending.put_nowait(None)
         except queue.Full:
             pass
-        if self._flusher.is_alive():
-            self._flusher.join(timeout=5.0)
-        self.flush()
+        self._flusher.join(timeout=DRAIN_TIMEOUT)
+        self._drop_pending()
         self.checkpoint()
         self._final_state = self.state
         self._closed = True
-        for attribute in ("_conn", "_read_conn"):
-            conn = getattr(self, attribute)
-            setattr(self, attribute, None)
+        # Detached under both locks, so a straggling write (which re-reads
+        # ``_conn`` under its lock) never runs on a closed connection.
+        with self._db_lock, self._read_lock:
+            conns = (self._conn, self._read_conn)
+            self._conn = self._read_conn = None
+        for conn in conns:
             if conn is not None:
                 try:
                     conn.close()

@@ -37,8 +37,8 @@ Resilience knobs ride the same way: top-level ``fault_plan`` (a
 ``retry_limit``, ``sweep_timeout`` / ``sweep_timeout_multiplier``, and
 ``breaker_threshold`` / ``breaker_cooldown``.  Durability too: top-level
 ``store_path`` (SQLite file for the durable serving store, see
-:mod:`repro.service.store`) and ``store_flush_interval`` — the CLI's
-``--store PATH`` maps onto the former.
+:mod:`repro.service.store`), which the CLI's ``--store PATH`` sets; the store
+has no tuning knob.
 """
 
 from __future__ import annotations
@@ -159,7 +159,6 @@ _FORWARDED_KNOBS = {
     "breaker_cooldown": float,
     "planner": bool,
     "store_path": str,
-    "store_flush_interval": float,
 }
 
 

@@ -520,7 +520,13 @@ def assert_one_ledger(service, spans=None):
         "rejected_after_close": _series(metrics, "repro_rejected_after_close_total"),
         "faults_injected": _series(metrics, "repro_faults_injected_total"),
         "store_hits": _series(metrics, "repro_store_hits_total"),
-        "store_flushes": _series(metrics, "repro_store_flushes_total"),
+        "store_errors": sum(
+            value
+            for (_, outcome), value in metrics.get("repro_store_operations_total")
+            .samples()
+            .items()
+            if outcome == "error"
+        ),
         "pending": _series(metrics, "repro_pending_jobs"),
     }
     from_stats = {name: getattr(stats, name) for name in from_series}

@@ -1,8 +1,9 @@
-"""Durable serving store: schema, write-through, warm restarts, recovery.
+"""Durable serving store: schema, sweep writes, warm restarts, recovery.
 
 Covers the :mod:`repro.service.store` contract end to end: the
 Paper-Scanner pragma discipline, fingerprint-validated result reads (stale
-rows are detected, never served), quarantine of corrupt databases, chaos
+rows are detected, never served), one transaction per sweep on the
+store's writer thread, quarantine of corrupt databases, chaos
 degradation to in-memory-only serving with zero request failures, and the
 cost-model persistence round-trip reproducing the same admission decisions
 after a restart.
@@ -25,12 +26,14 @@ from repro.service import (
     graph_fingerprint,
 )
 from repro.service import faults
+from repro.service import store as store_module
 from repro.service.costmodel import CostModel
 from repro.service.store import (
     store_info,
     store_vacuum,
     store_verify,
 )
+from repro.traversal.api import run
 
 
 @pytest.fixture(autouse=True)
@@ -45,10 +48,8 @@ def make_graph(name="durable", vertices=300, edges=2400, seed=5):
 
 
 def make_service(path, **knobs):
-    config = ServiceConfig(
-        max_workers=2, store_path=str(path), store_flush_interval=0.01, **knobs
-    )
-    return Service(config=config)
+    knobs.setdefault("max_workers", 2)
+    return Service(config=ServiceConfig(store_path=str(path), **knobs))
 
 
 def wait_for(predicate, timeout=10.0, interval=0.01):
@@ -363,12 +364,14 @@ class TestChaosDegradation:
             path, fault_plan="store.write:permanent"
         ) as service:
             service.registry.register("durable", lambda: graph)
-            jobs = [
-                service.submit(TraversalRequest("bfs", "durable", source=s))
-                for s in range(4)
-            ]
-            for job in jobs:
-                service.result(job, timeout=30)
+            # Flushed one by one: one transaction each, so with the load's
+            # catalog write that is five failed transactions (none is
+            # retried) — past the breaker's threshold of three.
+            jobs = []
+            for source in range(4):
+                jobs.append(service.submit(TraversalRequest("bfs", "durable", source=source)))
+                service.result(jobs[-1], timeout=30)
+                service.store.flush()
             assert wait_for(lambda: service.stats().store_state == "degraded")
             stats = service.stats()
             assert stats.failed == 0, "store chaos must never fail requests"
@@ -404,9 +407,11 @@ class TestChaosDegradation:
             faults.deactivate()
         try:
             assert store.state == "degraded"
-            graph = make_graph()
+            # A lookup of a key the store never wrote is answered from memory
+            # and takes no probe; a read of the rates does.
             assert wait_for(
                 lambda: store.lookup(("g", "bfs", 0, "s", "sys")) is None
+                and store.load_cost_rates() == {}
                 and store.state == "ok",
                 timeout=10.0,
                 interval=0.1,
@@ -473,18 +478,213 @@ class TestMetricsAndConfig:
         with pytest.raises(ConfigurationError):
             ServiceConfig(store_path="")
         with pytest.raises(ConfigurationError):
-            ServiceConfig(store_path="x.db", store_flush_interval=0.0)
+            ServiceConfig(store_path=42)
 
     def test_dropped_writes_counted_when_queue_full(self, tmp_path):
-        path = tmp_path / "store.db"
-        store = ServingStore(path, queue_limit=1, flush_interval=60.0)
+        graph = make_graph()
+        result = run("bfs", graph, source=0)
+        store = ServingStore(tmp_path / "store.db", queue_limit=1)
         try:
-            graph = make_graph()
-            # The flush thread sleeps for a minute, so the second enqueue
-            # overflows the single-slot queue.
-            store.record_eviction("a")
-            store.record_eviction("b")
-            store.record_eviction("c")
-            assert store.stats().dropped >= 1
+            # The flush thread holds what it took for its coalescing wait and
+            # a slow write, so three quick sweeps overflow the one-slot queue.
+            faults.activate(faults.FaultPlan.from_spec("store.write:latency:delay=0.3"))
+            for source in range(3):
+                store.record_sweep(
+                    graph, [(("durable", "bfs", source, "s", "x"), result)], {}.get
+                )
+            dropped = store.stats().dropped
+            assert dropped >= 1
+            store.flush()
+            assert store.stats().pending == 0
+            assert store.stats().result_rows == 3 - dropped
         finally:
+            faults.deactivate()
+            store.close()
+
+
+KEY = ("durable", "bfs", 0, "merged_aligned", "default")
+
+
+class TestSweepWrites:
+    def test_row_computed_on_replaced_content_never_answers(self, tmp_path):
+        # The graph's content changes under its name between the sweep and
+        # its write: the row carries the fingerprint of what it was computed
+        # on, which is no longer the graph's, so it is not written at all.
+        old, new = make_graph(seed=5), make_graph(seed=9)
+        assert graph_fingerprint(old) != graph_fingerprint(new)
+        with ServingStore(tmp_path / "store.db") as store:
+            store.record_load("durable", old)
+            store.record_load("durable", new)
+            store.record_sweep(old, [(KEY, run("bfs", old, source=0))], {}.get)
+            store.flush()
+            assert store.lookup(KEY) is None, "stale row must never be served"
+            assert store.stats().result_rows == 0
+            # Control: the same write computed on the current content is served.
+            fresh = run("bfs", new, source=0)
+            store.record_sweep(new, [(KEY, fresh)], {}.get)
+            store.flush()
+            assert (store.lookup(KEY).values == fresh.values).all()
+
+    @pytest.mark.parametrize("lost_by", ["failed", "skipped"])
+    def test_rows_stay_hidden_when_a_reload_is_not_catalogued(self, tmp_path, lost_by):
+        # The graph is reloaded with new content, but that load's catalog
+        # write fails (or the open breaker skips it): the catalog still holds
+        # the old content's fingerprint, so the old rows would pass the join.
+        old, new = make_graph(seed=5), make_graph(seed=9)
+        store = ServingStore(tmp_path / "store.db", breaker_cooldown=0.2)
+        try:
+            store.record_load("durable", old)
+            store.record_sweep(old, [(KEY, run("bfs", old, source=0))], {}.get)
+            store.flush()
+            assert store.lookup(KEY) is not None
+            if lost_by == "failed":
+                faults.activate(faults.FaultPlan.from_spec("store.write:permanent:limit=1"))
+                store.record_load("durable", new)
+                faults.deactivate()
+                assert store.state == "ok", "one failure leaves the breaker closed"
+            else:
+                faults.activate(faults.FaultPlan.from_spec("store.read:permanent:limit=3"))
+                for _ in range(3):  # the default threshold opens the breaker
+                    store.load_cost_rates()
+                faults.deactivate()
+                assert store.state == "degraded"
+                store.record_load("durable", new)
+                time.sleep(0.25)
+                assert store.lookup(("durable", "bfs", 99, "s", "x")) is None
+                assert store.load_cost_rates() == {}  # the probe closes it
+                assert store.state == "ok"
+            assert store.lookup(KEY) is None, "stale row must never be served"
+            # A sweep on the old content still in the queue lands late.
+            store.record_sweep(old, [(KEY, run("bfs", old, source=0))], {}.get)
+            store.flush()
+            assert store.lookup(KEY) is None, "stale row must never be served"
+            # The next load that commits re-derives the catalog row.
+            store.record_load("durable", new)
+            fresh = run("bfs", new, source=0)
+            store.record_sweep(new, [(KEY, fresh)], {}.get)
+            store.flush()
+            assert (store.lookup(KEY).values == fresh.values).all()
+        finally:
+            faults.deactivate()
+            store.close()
+
+    def test_rows_stay_hidden_for_a_graph_loaded_before_the_store_opened(
+        self, tmp_path
+    ):
+        old, new = make_graph(seed=5), make_graph(seed=9)
+        path = tmp_path / "store.db"
+        with ServingStore(path) as store:
+            store.record_load("durable", old)
+            store.record_sweep(old, [(KEY, run("bfs", old, source=0))], {}.get)
+        # Boot and the load's own re-open attempt fail; the backfill read
+        # after the load re-opens the file, whose catalog still vouches for
+        # the old content.
+        faults.activate(faults.FaultPlan.from_spec("store.open:permanent:limit=2"))
+        store = ServingStore(path)
+        try:
+            assert store.state == "degraded"
+            assert store.record_load("durable", new) == []
+            faults.deactivate()
+            assert store.state == "ok"
+            assert store.lookup(KEY) is None, "stale row must never be served"
+        finally:
+            faults.deactivate()
+            store.close()
+
+    def test_a_result_that_will_not_pickle_is_counted_not_fatal(self, tmp_path):
+        graph = make_graph()
+        with ServingStore(tmp_path / "store.db") as store:
+            store.record_sweep(graph, [(KEY, lambda: None)], {}.get)
+            store.flush()
+            assert store.stats().errors == 1
+            assert store.state == "ok"
+            result = run("bfs", graph, source=0)
+            store.record_sweep(graph, [(KEY, result)], {}.get)
+            store.flush()
+            assert store.stats().result_rows == 1
+
+    def test_write_before_its_catalog_row_is_served_once_the_load_lands(
+        self, tmp_path
+    ):
+        # A worker that joined a load can write before the loader's listener
+        # catalogs the graph: nothing waits, the join validates the row later.
+        graph = make_graph()
+        result = run("bfs", graph, source=0)
+        with ServingStore(tmp_path / "store.db") as store:
+            store.record_sweep(graph, [(KEY, result)], {"bfs": 1e-9}.get)
+            store.flush()
+            assert store.lookup(KEY) is None, "no catalog row yet"
+            store.record_load("durable", graph)
+            assert store.lookup(KEY) is not None
+            assert store.load_cost_rates() == {"bfs": 1e-9}
+            assert store.stats().writes == 4  # result + rate, catalog + purge
+
+    def test_a_slow_write_delays_neither_a_result_nor_the_next_sweep(self, tmp_path):
+        graph = make_graph()
+        with make_service(tmp_path / "store.db", max_workers=1) as service:
+            service.registry.register("durable", lambda: graph)
+            service.registry.get("durable")  # the load commits inline, fault-free
+            faults.activate(faults.FaultPlan.from_spec("store.write:latency:delay=0.5"))
+            started = time.perf_counter()
+            for source in (0, 1):  # one worker: the second sweep follows the first
+                job = service.submit(TraversalRequest("bfs", "durable", source=source))
+                service.result(job, timeout=30)
+            waited = time.perf_counter() - started
+            assert waited < 0.25, f"results waited {waited:.3f}s on a 0.5s write"
+            service.store.flush()  # waits out the slow write(s)
+            assert time.perf_counter() - started >= 0.45
+            assert service.store.stats().result_rows == 2
+
+    def test_write_skipped_while_breaker_open_lands_after_cooldown(self, tmp_path):
+        events = []
+        graph = make_graph()
+        result = run("bfs", graph, source=0)
+        store = ServingStore(
+            tmp_path / "store.db",
+            breaker_threshold=1,
+            breaker_cooldown=0.2,
+            on_event=lambda kind, labels: events.append((kind, labels)),
+        )
+        try:
+            store.record_load("durable", graph)
+            faults.activate(faults.FaultPlan.from_spec("store.write:permanent:limit=1"))
+            store.record_sweep(graph, [(KEY, result)], {}.get)  # fails: breaker opens
+            store.flush()
+            faults.deactivate()
+            assert store.state == "degraded"
+            store.record_sweep(graph, [(KEY, result)], {}.get)  # skipped, never raises
+            store.flush()
+            writes = [labels["outcome"] for kind, labels in events
+                      if kind == "op" and labels["op"] == "write"]
+            assert writes == ["ok", "error", "skipped"]
+            assert store.stats().result_rows == 0, "not retried"
+            time.sleep(0.25)
+            store.record_sweep(graph, [(KEY, result)], {}.get)  # the half-open probe
+            store.flush()
+            assert store.state == "ok"
+            assert store.stats().result_rows == 1
+            assert store.lookup(KEY) is not None
+        finally:
+            faults.deactivate()
+            store.close()
+
+    def test_flush_and_close_give_up_on_a_stalled_write(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "DRAIN_TIMEOUT", 0.2)
+        graph = make_graph()
+        result = run("bfs", graph, source=0)
+        store = ServingStore(tmp_path / "store.db")
+        try:
+            faults.activate(faults.FaultPlan.from_spec("store.write:latency:delay=1.0"))
+            started = time.perf_counter()
+            store.record_sweep(graph, [(KEY, result)], {}.get)
+            store.flush()  # the flush thread is now inside the stalled write
+            for source in (1, 2):
+                key = ("durable", "bfs", source, "s", "x")
+                store.record_sweep(graph, [(key, result)], {}.get)
+            store.close()
+            # One stalled transaction waited out, not a second for the rest.
+            assert time.perf_counter() - started < 1.7
+            assert store.stats().dropped == 2, "ops the stalled flusher never took"
+        finally:
+            faults.deactivate()
             store.close()

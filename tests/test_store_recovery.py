@@ -32,10 +32,7 @@ CHILD_SCRIPT = textwrap.dedent(
 
     store_path = sys.argv[1]
     graph = uniform_random_graph(300, 2400, seed=5, name="crash")
-    config = ServiceConfig(
-        max_workers=2, store_path=store_path, store_flush_interval=0.01
-    )
-    service = Service(config=config)
+    service = Service(config=ServiceConfig(max_workers=2, store_path=store_path))
     service.registry.register("crash", lambda: graph)
     source = 0
     while True:  # run until SIGKILLed; results stream into the store
@@ -90,9 +87,7 @@ def test_sigkill_mid_write_recovers_warm(tmp_path):
 
     # ...and a restarted service answers the dead process's requests warm.
     graph = uniform_random_graph(300, 2400, seed=5, name="crash")
-    config = ServiceConfig(
-        max_workers=2, store_path=str(db), store_flush_interval=0.01
-    )
+    config = ServiceConfig(max_workers=2, store_path=str(db))
     with Service(config=config) as service:
         service.registry.register("crash", lambda: graph)
         assert service.cost_model.rate("bfs") is not None, (
