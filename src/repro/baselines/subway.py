@@ -118,6 +118,11 @@ class SubwayEngine:
         self.monitor.record_block_transfer(subgraph.transfer_bytes)
         return iteration
 
+    def note_relax(self, backend: str, candidates: int) -> None:
+        # Interface parity: Subway's metrics carry no kernel counters, so the
+        # relax sweep's backend and candidate count have nowhere to go.
+        pass
+
     @property
     def dataset_bytes(self) -> int:
         total = self.graph.edge_list_bytes

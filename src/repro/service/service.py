@@ -621,19 +621,40 @@ class Service:
         return Cancellation(budget, label=label)
 
     def _relax_method(self) -> str | None:
-        """Word-kernel backend for this BFS/SSSP drain, as the breaker allows.
+        """Word-kernel backend for this BFS/SSSP run (a word drain or a solo
+        job), as the breaker allows.
 
         ``None`` (engine default) when the native kernels never compiled —
         the breaker only arbitrates a backend that nominally works.  While
         closed (or probing half-open) the native kernels are used; while
         open, the bit-identical numpy paths ("scatter" relaxation, the numpy
-        BFS sweep) serve degraded traffic.
+        BFS sweep) serve degraded traffic, and the run counts as degraded.
         """
         if not _native.available():
             return None
         if self._breaker.allow():
             return "native"
+        self._metrics["repro_native_degraded_total"].inc()
         return "scatter"
+
+    def _stepped_down(
+        self, exc: BaseException, relax_method: str | None, label: str
+    ) -> bool:
+        """The breaker ladder for one failed BFS/SSSP run (a sweep or a job).
+
+        True when ``exc`` is a native-kernel failure of a native run: the
+        failure is recorded (opening the breaker at its threshold), the run
+        counts as degraded, and the caller re-runs it on the bit-identical
+        numpy backend — the clients see the same values, just a slower run.
+        """
+        if not (isinstance(exc, NativeBackendError) and relax_method == "native"):
+            return False
+        self._breaker.record_failure()
+        self._metrics["repro_native_degraded_total"].inc()
+        logger.warning(
+            "native kernel failed (%s); re-running %s on the numpy backend", exc, label
+        )
+        return True
 
     def _classify_failure(self, exc: BaseException) -> None:
         """Bump failure-class counters for one terminal group/job failure."""
@@ -1275,7 +1296,8 @@ class Service:
             groups = valid_groups
         all_jobs = [job for group in groups for job in group]
         if not streaming and len(all_jobs) <= 1:
-            # A lone source gains nothing from a word: run it on a leased engine.
+            # A lone source runs solo on a leased engine: the same kernels as
+            # a one-lane word, without the word's per-lane attribution.
             predicted = 0.0
             for job in all_jobs:
                 predicted += self._execute_one(
@@ -1308,9 +1330,6 @@ class Service:
         # report to it; the streaming applications (CC, PageRank) never run
         # native code, so their outcomes say nothing about it.
         relax_method = None if streaming else self._relax_method()
-        if relax_method == "scatter":
-            # Breaker already open: the whole drain is served degraded.
-            self._metrics["repro_native_degraded_total"].inc()
         attempt = 0
         while True:
             started = time.perf_counter()
@@ -1342,18 +1361,8 @@ class Service:
                     schedule_seconds=schedule_seconds,
                     fusion_seconds=fusion_seconds, error=exc,
                 )
-                if isinstance(exc, NativeBackendError) and relax_method == "native":
-                    # Breaker ladder: count the failure (opening the breaker
-                    # at the threshold) and immediately re-run this drain on
-                    # the bit-identical numpy backend — the clients see the
-                    # same values, just a slower sweep.
-                    self._breaker.record_failure()
+                if self._stepped_down(exc, relax_method, f"{kind} drain"):
                     relax_method = "scatter"
-                    self._metrics["repro_native_degraded_total"].inc()
-                    logger.warning(
-                        "native kernel failed (%s); re-running %s drain "
-                        "on the numpy backend", exc, kind,
-                    )
                     continue
                 if self._maybe_retry("sweep", all_jobs, attempt, exc, sweep_ref):
                     attempt += 1
@@ -1431,25 +1440,32 @@ class Service:
                 f"source vertex {source} out of range for graph with "
                 f"{graph.num_vertices} vertices"
             )
-        if application is Application.BFS:
-            with self._arena.lease(graph, request.strategy, request.system) as engine:
-                return run_bfs(
-                    graph,
-                    source,
-                    strategy=request.strategy,
-                    system=request.system,
-                    engine=engine,
-                )
-        with self._arena.lease(
-            graph, request.strategy, request.system, needs_weights=True
-        ) as engine:
-            return run_sssp(
-                graph,
-                source,
-                strategy=request.strategy,
-                system=request.system,
-                engine=engine,
-            )
+        # A solo BFS/SSSP run sweeps the native word kernels, so it consults
+        # the native breaker and reports to it exactly as a word drain does.
+        runner = run_bfs if application is Application.BFS else run_sssp
+        relax_method = self._relax_method()
+        while True:
+            try:
+                with self._arena.lease(
+                    graph, request.strategy, request.system,
+                    needs_weights=application is Application.SSSP,
+                ) as engine:
+                    result = runner(
+                        graph,
+                        source,
+                        strategy=request.strategy,
+                        system=request.system,
+                        engine=engine,
+                        relax_method=relax_method,
+                    )
+            except NativeBackendError as exc:
+                if self._stepped_down(exc, relax_method, f"solo {request.describe()}"):
+                    relax_method = "scatter"
+                    continue
+                raise
+            if relax_method == "native":
+                self._breaker.record_success()
+            return result
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle

@@ -1,4 +1,4 @@
-"""Optional native (C) backend for the two batched word kernels.
+"""Optional native (C) backend for the two word kernels (batched and solo).
 
 The numpy formulations of a batched sweep are bound by numpy's
 pass-at-a-time execution and by Python loops over the ≤ 64 lanes of a word.
@@ -12,9 +12,11 @@ magnitude faster.  Two kernels share one shared object:
   ``(num_vertices, lanes)`` value rows so one vertex's lanes share cache
   lines;
 * ``repro_bfs_word`` — one BFS sweep (:func:`bfs_word`, called by
-  :mod:`repro.traversal.multisource`): per-lane edge counts, OR-scatter of
-  the frontier words, and one pass over the vertices that keeps the unvisited
-  bits, writes their levels and emits the next frontier.
+  :class:`repro.traversal.multisource.BFSWord`): per-lane edge counts,
+  OR-scatter of the frontier words, and one pass over the vertices that keeps
+  the unvisited bits, writes their levels and emits the next frontier.
+
+A solo BFS/SSSP run calls them as a word of one lane.
 
 This module builds both *at runtime* with whatever C compiler the host
 already has (``gcc``/``cc``), caches the shared object under
@@ -436,7 +438,7 @@ def bfs_word(
     ``next_bits`` must arrive zeroed (it is left zeroed).  Returns the next
     frontier's size: ``next_frontier[:size]`` / ``next_active[:size]``.  The
     caller guarantees contiguity and dtypes (this is the private fast path of
-    :func:`repro.traversal.multisource.run_batch`).
+    :class:`repro.traversal.multisource.BFSWord`, batched and solo).
     """
     lanes, num_vertices = levels.shape
     if not (

@@ -4,7 +4,8 @@ The implementation follows the vertex-centric, scatter-style flow of
 Algorithm 1: every iteration expands the current frontier by scanning each
 active vertex's full neighbor list, marking unvisited neighbors as the next
 frontier.  One iteration corresponds to one kernel launch, so the number of
-kernels equals the BFS depth (§4.2).
+kernels equals the BFS depth (§4.2).  A solo run sweeps as a one-lane
+:class:`~repro.traversal.multisource.BFSWord`, the kernel a batched word runs.
 """
 
 from __future__ import annotations
@@ -12,19 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import SystemConfig
-from ..errors import SimulationError
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from .engine import TraversalEngine
-from .frontier import (
-    frontier_offsets,
-    gather_frontier_destinations,
-    gather_frontier_edges,
-)
+from .frontier import frontier_offsets, gather_frontier_edges
+from .multisource import UNREACHED, BFSWord, _check_source
 from .results import TraversalResult
-
-#: Level value assigned to vertices never reached from the source.
-UNREACHED = -1
 
 
 def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
@@ -49,42 +43,28 @@ def run_bfs(
     strategy: AccessStrategy = EMOGI_STRATEGY,
     system: SystemConfig | None = None,
     engine: TraversalEngine | None = None,
+    relax_method: str | None = None,
 ) -> TraversalResult:
-    """BFS from ``source`` under the given edge-list access strategy."""
+    """BFS from ``source`` under the given edge-list access strategy.
+
+    ``relax_method`` picks the sweep backend as for
+    :func:`~repro.traversal.multisource.run_batch`.
+    """
     _check_source(graph, source)
     engine = engine or TraversalEngine(graph, strategy, system=system, needs_weights=False)
-    levels = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
-    levels[source] = 0
-    visited = np.zeros(graph.num_vertices, dtype=bool)
-    visited[source] = True
-    frontier = np.array([source], dtype=VERTEX_DTYPE)
+    word = BFSWord(graph, [source], relax_method)
+    frontier, active_bits = word.start()
     depth = 0
     while frontier.size:
         starts, ends = frontier_offsets(graph, frontier)
         engine.process_frontier(frontier, starts, ends)
-        destinations = gather_frontier_destinations(graph, frontier, starts, ends)
-        # Mask-based next frontier: mark first-touched destinations in a
-        # boolean per-vertex array instead of sorting them with np.unique.
-        fresh = destinations[~visited[destinations]]
-        next_mask = np.zeros(graph.num_vertices, dtype=bool)
-        next_mask[fresh] = True
-        visited |= next_mask
-        frontier = np.flatnonzero(next_mask).astype(VERTEX_DTYPE)
         depth += 1
-        levels[frontier] = depth
+        frontier, active_bits = word.sweep(frontier, active_bits, starts, ends, depth)
     return TraversalResult(
         application=Application.BFS,
         graph_name=graph.name,
         strategy=strategy,
         source=source,
-        values=levels,
+        values=word.levels[0],
         metrics=engine.finalize(),
     )
-
-
-def _check_source(graph: CSRGraph, source: int) -> None:
-    if not 0 <= source < graph.num_vertices:
-        raise SimulationError(
-            f"source vertex {source} out of range for graph with "
-            f"{graph.num_vertices} vertices"
-        )

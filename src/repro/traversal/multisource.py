@@ -15,13 +15,12 @@ its solo run would have been:
 
 * **BFS** propagates frontier bits with an OR-scatter over the frontier's
   edges; a vertex's newly set bits are exactly the sources whose solo BFS
-  would discover it this iteration, so per-source levels are bit-identical
-  to :func:`repro.traversal.bfs.run_bfs`.  One sweep — per-lane edge counts,
+  would discover it this iteration.  One sweep — per-lane edge counts,
   the scatter, the visited update, the level writes and the next frontier —
   is one call of the compiled ``repro_bfs_word`` loop of
   :mod:`repro.traversal._native` when the host has a compiler, and a numpy
   sweep (the fallback, and the reference the tests pin the kernel against)
-  otherwise.
+  otherwise (:class:`BFSWord`).
 * **SSSP** runs on the lane-parallel relaxation kernel of
   :mod:`repro.traversal.relax`: each iteration expands the union frontier's
   lane bit-masks into shared (lane, edge) candidate streams — one ragged
@@ -33,10 +32,15 @@ its solo run would have been:
   otherwise).  For each source the reduced candidate *multiset* is exactly
   the solo run's, and min over IEEE floats is exactly
   associative/commutative, so distances are bit-identical to
-  :func:`repro.traversal.sssp.run_sssp` — including float rounding — under
-  every backend.  The kernel's touched-set output doubles as the next
+  :func:`repro.traversal.sssp.sssp_distances` — including float rounding —
+  under every backend.  The kernel's touched-set output doubles as the next
   frontier, so no per-iteration ``np.unique`` or before/after probing is
   needed.
+
+Solo and batched runs share these kernels: :func:`repro.traversal.bfs.run_bfs`
+and :func:`repro.traversal.sssp.run_sssp` sweep as a word of one lane, so
+every way of running a source executes the same per-sweep code, and the
+``REPRO_NATIVE=0`` numpy sweeps are the one fallback of both.
 
 The *streaming* applications (CC, PageRank) batch along the platform axis
 instead — one shared algorithm pass replayed into many per-configuration
@@ -70,15 +74,19 @@ from ..memsim.metrics import TrafficRecord
 from ..timing import TimeBreakdown
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from . import _native
-from .bfs import UNREACHED, _check_source
 from .engine import TraversalEngine
 from .frontier import frontier_offsets, gather_frontier_destinations
 from .relax import active_lane_mask, make_snapshot, relax_lanes
 from .results import KernelCounters, TraversalMetrics, TraversalResult
-from .sssp import UNREACHABLE
 
 #: Sources packed into one visited word (one bit per source lane).
 WORD_BITS = 64
+
+#: BFS level of a vertex never reached from the source.
+UNREACHED = -1
+
+#: SSSP distance of an unreachable vertex.
+UNREACHABLE = np.inf
 
 _ONE = np.uint64(1)
 
@@ -403,27 +411,10 @@ def _bfs_word(
     weights=None,
     relax_method=None,
 ):
-    num_vertices = graph.num_vertices
     lanes = len(word)
-    # Per-word setup: these O(V) arrays are allocated once per <=64 sources,
-    # then reused across every sweep below.
-    levels = np.full((lanes, num_vertices), UNREACHED, dtype=np.int64)  # repro: noqa[REPRO101] — once per word, not per sweep
-    visited_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
-    next_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, the scatter target of every sweep
-    lane_edges = np.zeros(lanes, dtype=np.int64)  # repro: noqa[REPRO101] — O(lanes) <= 64 elements, refilled every sweep
-    for lane, source in enumerate(word):
-        visited_bits[source] |= _ONE << np.uint64(lane)
-        levels[lane, source] = 0
-    # Depth 0: the frontier is the sources, and visited holds exactly their bits.
-    frontier = np.flatnonzero(visited_bits).astype(VERTEX_DTYPE, copy=False)
-    active_bits = visited_bits[frontier]
-    native = relax_method in (None, "native") and _native.available()
-    if native:
-        # The kernel appends the next frontier (vertex ids and their new lane
-        # words) into one slot while the engines replay the other.
-        frontier_slots = np.empty((2, num_vertices), dtype=VERTEX_DTYPE)  # repro: noqa[REPRO101] — once per word, double-buffered below
-        active_slots = np.empty((2, num_vertices), dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
-
+    bfs = BFSWord(graph, word, relax_method)
+    frontier, active_bits = bfs.start()
+    lane_edges = bfs.lane_edges
     attribution = _Attribution(lanes, lane_engine)
     depth = 0
     while frontier.size:
@@ -433,20 +424,9 @@ def _bfs_word(
         # One sweep writes the new levels and the next frontier, and counts
         # each lane's share of it — the edges its own frontier owns — once
         # for all of the word's engines.
-        if native:
-            slot = depth % 2
-            size = _native.bfs_word(
-                frontier, active_bits, starts, ends, graph.edges, next_bits,
-                visited_bits, levels, depth, lane_edges,
-                frontier_slots[slot], active_slots[slot],
-            )
-            next_frontier = frontier_slots[slot, :size]
-            next_active = active_slots[slot, :size]
-        else:
-            next_frontier, next_active = _bfs_sweep_numpy(
-                graph, frontier, active_bits, starts, ends, active,
-                next_bits, visited_bits, levels, depth, lane_edges,
-            )
+        next_frontier, next_active = bfs.sweep(
+            frontier, active_bits, starts, ends, depth, active
+        )
         # Every engine replays the shared union frontier: frontier evolution
         # never depends on the simulated platform (engines only account
         # traffic), so per-lane levels stay bit-identical to solo runs even
@@ -456,7 +436,74 @@ def _bfs_word(
             attribution.record(iteration, engine_index, lane_edges, active)
         frontier, active_bits = next_frontier, next_active
 
-    return levels, attribution
+    return bfs.levels, attribution
+
+
+class BFSWord:
+    """One BFS word's buffers and its sweep: the step a batched word of ≤ 64
+    lanes and a solo run (a word of one lane) both take.
+
+    Every O(V) array is allocated here, once per run, and reused by every
+    sweep: the ``(lanes, num_vertices)`` levels, the visited and scatter
+    words and, for the native kernel, two frontier slots — the kernel
+    appends the next frontier (vertex ids and their new lane words) into one
+    while the engines replay the other.  ``relax_method`` ``None`` or
+    ``"native"`` runs ``repro_bfs_word`` when it is available; anything else
+    runs the numpy sweep.
+    """
+
+    def __init__(self, graph: CSRGraph, sources: list[int], relax_method=None) -> None:
+        num_vertices = graph.num_vertices
+        self.graph = graph
+        self.levels = np.full((len(sources), num_vertices), UNREACHED, dtype=np.int64)
+        self.visited_bits = np.zeros(num_vertices, dtype=np.uint64)
+        self.next_bits = np.zeros(num_vertices, dtype=np.uint64)
+        self.lane_edges = np.zeros(len(sources), dtype=np.int64)
+        for lane, source in enumerate(sources):
+            self.visited_bits[source] |= _ONE << np.uint64(lane)
+            self.levels[lane, source] = 0
+        self.native = relax_method in (None, "native") and _native.available()
+        if self.native:
+            self.frontier_slots = np.empty((2, num_vertices), dtype=VERTEX_DTYPE)
+            self.active_slots = np.empty((2, num_vertices), dtype=np.uint64)
+
+    def start(self) -> tuple[np.ndarray, np.ndarray]:
+        """Depth 0: the frontier is the sources, and visited holds exactly
+        their bits.  Returns the frontier and its lane words."""
+        frontier = np.flatnonzero(self.visited_bits).astype(VERTEX_DTYPE, copy=False)
+        return frontier, self.visited_bits[frontier]
+
+    @hot_path
+    def sweep(
+        self,
+        frontier: np.ndarray,
+        active_bits: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        depth: int,
+        active: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The sweep that discovers ``depth``: writes its levels and
+        ``lane_edges``, and returns the next frontier and its lane words.
+
+        ``active`` (:func:`~repro.traversal.relax.active_lane_mask` of
+        ``active_bits``) is only read by the numpy sweep, which derives it
+        when the caller has none.
+        """
+        if self.native:
+            slot = depth % 2
+            size = _native.bfs_word(
+                frontier, active_bits, starts, ends, self.graph.edges,
+                self.next_bits, self.visited_bits, self.levels, depth,
+                self.lane_edges, self.frontier_slots[slot], self.active_slots[slot],
+            )
+            return self.frontier_slots[slot, :size], self.active_slots[slot, :size]
+        if active is None:
+            active = active_lane_mask(active_bits, self.lane_edges.size)
+        return _bfs_sweep_numpy(
+            self.graph, frontier, active_bits, starts, ends, active,
+            self.next_bits, self.visited_bits, self.levels, depth, self.lane_edges,
+        )
 
 
 @hot_path
@@ -563,6 +610,14 @@ def _sssp_word(
 # ---------------------------------------------------------------------- #
 # Internals
 # ---------------------------------------------------------------------- #
+def _check_source(graph: CSRGraph, source: int) -> None:
+    if not 0 <= source < graph.num_vertices:
+        raise SimulationError(
+            f"source vertex {source} out of range for graph with "
+            f"{graph.num_vertices} vertices"
+        )
+
+
 @hot_path
 def _lane_mask(bits: np.ndarray, lane: int) -> np.ndarray:
     """Boolean mask of the entries whose ``lane`` bit is set."""

@@ -30,7 +30,9 @@ from repro.service.resilience import BREAKER_STATE_CODES, iteration_checkpoint
 from repro.errors import PermanentFaultError, TransientFaultError
 from repro.graph.generators import uniform_random_graph
 from repro.traversal import _native
+from repro.service.jobs import JobStatus
 from repro.traversal.bfs import bfs_levels
+from repro.traversal.sssp import sssp_distances
 from repro.types import Application
 
 from .test_chaos import drain_all, enqueue_without_draining
@@ -597,6 +599,50 @@ class TestBFSSweepsGoThroughTheBreaker:
             assert service._breaker.snapshot()["state"] == "half_open"
             self._assert_levels(_drain_group(service, Application.BFS, (3, 4, 5)))
             assert service.stats().breaker_state == "closed"
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestLoneJobsGoThroughTheBreaker:
+    """A lone BFS/SSSP job runs solo on the same native kernels as a word, so
+    its native failures reach the breaker and step down to numpy as a
+    drain's do."""
+
+    @staticmethod
+    def _assert_values(jobs):
+        graph = make_graph()
+        for job in jobs:
+            oracle = bfs_levels if job.request.application is Application.BFS else sssp_distances
+            assert job.status is JobStatus.DONE
+            assert np.array_equal(job.result.values, oracle(graph, job.request.source))
+
+    @pytest.mark.parametrize("application", (Application.BFS, Application.SSSP))
+    def test_one_fault_steps_a_lone_job_down_with_identical_values(self, application):
+        with _breaker_service(
+            "native.invoke:permanent:limit=1", breaker_threshold=2, breaker_cooldown=60
+        ) as service:
+            self._assert_values(_drain_group(service, application, (0,)))
+            stats = service.stats()
+            assert stats.degraded == 1
+            assert stats.failed == 0 and stats.isolations == 0
+            assert service._breaker.snapshot()["consecutive_failures"] == 1
+            # A clean native solo run is a success the breaker hears about.
+            self._assert_values(_drain_group(service, application, (1,)))
+            assert service._breaker.snapshot()["consecutive_failures"] == 0
+            assert service.stats().degraded == 1
+
+    def test_open_breaker_serves_lone_jobs_on_numpy(self):
+        with _breaker_service(
+            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=60
+        ) as service:
+            self._assert_values(_drain_group(service, Application.SSSP, (0,)))
+            assert service.stats().breaker_state == "open"
+            sssp = _drain_group(service, Application.SSSP, (1,))
+            bfs = _drain_group(service, Application.BFS, (2,))
+            self._assert_values(sssp + bfs)
+            assert sssp[0].result.metrics.counters.relax_backend == "scatter"
+            stats = service.stats()
+            assert stats.breaker_state == "open"
+            assert stats.degraded == 3 and stats.failed == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Tests for the Subway-style baseline (subgraph compaction + explicit copy)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,44 @@ class TestSubwayVersusEmogi:
         subway = run_subway(Application.BFS, graph, source=source)
         emogi = bfs(graph, source, strategy=AccessStrategy.MERGED_ALIGNED)
         assert emogi.seconds < subway.seconds
+
+
+def _subway_digest(result) -> str:
+    """Values and every simulated number of one Subway run, floats bit-exact."""
+    metrics = result.metrics
+    breakdown = metrics.breakdown
+    parts = (
+        hashlib.sha256(result.values.tobytes()).hexdigest(),
+        float(metrics.seconds).hex(),
+        metrics.iterations,
+        metrics.dataset_bytes,
+        tuple(float(value).hex() for value in breakdown.components()),
+        tuple(sorted((key, float(value).hex()) for key, value in breakdown.extra.items())),
+        tuple(metrics.traffic.counter_row()),
+        metrics.counters,
+    )
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+#: Recorded while solo BFS/SSSP still swept in their own numpy loops, before
+#: they became one-lane words of the batched kernels: (graph, application) ->
+#: digest of a source-2 run.
+PINNED_SUBWAY_DIGESTS = {
+    ("random_graph", "bfs"): "6ad732fd62025a62",
+    ("random_graph", "sssp"): "41da8a06d9d29ae7",
+    ("uniform_graph", "bfs"): "747978879b2404df",
+    ("uniform_graph", "sssp"): "31ec6fa83f22bc08",
+}
+
+
+class TestSubwaySoloMetricsArePinned:
+    """Subway drives the solo run_bfs / run_sssp loops with its own engine,
+    whose iterations carry an ``extra`` time component: the one-lane word
+    kernels must leave its values and metrics exactly as they were."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED_SUBWAY_DIGESTS))
+    def test_matches_the_pinned_digest(self, request, key):
+        fixture, application = key
+        graph = request.getfixturevalue(fixture)
+        result = run_subway(application, graph, source=2)
+        assert _subway_digest(result) == PINNED_SUBWAY_DIGESTS[key]
