@@ -14,6 +14,7 @@ from .coalescer import (
     coalesce_warp_addresses,
     merged_warp_spans,
     strided_request_counts,
+    vertex_request_table,
 )
 from .dram import DRAMModel
 from .gpu_memory import DeviceMemory
@@ -31,6 +32,7 @@ __all__ = [
     "coalesce_warp_addresses",
     "merged_warp_spans",
     "strided_request_counts",
+    "vertex_request_table",
     "DRAMModel",
     "DeviceMemory",
     "PCIeLink",

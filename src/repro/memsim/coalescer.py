@@ -19,6 +19,7 @@ vectorized with numpy so multi-million-edge traversals coalesce in bulk.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,3 +313,103 @@ def naive_thread_spans(
         base_address + starts * element_bytes,
         base_address + ends * element_bytes,
     )
+
+
+#: Request tables of every live offsets array: ``id(offsets) -> {walk: table}``.
+#: A finalizer drops an array's entry when the array is freed.
+_REQUEST_TABLES: dict[int, dict[tuple, np.ndarray]] = {}
+
+
+def vertex_request_table(
+    offsets: np.ndarray,
+    element_bytes: int,
+    base_address: int = 0,
+    warp_size: int = 32,
+    aligned: bool = False,
+    strided: bool = False,
+) -> np.ndarray:
+    """Per-vertex zero-copy request counts of one walk over a CSR edge list.
+
+    Row ``v`` counts the requests issued while scanning vertex ``v``'s
+    neighbor range ``[offsets[v], offsets[v + 1])``.  The coalescer merges
+    lanes only within one warp instruction (Figure 3b/c) and a Naive thread
+    scans only its own range, so no request serves two vertices and the
+    histogram of any frontier is ``table[frontier].sum(0)``.
+
+    The merged walk (Listing 2; ``aligned`` for Merged+Aligned) gives a
+    ``(V, 4)`` table ordered like :data:`REQUEST_SIZES`, row for row equal to
+    :func:`coalesce_contiguous_spans` of :func:`merged_warp_spans`.  The
+    ``strided`` walk (Listing 1) gives a ``(V,)`` column of 32-byte sector
+    counts, equal to :func:`strided_request_counts` of
+    :func:`naive_thread_spans`; cache-thrashing refetches depend on a whole
+    iteration's totals and are not in it.
+
+    A row depends only on the range, ``element_bytes``, the base address
+    modulo one cache line, ``warp_size`` and ``aligned``, so each table is
+    built once per offsets array and memoised by the array's identity; the
+    memo entry goes when the array does.  The returned array is shared and
+    read-only.
+    """
+    key = (element_bytes, base_address % CACHELINE_BYTES, warp_size, aligned, strided)
+    tables = _REQUEST_TABLES.get(id(offsets))
+    if tables is None:
+        fresh: dict[tuple, np.ndarray] = {}
+        tables = _REQUEST_TABLES.setdefault(id(offsets), fresh)
+        if tables is fresh:
+            weakref.finalize(offsets, _REQUEST_TABLES.pop, id(offsets), None)
+    table = tables.get(key)
+    if table is None:
+        # Threads racing on a missing table each build an equal one;
+        # setdefault keeps the first.
+        table = tables.setdefault(key, _build_request_table(offsets, *key))
+    return table
+
+
+def _build_request_table(
+    offsets: np.ndarray,
+    element_bytes: int,
+    base_address: int,
+    warp_size: int,
+    aligned: bool,
+    strided: bool,
+) -> np.ndarray:
+    """The table :func:`vertex_request_table` memoises, built in one pass."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    starts, ends = offsets[:-1], offsets[1:]
+    if strided:
+        first_sector = (base_address + starts * element_bytes) // SECTOR_BYTES
+        last_sector = (base_address + ends * element_bytes - 1) // SECTOR_BYTES
+        table = np.where(ends > starts, last_sector - first_sector + 1, 0)
+    else:
+        span_start, span_end = merged_warp_spans(
+            starts, ends, element_bytes, base_address, warp_size, aligned
+        )
+        # A warp narrower than an alignment boundary can walk a fully
+        # masked-off iteration; it issues nothing.
+        issued = span_end > span_start
+        span_start, span_end = span_start[issued], span_end[issued]
+        # Spans come out in vertex order, each inside its vertex's range, so
+        # a span's owner is the last vertex whose range starts at or before it.
+        vertex_start = base_address + starts * element_bytes
+        owner = np.searchsorted(vertex_start, span_start, side="right") - 1
+        first_sector = span_start // SECTOR_BYTES
+        last_sector = (span_end - 1) // SECTOR_BYTES
+        lines = last_sector // SECTORS_PER_LINE - first_sector // SECTORS_PER_LINE + 1
+        multi = lines > 1
+        # A request's size class is its sector count minus one.  A span inside
+        # one line is one request; a longer span is a head request, a tail
+        # request and full lines between them.
+        head = np.where(
+            multi,
+            SECTORS_PER_LINE - 1 - first_sector % SECTORS_PER_LINE,
+            last_sector - first_sector,
+        )
+        tail = last_sector[multi] % SECTORS_PER_LINE
+        cells = starts.size * SECTORS_PER_LINE
+        table = np.bincount(owner * SECTORS_PER_LINE + head, minlength=cells)
+        table += np.bincount(owner[multi] * SECTORS_PER_LINE + tail, minlength=cells)
+        table = table.reshape(starts.size, SECTORS_PER_LINE)
+        middles = np.bincount(owner[multi], weights=lines[multi] - 2, minlength=starts.size)
+        table[:, -1] += middles.astype(np.int64)
+    table.flags.writeable = False
+    return table

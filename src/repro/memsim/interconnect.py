@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..config import DRAMConfig, PCIeConfig
 from ..errors import SimulationError
-from .coalescer import RequestHistogram
+from .coalescer import REQUEST_SIZES, RequestHistogram
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,36 @@ class PCIeLink:
     def __init__(self, config: PCIeConfig, dram: DRAMConfig | None = None) -> None:
         self.config = config
         self.dram = dram or DRAMConfig()
+        self._dram_touched = tuple(self.dram.bytes_touched(size) for size in REQUEST_SIZES)
 
     # ------------------------------------------------------------------ #
     # Zero-copy request streams
     # ------------------------------------------------------------------ #
     def transfer_requests(self, histogram: RequestHistogram) -> LinkTransferResult:
         """Time to serve a stream of cache-line-sector read requests."""
+        counts = [histogram.counts[size] for size in REQUEST_SIZES]
+        num_requests = sum(counts)
+        link_seconds, dram_bytes = self.price_requests(counts)
         payload_bytes = histogram.total_bytes
-        num_requests = histogram.total_requests
-        if num_requests == 0:
-            return LinkTransferResult(0, 0, 0, 0.0, 0)
+        return LinkTransferResult(
+            payload_bytes=payload_bytes,
+            wire_bytes=payload_bytes + num_requests * self.config.tlp_header_bytes,
+            num_requests=num_requests,
+            link_seconds=link_seconds,
+            dram_bytes=dram_bytes,
+        )
 
+    def price_requests(self, counts) -> tuple[float, int]:
+        """``(link seconds, DRAM bytes)`` of a request stream given as counts
+        per size, ordered like :data:`~repro.memsim.coalescer.REQUEST_SIZES`.
+
+        The link time is the larger of a header-limited and a latency-limited
+        time, so streams priced apart do not add up to their sum priced once.
+        """
+        num_requests = sum(counts)
+        if num_requests == 0:
+            return 0.0, 0
+        payload_bytes = sum(size * count for size, count in zip(REQUEST_SIZES, counts))
         wire_bytes = payload_bytes + num_requests * self.config.tlp_header_bytes
         header_limited_seconds = wire_bytes / (self.config.raw_payload_gbps * 1e9)
 
@@ -67,20 +86,8 @@ class PCIeLink:
         latency_limited_seconds = (
             num_requests * rtt_seconds / self.config.max_outstanding_reads
         )
-
-        dram_bytes = sum(
-            count * self.dram.bytes_touched(size)
-            for size, count in histogram.counts.items()
-            if count
-        )
-        link_seconds = max(header_limited_seconds, latency_limited_seconds)
-        return LinkTransferResult(
-            payload_bytes=payload_bytes,
-            wire_bytes=wire_bytes,
-            num_requests=num_requests,
-            link_seconds=link_seconds,
-            dram_bytes=dram_bytes,
-        )
+        dram_bytes = sum(count * touched for count, touched in zip(counts, self._dram_touched))
+        return max(header_limited_seconds, latency_limited_seconds), dram_bytes
 
     # ------------------------------------------------------------------ #
     # Block transfers (page migrations, cudaMemcpy)

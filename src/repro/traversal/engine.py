@@ -15,15 +15,12 @@ import numpy as np
 
 from ..config import SystemConfig, default_system
 from ..errors import SimulationError
-from ..gpu.kernel import KernelLaunch, KernelStats
 from ..graph.csr import CSRGraph
 from ..memsim.address_space import AddressSpace
-from ..memsim.dram import DRAMModel
+from ..memsim.coalescer import REQUEST_SIZES, vertex_request_table
 from ..memsim.gpu_memory import DeviceMemory
 from ..memsim.metrics import TimingModel, TrafficRecord
-from ..memsim.monitor import PCIeTrafficMonitor
 from ..memsim.uvm import UVMSpace
-from ..memsim.zero_copy import ZeroCopyRegion
 from ..obs.trace import tracing_enabled
 from ..timing import TimeBreakdown
 from ..types import AccessStrategy, MemorySpace, VERTEX_DTYPE
@@ -68,7 +65,6 @@ class TraversalEngine:
         strategy: AccessStrategy,
         system: SystemConfig | None = None,
         needs_weights: bool = False,
-        monitor: PCIeTrafficMonitor | None = None,
         edge_misalign_bytes: int = 0,
     ) -> None:
         self.graph = graph
@@ -77,13 +73,10 @@ class TraversalEngine:
         self.system = system or default_system()
         self.needs_weights = bool(needs_weights and graph.has_weights)
         self.timing_model = TimingModel(self.system)
-        self.monitor = monitor or PCIeTrafficMonitor()
         self.device = DeviceMemory(self.system.gpu.memory_bytes)
         self.address_space = AddressSpace(self.device)
-        self.dram = DRAMModel(self.system.host.dram)
         self.traffic = TrafficRecord()
         self.breakdown = TimeBreakdown()
-        self.kernels = KernelStats()
         self.iterations = 0
         #: Relax kernel backend used by this run, noted via ``note_relax``.
         self.relax_backend: str | None = None
@@ -149,17 +142,31 @@ class TraversalEngine:
             self.weight_uvm = UVMSpace(
                 self.weight_allocation, self.system.uvm, capacity_pages - edge_share
             )
-        self.edge_region = None
-        self.weight_region = None
+        self.request_tables = ()
 
     def _setup_zero_copy(self) -> None:
-        warp_size = self.system.gpu.warp_size
-        self.edge_region = ZeroCopyRegion(self.edge_allocation, self.monitor, warp_size)
-        self.weight_region = None
+        gpu = self.system.gpu
+        strided = not self.spec.warp_per_vertex
+        if strided and not 0.0 <= gpu.strided_sector_hit_rate <= 1.0:
+            raise SimulationError("strided_sector_hit_rate must be within [0, 1]")
+        allocations = [self.edge_allocation]
         if self.weight_allocation is not None:
-            self.weight_region = ZeroCopyRegion(
-                self.weight_allocation, self.monitor, warp_size
+            allocations.append(self.weight_allocation)
+        # One request table per zero-copy region, shared by every engine that
+        # walks the same offsets array the same way.
+        self.request_tables = tuple(
+            vertex_request_table(
+                self.graph.offsets,
+                allocation.element_bytes,
+                allocation.base_address,
+                gpu.warp_size,
+                self.spec.aligned,
+                strided,
             )
+            for allocation in allocations
+        )
+        self._refetch_rate = 1.0 - gpu.strided_sector_hit_rate
+        self._dram_bytes_per_second = self.system.host.dram.sequential_bandwidth_gbps * 1e9
         self.edge_uvm = None
         self.weight_uvm = None
 
@@ -186,15 +193,16 @@ class TraversalEngine:
         """
         _iteration_checkpoint()
         frontier = np.asarray(frontier, dtype=VERTEX_DTYPE).ravel()
-        iteration = TimeBreakdown()
         self.iterations += 1
         if frontier.size == 0:
             if self._detail_enabled:
                 self._frontier_log.append((0, 0))
-            return iteration
+            return TimeBreakdown()
+        # Checked with precomputed offsets too: the request tables are indexed
+        # by vertex id, where a negative id would silently wrap around.
+        if frontier.min() < 0 or frontier.max() >= self.graph.num_vertices:
+            raise SimulationError("frontier contains invalid vertex IDs")
         if starts is None or ends is None:
-            if frontier.min() < 0 or frontier.max() >= self.graph.num_vertices:
-                raise SimulationError("frontier contains invalid vertex IDs")
             starts = self.graph.offsets[frontier]
             ends = self.graph.offsets[frontier + 1]
         edges_touched = int((ends - starts).sum())
@@ -209,19 +217,11 @@ class TraversalEngine:
         if self.needs_weights:
             self.traffic.useful_bytes += edges_touched * 4
         self.traffic.kernel_launches += 1
-        self.kernels.record(
-            KernelLaunch(
-                name=f"{self.strategy.value}-iteration",
-                num_threads=int(frontier.size)
-                * (self.system.gpu.warp_size if self.spec.warp_per_vertex else 1),
-                iteration=self.iterations,
-            )
-        )
 
         if self.strategy is AccessStrategy.UVM:
-            iteration.add(self._access_uvm(starts, ends))
+            iteration = self._access_uvm(starts, ends)
         else:
-            iteration.add(self._access_zero_copy(starts, ends))
+            iteration = self._access_zero_copy(frontier, edges_touched)
 
         iteration.add(self.timing_model.kernel_launch_time(1))
         iteration.add(self.timing_model.compute_time(edges_touched, int(frontier.size)))
@@ -248,38 +248,36 @@ class TraversalEngine:
         self.traffic.uvm_migrated_bytes += result.migrated_bytes
         self.traffic.uvm_migrations += result.page_faults
         self.traffic.uvm_pages_touched += result.pages_touched
-        self.traffic.dram_bytes += self.dram.serve_block(result.migrated_bytes)
-        self.monitor.record_block_transfer(result.migrated_bytes, pages=result.page_faults)
+        if result.migrated_bytes:
+            self.traffic.dram_bytes += self.system.host.dram.bytes_touched(
+                result.migrated_bytes
+            )
 
-    def _access_zero_copy(self, starts: np.ndarray, ends: np.ndarray) -> TimeBreakdown:
-        breakdown = TimeBreakdown()
-        histograms = []
-        if self.spec.warp_per_vertex:
-            histograms.append(
-                self.edge_region.access_merged(starts, ends, aligned=self.spec.aligned)
-            )
-            if self.weight_region is not None:
-                histograms.append(
-                    self.weight_region.access_merged(starts, ends, aligned=self.spec.aligned)
-                )
-        else:
-            hit_rate = self.system.gpu.strided_sector_hit_rate
-            histograms.append(
-                self.edge_region.access_strided(
-                    starts, ends, intra_sector_hit_rate=hit_rate
-                )
-            )
-            if self.weight_region is not None:
-                histograms.append(
-                    self.weight_region.access_strided(
-                        starts, ends, intra_sector_hit_rate=hit_rate
-                    )
-                )
-        for histogram in histograms:
-            self.traffic.request_histogram.merge_in_place(histogram)
-            self.traffic.dram_bytes += self.dram.serve_requests(histogram)
-            breakdown.add(self.timing_model.zero_copy_time(histogram))
-        return breakdown
+    def _access_zero_copy(self, frontier: np.ndarray, edges_touched: int) -> TimeBreakdown:
+        """Gather the frontier's rows of each region's request table, price once.
+
+        Edge and weight regions are priced apart: a stream's link time is a
+        ``max`` of two ceilings, so it is not additive across regions.
+        """
+        histogram = self.traffic.request_histogram.counts
+        link = self.timing_model.link
+        interconnect = dram = 0.0
+        for table in self.request_tables:
+            if self.spec.warp_per_vertex:
+                requests = table[frontier].sum(axis=0).tolist()
+            else:
+                # A strided thread re-fetches a sector the cache lost (§3.3):
+                # rounded from the iteration's totals.
+                sectors = int(table[frontier].sum())
+                refetches = int(round((edges_touched - sectors) * self._refetch_rate))
+                requests = [sectors + max(refetches, 0), 0, 0, 0]
+            link_seconds, dram_bytes = link.price_requests(requests)
+            for size, count in zip(REQUEST_SIZES, requests):
+                histogram[size] += count
+            self.traffic.dram_bytes += dram_bytes
+            interconnect += link_seconds
+            dram += dram_bytes / self._dram_bytes_per_second
+        return TimeBreakdown(interconnect_seconds=interconnect, dram_seconds=dram)
 
     # ------------------------------------------------------------------ #
     # Reuse
@@ -287,22 +285,18 @@ class TraversalEngine:
     def reset(self) -> None:
         """Restore the just-constructed state without re-running ``_setup_memory``.
 
-        Clears every run-scoped accumulator (traffic, time breakdown, kernel
-        log, iteration count, monitor, DRAM counters) and the UVM residency
-        state, so a reused engine's next run produces exactly the metrics a
+        Clears every run-scoped accumulator (traffic, time breakdown,
+        iteration count) and the UVM residency state, so a reused engine's next run produces exactly the metrics a
         freshly constructed engine would.  The address-space allocations —
         the expensive part of construction — are left in place.
         """
         self.traffic = TrafficRecord()
         self.breakdown = TimeBreakdown()
-        self.kernels = KernelStats()
         self.iterations = 0
         self.relax_backend = None
         self.relax_candidates = 0
         self._max_frontier = 0
         self._frontier_log.clear()
-        self.monitor.reset()
-        self.dram.reset()
         if self.edge_uvm is not None:
             self.edge_uvm.reset()
         if self.weight_uvm is not None:

@@ -1,5 +1,8 @@
 """Tests for the coalescing-unit model (the Figure 3 behaviours)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from repro.memsim.coalescer import (
     merged_warp_spans,
     naive_thread_spans,
     strided_request_counts,
+    vertex_request_table,
 )
 
 
@@ -331,3 +335,65 @@ def test_merged_never_issues_more_requests_than_strided(ranges):
     strided = strided_request_counts(starts * 8, ends * 8)
     merged = coalesce_contiguous_spans(*merged_warp_spans(starts, ends, element_bytes=8))
     assert merged.total_requests <= strided.total_requests
+
+
+@st.composite
+def csr_offsets(draw):
+    """Offsets of a random CSR graph, zero-degree vertices included."""
+    degrees = draw(st.lists(st.integers(0, 70), min_size=1, max_size=30))
+    return np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+
+
+@given(
+    offsets=csr_offsets(),
+    element_bytes=st.sampled_from((4, 8)),
+    misalign=st.sampled_from((0, 32, 40, 896)),
+    warp_size=st.sampled_from((4, 8, 16, 32)),
+    aligned=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_request_table_rows_sum_to_every_frontier_histogram(
+    offsets, element_bytes, misalign, warp_size, aligned, data
+):
+    """Property: a frontier's gathered table rows equal the span expansion and
+    the exact per-warp-instruction coalescing; the strided column equals
+    strided_request_counts."""
+    base = 4096 + misalign
+    frontier = np.array(
+        data.draw(st.lists(st.integers(0, offsets.size - 2), unique=True)), dtype=np.int64
+    )
+    starts, ends = offsets[frontier], offsets[frontier + 1]
+    table = vertex_request_table(offsets, element_bytes, base, warp_size, aligned)
+    gathered = RequestHistogram.from_array(table[frontier].sum(axis=0))
+    spans = coalesce_contiguous_spans(
+        *merged_warp_spans(starts, ends, element_bytes, base, warp_size, aligned)
+    )
+    exact = RequestHistogram()
+    elements_per_line = CACHELINE_BYTES // element_bytes
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        walk = start - start % elements_per_line if aligned else start
+        while walk < end:
+            lanes = np.arange(max(walk, start), min(walk + warp_size, end))
+            exact.merge_in_place(
+                coalesce_warp_addresses(base + lanes * element_bytes, access_bytes=element_bytes)
+            )
+            walk += warp_size
+    assert gathered == spans == exact
+
+    column = vertex_request_table(offsets, element_bytes, base, warp_size, aligned, strided=True)
+    strided = strided_request_counts(*naive_thread_spans(starts, ends, element_bytes, base))
+    assert int(column[frontier].sum()) == strided.counts[SECTOR_BYTES]
+
+
+def test_request_table_is_memoised_per_offsets_array_and_released_with_it():
+    offsets = np.array([0, 3, 3, 40], dtype=np.int64)
+    table = vertex_request_table(offsets, 8, aligned=True)
+    # The base address only matters modulo one cache line.
+    assert vertex_request_table(offsets, 8, 4096, aligned=True) is table
+    assert not table.flags.writeable
+    assert vertex_request_table(offsets.copy(), 8, aligned=True) is not table
+    released = weakref.ref(table)
+    del offsets, table
+    gc.collect()
+    assert released() is None

@@ -53,9 +53,9 @@ class TestEngineReset:
         assert engine.iterations == 0
         assert engine.breakdown.total() == 0.0
         assert engine.traffic.edges_processed == 0
-        assert engine.kernels.num_launches == 0
-        assert engine.monitor.total_requests == 0
-        assert engine.dram.bytes_touched == 0
+        assert engine.traffic.kernel_launches == 0
+        assert engine.traffic.uvm_migrated_bytes == 0
+        assert engine.traffic.dram_bytes == 0
         assert engine.edge_uvm.resident_pages == 0
 
     def test_reset_keeps_allocations(self, random_graph):

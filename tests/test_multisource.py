@@ -2,6 +2,7 @@
 attribution invariants."""
 
 import hashlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ampere_pcie4
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.builder import from_edge_array
 from repro.timing import TimeBreakdown
@@ -16,6 +18,7 @@ from repro.traversal import _native, multisource
 from repro.traversal.api import run_average
 from repro.traversal.arena import EngineArena
 from repro.traversal.bfs import bfs_levels, run_bfs
+from repro.traversal.cc import run_cc
 from repro.traversal.engine import TraversalEngine
 from repro.traversal.multisource import (
     WORD_BITS,
@@ -27,6 +30,7 @@ from repro.traversal.multisource import (
     run_packed_batch,
     run_sssp_batch,
 )
+from repro.traversal.pagerank import run_pagerank
 from repro.traversal.sssp import run_sssp, sssp_distances
 from repro.types import AccessStrategy, Application
 
@@ -348,6 +352,76 @@ class TestPinnedAttributedMetrics:
         pinned = PINNED_DIGESTS[(fixture, application, lanes)]
         for configs, fronts in _front_digests(graph, application, lanes).items():
             assert fronts == dict.fromkeys(fronts, pinned[configs]), configs
+
+
+SOLO_RUNNERS = {
+    "bfs": lambda graph, strategy, system: run_bfs(graph, 3, strategy, system),
+    "sssp": lambda graph, strategy, system: run_sssp(graph, 3, strategy, system),
+    "cc": lambda graph, strategy, system: run_cc(graph, strategy, system),
+    "pagerank": lambda graph, strategy, system: run_pagerank(graph, strategy, system),
+}
+
+
+def _solo_platform(graph, platform):
+    """``(graph, system)`` of a platform label: the default V100, or an A100
+    over PCIe 4.0 with 16-lane warps reading 4-byte edge elements."""
+    if platform == "default":
+        return graph, None
+    system = ampere_pcie4()
+    system = replace(system, gpu=replace(system.gpu, warp_size=16))
+    return graph.with_element_bytes(4), system
+
+
+def _solo_digest(graph, application, platform) -> str:
+    """Digest of one application's solo runs under all four strategies."""
+    graph, system = _solo_platform(graph, platform)
+    parts = []
+    for strategy in ALL_STRATEGIES:
+        result = SOLO_RUNNERS[application](graph, strategy, system)
+        parts.append(
+            (str(strategy), hashlib.sha256(result.values.tobytes()).hexdigest())
+            + metrics_fields(result.metrics)
+        )
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+#: Recorded at the commit before zero-copy traffic was priced from per-vertex
+#: request tables: (graph fixture, platform, application) -> digest.
+PINNED_SOLO_DIGESTS = {
+    ("random_graph", "default", "bfs"): "ed6a52b8ba94fa48",
+    ("random_graph", "default", "sssp"): "83198cdc5138e6cc",
+    ("random_graph", "default", "cc"): "6d6eee111da9c552",
+    ("random_graph", "default", "pagerank"): "feb1ac3c27b3b0b2",
+    ("random_graph", "ampere-w16", "bfs"): "aae4c10abbf9d2aa",
+    ("random_graph", "ampere-w16", "sssp"): "6899052f6e55bf3e",
+    ("random_graph", "ampere-w16", "cc"): "1412969c8232587c",
+    ("random_graph", "ampere-w16", "pagerank"): "e20141cb499c7479",
+    ("weighted_uniform_graph", "default", "bfs"): "8061108832e7aeaf",
+    ("weighted_uniform_graph", "default", "sssp"): "2722196be5620cb9",
+    ("weighted_uniform_graph", "default", "cc"): "de14bd4204f36fda",
+    ("weighted_uniform_graph", "default", "pagerank"): "5e52b90f706e83b6",
+    ("weighted_uniform_graph", "ampere-w16", "bfs"): "1064b3601a0085f8",
+    ("weighted_uniform_graph", "ampere-w16", "sssp"): "181ff7579b300189",
+    ("weighted_uniform_graph", "ampere-w16", "cc"): "7f59e6197b3f19fc",
+    ("weighted_uniform_graph", "ampere-w16", "pagerank"): "13efeac532f0f9cf",
+}
+
+
+class TestPinnedSoloMetrics:
+    """Solo metrics are guarded across commits too: every strategy's values
+    and every simulated number of its metrics, per application, graph and
+    platform, bit for bit."""
+
+    @pytest.mark.parametrize("application", tuple(SOLO_RUNNERS))
+    @pytest.mark.parametrize("platform", ("default", "ampere-w16"))
+    @pytest.mark.parametrize("fixture", ("random_graph", "weighted_uniform_graph"))
+    def test_solo_runs_match_the_pinned_digest(
+        self, request, fixture, platform, application
+    ):
+        graph = request.getfixturevalue(fixture)
+        assert _solo_digest(graph, application, platform) == (
+            PINNED_SOLO_DIGESTS[(fixture, platform, application)]
+        )
 
 
 # ---------------------------------------------------------------------- #
