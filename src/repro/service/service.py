@@ -621,14 +621,15 @@ class Service:
         return Cancellation(budget, label=label)
 
     def _relax_method(self) -> str | None:
-        """Word-kernel backend for this BFS/SSSP run (a word drain or a solo
-        job), as the breaker allows.
+        """Native-kernel backend for this run (a drain or a solo job), as the
+        breaker allows.
 
         ``None`` (engine default) when the native kernels never compiled —
         the breaker only arbitrates a backend that nominally works.  While
         closed (or probing half-open) the native kernels are used; while
         open, the bit-identical numpy paths ("scatter" relaxation, the numpy
-        BFS sweep) serve degraded traffic, and the run counts as degraded.
+        BFS, CC and PageRank sweeps) serve degraded traffic, and the run
+        counts as degraded.
         """
         if not _native.available():
             return None
@@ -640,7 +641,7 @@ class Service:
     def _stepped_down(
         self, exc: BaseException, relax_method: str | None, label: str
     ) -> bool:
-        """The breaker ladder for one failed BFS/SSSP run (a sweep or a job).
+        """The breaker ladder for one failed run (a sweep or a job).
 
         True when ``exc`` is a native-kernel failure of a native run: the
         failure is recorded (opening the breaker at its threshold), the run
@@ -1325,11 +1326,10 @@ class Service:
         predicted = self._costmodel.estimate_sweep(self._sweep_groups(groups))
         for job in all_jobs:
             job.mark_running()
-        # Every BFS/SSSP word sweep runs a native kernel (the BFS word or the
-        # SSSP relaxation), so those consult the native-backend breaker and
-        # report to it; the streaming applications (CC, PageRank) never run
-        # native code, so their outcomes say nothing about it.
-        relax_method = None if streaming else self._relax_method()
+        # Every sweep runs a native kernel (the BFS word, the SSSP relaxation,
+        # the CC min-label sweep or the PageRank step), so every shape
+        # consults the native-backend breaker and reports to it.
+        relax_method = self._relax_method()
         attempt = 0
         while True:
             started = time.perf_counter()
@@ -1340,7 +1340,8 @@ class Service:
                 with cancellation_scope(token):
                     if kind == "streaming":
                         outcome = run_streaming_batch(
-                            application, graph, lanes, arena=self._arena
+                            application, graph, lanes,
+                            arena=self._arena, relax_method=relax_method,
                         )
                     elif kind == "multisource":
                         outcome = run_batch(
@@ -1424,25 +1425,20 @@ class Service:
     def _run_leased(self, request: TraversalRequest, graph: CSRGraph) -> TraversalResult:
         """Run one request against an engine leased from the arena."""
         application = request.application
-        if application is Application.CC:
-            with self._arena.lease(graph, request.strategy, request.system) as engine:
-                return run_cc(
-                    graph, strategy=request.strategy, system=request.system, engine=engine
+        if application.is_streaming:
+            runner = run_cc if application is Application.CC else run_pagerank
+            args = (graph,)
+        else:
+            source = request.source
+            if source is None or not 0 <= source < graph.num_vertices:
+                raise SimulationError(
+                    f"source vertex {source} out of range for graph with "
+                    f"{graph.num_vertices} vertices"
                 )
-        if application is Application.PAGERANK:
-            with self._arena.lease(graph, request.strategy, request.system) as engine:
-                return run_pagerank(
-                    graph, strategy=request.strategy, system=request.system, engine=engine
-                )
-        source = request.source
-        if source is None or not 0 <= source < graph.num_vertices:
-            raise SimulationError(
-                f"source vertex {source} out of range for graph with "
-                f"{graph.num_vertices} vertices"
-            )
-        # A solo BFS/SSSP run sweeps the native word kernels, so it consults
-        # the native breaker and reports to it exactly as a word drain does.
-        runner = run_bfs if application is Application.BFS else run_sssp
+            runner = run_bfs if application is Application.BFS else run_sssp
+            args = (graph, source)
+        # A solo run sweeps the same native kernels as a drain, so it
+        # consults the native breaker and reports to it exactly as one does.
         relax_method = self._relax_method()
         while True:
             try:
@@ -1451,8 +1447,7 @@ class Service:
                     needs_weights=application is Application.SSSP,
                 ) as engine:
                     result = runner(
-                        graph,
-                        source,
+                        *args,
                         strategy=request.strategy,
                         system=request.system,
                         engine=engine,

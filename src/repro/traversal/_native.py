@@ -1,10 +1,12 @@
-"""Optional native (C) backend for the two word kernels (batched and solo).
+"""Optional native (C) backend for the word and streaming kernels.
 
 The numpy formulations of a batched sweep are bound by numpy's
 pass-at-a-time execution and by Python loops over the ≤ 64 lanes of a word.
 Both inner loops are tiny, so a compiled loop over the bit-packed lane words
 (`ctz` over each vertex's active-lane mask) runs the same work an order of
-magnitude faster.  Two kernels share one shared object:
+magnitude faster.  The streaming applications pay the same tax on their
+``np.minimum.at`` / ``np.add.at`` scatters over the whole edge list.  Four
+kernels share one shared object:
 
 * ``repro_relax_word`` — one SSSP relaxation sweep
   (:func:`relax_word`, fronted by :func:`repro.traversal.relax.relax_lanes`):
@@ -14,20 +16,28 @@ magnitude faster.  Two kernels share one shared object:
 * ``repro_bfs_word`` — one BFS sweep (:func:`bfs_word`, called by
   :class:`repro.traversal.multisource.BFSWord`): per-lane edge counts,
   OR-scatter of the frontier words, and one pass over the vertices that keeps
-  the unvisited bits, writes their levels and emits the next frontier.
+  the unvisited bits, writes their levels and emits the next frontier;
+* ``repro_cc_sweep`` — one min-label propagation sweep (:func:`cc_sweep`,
+  called by :func:`repro.traversal.cc.cc_sweep`): snapshot, scatter-min and
+  one scan emitting the lowered vertices as the next frontier;
+* ``repro_pagerank_step`` — one PageRank power-iteration step
+  (:func:`pagerank_step`, called by
+  :func:`repro.traversal.pagerank.pagerank_sweep`): push every vertex's
+  share along its out-edges in CSR order, then the damped update.
 
-A solo BFS/SSSP run calls them as a word of one lane.
+A solo BFS/SSSP run calls the word kernels as a word of one lane.
 
-This module builds both *at runtime* with whatever C compiler the host
+This module builds them *at runtime* with whatever C compiler the host
 already has (``gcc``/``cc``), caches the shared object under
 ``~/.cache/repro-native/`` keyed by a hash of the source and flags, and loads
 it through :mod:`ctypes` (stdlib — no new dependency).  Everything is gated:
 no compiler, a failed compile, or ``REPRO_NATIVE=0`` simply mean
 :func:`available` returns False and callers stay on the numpy paths, which
-the relax and multisource equivalence tests keep bit-identical.  Both
-kernels fire the same ``native.invoke`` fault site and raise the same
-:class:`~repro.errors.NativeBackendError`, so the service's one native
-circuit breaker guards BFS and SSSP sweeps alike.
+the relax, multisource and streaming equivalence tests keep bit-identical
+(``-ffp-contract=off`` keeps an FMA-capable host from fusing PageRank's
+multiply-add).  Every kernel fires the same ``native.invoke`` fault site and
+raises the same :class:`~repro.errors.NativeBackendError`, so the service's
+one native circuit breaker guards BFS, SSSP, CC and PageRank sweeps alike.
 
 The C calls release the GIL (plain ``ctypes.CDLL``), so service workers
 draining separate batches sweep concurrently.
@@ -57,7 +67,7 @@ _ENV_CACHE_DIR = "REPRO_NATIVE_DIR"
 
 #: Sanitizer build mode: ``asan`` or ``ubsan`` compiles the kernels with the
 #: matching ``-fsanitize=`` flags (plus frame pointers and debug info) so the
-#: relax and multisource bit-identity tests double as memory/UB checks in CI.  The
+#: relax, multisource and streaming bit-identity tests double as memory/UB checks in CI.  The
 #: sanitized object is cached under its own flag digest, so switching modes
 #: never serves a stale unsanitized build.
 _ENV_SANITIZE = "REPRO_NATIVE_SANITIZE"
@@ -69,7 +79,7 @@ _SANITIZE_FLAGS = {
     "ubsan": ("-fsanitize=undefined", "-fno-omit-frame-pointer", "-g"),
 }
 
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -200,6 +210,79 @@ int64_t repro_bfs_word(const int64_t *frontier,
         }
     }
     return count;
+}
+
+/* One min-label propagation (CC) sweep.
+ *
+ * labels is copied into prev first; then every edge frontier[f] -> d lowers
+ * labels[d] to prev[frontier[f]].  Sources are read from the snapshot, so a
+ * label lowered earlier in the sweep never feeds a later edge -- the
+ * gather-then-scatter semantics of np.minimum.at over candidates gathered
+ * before the scatter.  One ascending scan then writes every vertex whose
+ * label dropped to next_frontier (num_vertices capacity).  Returns its size.
+ * Both loops are branch-free: on the first sweep the comparisons are coin
+ * flips, and a mispredicted branch costs more than the store it saves.
+ */
+int64_t repro_cc_sweep(const int64_t *frontier,
+                       const int64_t *starts,
+                       const int64_t *ends,
+                       int64_t num_frontier,
+                       const int64_t *edges,
+                       int64_t *labels,
+                       int64_t *prev,
+                       int64_t num_vertices,
+                       int64_t *next_frontier)
+{
+    for (int64_t v = 0; v < num_vertices; v++) prev[v] = labels[v];
+    for (int64_t f = 0; f < num_frontier; f++) {
+        int64_t label = prev[frontier[f]];
+        /* Bounds read once: a store through labels may alias ends. */
+        const int64_t *edge = edges + starts[f], *end = edges + ends[f];
+        for (; edge < end; edge++) {
+            int64_t current = labels[*edge];
+            labels[*edge] = label < current ? label : current;
+        }
+    }
+    int64_t count = 0;
+    for (int64_t v = 0; v < num_vertices; v++) {
+        next_frontier[count] = v;
+        count += labels[v] < prev[v];
+    }
+    return count;
+}
+
+/* One push-style PageRank step over the whole graph.
+ *
+ * contribution is overwritten: every vertex with degrees[v] > 0 pushes
+ * scores[v] / degrees[v] to each out-neighbour in CSR edge order (the order
+ * np.add.at applies), then new_scores = base + damping * (contribution +
+ * dangling).  Built with -ffp-contract=off so no multiply-add is fused.
+ * Returns the number of edges pushed.
+ */
+int64_t repro_pagerank_step(const int64_t *offsets,
+                            const int64_t *edges,
+                            const double *degrees,
+                            const double *scores,
+                            double *contribution,
+                            double *new_scores,
+                            int64_t num_vertices,
+                            double base,
+                            double damping,
+                            double dangling)
+{
+    for (int64_t v = 0; v < num_vertices; v++) contribution[v] = 0.0;
+    for (int64_t v = 0; v < num_vertices; v++) {
+        if (!(degrees[v] > 0.0)) continue;
+        double share = scores[v] / degrees[v];
+        /* A pointer walk with its bound read once: measured about 20 %
+         * faster than indexing edges[e] up to offsets[v + 1]. */
+        const int64_t *edge = edges + offsets[v], *end = edges + offsets[v + 1];
+        for (; edge < end; edge++) contribution[*edge] += share;
+    }
+    for (int64_t v = 0; v < num_vertices; v++) {
+        new_scores[v] = base + damping * (contribution[v] + dangling);
+    }
+    return offsets[num_vertices] - offsets[0];
 }
 """
 
@@ -337,6 +420,31 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
             pointer(np.int64, flags="C_CONTIGUOUS"),   # next_frontier
             pointer(np.uint64, flags="C_CONTIGUOUS"),  # next_active
         ]
+        library.repro_cc_sweep.restype = ctypes.c_int64
+        library.repro_cc_sweep.argtypes = [
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # frontier
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # starts
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # ends
+            ctypes.c_int64,                            # num_frontier
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # edges
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # labels
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # prev
+            ctypes.c_int64,                            # num_vertices
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # next_frontier
+        ]
+        library.repro_pagerank_step.restype = ctypes.c_int64
+        library.repro_pagerank_step.argtypes = [
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # offsets
+            pointer(np.int64, flags="C_CONTIGUOUS"),   # edges
+            pointer(np.float64, flags="C_CONTIGUOUS"), # degrees
+            pointer(np.float64, flags="C_CONTIGUOUS"), # scores
+            pointer(np.float64, flags="C_CONTIGUOUS"), # contribution
+            pointer(np.float64, flags="C_CONTIGUOUS"), # new_scores
+            ctypes.c_int64,                            # num_vertices
+            ctypes.c_double,                           # base
+            ctypes.c_double,                           # damping
+            ctypes.c_double,                           # dangling
+        ]
     except OSError as exc:
         return None, f"load failed: {exc}"
     return library, f"compiled with {compiler}{sanitize_note}"
@@ -352,7 +460,7 @@ def _ensure_loaded() -> ctypes.CDLL | None:
 
 
 def available() -> bool:
-    """True when the compiled word kernels are usable on this host."""
+    """True when the compiled kernels are usable on this host."""
     return _ensure_loaded() is not None
 
 
@@ -363,7 +471,7 @@ def status() -> str:
 
 
 def _invoke(kernel: str, *args) -> int:
-    """Call one compiled kernel behind the ``native.invoke`` fault site.
+    """Call ``repro_<kernel>`` behind the ``native.invoke`` fault site.
 
     Injected invoke faults, a missing library and ctypes-level failures all
     surface as :class:`NativeBackendError`, so the circuit breaker cannot
@@ -377,7 +485,7 @@ def _invoke(kernel: str, *args) -> int:
     if library is None:
         raise NativeBackendError(f"native {kernel} kernel unavailable: {status()}")
     try:
-        return int(getattr(library, f"repro_{kernel}_word")(*args))
+        return int(getattr(library, f"repro_{kernel}")(*args))
     except (ctypes.ArgumentError, OSError) as exc:
         raise NativeBackendError(f"native {kernel} kernel failed: {exc}") from exc
 
@@ -399,10 +507,23 @@ def relax_word(
     ``values`` is the vertex-major ``(num_vertices, lanes)`` matrix updated in
     place; ``next_bits`` and ``lane_edges`` must arrive zeroed.  The caller
     guarantees contiguity and dtypes (this is the kernel's private fast path,
-    fronted by :func:`repro.traversal.relax.relax_lanes`).
+    fronted by :func:`repro.traversal.relax.relax_lanes`); buffer lengths are
+    checked here, since a short one would be read or written past its end.
     """
+    num_vertices, lanes = values.shape
+    if not (
+        lanes <= 64
+        and lane_edges.size == lanes
+        and frontier.size == active_bits.size == starts.size == ends.size
+        and snapshot.shape[0] >= frontier.size
+        and snapshot.shape[1] == lanes
+        and num_vertices == next_bits.size
+    ):
+        raise ValueError(
+            "relax_word buffers do not match the (num_vertices, lanes) values"
+        )
     return _invoke(
-        "relax",
+        "relax_word",
         frontier,
         active_bits,
         starts,
@@ -414,7 +535,7 @@ def relax_word(
         snapshot.reshape(-1),
         next_bits,
         lane_edges,
-        values.shape[1],
+        lanes,
     )
 
 
@@ -453,7 +574,7 @@ def bfs_word(
     ):
         raise ValueError("bfs_word buffers do not match the (lanes, num_vertices) levels")
     return _invoke(
-        "bfs",
+        "bfs_word",
         frontier,
         active_bits,
         starts,
@@ -469,4 +590,78 @@ def bfs_word(
         lanes,
         next_frontier,
         next_active,
+    )
+
+
+def cc_sweep(
+    frontier: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    edges: np.ndarray,
+    labels: np.ndarray,
+    prev: np.ndarray,
+    next_frontier: np.ndarray,
+) -> int:
+    """Invoke the compiled min-label sweep; see the C source for the contract.
+
+    ``labels`` is updated in place and ``prev`` receives its pre-sweep copy.
+    Returns the next frontier's size: ``next_frontier[:size]``, ascending.
+    ``next_frontier`` must not be ``frontier``'s buffer.  The caller
+    guarantees contiguity and dtypes (this is the private fast path of
+    :func:`repro.traversal.cc.cc_sweep`).
+    """
+    if not (
+        frontier.size == starts.size == ends.size
+        and labels.size == prev.size == next_frontier.size
+    ):
+        raise ValueError("cc_sweep buffers do not match the frontier and the labels")
+    return _invoke(
+        "cc_sweep",
+        frontier,
+        starts,
+        ends,
+        frontier.size,
+        edges,
+        labels,
+        prev,
+        labels.size,
+        next_frontier,
+    )
+
+
+def pagerank_step(
+    offsets: np.ndarray,
+    edges: np.ndarray,
+    degrees: np.ndarray,
+    scores: np.ndarray,
+    contribution: np.ndarray,
+    new_scores: np.ndarray,
+    base: float,
+    damping: float,
+    dangling: float,
+) -> int:
+    """Invoke the compiled PageRank step; see the C source for the contract.
+
+    Writes ``contribution`` and ``new_scores`` (which must not be
+    ``scores``).  The caller guarantees contiguity and dtypes (this is the
+    private fast path of :func:`repro.traversal.pagerank.pagerank_sweep`).
+    """
+    num_vertices = scores.size
+    if not (
+        offsets.size == num_vertices + 1
+        and degrees.size == contribution.size == new_scores.size == num_vertices
+    ):
+        raise ValueError("pagerank_step buffers do not match the (num_vertices + 1) offsets")
+    return _invoke(
+        "pagerank_step",
+        offsets,
+        edges,
+        degrees,
+        scores,
+        contribution,
+        new_scores,
+        num_vertices,
+        base,
+        damping,
+        dangling,
     )

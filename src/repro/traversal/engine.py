@@ -17,7 +17,7 @@ from ..config import SystemConfig, default_system
 from ..errors import SimulationError
 from ..graph.csr import CSRGraph
 from ..memsim.address_space import AddressSpace
-from ..memsim.coalescer import REQUEST_SIZES, vertex_request_table
+from ..memsim.coalescer import REQUEST_SIZES, vertex_request_table, vertex_request_totals
 from ..memsim.gpu_memory import DeviceMemory
 from ..memsim.metrics import TimingModel, TrafficRecord
 from ..memsim.uvm import UVMSpace
@@ -143,6 +143,7 @@ class TraversalEngine:
                 self.weight_allocation, self.system.uvm, capacity_pages - edge_share
             )
         self.request_tables = ()
+        self.request_totals = ()
 
     def _setup_zero_copy(self) -> None:
         gpu = self.system.gpu
@@ -153,9 +154,9 @@ class TraversalEngine:
         if self.weight_allocation is not None:
             allocations.append(self.weight_allocation)
         # One request table per zero-copy region, shared by every engine that
-        # walks the same offsets array the same way.
-        self.request_tables = tuple(
-            vertex_request_table(
+        # walks the same offsets array the same way, and its column totals.
+        walks = [
+            (
                 self.graph.offsets,
                 allocation.element_bytes,
                 allocation.base_address,
@@ -164,7 +165,9 @@ class TraversalEngine:
                 strided,
             )
             for allocation in allocations
-        )
+        ]
+        self.request_tables = tuple(vertex_request_table(*walk) for walk in walks)
+        self.request_totals = tuple(vertex_request_totals(*walk) for walk in walks)
         self._refetch_rate = 1.0 - gpu.strided_sector_hit_rate
         self._dram_bytes_per_second = self.system.host.dram.sequential_bandwidth_gbps * 1e9
         self.edge_uvm = None
@@ -200,7 +203,8 @@ class TraversalEngine:
             return TimeBreakdown()
         # Checked with precomputed offsets too: the request tables are indexed
         # by vertex id, where a negative id would silently wrap around.
-        if frontier.min() < 0 or frontier.max() >= self.graph.num_vertices:
+        num_vertices = self.graph.num_vertices
+        if frontier.min() < 0 or frontier.max() >= num_vertices:
             raise SimulationError("frontier contains invalid vertex IDs")
         if starts is None or ends is None:
             starts = self.graph.offsets[frontier]
@@ -221,7 +225,12 @@ class TraversalEngine:
         if self.strategy is AccessStrategy.UVM:
             iteration = self._access_uvm(starts, ends)
         else:
-            iteration = self._access_zero_copy(frontier, edges_touched)
+            # Every vertex once (strictly increasing, V of them): the
+            # streaming iterations, priced from the memoised totals.
+            whole_graph = frontier.size == num_vertices and bool(
+                (frontier[1:] > frontier[:-1]).all()
+            )
+            iteration = self._access_zero_copy(frontier, edges_touched, whole_graph)
 
         iteration.add(self.timing_model.kernel_launch_time(1))
         iteration.add(self.timing_model.compute_time(edges_touched, int(frontier.size)))
@@ -253,22 +262,27 @@ class TraversalEngine:
                 result.migrated_bytes
             )
 
-    def _access_zero_copy(self, frontier: np.ndarray, edges_touched: int) -> TimeBreakdown:
+    def _access_zero_copy(
+        self, frontier: np.ndarray, edges_touched: int, whole_graph: bool
+    ) -> TimeBreakdown:
         """Gather the frontier's rows of each region's request table, price once.
 
-        Edge and weight regions are priced apart: a stream's link time is a
-        ``max`` of two ceilings, so it is not additive across regions.
+        A ``whole_graph`` frontier takes the table's memoised column totals
+        instead of gathering every row.  Edge and weight regions are priced
+        apart: a stream's link time is a ``max`` of two ceilings, so it is
+        not additive across regions.
         """
         histogram = self.traffic.request_histogram.counts
         link = self.timing_model.link
         interconnect = dram = 0.0
-        for table in self.request_tables:
+        for table, totals in zip(self.request_tables, self.request_totals):
+            rows = totals if whole_graph else table[frontier].sum(axis=0)
             if self.spec.warp_per_vertex:
-                requests = table[frontier].sum(axis=0).tolist()
+                requests = rows.tolist()
             else:
                 # A strided thread re-fetches a sector the cache lost (§3.3):
                 # rounded from the iteration's totals.
-                sectors = int(table[frontier].sum())
+                sectors = int(rows)
                 refetches = int(round((edges_touched - sectors) * self._refetch_rate))
                 requests = [sectors + max(refetches, 0), 0, 0, 0]
             link_seconds, dram_bytes = link.price_requests(requests)

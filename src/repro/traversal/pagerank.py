@@ -22,6 +22,7 @@ from ..config import SystemConfig
 from ..errors import ConfigurationError
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, EMOGI_STRATEGY
+from . import _native
 from .engine import TraversalEngine
 from .frontier import all_vertices_frontier
 from .results import TraversalMetrics
@@ -63,8 +64,14 @@ def pagerank_scores(
     tolerance: float = 1e-6,
     max_iterations: int = 100,
 ) -> np.ndarray:
-    """Reference PageRank without memory simulation (used by tests)."""
-    return _pagerank(graph, None, EMOGI_STRATEGY, damping, tolerance, max_iterations).values
+    """Reference PageRank without memory simulation (used by tests).
+
+    Always the numpy sweep, so a native kernel bug cannot hide in its own
+    reference.
+    """
+    return _pagerank(
+        graph, None, EMOGI_STRATEGY, damping, tolerance, max_iterations, "scatter"
+    ).values
 
 
 def run_pagerank(
@@ -75,10 +82,16 @@ def run_pagerank(
     tolerance: float = 1e-6,
     max_iterations: int = 100,
     engine: TraversalEngine | None = None,
+    relax_method: str | None = None,
 ) -> PageRankResult:
-    """PageRank under the given edge-list access strategy."""
+    """PageRank under the given edge-list access strategy.
+
+    ``relax_method`` picks the sweep backend as for :func:`pagerank_sweep`.
+    """
     engine = engine or TraversalEngine(graph, strategy, system=system, needs_weights=False)
-    return _pagerank(graph, engine, strategy, damping, tolerance, max_iterations)
+    return _pagerank(
+        graph, engine, strategy, damping, tolerance, max_iterations, relax_method
+    )
 
 
 def pagerank_sweep(
@@ -87,6 +100,7 @@ def pagerank_sweep(
     damping: float = 0.85,
     tolerance: float = 1e-6,
     max_iterations: int = 100,
+    relax_method: str | None = None,
 ) -> tuple[np.ndarray, int, bool]:
     """Push-style power iteration, driving every engine once per iteration.
 
@@ -94,7 +108,11 @@ def pagerank_sweep(
     engine-independent: each iteration streams the whole edge list once for
     the algorithm and replays the all-vertices frontier into every attached
     engine, which is how the streaming batch runs one PageRank under many
-    simulated platforms.  Returns ``(scores, iterations, converged)``.
+    simulated platforms.  ``relax_method`` ``None`` or ``"native"`` pushes
+    with ``repro_pagerank_step`` when it is available; anything else pushes
+    with ``np.add.at``.  The two reductions (dangling mass and the L1 delta)
+    are numpy's pairwise sums on both backends, so the scores are
+    bit-identical.  Returns ``(scores, iterations, converged)``.
     """
     if not 0.0 < damping < 1.0:
         raise ConfigurationError("damping must lie strictly between 0 and 1")
@@ -108,25 +126,40 @@ def pagerank_sweep(
         return np.empty(0), 0, True
 
     degrees = graph.degrees().astype(np.float64)
-    sources = graph.edge_sources()
+    active = degrees > 0
+    dangling = np.flatnonzero(~active)
     frontier = all_vertices_frontier(graph)
+    # Every iteration's frontier is every vertex: its slices are the offsets.
+    starts, ends = graph.offsets[:-1], graph.offsets[1:]
     scores = np.full(num_vertices, 1.0 / num_vertices)
     base = (1.0 - damping) / num_vertices
+    native = relax_method in (None, "native") and _native.available()
+    if native:
+        contribution = np.empty(num_vertices)
+        spare = np.empty(num_vertices)
+    else:
+        sources = graph.edge_sources()
 
     iterations = 0
     converged = False
     while iterations < max_iterations and not converged:
         for engine in engines:
-            engine.process_frontier(frontier)
-        contribution = np.zeros(num_vertices)
-        active = degrees > 0
-        per_edge = np.zeros(num_vertices)
-        per_edge[active] = scores[active] / degrees[active]
-        np.add.at(contribution, graph.edges, per_edge[sources])
-        dangling_mass = scores[~active].sum() / num_vertices
-        new_scores = base + damping * (contribution + dangling_mass)
+            engine.process_frontier(frontier, starts, ends)
+        dangling_mass = scores[dangling].sum() / num_vertices
+        if native:
+            new_scores = spare
+            _native.pagerank_step(
+                graph.offsets, graph.edges, degrees, scores, contribution,
+                new_scores, base, damping, float(dangling_mass),
+            )
+        else:
+            contribution = np.zeros(num_vertices)
+            per_edge = np.zeros(num_vertices)
+            per_edge[active] = scores[active] / degrees[active]
+            np.add.at(contribution, graph.edges, per_edge[sources])
+            new_scores = base + damping * (contribution + dangling_mass)
         delta = float(np.abs(new_scores - scores).sum())
-        scores = new_scores
+        scores, spare = new_scores, scores
         iterations += 1
         converged = delta < tolerance
     return scores, iterations, converged
@@ -139,6 +172,7 @@ def _pagerank(
     damping: float,
     tolerance: float,
     max_iterations: int,
+    relax_method: str | None = None,
 ) -> PageRankResult:
     scores, iterations, converged = pagerank_sweep(
         graph,
@@ -146,6 +180,7 @@ def _pagerank(
         damping=damping,
         tolerance=tolerance,
         max_iterations=max_iterations,
+        relax_method=relax_method,
     )
     if graph.num_vertices == 0:
         return PageRankResult(graph.name, strategy, scores, iterations, converged, None)

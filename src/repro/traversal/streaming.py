@@ -13,7 +13,7 @@ Because the engines only account traffic, every lane's values *and* metrics
 are exactly what its solo :func:`~repro.traversal.cc.run_cc` /
 :func:`~repro.traversal.pagerank.run_pagerank` would produce — the streaming
 analog of the multisource module's bit-identity guarantee — while the
-algorithm's numpy work (the dominant wall-clock cost) is paid once per word
+algorithm's work (the dominant wall-clock cost) is paid once per word
 instead of once per lane.  The union sweep is a pure win here: unlike SSSP
 there is no per-lane masking at all, since every lane is active every
 iteration.
@@ -148,13 +148,16 @@ def run_streaming_batch(
     damping: float = 0.85,
     tolerance: float = 1e-6,
     max_iterations: int = 100,
+    relax_method: str | None = None,
 ) -> StreamingBatchResult:
     """Run CC or PageRank once per ≤64-lane word, fanned across platforms.
 
     ``lanes`` is any collection :func:`normalize_lanes` accepts.  Engines are
     leased from ``arena`` (an :class:`~repro.traversal.arena.EngineArena`)
     when given, else constructed per lane.  ``damping`` / ``tolerance`` /
-    ``max_iterations`` apply to PageRank lanes only.
+    ``max_iterations`` apply to PageRank lanes only.  ``relax_method`` picks
+    the sweep backend as for :func:`~repro.traversal.cc.cc_sweep` /
+    :func:`~repro.traversal.pagerank.pagerank_sweep`.
     """
     application = (
         application.value if isinstance(application, Application) else str(application)
@@ -171,7 +174,7 @@ def run_streaming_batch(
         for offset in range(0, len(lane_list), WORD_BITS):
             word = lane_list[offset : offset + WORD_BITS]
             with _lane_engines(graph, word, arena) as engines:
-                labels, _ = cc_sweep(graph, engines=engines)
+                labels, _ = cc_sweep(graph, engines=engines, relax_method=relax_method)
                 for lane, engine in zip(word, engines):
                     outcome.results.append(  # repro: noqa[REPRO101] — one result per lane, not per edge
                         TraversalResult(
@@ -206,6 +209,7 @@ def run_streaming_batch(
                     damping=damp,
                     tolerance=tol,
                     max_iterations=iters,
+                    relax_method=relax_method,
                 )
                 for index, lane, engine in zip(chunk, word, engines):
                     outcome.results[index] = PageRankResult(

@@ -211,6 +211,61 @@ class TestKernelUnits:
             assert result.metrics.iterations == solo.metrics.iterations
 
 
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestNativeRelaxBuffers:
+    """relax_word refuses mismatched buffers, as bfs_word does: a short
+    ``starts`` used to crash the process and a short ``active_bits`` to read
+    past its end."""
+
+    @staticmethod
+    def _buffers(graph, lanes=3):
+        size = graph.num_vertices
+        values = np.full((size, lanes), np.inf)
+        values[0] = 0.0
+        return dict(
+            frontier=np.arange(size, dtype=np.int64),
+            active_bits=np.full(size, (1 << min(lanes, 64)) - 1, dtype=np.uint64),
+            starts=graph.offsets[:-1].copy(),
+            ends=graph.offsets[1:].copy(),
+            edges=graph.edges,
+            weights=None,
+            values=values,
+            snapshot=np.empty((size, lanes)),
+            next_bits=np.zeros(size, dtype=np.uint64),
+            lane_edges=np.zeros(lanes, dtype=np.int64),
+        )
+
+    def test_matching_buffers_run(self):
+        buffers = self._buffers(messy_graph(5))
+        assert _native.relax_word(**buffers) > 0
+
+    @pytest.mark.parametrize(
+        "short",
+        ("frontier", "active_bits", "starts", "ends", "snapshot", "next_bits", "lane_edges"),
+    )
+    def test_short_buffer_raises(self, short):
+        buffers = self._buffers(messy_graph(5))
+        buffers[short] = buffers[short][:2]
+        with pytest.raises(ValueError, match="relax_word buffers"):
+            _native.relax_word(**buffers)
+
+    def test_more_than_64_lanes_raises(self):
+        with pytest.raises(ValueError, match="relax_word buffers"):
+            _native.relax_word(**self._buffers(messy_graph(5), lanes=65))
+
+    @pytest.mark.parametrize("short", ("starts", "ends", "active_bits"))
+    def test_relax_lanes_refuses_short_slices_on_native(self, short):
+        graph = messy_graph(5)
+        buffers = self._buffers(graph)
+        buffers[short] = buffers[short][:5]
+        with pytest.raises(ValueError, match="relax_word buffers"):
+            relax_lanes(
+                buffers["values"], graph.edges, buffers["frontier"],
+                buffers["starts"], buffers["ends"], buffers["active_bits"],
+                method="native",
+            )
+
+
 class TestSanitizerBuildMode:
     """REPRO_NATIVE_SANITIZE gates the sanitized kernel build (_native)."""
 

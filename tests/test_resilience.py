@@ -32,6 +32,8 @@ from repro.graph.generators import uniform_random_graph
 from repro.traversal import _native
 from repro.service.jobs import JobStatus
 from repro.traversal.bfs import bfs_levels
+from repro.traversal.cc import cc_labels
+from repro.traversal.pagerank import pagerank_scores
 from repro.traversal.sssp import sssp_distances
 from repro.types import Application
 
@@ -473,8 +475,8 @@ class TestServiceRetries:
 
 
 # --------------------------------------------------------------------------- #
-# The native breaker hears from every sweep that runs a native kernel (BFS and
-# SSSP words) and from no other
+# The native breaker hears from every sweep and every solo job: BFS and SSSP
+# words, CC min-label sweeps and PageRank steps all run native kernels
 # --------------------------------------------------------------------------- #
 def _drain_group(service, application, sources=(None,), strategies=("merged_aligned",)):
     """Queue one group per strategy, then drain them on the test thread."""
@@ -499,52 +501,93 @@ def _breaker_service(faults_spec, **config):
     return service
 
 
-@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
-class TestBreakerIgnoresStreamingSweeps:
-    """CC and PageRank drains run no native code: they must neither take the
-    breaker's half-open probe, nor count as degraded, nor reset its count."""
+def _streaming_oracle(application):
+    graph = make_graph()
+    return cc_labels(graph) if application is Application.CC else pagerank_scores(graph)
 
-    def test_streaming_drain_does_not_take_the_half_open_probe(self):
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestStreamingSweepsGoThroughTheBreaker:
+    """CC and PageRank sweep native kernels too: a streaming drain or a lone
+    streaming job consults the breaker, reports to it and steps down to the
+    bit-identical numpy sweep on a native failure, as BFS/SSSP do."""
+
+    @staticmethod
+    def _assert_values(jobs):
+        for job in jobs:
+            assert job.status is JobStatus.DONE
+            expected = _streaming_oracle(job.request.application)
+            assert job.result.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("application", (Application.CC, Application.PAGERANK))
+    def test_one_fault_degrades_the_drain_with_identical_values(self, application):
+        with _breaker_service(
+            "native.invoke:permanent:limit=1", breaker_threshold=2, breaker_cooldown=60
+        ) as service:
+            self._assert_values(
+                _drain_group(service, application, strategies=("merged_aligned", "uvm"))
+            )
+            stats = service.stats()
+            assert stats.degraded == 1
+            assert stats.failed == 0 and stats.isolations == 0
+            assert stats.breaker_state == "closed"
+            assert service._breaker.snapshot()["consecutive_failures"] == 1
+            # A clean native streaming drain is a success the breaker hears.
+            self._assert_values(_drain_group(service, application, strategies=("naive",)))
+            assert service._breaker.snapshot()["consecutive_failures"] == 0
+            assert service.stats().degraded == 1
+
+    def test_streaming_drain_takes_the_half_open_probe(self):
         with _breaker_service(
             "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=0
         ) as service:
             _drain_group(service, Application.SSSP, (0, 1, 2))
-            tripped = service._breaker.snapshot()
-            assert tripped["state"] == "half_open"  # open, cooldown of 0 elapsed
-            _drain_group(service, Application.CC, strategies=("merged_aligned", "uvm"))
-            assert service._breaker.snapshot() == tripped
-            # The next SSSP drain is the probe: the fault is spent, the
-            # native kernel really runs, and only that closes the breaker.
-            probe = _drain_group(service, Application.SSSP, (3, 4, 5))
+            assert service._breaker.snapshot()["state"] == "half_open"
+            self._assert_values(
+                _drain_group(service, Application.CC, strategies=("merged_aligned", "uvm"))
+            )
             assert service.stats().breaker_state == "closed"
-            assert probe[0].result.metrics.counters.relax_backend == "native"
             transitions = service.metrics.get("repro_native_breaker_transitions_total")
             assert transitions.value(state="half_open") == 1
             assert transitions.value(state="closed") == 1
 
-    def test_streaming_drain_under_an_open_breaker_is_not_counted_degraded(self):
+    def test_open_breaker_serves_streaming_drains_on_numpy(self, monkeypatch):
         with _breaker_service(
             "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=60
         ) as service:
             _drain_group(service, Application.SSSP, (0, 1, 2))
             assert service.stats().breaker_state == "open"
             assert service.stats().degraded == 1
-            _drain_group(service, Application.PAGERANK, strategies=("merged_aligned", "uvm"))
+            calls = []
+            for kernel in ("cc_sweep", "pagerank_step"):
+                monkeypatch.setattr(_native, kernel, lambda *args: calls.append(args))
+            jobs = _drain_group(service, Application.CC, strategies=("merged_aligned", "uvm"))
+            jobs += _drain_group(
+                service, Application.PAGERANK, strategies=("merged_aligned", "uvm")
+            )
+            self._assert_values(jobs)
+            assert not calls
             stats = service.stats()
             assert stats.breaker_state == "open"
-            assert stats.degraded == 1
-            assert service.metrics.get("repro_native_degraded_total").value() == 1
+            assert stats.degraded == 3 and stats.failed == 0
 
-    def test_streaming_success_does_not_reset_the_failure_count(self):
+    @pytest.mark.parametrize("application", (Application.CC, Application.PAGERANK))
+    def test_lone_streaming_job_steps_down(self, application):
+        # The job fault fails the fused sweep into solo re-runs; the first
+        # solo run then meets the native fault and must step down, not fail.
         with _breaker_service(
-            "native.invoke:permanent:limit=2", breaker_threshold=2, breaker_cooldown=60
+            "worker.task:permanent:limit=1;native.invoke:permanent:limit=1",
+            breaker_threshold=2,
+            breaker_cooldown=60,
         ) as service:
-            _drain_group(service, Application.SSSP, (0, 1, 2))
-            assert service._breaker.snapshot()["consecutive_failures"] == 1
-            _drain_group(service, Application.CC)
-            assert service._breaker.snapshot()["consecutive_failures"] == 1
-            _drain_group(service, Application.SSSP, (3, 4, 5))
-            assert service.stats().breaker_state == "open"
+            self._assert_values(
+                _drain_group(service, application, strategies=("merged_aligned", "uvm"))
+            )
+            stats = service.stats()
+            assert stats.isolations == 1
+            assert stats.degraded == 1 and stats.failed == 0
+            # The second solo run was native and clean: the breaker heard it.
+            assert service._breaker.snapshot()["consecutive_failures"] == 0
 
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")

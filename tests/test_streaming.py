@@ -8,20 +8,26 @@ bit-identity guarantee.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ServiceConfig, ampere_pcie4, default_system
 from repro.errors import ConfigurationError
+from repro.graph.builder import from_edge_array
 from repro.service import GraphRegistry, Service, TraversalRequest
+from repro.traversal import _native
 from repro.traversal.api import run_average, run_streaming
 from repro.traversal.arena import EngineArena
-from repro.traversal.cc import run_cc
-from repro.traversal.pagerank import run_pagerank
+from repro.traversal.cc import cc_labels, cc_sweep, run_cc
+from repro.traversal.pagerank import pagerank_scores, pagerank_sweep, run_pagerank
 from repro.traversal.streaming import (
     StreamingLane,
     normalize_lanes,
     run_streaming_batch,
 )
 from repro.types import AccessStrategy, Application
+
+from .conftest import metrics_fields
 
 ALL_STRATEGIES = tuple(AccessStrategy)
 
@@ -240,3 +246,164 @@ class TestServiceStreamingFusion:
         stats = service.stats()
         assert stats.cache.hits >= 1
         assert stats.executions == 2
+
+
+# ---------------------------------------------------------------------- #
+# Native streaming kernels against the numpy sweeps they replace
+# ---------------------------------------------------------------------- #
+@st.composite
+def streaming_graphs(draw):
+    """A random CSR graph with isolated and dangling (out-degree 0) vertices,
+    self-loops and multi-edges, directed or undirected."""
+    reachable = draw(st.integers(1, 40))
+    isolated = draw(st.integers(0, 5))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, reachable - 1), st.integers(0, reachable - 1)),
+            max_size=160,
+        )
+    )
+    # Multi-edges and self-loops, whatever else was drawn.
+    pairs += pairs[: draw(st.integers(0, 8))]
+    pairs += [(vertex, vertex) for vertex in range(0, reachable, 7)]
+    directed = draw(st.booleans())
+    if directed:
+        # Vertices that keep their in-edges but lose every out-edge.
+        sinks = draw(st.sets(st.integers(0, reachable - 1), max_size=5))
+        pairs = [(src, dst) for src, dst in pairs if src not in sinks]
+    return from_edge_array(
+        np.array([src for src, _ in pairs], dtype=np.int64),
+        np.array([dst for _, dst in pairs], dtype=np.int64),
+        num_vertices=reachable + isolated,
+        directed=directed,
+        name="hypothesis",
+    )
+
+
+def _lane_fields(outcome):
+    return [metrics_fields(result.metrics) for result in outcome.results]
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestNativeStreamingKernels:
+    """``repro_cc_sweep`` / ``repro_pagerank_step`` against the numpy sweeps:
+    the same labels, scores, iteration counts and per-lane metrics, bit for
+    bit."""
+
+    @given(graph=streaming_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_cc_native_matches_numpy(self, graph):
+        native_labels, native_iterations = cc_sweep(graph, relax_method="native")
+        numpy_labels, numpy_iterations = cc_sweep(graph, relax_method="scatter")
+        assert native_labels.tobytes() == numpy_labels.tobytes()
+        assert native_iterations == numpy_iterations
+        assert np.array_equal(native_labels, cc_labels(graph))
+        native, numpy = (
+            run_streaming_batch("cc", graph, ALL_STRATEGIES, relax_method=method)
+            for method in ("native", "scatter")
+        )
+        assert _lane_fields(native) == _lane_fields(numpy)
+        for a, b in zip(native.results, numpy.results):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    @given(
+        graph=streaming_graphs(),
+        damping=st.floats(0.05, 0.95),
+        tolerance=st.sampled_from((1e-12, 1e-9, 1e-6, 1e-3, 0.5)),
+        max_iterations=st.integers(1, 60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pagerank_native_matches_numpy(self, graph, damping, tolerance, max_iterations):
+        params = dict(damping=damping, tolerance=tolerance, max_iterations=max_iterations)
+        native = pagerank_sweep(graph, relax_method="native", **params)
+        numpy = pagerank_sweep(graph, relax_method="scatter", **params)
+        assert native[0].tobytes() == numpy[0].tobytes()
+        assert native[1:] == numpy[1:]
+        assert native[0].tobytes() == pagerank_scores(graph, **params).tobytes()
+        batches = [
+            run_streaming_batch(
+                "pagerank", graph, ALL_STRATEGIES, relax_method=method, **params
+            )
+            for method in ("native", "scatter")
+        ]
+        assert _lane_fields(batches[0]) == _lane_fields(batches[1])
+        for a, b in zip(*(batch.results for batch in batches)):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+    @pytest.mark.parametrize("kernel", ("cc_sweep", "pagerank_step"))
+    def test_none_takes_the_native_kernel(self, random_graph, monkeypatch, kernel):
+        calls = []
+        original = getattr(_native, kernel)
+        monkeypatch.setattr(
+            _native, kernel, lambda *args: calls.append(1) or original(*args)
+        )
+        application = "cc" if kernel == "cc_sweep" else "pagerank"
+        run_streaming_batch(application, random_graph, ["merged_aligned"])
+        assert calls
+        calls.clear()
+        run_streaming_batch(
+            application, random_graph, ["merged_aligned"], relax_method="scatter"
+        )
+        assert not calls
+
+    @pytest.mark.parametrize("kernel", ("cc_sweep", "pagerank_step"))
+    def test_oracles_never_take_the_native_kernel(self, random_graph, monkeypatch, kernel):
+        monkeypatch.setattr(_native, kernel, lambda *args: pytest.fail("native oracle"))
+        cc_labels(random_graph)
+        pagerank_scores(random_graph)
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestStreamingKernelBuffers:
+    """The wrappers refuse mismatched buffers instead of letting the C loops
+    read or write past an array's end."""
+
+    @staticmethod
+    def _cc_buffers(graph):
+        frontier = np.arange(graph.num_vertices, dtype=np.int64)
+        return dict(
+            frontier=frontier,
+            starts=graph.offsets[:-1].copy(),
+            ends=graph.offsets[1:].copy(),
+            edges=graph.edges,
+            labels=frontier.copy(),
+            prev=np.empty_like(frontier),
+            next_frontier=np.empty_like(frontier),
+        )
+
+    @pytest.mark.parametrize(
+        "short", ("frontier", "starts", "ends", "labels", "prev", "next_frontier")
+    )
+    def test_cc_sweep_mismatch_raises(self, random_graph, short):
+        buffers = self._cc_buffers(random_graph)
+        assert _native.cc_sweep(**buffers) >= 0
+        buffers = self._cc_buffers(random_graph)
+        buffers[short] = buffers[short][:5]
+        with pytest.raises(ValueError, match="cc_sweep buffers"):
+            _native.cc_sweep(**buffers)
+
+    @staticmethod
+    def _pagerank_buffers(graph):
+        size = graph.num_vertices
+        return dict(
+            offsets=graph.offsets,
+            edges=graph.edges,
+            degrees=graph.degrees().astype(np.float64),
+            scores=np.full(size, 1.0 / size),
+            contribution=np.empty(size),
+            new_scores=np.empty(size),
+            base=0.15 / size,
+            damping=0.85,
+            dangling=0.0,
+        )
+
+    @pytest.mark.parametrize(
+        "short", ("offsets", "degrees", "scores", "contribution", "new_scores")
+    )
+    def test_pagerank_step_mismatch_raises(self, random_graph, short):
+        buffers = self._pagerank_buffers(random_graph)
+        assert _native.pagerank_step(**buffers) == random_graph.num_edges
+        buffers[short] = buffers[short][:5]
+        with pytest.raises(ValueError, match="pagerank_step buffers"):
+            _native.pagerank_step(**buffers)
