@@ -6,7 +6,7 @@ Usage::
     python -m repro.cli figure9
     python -m repro.cli all --sources 2
     python -m repro.cli serve-batch examples/workload.json --policy edf
-    python -m repro.cli trace examples/workload.json --output trace.jsonl
+    python -m repro.cli serve-batch examples/workload.json --trace-output trace.jsonl
     python -m repro.cli stats examples/workload.json --format prom
     python -m repro.cli health examples/workload.json --faults 'seed=7;registry.load:transient:n=2:limit=1'
     python -m repro.cli bench-traversal --output BENCH_traversal.json
@@ -184,36 +184,6 @@ def _parse_tenant_weights(text: str) -> dict:
     if not weights:
         raise argparse.ArgumentTypeError("no tenant weights given")
     return weights
-
-
-def _build_trace_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description=(
-            "Run a JSON workload through the traversal service and export "
-            "the recorded request/sweep spans as JSONL (one span per line)."
-        ),
-    )
-    parser.add_argument("workload", help="path to a workload JSON file")
-    parser.add_argument(
-        "--output",
-        default="-",
-        metavar="PATH",
-        help="where to write the JSONL spans (default '-': stdout)",
-    )
-    parser.add_argument(
-        "--sample",
-        type=float,
-        default=None,
-        help="fraction of requests traced, in [0, 1] (default 1.0)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="abort if the workload does not finish within this many seconds",
-    )
-    return parser
 
 
 def _build_stats_parser() -> argparse.ArgumentParser:
@@ -650,21 +620,6 @@ def _serve_batch(argv: list[str]) -> int:
     return 0
 
 
-def _trace(argv: list[str]) -> int:
-    from .service.workload import serve_workload_file
-
-    args = _build_trace_parser().parse_args(argv)
-    try:
-        report = serve_workload_file(
-            args.workload, timeout=args.timeout, trace_sample=args.sample
-        )
-        _write_trace_jsonl(report.traces, args.output)
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"trace failed: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _stats(argv: list[str]) -> int:
     from .service.workload import serve_workload_file
 
@@ -736,7 +691,6 @@ def _health(argv: list[str]) -> int:
 #: else is a figure/table target of the default parser.
 SUBCOMMANDS = {
     "serve-batch": _serve_batch,
-    "trace": _trace,
     "stats": _stats,
     "health": _health,
     "bench-traversal": _bench_traversal,

@@ -17,15 +17,17 @@ Sites
     multisource and streaming sweeps all funnel through it (no context).
 ``native.compile`` / ``native.invoke``
     In :mod:`repro.traversal._native`, before compiling the C kernels and at
-    each invocation of either (BFS word, SSSP relaxation); both surface as
-    ``NativeBackendError`` so the circuit breaker sees them.
+    each invocation of any of them (BFS word, SSSP relaxation, CC sweep,
+    PageRank step); both surface as ``NativeBackendError`` so the circuit
+    breaker sees them.
 ``cache.get`` / ``cache.put``
     In :class:`ResultCache`; the service absorbs these (a failing read is a
     miss, a failing write is dropped) so cache faults never fail requests.
 ``worker.task``
-    Per job on the drain path before its sweep runs (context: ``graph``,
-    ``app``, ``source``, ``tenant``) — the lever for poisoning one lane of a
-    fused group.
+    Per job at the start of every attempt of the sweep that runs it, lone
+    or fused, so a retry re-arms it (context: ``graph``, ``app``,
+    ``source``, ``tenant``) — the lever for poisoning one lane of a fused
+    group.
 ``store.open`` / ``store.read`` / ``store.write`` / ``store.checkpoint``
     In :class:`~repro.service.store.ServingStore`: opening (and re-opening)
     the database (context: ``path``), every persistent-cache / cost-rate read

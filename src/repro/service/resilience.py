@@ -20,8 +20,8 @@ Retry backoff
     nearest deadline so a retry never runs past an EDF/WFQ budget.
 
 Circuit breaker
-    :class:`CircuitBreaker` guards the native word kernels (BFS sweep and
-    SSSP relaxation): closed (native allowed) → open after
+    :class:`CircuitBreaker` guards the native kernels (BFS word, SSSP
+    relaxation, CC sweep, PageRank step): closed (native allowed) → open after
     ``failure_threshold`` consecutive ``NativeBackendError``s (numpy only) →
     half-open after ``cooldown_seconds`` (one probe sweep may try native
     again).  Because every backend is bit-identical, degradation changes
@@ -220,6 +220,17 @@ class CircuitBreaker:
             self._probe_granted = False
             self._opened_at = None
             self._transition_locked(self.CLOSED)
+
+    def release_probe(self) -> None:
+        """Hand back a probe whose run ended without a verdict on the backend.
+
+        A run granted the half-open probe that then fails for an unrelated
+        reason (a job fault, a timeout, a bad source) neither closes nor
+        re-opens the circuit; without this the probe would stay spent and
+        every later caller would be refused it.
+        """
+        with self._lock:
+            self._probe_granted = False
 
     def record_failure(self) -> None:
         with self._lock:

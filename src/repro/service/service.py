@@ -621,8 +621,7 @@ class Service:
         return Cancellation(budget, label=label)
 
     def _relax_method(self) -> str | None:
-        """Native-kernel backend for this run (a drain or a solo job), as the
-        breaker allows.
+        """Native-kernel backend for one sweep, as the breaker allows.
 
         ``None`` (engine default) when the native kernels never compiled —
         the breaker only arbitrates a backend that nominally works.  While
@@ -641,10 +640,10 @@ class Service:
     def _stepped_down(
         self, exc: BaseException, relax_method: str | None, label: str
     ) -> bool:
-        """The breaker ladder for one failed run (a sweep or a job).
+        """The breaker ladder for one failed sweep attempt.
 
-        True when ``exc`` is a native-kernel failure of a native run: the
-        failure is recorded (opening the breaker at its threshold), the run
+        True when ``exc`` is a native-kernel failure of a native attempt: the
+        failure is recorded (opening the breaker at its threshold), the sweep
         counts as degraded, and the caller re-runs it on the bit-identical
         numpy backend — the clients see the same values, just a slower run.
         """
@@ -668,34 +667,6 @@ class Service:
         if error is None:
             return "completed"
         return "expired" if isinstance(error, DeadlineExceededError) else "failed"
-
-    def _job_runner(self, call: Callable) -> Callable:
-        """Wrap a per-job engine call with the solo resilience ladder.
-
-        Each attempt arms the ``worker.task`` fault site and runs under its
-        own watchdog token, budgeted from the job's one ``predicted`` cost;
-        transient failures back off and re-run within the retry budget,
-        everything else propagates to :meth:`_execute_one`'s job-level
-        isolation.
-        """
-
-        def runner(job: Job, predicted: float) -> TraversalResult:
-            attempt = 0
-            while True:
-                self._check_job_fault(job)
-                token = self._sweep_token(
-                    job.request.application, predicted, "solo sweep"
-                )
-                try:
-                    with cancellation_scope(token):
-                        return call(job)
-                except Exception as exc:  # noqa: BLE001 - retry ladder
-                    if self._maybe_retry("sweep", [job], attempt, exc):
-                        attempt += 1
-                        continue
-                    raise
-
-        return runner
 
     def _fail_group(self, jobs: list[Job], exc: BaseException, now: float) -> None:
         """Terminally fail every member of a fused group with ``exc``."""
@@ -722,9 +693,8 @@ class Service:
             "fused %d-job group on %s failed (%s: %s); re-executing members solo",
             len(jobs), graph.name, type(exc).__name__, exc,
         )
-        runner = self._job_runner(lambda job: self._run_leased(job.request, graph))
         for job in jobs:
-            self._execute_one(job, graph, runner, schedule_seconds=schedule_seconds)
+            self._execute_sweep([[job]], graph, schedule_seconds, solo=True)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -1080,20 +1050,13 @@ class Service:
                 return
             break
         started = time.perf_counter()
-        if self._engine is None:
-            # Record the shape that ran: the groups that rode the sweep (the
-            # chosen ones if no source was usable), relabelled if riderless.
-            swept, predicted = self._execute_sweep(
-                groups, graph, schedule_seconds, plan.planning_seconds
-            )
+        swept, predicted = self._execute_sweep(
+            groups, graph, schedule_seconds, plan.planning_seconds
+        )
+        if swept is not groups:
+            # Source validation dropped jobs: record the shape that ran (the
+            # chosen groups if no source was usable), relabelled if riderless.
             plan.narrow(swept or groups)
-        else:
-            runner = self._job_runner(lambda job: self._engine(job.request, graph))
-            predicted = 0.0
-            for job in all_jobs:
-                predicted += self._execute_one(
-                    job, graph, runner, schedule_seconds=schedule_seconds
-                )
         elapsed = time.perf_counter() - started
         self._record_plan(plan, started, elapsed, schedule_seconds, predicted)
 
@@ -1185,76 +1148,25 @@ class Service:
         self._settle(*expired)
         return live
 
-    def _execute_one(
-        self,
-        job: Job,
-        graph: CSRGraph,
-        runner: Callable,
-        schedule_seconds: float = 0.0,
-    ) -> float:
-        """Run one job with full bookkeeping and job-level failure isolation.
-
-        Returns the engine seconds the cost model predicted for it.
-        """
-        job.mark_running()
-        predicted = self._costmodel.estimate_sweep(self._sweep_groups([[job]]))
-        started = time.perf_counter()
-        try:
-            result = runner(job, predicted)
-        except Exception as exc:  # noqa: BLE001 - job-level isolation
-            elapsed = time.perf_counter() - started
-            job.compute_finished_at = started + elapsed
-            self._emit_sweep_span(
-                [job], started, elapsed, lanes=1, kind="solo",
-                schedule_seconds=schedule_seconds, error=exc,
-            )
-            self._classify_failure(exc)
-            job.mark_failed(exc)
-        else:
-            elapsed = time.perf_counter() - started
-            job.compute_finished_at = started + elapsed
-            result_metrics = (getattr(result, "metrics", None),)
-            backend = self._record_kernel_counters(
-                job.request.application.value, result_metrics
-            )
-            self._emit_sweep_span(
-                [job], started, elapsed, lanes=1, kind="solo",
-                schedule_seconds=schedule_seconds, metrics_list=result_metrics,
-            )
-            if backend is not None:
-                logger.info(
-                    "executed %s on %s in %.3fs (relax backend: %s)",
-                    job.job_id, graph.name, elapsed, backend,
-                )
-            # Only successful runs feed the cost model: a failure can raise
-            # long before any frontier sweep, and that near-zero timing says
-            # nothing about what sweeping this graph actually costs.
-            self._observe_cost([[job]], elapsed, predicted)
-            self._cache_put_safe(job.request.cache_key, result)
-            self._persist_sweep(graph, [(job, result)])
-            job.mark_done(result)
-        # Release only after the cache holds the result, so identical
-        # requests always find either the in-flight job or the cached
-        # answer — and settle only after the release, so no duplicate can
-        # still join and mutate the waiter list mid-accounting.
-        self._metrics["repro_executions_total"].inc()
-        self._metrics["repro_engine_seconds_total"].inc(elapsed)
-        self._queue.release(job)
-        self._settle(job)
-        return predicted
-
     def _execute_sweep(
         self,
         groups: list[list[Job]],
         graph: CSRGraph,
         schedule_seconds: float = 0.0,
         fusion_seconds: float = 0.0,
+        solo: bool = False,
     ) -> tuple[list[list[Job]], float]:
-        """Drain the batch groups of one plan in ONE shared engine sweep.
+        """Run the batch groups of one plan as ONE engine invocation.
 
-        Every batched shape runs this ladder; they differ only in the engine
-        call, the span label and how many lanes a group occupies:
+        This is the only place the service invokes an engine.  Every shape
+        runs the same ladder; they differ only in the engine call, the span
+        label and how many lanes a group occupies:
 
+        * ``solo`` — one job, one call on an arena-leased engine
+          (:meth:`_run_leased`) or on the injected ``engine=``: a lone
+          BFS/SSSP job, a job whose source failed validation, each member of
+          an isolation re-run (``solo=True``) and every job of a service with
+          an injected engine, which answers one request per call;
         * ``multisource`` — one BFS/SSSP group: each job is a lane of one
           :func:`~repro.traversal.multisource.run_batch` over an arena-shared
           engine, the frontier sweeps paid once per group instead of per job;
@@ -1267,46 +1179,47 @@ class Service:
           of one :func:`~repro.traversal.streaming.run_streaming_batch` and
           every job of the group receives that lane's result.
 
+        Each attempt arms the per-job ``worker.task`` fault site, takes its
+        own watchdog token and makes the call.  A failed attempt records its
+        own engine seconds and error span; then a native-kernel failure of a
+        native run steps down to numpy, a transient one backs off and
+        retries, and anything else isolates the sweep into solo re-runs (more
+        than one job) or fails it.  A success is published once: counters,
+        span, cost observation, cache, store, mark done, release, settle.
+
         Values and per-lane attribution are bit-identical to solo runs in
-        every shape, and a failure anywhere isolates across the *whole*
-        sweep (solo re-runs), so a poisoned rider lane cannot take the
-        anchor down with it.  Returns the groups left after source validation
-        and the engine seconds predicted for sweeping them.
+        every shape, so a poisoned rider lane cannot take the anchor down
+        with it.  Returns the groups left after source validation (``groups``
+        itself when none was dropped) and the engine seconds predicted for
+        sweeping them.
         """
-        application = groups[0][0].request.application
+        jobs = [job for group in groups for job in group]
+        application = jobs[0].request.application
         streaming = application.is_streaming
-        solo_runner = self._job_runner(lambda job: self._run_leased(job.request, graph))
-        if not streaming:
+        if len(jobs) > 1 and self._engine is not None:
+            # An injected engine answers one request per call: each job is a
+            # solo sweep of its own.
+            predicted = sum(
+                self._execute_sweep([[job]], graph, schedule_seconds)[1] for job in jobs
+            )
+            return groups, predicted
+        if len(jobs) > 1 and not streaming:
             # Pre-validate so one bad source fails its own job solo, never
             # the word it rode.  A missing source is just as poisonous to the
-            # batch engines as an out-of-range one (_run_leased raises for
-            # exactly these conditions).
-            valid_groups = []
-            for group in groups:
-                runnable = []
-                for job in group:
-                    source = job.request.source
-                    if source is None or not 0 <= source < graph.num_vertices:
-                        self._execute_one(
-                            job, graph, solo_runner, schedule_seconds=schedule_seconds
-                        )
-                    else:
-                        runnable.append(job)
-                if runnable:
-                    valid_groups.append(runnable)
-            groups = valid_groups
-        all_jobs = [job for group in groups for job in group]
-        if not streaming and len(all_jobs) <= 1:
-            # A lone source runs solo on a leased engine: the same kernels as
-            # a one-lane word, without the word's per-lane attribution.
-            predicted = 0.0
-            for job in all_jobs:
-                predicted += self._execute_one(
-                    job, graph, solo_runner, schedule_seconds=schedule_seconds
-                )
-            return groups, predicted
-        requests = [job.request for job in all_jobs]
-        if streaming:
+            # batch engines as an out-of-range one.
+            invalid = [job for job in jobs if not self._has_source(job.request, graph)]
+            for job in invalid:
+                self._execute_sweep([[job]], graph, schedule_seconds)
+            if invalid:
+                groups = [[job for job in group if job not in invalid] for group in groups]
+                groups = [group for group in groups if group]
+                jobs = [job for group in groups for job in group]
+                if not jobs:
+                    return groups, 0.0
+        requests = [job.request for job in jobs]
+        if solo or self._engine is not None or (not streaming and len(jobs) == 1):
+            kind, lanes = "solo", requests
+        elif streaming:
             kind = "streaming"
             lanes = [
                 (group[0].request.strategy, group[0].request.system) for group in groups
@@ -1324,21 +1237,28 @@ class Service:
         # One prediction per sweep, the sum over its groups: it budgets the
         # watchdog, scores the observation and is logged beside the actual.
         predicted = self._costmodel.estimate_sweep(self._sweep_groups(groups))
-        for job in all_jobs:
+        for job in jobs:
             job.mark_running()
-        # Every sweep runs a native kernel (the BFS word, the SSSP relaxation,
-        # the CC min-label sweep or the PageRank step), so every shape
-        # consults the native-backend breaker and reports to it.
-        relax_method = self._relax_method()
+        # Every built-in run sweeps a native kernel (the BFS word, the SSSP
+        # relaxation, the CC min-label sweep or the PageRank step), so it
+        # consults the native-backend breaker and reports to it; an injected
+        # engine never does.
+        relax_method = self._relax_method() if self._engine is None else None
         attempt = 0
         while True:
             started = time.perf_counter()
-            token = self._sweep_token(application, predicted, f"{kind} sweep")
             try:
-                for job in all_jobs:
+                for job in jobs:
                     self._check_job_fault(job)
+                token = self._sweep_token(application, predicted, f"{kind} sweep")
                 with cancellation_scope(token):
-                    if kind == "streaming":
+                    if kind == "solo":
+                        outcome = (
+                            self._run_leased(requests[0], graph, relax_method)
+                            if self._engine is None
+                            else self._engine(requests[0], graph)
+                        )
+                    elif kind == "streaming":
                         outcome = run_streaming_batch(
                             application, graph, lanes,
                             arena=self._arena, relax_method=relax_method,
@@ -1358,39 +1278,57 @@ class Service:
                 elapsed = time.perf_counter() - started
                 self._metrics["repro_engine_seconds_total"].inc(elapsed)
                 sweep_ref = self._emit_sweep_span(
-                    all_jobs, started, elapsed, lanes=total_lanes, kind=kind,
+                    jobs, started, elapsed, lanes=total_lanes, kind=kind,
                     schedule_seconds=schedule_seconds,
                     fusion_seconds=fusion_seconds, error=exc,
                 )
-                if self._stepped_down(exc, relax_method, f"{kind} drain"):
+                if self._stepped_down(exc, relax_method, f"{kind} sweep"):
                     relax_method = "scatter"
                     continue
-                if self._maybe_retry("sweep", all_jobs, attempt, exc, sweep_ref):
+                if self._maybe_retry("sweep", jobs, attempt, exc, sweep_ref):
                     attempt += 1
                     continue
-                if len(all_jobs) > 1:
-                    self._isolate_group(all_jobs, graph, exc, schedule_seconds)
+                if relax_method == "native":
+                    # The sweep gives up without a verdict on the native
+                    # kernels: a half-open probe it held goes to the next run.
+                    self._breaker.release_probe()
+                if len(jobs) > 1:
+                    self._isolate_group(jobs, graph, exc, schedule_seconds)
                 else:
-                    self._fail_group(all_jobs, exc, started + elapsed)
+                    self._fail_group(jobs, exc, started + elapsed)
                 return groups, predicted
             break
         if relax_method == "native":
             self._breaker.record_success()
         elapsed = time.perf_counter() - started
         now = started + elapsed
-        for job in all_jobs:
+        for job in jobs:
             job.compute_finished_at = now
-        # Streaming lanes each carry their own engine's full metrics; a word's
-        # engines report theirs as batch metrics.
-        sweep_metrics = (
-            [result.metrics for result in outcome.results]
-            if streaming
-            else outcome.batch_metrics
-        )
+        if kind == "solo":
+            published = [(jobs[0], outcome)]
+            sweep_metrics = [getattr(outcome, "metrics", None)]
+        else:
+            # Streaming lanes each carry their own engine's full metrics; a
+            # word's engines report theirs as batch metrics.
+            sweep_metrics = (
+                [result.metrics for result in outcome.results]
+                if streaming
+                else outcome.batch_metrics
+            )
+            published = []
+            lane = 0
+            for group in groups:
+                width = 1 if streaming else len(group)
+                lane_results = outcome.results[lane : lane + width]
+                lane += width
+                # A lane's result goes to its job, or to every job of its group.
+                published += zip(
+                    group, lane_results * len(group) if streaming else lane_results
+                )
         # One shared sweep span for the whole sweep: every rider's
         # per-request sweep span will point at it via sweep_ref.
         self._emit_sweep_span(
-            all_jobs, started, elapsed, lanes=total_lanes, kind=kind,
+            jobs, started, elapsed, lanes=total_lanes, kind=kind,
             schedule_seconds=schedule_seconds, fusion_seconds=fusion_seconds,
             metrics_list=sweep_metrics,
         )
@@ -1398,69 +1336,52 @@ class Service:
         logger.info(
             "drained %d %s job(s) from %d group(s) as one %s sweep of %d lane(s) "
             "on %s in %.3fs (relax backend: %s)",
-            len(all_jobs), application.value, len(groups), kind, total_lanes,
+            len(jobs), application.value, len(groups), kind, total_lanes,
             graph.name, elapsed, backend or "n/a",
         )
-        self._metrics["repro_executions_total"].inc(len(all_jobs))
+        self._metrics["repro_executions_total"].inc(len(jobs))
         self._metrics["repro_engine_seconds_total"].inc(elapsed)
         self._observe_cost(groups, elapsed, predicted)
-        published: list[tuple[Job, TraversalResult]] = []
-        lane = 0
-        for group in groups:
-            width = 1 if streaming else len(group)
-            lane_results = outcome.results[lane : lane + width]
-            lane += width
-            # A lane's result goes to its job, or to every job of its group.
-            published += zip(
-                group, lane_results * len(group) if streaming else lane_results
-            )
         for job, result in published:
             self._cache_put_safe(job.request.cache_key, result)
             job.mark_done(result)
             self._queue.release(job)
         self._persist_sweep(graph, published)
-        self._settle(*all_jobs)
+        self._settle(*jobs)
         return groups, predicted
 
-    def _run_leased(self, request: TraversalRequest, graph: CSRGraph) -> TraversalResult:
-        """Run one request against an engine leased from the arena."""
+    @staticmethod
+    def _has_source(request: TraversalRequest, graph: CSRGraph) -> bool:
+        source = request.source
+        return source is not None and 0 <= source < graph.num_vertices
+
+    def _run_leased(
+        self, request: TraversalRequest, graph: CSRGraph, relax_method: str | None
+    ) -> TraversalResult:
+        """A solo sweep's call: the request's run on an engine leased from the arena."""
         application = request.application
         if application.is_streaming:
             runner = run_cc if application is Application.CC else run_pagerank
             args = (graph,)
         else:
-            source = request.source
-            if source is None or not 0 <= source < graph.num_vertices:
+            if not self._has_source(request, graph):
                 raise SimulationError(
-                    f"source vertex {source} out of range for graph with "
+                    f"source vertex {request.source} out of range for graph with "
                     f"{graph.num_vertices} vertices"
                 )
             runner = run_bfs if application is Application.BFS else run_sssp
-            args = (graph, source)
-        # A solo run sweeps the same native kernels as a drain, so it
-        # consults the native breaker and reports to it exactly as one does.
-        relax_method = self._relax_method()
-        while True:
-            try:
-                with self._arena.lease(
-                    graph, request.strategy, request.system,
-                    needs_weights=application is Application.SSSP,
-                ) as engine:
-                    result = runner(
-                        *args,
-                        strategy=request.strategy,
-                        system=request.system,
-                        engine=engine,
-                        relax_method=relax_method,
-                    )
-            except NativeBackendError as exc:
-                if self._stepped_down(exc, relax_method, f"solo {request.describe()}"):
-                    relax_method = "scatter"
-                    continue
-                raise
-            if relax_method == "native":
-                self._breaker.record_success()
-            return result
+            args = (graph, request.source)
+        with self._arena.lease(
+            graph, request.strategy, request.system,
+            needs_weights=application is Application.SSSP,
+        ) as engine:
+            return runner(
+                *args,
+                strategy=request.strategy,
+                system=request.system,
+                engine=engine,
+                relax_method=relax_method,
+            )
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle

@@ -28,9 +28,9 @@ its solo run would have been:
   candidates into the flattened vertex-major ``destination * lanes + lane``
   key space in a single segmented pass (the shared-candidate relaxation;
   executed by a runtime-compiled C loop over the bit-packed words when the
-  host has a compiler, by blocked numpy indexed-ufunc/reduceat passes
-  otherwise).  For each source the reduced candidate *multiset* is exactly
-  the solo run's, and min over IEEE floats is exactly
+  host has a compiler, by blocked numpy indexed-ufunc passes otherwise).
+  For each source the reduced candidate *multiset* is exactly the solo
+  run's, and min over IEEE floats is exactly
   associative/commutative, so distances are bit-identical to
   :func:`repro.traversal.sssp.sssp_distances` — including float rounding —
   under every backend.  The kernel's touched-set output doubles as the next
@@ -631,8 +631,8 @@ def _scatter_or(
     """OR-scatter ``bits`` into the per-vertex word array ``out`` by destination.
 
     ``np.bitwise_or.at`` takes numpy's indexed-ufunc fast path for integer
-    index arrays, which profiles an order of magnitude faster than the
-    sort + ``reduceat`` formulation at frontier-sweep sizes.  ``out`` is
+    index arrays, which profiles an order of magnitude faster than sorting
+    and segment-reducing the destinations at frontier-sweep sizes.  ``out`` is
     zeroed and reused, so the fixed-point caller pays no O(V) allocation per
     sweep.
     """

@@ -21,19 +21,17 @@ This kernel restructures the work around the shared data stream:
    candidates against the flattened vertex-major key space
    ``vertex * lanes + lane``, one blocked ragged gather for all lanes at once.
 3. **Segmented min-reduction** — one pass reduces all candidates into
-   per-``(lane, destination)`` minima.  Two numpy formulations are provided:
-   ``"scatter"`` uses numpy's indexed-ufunc fast path (``np.minimum.at`` over
-   flat keys, pre-filtered to the candidates that can actually win), which
-   profiles ~30x faster than sorting at frontier-sweep sizes; ``"reduceat"``
-   sorts the keys and uses ``np.minimum.reduceat``, kept as an
-   independently-implemented cross-check for the equivalence tests.  Both are
-   executed in bounded blocks so the temporaries stay allocator-friendly.
+   per-``(lane, destination)`` minima.  The numpy formulation, ``"scatter"``,
+   uses numpy's indexed-ufunc fast path (``np.minimum.at`` over flat keys,
+   pre-filtered to the candidates that can actually win), executed in
+   bounded blocks so the temporaries stay allocator-friendly.
 
-When the host has a C compiler, a third backend — ``"native"``, built and
+When the host has a C compiler, a second backend — ``"native"``, built and
 gated by :mod:`repro.traversal._native` — runs the same sweep as a compiled
 loop over the bit-packed lane words and is the default; the numpy kernel
-remains the portable fallback and the reference the equivalence tests pin
-all backends against.
+remains the portable fallback and the reference the native backend is
+pinned against.  Both are checked against the independent references: the
+plain :func:`~repro.traversal.sssp.sssp_distances` loop and networkx.
 
 Minimum is exactly associative and commutative over IEEE floats (weights are
 non-negative, so signed zeros and NaNs never arise), so reducing each lane's
@@ -60,7 +58,7 @@ from . import _native
 _ONE = np.uint64(1)
 
 #: Backends accepted by :func:`relax_lanes` (``None`` = best available).
-RELAX_METHODS = ("native", "scatter", "reduceat")
+RELAX_METHODS = ("native", "scatter")
 
 #: (lane, edge) candidates per numpy block: large enough to amortize numpy
 #: dispatch, small enough that the temporaries stay in the allocator's
@@ -264,37 +262,16 @@ def relax_lanes(
         destinations = edges[edge_indices]
         keys = destinations * lanes + np.repeat(pair_lane[block_lo:block_hi], lengths)
 
-        if method == "scatter":
-            # A key improves iff some candidate is strictly below its current
-            # value, so winners are identified before the scatter and the
-            # indexed-ufunc pass only touches viable candidates.
-            viable = candidates < flat[keys]
-            if viable.any():
-                winner_keys = keys[viable]
-                np.minimum.at(flat, winner_keys, candidates[viable])
-                np.bitwise_or.at(
-                    next_bits,
-                    destinations[viable],
-                    _ONE << (winner_keys % lanes).astype(np.uint64),
-                )
-            continue
-
-        # method == "reduceat": sort by key, min-reduce each segment.
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        sorted_candidates = candidates[order]
-        segment_starts = np.concatenate(  # repro: noqa[REPRO101] — reduceat cross-check backend, not the production path
-            ([0], np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1)
-        )
-        unique_keys = sorted_keys[segment_starts]
-        minima = np.minimum.reduceat(sorted_candidates, segment_starts)
-        improved = minima < flat[unique_keys]
-        if improved.any():
-            winner_keys = unique_keys[improved]
-            flat[winner_keys] = minima[improved]
+        # A key improves iff some candidate is strictly below its current
+        # value, so winners are identified before the scatter and the
+        # indexed-ufunc pass only touches viable candidates.
+        viable = candidates < flat[keys]
+        if viable.any():
+            winner_keys = keys[viable]
+            np.minimum.at(flat, winner_keys, candidates[viable])
             np.bitwise_or.at(
                 next_bits,
-                winner_keys // lanes,
+                destinations[viable],
                 _ONE << (winner_keys % lanes).astype(np.uint64),
             )
     return RelaxOutcome(next_bits, lane_edges, active_lanes, method)

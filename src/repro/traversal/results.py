@@ -22,7 +22,7 @@ class KernelCounters:
     ``edges_per_iteration``) are captured only while tracing is enabled
     (``REPRO_TRACE`` kill switch), keeping the default path allocation-light.
     ``relax_backend`` records which :mod:`repro.traversal.relax` code path
-    actually ran (native / scatter / reduceat) so a silent fallback to the
+    actually ran (native / scatter) so a silent fallback to the
     slow backend is visible in result metadata and service logs.
     """
 
@@ -39,7 +39,7 @@ class KernelCounters:
     edges_per_iteration: tuple[int, ...] = ()
     #: Candidate-stream length fed to the relax kernel (SSSP lane batches).
     relax_candidates: int = 0
-    #: Relax kernel backend chosen ("native" / "scatter" / "reduceat"), or
+    #: Relax kernel backend chosen ("native" / "scatter"), or
     #: ``None`` for runs that never invoked the lane relax kernel.
     relax_backend: str | None = None
 

@@ -260,7 +260,7 @@ class TestKernelCounters:
         for metrics in outcome.batch_metrics:
             counters = metrics.counters
             assert counters is not None
-            assert counters.relax_backend in ("native", "scatter", "reduceat")
+            assert counters.relax_backend in ("native", "scatter")
             assert counters.relax_candidates > 0
 
     def test_counters_json_round_trip(self, random_graph):
@@ -422,7 +422,7 @@ class TestServiceMetrics:
             service._execute_sweep([jobs], random_graph)
             metrics = service.collect_metrics()
         backend = jobs[0].result.metrics.counters.relax_backend
-        assert backend in ("native", "scatter", "reduceat")
+        assert backend in ("native", "scatter")
         counter = metrics.get("repro_kernel_backend_total")
         assert counter.value(app="sssp", backend=backend) == 1
 

@@ -1,9 +1,9 @@
 """Property-style tests for the lane-parallel relaxation kernel.
 
-Every backend (native C when available, indexed-ufunc scatter, sorted
-reduceat) must produce per-source SSSP distances bit-identical to the solo
-``run_sssp`` runs — across random weighted graphs with duplicate edges,
-zero-weight edges, unreachable components, and word-boundary lane counts.
+Every backend (native C when available, indexed-ufunc scatter) must produce
+per-source SSSP distances bit-identical to the solo ``run_sssp`` runs — across
+random weighted graphs with duplicate edges, zero-weight edges, unreachable
+components, and word-boundary lane counts.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.traversal.relax import (
 from repro.traversal.sssp import run_sssp
 from repro.types import Application
 
-NUMPY_METHODS = ("scatter", "reduceat")
+NUMPY_METHODS = ("scatter",)
 METHODS = tuple(
     method
     for method in RELAX_METHODS

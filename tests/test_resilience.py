@@ -24,6 +24,7 @@ from repro.service import (
     WorkerPool,
     cancellation_scope,
     current_cancellation,
+    default_engine,
 )
 from repro.service import faults
 from repro.service.resilience import BREAKER_STATE_CODES, iteration_checkpoint
@@ -290,6 +291,9 @@ class TestCircuitBreaker:
         assert breaker.state == "half_open"
         assert breaker.allow()  # the single probe
         assert not breaker.allow()  # everyone else stays degraded
+        breaker.release_probe()  # the probe's run ended without a verdict
+        assert breaker.state == "half_open"
+        assert breaker.allow() and not breaker.allow()
 
     def test_probe_success_closes(self):
         clock = [0.0]
@@ -686,6 +690,132 @@ class TestLoneJobsGoThroughTheBreaker:
             stats = service.stats()
             assert stats.breaker_state == "open"
             assert stats.degraded == 3 and stats.failed == 0
+
+
+# --------------------------------------------------------------------------- #
+# One attempt ladder: lone jobs, fused words and injected engines retry, and
+# time their attempts, the same way
+# --------------------------------------------------------------------------- #
+#: shape -> (application, sources, strategies) of the backlog that drains as it.
+BUILTIN_SHAPES = {
+    "lone-bfs": (Application.BFS, (1,), ("merged_aligned",)),
+    "lone-sssp": (Application.SSSP, (1,), ("merged_aligned",)),
+    "multisource": (Application.BFS, (0, 1, 2), ("merged_aligned",)),
+    "packed": (Application.BFS, (0, 1), ("merged_aligned", "uvm")),
+    "streaming": (Application.CC, (None,), ("merged_aligned", "uvm")),
+}
+
+
+def _serve_shape(faults_spec, shape, engine=None):
+    """Drain one shape's backlog on the test thread.
+
+    Returns the jobs, the stats, the drained spans and the engine seconds the
+    cost model now prices the sweep at.
+    """
+    application, sources, strategies = BUILTIN_SHAPES[shape]
+    config = ServiceConfig(
+        fault_plan=faults_spec, max_workers=1, trace_enabled=True, trace_sample=1.0
+    )
+    with Service(config=config, engine=engine) as service:
+        # A backoff far above a sweep of the small graph, so "engine time
+        # excludes the backoff" holds on a slow or lock-checked runner too.
+        service._retry_policy = RetryPolicy(backoff_seconds=0.25)
+        service.registry.register_graph(make_graph())
+        jobs = enqueue_without_draining(
+            service,
+            [
+                TraversalRequest(
+                    graph="resil", application=application, source=s, strategy=strategy
+                )
+                for strategy in strategies
+                for s in sources
+            ],
+        )
+        drain_all(service)
+        groups = {}
+        for job in jobs:
+            groups[job.request.batch_key] = groups.get(job.request.batch_key, 0) + 1
+        # After its first observation the model prices this sweep at exactly
+        # the seconds it was fed.
+        sample = service.cost_model.estimate_sweep(groups.items())
+        return jobs, service.stats(), service.drain_traces(), sample
+
+
+class TestOneLadder:
+    """Regression: a lone job ran a second, hand-copied ladder that checked
+    the ``worker.task`` fault outside its retry and timed its whole retry
+    loop, backoff sleep included, as one engine sweep; and a sweep that gave
+    up for a reason other than the native kernels kept a half-open probe."""
+
+    def test_transient_job_fault_is_retried_in_every_shape(self):
+        # The fused word meets the fault on its second source.
+        for shape, engine in (
+            ("lone-bfs", None),
+            ("lone-sssp", None),
+            ("multisource", None),
+            ("lone-bfs", default_engine),
+        ):
+            jobs, stats, _, _ = _serve_shape(
+                "worker.task:transient:limit=1:source=1", shape, engine
+            )
+            label = f"{shape} (engine={engine is not None})"
+            assert [job.status for job in jobs] == [JobStatus.DONE] * len(jobs), label
+            assert (stats.retries, stats.failed) == (1, 0), label
+            graph = make_graph()
+            for job in jobs:
+                oracle = (
+                    bfs_levels
+                    if job.request.application is Application.BFS
+                    else sssp_distances
+                )
+                assert np.array_equal(
+                    job.result.values, oracle(graph, job.request.source)
+                ), label
+
+    def test_a_retried_sweep_times_each_attempt_alone(self):
+        for shape in BUILTIN_SHAPES:
+            jobs, stats, spans, sample = _serve_shape(
+                "engine.sweep:transient:limit=1", shape
+            )
+            assert all(job.status is JobStatus.DONE for job in jobs), shape
+            (retry,) = [s for s in spans if s["name"] == "retry"]
+            backoff = retry["attributes"]["backoff_seconds"]
+            # Engine time is the two attempts, never the backoff between them.
+            assert stats.engine_seconds < backoff, shape
+            failed, clean = [s for s in spans if s["name"] == "engine_sweep"]
+            assert failed["attributes"]["error"] == "TransientFaultError", shape
+            assert "error" not in clean["attributes"], shape
+            assert retry["attributes"]["sweep_ref"] == failed["span_id"], shape
+            assert {job.sweep_ref for job in jobs} == {clean["span_id"]}, shape
+            # The cost model learned from the clean attempt alone.
+            assert stats.cost_model.samples == 1, shape
+            assert 0 < sample <= stats.engine_seconds < backoff, shape
+
+    @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+    def test_a_probe_spent_on_a_job_fault_is_handed_on(self):
+        # Regression: the word that took the half-open probe failed on a job
+        # fault and never reported, so the probe stayed spent and every
+        # later sweep ran degraded.
+        with _breaker_service(
+            "native.invoke:permanent:limit=1;worker.task:permanent:source=4",
+            breaker_threshold=1,
+            breaker_cooldown=0,
+        ) as service:
+            _drain_group(service, Application.SSSP, (0, 1, 2))
+            assert service._breaker.snapshot()["state"] == "half_open"
+            jobs = enqueue_without_draining(
+                service,
+                [
+                    TraversalRequest(graph="resil", application=Application.BFS, source=s)
+                    for s in (3, 4)
+                ],
+            )
+            drain_all(service)
+            assert [job.status for job in jobs] == [JobStatus.DONE, JobStatus.FAILED]
+            assert np.array_equal(jobs[0].result.values, bfs_levels(make_graph(), 3))
+            stats = service.stats()
+            assert stats.isolations == 1 and stats.degraded == 1
+            assert stats.breaker_state == "closed"
 
 
 # --------------------------------------------------------------------------- #
