@@ -747,49 +747,48 @@ class TestOneLadder:
     loop, backoff sleep included, as one engine sweep; and a sweep that gave
     up for a reason other than the native kernels kept a half-open probe."""
 
-    def test_transient_job_fault_is_retried_in_every_shape(self):
-        # The fused word meets the fault on its second source.
-        for shape, engine in (
+    @pytest.mark.parametrize(
+        "shape, engine",
+        [
             ("lone-bfs", None),
             ("lone-sssp", None),
+            # The fused word meets the fault on its second source.
             ("multisource", None),
             ("lone-bfs", default_engine),
-        ):
-            jobs, stats, _, _ = _serve_shape(
-                "worker.task:transient:limit=1:source=1", shape, engine
+        ],
+        ids=["lone-bfs", "lone-sssp", "multisource", "injected-engine"],
+    )
+    def test_transient_job_fault_is_retried_in_every_shape(self, shape, engine):
+        jobs, stats, _, _ = _serve_shape(
+            "worker.task:transient:limit=1:source=1", shape, engine
+        )
+        assert [job.status for job in jobs] == [JobStatus.DONE] * len(jobs)
+        assert (stats.retries, stats.failed) == (1, 0)
+        graph = make_graph()
+        for job in jobs:
+            oracle = (
+                bfs_levels
+                if job.request.application is Application.BFS
+                else sssp_distances
             )
-            label = f"{shape} (engine={engine is not None})"
-            assert [job.status for job in jobs] == [JobStatus.DONE] * len(jobs), label
-            assert (stats.retries, stats.failed) == (1, 0), label
-            graph = make_graph()
-            for job in jobs:
-                oracle = (
-                    bfs_levels
-                    if job.request.application is Application.BFS
-                    else sssp_distances
-                )
-                assert np.array_equal(
-                    job.result.values, oracle(graph, job.request.source)
-                ), label
+            assert np.array_equal(job.result.values, oracle(graph, job.request.source))
 
-    def test_a_retried_sweep_times_each_attempt_alone(self):
-        for shape in BUILTIN_SHAPES:
-            jobs, stats, spans, sample = _serve_shape(
-                "engine.sweep:transient:limit=1", shape
-            )
-            assert all(job.status is JobStatus.DONE for job in jobs), shape
-            (retry,) = [s for s in spans if s["name"] == "retry"]
-            backoff = retry["attributes"]["backoff_seconds"]
-            # Engine time is the two attempts, never the backoff between them.
-            assert stats.engine_seconds < backoff, shape
-            failed, clean = [s for s in spans if s["name"] == "engine_sweep"]
-            assert failed["attributes"]["error"] == "TransientFaultError", shape
-            assert "error" not in clean["attributes"], shape
-            assert retry["attributes"]["sweep_ref"] == failed["span_id"], shape
-            assert {job.sweep_ref for job in jobs} == {clean["span_id"]}, shape
-            # The cost model learned from the clean attempt alone.
-            assert stats.cost_model.samples == 1, shape
-            assert 0 < sample <= stats.engine_seconds < backoff, shape
+    @pytest.mark.parametrize("shape", list(BUILTIN_SHAPES))
+    def test_a_retried_sweep_times_each_attempt_alone(self, shape):
+        jobs, stats, spans, sample = _serve_shape("engine.sweep:transient:limit=1", shape)
+        assert all(job.status is JobStatus.DONE for job in jobs)
+        (retry,) = [s for s in spans if s["name"] == "retry"]
+        backoff = retry["attributes"]["backoff_seconds"]
+        # Engine time is the two attempts, never the backoff between them.
+        assert stats.engine_seconds < backoff
+        failed, clean = [s for s in spans if s["name"] == "engine_sweep"]
+        assert failed["attributes"]["error"] == "TransientFaultError"
+        assert "error" not in clean["attributes"]
+        assert retry["attributes"]["sweep_ref"] == failed["span_id"]
+        assert {job.sweep_ref for job in jobs} == {clean["span_id"]}
+        # The cost model learned from the clean attempt alone.
+        assert stats.cost_model.samples == 1
+        assert 0 < sample <= stats.engine_seconds < backoff
 
     @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
     def test_a_probe_spent_on_a_job_fault_is_handed_on(self):
