@@ -12,7 +12,19 @@ kernels share one shared object:
   (:func:`relax_word`, fronted by :func:`repro.traversal.relax.relax_lanes`):
   gather two doubles, add, compare, occasionally store, over vertex-major
   ``(num_vertices, lanes)`` value rows so one vertex's lanes share cache
-  lines;
+  lines.  It has two arms.  A frontier vertex on which at least a quarter of
+  the word's lanes are active takes the *dense* arm: its snapshot row holds
+  ``+inf`` in the inactive lanes (``inf + w`` never wins), and every edge
+  relaxes the whole row four lanes at a time with AVX2 add / compare /
+  blend, ORing the improved lanes into the next-frontier word once per
+  edge.  Every other vertex takes the *scalar* arm, which walks its active
+  lanes with ``ctz``.  Both give exactly the same values, words, lane edge
+  counts and improvement count.  The dense body is compiled under
+  ``__attribute__((target("avx2")))`` and chosen at run time by the
+  ``repro_dense_arm`` probe (``__builtin_cpu_supports``), so the object
+  carries no ``-march`` flag: hosts without AVX2, and words of fewer than 4
+  lanes, run the scalar arm.  The probe's answer is :data:`_dense_arm`,
+  passed to every call (tests patch it to force an arm);
 * ``repro_bfs_word`` — one BFS sweep (:func:`bfs_word`, called by
   :class:`repro.traversal.multisource.BFSWord`): per-lane edge counts,
   OR-scatter of the frontier words, and one pass over the vertices that keeps
@@ -40,7 +52,12 @@ raises the same :class:`~repro.errors.NativeBackendError`, so the service's
 one native circuit breaker guards BFS, SSSP, CC and PageRank sweeps alike.
 
 The C calls release the GIL (plain ``ctypes.CDLL``), so service workers
-draining separate batches sweep concurrently.
+draining separate batches sweep concurrently.  Buffers cross as raw
+addresses (``c_void_p`` argtypes): ``ndpointer`` argtypes cost tens of
+microseconds per call, more than a small sweep.  The wrappers make the
+checks ``ndpointer`` made (dtype and C-contiguity) besides their length
+checks; a run's long-lived buffers are checked and addressed once per run
+through :class:`Pins`, and per-sweep arrays on every call.
 """
 
 from __future__ import annotations
@@ -84,6 +101,79 @@ _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 _SOURCE = r"""
 #include <stdint.h>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define REPRO_DENSE_ARM 1
+#else
+#define REPRO_DENSE_ARM 0
+#endif
+
+/* 1 when this host can run the dense relaxation arm: the object was built
+ * for x86 and the CPU reports AVX2.  Decided at run time, so the object
+ * needs no -mavx2 / -march flag and loads on every x86-64 host.
+ */
+int repro_dense_arm(void)
+{
+#if REPRO_DENSE_ARM
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return 0;
+#endif
+}
+
+#if REPRO_DENSE_ARM
+/* The dense arm: relax every lane of one frontier vertex along its edges.
+ *
+ * snap is the vertex's whole snapshot row, +inf in its inactive lanes:
+ * inf + w never beats a stored value, so an inactive lane can never win and
+ * the row needs no per-lane branch.  Each 4-lane group computes
+ * c = snap + w, stores min(drow, c) with a blend and collects the improved
+ * lanes' bits; the lanes after the last full group take a scalar tail.  The
+ * improved lanes are ORed into next_bits once per edge.  Values, next_bits
+ * and the returned improvement count are exactly the scalar loop's.
+ */
+__attribute__((target("avx2")))
+static int64_t relax_row_avx2(const double *snap,
+                              const int64_t *edge,
+                              const int64_t *end,
+                              const double *weight,
+                              double *dist,
+                              uint64_t *next_bits,
+                              int64_t lanes)
+{
+    int64_t improved = 0;
+    int64_t groups = lanes & ~(int64_t)3;
+    for (; edge < end; edge++) {
+        int64_t destination = *edge;
+        double w = weight ? *weight++ : 1.0;
+        double *drow = dist + destination * lanes;
+        __m256d wide = _mm256_set1_pd(w);
+        uint64_t mask = 0;
+        int64_t lane = 0;
+        for (; lane < groups; lane += 4) {
+            __m256d candidate = _mm256_add_pd(_mm256_loadu_pd(snap + lane), wide);
+            __m256d stored = _mm256_loadu_pd(drow + lane);
+            __m256d lt = _mm256_cmp_pd(candidate, stored, _CMP_LT_OQ);
+            _mm256_storeu_pd(drow + lane, _mm256_blendv_pd(stored, candidate, lt));
+            mask |= (uint64_t)_mm256_movemask_pd(lt) << lane;
+        }
+        for (; lane < lanes; lane++) {
+            double candidate = snap[lane] + w;
+            if (candidate < drow[lane]) {
+                drow[lane] = candidate;
+                mask |= 1ull << (uint64_t)lane;
+            }
+        }
+        if (mask) {
+            next_bits[destination] |= mask;
+            improved += __builtin_popcountll(mask);
+        }
+    }
+    return improved;
+}
+#endif
+
 /* One lane-parallel relaxation sweep over the union frontier.
  *
  * dist is the (num_vertices, lanes) row-major value matrix; snapshot is a
@@ -93,6 +183,11 @@ _SOURCE = r"""
  * numpy kernel and of the solo per-source runs.  weights may be NULL
  * (unweighted graphs relax with 1.0).  next_bits and lane_edges must arrive
  * zeroed.  Returns the number of (lane, destination) improvements.
+ *
+ * A frontier vertex on which at least a quarter of the word's lanes are
+ * active takes the dense arm (relax_row_avx2) when dense is nonzero, the
+ * word has at least 4 lanes and repro_dense_arm() holds; every other vertex
+ * walks its active lanes with ctz, one branch per (edge, lane).
  */
 int64_t repro_relax_word(const int64_t *frontier,
                          const uint64_t *active_bits,
@@ -105,12 +200,20 @@ int64_t repro_relax_word(const int64_t *frontier,
                          double *snapshot,
                          uint64_t *next_bits,
                          int64_t *lane_edges,
-                         int64_t lanes)
+                         int64_t lanes,
+                         int dense)
 {
+    dense = dense && lanes >= 4 && repro_dense_arm();
     for (int64_t f = 0; f < num_frontier; f++) {
         const double *row = dist + frontier[f] * lanes;
         double *snap = snapshot + f * lanes;
         uint64_t bits = active_bits[f];
+        if (dense && 4 * __builtin_popcountll(bits) >= lanes) {
+            for (int64_t lane = 0; lane < lanes; lane++) {
+                snap[lane] = (bits >> lane) & 1 ? row[lane] : __builtin_inf();
+            }
+            continue;
+        }
         while (bits) {
             int lane = __builtin_ctzll(bits);
             bits &= bits - 1;
@@ -129,6 +232,14 @@ int64_t repro_relax_word(const int64_t *frontier,
             lane_edges[__builtin_ctzll(b)] += degree;
             b &= b - 1;
         }
+#if REPRO_DENSE_ARM
+        if (dense && 4 * __builtin_popcountll(bits) >= lanes) {
+            improved += relax_row_avx2(snap, edges + edge_start, edges + edge_end,
+                                       weights ? weights + edge_start : 0,
+                                       dist, next_bits, lanes);
+            continue;
+        }
+#endif
         for (int64_t e = edge_start; e < edge_end; e++) {
             int64_t destination = edges[e];
             double weight = weights ? weights[e] : 1.0;
@@ -290,6 +401,12 @@ _lock = tracked_lock("traversal._native._lock")
 _library: ctypes.CDLL | None = None
 _status: str | None = None  # None = not yet probed
 
+#: 1 when ``repro_relax_word`` may take its dense (AVX2) arm: set once per
+#: load from the ``repro_dense_arm`` probe and passed to every relax call, so
+#: a test can force either arm by patching it.  The kernel still re-checks
+#: the CPU, so forcing 1 on a host without AVX2 runs the scalar arm.
+_dense_arm = 0
+
 _fault_check = None
 
 
@@ -386,64 +503,70 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
             return None, f"compile failed: {exc}"
     try:
         library = ctypes.CDLL(str(shared_object))
-        pointer = np.ctypeslib.ndpointer
-        library.repro_relax_word.restype = ctypes.c_int64
+        # Raw addresses (c_void_p), not ndpointer argtypes: ndpointer's
+        # per-argument from_param cost more than a small sweep itself.  The
+        # wrappers below make the dtype and contiguity checks it made.
+        pointer, integer = ctypes.c_void_p, ctypes.c_int64
+        library.repro_dense_arm.restype = ctypes.c_int
+        library.repro_dense_arm.argtypes = []
+        library.repro_relax_word.restype = integer
         library.repro_relax_word.argtypes = [
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # frontier
-            pointer(np.uint64, flags="C_CONTIGUOUS"),  # active_bits
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # starts
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # ends
-            ctypes.c_int64,                            # num_frontier
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # edges
-            ctypes.c_void_p,                           # weights (nullable)
-            pointer(np.float64, flags="C_CONTIGUOUS"), # dist
-            pointer(np.float64, flags="C_CONTIGUOUS"), # snapshot
-            pointer(np.uint64, flags="C_CONTIGUOUS"),  # next_bits
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # lane_edges
-            ctypes.c_int64,                            # lanes
+            pointer,  # frontier
+            pointer,  # active_bits
+            pointer,  # starts
+            pointer,  # ends
+            integer,  # num_frontier
+            pointer,  # edges
+            pointer,  # weights (nullable)
+            pointer,  # dist
+            pointer,  # snapshot
+            pointer,  # next_bits
+            pointer,  # lane_edges
+            integer,  # lanes
+            ctypes.c_int,  # dense
         ]
-        library.repro_bfs_word.restype = ctypes.c_int64
+        library.repro_bfs_word.restype = integer
         library.repro_bfs_word.argtypes = [
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # frontier
-            pointer(np.uint64, flags="C_CONTIGUOUS"),  # active_bits
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # starts
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # ends
-            ctypes.c_int64,                            # num_frontier
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # edges
-            pointer(np.uint64, flags="C_CONTIGUOUS"),  # next_bits
-            pointer(np.uint64, flags="C_CONTIGUOUS"),  # visited_bits
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # levels
-            ctypes.c_int64,                            # num_vertices
-            ctypes.c_int64,                            # depth
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # lane_edges
-            ctypes.c_int64,                            # lanes
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # next_frontier
-            pointer(np.uint64, flags="C_CONTIGUOUS"),  # next_active
+            pointer,  # frontier
+            pointer,  # active_bits
+            pointer,  # starts
+            pointer,  # ends
+            integer,  # num_frontier
+            pointer,  # edges
+            pointer,  # next_bits
+            pointer,  # visited_bits
+            pointer,  # levels
+            integer,  # num_vertices
+            integer,  # depth
+            pointer,  # lane_edges
+            integer,  # lanes
+            pointer,  # next_frontier
+            pointer,  # next_active
         ]
-        library.repro_cc_sweep.restype = ctypes.c_int64
+        library.repro_cc_sweep.restype = integer
         library.repro_cc_sweep.argtypes = [
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # frontier
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # starts
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # ends
-            ctypes.c_int64,                            # num_frontier
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # edges
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # labels
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # prev
-            ctypes.c_int64,                            # num_vertices
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # next_frontier
+            pointer,  # frontier
+            pointer,  # starts
+            pointer,  # ends
+            integer,  # num_frontier
+            pointer,  # edges
+            pointer,  # labels
+            pointer,  # prev
+            integer,  # num_vertices
+            pointer,  # next_frontier
         ]
-        library.repro_pagerank_step.restype = ctypes.c_int64
+        library.repro_pagerank_step.restype = integer
         library.repro_pagerank_step.argtypes = [
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # offsets
-            pointer(np.int64, flags="C_CONTIGUOUS"),   # edges
-            pointer(np.float64, flags="C_CONTIGUOUS"), # degrees
-            pointer(np.float64, flags="C_CONTIGUOUS"), # scores
-            pointer(np.float64, flags="C_CONTIGUOUS"), # contribution
-            pointer(np.float64, flags="C_CONTIGUOUS"), # new_scores
-            ctypes.c_int64,                            # num_vertices
-            ctypes.c_double,                           # base
-            ctypes.c_double,                           # damping
-            ctypes.c_double,                           # dangling
+            pointer,  # offsets
+            pointer,  # edges
+            pointer,  # degrees
+            pointer,  # scores
+            pointer,  # contribution
+            pointer,  # new_scores
+            integer,  # num_vertices
+            ctypes.c_double,  # base
+            ctypes.c_double,  # damping
+            ctypes.c_double,  # dangling
         ]
     except OSError as exc:
         return None, f"load failed: {exc}"
@@ -451,11 +574,13 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
 
 
 def _ensure_loaded() -> ctypes.CDLL | None:
-    global _library, _status
+    global _library, _status, _dense_arm
     if _status is None:
         with _lock:
             if _status is None:
-                _library, _status = _build()
+                library, status = _build()
+                _dense_arm = int(library.repro_dense_arm()) if library else 0
+                _library, _status = library, status
     return _library
 
 
@@ -490,6 +615,58 @@ def _invoke(kernel: str, *args) -> int:
         raise NativeBackendError(f"native {kernel} kernel failed: {exc}") from exc
 
 
+_INT64 = np.dtype(np.int64)
+_UINT64 = np.dtype(np.uint64)
+_FLOAT64 = np.dtype(np.float64)
+
+#: Arrays one :class:`Pins` holds before it starts over (a run pins ≤ 9).
+_MAX_PINS = 16
+
+
+def _address(array: np.ndarray, dtype: np.dtype, kernel: str) -> int:
+    """``array``'s data address, after the checks an ndpointer argtype made.
+
+    A wrong dtype or a strided view would be read with the wrong element
+    size or stride, so either is refused.
+    """
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise ValueError(
+            f"{kernel} buffers must be C-contiguous {dtype.name} arrays, "
+            f"got {array.dtype.name} (C-contiguous: {array.flags.c_contiguous})"
+        )
+    return array.ctypes.data
+
+
+class Pins:
+    """Addresses of the buffers one run hands to every sweep, each taken once.
+
+    Taking an address costs microseconds (``ndarray.ctypes``), which is the
+    whole kernel on a small frontier.  A run's long-lived buffers (values,
+    snapshot, next-bits words, the edge and weight lists, BFS's levels and
+    frontier slots) are therefore checked (dtype, C-contiguity) and
+    addressed the first time a wrapper sees them; a later sweep passing the
+    same array object pays one dict lookup.  Each pinned array is held with
+    its address, so its id cannot be reused while the address is kept and
+    numpy refuses to resize it in place.  Lengths are still checked on every
+    call, by the wrapper.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self) -> None:
+        self._held: dict[int, tuple[np.ndarray, np.dtype, int]] = {}
+
+    def address(self, array: np.ndarray, dtype: np.dtype, kernel: str) -> int:
+        held = self._held.get(id(array))
+        if held is not None and held[1] is dtype:
+            return held[2]
+        address = _address(array, dtype, kernel)
+        if len(self._held) >= _MAX_PINS:
+            self._held.clear()
+        self._held[id(array)] = (array, dtype, address)
+        return address
+
+
 def relax_word(
     frontier: np.ndarray,
     active_bits: np.ndarray,
@@ -501,14 +678,17 @@ def relax_word(
     snapshot: np.ndarray,
     next_bits: np.ndarray,
     lane_edges: np.ndarray,
+    pins: Pins | None = None,
 ) -> int:
     """Invoke the compiled relaxation sweep; see the C source for the contract.
 
     ``values`` is the vertex-major ``(num_vertices, lanes)`` matrix updated in
-    place; ``next_bits`` and ``lane_edges`` must arrive zeroed.  The caller
-    guarantees contiguity and dtypes (this is the kernel's private fast path,
-    fronted by :func:`repro.traversal.relax.relax_lanes`); buffer lengths are
-    checked here, since a short one would be read or written past its end.
+    place; ``next_bits`` and ``lane_edges`` must arrive zeroed.  Returns the
+    number of (lane, destination) improvements.  Every buffer is checked for
+    its dtype and C-contiguity (``edges``, ``weights``, ``values``,
+    ``snapshot`` and ``next_bits`` once per run when ``pins`` is given) and
+    for its length on every call, since a short one would be read or written
+    past its end.  The dense arm is taken when :data:`_dense_arm` is set.
     """
     num_vertices, lanes = values.shape
     if not (
@@ -518,24 +698,28 @@ def relax_word(
         and snapshot.shape[0] >= frontier.size
         and snapshot.shape[1] == lanes
         and num_vertices == next_bits.size
+        and (weights is None or weights.size == edges.size)
     ):
         raise ValueError(
             "relax_word buffers do not match the (num_vertices, lanes) values"
         )
+    kernel = "relax_word"
+    pin = _address if pins is None else pins.address
     return _invoke(
-        "relax_word",
-        frontier,
-        active_bits,
-        starts,
-        ends,
+        kernel,
+        _address(frontier, _INT64, kernel),
+        _address(active_bits, _UINT64, kernel),
+        _address(starts, _INT64, kernel),
+        _address(ends, _INT64, kernel),
         frontier.size,
-        edges,
-        weights.ctypes.data if weights is not None else None,
-        values.reshape(-1),
-        snapshot.reshape(-1),
-        next_bits,
-        lane_edges,
+        pin(edges, _INT64, kernel),
+        None if weights is None else pin(weights, _FLOAT64, kernel),
+        pin(values, _FLOAT64, kernel),
+        pin(snapshot, _FLOAT64, kernel),
+        pin(next_bits, _UINT64, kernel),
+        _address(lane_edges, _INT64, kernel),
         lanes,
+        _dense_arm,
     )
 
 
@@ -552,14 +736,17 @@ def bfs_word(
     lane_edges: np.ndarray,
     next_frontier: np.ndarray,
     next_active: np.ndarray,
+    pins: Pins | None = None,
 ) -> int:
     """Invoke the compiled BFS sweep; see the C source for the contract.
 
     ``levels`` is the ``(lanes, num_vertices)`` matrix updated in place;
     ``next_bits`` must arrive zeroed (it is left zeroed).  Returns the next
-    frontier's size: ``next_frontier[:size]`` / ``next_active[:size]``.  The
-    caller guarantees contiguity and dtypes (this is the private fast path of
-    :class:`repro.traversal.multisource.BFSWord`, batched and solo).
+    frontier's size: ``next_frontier[:size]`` / ``next_active[:size]``.
+    Every buffer is checked for its dtype and C-contiguity (all but the four
+    frontier arrays once per run when ``pins`` is given, as
+    :class:`repro.traversal.multisource.BFSWord` does) and for its length
+    on every call.
     """
     lanes, num_vertices = levels.shape
     if not (
@@ -573,23 +760,25 @@ def bfs_word(
         == next_active.size
     ):
         raise ValueError("bfs_word buffers do not match the (lanes, num_vertices) levels")
+    kernel = "bfs_word"
+    pin = _address if pins is None else pins.address
     return _invoke(
-        "bfs_word",
-        frontier,
-        active_bits,
-        starts,
-        ends,
+        kernel,
+        _address(frontier, _INT64, kernel),
+        _address(active_bits, _UINT64, kernel),
+        _address(starts, _INT64, kernel),
+        _address(ends, _INT64, kernel),
         frontier.size,
-        edges,
-        next_bits,
-        visited_bits,
-        levels.reshape(-1),
+        pin(edges, _INT64, kernel),
+        pin(next_bits, _UINT64, kernel),
+        pin(visited_bits, _UINT64, kernel),
+        pin(levels, _INT64, kernel),
         num_vertices,
         depth,
-        lane_edges,
+        pin(lane_edges, _INT64, kernel),
         lanes,
-        next_frontier,
-        next_active,
+        pin(next_frontier, _INT64, kernel),
+        pin(next_active, _UINT64, kernel),
     )
 
 
@@ -606,26 +795,26 @@ def cc_sweep(
 
     ``labels`` is updated in place and ``prev`` receives its pre-sweep copy.
     Returns the next frontier's size: ``next_frontier[:size]``, ascending.
-    ``next_frontier`` must not be ``frontier``'s buffer.  The caller
-    guarantees contiguity and dtypes (this is the private fast path of
-    :func:`repro.traversal.cc.cc_sweep`).
+    ``next_frontier`` must not be ``frontier``'s buffer.  Every buffer is
+    checked for its dtype (int64), C-contiguity and length on every call.
     """
     if not (
         frontier.size == starts.size == ends.size
         and labels.size == prev.size == next_frontier.size
     ):
         raise ValueError("cc_sweep buffers do not match the frontier and the labels")
+    kernel = "cc_sweep"
     return _invoke(
-        "cc_sweep",
-        frontier,
-        starts,
-        ends,
+        kernel,
+        _address(frontier, _INT64, kernel),
+        _address(starts, _INT64, kernel),
+        _address(ends, _INT64, kernel),
         frontier.size,
-        edges,
-        labels,
-        prev,
+        _address(edges, _INT64, kernel),
+        _address(labels, _INT64, kernel),
+        _address(prev, _INT64, kernel),
         labels.size,
-        next_frontier,
+        _address(next_frontier, _INT64, kernel),
     )
 
 
@@ -643,8 +832,8 @@ def pagerank_step(
     """Invoke the compiled PageRank step; see the C source for the contract.
 
     Writes ``contribution`` and ``new_scores`` (which must not be
-    ``scores``).  The caller guarantees contiguity and dtypes (this is the
-    private fast path of :func:`repro.traversal.pagerank.pagerank_sweep`).
+    ``scores``).  Every buffer is checked for its dtype (int64 offsets and
+    edges, float64 vectors), C-contiguity and length on every call.
     """
     num_vertices = scores.size
     if not (
@@ -652,14 +841,15 @@ def pagerank_step(
         and degrees.size == contribution.size == new_scores.size == num_vertices
     ):
         raise ValueError("pagerank_step buffers do not match the (num_vertices + 1) offsets")
+    kernel = "pagerank_step"
     return _invoke(
-        "pagerank_step",
-        offsets,
-        edges,
-        degrees,
-        scores,
-        contribution,
-        new_scores,
+        kernel,
+        _address(offsets, _INT64, kernel),
+        _address(edges, _INT64, kernel),
+        _address(degrees, _FLOAT64, kernel),
+        _address(scores, _FLOAT64, kernel),
+        _address(contribution, _FLOAT64, kernel),
+        _address(new_scores, _FLOAT64, kernel),
         num_vertices,
         base,
         damping,

@@ -464,8 +464,16 @@ class BFSWord:
             self.levels[lane, source] = 0
         self.native = relax_method in (None, "native") and _native.available()
         if self.native:
-            self.frontier_slots = np.empty((2, num_vertices), dtype=VERTEX_DTYPE)
-            self.active_slots = np.empty((2, num_vertices), dtype=np.uint64)
+            # Two separate arrays per slot pair, so that Pins checks and
+            # addresses each slot once per run rather than a fresh view of
+            # one (2, V) array every sweep.
+            self.frontier_slots = tuple(
+                np.empty(num_vertices, dtype=VERTEX_DTYPE) for _ in range(2)
+            )
+            self.active_slots = tuple(
+                np.empty(num_vertices, dtype=np.uint64) for _ in range(2)
+            )
+            self.pins = _native.Pins()
 
     def start(self) -> tuple[np.ndarray, np.ndarray]:
         """Depth 0: the frontier is the sources, and visited holds exactly
@@ -496,8 +504,9 @@ class BFSWord:
                 frontier, active_bits, starts, ends, self.graph.edges,
                 self.next_bits, self.visited_bits, self.levels, depth,
                 self.lane_edges, self.frontier_slots[slot], self.active_slots[slot],
+                self.pins,
             )
-            return self.frontier_slots[slot, :size], self.active_slots[slot, :size]
+            return self.frontier_slots[slot][:size], self.active_slots[slot][:size]
         if active is None:
             active = active_lane_mask(active_bits, self.lane_edges.size)
         return _bfs_sweep_numpy(
@@ -569,6 +578,7 @@ def _sssp_word(
         distances[source, lane] = 0.0
     snapshot = make_snapshot(num_vertices, lanes)
     next_scratch = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
+    pins = _native.Pins()
 
     attribution = _Attribution(lanes, lane_engine)
     iterations = 0
@@ -576,7 +586,6 @@ def _sssp_word(
     frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE)
     while frontier.size and iterations < max_iterations:
         starts, ends = frontier_offsets(graph, frontier)
-        degrees = ends - starts
         active_bits = frontier_bits[frontier]
 
         # One lane-parallel relaxation sweep: every lane's candidates are
@@ -586,7 +595,7 @@ def _sssp_word(
         outcome = relax_lanes(
             distances, graph.edges, frontier, starts, ends, active_bits,
             weights=weights, method=relax_method, snapshot=snapshot,
-            next_bits=next_scratch,
+            next_bits=next_scratch, pins=pins,
         )
         # As in _bfs_word, every engine replays the shared union frontier;
         # the relax sweep itself is platform-independent, so its candidate

@@ -30,8 +30,15 @@ When the host has a C compiler, a second backend — ``"native"``, built and
 gated by :mod:`repro.traversal._native` — runs the same sweep as a compiled
 loop over the bit-packed lane words and is the default; the numpy kernel
 remains the portable fallback and the reference the native backend is
-pinned against.  Both are checked against the independent references: the
-plain :func:`~repro.traversal.sssp.sssp_distances` loop and networkx.
+pinned against.  The compiled loop has two arms, chosen per frontier
+vertex: when at least a quarter of the word's lanes are active on it, a
+*dense* arm relaxes the vertex's whole contiguous lane row per edge with
+AVX2 (inactive lanes snapshot as ``+inf``, so they can never win); every
+other vertex, every word of fewer than 4 lanes and every host whose CPU
+lacks AVX2 (probed at run time, not at build time) takes the *scalar* arm,
+one ``ctz`` step per active lane.  The two arms are exactly equal.  Both
+backends are checked against the independent references: the plain
+:func:`~repro.traversal.sssp.sssp_distances` loop and networkx.
 
 Minimum is exactly associative and commutative over IEEE floats (weights are
 non-negative, so signed zeros and NaNs never arise), so reducing each lane's
@@ -154,6 +161,7 @@ def relax_lanes(
     method: str | None = None,
     snapshot: np.ndarray | None = None,
     next_bits: np.ndarray | None = None,
+    pins: _native.Pins | None = None,
 ) -> RelaxOutcome:
     """One shared relaxation sweep over every lane's frontier edges.
 
@@ -174,7 +182,11 @@ def relax_lanes(
     ``(num_vertices,)`` uint64 scratch the kernel zeroes and fills — callers
     iterating to a fixed point double-buffer it against the previous sweep's
     word array instead of allocating O(V) per sweep; the returned
-    ``RelaxOutcome.next_bits`` is this same array.
+    ``RelaxOutcome.next_bits`` is this same array.  ``pins`` (one
+    :class:`~repro.traversal._native.Pins` per run) lets the native backend
+    check and address the buffers every sweep passes again — ``values``,
+    ``edges``, ``weights``, ``snapshot`` and the ``next_bits`` scratch —
+    once per run instead of once per sweep.
 
     Per-lane results are bit-identical across every ``method`` and to
     relaxing each lane on its own, because min is exactly
@@ -219,6 +231,7 @@ def relax_lanes(
                 snapshot,
                 next_bits,
                 lane_edges,
+                pins,
             )
         return RelaxOutcome(next_bits, lane_edges, active_lanes, method)
 

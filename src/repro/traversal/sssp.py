@@ -15,6 +15,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
+from . import _native
 from .engine import TraversalEngine
 from .frontier import frontier_offsets, gather_frontier_edges
 from .multisource import UNREACHABLE, _check_source
@@ -64,6 +65,7 @@ def run_sssp(
     snapshot = make_snapshot(num_vertices, 1)
     lane_bits = np.ones(num_vertices, dtype=np.uint64)
     next_bits = np.zeros(num_vertices, dtype=np.uint64)
+    pins = _native.Pins()
     frontier = np.array([source], dtype=VERTEX_DTYPE)
     iterations = 0
     while frontier.size and iterations < num_vertices:
@@ -72,6 +74,7 @@ def run_sssp(
         outcome = relax_lanes(
             distances, graph.edges, frontier, starts, ends, lane_bits[: frontier.size],
             weights=weights, method=relax_method, snapshot=snapshot, next_bits=next_bits,
+            pins=pins,
         )
         engine.note_relax(outcome.method, outcome.candidates)
         frontier = np.flatnonzero(next_bits)

@@ -505,6 +505,45 @@ class TestNativeBFSWord:
         run_batch("bfs", random_graph, [0, 3, 17], relax_method="scatter")
         assert not calls
 
+    @staticmethod
+    def _buffers(graph, lanes=3):
+        size = graph.num_vertices
+        levels = np.full((lanes, size), -1, dtype=np.int64)
+        levels[:, :2] = 0
+        # Two frontier vertices: a strided view of one element is contiguous.
+        return dict(
+            frontier=np.arange(2, dtype=np.int64),
+            active_bits=np.full(2, (1 << lanes) - 1, dtype=np.uint64),
+            starts=graph.offsets[:2].copy(),
+            ends=graph.offsets[1:3].copy(),
+            edges=graph.edges,
+            next_bits=np.zeros(size, dtype=np.uint64),
+            visited_bits=np.zeros(size, dtype=np.uint64),
+            levels=levels,
+            depth=1,
+            lane_edges=np.zeros(lanes, dtype=np.int64),
+            next_frontier=np.empty(size, dtype=np.int64),
+            next_active=np.empty(size, dtype=np.uint64),
+        )
+
+    ARRAYS = (
+        "frontier", "active_bits", "starts", "ends", "edges", "next_bits",
+        "visited_bits", "levels", "lane_edges", "next_frontier", "next_active",
+    )
+
+    @pytest.mark.parametrize("pinned", (False, True))
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_wrong_dtype_or_stride_raises(self, random_graph, name, pinned):
+        assert _native.bfs_word(**self._buffers(random_graph)) >= 0
+        for bad in (
+            lambda array: array.view(np.float64),
+            lambda array: np.stack([array, array], axis=-1)[..., 0],
+        ):
+            buffers = self._buffers(random_graph)
+            buffers[name] = bad(buffers[name])
+            with pytest.raises(ValueError, match="bfs_word buffers must be C-contiguous"):
+                _native.bfs_word(**buffers, pins=_native.Pins() if pinned else None)
+
 
 # ---------------------------------------------------------------------- #
 # Attribution accumulator and lane assembly

@@ -3,13 +3,20 @@
 Every backend (native C when available, indexed-ufunc scatter) must produce
 per-source SSSP distances bit-identical to the solo ``run_sssp`` runs — across
 random weighted graphs with duplicate edges, zero-weight edges, unreachable
-components, and word-boundary lane counts.
+components, and word-boundary lane counts.  The native kernel's two arms
+(dense AVX2 rows and scalar ``ctz`` lanes, forced through
+``_native._dense_arm``) must agree with each other and with ``scatter``
+sweep for sweep.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.builder import from_edge_array
 from repro.traversal import _native
@@ -31,6 +38,9 @@ METHODS = tuple(
     for method in RELAX_METHODS
     if method != "native" or _native.available()
 )
+
+#: The host runs the dense arm (probed when the kernels loaded).
+HAS_DENSE_ARM = _native.available() and _native._dense_arm == 1
 
 
 def messy_graph(seed: int, num_vertices: int = 120, num_edges: int = 900):
@@ -228,7 +238,7 @@ class TestNativeRelaxBuffers:
             starts=graph.offsets[:-1].copy(),
             ends=graph.offsets[1:].copy(),
             edges=graph.edges,
-            weights=None,
+            weights=np.ones(graph.num_edges),
             values=values,
             snapshot=np.empty((size, lanes)),
             next_bits=np.zeros(size, dtype=np.uint64),
@@ -241,7 +251,10 @@ class TestNativeRelaxBuffers:
 
     @pytest.mark.parametrize(
         "short",
-        ("frontier", "active_bits", "starts", "ends", "snapshot", "next_bits", "lane_edges"),
+        (
+            "frontier", "active_bits", "starts", "ends", "weights", "snapshot",
+            "next_bits", "lane_edges",
+        ),
     )
     def test_short_buffer_raises(self, short):
         buffers = self._buffers(messy_graph(5))
@@ -249,12 +262,51 @@ class TestNativeRelaxBuffers:
         with pytest.raises(ValueError, match="relax_word buffers"):
             _native.relax_word(**buffers)
 
+    ARRAYS = (
+        "frontier", "active_bits", "starts", "ends", "edges", "weights", "values",
+        "snapshot", "next_bits", "lane_edges",
+    )
+
+    @pytest.mark.parametrize("pinned", (False, True))
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_wrong_dtype_raises(self, name, pinned):
+        # The checks an ndpointer argtype used to make: same itemsize and
+        # shape, so only the dtype check can catch it.
+        buffers = self._buffers(messy_graph(5))
+        array = buffers[name]
+        buffers[name] = array.view(np.int64 if array.dtype == np.float64 else np.float64)
+        with pytest.raises(ValueError, match="relax_word buffers must be C-contiguous"):
+            _native.relax_word(**buffers, pins=_native.Pins() if pinned else None)
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_strided_buffer_raises(self, name):
+        buffers = self._buffers(messy_graph(5))
+        array = buffers[name]
+        buffers[name] = np.stack([array, array], axis=-1)[..., 0]
+        assert buffers[name].shape == array.shape
+        with pytest.raises(ValueError, match="relax_word buffers must be C-contiguous"):
+            _native.relax_word(**buffers)
+
+    def test_pins_check_a_new_buffer(self):
+        # A pinned run checks each array object once; an array it has not
+        # seen is checked afresh, even when a sweep swaps it in mid-run.
+        buffers = self._buffers(messy_graph(5))
+        pins = _native.Pins()
+        assert _native.relax_word(**buffers, pins=pins) > 0
+        buffers["next_bits"].fill(0)
+        buffers["lane_edges"].fill(0)
+        assert _native.relax_word(**buffers, pins=pins) >= 0
+        buffers["values"] = buffers["values"].astype(np.float32)
+        with pytest.raises(ValueError, match="relax_word buffers must be C-contiguous"):
+            _native.relax_word(**buffers, pins=pins)
+
     def test_more_than_64_lanes_raises(self):
         with pytest.raises(ValueError, match="relax_word buffers"):
             _native.relax_word(**self._buffers(messy_graph(5), lanes=65))
 
-    @pytest.mark.parametrize("short", ("starts", "ends", "active_bits"))
+    @pytest.mark.parametrize("short", ("starts", "ends", "active_bits", "weights"))
     def test_relax_lanes_refuses_short_slices_on_native(self, short):
+        # A short weights list was read past its end, where scatter raised.
         graph = messy_graph(5)
         buffers = self._buffers(graph)
         buffers[short] = buffers[short][:5]
@@ -262,8 +314,122 @@ class TestNativeRelaxBuffers:
             relax_lanes(
                 buffers["values"], graph.edges, buffers["frontier"],
                 buffers["starts"], buffers["ends"], buffers["active_bits"],
-                method="native",
+                weights=buffers["weights"], method="native",
             )
+
+
+LANE_COUNTS = (1, 3, 4, 15, 16, 17, 63, 64)
+
+
+@st.composite
+def relax_sweeps(draw):
+    """One relaxation sweep's inputs: a random graph with self-loops and
+    multi-edges, weighted or not, a value matrix with unreached (``inf``)
+    rows and entries, and a frontier whose per-vertex lane counts sit on
+    both sides of the dense arm's quarter-of-the-lanes threshold."""
+    num_vertices = draw(st.integers(1, 30))
+    vertex = st.integers(0, num_vertices - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=120))
+    pairs += pairs[: draw(st.integers(0, 8))]
+    pairs += [(v, v) for v in range(0, num_vertices, 5)]
+    sources, destinations = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    graph = from_edge_array(
+        sources, destinations, num_vertices=num_vertices, directed=True,
+        name="hypothesis",
+    )
+    lanes = draw(st.sampled_from(LANE_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Quarter-steps make exact ties (candidate == stored) common.
+    values = rng.integers(0, 12, (num_vertices, lanes)) / 4.0
+    values[rng.random((num_vertices, lanes)) < 0.2] = np.inf
+    values[rng.random(num_vertices) < 0.3] = np.inf
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.choice([0.0, 0.25, 0.5, 1.0, 1.75], graph.num_edges)
+    frontier = np.flatnonzero(rng.random(num_vertices) < 0.6).astype(np.int64)
+    if not frontier.size:
+        frontier = np.array([0], dtype=np.int64)
+    threshold = -(-lanes // 4)
+    active_bits = np.zeros(frontier.size, dtype=np.uint64)
+    for position in range(frontier.size):
+        count = rng.choice(
+            [0, 1, max(threshold - 1, 0), threshold, lanes, rng.integers(0, lanes + 1)]
+        )
+        for lane in rng.choice(lanes, count, replace=False):
+            active_bits[position] |= np.uint64(1) << np.uint64(lane)
+    return graph, weights, values, frontier, active_bits
+
+
+def _native_sweep(graph, weights, values, frontier, active_bits, dense_arm):
+    values = values.copy()
+    next_bits = np.zeros(graph.num_vertices, dtype=np.uint64)
+    lane_edges = np.zeros(values.shape[1], dtype=np.int64)
+    with mock.patch.object(_native, "_dense_arm", dense_arm):
+        improved = _native.relax_word(
+            frontier, active_bits, graph.offsets[frontier], graph.offsets[frontier + 1],
+            graph.edges, weights, values, np.empty_like(values), next_bits, lane_edges,
+        )
+    return values, next_bits, lane_edges, improved
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestDenseArm:
+    """The dense arm against the scalar arm and the numpy scatter sweep: the
+    same values, next-frontier words, lane edge counts and (between the
+    arms) the same improvement count."""
+
+    @given(sweep=relax_sweeps())
+    @settings(max_examples=150, deadline=None)
+    def test_arms_match_each_other_and_scatter(self, sweep):
+        graph, weights, values, frontier, active_bits = sweep
+        dense = _native_sweep(graph, weights, values, frontier, active_bits, 1)
+        scalar = _native_sweep(graph, weights, values, frontier, active_bits, 0)
+        numpy_values = values.copy()
+        outcome = relax_lanes(
+            numpy_values, graph.edges, frontier, graph.offsets[frontier],
+            graph.offsets[frontier + 1], active_bits, weights=weights,
+            method="scatter",
+        )
+        for arm in (dense, scalar):
+            assert arm[0].tobytes() == numpy_values.tobytes()
+            assert arm[1].tolist() == outcome.next_bits.tolist()
+            assert arm[2].tolist() == outcome.lane_edges.tolist()
+        assert dense[3] == scalar[3]
+
+    @staticmethod
+    def _inactive_snapshot_lanes(lanes, bits, dense_arm):
+        """Relax a two-vertex frontier over a snapshot pre-filled with -1 and
+        return what each row holds in its inactive lanes: the dense arm
+        writes +inf there, the scalar arm never touches them."""
+        graph = from_edge_array(
+            np.array([0, 1]), np.array([2, 2]), num_vertices=3, name="arms"
+        )
+        values = np.zeros((3, lanes))
+        snapshot = np.full((2, lanes), -1.0)
+        frontier = np.array([0, 1], dtype=np.int64)
+        with mock.patch.object(_native, "_dense_arm", dense_arm):
+            _native.relax_word(
+                frontier, np.array(bits, dtype=np.uint64), graph.offsets[:2],
+                graph.offsets[1:3], graph.edges, None, values, snapshot,
+                np.zeros(3, dtype=np.uint64), np.zeros(lanes, dtype=np.int64),
+            )
+        return [
+            set(row[[(mask >> lane) & 1 == 0 for lane in range(lanes)]].tolist())
+            for row, mask in zip(snapshot, bits)
+        ]
+
+    @pytest.mark.skipif(not HAS_DENSE_ARM, reason="host has no AVX2")
+    def test_dense_arm_taken_from_a_quarter_of_the_lanes(self):
+        # Row 0 has 2 of 8 lanes active (a quarter: dense), row 1 one lane.
+        assert self._inactive_snapshot_lanes(8, [0b101, 0b1], 1) == [{np.inf}, {-1.0}]
+
+    def test_scalar_arm_taken_when_forced(self):
+        assert self._inactive_snapshot_lanes(8, [0b101, 0b1], 0) == [{-1.0}, {-1.0}]
+
+    def test_words_under_four_lanes_stay_scalar(self):
+        # Two of three lanes is well over a quarter, but a 3-lane word has no
+        # full 4-lane group.
+        assert self._inactive_snapshot_lanes(3, [0b011, 0b1], 1) == [{-1.0}, {-1.0}]
 
 
 class TestSanitizerBuildMode:

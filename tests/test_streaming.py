@@ -383,6 +383,19 @@ class TestStreamingKernelBuffers:
         with pytest.raises(ValueError, match="cc_sweep buffers"):
             _native.cc_sweep(**buffers)
 
+    @pytest.mark.parametrize(
+        "name", ("frontier", "starts", "ends", "edges", "labels", "prev", "next_frontier")
+    )
+    def test_cc_sweep_wrong_dtype_or_stride_raises(self, random_graph, name):
+        for bad in (
+            lambda array: array.view(np.float64),
+            lambda array: np.stack([array, array], axis=-1)[..., 0],
+        ):
+            buffers = self._cc_buffers(random_graph)
+            buffers[name] = bad(buffers[name])
+            with pytest.raises(ValueError, match="cc_sweep buffers must be C-contiguous"):
+                _native.cc_sweep(**buffers)
+
     @staticmethod
     def _pagerank_buffers(graph):
         size = graph.num_vertices
@@ -407,3 +420,18 @@ class TestStreamingKernelBuffers:
         buffers[short] = buffers[short][:5]
         with pytest.raises(ValueError, match="pagerank_step buffers"):
             _native.pagerank_step(**buffers)
+
+    @pytest.mark.parametrize(
+        "name", ("offsets", "edges", "degrees", "scores", "contribution", "new_scores")
+    )
+    def test_pagerank_step_wrong_dtype_or_stride_raises(self, random_graph, name):
+        for bad in (
+            lambda array: array.view(np.float64 if array.dtype == np.int64 else np.int64),
+            lambda array: np.stack([array, array], axis=-1)[..., 0],
+        ):
+            buffers = self._pagerank_buffers(random_graph)
+            buffers[name] = bad(buffers[name])
+            with pytest.raises(
+                ValueError, match="pagerank_step buffers must be C-contiguous"
+            ):
+                _native.pagerank_step(**buffers)
