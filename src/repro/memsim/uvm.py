@@ -13,6 +13,14 @@ demand.  The model tracks, for one UVM-allocated region (the CSR edge list):
 ``cudaMemAdviseSetReadMostly`` (the paper's best-performing UVM configuration)
 is modelled by treating migrations as read-only duplications: pages never need
 to be written back on eviction.
+
+A space replays its accesses on one of two arms over the same state: the
+numpy passes below (the fallback, and the reference), or the native
+``repro_uvm_replay`` kernel (:func:`repro.traversal._native.uvm_replay`), which
+replays one :meth:`UVMSpace.access_byte_ranges` call in one C call, in place.
+The residency flags, the last-touch clocks and one small int64 array holding
+the clock and the running totals are shared, so calls on either arm may be
+interleaved on one space and give bit-identical results and state.
 """
 
 from __future__ import annotations
@@ -24,6 +32,28 @@ import numpy as np
 from ..config import UVMConfig
 from ..errors import SimulationError
 from .address_space import Allocation
+
+_native = None
+
+
+def _native_backend():
+    """The native kernels module, bound on first use.
+
+    Importing :mod:`repro.traversal` at module scope would be circular: the
+    traversal package imports its engine, which imports this module.
+    """
+    global _native
+    if _native is None:
+        from ..traversal import _native as backend
+
+        _native = backend
+    return _native
+
+
+#: Slots of ``UVMSpace._state`` (``repro_uvm_replay``'s layout).
+_STATE_SLOTS = 9
+
+_OUT_OF_BOUNDS = "access range outside the UVM allocation"
 
 
 @dataclass(frozen=True)
@@ -57,17 +87,19 @@ class UVMSpace:
         self.num_pages = max(1, -(-allocation.size_bytes // config.page_bytes))
         self._resident = np.zeros(self.num_pages, dtype=bool)
         self._last_touch = np.zeros(self.num_pages, dtype=np.int64)
-        self._clock = 0
-        self.total_faults = 0
-        self.total_migrated_bytes = 0
-        self.total_evictions = 0
-        self.total_accessed_pages = 0
+        #: The clock, the four running totals (``total_*``) and the last
+        #: native replay's four counters; see ``repro_uvm_replay``.
+        self._state = np.zeros(_STATE_SLOTS, dtype=np.int64)
+        self._resident_bytes = self._resident.view(np.uint8)
+        # The native arm's scratch and pinned addresses, made by its first call.
+        self._scratch: np.ndarray | None = None
+        self._pins = None
 
     # ------------------------------------------------------------------ #
     # Access paths
     # ------------------------------------------------------------------ #
     def access_byte_ranges(
-        self, start_bytes: np.ndarray, end_bytes: np.ndarray
+        self, start_bytes: np.ndarray, end_bytes: np.ndarray, native: bool = False
     ) -> UVMAccessResult:
         """Access a batch of ``[start, end)`` byte ranges within the region.
 
@@ -76,26 +108,25 @@ class UVMSpace:
         the frontier's neighbor lists: the touched pages stream through the
         LRU page cache in chunks, so a working set larger than the cache
         thrashes within the iteration exactly as the paper describes (§2.2).
+
+        ``native`` replays the call with the compiled kernel (the caller has
+        checked it is wanted); its result and the state it leaves are
+        exactly the numpy arm's.
         """
         start_bytes = np.asarray(start_bytes, dtype=np.int64).ravel()
         end_bytes = np.asarray(end_bytes, dtype=np.int64).ravel()
         if start_bytes.size != end_bytes.size:
             raise SimulationError("start/end arrays must have the same length")
+        if native:
+            return self._replay(start_bytes, end_bytes)
         valid = end_bytes > start_bytes
         start_bytes, end_bytes = start_bytes[valid], end_bytes[valid]
         if start_bytes.size == 0:
             return UVMAccessResult(0, 0, 0, 0)
         if np.any(start_bytes < 0) or np.any(end_bytes > self.allocation.size_bytes):
-            raise SimulationError("access range outside the UVM allocation")
+            raise SimulationError(_OUT_OF_BOUNDS)
 
         pages = self._pages_for_ranges(start_bytes, end_bytes)
-        return self._touch_streaming(pages)
-
-    def access_pages(self, page_ids: np.ndarray) -> UVMAccessResult:
-        """Touch an explicit sequence of page IDs (used by streaming scans)."""
-        pages = np.asarray(page_ids, dtype=np.int64).ravel()
-        if pages.size and (pages.min() < 0 or pages.max() >= self.num_pages):
-            raise SimulationError("page ID outside the UVM allocation")
         return self._touch_streaming(pages)
 
     # ------------------------------------------------------------------ #
@@ -115,22 +146,57 @@ class UVMSpace:
         return bool(self._resident[page_id])
 
     def fault_handling_seconds(self, migrations: int | None = None) -> float:
-        """CPU-side driver time for the given (or accumulated) migrations."""
+        """CPU-side driver time for ``migrations`` pages, or for every page
+        migrated so far (:attr:`total_faults`, the ``page_faults`` the timing
+        model prices, prefetched pages included)."""
         count = self.total_faults if migrations is None else migrations
         return count * self.config.fault_service_overhead_us * 1e-6
 
+    @property
+    def total_faults(self) -> int:
+        """Pages migrated so far: the sum of every call's ``page_faults``."""
+        return int(self._state[1])
+
+    @property
+    def total_migrated_bytes(self) -> int:
+        return int(self._state[2])
+
+    @property
+    def total_evictions(self) -> int:
+        return int(self._state[3])
+
+    @property
+    def total_accessed_pages(self) -> int:
+        return int(self._state[4])
+
     def reset(self) -> None:
+        """Forget every page and total, writing in place (so the native arm's
+        addresses stay valid)."""
         self._resident[:] = False
         self._last_touch[:] = 0
-        self._clock = 0
-        self.total_faults = 0
-        self.total_migrated_bytes = 0
-        self.total_evictions = 0
-        self.total_accessed_pages = 0
+        self._state[:] = 0
+        if self._scratch is not None:
+            # The chunk stamps are clock values, and the clock restarts.
+            self._scratch[0] = 0
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _replay(self, start_bytes: np.ndarray, end_bytes: np.ndarray) -> UVMAccessResult:
+        """The native arm: one ``repro_uvm_replay`` call for the whole batch."""
+        native = _native_backend()
+        if self._scratch is None:
+            self._scratch = np.zeros((3, self.num_pages), dtype=np.int64)
+            self._pins = native.Pins()
+        if not native.uvm_replay(
+            start_bytes, end_bytes, self.allocation.size_bytes, self.config.page_bytes,
+            self.capacity_pages, self.config.prefetch_pages, self._resident_bytes,
+            self._last_touch, self._state, self._scratch, self._pins,
+        ):
+            raise SimulationError(_OUT_OF_BOUNDS)
+        touched, faults, migrated_bytes, evicted = self._state[5:].tolist()
+        return UVMAccessResult(touched, faults, migrated_bytes, evicted)
+
     def _pages_for_ranges(self, start_bytes: np.ndarray, end_bytes: np.ndarray) -> np.ndarray:
         """Pages covered by each range, concatenated in range order.
 
@@ -193,7 +259,9 @@ class UVMSpace:
     def _touch_chunk(self, pages: np.ndarray) -> UVMAccessResult:
         if pages.size == 0:
             return UVMAccessResult(0, 0, 0, 0)
-        self._clock += 1
+        state = self._state
+        state[0] += 1
+        clock = int(state[0])
         faulting = pages[~self._resident[pages]]
         migrated: np.ndarray = np.empty(0, dtype=np.int64)
         evicted = 0
@@ -201,17 +269,17 @@ class UVMSpace:
             migrated = self._expand_to_prefetch_blocks(faulting)
             evicted = self._make_room(migrated.size, protect=pages)
             self._resident[migrated] = True
-            self._last_touch[migrated] = self._clock
-        self._last_touch[pages] = self._clock
+            self._last_touch[migrated] = clock
+        self._last_touch[pages] = clock
         if self.capacity_pages <= 0 and migrated.size:
             # With no device-side page cache nothing stays resident: every
             # future touch of these pages will fault and migrate again.
             self._resident[migrated] = False
         migrated_bytes = int(migrated.size) * self.config.page_bytes
-        self.total_faults += int(faulting.size)
-        self.total_migrated_bytes += migrated_bytes
-        self.total_evictions += evicted
-        self.total_accessed_pages += int(pages.size)
+        state[1] += migrated.size
+        state[2] += migrated_bytes
+        state[3] += evicted
+        state[4] += pages.size
         return UVMAccessResult(
             pages_touched=int(pages.size),
             page_faults=int(migrated.size),

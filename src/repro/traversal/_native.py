@@ -1,12 +1,13 @@
-"""Optional native (C) backend for the word and streaming kernels.
+"""Optional native (C) kernels: the traversal sweeps and the UVM replay.
 
 The numpy formulations of a batched sweep are bound by numpy's
 pass-at-a-time execution and by Python loops over the ≤ 64 lanes of a word.
 Both inner loops are tiny, so a compiled loop over the bit-packed lane words
 (`ctz` over each vertex's active-lane mask) runs the same work an order of
 magnitude faster.  The streaming applications pay the same tax on their
-``np.minimum.at`` / ``np.add.at`` scatters over the whole edge list.  Four
-kernels share one shared object:
+``np.minimum.at`` / ``np.add.at`` scatters over the whole edge list, and the
+UVM model on its four numpy passes per region and iteration.  Five kernels
+share one shared object:
 
 * ``repro_relax_word`` — one SSSP relaxation sweep
   (:func:`relax_word`, fronted by :func:`repro.traversal.relax.relax_lanes`):
@@ -35,7 +36,20 @@ kernels share one shared object:
 * ``repro_pagerank_step`` — one PageRank power-iteration step
   (:func:`pagerank_step`, called by
   :func:`repro.traversal.pagerank.pagerank_sweep`): push every vertex's
-  share along its out-edges in CSR order, then the damped update.
+  share along its out-edges in CSR order, then the damped update;
+* ``repro_uvm_replay`` — one
+  :meth:`repro.memsim.uvm.UVMSpace.access_byte_ranges` call (:func:`uvm_replay`,
+  taken with ``native=True``), replayed in place on the space's residency
+  flags, last-touch clocks and state array (the clock and running totals).
+  It reproduces the numpy arm bit for bit: every range is bounds-checked
+  before any state changes; the ranges' pages stream in order without being
+  materialised, a page equal to the one before it dropped; the stream is cut
+  into chunks of ``chunk_pages`` entries, each deduplicated in first-touch
+  order with a per-page stamp; a chunk's faults migrate the non-resident
+  pages of their prefetch blocks, and an overflowing cache evicts the
+  resident pages outside the chunk smallest by (last touch, page id), the
+  order of the numpy arm's stable ``argsort``.  The engine takes it exactly
+  when the sweep runs native (:func:`wanted`).
 
 A solo BFS/SSSP run calls the word kernels as a word of one lane.
 
@@ -49,7 +63,8 @@ the relax, multisource and streaming equivalence tests keep bit-identical
 (``-ffp-contract=off`` keeps an FMA-capable host from fusing PageRank's
 multiply-add).  Every kernel fires the same ``native.invoke`` fault site and
 raises the same :class:`~repro.errors.NativeBackendError`, so the service's
-one native circuit breaker guards BFS, SSSP, CC and PageRank sweeps alike.
+one native circuit breaker guards BFS, SSSP, CC and PageRank sweeps and their
+UVM accounting alike.
 
 The C calls release the GIL (plain ``ctypes.CDLL``), so service workers
 draining separate batches sweep concurrently.  Buffers cross as raw
@@ -84,9 +99,9 @@ _ENV_CACHE_DIR = "REPRO_NATIVE_DIR"
 
 #: Sanitizer build mode: ``asan`` or ``ubsan`` compiles the kernels with the
 #: matching ``-fsanitize=`` flags (plus frame pointers and debug info) so the
-#: relax, multisource and streaming bit-identity tests double as memory/UB checks in CI.  The
-#: sanitized object is cached under its own flag digest, so switching modes
-#: never serves a stale unsanitized build.
+#: relax, multisource, streaming and UVM bit-identity tests double as
+#: memory/UB checks in CI.  The sanitized object is cached under its own flag
+#: digest, so switching modes never serves a stale unsanitized build.
 _ENV_SANITIZE = "REPRO_NATIVE_SANITIZE"
 
 _SANITIZE_MODES = ("asan", "ubsan")
@@ -395,6 +410,191 @@ int64_t repro_pagerank_step(const int64_t *offsets,
     }
     return offsets[num_vertices] - offsets[0];
 }
+
+/* The UVM residency state of one region, as UVMSpace holds it.
+ *
+ * state is the space's int64 array: [0] the clock, [1..4] the running
+ * totals (faults, migrated bytes, evictions, accessed pages), [5..8] the
+ * counters of the last replay (pages touched, page faults, migrated bytes,
+ * evicted pages).  seen, chunk and migrated are num_pages each: seen[p]
+ * holds the clock of the last chunk that touched p (so it must be zeroed
+ * whenever the clock is); chunk holds a chunk's distinct pages and, once they
+ * are stamped, the eviction candidates; migrated holds a chunk's migrations.
+ */
+typedef struct {
+    int64_t page_bytes, capacity, prefetch, num_pages;
+    uint8_t *resident;
+    int64_t *last_touch, *state, *seen, *chunk, *migrated;
+    int64_t resident_count; /* -1 until first needed */
+} uvm_space;
+
+/* Key order of LRU eviction: older last touch first, then lower page id --
+ * the order of a stable argsort of last_touch over ascending page ids. */
+static inline int uvm_before(const int64_t *last_touch, int64_t a, int64_t b)
+{
+    return last_touch[a] < last_touch[b] || (last_touch[a] == last_touch[b] && a < b);
+}
+
+/* Reorder ids[0..n) so its k smallest keys (0 < k < n) come first
+ * (Hoare's select with a median-of-three pivot).  Keys are distinct. */
+static void uvm_select(int64_t *ids, int64_t n, int64_t k, const int64_t *last_touch)
+{
+    int64_t lo = 0, hi = n - 1, target = k - 1;
+    while (lo < hi) {
+        int64_t a = ids[lo], b = ids[lo + (hi - lo) / 2], c = ids[hi], pivot;
+        if (uvm_before(last_touch, a, b)) {
+            pivot = uvm_before(last_touch, b, c) ? b : (uvm_before(last_touch, a, c) ? c : a);
+        } else {
+            pivot = uvm_before(last_touch, a, c) ? a : (uvm_before(last_touch, b, c) ? c : b);
+        }
+        int64_t i = lo, j = hi;
+        while (i <= j) {
+            while (uvm_before(last_touch, ids[i], pivot)) i++;
+            while (uvm_before(last_touch, pivot, ids[j])) j--;
+            if (i <= j) {
+                int64_t swap = ids[i];
+                ids[i++] = ids[j];
+                ids[j--] = swap;
+            }
+        }
+        if (j < target) lo = i;
+        if (target < i) hi = j;
+    }
+}
+
+static int64_t uvm_count_resident(const uvm_space *u)
+{
+    int64_t count = 0;
+    for (int64_t p = 0; p < u->num_pages; p++) count += u->resident[p] != 0;
+    return count;
+}
+
+/* One chunk of the page stream: its size distinct pages are in u->chunk and
+ * carry seen == the clock this call gives the chunk. */
+static void uvm_chunk(uvm_space *u, int64_t size)
+{
+    uint8_t *resident = u->resident;
+    int64_t *last_touch = u->last_touch, *migrated = u->migrated;
+    int64_t clock = ++u->state[0];
+    int64_t granule = u->prefetch, moved = 0;
+    /* The faults' migrations: each non-resident page of a faulting page's
+     * aligned block (clamped to the region), once; last_touch == clock marks
+     * a page already taken. */
+    for (int64_t i = 0; i < size; i++) {
+        int64_t page = u->chunk[i];
+        if (resident[page] || last_touch[page] == clock) continue;
+        if (granule <= 1) {
+            last_touch[page] = clock;
+            migrated[moved++] = page;
+            continue;
+        }
+        int64_t first = page - page % granule;
+        int64_t last = first + granule < u->num_pages ? first + granule : u->num_pages;
+        for (int64_t q = first; q < last; q++) {
+            if (resident[q] || last_touch[q] == clock) continue;
+            last_touch[q] = clock;
+            migrated[moved++] = q;
+        }
+    }
+    for (int64_t i = 0; i < size; i++) last_touch[u->chunk[i]] = clock;
+    int64_t evicted = 0;
+    if (moved) {
+        if (u->resident_count < 0) u->resident_count = uvm_count_resident(u);
+        if (u->capacity <= 0) {
+            /* No page cache: whatever is resident goes. */
+            if (u->resident_count) {
+                for (int64_t p = 0; p < u->num_pages; p++) {
+                    evicted += resident[p] != 0;
+                    resident[p] = 0;
+                }
+            }
+        } else {
+            int64_t overflow = u->resident_count + moved - u->capacity;
+            if (overflow > 0) {
+                /* Candidates: resident pages outside the chunk, ascending. */
+                int64_t *candidates = u->chunk, count = 0;
+                for (int64_t p = 0; p < u->num_pages; p++) {
+                    if (resident[p] && u->seen[p] != clock) candidates[count++] = p;
+                }
+                evicted = overflow < count ? overflow : count;
+                if (evicted < count) uvm_select(candidates, count, evicted, last_touch);
+                for (int64_t i = 0; i < evicted; i++) resident[candidates[i]] = 0;
+            }
+        }
+        u->resident_count -= evicted;
+        if (u->capacity > 0) {
+            for (int64_t i = 0; i < moved; i++) resident[migrated[i]] = 1;
+            u->resident_count += moved;
+        }
+    }
+    int64_t moved_bytes = moved * u->page_bytes;
+    int64_t *state = u->state;
+    state[1] += moved;
+    state[2] += moved_bytes;
+    state[3] += evicted;
+    state[4] += size;
+    state[5] += size;
+    state[6] += moved;
+    state[7] += moved_bytes;
+    state[8] += evicted;
+}
+
+/* Replay one UVMSpace.access_byte_ranges call in place.
+ *
+ * page_bytes must be a power of two.  Every range with ends[r] > starts[r]
+ * must lie within [0, size_bytes]; otherwise -1 is returned before any state
+ * changes.  The valid ranges'
+ * pages stream in range order, a page equal to the one before it dropped
+ * (across range boundaries too), and are cut into chunks of chunk_pages
+ * stream entries.  Each chunk is deduplicated in first-touch order and
+ * replayed: its non-resident pages fault and migrate with their prefetch
+ * blocks, and, when the cache would overflow, the least recently touched
+ * resident pages outside the chunk are evicted.  With capacity <= 0 nothing
+ * stays resident.  state[5..8] receives this call's counters.  Returns 0.
+ */
+int64_t repro_uvm_replay(const int64_t *starts,
+                         const int64_t *ends,
+                         int64_t num_ranges,
+                         int64_t size_bytes,
+                         int64_t page_bytes,
+                         int64_t capacity,
+                         int64_t prefetch,
+                         int64_t num_pages,
+                         uint8_t *resident,
+                         int64_t *last_touch,
+                         int64_t *state,
+                         int64_t *scratch)
+{
+    for (int64_t r = 0; r < num_ranges; r++) {
+        if (ends[r] > starts[r] && (starts[r] < 0 || ends[r] > size_bytes)) return -1;
+    }
+    uvm_space u = {page_bytes, capacity, prefetch, num_pages, resident, last_touch,
+                   state, scratch, scratch + num_pages, scratch + 2 * num_pages, -1};
+    int64_t chunk_pages = capacity <= 0 ? 1024 : (capacity / 4 > 1 ? capacity / 4 : 1);
+    for (int k = 5; k < 9; k++) state[k] = 0;
+    /* page_bytes is a power of two and every valid offset is >= 0. */
+    int shift = __builtin_ctzll((uint64_t)page_bytes);
+    int64_t entries = 0, size = 0, previous = -1, stamp = state[0] + 1;
+    for (int64_t r = 0; r < num_ranges; r++) {
+        if (ends[r] <= starts[r]) continue;
+        int64_t last = (ends[r] - 1) >> shift;
+        for (int64_t page = starts[r] >> shift; page <= last; page++) {
+            if (page == previous) continue;
+            previous = page;
+            if (u.seen[page] != stamp) {
+                u.seen[page] = stamp;
+                u.chunk[size++] = page;
+            }
+            if (++entries == chunk_pages) {
+                uvm_chunk(&u, size);
+                entries = size = 0;
+                stamp = state[0] + 1;
+            }
+        }
+    }
+    if (entries) uvm_chunk(&u, size);
+    return 0;
+}
 """
 
 _lock = tracked_lock("traversal._native._lock")
@@ -568,6 +768,21 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
             ctypes.c_double,  # damping
             ctypes.c_double,  # dangling
         ]
+        library.repro_uvm_replay.restype = integer
+        library.repro_uvm_replay.argtypes = [
+            pointer,  # starts
+            pointer,  # ends
+            integer,  # num_ranges
+            integer,  # size_bytes
+            integer,  # page_bytes
+            integer,  # capacity
+            integer,  # prefetch
+            integer,  # num_pages
+            pointer,  # resident
+            pointer,  # last_touch
+            pointer,  # state
+            pointer,  # scratch
+        ]
     except OSError as exc:
         return None, f"load failed: {exc}"
     return library, f"compiled with {compiler}{sanitize_note}"
@@ -587,6 +802,16 @@ def _ensure_loaded() -> ctypes.CDLL | None:
 def available() -> bool:
     """True when the compiled kernels are usable on this host."""
     return _ensure_loaded() is not None
+
+
+def wanted(relax_method: str | None) -> bool:
+    """True when a sweep run with ``relax_method`` takes the native kernels.
+
+    ``None`` (best available) and ``"native"`` do, on a host where they are
+    available; anything else (``"scatter"``: the service's breaker is open)
+    runs every kernel, UVM replay included, on numpy.
+    """
+    return relax_method in (None, "native") and available()
 
 
 def status() -> str:
@@ -616,6 +841,7 @@ def _invoke(kernel: str, *args) -> int:
 
 
 _INT64 = np.dtype(np.int64)
+_UINT8 = np.dtype(np.uint8)
 _UINT64 = np.dtype(np.uint64)
 _FLOAT64 = np.dtype(np.float64)
 
@@ -854,4 +1080,61 @@ def pagerank_step(
         base,
         damping,
         dangling,
+    )
+
+
+def uvm_replay(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    size_bytes: int,
+    page_bytes: int,
+    capacity_pages: int,
+    prefetch_pages: int,
+    resident: np.ndarray,
+    last_touch: np.ndarray,
+    state: np.ndarray,
+    scratch: np.ndarray,
+    pins: Pins | None = None,
+) -> bool:
+    """Invoke the compiled UVM replay; see the C source for the contract.
+
+    ``resident`` (a ``uint8`` view of the space's residency flags),
+    ``last_touch``, ``state`` (9 entries: the clock, four totals and the
+    call's four counters) and ``scratch`` (three rows of ``num_pages``) are
+    updated in place; ``page_bytes`` must be a power of two, as
+    :class:`~repro.config.UVMConfig` ensures.  Returns False, with nothing
+    changed, when a non-empty range lies outside ``[0, size_bytes]``.  Every
+    buffer is checked for its dtype and C-contiguity (the space's own four
+    once per space when ``pins`` is given) and for its length on every call.
+    """
+    num_pages = resident.size
+    if not (
+        starts.size == ends.size
+        and page_bytes > 0
+        and page_bytes & (page_bytes - 1) == 0
+        and num_pages > 0
+        and last_touch.size == num_pages
+        and state.size == 9
+        and scratch.size == 3 * num_pages
+    ):
+        raise ValueError("uvm_replay buffers do not match the (num_pages,) residency")
+    kernel = "uvm_replay"
+    pin = _address if pins is None else pins.address
+    return (
+        _invoke(
+            kernel,
+            _address(starts, _INT64, kernel),
+            _address(ends, _INT64, kernel),
+            starts.size,
+            size_bytes,
+            page_bytes,
+            capacity_pages,
+            prefetch_pages,
+            num_pages,
+            pin(resident, _UINT8, kernel),
+            pin(last_touch, _INT64, kernel),
+            pin(state, _INT64, kernel),
+            pin(scratch, _INT64, kernel),
+        )
+        == 0
     )

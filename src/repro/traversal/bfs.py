@@ -57,7 +57,7 @@ def run_bfs(
     depth = 0
     while frontier.size:
         starts, ends = frontier_offsets(graph, frontier)
-        engine.process_frontier(frontier, starts, ends)
+        engine.process_frontier(frontier, starts, ends, native=word.native)
         depth += 1
         frontier, active_bits = word.sweep(frontier, active_bits, starts, ends, depth)
     return TraversalResult(

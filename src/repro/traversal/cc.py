@@ -65,7 +65,7 @@ def cc_sweep(
     # The first frontier is every vertex: its slices are the offsets
     # themselves, no gather needed.
     starts, ends = graph.offsets[:-1], graph.offsets[1:]
-    native = relax_method in (None, "native") and _native.available()
+    native = _native.wanted(relax_method)
     if native:
         previous = np.empty_like(labels)
         # Two frontier slots: the kernel never writes the one it reads.
@@ -74,7 +74,7 @@ def cc_sweep(
     max_iterations = max(1, num_vertices)
     while frontier.size and iterations < max_iterations:
         for engine in engines:
-            engine.process_frontier(frontier, starts, ends)
+            engine.process_frontier(frontier, starts, ends, native=native)
         if native:
             slot = slots[iterations % 2]
             size = _native.cc_sweep(

@@ -181,6 +181,7 @@ class TraversalEngine:
         frontier: np.ndarray,
         starts: np.ndarray | None = None,
         ends: np.ndarray | None = None,
+        native: bool = False,
     ) -> TimeBreakdown:
         """Account one traversal iteration (one kernel launch) over ``frontier``.
 
@@ -193,6 +194,10 @@ class TraversalEngine:
         offsets (see :func:`~repro.traversal.frontier.frontier_offsets`) so
         algorithms that also gather the frontier's edges only index
         ``graph.offsets`` once per iteration.
+
+        ``native`` (the sweep's :func:`~repro.traversal._native.wanted`)
+        replays the UVM page residency with the compiled kernel; the metrics
+        are exactly the numpy arm's.
         """
         _iteration_checkpoint()
         frontier = np.asarray(frontier, dtype=VERTEX_DTYPE).ravel()
@@ -223,7 +228,7 @@ class TraversalEngine:
         self.traffic.kernel_launches += 1
 
         if self.strategy is AccessStrategy.UVM:
-            iteration = self._access_uvm(starts, ends)
+            iteration = self._access_uvm(starts, ends, native)
         else:
             # Every vertex once (strictly increasing, V of them): the
             # streaming iterations, priced from the memoised totals.
@@ -237,14 +242,20 @@ class TraversalEngine:
         self.breakdown.add(iteration)
         return iteration
 
-    def _access_uvm(self, starts: np.ndarray, ends: np.ndarray) -> TimeBreakdown:
+    def _access_uvm(
+        self, starts: np.ndarray, ends: np.ndarray, native: bool
+    ) -> TimeBreakdown:
         breakdown = TimeBreakdown()
         element_bytes = self.graph.element_bytes
-        result = self.edge_uvm.access_byte_ranges(starts * element_bytes, ends * element_bytes)
+        result = self.edge_uvm.access_byte_ranges(
+            starts * element_bytes, ends * element_bytes, native=native
+        )
         self._record_uvm(result)
         breakdown.add(self.timing_model.uvm_time(result.migrated_bytes, result.page_faults))
         if self.weight_uvm is not None:
-            weight_result = self.weight_uvm.access_byte_ranges(starts * 4, ends * 4)
+            weight_result = self.weight_uvm.access_byte_ranges(
+                starts * 4, ends * 4, native=native
+            )
             self._record_uvm(weight_result)
             breakdown.add(
                 self.timing_model.uvm_time(
@@ -300,9 +311,10 @@ class TraversalEngine:
         """Restore the just-constructed state without re-running ``_setup_memory``.
 
         Clears every run-scoped accumulator (traffic, time breakdown,
-        iteration count) and the UVM residency state, so a reused engine's next run produces exactly the metrics a
-        freshly constructed engine would.  The address-space allocations —
-        the expensive part of construction — are left in place.
+        iteration count) and the UVM residency state, so a reused engine's
+        next run produces exactly the metrics a freshly constructed engine
+        would.  The address-space allocations — the expensive part of
+        construction — are left in place.
         """
         self.traffic = TrafficRecord()
         self.breakdown = TimeBreakdown()

@@ -432,7 +432,7 @@ def _bfs_word(
         # traffic), so per-lane levels stay bit-identical to solo runs even
         # when lanes span different (strategy, system) configurations.
         for engine_index, engine in enumerate(engines):
-            iteration = engine.process_frontier(frontier, starts, ends)
+            iteration = engine.process_frontier(frontier, starts, ends, native=bfs.native)
             attribution.record(iteration, engine_index, lane_edges, active)
         frontier, active_bits = next_frontier, next_active
 
@@ -462,7 +462,7 @@ class BFSWord:
         for lane, source in enumerate(sources):
             self.visited_bits[source] |= _ONE << np.uint64(lane)
             self.levels[lane, source] = 0
-        self.native = relax_method in (None, "native") and _native.available()
+        self.native = _native.wanted(relax_method)
         if self.native:
             # Two separate arrays per slot pair, so that Pins checks and
             # addresses each slot once per run rather than a fresh view of
@@ -579,6 +579,7 @@ def _sssp_word(
     snapshot = make_snapshot(num_vertices, lanes)
     next_scratch = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
     pins = _native.Pins()
+    native = _native.wanted(relax_method)
 
     attribution = _Attribution(lanes, lane_engine)
     iterations = 0
@@ -601,7 +602,7 @@ def _sssp_word(
         # the relax sweep itself is platform-independent, so its candidate
         # count is a batch-level fact noted on each engine.
         for engine_index, engine in enumerate(engines):
-            iteration = engine.process_frontier(frontier, starts, ends)
+            iteration = engine.process_frontier(frontier, starts, ends, native=native)
             engine.note_relax(outcome.method, outcome.candidates)
             attribution.record(
                 iteration, engine_index, outcome.lane_edges, outcome.active_lanes

@@ -133,7 +133,7 @@ def pagerank_sweep(
     starts, ends = graph.offsets[:-1], graph.offsets[1:]
     scores = np.full(num_vertices, 1.0 / num_vertices)
     base = (1.0 - damping) / num_vertices
-    native = relax_method in (None, "native") and _native.available()
+    native = _native.wanted(relax_method)
     if native:
         contribution = np.empty(num_vertices)
         spare = np.empty(num_vertices)
@@ -144,7 +144,7 @@ def pagerank_sweep(
     converged = False
     while iterations < max_iterations and not converged:
         for engine in engines:
-            engine.process_frontier(frontier, starts, ends)
+            engine.process_frontier(frontier, starts, ends, native=native)
         dangling_mass = scores[dangling].sum() / num_vertices
         if native:
             new_scores = spare

@@ -66,11 +66,12 @@ def run_sssp(
     lane_bits = np.ones(num_vertices, dtype=np.uint64)
     next_bits = np.zeros(num_vertices, dtype=np.uint64)
     pins = _native.Pins()
+    native = _native.wanted(relax_method)
     frontier = np.array([source], dtype=VERTEX_DTYPE)
     iterations = 0
     while frontier.size and iterations < num_vertices:
         starts, ends = frontier_offsets(graph, frontier)
-        engine.process_frontier(frontier, starts, ends)
+        engine.process_frontier(frontier, starts, ends, native=native)
         outcome = relax_lanes(
             distances, graph.edges, frontier, starts, ends, lane_bits[: frontier.size],
             weights=weights, method=relax_method, snapshot=snapshot, next_bits=next_bits,

@@ -1,5 +1,7 @@
 """Tests for the traversal engine: memory placement and traffic invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,11 @@ from repro.config import default_system
 from repro.errors import SimulationError
 from repro.memsim.monitor import PCIeTrafficMonitor
 from repro.memsim.zero_copy import ZeroCopyRegion
+from repro.traversal import _native
+from repro.traversal.bfs import run_bfs
 from repro.traversal.engine import TraversalEngine
+from repro.traversal.multisource import run_batch
+from repro.traversal.sssp import run_sssp
 from repro.types import AccessStrategy, MemorySpace
 
 
@@ -190,3 +196,77 @@ class TestWeightedTraffic:
             engine.edge_uvm.capacity_pages + engine.weight_uvm.capacity_pages
             <= total_capacity
         )
+
+
+def _without_backend(metrics):
+    """``metrics`` minus the relax backend's name, the one field a native
+    and a numpy run are meant to differ in."""
+    return replace(metrics, counters=replace(metrics.counters, relax_backend=None))
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestNativeUVMReplay:
+    """A UVM run replays its page residency natively when its sweep runs
+    native, and its metrics are exactly those of the numpy replay."""
+
+    @pytest.fixture(params=[0, 6, None], ids=["no-cache", "thrashing", "roomy"])
+    def system(self, request, weighted_uniform_graph):
+        system = default_system()
+        if request.param is None:
+            return system
+        # Device memory for the resident structures plus a few pages.
+        engine = TraversalEngine(
+            weighted_uniform_graph, AccessStrategy.UVM, system=system, needs_weights=True
+        )
+        page_bytes = system.uvm.page_bytes
+        return system.with_gpu_memory(
+            engine.device.allocated_bytes + request.param * page_bytes
+        )
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        calls = []
+        replay = _native.uvm_replay
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return replay(*args)
+
+        monkeypatch.setattr(_native, "uvm_replay", counted)
+        return calls
+
+    def _run_both(self, run, replays):
+        native = run("native")
+        assert replays, "the native run never replayed natively"
+        replays.clear()
+        numpy = run("scatter")
+        assert not replays
+        return native, numpy
+
+    @pytest.mark.parametrize("runner", [run_bfs, run_sssp], ids=["bfs", "sssp"])
+    def test_solo_runs(self, runner, weighted_uniform_graph, system, replays):
+        native, numpy = self._run_both(
+            lambda method: runner(
+                weighted_uniform_graph, 3, AccessStrategy.UVM, system, relax_method=method
+            ),
+            replays,
+        )
+        assert np.array_equal(native.values, numpy.values)
+        assert native.metrics.traffic.uvm_migrations > 0
+        assert _without_backend(native.metrics) == _without_backend(numpy.metrics)
+
+    @pytest.mark.parametrize("application", ["bfs", "sssp"])
+    def test_batches(self, application, weighted_uniform_graph, system, replays):
+        native, numpy = self._run_both(
+            lambda method: run_batch(
+                application, weighted_uniform_graph, [0, 3, 7, 11],
+                strategy=AccessStrategy.UVM, system=system, relax_method=method,
+            ),
+            replays,
+        )
+        for ours, theirs in zip(native.results, numpy.results):
+            assert np.array_equal(ours.values, theirs.values)
+            assert _without_backend(ours.metrics) == _without_backend(theirs.metrics)
+        assert [_without_backend(m) for m in native.batch_metrics] == [
+            _without_backend(m) for m in numpy.batch_metrics
+        ]

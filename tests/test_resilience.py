@@ -32,11 +32,12 @@ from repro.errors import PermanentFaultError, TransientFaultError
 from repro.graph.generators import uniform_random_graph
 from repro.traversal import _native
 from repro.service.jobs import JobStatus
-from repro.traversal.bfs import bfs_levels
+from repro.traversal.bfs import bfs_levels, run_bfs
 from repro.traversal.cc import cc_labels
+from repro.traversal.multisource import run_batch
 from repro.traversal.pagerank import pagerank_scores
-from repro.traversal.sssp import sssp_distances
-from repro.types import Application
+from repro.traversal.sssp import run_sssp, sssp_distances
+from repro.types import AccessStrategy, Application
 
 from .test_chaos import drain_all, enqueue_without_draining
 
@@ -690,6 +691,82 @@ class TestLoneJobsGoThroughTheBreaker:
             stats = service.stats()
             assert stats.breaker_state == "open"
             assert stats.degraded == 3 and stats.failed == 0
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestUVMReplayGoesThroughTheBreaker:
+    """A UVM sweep replays its page residency with a native kernel too: a
+    failing replay steps the sweep down like a failing traversal kernel, and
+    while the breaker is open UVM accounting runs on numpy."""
+
+    @staticmethod
+    def _clean_runs(application, sources, fused):
+        """Values and metrics of each source on the numpy backend."""
+        graph = make_graph()
+        if fused:
+            batch = run_batch(
+                application.value, graph, list(sources), strategy=AccessStrategy.UVM,
+                relax_method="scatter",
+            )
+            return batch.results
+        runner = run_bfs if application is Application.BFS else run_sssp
+        return [
+            runner(graph, source, AccessStrategy.UVM, relax_method="scatter")
+            for source in sources
+        ]
+
+    @pytest.mark.parametrize(
+        "application, sources, faults_spec, replay_fails",
+        [
+            # A solo run replays its first frontier before it sweeps it.
+            (Application.BFS, (0,), "native.invoke:permanent:limit=1", True),
+            (Application.SSSP, (0,), "native.invoke:permanent:limit=1", True),
+            # A word sweeps first: its first invoke is the BFS kernel, its
+            # second the replay.
+            (Application.BFS, (0, 1, 2), "native.invoke:permanent:limit=1", False),
+            (Application.BFS, (0, 1, 2), "native.invoke:permanent:n=2:limit=1", True),
+            (Application.SSSP, (0, 1, 2), "native.invoke:permanent:n=2:limit=1", True),
+        ],
+        ids=["lone-bfs", "lone-sssp", "fused-bfs", "fused-bfs-replay", "fused-sssp-replay"],
+    )
+    def test_one_fault_steps_down_once_with_clean_numpy_results(
+        self, application, sources, faults_spec, replay_fails, caplog
+    ):
+        with _breaker_service(faults_spec, breaker_threshold=2, breaker_cooldown=60) as service:
+            jobs = _drain_group(service, application, sources, strategies=("uvm",))
+            stats = service.stats()
+            assert stats.degraded == 1
+            assert stats.failed == 0 and stats.isolations == 0
+            assert service._breaker.snapshot()["consecutive_failures"] == 1
+        assert ("native uvm_replay kernel failed" in caplog.text) is replay_fails
+        clean = self._clean_runs(application, sources, fused=len(sources) > 1)
+        for job, expected in zip(jobs, clean):
+            assert job.status is JobStatus.DONE
+            assert job.result.values.tobytes() == expected.values.tobytes()
+            assert job.result.metrics == expected.metrics
+
+    def test_open_breaker_replays_uvm_on_numpy(self, monkeypatch):
+        with _breaker_service(
+            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=60
+        ) as service:
+            _drain_group(service, Application.SSSP, (0,), strategies=("uvm",))
+            assert service.stats().breaker_state == "open"
+            kernels = []
+            invoke = _native._invoke
+
+            def counted(kernel, *args):
+                kernels.append(kernel)
+                return invoke(kernel, *args)
+
+            monkeypatch.setattr(_native, "_invoke", counted)
+            jobs = _drain_group(service, Application.BFS, (1,), strategies=("uvm",))
+            jobs += _drain_group(service, Application.BFS, (2, 3, 4), strategies=("uvm",))
+            jobs += _drain_group(service, Application.CC, strategies=("uvm",))
+            assert not kernels
+            assert all(job.status is JobStatus.DONE for job in jobs)
+            stats = service.stats()
+            assert stats.breaker_state == "open"
+            assert stats.degraded == 4 and stats.failed == 0
 
 
 # --------------------------------------------------------------------------- #

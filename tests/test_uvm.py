@@ -1,28 +1,44 @@
-"""Tests for the UVM page-migration simulator."""
+"""Tests for the UVM page-migration simulator, on both of its arms."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import UVMConfig
+from repro.config import UVMConfig, default_system
 from repro.errors import SimulationError
 from repro.memsim.address_space import AddressSpace
 from repro.memsim.gpu_memory import DeviceMemory
+from repro.memsim.metrics import TimingModel
 from repro.memsim.uvm import UVMSpace
+from repro.traversal import _native
 from repro.types import MemorySpace
 
 PAGE = 4096
 
 
-def make_uvm(size_pages=64, capacity_pages=16, prefetch_pages=1, overhead_us=0.12):
+def make_uvm(
+    size_pages=64, capacity_pages=16, prefetch_pages=1, overhead_us=0.12, size_bytes=None
+):
     device = DeviceMemory(capacity_bytes=max(capacity_pages, 1) * PAGE + PAGE)
     space = AddressSpace(device)
-    allocation = space.allocate("edges", size_pages * PAGE, MemorySpace.UVM)
+    if size_bytes is None:
+        size_bytes = size_pages * PAGE
+    allocation = space.allocate("edges", size_bytes, MemorySpace.UVM)
     config = UVMConfig(
         page_bytes=PAGE,
         fault_service_overhead_us=overhead_us,
         prefetch_pages=prefetch_pages,
     )
     return UVMSpace(allocation, config, capacity_pages=capacity_pages)
+
+
+def touch(uvm, *pages, native=False):
+    """Access each of ``pages`` whole, in order, as one batch of ranges."""
+    starts = np.array(pages, dtype=np.int64) * PAGE
+    return uvm.access_byte_ranges(starts, starts + PAGE, native=native)
 
 
 class TestBasicMigration:
@@ -94,17 +110,17 @@ class TestCapacityAndEviction:
 
     def test_eviction_is_lru(self):
         uvm = make_uvm(size_pages=8, capacity_pages=2)
-        uvm.access_pages(np.array([0]))
-        uvm.access_pages(np.array([1]))
-        uvm.access_pages(np.array([2]))  # should evict page 0, the oldest
+        touch(uvm, 0)
+        touch(uvm, 1)
+        touch(uvm, 2)  # should evict page 0, the oldest
         assert not uvm.is_resident(0)
         assert uvm.is_resident(1)
         assert uvm.is_resident(2)
 
     def test_zero_capacity_always_faults(self):
         uvm = make_uvm(size_pages=4, capacity_pages=0)
-        uvm.access_pages(np.array([1]))
-        uvm.access_pages(np.array([1]))
+        touch(uvm, 1)
+        touch(uvm, 1)
         assert uvm.total_faults == 2
 
     def test_evictions_counted(self):
@@ -116,28 +132,28 @@ class TestCapacityAndEviction:
 class TestPrefetchGranularity:
     def test_fault_migrates_whole_prefetch_block(self):
         uvm = make_uvm(size_pages=64, capacity_pages=64, prefetch_pages=4)
-        result = uvm.access_pages(np.array([5]))
+        result = touch(uvm, 5)
         assert result.page_faults == 4  # pages 4..7
         assert uvm.is_resident(4) and uvm.is_resident(7)
         assert not uvm.is_resident(8)
 
     def test_resident_pages_of_block_not_migrated_again(self):
         uvm = make_uvm(size_pages=64, capacity_pages=64, prefetch_pages=4)
-        uvm.access_pages(np.array([5]))
-        result = uvm.access_pages(np.array([6]))
+        touch(uvm, 5)
+        result = touch(uvm, 6)
         assert result.page_faults == 0
 
     def test_block_clamped_at_region_end(self):
         uvm = make_uvm(size_pages=6, capacity_pages=16, prefetch_pages=4)
-        result = uvm.access_pages(np.array([5]))
+        result = touch(uvm, 5)
         assert result.page_faults == 2  # pages 4 and 5 only
 
     def test_prefetch_increases_amplification_for_sparse_access(self):
-        sparse_pages = np.array([0, 16, 32, 48])
+        sparse_pages = (0, 16, 32, 48)
         no_prefetch = make_uvm(size_pages=64, capacity_pages=64, prefetch_pages=1)
         with_prefetch = make_uvm(size_pages=64, capacity_pages=64, prefetch_pages=8)
-        no_prefetch.access_pages(sparse_pages)
-        with_prefetch.access_pages(sparse_pages)
+        touch(no_prefetch, *sparse_pages)
+        touch(with_prefetch, *sparse_pages)
         assert with_prefetch.total_migrated_bytes > no_prefetch.total_migrated_bytes
 
 
@@ -161,8 +177,141 @@ class TestAccounting:
         with pytest.raises(SimulationError):
             uvm.is_resident(99)
         with pytest.raises(SimulationError):
-            uvm.access_pages(np.array([99]))
+            touch(uvm, 99)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(SimulationError):
             make_uvm(capacity_pages=-1)
+
+
+ARMS = [
+    False,
+    pytest.param(
+        True,
+        marks=pytest.mark.skipif(not _native.available(), reason="native kernels unavailable"),
+    ),
+]
+
+
+@pytest.mark.parametrize("native", ARMS, ids=["numpy", "native"])
+def test_fault_handling_seconds_is_what_the_engine_charges(native):
+    """Regression: ``total_faults`` counted first-touch pages, while each
+    call's ``page_faults`` (what the timing model prices) counts the whole
+    prefetch expansion, so ``fault_handling_seconds()`` read 16x low."""
+    uvm = make_uvm(size_pages=64, capacity_pages=64, prefetch_pages=16)
+    timing = TimingModel(replace(default_system(), uvm=uvm.config))
+    results = [touch(uvm, 0, 20, native=native), touch(uvm, 40, 5, native=native)]
+    assert [result.page_faults for result in results] == [32, 16]
+    assert uvm.total_faults == 48
+    charged = sum(
+        timing.uvm_time(result.migrated_bytes, result.page_faults).fault_handling_seconds
+        for result in results
+    )
+    assert uvm.fault_handling_seconds() == pytest.approx(charged)
+
+
+@pytest.mark.parametrize("native", ARMS, ids=["numpy", "native"])
+def test_a_chunk_never_evicts_its_own_pages(native):
+    uvm = make_uvm(size_pages=64, capacity_pages=8, prefetch_pages=16)
+    touch(uvm, 0, native=native)  # one 16-page block: twice what the cache holds
+    # One chunk (capacity // 4 = 2 pages): page 20's block overflows the
+    # cache by 24, but page 1 is the chunk's own and stays.
+    result = touch(uvm, 20, 1, native=native)
+    assert result.page_faults == 16
+    assert result.evicted_pages == 15
+    assert uvm.is_resident(1) and not uvm.is_resident(0)
+
+
+@st.composite
+def uvm_call_sequences(draw):
+    """A region (not always a whole number of pages), a page cache from
+    none to larger than the region, a prefetch granule, and a sequence of
+    calls on the one space, with ``reset()``s (``None``) among them.  A call's
+    ranges may be empty, zero-length or negative, straddle pages, repeat, or
+    come in descending order; one call in ten has a range out of bounds."""
+    size_pages = draw(st.integers(1, 80))
+    size_bytes = max(1, size_pages * PAGE - draw(st.sampled_from((0, 1, PAGE // 2, PAGE - 1))))
+    # Chunks of two or more pages (capacity >= 8) under 16-page prefetch can
+    # overflow the cache by more than the resident pages outside the chunk.
+    capacity = draw(
+        st.sampled_from((0, 1, 2, 3, 5, 8, 17, max(1, size_pages // 3), size_pages + 8))
+    )
+    prefetch = draw(st.sampled_from((1, 2, 16)))
+    one_range = st.tuples(st.integers(0, size_bytes), st.integers(-PAGE, 3 * PAGE))
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            calls.append(None)
+            continue
+        ranges = draw(st.lists(one_range, max_size=25))
+        ranges += ranges[: draw(st.integers(0, 4))]
+        if draw(st.booleans()):
+            ranges.sort(reverse=True)
+        starts = np.array([start for start, _ in ranges], dtype=np.int64)
+        lengths = np.array([length for _, length in ranges], dtype=np.int64)
+        ends = np.minimum(starts + lengths, size_bytes)
+        if ranges and draw(st.integers(0, 9)) == 0:
+            index = draw(st.integers(0, len(ranges) - 1))
+            if draw(st.booleans()):
+                ends[index] = size_bytes + draw(st.integers(1, PAGE))
+            else:
+                starts[index] = -draw(st.integers(1, PAGE))
+                ends[index] = max(ends[index], 1)
+        calls.append((starts, ends))
+    return size_bytes, capacity, prefetch, calls
+
+
+def _state(uvm):
+    """Everything a call may change: residency, last touches, the clock and
+    the four totals."""
+    return uvm._resident.tobytes(), uvm._last_touch.tobytes(), uvm._state[:5].tolist()
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestNativeReplay:
+    """``repro_uvm_replay`` against the numpy arm it replays."""
+
+    @given(sequence=uvm_call_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_native_replays_the_numpy_arm_exactly(self, sequence):
+        """Three spaces take the same calls: numpy only, native only, and
+        the arms alternating on one space.  Every result, and the state every
+        call leaves, is the same; an out-of-range call raises on every arm
+        and changes nothing."""
+        size_bytes, capacity, prefetch, calls = sequence
+        spaces = [
+            make_uvm(capacity_pages=capacity, prefetch_pages=prefetch, size_bytes=size_bytes)
+            for _ in range(3)
+        ]
+        for number, call in enumerate(calls):
+            if call is None:
+                for space in spaces:
+                    space.reset()
+                continue
+            before = _state(spaces[0])
+            results = []
+            for space, native in zip(spaces, (False, True, number % 2 == 1)):
+                try:
+                    results.append(space.access_byte_ranges(*call, native=native))
+                except SimulationError:
+                    results.append(None)
+            assert results[0] == results[1] == results[2]
+            if results[0] is None:
+                assert _state(spaces[0]) == before
+            assert _state(spaces[0]) == _state(spaces[1]) == _state(spaces[2])
+
+    def test_replay_checks_its_buffers(self):
+        uvm = make_uvm(size_pages=4)
+        starts = np.array([0], dtype=np.int64)
+        buffers = [uvm._resident_bytes, uvm._last_touch, uvm._state, np.zeros((3, 4), np.int64)]
+        args = (uvm.allocation.size_bytes, PAGE, 16, 1)
+        with pytest.raises(ValueError, match="do not match"):
+            _native.uvm_replay(starts, starts[:0], *args, *buffers)
+        with pytest.raises(ValueError, match="do not match"):
+            _native.uvm_replay(starts, starts + 1, *args, *buffers[:3], np.zeros(11, np.int64))
+        with pytest.raises(ValueError, match="C-contiguous int64"):
+            _native.uvm_replay(starts.astype(np.float64), starts + 1.0, *args, *buffers)
+        with pytest.raises(ValueError, match="C-contiguous uint8"):
+            _native.uvm_replay(starts, starts + 1, *args, uvm._resident, *buffers[1:])
+        assert _native.uvm_replay(starts, starts + 1, *args, *buffers)
+        assert uvm._state[5:].tolist() == [1, 1, PAGE, 0]
