@@ -1,11 +1,11 @@
-"""Observability overhead gate: tracing on vs off on the traversal bench.
+"""Observability overhead gate: tracing on vs off on a batched BFS.
 
 The ISSUE-6 contract is that the always-on kernel counters plus the
 ``REPRO_TRACE``-gated per-iteration detail cost less than 5% of traversal
-throughput.  This module times the bench-traversal BFS batch protocol with
-``REPRO_TRACE=1`` and ``REPRO_TRACE=0`` in interleaved min-of-N repetitions
-(min-of-N because CI machines are noisy and the minimum is the least
-contaminated estimate of true cost) and gates the ratio.
+throughput.  This module times one 32-source BFS batch on an 8,000-vertex
+R-MAT graph with ``REPRO_TRACE=1`` and ``REPRO_TRACE=0`` in interleaved
+min-of-N repetitions (min-of-N because CI machines are noisy and the minimum
+is the least contaminated estimate of true cost) and gates the ratio.
 
 A small absolute slack keeps a sub-millisecond timing wobble on a fast run
 from flaking the relative gate; the measured numbers land in
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-from repro.bench.traversal_bench import build_bench_graph
+from repro.graph.generators import random_weights, rmat_graph
 from repro.obs.trace import ENV_SWITCH
 from repro.traversal.multisource import run_batch
 from repro.types import Application
@@ -41,7 +41,8 @@ def _time_batch(graph, sources) -> float:
 
 
 def test_tracing_overhead_within_five_percent(results_dir, monkeypatch):
-    graph = build_bench_graph(BENCH_VERTICES, BENCH_EDGES)
+    graph = rmat_graph(BENCH_VERTICES, BENCH_EDGES, seed=7, name="bench-rmat")
+    graph = graph.with_weights(random_weights(graph.num_edges, seed=8))
     sources = tuple(range(BENCH_SOURCES))
 
     # Warm both paths once: first-touch allocations must not bias either arm.
@@ -63,7 +64,7 @@ def test_tracing_overhead_within_five_percent(results_dir, monkeypatch):
         "obs_overhead",
         "\n".join(
             [
-                "Observability overhead (bench-traversal BFS batch, "
+                "Observability overhead (R-MAT BFS batch, "
                 f"{BENCH_VERTICES} vertices / {BENCH_EDGES} edges / "
                 f"{BENCH_SOURCES} sources, min of {REPETITIONS}):",
                 f"  tracing on : {best_on * 1e3:8.2f} ms",

@@ -1,10 +1,10 @@
 """Perf trajectory: scheduling policies under a skewed deadline workload.
 
-Like ``test_perf_traversal.py``, this module tracks the implementation rather
-than the paper: it fires the calibrated skewed burst from
-``repro.bench.scheduler_bench`` (bulk no-deadline batch groups + late urgent
-tight-deadline requests) at one service per scheduling policy and writes
-``BENCH_scheduler.json`` at the repo root so CI can archive the trend.
+This module tracks the implementation rather than the paper: it fires the
+calibrated skewed burst from ``repro.bench.scheduler_bench`` (bulk
+no-deadline batch groups + late urgent tight-deadline requests) at one
+service per scheduling policy and writes ``BENCH_scheduler.json`` at the repo
+root so CI can archive the trend.
 
 The headline claim — EDF meets deadlines FIFO misses, and a bounded queue
 sheds load with ``AdmissionError`` instead of growing without bound — is
@@ -31,7 +31,7 @@ from repro.bench.scheduler_bench import (
     write_report,
 )
 
-#: Repo-root location of the JSON artifact (next to BENCH_traversal.json).
+#: Repo-root location of the JSON artifact.
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_scheduler.json"
 #: Repo-root plan-decision log of the planner-on bench arm (JSONL, one drain
 #: decision per line), archived by CI next to the report.

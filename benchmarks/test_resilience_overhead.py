@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from repro.bench.traversal_bench import build_bench_graph
+from repro.graph.generators import random_weights, rmat_graph
 from repro.service import FaultPlan, faults
 from repro.service.resilience import Cancellation, cancellation_scope
 from repro.traversal.multisource import run_batch
@@ -49,7 +49,8 @@ def _time_batch(graph, sources) -> float:
 
 
 def test_resilience_overhead_within_five_percent(results_dir):
-    graph = build_bench_graph(BENCH_VERTICES, BENCH_EDGES)
+    graph = rmat_graph(BENCH_VERTICES, BENCH_EDGES, seed=7, name="bench-rmat")
+    graph = graph.with_weights(random_weights(graph.num_edges, seed=8))
     sources = tuple(range(BENCH_SOURCES))
     plan = FaultPlan.from_spec(IDLE_SPEC)
 
@@ -77,7 +78,7 @@ def test_resilience_overhead_within_five_percent(results_dir):
         "resilience_overhead",
         "\n".join(
             [
-                "Resilience overhead (bench-traversal BFS batch, "
+                "Resilience overhead (R-MAT BFS batch, "
                 f"{BENCH_VERTICES} vertices / {BENCH_EDGES} edges / "
                 f"{BENCH_SOURCES} sources, min of {REPETITIONS}):",
                 f"  faults armed (idle): {best_on * 1e3:8.2f} ms",

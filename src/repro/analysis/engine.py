@@ -124,9 +124,6 @@ class LintEngine:
         findings, _ = self._lint_source_counted(source, path)
         return findings
 
-    def lint_file(self, path: str | Path) -> list[Finding]:
-        return self.lint_source(Path(path).read_text(encoding="utf-8"), str(path))
-
     def lint_paths(self, paths: Iterable[str | Path]) -> LintReport:
         """Lint every ``.py`` file under the given files/directories."""
         report = LintReport()

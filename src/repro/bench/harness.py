@@ -92,7 +92,8 @@ class ExperimentHarness:
             sources = self.sources(symbol)
             # The paper's evaluation measures fully independent per-source
             # runs (§5.2), so figure reproduction keeps the serial protocol;
-            # the batched engine is benchmarked by repro.bench.traversal_bench.
+            # the batched engines are benchmarked by the repo benchmark's
+            # batch-64 workload (benchmarks/e2e).
             self._runs[key] = run_average(
                 application, graph, sources, strategy=strategy, system=system,
                 batched=False,

@@ -9,7 +9,6 @@ Usage::
     python -m repro.cli serve-batch examples/workload.json --trace-output trace.jsonl
     python -m repro.cli stats examples/workload.json --format prom
     python -m repro.cli health examples/workload.json --faults 'seed=7;registry.load:transient:n=2:limit=1'
-    python -m repro.cli bench-traversal --output BENCH_traversal.json
     python -m repro.cli bench-scheduler --output BENCH_scheduler.json
     python -m repro.cli lint --format json --output lint.json
     python -m repro.cli lint --locks
@@ -296,52 +295,6 @@ def _store(argv: list[str]) -> int:
     return 0
 
 
-def _build_bench_traversal_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench-traversal",
-        description=(
-            "Benchmark batched multi-source traversal against independent "
-            "per-source runs and write the report to BENCH_traversal.json."
-        ),
-    )
-    parser.add_argument(
-        "--vertices", type=int, default=None, help="benchmark graph vertex count"
-    )
-    parser.add_argument(
-        "--edges", type=int, default=None, help="benchmark graph edge count"
-    )
-    parser.add_argument(
-        "--sources",
-        type=int,
-        default=None,
-        help="sources per run_average batch (the paper uses 64)",
-    )
-    parser.add_argument(
-        "--apps",
-        default="bfs,sssp,cc,pagerank",
-        help="comma-separated applications to benchmark: bfs/sssp are "
-        "batched across sources, cc/pagerank across platform lanes",
-    )
-    parser.add_argument(
-        "--lanes",
-        type=int,
-        default=None,
-        help="platform lanes per streaming (cc/pagerank) scenario "
-        "(default: 8, max 64 per word)",
-    )
-    parser.add_argument(
-        "--strategies",
-        default="merged_aligned,uvm",
-        help="comma-separated access strategies to benchmark",
-    )
-    parser.add_argument(
-        "--output",
-        default="BENCH_traversal.json",
-        help="path of the JSON report (default: BENCH_traversal.json)",
-    )
-    return parser
-
-
 def _build_bench_scheduler_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench-scheduler",
@@ -518,40 +471,6 @@ def _bench_scheduler(argv: list[str]) -> int:
     return 1 if headline_ok(report) is False else 0
 
 
-def _bench_traversal(argv: list[str]) -> int:
-    from .bench.traversal_bench import (
-        DEFAULT_EDGES,
-        DEFAULT_LANES,
-        DEFAULT_SOURCES,
-        DEFAULT_VERTICES,
-        bench_traversal,
-        build_bench_graph,
-        format_report,
-        write_report,
-    )
-
-    args = _build_bench_traversal_parser().parse_args(argv)
-    try:
-        graph = build_bench_graph(
-            num_vertices=args.vertices if args.vertices is not None else DEFAULT_VERTICES,
-            num_edges=args.edges if args.edges is not None else DEFAULT_EDGES,
-        )
-        report = bench_traversal(
-            graph=graph,
-            num_sources=args.sources if args.sources is not None else DEFAULT_SOURCES,
-            strategies=[s.strip() for s in args.strategies.split(",") if s.strip()],
-            applications=[a.strip() for a in args.apps.split(",") if a.strip()],
-            num_lanes=args.lanes if args.lanes is not None else DEFAULT_LANES,
-        )
-        path = write_report(report, args.output)
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"bench-traversal failed: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    print(f"(report written to {path})")
-    return 0 if report["summary"]["all_values_match"] else 1
-
-
 def _make_harness(args: argparse.Namespace) -> ExperimentHarness:
     kwargs: dict = {"num_sources": args.sources}
     if args.scale is not None:
@@ -693,7 +612,6 @@ SUBCOMMANDS = {
     "serve-batch": _serve_batch,
     "stats": _stats,
     "health": _health,
-    "bench-traversal": _bench_traversal,
     "bench-scheduler": _bench_scheduler,
     "lint": _lint,
     "store": _store,

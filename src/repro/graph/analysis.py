@@ -29,11 +29,6 @@ class DegreeStats:
     min_degree: int
     std_degree: float
 
-    @property
-    def fits_cacheline(self) -> float:
-        """Average number of 128-byte lines spanned by one neighbor list."""
-        return max(1.0, self.average_degree * 8 / 128.0)
-
 
 def degree_stats(graph: CSRGraph) -> DegreeStats:
     """Compute :class:`DegreeStats` for a graph."""

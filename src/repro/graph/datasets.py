@@ -227,15 +227,6 @@ def load_dataset(
     return graph
 
 
-def load_all_datasets(
-    element_bytes: int = 8,
-    scale: float = DATASET_SCALE,
-    symbols: tuple[str, ...] = DATASET_SYMBOLS,
-) -> dict[str, CSRGraph]:
-    """Generate every evaluation graph (used by the benchmark harness)."""
-    return {symbol: load_dataset(symbol, element_bytes, scale) for symbol in symbols}
-
-
 def clear_cache() -> None:
     """Drop all cached datasets (mainly useful in tests)."""
     _CACHE.clear()

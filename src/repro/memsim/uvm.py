@@ -165,10 +165,6 @@ class UVMSpace:
     def total_evictions(self) -> int:
         return int(self._state[3])
 
-    @property
-    def total_accessed_pages(self) -> int:
-        return int(self._state[4])
-
     def reset(self) -> None:
         """Forget every page and total, writing in place (so the native arm's
         addresses stay valid)."""

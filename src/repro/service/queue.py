@@ -346,10 +346,5 @@ class RequestQueue:
         with self._lock:
             return dict(self._pending_by_tenant)
 
-    def inflight_count(self) -> int:
-        """Jobs queued or running (the dedup window)."""
-        with self._lock:
-            return len(self._inflight)
-
     def __len__(self) -> int:
         return self.pending_count()

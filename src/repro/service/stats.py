@@ -205,12 +205,6 @@ class ServiceStats:
             return 0.0
         return self.executions / self.batches
 
-    @property
-    def deadline_hit_rate(self) -> float:
-        """Fraction of deadline-carrying jobs that finished in time."""
-        total = self.deadlines_met + self.deadlines_missed
-        return self.deadlines_met / total if total else 0.0
-
     def describe(self) -> str:
         """Multi-line human-readable rendering used by the CLI report."""
         lines = [

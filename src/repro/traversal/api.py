@@ -146,6 +146,7 @@ def run(
     """
     application = normalize_application(application)
     source = normalize_source(application, source)
+    strategy = normalize_strategy(strategy)
     if application is Application.CC:
         return cc(graph, strategy=strategy, system=system)
     if application is Application.PAGERANK:
@@ -201,6 +202,7 @@ def run_average(
     independent per-source runs (the figure harness does).
     """
     application = normalize_application(application)
+    strategy = normalize_strategy(strategy)
     aggregate = AggregateResult(
         application=application, graph_name=graph.name, strategy=strategy
     )

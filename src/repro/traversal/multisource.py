@@ -103,6 +103,9 @@ class PackedLane:
     strategy: AccessStrategy = EMOGI_STRATEGY
     system: SystemConfig | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "strategy", AccessStrategy(self.strategy))
+
     def config_key(self) -> tuple:
         """Engine-sharing identity: lanes with equal keys share one engine."""
         return (self.strategy, system_key(self.system))

@@ -7,7 +7,9 @@ them batchable along a different axis than BFS/SSSP — not across sources
 (they have none) but across **platform lanes**: up to 64 distinct
 (access-strategy, system-config) pairs share ONE algorithm execution per
 word, with the shared per-iteration frontier slices replayed into each lane's
-:class:`~repro.traversal.engine.TraversalEngine`.
+:class:`~repro.traversal.engine.TraversalEngine`.  A lane is nothing but
+that pair: PageRank's damping, tolerance and iteration cap belong to the
+batch, so CC and PageRank cut their lanes into words the same way.
 
 Because the engines only account traffic, every lane's values *and* metrics
 are exactly what its solo :func:`~repro.traversal.cc.run_cc` /
@@ -45,31 +47,13 @@ STREAMING_APPLICATIONS = ("cc", "pagerank")
 class StreamingLane:
     """One platform configuration a streaming batch executes under.
 
-    PageRank lanes may additionally pin their own ``damping`` / ``tolerance``
-    / ``max_iterations``; ``None`` means "use the batch-level default".
-    Lanes sharing one effective parameter triple share one algorithm
-    execution; lanes with different parameters are grouped into separate
-    sweeps so each lane's scores stay bit-identical to its solo run.  CC
-    lanes ignore these fields.
+    A lane is only its (strategy, system): PageRank's damping, tolerance and
+    iteration cap are batch-level arguments of :func:`run_streaming_batch`,
+    shared by every lane of the batch.
     """
 
     strategy: AccessStrategy
     system: SystemConfig | None = None
-    damping: float | None = None
-    tolerance: float | None = None
-    max_iterations: int | None = None
-
-    def pagerank_params(
-        self, damping: float, tolerance: float, max_iterations: int
-    ) -> tuple[float, float, int]:
-        """Effective (damping, tolerance, max_iterations) given batch defaults."""
-        return (
-            self.damping if self.damping is not None else damping,
-            self.tolerance if self.tolerance is not None else tolerance,
-            self.max_iterations
-            if self.max_iterations is not None
-            else max_iterations,
-        )
 
 
 def normalize_lanes(lanes) -> list[StreamingLane]:
@@ -155,8 +139,9 @@ def run_streaming_batch(
     ``lanes`` is any collection :func:`normalize_lanes` accepts.  Engines are
     leased from ``arena`` (an :class:`~repro.traversal.arena.EngineArena`)
     when given, else constructed per lane.  ``damping`` / ``tolerance`` /
-    ``max_iterations`` apply to PageRank lanes only.  ``relax_method`` picks
-    the sweep backend as for :func:`~repro.traversal.cc.cc_sweep` /
+    ``max_iterations`` apply to every lane of a PageRank batch.
+    ``relax_method`` picks the sweep backend as for
+    :func:`~repro.traversal.cc.cc_sweep` /
     :func:`~repro.traversal.pagerank.pagerank_sweep`.
     """
     application = (
@@ -169,50 +154,33 @@ def run_streaming_batch(
     lane_list = normalize_lanes(lanes)
     outcome = StreamingBatchResult(application=application, graph_name=graph.name)
     outcome.lanes = lane_list
-
-    if application == "cc":
-        for offset in range(0, len(lane_list), WORD_BITS):
-            word = lane_list[offset : offset + WORD_BITS]
-            with _lane_engines(graph, word, arena) as engines:
+    for offset in range(0, len(lane_list), WORD_BITS):
+        word = lane_list[offset : offset + WORD_BITS]
+        with _lane_engines(graph, word, arena) as engines:
+            if application == "cc":
                 labels, _ = cc_sweep(graph, engines=engines, relax_method=relax_method)
-                for lane, engine in zip(word, engines):
-                    outcome.results.append(  # repro: noqa[REPRO101] — one result per lane, not per edge
-                        TraversalResult(
-                            application=Application.CC,
-                            graph_name=graph.name,
-                            strategy=lane.strategy,
-                            source=None,
-                            values=labels.copy(),
-                            metrics=engine.finalize(),
-                        )
+                outcome.results.extend(
+                    TraversalResult(
+                        application=Application.CC,
+                        graph_name=graph.name,
+                        strategy=lane.strategy,
+                        source=None,
+                        values=labels.copy(),
+                        metrics=engine.finalize(),
                     )
-                outcome.words += 1
-        return outcome
-
-    # PageRank: lanes may carry their own damping/tolerance/max_iterations.
-    # Lanes sharing one effective parameter triple share one sweep (chunked
-    # to ≤64 lanes); results land back at each lane's requested position, so
-    # callers see request order regardless of the parameter grouping.
-    param_words: dict[tuple[float, float, int], list[int]] = {}
-    for index, lane in enumerate(lane_list):
-        params = lane.pagerank_params(damping, tolerance, max_iterations)
-        param_words.setdefault(params, []).append(index)  # repro: noqa[REPRO101] — O(lanes) bookkeeping
-    outcome.results = [None] * len(lane_list)
-    for (damp, tol, iters), indices in param_words.items():
-        for offset in range(0, len(indices), WORD_BITS):
-            chunk = indices[offset : offset + WORD_BITS]
-            word = [lane_list[i] for i in chunk]  # repro: noqa[REPRO101] — <= 64 lanes per word
-            with _lane_engines(graph, word, arena) as engines:
+                    for lane, engine in zip(word, engines)
+                )
+            else:
                 scores, iterations, converged = pagerank_sweep(
                     graph,
                     engines=engines,
-                    damping=damp,
-                    tolerance=tol,
-                    max_iterations=iters,
+                    damping=damping,
+                    tolerance=tolerance,
+                    max_iterations=max_iterations,
                     relax_method=relax_method,
                 )
-                for index, lane, engine in zip(chunk, word, engines):
-                    outcome.results[index] = PageRankResult(
+                outcome.results.extend(
+                    PageRankResult(
                         graph_name=graph.name,
                         strategy=lane.strategy,
                         scores=scores.copy(),
@@ -222,5 +190,7 @@ def run_streaming_batch(
                         # empty graph (it never sweeps); stay identical.
                         metrics=engine.finalize() if graph.num_vertices else None,
                     )
-                outcome.words += 1
+                    for lane, engine in zip(word, engines)
+                )
+        outcome.words += 1
     return outcome

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.traversal.api import bfs, cc, run, run_average, sssp
 from repro.traversal.bfs import bfs_levels
+from repro.traversal.multisource import run_batch, run_packed_batch
 from repro.types import AccessStrategy, Application, EMOGI_STRATEGY
 
 
@@ -102,6 +103,32 @@ class TestRunAverageEdgeCases:
     def test_generator_sources_accepted(self, random_graph):
         aggregate = run_average("bfs", random_graph, (s for s in (1, 2)))
         assert aggregate.num_runs == 2
+
+
+#: Entry points that take a strategy, each returning its per-run results.
+STRATEGY_ENTRY_POINTS = {
+    "run-bfs": lambda g, strategy: [run("bfs", g, 0, strategy)],
+    "run-cc": lambda g, strategy: [run("cc", g, None, strategy)],
+    "run_average": lambda g, strategy: run_average("bfs", g, [0, 1], strategy).runs,
+    "run_batch": lambda g, strategy: run_batch("bfs", g, [0], strategy=strategy).results,
+    "run_packed_batch": lambda g, strategy: run_packed_batch(
+        "bfs", g, [(0, strategy)]
+    ).results,
+}
+
+
+class TestStrategyByName:
+    @pytest.mark.parametrize("entry", sorted(STRATEGY_ENTRY_POINTS))
+    def test_name_runs_as_its_enum(self, random_graph, entry):
+        call = STRATEGY_ENTRY_POINTS[entry]
+        by_enum = call(random_graph, AccessStrategy.UVM)
+        by_name = call(random_graph, "uvm")
+        assert [r.strategy for r in by_name] == [AccessStrategy.UVM] * len(by_enum)
+        for named, enum in zip(by_name, by_enum, strict=True):
+            assert np.array_equal(named.values, enum.values)
+            assert named.metrics == enum.metrics
+        with pytest.raises(ValueError):
+            call(random_graph, "bogus")
 
 
 class TestPackageLevelExports:

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import pytest
-
 from repro.cli import main
 
 
@@ -29,52 +27,3 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "Figure 6" in output
         assert "GK" in output
-
-
-class TestBenchTraversalCLI:
-    def test_apps_and_lanes_knobs(self, tmp_path, capsys):
-        # A tiny graph keeps this a smoke test of the knobs, not a benchmark.
-        report_path = tmp_path / "bench.json"
-        assert (
-            main(
-                [
-                    "bench-traversal",
-                    "--vertices", "400",
-                    "--edges", "3000",
-                    "--sources", "8",
-                    "--apps", "sssp,cc",
-                    "--lanes", "3",
-                    "--strategies", "uvm",
-                    "--output", str(report_path),
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "sssp" in output and "cc" in output
-        assert "bfs" not in output
-        assert report_path.exists()
-        import json
-
-        report = json.loads(report_path.read_text())
-        streaming = [run for run in report["runs"] if run["mode"] == "streaming"]
-        assert streaming and streaming[0]["num_lanes"] == 3
-        # --strategies restricts the streaming lanes too.
-        assert all(lane["strategy"] == "uvm" for lane in streaming[0]["lanes"])
-        assert report["summary"]["all_values_match"]
-        assert "relax_backend" in report
-
-    def test_unknown_app_rejected(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "bench-traversal",
-                    "--vertices", "400",
-                    "--edges", "2000",
-                    "--apps", "sspp",
-                    "--output", str(tmp_path / "x.json"),
-                ]
-            )
-            == 2
-        )
-        assert "bench-traversal failed" in capsys.readouterr().err

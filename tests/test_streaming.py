@@ -84,51 +84,18 @@ class TestPageRankStreamingEquivalence:
         )
         assert batch.results[0].iterations <= 2
 
-    def test_per_lane_params_stay_bit_identical(self, random_graph):
-        # Lanes pinning their own damping/tolerance/max_iterations must land
-        # in separate sweeps: each result equals its solo run with exactly
-        # those parameters, never the batch defaults.
-        lanes = [
-            StreamingLane(AccessStrategy.MERGED_ALIGNED),
-            StreamingLane(AccessStrategy.MERGED_ALIGNED, damping=0.6),
-            StreamingLane(AccessStrategy.UVM, tolerance=1e-3),
-            StreamingLane(AccessStrategy.NAIVE, max_iterations=3),
-        ]
-        batch = run_streaming_batch("pagerank", random_graph, lanes)
-        expected_params = [
-            dict(),
-            dict(damping=0.6),
-            dict(tolerance=1e-3),
-            dict(max_iterations=3),
-        ]
-        for lane, params, result in zip(lanes, expected_params, batch.results):
-            solo = run_pagerank(random_graph, strategy=lane.strategy, **params)
+    def test_batch_level_params_reach_every_lane(self, random_graph):
+        # The batch's damping/tolerance/max_iterations apply to every lane,
+        # and all lanes share one sweep.
+        params = dict(damping=0.6, tolerance=1e-3, max_iterations=7)
+        batch = run_streaming_batch("pagerank", random_graph, ALL_STRATEGIES, **params)
+        assert batch.words == 1
+        for strategy, result in zip(ALL_STRATEGIES, batch.results, strict=True):
+            solo = run_pagerank(random_graph, strategy=strategy, **params)
             assert np.array_equal(result.values, solo.values)
             assert result.iterations == solo.iterations
             assert result.converged == solo.converged
-        # Four distinct effective parameter triples: four sweeps.
-        assert batch.words == 4
-
-    def test_lanes_sharing_params_share_one_sweep(self, random_graph):
-        lanes = [
-            StreamingLane(AccessStrategy.MERGED_ALIGNED, damping=0.7),
-            StreamingLane(AccessStrategy.UVM, damping=0.7),
-        ]
-        batch = run_streaming_batch("pagerank", random_graph, lanes)
-        assert batch.words == 1
-        for lane, result in zip(lanes, batch.results):
-            solo = run_pagerank(random_graph, strategy=lane.strategy, damping=0.7)
-            assert np.array_equal(result.values, solo.values)
-
-    def test_explicit_lane_params_equal_to_defaults_share_the_default_sweep(
-        self, random_graph
-    ):
-        lanes = [
-            StreamingLane(AccessStrategy.MERGED_ALIGNED),
-            StreamingLane(AccessStrategy.UVM, damping=0.85, tolerance=1e-6),
-        ]
-        batch = run_streaming_batch("pagerank", random_graph, lanes)
-        assert batch.words == 1
+            assert result.metrics == solo.metrics
 
 
 class TestLaneNormalization:
