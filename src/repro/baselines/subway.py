@@ -119,6 +119,13 @@ class SubwayEngine:
         self.monitor.record_block_transfer(subgraph.transfer_bytes)
         return iteration
 
+    def reset(self) -> None:
+        """Forget the previous run's totals (TraversalEngine interface)."""
+        self.monitor = PCIeTrafficMonitor()
+        self.traffic = TrafficRecord()
+        self.breakdown = TimeBreakdown()
+        self.iterations = 0
+
     def note_relax(self, backend: str, candidates: int) -> None:
         # Interface parity: Subway's metrics carry no kernel counters, so the
         # relax sweep's backend and candidate count have nowhere to go.
@@ -153,7 +160,8 @@ def run_subway(
     """Run one application with the Subway-style cost model.
 
     ``graph`` should use 4-byte edge elements to mirror the real Subway
-    implementation (Table 3 notes it only supports 4-byte data types).
+    implementation (Table 3 notes it only supports 4-byte data types).  A
+    BFS/SSSP result takes its ``"subway"`` label from the engine's metrics.
     """
     application = Application(application)
     if application is Application.CC:
@@ -163,8 +171,8 @@ def run_subway(
         raise ConfigurationError(f"{application.value} requires a source vertex")
     if application is Application.BFS:
         engine = SubwayEngine(graph, system=system, asynchronous=asynchronous)
-        return run_bfs(graph, source, strategy=SUBWAY_LABEL, engine=engine)
+        return run_bfs(graph, source, engine=engine)
     engine = SubwayEngine(
         graph, system=system, asynchronous=asynchronous, needs_weights=True
     )
-    return run_sssp(graph, source, strategy=SUBWAY_LABEL, engine=engine)
+    return run_sssp(graph, source, engine=engine)

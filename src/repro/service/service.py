@@ -42,13 +42,9 @@ from ..obs.trace import Span, Tracer
 from ..traversal import _native
 from ..traversal.api import run
 from ..traversal.arena import EngineArena
-from ..traversal.bfs import run_bfs
-from ..traversal.cc import run_cc
 from ..traversal.multisource import PackedLane, run_batch, run_packed_batch
-from ..traversal.pagerank import run_pagerank
 from ..traversal.results import TraversalResult
 from ..traversal.streaming import run_streaming_batch
-from ..traversal.sssp import run_sssp
 from ..types import Application
 from . import faults
 from .cache import ResultCache
@@ -682,7 +678,8 @@ class Service:
     def _isolate_group(
         self, jobs: list[Job], graph: CSRGraph, exc: BaseException, schedule_seconds: float
     ) -> None:
-        """Fused-group fault isolation: re-execute members one by one, solo.
+        """Fused-group fault isolation: re-execute members one by one, each
+        as a sweep of its own.
 
         A poisoned lane then fails alone — with the *member's* error, not the
         group's — while its siblings complete with results bit-identical to
@@ -694,7 +691,7 @@ class Service:
             len(jobs), graph.name, type(exc).__name__, exc,
         )
         for job in jobs:
-            self._execute_sweep([[job]], graph, schedule_seconds, solo=True)
+            self._execute_sweep([[job]], graph, schedule_seconds)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -1154,7 +1151,6 @@ class Service:
         graph: CSRGraph,
         schedule_seconds: float = 0.0,
         fusion_seconds: float = 0.0,
-        solo: bool = False,
     ) -> tuple[list[list[Job]], float]:
         """Run the batch groups of one plan as ONE engine invocation.
 
@@ -1162,14 +1158,13 @@ class Service:
         runs the same ladder; they differ only in the engine call, the span
         label and how many lanes a group occupies:
 
-        * ``solo`` — one job, one call on an arena-leased engine
-          (:meth:`_run_leased`) or on the injected ``engine=``: a lone
-          BFS/SSSP job, a job whose source failed validation, each member of
-          an isolation re-run (``solo=True``) and every job of a service with
-          an injected engine, which answers one request per call;
+        * ``solo`` — one job of a service with an injected ``engine=``,
+          which answers one request per call;
         * ``multisource`` — one BFS/SSSP group: each job is a lane of one
           :func:`~repro.traversal.multisource.run_batch` over an arena-shared
-          engine, the frontier sweeps paid once per group instead of per job;
+          engine, the frontier sweeps paid once per group instead of per job
+          (a lone job and each member of an isolation re-run are a group of
+          one: a one-lane word);
         * ``packed`` — several BFS/SSSP groups of different platform
           configurations: each job is a lane of one
           :func:`~repro.traversal.multisource.run_packed_batch` word, lanes
@@ -1177,14 +1172,20 @@ class Service:
         * ``streaming`` — CC/PageRank groups: the algorithm pass is
           engine-independent, so each *group* is one (strategy, system) lane
           of one :func:`~repro.traversal.streaming.run_streaming_batch` and
-          every job of the group receives that lane's result.
+          every job of the group receives that lane's result (a lone job is a
+          one-lane pass).
+
+        Every BFS/SSSP sweep on the built-in engines first fails each job
+        whose source is missing or out of range, alone, with
+        :class:`~repro.errors.SimulationError`: a bad source never reaches
+        an engine, so it cannot take the word it rode down with it.
 
         Each attempt arms the per-job ``worker.task`` fault site, takes its
         own watchdog token and makes the call.  A failed attempt records its
         own engine seconds and error span; then a native-kernel failure of a
         native run steps down to numpy, a transient one backs off and
-        retries, and anything else isolates the sweep into solo re-runs (more
-        than one job) or fails it.  A success is published once: counters,
+        retries, and anything else isolates the sweep into one-job re-runs
+        (more than one job) or fails it.  A success is published once: counters,
         span, cost observation, cache, store, mark done, release, settle.
 
         Values and per-lane attribution are bit-identical to solo runs in
@@ -1203,13 +1204,19 @@ class Service:
                 self._execute_sweep([[job]], graph, schedule_seconds)[1] for job in jobs
             )
             return groups, predicted
-        if len(jobs) > 1 and not streaming:
-            # Pre-validate so one bad source fails its own job solo, never
-            # the word it rode.  A missing source is just as poisonous to the
-            # batch engines as an out-of-range one.
+        if not streaming and self._engine is None:
+            # A missing source is just as poisonous to the word as an
+            # out-of-range one.
             invalid = [job for job in jobs if not self._has_source(job.request, graph)]
             for job in invalid:
-                self._execute_sweep([[job]], graph, schedule_seconds)
+                self._fail_group(
+                    [job],
+                    SimulationError(
+                        f"source vertex {job.request.source} out of range for "
+                        f"graph with {graph.num_vertices} vertices"
+                    ),
+                    time.perf_counter(),
+                )
             if invalid:
                 groups = [[job for job in group if job not in invalid] for group in groups]
                 groups = [group for group in groups if group]
@@ -1217,7 +1224,7 @@ class Service:
                 if not jobs:
                     return groups, 0.0
         requests = [job.request for job in jobs]
-        if solo or self._engine is not None or (not streaming and len(jobs) == 1):
+        if self._engine is not None:
             kind, lanes = "solo", requests
         elif streaming:
             kind = "streaming"
@@ -1253,11 +1260,7 @@ class Service:
                 token = self._sweep_token(application, predicted, f"{kind} sweep")
                 with cancellation_scope(token):
                     if kind == "solo":
-                        outcome = (
-                            self._run_leased(requests[0], graph, relax_method)
-                            if self._engine is None
-                            else self._engine(requests[0], graph)
-                        )
+                        outcome = self._engine(requests[0], graph)
                     elif kind == "streaming":
                         outcome = run_streaming_batch(
                             application, graph, lanes,
@@ -1354,34 +1357,6 @@ class Service:
     def _has_source(request: TraversalRequest, graph: CSRGraph) -> bool:
         source = request.source
         return source is not None and 0 <= source < graph.num_vertices
-
-    def _run_leased(
-        self, request: TraversalRequest, graph: CSRGraph, relax_method: str | None
-    ) -> TraversalResult:
-        """A solo sweep's call: the request's run on an engine leased from the arena."""
-        application = request.application
-        if application.is_streaming:
-            runner = run_cc if application is Application.CC else run_pagerank
-            args = (graph,)
-        else:
-            if not self._has_source(request, graph):
-                raise SimulationError(
-                    f"source vertex {request.source} out of range for graph with "
-                    f"{graph.num_vertices} vertices"
-                )
-            runner = run_bfs if application is Application.BFS else run_sssp
-            args = (graph, request.source)
-        with self._arena.lease(
-            graph, request.strategy, request.system,
-            needs_weights=application is Application.SSSP,
-        ) as engine:
-            return runner(
-                *args,
-                strategy=request.strategy,
-                system=request.system,
-                engine=engine,
-                relax_method=relax_method,
-            )
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle

@@ -27,7 +27,7 @@ share one shared object:
   lanes, run the scalar arm.  The probe's answer is :data:`_dense_arm`,
   passed to every call (tests patch it to force an arm);
 * ``repro_bfs_word`` — one BFS sweep (:func:`bfs_word`, called by
-  :class:`repro.traversal.multisource.BFSWord`): per-lane edge counts,
+  :func:`repro.traversal.multisource._bfs_word`): per-lane edge counts,
   OR-scatter of the frontier words, and one pass over the vertices that keeps
   the unvisited bits, writes their levels and emits the next frontier;
 * ``repro_cc_sweep`` — one min-label propagation sweep (:func:`cc_sweep`,
@@ -51,7 +51,7 @@ share one shared object:
   order of the numpy arm's stable ``argsort``.  The engine takes it exactly
   when the sweep runs native (:func:`wanted`).
 
-A solo BFS/SSSP run calls the word kernels as a word of one lane.
+A solo BFS/SSSP run is a word of one lane, so it calls the same kernels.
 
 This module builds them *at runtime* with whatever C compiler the host
 already has (``gcc``/``cc``), caches the shared object under
@@ -971,7 +971,7 @@ def bfs_word(
     frontier's size: ``next_frontier[:size]`` / ``next_active[:size]``.
     Every buffer is checked for its dtype and C-contiguity (all but the four
     frontier arrays once per run when ``pins`` is given, as
-    :class:`repro.traversal.multisource.BFSWord` does) and for its length
+    :func:`repro.traversal.multisource._bfs_word` does) and for its length
     on every call.
     """
     lanes, num_vertices = levels.shape

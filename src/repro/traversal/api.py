@@ -18,6 +18,7 @@ from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY
 from .bfs import run_bfs
 from .cc import run_cc
+from .multisource import normalize_source
 from .results import AggregateResult, TraversalResult
 from .sssp import run_sssp
 
@@ -64,34 +65,6 @@ def normalize_application(application: Application | str) -> Application:
 def normalize_strategy(strategy: AccessStrategy | str) -> AccessStrategy:
     """Coerce a strategy given as enum member or string ("uvm", "merged", ...)."""
     return AccessStrategy(strategy)
-
-
-def normalize_source(application: Application | str, source: object) -> int | None:
-    """Canonicalize a source vertex for one application.
-
-    CC and PageRank are source-free, so whatever was passed collapses to
-    ``None`` — this is what makes every such request on a graph *the same*
-    request, which the serving layer relies on for deduplication and caching.
-    BFS/SSSP require a source; numpy integer scalars (the usual output of
-    ``pick_sources``) and integral floats are accepted and converted to a
-    plain hashable ``int``.
-    """
-    application = normalize_application(application)
-    if application.is_streaming:
-        return None
-    if source is None:
-        raise ConfigurationError(f"{application.value} requires a source vertex")
-    if isinstance(source, (bool, np.bool_)):
-        raise ConfigurationError(f"source vertex must be an integer, got {source!r}")
-    if isinstance(source, (float, np.floating)):
-        if not float(source).is_integer():
-            raise ConfigurationError(
-                f"source vertex must be integral, got {float(source)!r}"
-            )
-        return int(source)
-    if isinstance(source, (int, np.integer)):
-        return int(source)
-    raise ConfigurationError(f"source vertex must be an integer, got {source!r}")
 
 
 def normalize_deadline(deadline: object) -> float | None:

@@ -4,8 +4,8 @@ The implementation follows the vertex-centric, scatter-style flow of
 Algorithm 1: every iteration expands the current frontier by scanning each
 active vertex's full neighbor list, marking unvisited neighbors as the next
 frontier.  One iteration corresponds to one kernel launch, so the number of
-kernels equals the BFS depth (§4.2).  A solo run sweeps as a one-lane
-:class:`~repro.traversal.multisource.BFSWord`, the kernel a batched word runs.
+kernels equals the BFS depth (§4.2).  A solo run is a one-lane call of
+:func:`~repro.traversal.multisource._run_words`, the loop a batched word runs.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from ..config import SystemConfig
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from .engine import TraversalEngine
-from .frontier import frontier_offsets, gather_frontier_edges
-from .multisource import UNREACHED, BFSWord, _check_source
+from .frontier import gather_frontier_edges
+from .multisource import UNREACHED, PackedLane, _check_source, _run_words
 from .results import TraversalResult
 
 
@@ -47,24 +47,10 @@ def run_bfs(
 ) -> TraversalResult:
     """BFS from ``source`` under the given edge-list access strategy.
 
-    ``relax_method`` picks the sweep backend as for
-    :func:`~repro.traversal.multisource.run_batch`.
+    ``engine`` (a :class:`TraversalEngine` or a baseline's drop-in) prices
+    the run in place of one built for ``strategy`` / ``system``, and the
+    result carries its strategy label.  ``relax_method`` picks the sweep
+    backend as for :func:`~repro.traversal.multisource.run_batch`.
     """
-    _check_source(graph, source)
-    engine = engine or TraversalEngine(graph, strategy, system=system, needs_weights=False)
-    word = BFSWord(graph, [source], relax_method)
-    frontier, active_bits = word.start()
-    depth = 0
-    while frontier.size:
-        starts, ends = frontier_offsets(graph, frontier)
-        engine.process_frontier(frontier, starts, ends, native=word.native)
-        depth += 1
-        frontier, active_bits = word.sweep(frontier, active_bits, starts, ends, depth)
-    return TraversalResult(
-        application=Application.BFS,
-        graph_name=graph.name,
-        strategy=strategy,
-        source=source,
-        values=word.levels[0],
-        metrics=engine.finalize(),
-    )
+    lane = PackedLane(source, strategy, system)
+    return _run_words(Application.BFS, graph, [lane], None, relax_method, engine).results[0]

@@ -26,7 +26,7 @@ def cc_labels(graph: CSRGraph) -> np.ndarray:
     Always the numpy sweep, so a native kernel bug cannot hide in its own
     reference.
     """
-    return _cc(graph, engine=None, relax_method="scatter").values
+    return cc_sweep(graph, relax_method="scatter")[0]
 
 
 def run_cc(
@@ -42,7 +42,15 @@ def run_cc(
     :func:`cc_sweep`.
     """
     engine = engine or TraversalEngine(graph, strategy, system=system, needs_weights=False)
-    return _cc(graph, engine=engine, strategy=strategy, relax_method=relax_method)
+    labels, _ = cc_sweep(graph, engines=(engine,), relax_method=relax_method)
+    return TraversalResult(
+        application=Application.CC,
+        graph_name=graph.name,
+        strategy=strategy,
+        source=None,
+        values=labels,
+        metrics=engine.finalize(),
+    )
 
 
 def cc_sweep(
@@ -90,22 +98,3 @@ def cc_sweep(
         starts, ends = frontier_offsets(graph, frontier)
     return labels, iterations
 
-
-def _cc(
-    graph: CSRGraph,
-    engine: TraversalEngine | None,
-    strategy: AccessStrategy = EMOGI_STRATEGY,
-    relax_method: str | None = None,
-) -> TraversalResult:
-    labels, _ = cc_sweep(
-        graph, engines=() if engine is None else (engine,), relax_method=relax_method
-    )
-    metrics = engine.finalize() if engine is not None else None
-    return TraversalResult(
-        application=Application.CC,
-        graph_name=graph.name,
-        strategy=strategy,
-        source=None,
-        values=labels,
-        metrics=metrics,
-    )

@@ -21,7 +21,6 @@ from ..memsim.coalescer import REQUEST_SIZES, vertex_request_table, vertex_reque
 from ..memsim.gpu_memory import DeviceMemory
 from ..memsim.metrics import TimingModel, TrafficRecord
 from ..memsim.uvm import UVMSpace
-from ..obs.trace import tracing_enabled
 from ..timing import TimeBreakdown
 from ..types import AccessStrategy, MemorySpace, VERTEX_DTYPE
 from .results import KernelCounters, TraversalMetrics
@@ -82,11 +81,6 @@ class TraversalEngine:
         self.relax_backend: str | None = None
         self.relax_candidates = 0
         self._max_frontier = 0
-        # Per-iteration (frontier size, edges touched) log.  Kept only while
-        # tracing is enabled: the totals below are always-on and cheap, the
-        # per-iteration series is the part worth a kill switch.
-        self._detail_enabled = tracing_enabled()
-        self._frontier_log: list[tuple[int, int]] = []
         self._edge_misalign_bytes = edge_misalign_bytes
         self._setup_memory()
 
@@ -203,8 +197,6 @@ class TraversalEngine:
         frontier = np.asarray(frontier, dtype=VERTEX_DTYPE).ravel()
         self.iterations += 1
         if frontier.size == 0:
-            if self._detail_enabled:
-                self._frontier_log.append((0, 0))
             return TimeBreakdown()
         # Checked with precomputed offsets too: the request tables are indexed
         # by vertex id, where a negative id would silently wrap around.
@@ -217,8 +209,6 @@ class TraversalEngine:
         edges_touched = int((ends - starts).sum())
         if frontier.size > self._max_frontier:
             self._max_frontier = int(frontier.size)
-        if self._detail_enabled:
-            self._frontier_log.append((int(frontier.size), edges_touched))
 
         self.traffic.vertices_processed += int(frontier.size)
         self.traffic.edges_processed += edges_touched
@@ -322,7 +312,6 @@ class TraversalEngine:
         self.relax_backend = None
         self.relax_candidates = 0
         self._max_frontier = 0
-        self._frontier_log.clear()
         if self.edge_uvm is not None:
             self.edge_uvm.reset()
         if self.weight_uvm is not None:
@@ -346,14 +335,11 @@ class TraversalEngine:
 
     def counters(self) -> KernelCounters:
         """Kernel-level counters accumulated so far (see :class:`KernelCounters`)."""
-        log = tuple(self._frontier_log)
         return KernelCounters(
             iterations=self.iterations,
             frontier_vertices=int(self.traffic.vertices_processed),
             edges_traversed=int(self.traffic.edges_processed),
             max_frontier=self._max_frontier,
-            frontier_sizes=tuple(size for size, _ in log),
-            edges_per_iteration=tuple(edges for _, edges in log),
             relax_candidates=self.relax_candidates,
             relax_backend=self.relax_backend,
         )

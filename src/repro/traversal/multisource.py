@@ -20,7 +20,7 @@ its solo run would have been:
   is one call of the compiled ``repro_bfs_word`` loop of
   :mod:`repro.traversal._native` when the host has a compiler, and a numpy
   sweep (the fallback, and the reference the tests pin the kernel against)
-  otherwise (:class:`BFSWord`).
+  otherwise.
 * **SSSP** runs on the lane-parallel relaxation kernel of
   :mod:`repro.traversal.relax`: each iteration expands the union frontier's
   lane bit-masks into shared (lane, edge) candidate streams — one ragged
@@ -37,10 +37,11 @@ its solo run would have been:
   frontier, so no per-iteration ``np.unique`` or before/after probing is
   needed.
 
-Solo and batched runs share these kernels: :func:`repro.traversal.bfs.run_bfs`
-and :func:`repro.traversal.sssp.run_sssp` sweep as a word of one lane, so
-every way of running a source executes the same per-sweep code, and the
-``REPRO_NATIVE=0`` numpy sweeps are the one fallback of both.
+Solo and batched runs share this module's one run loop:
+:func:`repro.traversal.bfs.run_bfs` and :func:`repro.traversal.sssp.run_sssp`
+are calls of :func:`_run_words` with one lane, so every way of running a
+source executes the same loop and kernels, and the ``REPRO_NATIVE=0`` numpy
+sweeps are the one fallback of both.
 
 The *streaming* applications (CC, PageRank) batch along the platform axis
 instead — one shared algorithm pass replayed into many per-configuration
@@ -57,7 +58,9 @@ are one ``(lanes, counters)`` product rounded half to even; the per-lane
 result objects are built once per word from their rows.  Attributed
 *seconds* sum exactly to the batch total; the integer traffic counters are
 rounded per source, so their sums match the batch totals only to rounding
-(compare against ``batch_metrics`` for exact run-level numbers).
+(compare against ``batch_metrics`` for exact run-level numbers).  A word of
+exactly one lane skips the split: its lane's share is 1.0 in every
+iteration, so its metrics are its engine's run-level metrics as they are.
 """
 
 from __future__ import annotations
@@ -94,16 +97,51 @@ _ONE = np.uint64(1)
 _COMPONENTS = len(TimeBreakdown().components())
 
 
+def source_vertex(source: object) -> int:
+    """A source vertex as a plain ``int``: numpy integer scalars and
+    integral floats are accepted; booleans, fractional floats and anything
+    else raise :class:`ConfigurationError`."""
+    if isinstance(source, (bool, np.bool_)):
+        raise ConfigurationError(f"source vertex must be an integer, got {source!r}")
+    if isinstance(source, (float, np.floating)):
+        if not float(source).is_integer():
+            raise ConfigurationError(
+                f"source vertex must be integral, got {float(source)!r}"
+            )
+        return int(source)
+    if isinstance(source, (int, np.integer)):
+        return int(source)
+    raise ConfigurationError(f"source vertex must be an integer, got {source!r}")
+
+
+def normalize_source(application: Application | str, source: object) -> int | None:
+    """Canonicalize a source vertex for one application.
+
+    CC and PageRank are source-free, so whatever was passed collapses to
+    ``None`` — this is what makes every such request on a graph *the same*
+    request, which the serving layer relies on for deduplication and caching.
+    BFS/SSSP require a source, normalized by :func:`source_vertex` to a
+    plain hashable ``int``.
+    """
+    application = Application(application)
+    if application.is_streaming:
+        return None
+    if source is None:
+        raise ConfigurationError(f"{application.value} requires a source vertex")
+    return source_vertex(source)
+
+
 @dataclass(frozen=True)
 class PackedLane:
     """One lane of a batch: a source plus the (strategy, system) it should be
-    accounted under."""
+    accounted under.  The source is normalized by :func:`source_vertex`."""
 
     source: int
     strategy: AccessStrategy = EMOGI_STRATEGY
     system: SystemConfig | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "source", source_vertex(self.source))
         object.__setattr__(self, "strategy", AccessStrategy(self.strategy))
 
     def config_key(self) -> tuple:
@@ -204,10 +242,9 @@ def run_batch(
     kernel when it is available; any other method runs the numpy sweep.
     Every backend produces bit-identical per-source values and metrics.
     """
-    lanes = [
-        PackedLane(int(source), strategy, system)
-        for source in np.asarray(list(sources)).ravel()
-    ]
+    if isinstance(sources, np.ndarray):
+        sources = sources.ravel()
+    lanes = [PackedLane(source, strategy, system) for source in sources]
     return _run_words(application, graph, lanes, arena, relax_method, engine)
 
 
@@ -242,12 +279,17 @@ def _run_words(
     relax_method: str | None,
     engine: TraversalEngine | None = None,
 ) -> MultiSourceResult:
-    """The one word loop behind :func:`run_batch` and :func:`run_packed_batch`.
+    """The one BFS/SSSP run loop: behind :func:`run_batch`,
+    :func:`run_packed_batch` and the one-lane solo runs.
 
     Engines are acquired once per distinct configuration for the whole batch
     — ``engine`` (one-configuration batches only), a lease from ``arena``, or
     a private one — and recycled with :meth:`TraversalEngine.reset` between
-    words instead of being rebuilt.
+    words instead of being rebuilt.  A word of one lane is handed its
+    engine's metrics and its values row as they are: its share of every
+    iteration is 1.0, so :class:`_Attribution`'s split would be the
+    identity.  A lane alone on its engine in a wider word is not that case:
+    its engine replays the whole word's union frontier.
     """
     application = Application(application)
     if application is Application.BFS:
@@ -309,27 +351,33 @@ def _run_words(
             # engine is a cheap no-op.
             for word_engine in word_engines:
                 word_engine.reset()
-            values, attribution = chunk_runner(
+            alone = len(word_lanes) == 1
+            attribution = None if alone else _Attribution(len(word_lanes), lane_engine)
+            values = chunk_runner(
                 graph,
-                [int(lane.source) for lane in word_lanes],
+                [lane.source for lane in word_lanes],
                 word_engines,
-                lane_engine,
+                attribution,
                 weights,
                 relax_method,
             )
             engine_metrics = [word_engine.finalize() for word_engine in word_engines]
             outcome.batch_metrics.extend(engine_metrics)
-            lane_metrics = _lane_metrics(
-                word_lanes, word_engines, engine_metrics, attribution
-            )
-            for position, (lane, metrics) in enumerate(zip(word_lanes, lane_metrics)):
+            if alone:
+                lane_metrics, lane_values = engine_metrics, values
+            else:
+                lane_metrics = _lane_metrics(
+                    word_lanes, word_engines, engine_metrics, attribution
+                )
+                lane_values = [row.copy() for row in values]
+            for lane, row, metrics in zip(word_lanes, lane_values, lane_metrics):
                 outcome.results.append(
                     TraversalResult(
                         application=application,
                         graph_name=graph.name,
-                        strategy=lane.strategy,
-                        source=int(lane.source),
-                        values=values[position].copy(),
+                        strategy=metrics.strategy,
+                        source=lane.source,
+                        values=row,
                         metrics=metrics,
                     )
                 )
@@ -410,112 +458,74 @@ def _bfs_word(
     graph: CSRGraph,
     word: list[int],
     engines: list[TraversalEngine],
-    lane_engine: np.ndarray,
+    attribution: _Attribution | None,
     weights=None,
     relax_method=None,
-):
+) -> np.ndarray:
+    """Run one BFS word of ≤ 64 lanes; returns its ``(lanes, V)`` levels.
+
+    Every O(V) array is allocated here, once per word, and reused by every
+    sweep: the levels, the visited and scatter words and, for the native
+    kernel, two frontier slots — the kernel appends the next frontier
+    (vertex ids and their new lane words) into one while the engines replay
+    the other.  ``relax_method`` ``None`` or ``"native"`` runs
+    ``repro_bfs_word`` when it is available; anything else runs the numpy
+    sweep.
+    """
+    num_vertices = graph.num_vertices
     lanes = len(word)
-    bfs = BFSWord(graph, word, relax_method)
-    frontier, active_bits = bfs.start()
-    lane_edges = bfs.lane_edges
-    attribution = _Attribution(lanes, lane_engine)
+    levels = np.full((lanes, num_vertices), UNREACHED, dtype=np.int64)  # repro: noqa[REPRO101] — once per word, not per sweep
+    visited_bits, next_bits = np.zeros((2, num_vertices), dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
+    lane_edges = np.zeros(lanes, dtype=np.int64)  # repro: noqa[REPRO101] — O(lanes) <= 64 elements
+    for lane, source in enumerate(word):
+        visited_bits[source] |= _ONE << np.uint64(lane)
+        levels[lane, source] = 0
+    native = _native.wanted(relax_method)
+    if native:
+        # Rows unpacked once, so that Pins checks and addresses each slot
+        # once per word rather than a fresh view every sweep.
+        frontier_slots = tuple(np.empty((2, num_vertices), dtype=VERTEX_DTYPE))  # repro: noqa[REPRO101] — once per word, double-buffered below
+        active_slots = tuple(np.empty((2, num_vertices), dtype=np.uint64))  # repro: noqa[REPRO101] — once per word, double-buffered below
+        pins = _native.Pins()
+    # Depth 0: the frontier is the sources, and visited holds exactly their bits.
+    frontier = np.flatnonzero(visited_bits).astype(VERTEX_DTYPE, copy=False)
+    active_bits = visited_bits[frontier]
     depth = 0
     while frontier.size:
         starts, ends = frontier_offsets(graph, frontier)
-        active = active_lane_mask(active_bits, lanes)
+        # Which lanes have frontier: read by the split and the numpy sweep.
+        active = (
+            None if native and attribution is None
+            else active_lane_mask(active_bits, lanes)
+        )
         depth += 1
         # One sweep writes the new levels and the next frontier, and counts
         # each lane's share of it — the edges its own frontier owns — once
         # for all of the word's engines.
-        next_frontier, next_active = bfs.sweep(
-            frontier, active_bits, starts, ends, depth, active
-        )
+        if native:
+            slot = depth % 2
+            size = _native.bfs_word(
+                frontier, active_bits, starts, ends, graph.edges, next_bits,
+                visited_bits, levels, depth, lane_edges, frontier_slots[slot],
+                active_slots[slot], pins,
+            )
+            next_frontier = frontier_slots[slot][:size]
+            next_active = active_slots[slot][:size]
+        else:
+            next_frontier, next_active = _bfs_sweep_numpy(
+                graph, frontier, active_bits, starts, ends, active,
+                next_bits, visited_bits, levels, depth, lane_edges,
+            )
         # Every engine replays the shared union frontier: frontier evolution
         # never depends on the simulated platform (engines only account
         # traffic), so per-lane levels stay bit-identical to solo runs even
         # when lanes span different (strategy, system) configurations.
         for engine_index, engine in enumerate(engines):
-            iteration = engine.process_frontier(frontier, starts, ends, native=bfs.native)
-            attribution.record(iteration, engine_index, lane_edges, active)
+            iteration = engine.process_frontier(frontier, starts, ends, native=native)
+            if attribution is not None:
+                attribution.record(iteration, engine_index, lane_edges, active)
         frontier, active_bits = next_frontier, next_active
-
-    return bfs.levels, attribution
-
-
-class BFSWord:
-    """One BFS word's buffers and its sweep: the step a batched word of ≤ 64
-    lanes and a solo run (a word of one lane) both take.
-
-    Every O(V) array is allocated here, once per run, and reused by every
-    sweep: the ``(lanes, num_vertices)`` levels, the visited and scatter
-    words and, for the native kernel, two frontier slots — the kernel
-    appends the next frontier (vertex ids and their new lane words) into one
-    while the engines replay the other.  ``relax_method`` ``None`` or
-    ``"native"`` runs ``repro_bfs_word`` when it is available; anything else
-    runs the numpy sweep.
-    """
-
-    def __init__(self, graph: CSRGraph, sources: list[int], relax_method=None) -> None:
-        num_vertices = graph.num_vertices
-        self.graph = graph
-        self.levels = np.full((len(sources), num_vertices), UNREACHED, dtype=np.int64)
-        self.visited_bits = np.zeros(num_vertices, dtype=np.uint64)
-        self.next_bits = np.zeros(num_vertices, dtype=np.uint64)
-        self.lane_edges = np.zeros(len(sources), dtype=np.int64)
-        for lane, source in enumerate(sources):
-            self.visited_bits[source] |= _ONE << np.uint64(lane)
-            self.levels[lane, source] = 0
-        self.native = _native.wanted(relax_method)
-        if self.native:
-            # Two separate arrays per slot pair, so that Pins checks and
-            # addresses each slot once per run rather than a fresh view of
-            # one (2, V) array every sweep.
-            self.frontier_slots = tuple(
-                np.empty(num_vertices, dtype=VERTEX_DTYPE) for _ in range(2)
-            )
-            self.active_slots = tuple(
-                np.empty(num_vertices, dtype=np.uint64) for _ in range(2)
-            )
-            self.pins = _native.Pins()
-
-    def start(self) -> tuple[np.ndarray, np.ndarray]:
-        """Depth 0: the frontier is the sources, and visited holds exactly
-        their bits.  Returns the frontier and its lane words."""
-        frontier = np.flatnonzero(self.visited_bits).astype(VERTEX_DTYPE, copy=False)
-        return frontier, self.visited_bits[frontier]
-
-    @hot_path
-    def sweep(
-        self,
-        frontier: np.ndarray,
-        active_bits: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        depth: int,
-        active: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The sweep that discovers ``depth``: writes its levels and
-        ``lane_edges``, and returns the next frontier and its lane words.
-
-        ``active`` (:func:`~repro.traversal.relax.active_lane_mask` of
-        ``active_bits``) is only read by the numpy sweep, which derives it
-        when the caller has none.
-        """
-        if self.native:
-            slot = depth % 2
-            size = _native.bfs_word(
-                frontier, active_bits, starts, ends, self.graph.edges,
-                self.next_bits, self.visited_bits, self.levels, depth,
-                self.lane_edges, self.frontier_slots[slot], self.active_slots[slot],
-                self.pins,
-            )
-            return self.frontier_slots[slot][:size], self.active_slots[slot][:size]
-        if active is None:
-            active = active_lane_mask(active_bits, self.lane_edges.size)
-        return _bfs_sweep_numpy(
-            self.graph, frontier, active_bits, starts, ends, active,
-            self.next_bits, self.visited_bits, self.levels, depth, self.lane_edges,
-        )
+    return levels
 
 
 @hot_path
@@ -564,16 +574,17 @@ def _sssp_word(
     graph: CSRGraph,
     word: list[int],
     engines: list[TraversalEngine],
-    lane_engine: np.ndarray,
+    attribution: _Attribution | None,
     weights: np.ndarray | None = None,
     relax_method: str | None = None,
-):
+) -> np.ndarray:
+    """Run one SSSP word of ≤ 64 lanes; returns its ``(lanes, V)`` distances."""
     num_vertices = graph.num_vertices
     lanes = len(word)
     # Vertex-major layout: one vertex's 64 lane distances share cache lines,
     # which is what makes the relaxation kernel's inner loop fast.  The
-    # transposed view handed back at the end keeps run_batch's per-lane
-    # ``values[lane]`` extraction working unchanged.
+    # transposed view handed back at the end gives _run_words one row per
+    # lane, as the BFS word's levels do.
     distances = np.full((num_vertices, lanes), UNREACHABLE, dtype=np.float64)  # repro: noqa[REPRO101] — once per word, not per sweep
     frontier_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
     for lane, source in enumerate(word):
@@ -584,10 +595,9 @@ def _sssp_word(
     pins = _native.Pins()
     native = _native.wanted(relax_method)
 
-    attribution = _Attribution(lanes, lane_engine)
     iterations = 0
     max_iterations = max(1, num_vertices)
-    frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE)
+    frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
     while frontier.size and iterations < max_iterations:
         starts, ends = frontier_offsets(graph, frontier)
         active_bits = frontier_bits[frontier]
@@ -607,17 +617,18 @@ def _sssp_word(
         for engine_index, engine in enumerate(engines):
             iteration = engine.process_frontier(frontier, starts, ends, native=native)
             engine.note_relax(outcome.method, outcome.candidates)
-            attribution.record(
-                iteration, engine_index, outcome.lane_edges, outcome.active_lanes
-            )
+            if attribution is not None:
+                attribution.record(
+                    iteration, engine_index, outcome.lane_edges, outcome.active_lanes
+                )
 
         # Double-buffer: the consumed frontier word becomes next sweep's
         # kernel scratch (zeroed inside relax_lanes).
         frontier_bits, next_scratch = outcome.next_bits, frontier_bits
-        frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE)
+        frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
         iterations += 1
 
-    return distances.T, attribution
+    return distances.T
 
 
 # ---------------------------------------------------------------------- #

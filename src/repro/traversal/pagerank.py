@@ -69,9 +69,13 @@ def pagerank_scores(
     Always the numpy sweep, so a native kernel bug cannot hide in its own
     reference.
     """
-    return _pagerank(
-        graph, None, EMOGI_STRATEGY, damping, tolerance, max_iterations, "scatter"
-    ).values
+    return pagerank_sweep(
+        graph,
+        damping=damping,
+        tolerance=tolerance,
+        max_iterations=max_iterations,
+        relax_method="scatter",
+    )[0]
 
 
 def run_pagerank(
@@ -89,9 +93,17 @@ def run_pagerank(
     ``relax_method`` picks the sweep backend as for :func:`pagerank_sweep`.
     """
     engine = engine or TraversalEngine(graph, strategy, system=system, needs_weights=False)
-    return _pagerank(
-        graph, engine, strategy, damping, tolerance, max_iterations, relax_method
+    scores, iterations, converged = pagerank_sweep(
+        graph,
+        engines=(engine,),
+        damping=damping,
+        tolerance=tolerance,
+        max_iterations=max_iterations,
+        relax_method=relax_method,
     )
+    # An empty graph never sweeps, so its run has no metrics.
+    metrics = engine.finalize() if graph.num_vertices else None
+    return PageRankResult(graph.name, strategy, scores, iterations, converged, metrics)
 
 
 def pagerank_sweep(
@@ -164,25 +176,3 @@ def pagerank_sweep(
         converged = delta < tolerance
     return scores, iterations, converged
 
-
-def _pagerank(
-    graph: CSRGraph,
-    engine: TraversalEngine | None,
-    strategy: AccessStrategy,
-    damping: float,
-    tolerance: float,
-    max_iterations: int,
-    relax_method: str | None = None,
-) -> PageRankResult:
-    scores, iterations, converged = pagerank_sweep(
-        graph,
-        engines=() if engine is None else (engine,),
-        damping=damping,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        relax_method=relax_method,
-    )
-    if graph.num_vertices == 0:
-        return PageRankResult(graph.name, strategy, scores, iterations, converged, None)
-    metrics = engine.finalize() if engine is not None else None
-    return PageRankResult(graph.name, strategy, scores, iterations, converged, metrics)

@@ -17,10 +17,6 @@ from ..types import AccessStrategy, Application
 class KernelCounters:
     """Kernel-level counters of one traversal run, surfaced for observability.
 
-    The totals (``frontier_vertices`` / ``edges_traversed``) are always
-    recorded; the per-iteration series (``frontier_sizes`` /
-    ``edges_per_iteration``) are captured only while tracing is enabled
-    (``REPRO_TRACE`` kill switch), keeping the default path allocation-light.
     ``relax_backend`` records which :mod:`repro.traversal.relax` code path
     actually ran (native / scatter) so a silent fallback to the
     slow backend is visible in result metadata and service logs.
@@ -33,30 +29,11 @@ class KernelCounters:
     edges_traversed: int = 0
     #: Largest single-iteration frontier.
     max_frontier: int = 0
-    #: Per-iteration frontier sizes (empty when tracing is disabled).
-    frontier_sizes: tuple[int, ...] = ()
-    #: Per-iteration edges touched (empty when tracing is disabled).
-    edges_per_iteration: tuple[int, ...] = ()
     #: Candidate-stream length fed to the relax kernel (SSSP lane batches).
     relax_candidates: int = 0
     #: Relax kernel backend chosen ("native" / "scatter"), or
     #: ``None`` for runs that never invoked the lane relax kernel.
     relax_backend: str | None = None
-
-    def to_json(self) -> dict:
-        record = {
-            "iterations": self.iterations,
-            "frontier_vertices": self.frontier_vertices,
-            "edges_traversed": self.edges_traversed,
-            "max_frontier": self.max_frontier,
-            "relax_candidates": self.relax_candidates,
-            "relax_backend": self.relax_backend,
-        }
-        if self.frontier_sizes:
-            record["frontier_sizes"] = list(self.frontier_sizes)
-        if self.edges_per_iteration:
-            record["edges_per_iteration"] = list(self.edges_per_iteration)
-        return record
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ The paper bases its SSSP on the GraphBIG/maximum-warp formulation: every
 iteration relaxes all outgoing edges of the vertices whose distance changed in
 the previous iteration.  Edge weights live next to the edge list in host
 memory, so SSSP moves roughly 1.5x the bytes BFS does per edge (8-byte edge
-element + 4-byte weight).  A solo run relaxes as a one-lane word of
-:func:`~repro.traversal.relax.relax_lanes`, the kernel a batched word runs.
+element + 4-byte weight).  A solo run is a one-lane call of
+:func:`~repro.traversal.multisource._run_words`, whose word relaxes with
+:func:`~repro.traversal.relax.relax_lanes` as a batched word does.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import numpy as np
 from ..config import SystemConfig
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
-from . import _native
 from .engine import TraversalEngine
-from .frontier import frontier_offsets, gather_frontier_edges
-from .multisource import UNREACHABLE, _check_source
-from .relax import make_snapshot, relax_lanes
+from .frontier import gather_frontier_edges
+from .multisource import UNREACHABLE, PackedLane, _check_source, _run_words
 from .results import TraversalResult
 
 
@@ -51,40 +50,9 @@ def run_sssp(
 ) -> TraversalResult:
     """SSSP from ``source`` under the given edge-list access strategy.
 
+    ``engine`` prices the run as for :func:`~repro.traversal.bfs.run_bfs`.
     ``relax_method`` picks the relaxation backend (see
     :data:`~repro.traversal.relax.RELAX_METHODS`; ``None`` = fastest).
     """
-    _check_source(graph, source)
-    engine = engine or TraversalEngine(graph, strategy, system=system, needs_weights=True)
-    weights = None
-    if graph.has_weights:
-        weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
-    num_vertices = graph.num_vertices
-    distances = np.full((num_vertices, 1), UNREACHABLE, dtype=np.float64)
-    distances[source] = 0.0
-    snapshot = make_snapshot(num_vertices, 1)
-    lane_bits = np.ones(num_vertices, dtype=np.uint64)
-    next_bits = np.zeros(num_vertices, dtype=np.uint64)
-    pins = _native.Pins()
-    native = _native.wanted(relax_method)
-    frontier = np.array([source], dtype=VERTEX_DTYPE)
-    iterations = 0
-    while frontier.size and iterations < num_vertices:
-        starts, ends = frontier_offsets(graph, frontier)
-        engine.process_frontier(frontier, starts, ends, native=native)
-        outcome = relax_lanes(
-            distances, graph.edges, frontier, starts, ends, lane_bits[: frontier.size],
-            weights=weights, method=relax_method, snapshot=snapshot, next_bits=next_bits,
-            pins=pins,
-        )
-        engine.note_relax(outcome.method, outcome.candidates)
-        frontier = np.flatnonzero(next_bits)
-        iterations += 1
-    return TraversalResult(
-        application=Application.SSSP,
-        graph_name=graph.name,
-        strategy=strategy,
-        source=source,
-        values=distances.reshape(-1),
-        metrics=engine.finalize(),
-    )
+    lane = PackedLane(source, strategy, system)
+    return _run_words(Application.SSSP, graph, [lane], None, relax_method, engine).results[0]

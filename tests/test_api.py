@@ -5,8 +5,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.traversal.api import bfs, cc, run, run_average, sssp
-from repro.traversal.bfs import bfs_levels
+from repro.traversal.bfs import bfs_levels, run_bfs
 from repro.traversal.multisource import run_batch, run_packed_batch
+from repro.traversal.sssp import run_sssp
 from repro.types import AccessStrategy, Application, EMOGI_STRATEGY
 
 
@@ -129,6 +130,46 @@ class TestStrategyByName:
             assert named.metrics == enum.metrics
         with pytest.raises(ValueError):
             call(random_graph, "bogus")
+
+
+#: Entry points that take a source, each returning the result of that lane.
+SOURCE_ENTRY_POINTS = {
+    "run_bfs": run_bfs,
+    "run_sssp": run_sssp,
+    "run_batch": lambda g, source: run_batch("bfs", g, [source, 3]).results[0],
+    "run_batch ndarray": lambda g, source: run_batch("bfs", g, np.array([source])).results[0],
+    "run_packed_batch": lambda g, source: run_packed_batch(
+        "bfs", g, [(source, EMOGI_STRATEGY), (3, AccessStrategy.UVM)]
+    ).results[0],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SOURCE_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        pytest.param(2.5, ConfigurationError, id="fraction"),
+        pytest.param(True, ConfigurationError, id="bool"),
+        pytest.param(np.bool_(False), ConfigurationError, id="np.bool_"),
+        pytest.param("3", ConfigurationError, id="str"),
+        pytest.param(None, ConfigurationError, id="None"),
+        pytest.param(3, 3, id="int"),
+        pytest.param(np.int32(3), 3, id="np.int32"),
+        pytest.param(np.uint16(3), 3, id="np.uint16"),
+        pytest.param(3.0, 3, id="integral-float"),
+        pytest.param(np.float64(3.0), 3, id="np.float64"),
+    ],
+)
+def test_every_entry_point_normalizes_its_sources(random_graph, entry, source, expected):
+    """A bad source raises ConfigurationError instead of being truncated to
+    some vertex; a good one becomes a plain ``int``."""
+    call = SOURCE_ENTRY_POINTS[entry]
+    if expected is ConfigurationError:
+        with pytest.raises(ConfigurationError):
+            call(random_graph, source)
+        return
+    result = call(random_graph, source)
+    assert type(result.source) is int and result.source == expected
 
 
 class TestPackageLevelExports:

@@ -244,16 +244,6 @@ class TestKernelCounters:
         assert counters.iterations > 0
         assert counters.edges_traversed > 0
         assert counters.max_frontier >= 1
-        assert len(counters.frontier_sizes) == counters.iterations
-        assert sum(counters.edges_per_iteration) == counters.edges_traversed
-
-    def test_kill_switch_drops_per_iteration_detail(self, monkeypatch, random_graph):
-        monkeypatch.setenv(ENV_SWITCH, "0")
-        result = run(Application.BFS, random_graph, source=0)
-        counters = result.metrics.counters
-        # Totals are always-on; only the per-iteration log is gated.
-        assert counters.iterations > 0 and counters.edges_traversed > 0
-        assert counters.frontier_sizes == ()
 
     def test_batched_sssp_reports_relax_backend(self, random_graph):
         outcome = run_batch(Application.SSSP, random_graph, sources=(0, 1, 2))
@@ -262,12 +252,6 @@ class TestKernelCounters:
             assert counters is not None
             assert counters.relax_backend in ("native", "scatter")
             assert counters.relax_candidates > 0
-
-    def test_counters_json_round_trip(self, random_graph):
-        counters = run(Application.CC, random_graph).metrics.counters
-        record = counters.to_json()
-        assert record["iterations"] == counters.iterations
-        assert record["edges_traversed"] == counters.edges_traversed
 
 
 # ---------------------------------------------------------------------- #

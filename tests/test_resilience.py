@@ -716,21 +716,25 @@ class TestUVMReplayGoesThroughTheBreaker:
         ]
 
     @pytest.mark.parametrize(
-        "application, sources, faults_spec, replay_fails",
+        "application, sources, faults_spec, failing_kernel",
         [
-            # A solo run replays its first frontier before it sweeps it.
-            (Application.BFS, (0,), "native.invoke:permanent:limit=1", True),
-            (Application.SSSP, (0,), "native.invoke:permanent:limit=1", True),
-            # A word sweeps first: its first invoke is the BFS kernel, its
-            # second the replay.
-            (Application.BFS, (0, 1, 2), "native.invoke:permanent:limit=1", False),
-            (Application.BFS, (0, 1, 2), "native.invoke:permanent:n=2:limit=1", True),
-            (Application.SSSP, (0, 1, 2), "native.invoke:permanent:n=2:limit=1", True),
+            # A word, lone or fused, sweeps first: its first invoke is the
+            # word kernel, its second the replay.
+            (Application.BFS, (0,), "native.invoke:permanent:limit=1", "bfs_word"),
+            (Application.SSSP, (0,), "native.invoke:permanent:limit=1", "relax_word"),
+            (Application.BFS, (0,), "native.invoke:permanent:n=2:limit=1", "uvm_replay"),
+            (Application.SSSP, (0,), "native.invoke:permanent:n=2:limit=1", "uvm_replay"),
+            (Application.BFS, (0, 1, 2), "native.invoke:permanent:limit=1", "bfs_word"),
+            (Application.BFS, (0, 1, 2), "native.invoke:permanent:n=2:limit=1", "uvm_replay"),
+            (Application.SSSP, (0, 1, 2), "native.invoke:permanent:n=2:limit=1", "uvm_replay"),
         ],
-        ids=["lone-bfs", "lone-sssp", "fused-bfs", "fused-bfs-replay", "fused-sssp-replay"],
+        ids=[
+            "lone-bfs", "lone-sssp", "lone-bfs-replay", "lone-sssp-replay",
+            "fused-bfs", "fused-bfs-replay", "fused-sssp-replay",
+        ],
     )
     def test_one_fault_steps_down_once_with_clean_numpy_results(
-        self, application, sources, faults_spec, replay_fails, caplog
+        self, application, sources, faults_spec, failing_kernel, caplog
     ):
         with _breaker_service(faults_spec, breaker_threshold=2, breaker_cooldown=60) as service:
             jobs = _drain_group(service, application, sources, strategies=("uvm",))
@@ -738,7 +742,8 @@ class TestUVMReplayGoesThroughTheBreaker:
             assert stats.degraded == 1
             assert stats.failed == 0 and stats.isolations == 0
             assert service._breaker.snapshot()["consecutive_failures"] == 1
-        assert ("native uvm_replay kernel failed" in caplog.text) is replay_fails
+        failures = caplog.text.count("kernel failed:")
+        assert failures == 1 and f"native {failing_kernel} kernel failed" in caplog.text
         clean = self._clean_runs(application, sources, fused=len(sources) > 1)
         for job, expected in zip(jobs, clean):
             assert job.status is JobStatus.DONE

@@ -31,7 +31,9 @@ from repro.service.workload import (
     run_workload,
 )
 from repro.traversal.api import run
-from repro.types import Application
+from repro.types import ALL_STRATEGIES, Application
+
+from .conftest import metrics_fields
 
 
 class GatedCountingEngine:
@@ -264,6 +266,27 @@ class TestBuiltinBatchedExecution:
                 service.result(bad, timeout=30)
         assert bad.status is JobStatus.FAILED
         assert isinstance(bad.error, SimulationError)
+
+
+class TestLoneJobsMatchTheLibrary:
+    """A lone job runs as a one-lane word (BFS/SSSP) or a one-lane pass
+    (CC/PageRank): its values and every simulated number are ``repro.run``'s."""
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    @pytest.mark.parametrize("application", tuple(Application))
+    def test_lone_job_equals_run(self, registry, random_graph, application, strategy):
+        source = None if application.is_streaming else 3
+        with make_service(registry, max_workers=1) as service:
+            job = service.submit(
+                TraversalRequest(application, random_graph.name, source, strategy)
+            )
+            result = service.result(job, timeout=30)
+            assert [plan["jobs"] for plan in service.plan_decisions()] == [1]
+        direct = run(application, random_graph, source, strategy)
+        assert result.values.tobytes() == direct.values.tobytes()
+        assert metrics_fields(result.metrics) == metrics_fields(direct.metrics)
+        assert result.metrics == direct.metrics
+        assert getattr(result, "iterations", None) == getattr(direct, "iterations", None)
 
 
 class TestFailurePaths:
