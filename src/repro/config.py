@@ -364,8 +364,9 @@ class ServiceConfig:
     #: rates still give deterministic coverage.  Metrics counters are always
     #: on regardless of this knob.
     trace_sample: float = 1.0
-    #: Capacity of the span ring buffer; the oldest spans are evicted when an
-    #: unattended service outruns ``drain_traces()``.
+    #: Capacity of the span ring buffer, in spans (a finished request's
+    #: record counts as its four); the oldest entries are evicted whole when
+    #: an unattended service outruns ``drain_traces()``.
     trace_buffer: int = 8192
     #: Tracing master switch: ``None`` defers to the ``REPRO_TRACE``
     #: environment variable (enabled unless set to a falsy value), ``False``

@@ -5,7 +5,9 @@ the time went*.  Three pieces:
 
 * :mod:`repro.obs.trace` — per-request spans (admission / queue / sweep /
   cache) with trace ids, shared engine-sweep spans that fused requests link
-  to, a bounded ring buffer, and JSONL export.  Sampling is configurable
+  to, a bounded ring buffer, and JSONL export.  A finished request is
+  buffered as one :class:`~repro.obs.trace.JobRecord` and becomes its spans
+  when the buffer is drained.  Sampling is configurable
   (:attr:`repro.config.ServiceConfig.trace_sample`) and ``REPRO_TRACE=0``
   kills span recording entirely, mirroring ``REPRO_NATIVE``.
 * :mod:`repro.obs.metrics` — the catalog of every ``repro_*`` series and a
@@ -17,8 +19,9 @@ the time went*.  Three pieces:
   request must carry the full lifecycle and its span durations must tile its
   measured latency (the CI smoke gate).
 
-Kernel-level counters (per-iteration frontier sizes, edges relaxed,
-candidate-stream lengths, chosen relax backend) live on
+Kernel-level counters (per-run totals of iterations, frontier vertices,
+edges traversed and relax candidates, the largest frontier, and the chosen
+relax backend) live on
 :class:`repro.traversal.results.KernelCounters`, attached to every
 :class:`~repro.traversal.results.TraversalMetrics` by the engines.
 """

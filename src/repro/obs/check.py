@@ -24,8 +24,7 @@ import sys
 from collections import defaultdict
 from typing import Any
 
-#: Span names every completed request trace must contain.
-LIFECYCLE_STAGES = ("admission", "queue", "sweep", "cache")
+from .trace import LIFECYCLE_STAGES
 
 #: Optional span names that may appear any number of times per trace:
 #: ``engine_sweep`` (shared engine invocations), ``retry`` (one per backoff

@@ -17,13 +17,17 @@ sweep span's ``sweep_ref`` attribute).
 
 Cost discipline
 ---------------
-Recording a span is a dataclass construction plus a locked ``deque.append``;
-the ring buffer (``deque(maxlen=...)``) silently evicts the oldest spans so an
-unattended service never grows without bound.  Sampling is systematic (an
-accumulator, not a PRNG): ``sample=0.25`` traces exactly every 4th request,
-which keeps tests deterministic and guarantees coverage at low rates.
-``REPRO_TRACE=0`` (mirroring ``REPRO_NATIVE``) disables span recording and
-per-iteration kernel logs entirely.
+A finished request is recorded as one immutable :class:`JobRecord` — its
+labels and ``perf_counter`` boundaries, a tuple — appended under the lock;
+its four lifecycle spans, their attribute dicts and their span ids are built
+only when the buffer is read (:meth:`Tracer.drain`).  The shared
+``engine_sweep``, ``plan`` and ``retry`` spans of the miss path are built
+eagerly.  The ring buffer counts spans (a record weighs four) and evicts
+whole oldest entries, so an unattended service never grows without bound.
+Sampling is systematic (an accumulator, not a PRNG): ``sample=0.25`` traces
+exactly every 4th request, which keeps tests deterministic and guarantees
+coverage at low rates.  ``REPRO_TRACE=0`` (mirroring ``REPRO_NATIVE``)
+disables span recording entirely.
 """
 
 from __future__ import annotations
@@ -32,13 +36,17 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
 from ..analysis.lockorder import tracked_lock
 from ..envflags import env_flag
 
 #: Environment variable that disables tracing when set to a falsy value.
 ENV_SWITCH = "REPRO_TRACE"
+
+#: The spans every finished request trace carries, in timeline order; their
+#: durations tile the request's measured latency.
+LIFECYCLE_STAGES = ("admission", "queue", "sweep", "cache")
 
 
 def tracing_enabled(default: bool = True) -> bool:
@@ -58,6 +66,9 @@ class Span:
     parent_id: str | None = None
     attributes: Mapping[str, Any] = field(default_factory=dict)
 
+    #: Spans this buffer entry stands for (see :attr:`JobRecord.span_count`).
+    span_count: ClassVar[int] = 1
+
     def to_json(self) -> dict[str, Any]:
         record: dict[str, Any] = {
             "trace_id": self.trace_id,
@@ -76,8 +87,103 @@ class Span:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+class JobRecord(NamedTuple):
+    """One finished, traced request: what its four lifecycle spans are built from.
+
+    The service records one per job at its terminal state; :meth:`spans`
+    expands it when the buffer is read.  It holds labels and ``perf_counter``
+    boundaries only — never the job or its result — so a full ring buffer
+    pins no traversal output.
+    """
+
+    trace_id: str
+    job_id: str
+    application: str
+    graph: str
+    source: int | None
+    tenant: str | None
+    outcome: str
+    from_cache: bool
+    #: ``Job.submitted_wall``: the wall-clock anchor of ``submitted``.
+    submitted_wall: float
+    submitted: float
+    enqueued: float | None
+    started: float | None
+    compute_finished: float | None
+    finished: float | None
+    sweep_ref: str | None
+    siblings: int
+    lanes: int
+    policy: str
+
+    #: Spans this buffer entry stands for (not a field: no annotation).
+    span_count = len(LIFECYCLE_STAGES)
+
+    def spans(self, span_ids: Iterator[int]) -> list[Span]:
+        """The four tiling lifecycle spans, numbered from ``span_ids``.
+
+        Admission ends at ``enqueued``, queueing at ``started``, the sweep at
+        ``compute_finished`` — so the four durations sum *exactly* to the
+        measured end-to-end latency; missing boundaries (failures, cache
+        hits) collapse their stage to zero instead of breaking the tiling.
+        """
+        submitted = self.submitted
+        finished = self.finished if self.finished is not None else submitted
+
+        def clamp(value: float | None, lo: float) -> float:
+            if value is None:
+                return lo
+            return min(max(value, lo), finished)
+
+        enqueued = clamp(self.enqueued, submitted)
+        started = clamp(self.started, enqueued)
+        compute = clamp(self.compute_finished, started)
+        common = {"job_id": self.job_id}
+        admission_attrs = {
+            **common,
+            "application": self.application,
+            "graph": self.graph,
+            "source": self.source,
+            "tenant": self.tenant,
+            "outcome": self.outcome,
+            "from_cache": self.from_cache,
+            "latency_seconds": finished - submitted,
+        }
+        sweep_attrs = {
+            **common,
+            "siblings": self.siblings,
+            "lanes": self.lanes,
+            "from_cache": self.from_cache,
+        }
+        if self.sweep_ref is not None:
+            sweep_attrs["sweep_ref"] = self.sweep_ref
+        stages = (
+            (submitted, enqueued, admission_attrs),
+            (enqueued, started, {**common, "policy": self.policy}),
+            (started, compute, sweep_attrs),
+            (compute, finished, {**common, "outcome": self.outcome}),
+        )
+        return [
+            Span(
+                trace_id=self.trace_id,
+                span_id=f"span-{next(span_ids)}",
+                name=name,
+                # Job.wall_clock(begin), to the bit.
+                start_unix=self.submitted_wall + (begin - submitted),
+                duration_seconds=end - begin,
+                attributes=attrs,
+            )
+            for name, (begin, end, attrs) in zip(LIFECYCLE_STAGES, stages)
+        ]
+
+
 class Tracer:
-    """Thread-safe span sink with systematic sampling and a bounded buffer."""
+    """Thread-safe span sink with systematic sampling and a bounded buffer.
+
+    Buffer entries are :class:`Span` objects and :class:`JobRecord` tuples;
+    ``capacity`` and every count here are in spans, a record weighing
+    :attr:`JobRecord.span_count`.
+    """
 
     def __init__(
         self,
@@ -94,7 +200,8 @@ class Tracer:
         # The explicit flag wins; otherwise consult the environment so a
         # deployed service can be silenced without a code change.
         self.enabled = tracing_enabled() if enabled is None else bool(enabled)
-        self._spans: deque[Span] = deque(maxlen=self.capacity)
+        self._entries: deque[Span | JobRecord] = deque()
+        self._buffered = 0
         self._lock = tracked_lock("obs.Tracer._lock")
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
@@ -127,35 +234,54 @@ class Tracer:
     def next_span_id(self, prefix: str = "span") -> str:
         return f"{prefix}-{next(self._span_ids)}"
 
-    def emit(self, span: Span) -> None:
+    def emit(self, entry: Span | JobRecord) -> None:
         if not self.enabled:
             return
         with self._lock:
-            self._append_locked(span)
+            self._append_locked(entry)
 
-    def emit_many(self, spans: Iterable[Span]) -> None:
+    def emit_many(self, entries: Iterable[Span | JobRecord]) -> None:
         if not self.enabled:
             return
         with self._lock:
-            for span in spans:
-                self._append_locked(span)
+            for entry in entries:
+                self._append_locked(entry)
 
-    def _append_locked(self, span: Span) -> None:
-        if len(self._spans) == self.capacity:
-            self._evicted += 1
-        self._spans.append(span)
-        self._emitted += 1
+    def _append_locked(self, entry: Span | JobRecord) -> None:
+        # Evict whole oldest entries until the spans fit; an entry heavier
+        # than the whole buffer goes too, so the bound always holds.
+        entries = self._entries
+        entries.append(entry)
+        self._emitted += entry.span_count
+        self._buffered += entry.span_count
+        while self._buffered > self.capacity:
+            dropped = entries.popleft().span_count
+            self._buffered -= dropped
+            self._evicted += dropped
 
     def drain(self) -> list[Span]:
-        """Return and clear every buffered span (oldest first)."""
+        """Return and clear every buffered span (oldest first).
+
+        Job records become their four lifecycle spans here, so span ids are
+        assigned in drain order — unique across drains, since every id comes
+        from the one counter :meth:`next_span_id` also draws on.
+        """
         with self._lock:
-            spans = list(self._spans)
-            self._spans.clear()
+            entries = list(self._entries)
+            self._entries.clear()
+            self._buffered = 0
+        spans: list[Span] = []
+        for entry in entries:
+            if type(entry) is JobRecord:
+                spans.extend(entry.spans(self._span_ids))
+            else:
+                spans.append(entry)
         return spans
 
     def __len__(self) -> int:
+        """Buffered spans (a job record counts as its four)."""
         with self._lock:
-            return len(self._spans)
+            return self._buffered
 
     def describe(self) -> dict[str, Any]:
         with self._lock:
@@ -163,7 +289,7 @@ class Tracer:
                 "enabled": self.enabled,
                 "capacity": self.capacity,
                 "sample": self.sample,
-                "buffered": len(self._spans),
+                "buffered": self._buffered,
                 "sampled_traces": self._sampled,
                 "skipped_traces": self._skipped,
                 "emitted_spans": self._emitted,

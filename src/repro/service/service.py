@@ -38,7 +38,7 @@ from ..errors import (
 )
 from ..graph.csr import CSRGraph
 from ..obs.metrics import CATALOG, MetricsRegistry
-from ..obs.trace import Span, Tracer
+from ..obs.trace import JobRecord, Span, Tracer
 from ..traversal import _native
 from ..traversal.api import run
 from ..traversal.arena import EngineArena
@@ -410,67 +410,6 @@ class Service:
             job.sweep_siblings = len(jobs) - 1
             job.sweep_lanes = lanes
         return sweep_id
-
-    def _build_job_spans(self, job: Job) -> list[Span]:
-        """Build the four tiling lifecycle spans of one finished, traced job.
-
-        The stage boundaries all come from the job's ``perf_counter``
-        timeline — admission ends at ``enqueued_at``, queueing at
-        ``started_at``, the sweep at ``compute_finished_at`` — so the four
-        durations sum *exactly* to the measured end-to-end latency; missing
-        boundaries (failures, cache hits) collapse their stage to zero
-        instead of breaking the tiling.
-        """
-        submitted = job.submitted_at
-        finished = job.finished_at if job.finished_at is not None else submitted
-
-        def clamp(value: float | None, lo: float) -> float:
-            if value is None:
-                return lo
-            return min(max(value, lo), finished)
-
-        enqueued = clamp(job.enqueued_at, submitted)
-        started = clamp(job.started_at, enqueued)
-        compute = clamp(job.compute_finished_at, started)
-        request = job.request
-        outcome = self._outcome(job.error)
-        trace_id = job.trace_id
-        common = {"job_id": job.job_id}
-        admission_attrs = {
-            **common,
-            "application": request.application.value,
-            "graph": request.graph,
-            "source": request.source,
-            "tenant": request.tenant,
-            "outcome": outcome,
-            "from_cache": job.from_cache,
-            "latency_seconds": finished - submitted,
-        }
-        sweep_attrs = {
-            **common,
-            "siblings": job.sweep_siblings,
-            "lanes": job.sweep_lanes,
-            "from_cache": job.from_cache,
-        }
-        if job.sweep_ref is not None:
-            sweep_attrs["sweep_ref"] = job.sweep_ref
-        stages = (
-            ("admission", submitted, enqueued, admission_attrs),
-            ("queue", enqueued, started, {**common, "policy": self.config.policy}),
-            ("sweep", started, compute, sweep_attrs),
-            ("cache", compute, finished, {**common, "outcome": outcome}),
-        )
-        return [
-            Span(
-                trace_id=trace_id,
-                span_id=self._tracer.next_span_id(),
-                name=name,
-                start_unix=job.wall_clock(begin),
-                duration_seconds=end - begin,
-                attributes=attrs,
-            )
-            for name, begin, end, attrs in stages
-        ]
 
     # ------------------------------------------------------------------ #
     # Resilience helpers
@@ -866,9 +805,9 @@ class Service:
         a patient budget can count one miss and one met.
         """
         m = self._metrics
-        spans: list[Span] = []
         for job in jobs:
-            m["repro_requests_total"].inc(outcome=self._outcome(job.error))
+            outcome = self._outcome(job.error)
+            m["repro_requests_total"].inc(outcome=outcome)
             wait = job.wait_seconds
             if wait is not None:
                 m["repro_queue_wait_seconds"].observe(wait)
@@ -899,11 +838,20 @@ class Service:
                 )
                 m["repro_deadlines_total"].inc(result="met" if met else "missed")
             # Terminal state is the one point every lifecycle funnels
-            # through, so sampled jobs emit their tiling spans here.
-            if job.trace_id is not None and self._tracer.enabled:
-                spans.extend(self._build_job_spans(job))
-        if spans:
-            self._tracer.emit_many(spans)
+            # through, so sampled jobs are recorded here; their tiling spans
+            # are built when the trace is drained.
+            if job.trace_id is not None:
+                request = job.request
+                self._tracer.emit(
+                    JobRecord(
+                        job.trace_id, job.job_id, request.application.value,
+                        request.graph, request.source, request.tenant, outcome,
+                        job.from_cache, job.submitted_wall, job.submitted_at,
+                        job.enqueued_at, job.started_at, job.compute_finished_at,
+                        finished_at, job.sweep_ref, job.sweep_siblings,
+                        job.sweep_lanes, self.config.policy,
+                    )
+                )
         # Enforce the retention bound at completion time, not merely at the
         # next submit, so an idle server does not hold extra finished jobs.
         self._prune_finished_jobs()

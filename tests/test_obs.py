@@ -8,8 +8,11 @@ shared engine sweep span, and kernel counters surface both on results and in
 the Prometheus exposition.
 """
 
+import gc
 import json
+import sys
 import threading
+import weakref
 
 import pytest
 
@@ -17,7 +20,7 @@ from repro.config import ServiceConfig
 from repro.obs import MetricsRegistry, Span, Tracer, tracing_enabled
 from repro.obs.check import LIFECYCLE_STAGES, check_trace_lines
 from repro.obs.metrics import CATALOG
-from repro.obs.trace import ENV_SWITCH
+from repro.obs.trace import ENV_SWITCH, JobRecord
 from repro.service import GraphRegistry, Job, Service, TraversalRequest, faults
 from repro.service.stats import LatencyStats
 from repro.traversal import _native
@@ -75,6 +78,13 @@ class TestTracingEnabled:
 # ---------------------------------------------------------------------- #
 # Tracer: sampling and ring buffer
 # ---------------------------------------------------------------------- #
+def _job_record(trace_id):
+    return JobRecord(
+        trace_id, "job", "bfs", "g", 0, None, "completed", False,
+        1000.0, 10.0, 10.1, 10.2, 10.3, 10.4, None, 0, 1, "fifo",
+    )
+
+
 class TestTracer:
     def test_full_sampling_traces_everything(self):
         tracer = Tracer(sample=1.0, enabled=True)
@@ -103,6 +113,65 @@ class TestTracer:
         described = tracer.describe()
         assert described["emitted_spans"] == 6
         assert described["evicted_spans"] == 2
+
+    def test_job_records_weigh_four_spans_and_evict_whole(self):
+        tracer = Tracer(capacity=6, enabled=True)
+        tracer.emit(Span("t", "s0", "x", 0.0, 0.0))
+        tracer.emit(_job_record("a"))
+        assert len(tracer) == 5
+        tracer.emit(_job_record("b"))  # 9 > 6: the span and record "a" go
+        assert len(tracer) == 4
+        described = tracer.describe()
+        assert (described["emitted_spans"], described["evicted_spans"]) == (9, 5)
+        drained = tracer.drain()
+        assert [s.name for s in drained] == list(LIFECYCLE_STAGES)
+        assert {s.trace_id for s in drained} == {"b"}
+        # A record heavier than the whole buffer is evicted on arrival.
+        tiny = Tracer(capacity=3, enabled=True)
+        tiny.emit(_job_record("c"))
+        assert len(tiny) == 0 and tiny.drain() == []
+        assert tiny.describe()["evicted_spans"] == 4
+
+    def test_concurrent_emit_and_drain_lose_no_span(self):
+        tracer = Tracer(capacity=64, enabled=True)
+        drained: list = []
+        producing = threading.Barrier(5)
+        stop = threading.Event()
+
+        def produce(worker):
+            producing.wait(timeout=10)
+            for i in range(500):
+                if i % 2:
+                    tracer.emit(_job_record(f"{worker}-{i}"))
+                else:
+                    tracer.emit(Span("t", tracer.next_span_id(), "retry", 0.0, 0.0))
+
+        def consume():
+            producing.wait(timeout=10)
+            while not stop.is_set():
+                drained.extend(tracer.drain())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            producers = [threading.Thread(target=produce, args=(w,)) for w in range(4)]
+            consumer = threading.Thread(target=consume)
+            for thread in producers + [consumer]:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=30)
+            stop.set()
+            consumer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in producers + [consumer])
+        drained.extend(tracer.drain())
+        described = tracer.describe()
+        assert described["emitted_spans"] == 4 * (250 * 4 + 250)
+        assert described["buffered"] == len(tracer) == 0
+        assert described["emitted_spans"] == described["evicted_spans"] + len(drained)
+        ids = [span.span_id for span in drained]
+        assert len(ids) == len(set(ids))
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -326,6 +395,45 @@ class TestServiceTracing:
         per_request = [s for s in spans if s["name"] == "sweep"]
         assert all(
             s["attributes"]["sweep_ref"] == jobs[0].sweep_ref for s in per_request
+        )
+
+    def test_ring_bound_is_counted_in_spans(self, registry, random_graph):
+        request = TraversalRequest("bfs", random_graph.name, source=0)
+        with make_service(registry, trace_buffer=8) as service:
+            _serve_backlog(service, [request])
+            service.drain_traces()
+            before = service._tracer.describe()
+            jobs = [service.submit(request) for _ in range(3)]  # three hits
+            assert all(job.from_cache for job in jobs)
+            after = service._tracer.describe()
+            buffered = service.collect_metrics().get("repro_trace_buffered_spans")
+            spans = service.drain_traces()
+        assert after["emitted_spans"] - before["emitted_spans"] == 12
+        assert after["evicted_spans"] - before["evicted_spans"] == 4
+        assert after["buffered"] == buffered.value() == len(spans) == 8
+        assert [span["trace_id"] for span in spans] == [
+            job.trace_id for job in jobs[1:] for _ in LIFECYCLE_STAGES
+        ]
+
+    def test_buffered_record_pins_no_result(self, registry, random_graph):
+        name = random_graph.name
+        with make_service(registry, job_retention=1, result_cache_entries=1) as service:
+            _serve_backlog(service, [TraversalRequest("bfs", name, source=0)])
+            job = service.job("job-1")
+            pinned = weakref.ref(job.result)
+            trace_id, latency = job.trace_id, job.total_seconds
+            del job
+            # A second job prunes job-1 from the table and its result from
+            # the cache; only its trace record is left.
+            _serve_backlog(service, [TraversalRequest("bfs", name, source=1)])
+            gc.collect()
+            assert pinned() is None
+            assert len(service._tracer) > 0
+            spans = service.drain_traces()
+        trace = [span for span in spans if span["trace_id"] == trace_id]
+        assert [span["name"] for span in trace] == list(LIFECYCLE_STAGES)
+        assert sum(span["duration_seconds"] for span in trace) == pytest.approx(
+            latency, abs=1e-9
         )
 
     def test_trace_sample_zero_emits_no_spans(self, registry, random_graph):
@@ -665,3 +773,49 @@ class TestOneLedger:
         stats = assert_one_ledger(service)
         assert stats.failed == stats.submitted - stats.deduplicated == 17
         assert stats.executions == 0 and service.plan_decisions() == []
+
+
+# ---------------------------------------------------------------------- #
+# Span ids are assigned on read: unique across drains, links still resolve
+# ---------------------------------------------------------------------- #
+class TestDrainedRecords:
+    @pytest.fixture(autouse=True)
+    def _no_leaked_plan(self):
+        faults.deactivate()
+        yield
+        faults.deactivate()
+        _native.reset_probe()
+
+    def test_span_ids_unique_and_links_resolve_across_drains(self, random_graph):
+        name = random_graph.name
+        registry = GraphRegistry()
+        registry.register(name, lambda: random_graph)  # so registry faults fire
+        requests = _mixed_requests(name)
+        service = make_service(registry, fault_plan=CI_CHAOS_PLAN, trace_buffer=4096)
+        with service:
+            _serve_backlog(service, requests)
+            first = service.drain_traces()
+            # Hits, plus fresh misses that fuse into new words.
+            repeats = requests[:6] + [
+                TraversalRequest("bfs", name, source=s) for s in range(20, 24)
+            ]
+            _serve_backlog(service, repeats)
+            second = service.drain_traces()
+            stats = service.stats()
+        assert stats.retries > 0 and stats.cache.hits > 0
+        assert any(
+            span["name"] == "sweep" and span["attributes"]["siblings"] > 0
+            for span in first + second
+        )
+        ids = [span["span_id"] for span in first + second]
+        assert len(ids) == len(set(ids))
+        for spans in (first, second):
+            sweeps = {span["span_id"] for span in spans if span["name"] == "engine_sweep"}
+            refs = [
+                span["attributes"]["sweep_ref"]
+                for span in spans
+                if "sweep_ref" in span.get("attributes", {})
+            ]
+            assert refs and set(refs) <= sweeps
+            checked, errors = check_trace_lines([json.dumps(span) for span in spans])
+            assert errors == [] and checked > 0
