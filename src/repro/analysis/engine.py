@@ -33,7 +33,7 @@ _NOQA_PATTERN = re.compile(
 #: Default hot-function allowlist: per module basename, the kernels whose
 #: allocation discipline REPRO101 enforces even without a ``@hot_path`` mark.
 DEFAULT_HOT_FUNCTIONS = {
-    "relax.py": ("relax_lanes", "active_lane_mask", "expand_lane_pairs"),
+    "relax.py": ("relax_lanes", "expand_lane_pairs"),
     "multisource.py": (
         "_bfs_word",
         "_bfs_sweep_numpy",

@@ -126,10 +126,19 @@ class SubwayEngine:
         self.breakdown = TimeBreakdown()
         self.iterations = 0
 
-    def note_relax(self, backend: str, candidates: int) -> None:
-        # Interface parity: Subway's metrics carry no kernel counters, so the
-        # relax sweep's backend and candidate count have nowhere to go.
-        pass
+    def price_lanes(
+        self, trace, lanes, relax_backend: str | None = None, native: bool = False
+    ) -> list[TraversalMetrics]:
+        """Each lane's metrics, its frontier sequence priced from a reset
+        (TraversalEngine interface).  Subway's metrics carry no kernel
+        counters, so the relax backend has nowhere to go."""
+        metrics = []
+        for lane in lanes:
+            self.reset()
+            for frontier in trace.lane_frontiers(lane):
+                self.process_frontier(frontier)
+            metrics.append(self.finalize())
+        return metrics
 
     @property
     def dataset_bytes(self) -> int:

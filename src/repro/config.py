@@ -122,6 +122,11 @@ class DRAMConfig:
         """DRAM bytes actually read to serve a PCIe request of a given size."""
         if request_bytes <= 0:
             raise ConfigurationError("request_bytes must be positive")
+        return self.bytes_touched_rows(request_bytes)
+
+    def bytes_touched_rows(self, request_bytes):
+        """:meth:`bytes_touched` of each element of an integer array (or of
+        one integer), unchecked: zero bytes touch nothing."""
         blocks = -(-request_bytes // self.min_access_bytes)
         return blocks * self.min_access_bytes
 

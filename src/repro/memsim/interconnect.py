@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import DRAMConfig, PCIeConfig
 from ..errors import SimulationError
 from .coalescer import REQUEST_SIZES, RequestHistogram
@@ -47,7 +49,10 @@ class PCIeLink:
     def __init__(self, config: PCIeConfig, dram: DRAMConfig | None = None) -> None:
         self.config = config
         self.dram = dram or DRAMConfig()
-        self._dram_touched = tuple(self.dram.bytes_touched(size) for size in REQUEST_SIZES)
+        self._sizes = np.array(REQUEST_SIZES, dtype=np.int64)
+        self._dram_touched = np.array(
+            [self.dram.bytes_touched(size) for size in REQUEST_SIZES], dtype=np.int64
+        )
 
     # ------------------------------------------------------------------ #
     # Zero-copy request streams
@@ -68,15 +73,22 @@ class PCIeLink:
 
     def price_requests(self, counts) -> tuple[float, int]:
         """``(link seconds, DRAM bytes)`` of a request stream given as counts
-        per size, ordered like :data:`~repro.memsim.coalescer.REQUEST_SIZES`.
+        per size, ordered like :data:`~repro.memsim.coalescer.REQUEST_SIZES`:
+        one row of :meth:`price_request_rows`."""
+        seconds, dram_bytes = self.price_request_rows(np.array([counts], dtype=np.int64))
+        return float(seconds[0]), int(dram_bytes[0])
+
+    def price_request_rows(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Link seconds and DRAM bytes of each row of a ``(rows, 4)`` matrix
+        of request counts, each row one stream priced on its own.
 
         The link time is the larger of a header-limited and a latency-limited
         time, so streams priced apart do not add up to their sum priced once.
+        Every element takes the same IEEE operations as one scalar stream, so
+        a row's price does not depend on the rows beside it.
         """
-        num_requests = sum(counts)
-        if num_requests == 0:
-            return 0.0, 0
-        payload_bytes = sum(size * count for size, count in zip(REQUEST_SIZES, counts))
+        num_requests = counts.sum(axis=1)
+        payload_bytes = counts @ self._sizes
         wire_bytes = payload_bytes + num_requests * self.config.tlp_header_bytes
         header_limited_seconds = wire_bytes / (self.config.raw_payload_gbps * 1e9)
 
@@ -86,8 +98,8 @@ class PCIeLink:
         latency_limited_seconds = (
             num_requests * rtt_seconds / self.config.max_outstanding_reads
         )
-        dram_bytes = sum(count * touched for count, touched in zip(counts, self._dram_touched))
-        return max(header_limited_seconds, latency_limited_seconds), dram_bytes
+        dram_bytes = counts @ self._dram_touched
+        return np.maximum(header_limited_seconds, latency_limited_seconds), dram_bytes
 
     # ------------------------------------------------------------------ #
     # Block transfers (page migrations, cudaMemcpy)
@@ -98,18 +110,29 @@ class PCIeLink:
             raise SimulationError("cannot transfer a negative number of bytes")
         if num_bytes == 0:
             return LinkTransferResult(0, 0, 0, 0.0, 0)
+        seconds, dram_bytes, packets = self.transfer_block_rows(
+            np.array([num_bytes], dtype=np.int64)
+        )
+        num_packets = int(packets[0])
+        return LinkTransferResult(
+            payload_bytes=num_bytes,
+            wire_bytes=num_bytes + num_packets * self.config.tlp_header_bytes,
+            num_requests=num_packets,
+            link_seconds=float(seconds[0]),
+            dram_bytes=int(dram_bytes[0]),
+        )
+
+    def transfer_block_rows(
+        self, num_bytes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Link seconds, DRAM bytes and packets of each of several block
+        transfers (non-negative byte counts; zero bytes cost nothing)."""
         packet_payload = self.config.max_read_request_bytes
         num_packets = -(-num_bytes // packet_payload)
         wire_bytes = num_bytes + num_packets * self.config.tlp_header_bytes
         link_seconds = wire_bytes / (self.config.raw_payload_gbps * 1e9)
         dram_bytes = self.dram.bytes_touched(packet_payload) * num_packets
-        return LinkTransferResult(
-            payload_bytes=num_bytes,
-            wire_bytes=wire_bytes,
-            num_requests=num_packets,
-            link_seconds=link_seconds,
-            dram_bytes=dram_bytes,
-        )
+        return link_seconds, dram_bytes, num_packets
 
     # ------------------------------------------------------------------ #
     # Reference bandwidth figures

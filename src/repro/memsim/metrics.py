@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..config import SystemConfig
+from ..errors import SimulationError
 from ..timing import TimeBreakdown
 from .coalescer import REQUEST_SIZES, RequestHistogram
 from .interconnect import PCIeLink
@@ -55,9 +58,9 @@ class TrafficRecord:
         scalar counters in field order (the inverse of
         :meth:`from_counter_row`).
 
-        Batched multi-source runs scale whole rows of these at once: the
-        batch engine records one shared traffic stream, and each source's
-        share is that stream scaled by the fraction of work it contributed.
+        The engine prices sweeps as rows of these: a streaming iteration is
+        one row merged into its run's record, and a BFS/SSSP lane's record
+        is the sum of its own sweeps' rows.
         """
         counts = self.request_histogram.counts
         return (
@@ -100,6 +103,7 @@ class TimingModel:
     def __init__(self, system: SystemConfig) -> None:
         self.system = system
         self.link = PCIeLink(system.pcie, system.host.dram)
+        self._dram_bytes_per_second = system.host.dram.sequential_bandwidth_gbps * 1e9
 
     # ------------------------------------------------------------------ #
     # Data movement
@@ -109,9 +113,16 @@ class TimingModel:
         result = self.link.transfer_requests(histogram)
         return TimeBreakdown(
             interconnect_seconds=result.link_seconds,
-            dram_seconds=result.dram_bytes
-            / (self.system.host.dram.sequential_bandwidth_gbps * 1e9),
+            dram_seconds=result.dram_bytes / self._dram_bytes_per_second,
         )
+
+    def zero_copy_rows(
+        self, requests: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interconnect seconds, DRAM seconds and DRAM bytes of each row of a
+        ``(rows, 4)`` request-count matrix, each row one stream."""
+        link_seconds, dram_bytes = self.link.price_request_rows(requests)
+        return link_seconds, dram_bytes / self._dram_bytes_per_second, dram_bytes
 
     def uvm_time(self, migrated_bytes: int, migrations: int) -> TimeBreakdown:
         """Time for a batch of UVM page migrations.
@@ -120,13 +131,31 @@ class TimingModel:
         migration also pays the CPU-side fault-service overhead, which is
         serial and does not shrink with a faster interconnect.
         """
-        transfer = self.link.transfer_block(migrated_bytes)
-        fault_seconds = migrations * self.system.uvm.fault_service_overhead_us * 1e-6
+        if migrated_bytes < 0:
+            raise SimulationError("cannot transfer a negative number of bytes")
+        interconnect, dram, fault, _ = self.uvm_rows(
+            np.array([migrated_bytes], dtype=np.int64),
+            np.array([migrations], dtype=np.int64),
+        )
         return TimeBreakdown(
-            interconnect_seconds=transfer.link_seconds,
-            dram_seconds=transfer.dram_bytes
-            / (self.system.host.dram.sequential_bandwidth_gbps * 1e9),
-            fault_handling_seconds=fault_seconds,
+            interconnect_seconds=float(interconnect[0]),
+            dram_seconds=float(dram[0]),
+            fault_handling_seconds=float(fault[0]),
+        )
+
+    def uvm_rows(
+        self, migrated_bytes: np.ndarray, migrations: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`uvm_time` of each of several migration batches, as
+        interconnect, DRAM and fault-handling seconds, plus the DRAM bytes
+        the migrations read (the traffic record's count)."""
+        link_seconds, dram_bytes, _ = self.link.transfer_block_rows(migrated_bytes)
+        fault_seconds = migrations * self.system.uvm.fault_service_overhead_us * 1e-6
+        return (
+            link_seconds,
+            dram_bytes / self._dram_bytes_per_second,
+            fault_seconds,
+            self.system.host.dram.bytes_touched_rows(migrated_bytes),
         )
 
     def block_transfer_time(self, num_bytes: int, include_launch: bool = True) -> TimeBreakdown:
@@ -147,10 +176,12 @@ class TimingModel:
     # ------------------------------------------------------------------ #
     def compute_time(self, edges: int, vertices: int = 0) -> TimeBreakdown:
         """GPU-side processing time once the data is available."""
+        return TimeBreakdown(compute_seconds=self.compute_seconds(edges, vertices))
+
+    def compute_seconds(self, edges, vertices):
+        """:meth:`compute_time`'s seconds, of integers or of integer arrays."""
         gpu = self.system.gpu
-        seconds = edges / gpu.compute_edges_per_second
-        seconds += vertices / gpu.compute_vertices_per_second
-        return TimeBreakdown(compute_seconds=seconds)
+        return edges / gpu.compute_edges_per_second + vertices / gpu.compute_vertices_per_second
 
     def kernel_launch_time(self, launches: int = 1) -> TimeBreakdown:
         """Host-side launch overhead; one traversal iteration = one kernel (§4.2)."""

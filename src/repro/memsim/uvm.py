@@ -17,10 +17,12 @@ to be written back on eviction.
 A space replays its accesses on one of two arms over the same state: the
 numpy passes below (the fallback, and the reference), or the native
 ``repro_uvm_replay`` kernel (:func:`repro.traversal._native.uvm_replay`), which
-replays one :meth:`UVMSpace.access_byte_ranges` call in one C call, in place.
-The residency flags, the last-touch clocks and one small int64 array holding
-the clock and the running totals are shared, so calls on either arm may be
-interleaved on one space and give bit-identical results and state.
+replays one :meth:`UVMSpace.access_byte_ranges` call — or, through
+:meth:`UVMSpace.replay_lanes`, every lane of a traced word's sequence of
+them, each from a reset — in one C call, in place.  The residency flags,
+the last-touch clocks and one small int64 array holding the clock and the
+running totals are shared, so calls on either arm may be interleaved on one
+space and give bit-identical results and state.
 """
 
 from __future__ import annotations
@@ -51,9 +53,23 @@ def _native_backend():
 
 
 #: Slots of ``UVMSpace._state`` (``repro_uvm_replay``'s layout).
-_STATE_SLOTS = 9
+_STATE_SLOTS = 5
+
+#: Columns of :meth:`UVMSpace.replay_lanes`' counters, in
+#: :class:`UVMAccessResult` field order.
+COUNTER_COLUMNS = 4
 
 _OUT_OF_BOUNDS = "access range outside the UVM allocation"
+
+#: ``lanes`` of an unmasked replay (not read).
+_NO_LANES = np.zeros(0, dtype=np.int64)
+
+#: :meth:`UVMSpace._replay` errors by ``repro_uvm_replay`` return code.
+_REPLAY_ERRORS = {
+    -1: _OUT_OF_BOUNDS,
+    -2: "a sweep's pages must not descend to replay its lanes natively",
+    -3: "no memory to fold the sweeps for the native UVM replay",
+}
 
 
 @dataclass(frozen=True)
@@ -87,8 +103,8 @@ class UVMSpace:
         self.num_pages = max(1, -(-allocation.size_bytes // config.page_bytes))
         self._resident = np.zeros(self.num_pages, dtype=bool)
         self._last_touch = np.zeros(self.num_pages, dtype=np.int64)
-        #: The clock, the four running totals (``total_*``) and the last
-        #: native replay's four counters; see ``repro_uvm_replay``.
+        #: The clock and the four running totals (``total_*``); see
+        #: ``repro_uvm_replay``.
         self._state = np.zeros(_STATE_SLOTS, dtype=np.int64)
         self._resident_bytes = self._resident.view(np.uint8)
         # The native arm's scratch and pinned addresses, made by its first call.
@@ -118,7 +134,10 @@ class UVMSpace:
         if start_bytes.size != end_bytes.size:
             raise SimulationError("start/end arrays must have the same length")
         if native:
-            return self._replay(start_bytes, end_bytes)
+            counters = self._replay(
+                start_bytes, end_bytes, None, np.array([0, start_bytes.size]), _NO_LANES
+            )
+            return UVMAccessResult(*counters[0].tolist())
         valid = end_bytes > start_bytes
         start_bytes, end_bytes = start_bytes[valid], end_bytes[valid]
         if start_bytes.size == 0:
@@ -128,6 +147,56 @@ class UVMSpace:
 
         pages = self._pages_for_ranges(start_bytes, end_bytes)
         return self._touch_streaming(pages)
+
+    def replay_lanes(
+        self,
+        start_bytes: np.ndarray,
+        end_bytes: np.ndarray,
+        masks: np.ndarray,
+        bounds: np.ndarray,
+        lanes: np.ndarray,
+        native: bool = False,
+    ) -> np.ndarray:
+        """Replay every lane of a traced word, each on a freshly reset space.
+
+        The ranges ``bounds[k]:bounds[k + 1]`` are the word's sweep ``k``
+        and ``masks`` their lane words; lane ``l`` replays, sweep by sweep,
+        one :meth:`access_byte_ranges` call over the ranges carrying its
+        bit — its own solo run's accesses.  Returns the calls' counters as
+        a ``(lanes, sweeps, 4)`` int64 array in :class:`UVMAccessResult`
+        field order.
+
+        The numpy arm does exactly that, lane by lane and sweep by sweep,
+        and is the reference.  ``native`` replays every lane in one C call
+        that first folds each sweep to the pages it touches, each carrying
+        the OR of the lane words of the ranges touching it: a sweep's pages
+        must not descend, as a traversal frontier's ascending neighbour
+        lists do not, so a lane's page stream is exactly the pages carrying
+        its bit.
+        """
+        start_bytes = np.ascontiguousarray(start_bytes, dtype=np.int64)
+        end_bytes = np.ascontiguousarray(end_bytes, dtype=np.int64)
+        masks = np.ascontiguousarray(masks, dtype=np.uint64)
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+        lanes = np.ascontiguousarray(lanes, dtype=np.int64)
+        if native:
+            return self._replay(start_bytes, end_bytes, masks, bounds, lanes)
+        counters = np.zeros((lanes.size, bounds.size - 1, COUNTER_COLUMNS), dtype=np.int64)
+        for index, lane in enumerate(lanes.tolist()):
+            self.reset()
+            taken = (masks >> np.uint64(lane)) & np.uint64(1) != 0
+            for sweep, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+                keep = taken[lo:hi]
+                result = self.access_byte_ranges(
+                    start_bytes[lo:hi][keep], end_bytes[lo:hi][keep]
+                )
+                counters[index, sweep] = (
+                    result.pages_touched,
+                    result.page_faults,
+                    result.migrated_bytes,
+                    result.evicted_pages,
+                )
+        return counters
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -178,20 +247,34 @@ class UVMSpace:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _replay(self, start_bytes: np.ndarray, end_bytes: np.ndarray) -> UVMAccessResult:
-        """The native arm: one ``repro_uvm_replay`` call for the whole batch."""
+    def _replay(
+        self,
+        start_bytes: np.ndarray,
+        end_bytes: np.ndarray,
+        masks: np.ndarray | None,
+        bounds: np.ndarray,
+        lanes: np.ndarray,
+    ) -> np.ndarray:
+        """The native arm: one ``repro_uvm_replay`` call; returns the
+        counters, ``(segments, 4)`` unmasked, ``(lanes, segments, 4)``
+        masked."""
         native = _native_backend()
         if self._scratch is None:
             self._scratch = np.zeros((3, self.num_pages), dtype=np.int64)
             self._pins = native.Pins()
-        if not native.uvm_replay(
-            start_bytes, end_bytes, self.allocation.size_bytes, self.config.page_bytes,
-            self.capacity_pages, self.config.prefetch_pages, self._resident_bytes,
-            self._last_touch, self._state, self._scratch, self._pins,
-        ):
-            raise SimulationError(_OUT_OF_BOUNDS)
-        touched, faults, migrated_bytes, evicted = self._state[5:].tolist()
-        return UVMAccessResult(touched, faults, migrated_bytes, evicted)
+        shape = (bounds.size - 1, COUNTER_COLUMNS)
+        if masks is not None:
+            shape = (lanes.size, *shape)
+        counters = np.empty(shape, dtype=np.int64)
+        code = native.uvm_replay(
+            start_bytes, end_bytes, masks, bounds, lanes, self.allocation.size_bytes,
+            self.config.page_bytes, self.capacity_pages, self.config.prefetch_pages,
+            self._resident_bytes, self._last_touch, self._state, self._scratch,
+            counters, self._pins,
+        )
+        if code:
+            raise SimulationError(_REPLAY_ERRORS[code])
+        return counters
 
     def _pages_for_ranges(self, start_bytes: np.ndarray, end_bytes: np.ndarray) -> np.ndarray:
         """Pages covered by each range, concatenated in range order.

@@ -85,14 +85,16 @@ CATALOG: dict[str, tuple[str, ...]] = {
         "counter", "Cost-model observations folded in.",
     ),
     "repro_kernel_iterations_total": (
-        "counter", "Traversal iterations executed, by app.", "app",
+        "counter", "Traversal iterations, summed over every lane's own run, by app.", "app",
     ),
     "repro_kernel_frontier_vertices_total": (
-        "counter", "Frontier vertices expanded, by app.", "app",
+        "counter", "Frontier vertices expanded, summed over lanes, by app.", "app",
     ),
-    "repro_kernel_edges_total": ("counter", "Edges traversed, by app.", "app"),
+    "repro_kernel_edges_total": (
+        "counter", "Edges traversed, summed over lanes, by app.", "app",
+    ),
     "repro_kernel_relax_candidates_total": (
-        "counter", "Relaxation candidates streamed, by app.", "app",
+        "counter", "Relaxation candidates, summed over lanes, by app.", "app",
     ),
     "repro_kernel_backend_total": (
         "counter", "Sweeps executed, by app and relax backend.", "app", "backend",

@@ -13,12 +13,14 @@ Sites
     Inside :meth:`GraphRegistry.get`, immediately before the elected loader
     runs (context: ``graph``).
 ``engine.sweep``
-    Every :meth:`TraversalEngine.process_frontier` iteration — solo,
-    multisource and streaming sweeps all funnel through it (no context).
+    Once per sweep of every run loop: each sweep of a BFS/SSSP word (solo,
+    multisource or packed) and each CC / PageRank iteration, however many
+    engines price it (no context).
 ``native.compile`` / ``native.invoke``
     In :mod:`repro.traversal._native`, before compiling the C kernels and at
     each invocation of any of them (BFS word, SSSP relaxation, CC sweep,
-    PageRank step); both surface as ``NativeBackendError`` so the circuit
+    PageRank step, and after a word's sweeps its lane-row pass and UVM
+    replays); both surface as ``NativeBackendError`` so the circuit
     breaker sees them.
 ``cache.get`` / ``cache.put``
     In :class:`ResultCache`; the service absorbs these (a failing read is a

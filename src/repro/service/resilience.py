@@ -5,11 +5,11 @@ Three mechanisms the drain path composes (see ``repro.service.service``):
 Cooperative sweep timeouts
     A :class:`Cancellation` token carries a deadline; the worker thread
     installs it with :func:`cancellation_scope` around an engine invocation
-    and every :meth:`TraversalEngine.process_frontier` iteration calls
-    :func:`iteration_checkpoint`, which polls the thread's current token.
-    Solo, multisource and streaming sweeps all funnel through
-    ``process_frontier``, so one hook covers every execution shape.  The
-    token *is* the watchdog — there is no killer thread (numpy work cannot
+    and every sweep of every run loop (a BFS/SSSP word's sweeps, each CC /
+    PageRank iteration) calls :func:`iteration_checkpoint` once, which
+    polls the thread's current token.  Solo, multisource, packed and
+    streaming runs all sweep through those loops, so one hook covers every
+    execution shape.  The token *is* the watchdog — there is no killer thread (numpy work cannot
     be interrupted from outside anyway); instead the sweep observes its own
     overrun at the next iteration boundary and raises
     :class:`SweepTimeoutError`.
@@ -21,8 +21,9 @@ Retry backoff
 
 Circuit breaker
     :class:`CircuitBreaker` guards the native kernels (BFS word, SSSP
-    relaxation, CC sweep, PageRank step): closed (native allowed) → open after
-    ``failure_threshold`` consecutive ``NativeBackendError``s (numpy only) →
+    relaxation, CC sweep, PageRank step, lane rows, UVM replay): closed
+    (native allowed) → open after ``failure_threshold`` consecutive
+    ``NativeBackendError``s (numpy only) →
     half-open after ``cooldown_seconds`` (one probe sweep may try native
     again).  Because every backend is bit-identical, degradation changes
     latency, never values.
@@ -109,7 +110,7 @@ def cancellation_scope(token: Cancellation | None) -> Iterator[Cancellation | No
 
 
 def iteration_checkpoint() -> None:
-    """Per-iteration hook called by :meth:`TraversalEngine.process_frontier`.
+    """Per-sweep hook, called once per sweep by every run loop.
 
     Fires any armed ``engine.sweep`` fault, then polls the thread's current
     cancellation token.  With chaos off and no token installed this is two

@@ -318,29 +318,38 @@ class Service:
             self._metrics["repro_costmodel_abs_error_seconds"].observe(error)
             self._metrics["repro_costmodel_observations_total"].inc()
 
-    def _record_kernel_counters(self, app: str, metrics_list) -> str | None:
-        """Aggregate engine-level counters into the registry; returns the backend."""
-        m = self._metrics
+    @staticmethod
+    def _sweep_counters(metrics_list) -> tuple[int, int, int, int, str | None]:
+        """One sweep's kernel counters summed over its lanes: iterations,
+        frontier vertices, edges, relax candidates, and the relax backend."""
+        iterations = vertices = edges = candidates = 0
         backend = None
         for metrics in metrics_list:
             counters = getattr(metrics, "counters", None)
             if counters is None:
                 continue
-            if counters.iterations:
-                m["repro_kernel_iterations_total"].inc(counters.iterations, app=app)
-            if counters.frontier_vertices:
-                m["repro_kernel_frontier_vertices_total"].inc(
-                    counters.frontier_vertices, app=app
-                )
-            if counters.edges_traversed:
-                m["repro_kernel_edges_total"].inc(counters.edges_traversed, app=app)
-            if counters.relax_candidates:
-                m["repro_kernel_relax_candidates_total"].inc(
-                    counters.relax_candidates, app=app
-                )
-            if counters.relax_backend:
-                backend = counters.relax_backend
-                m["repro_kernel_backend_total"].inc(app=app, backend=backend)
+            iterations += counters.iterations
+            vertices += counters.frontier_vertices
+            edges += counters.edges_traversed
+            candidates += counters.relax_candidates
+            backend = counters.relax_backend or backend
+        return iterations, vertices, edges, candidates, backend
+
+    def _record_kernel_counters(self, app: str, metrics_list) -> str | None:
+        """Sum one sweep's lane counters into the registry and count the
+        sweep once under its relax backend; returns the backend."""
+        m = self._metrics
+        iterations, vertices, edges, candidates, backend = self._sweep_counters(metrics_list)
+        if iterations:
+            m["repro_kernel_iterations_total"].inc(iterations, app=app)
+        if vertices:
+            m["repro_kernel_frontier_vertices_total"].inc(vertices, app=app)
+        if edges:
+            m["repro_kernel_edges_total"].inc(edges, app=app)
+        if candidates:
+            m["repro_kernel_relax_candidates_total"].inc(candidates, app=app)
+        if backend:
+            m["repro_kernel_backend_total"].inc(app=app, backend=backend)
         return backend
 
     def _emit_sweep_span(
@@ -376,16 +385,7 @@ class Service:
                 "schedule_seconds": schedule_seconds,
                 "fusion_seconds": fusion_seconds,
             }
-            iterations = edges = candidates = 0
-            backend = None
-            for metrics in metrics_list:
-                counters = getattr(metrics, "counters", None)
-                if counters is None:
-                    continue
-                iterations += counters.iterations
-                edges += counters.edges_traversed
-                candidates += counters.relax_candidates
-                backend = counters.relax_backend or backend
+            iterations, _, edges, candidates, backend = self._sweep_counters(metrics_list)
             if iterations:
                 attrs["kernel_iterations"] = iterations
                 attrs["kernel_edges"] = edges
@@ -1136,10 +1136,10 @@ class Service:
         (more than one job) or fails it.  A success is published once: counters,
         span, cost observation, cache, store, mark done, release, settle.
 
-        Values and per-lane attribution are bit-identical to solo runs in
-        every shape, so a poisoned rider lane cannot take the anchor down
-        with it.  Returns the groups left after source validation (``groups``
-        itself when none was dropped) and the engine seconds predicted for
+        Every lane's values and metrics are its solo run's in every shape,
+        so a poisoned rider lane cannot take the anchor down with it.
+        Returns the groups left after source validation (``groups`` itself
+        when none was dropped) and the engine seconds predicted for
         sweeping them.
         """
         jobs = [job for group in groups for job in group]
@@ -1259,13 +1259,8 @@ class Service:
             published = [(jobs[0], outcome)]
             sweep_metrics = [getattr(outcome, "metrics", None)]
         else:
-            # Streaming lanes each carry their own engine's full metrics; a
-            # word's engines report theirs as batch metrics.
-            sweep_metrics = (
-                [result.metrics for result in outcome.results]
-                if streaming
-                else outcome.batch_metrics
-            )
+            # Every lane carries its own solo run's metrics.
+            sweep_metrics = [result.metrics for result in outcome.results]
             published = []
             lane = 0
             for group in groups:

@@ -65,29 +65,12 @@ class TimeBreakdown:
         for key, value in other.extra.items():
             self.extra[key] = self.extra.get(key, 0.0) + value
 
-    def scaled(self, factor: float) -> "TimeBreakdown":
-        """A copy with every component multiplied by ``factor``.
-
-        Used to attribute one shared (batched) iteration's cost across the
-        sources that drove it, proportionally to their share of the work.
-        """
-        if factor < 0:
-            raise ValueError("scale factor cannot be negative")
-        return TimeBreakdown(
-            interconnect_seconds=self.interconnect_seconds * factor,
-            dram_seconds=self.dram_seconds * factor,
-            compute_seconds=self.compute_seconds * factor,
-            fault_handling_seconds=self.fault_handling_seconds * factor,
-            host_preprocess_seconds=self.host_preprocess_seconds * factor,
-            kernel_launch_seconds=self.kernel_launch_seconds * factor,
-            extra={key: value * factor for key, value in self.extra.items()},
-        )
-
     def components(self) -> tuple[float, float, float, float, float, float]:
         """The six fixed components in field order (``extra`` excluded).
 
-        ``TimeBreakdown(*components)`` rebuilds the breakdown; the batched
-        engines accumulate attributed time as rows of these.
+        ``TimeBreakdown(*components)`` rebuilds the breakdown; the engine
+        prices sweeps as rows of these, and a BFS/SSSP lane's run-level
+        breakdown is its sweeps' rows accumulated in order.
         """
         return (
             self.interconnect_seconds,

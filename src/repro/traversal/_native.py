@@ -6,7 +6,7 @@ Both inner loops are tiny, so a compiled loop over the bit-packed lane words
 (`ctz` over each vertex's active-lane mask) runs the same work an order of
 magnitude faster.  The streaming applications pay the same tax on their
 ``np.minimum.at`` / ``np.add.at`` scatters over the whole edge list, and the
-UVM model on its four numpy passes per region and iteration.  Five kernels
+UVM model on its four numpy passes per region and iteration.  Six kernels
 share one shared object:
 
 * ``repro_relax_word`` — one SSSP relaxation sweep
@@ -19,17 +19,17 @@ share one shared object:
   relaxes the whole row four lanes at a time with AVX2 add / compare /
   blend, ORing the improved lanes into the next-frontier word once per
   edge.  Every other vertex takes the *scalar* arm, which walks its active
-  lanes with ``ctz``.  Both give exactly the same values, words, lane edge
-  counts and improvement count.  The dense body is compiled under
+  lanes with ``ctz``.  Both give exactly the same values, words and
+  improvement count.  The dense body is compiled under
   ``__attribute__((target("avx2")))`` and chosen at run time by the
   ``repro_dense_arm`` probe (``__builtin_cpu_supports``), so the object
   carries no ``-march`` flag: hosts without AVX2, and words of fewer than 4
   lanes, run the scalar arm.  The probe's answer is :data:`_dense_arm`,
   passed to every call (tests patch it to force an arm);
 * ``repro_bfs_word`` — one BFS sweep (:func:`bfs_word`, called by
-  :func:`repro.traversal.multisource._bfs_word`): per-lane edge counts,
-  OR-scatter of the frontier words, and one pass over the vertices that keeps
-  the unvisited bits, writes their levels and emits the next frontier;
+  :func:`repro.traversal.multisource._bfs_word`): OR-scatter of the frontier
+  words, and one pass over the vertices that keeps the unvisited bits,
+  writes their levels and emits the next frontier;
 * ``repro_cc_sweep`` — one min-label propagation sweep (:func:`cc_sweep`,
   called by :func:`repro.traversal.cc.cc_sweep`): snapshot, scatter-min and
   one scan emitting the lowered vertices as the next frontier;
@@ -37,19 +37,29 @@ share one shared object:
   (:func:`pagerank_step`, called by
   :func:`repro.traversal.pagerank.pagerank_sweep`): push every vertex's
   share along its out-edges in CSR order, then the damped update;
-* ``repro_uvm_replay`` — one
-  :meth:`repro.memsim.uvm.UVMSpace.access_byte_ranges` call (:func:`uvm_replay`,
-  taken with ``native=True``), replayed in place on the space's residency
-  flags, last-touch clocks and state array (the clock and running totals).
-  It reproduces the numpy arm bit for bit: every range is bounds-checked
-  before any state changes; the ranges' pages stream in order without being
-  materialised, a page equal to the one before it dropped; the stream is cut
-  into chunks of ``chunk_pages`` entries, each deduplicated in first-touch
-  order with a per-page stamp; a chunk's faults migrate the non-resident
-  pages of their prefetch blocks, and an overflowing cache evicts the
-  resident pages outside the chunk smallest by (last touch, page id), the
-  order of the numpy arm's stable ``argsort``.  The engine takes it exactly
-  when the sweep runs native (:func:`wanted`).
+* ``repro_lane_rows`` — a BFS/SSSP word's pricing rows (:func:`lane_rows`,
+  called by :meth:`repro.traversal.engine.TraversalEngine.price_lanes`): for
+  every lane and sweep of a traced word, the edges, vertices and request
+  counts of the lane's own frontier, one ``ctz`` walk over each union
+  frontier vertex's lane word;
+* ``repro_uvm_replay`` — a sequence of
+  :meth:`repro.memsim.uvm.UVMSpace.access_byte_ranges` calls (:func:`uvm_replay`,
+  taken with ``native=True``), cut by segment boundaries, in place on the
+  space's residency flags, last-touch clocks and state array (the clock and
+  running totals).  One streaming iteration is one segment; a BFS/SSSP
+  word's UVM pricing is one call per region: the word's sweeps are the
+  segments, folded once to the pages they touch with the OR of their lane
+  words, and each lane replays the pages carrying its bit from a reset
+  space.  It reproduces the numpy arm bit for bit: every
+  range is bounds-checked before any state changes; a segment's pages
+  stream in order without being materialised, a page equal to the one
+  before it dropped; the stream is cut into chunks of ``chunk_pages``
+  entries, each deduplicated in first-touch order with a per-page stamp; a
+  chunk's faults migrate the non-resident pages of their prefetch blocks,
+  and an overflowing cache evicts the resident pages outside the chunk
+  smallest by (last touch, page id), the order of the numpy arm's stable
+  ``argsort``.  The engine takes it exactly when the run goes native
+  (:func:`wanted`).
 
 A solo BFS/SSSP run is a word of one lane, so it calls the same kernels.
 
@@ -115,6 +125,7 @@ _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -196,8 +207,8 @@ static int64_t relax_row_avx2(const double *snap,
  * any store so a destination improved earlier in the same sweep can never
  * feed a later candidate -- exactly the gather-then-scatter semantics of the
  * numpy kernel and of the solo per-source runs.  weights may be NULL
- * (unweighted graphs relax with 1.0).  next_bits and lane_edges must arrive
- * zeroed.  Returns the number of (lane, destination) improvements.
+ * (unweighted graphs relax with 1.0).  next_bits must arrive zeroed.
+ * Returns the number of (lane, destination) improvements.
  *
  * A frontier vertex on which at least a quarter of the word's lanes are
  * active takes the dense arm (relax_row_avx2) when dense is nonzero, the
@@ -214,7 +225,6 @@ int64_t repro_relax_word(const int64_t *frontier,
                          double *dist,
                          double *snapshot,
                          uint64_t *next_bits,
-                         int64_t *lane_edges,
                          int64_t lanes,
                          int dense)
 {
@@ -241,12 +251,6 @@ int64_t repro_relax_word(const int64_t *frontier,
         if (!bits) continue;
         const double *snap = snapshot + f * lanes;
         int64_t edge_start = starts[f], edge_end = ends[f];
-        int64_t degree = edge_end - edge_start;
-        uint64_t b = bits;
-        while (b) {
-            lane_edges[__builtin_ctzll(b)] += degree;
-            b &= b - 1;
-        }
 #if REPRO_DENSE_ARM
         if (dense && 4 * __builtin_popcountll(bits) >= lanes) {
             improved += relax_row_avx2(snap, edges + edge_start, edges + edge_end,
@@ -259,7 +263,7 @@ int64_t repro_relax_word(const int64_t *frontier,
             int64_t destination = edges[e];
             double weight = weights ? weights[e] : 1.0;
             double *drow = dist + destination * lanes;
-            b = bits;
+            uint64_t b = bits;
             while (b) {
                 int lane = __builtin_ctzll(b);
                 b &= b - 1;
@@ -278,8 +282,7 @@ int64_t repro_relax_word(const int64_t *frontier,
 /* One BFS sweep of a <= 64-lane word.
  *
  * frontier (ascending) holds the union frontier and active_bits[f] the lane
- * word of frontier[f].  lane_edges (lanes entries) is overwritten with each
- * lane's frontier edge count.  Every frontier word is OR-scattered into
+ * word of frontier[f].  Every frontier word is OR-scattered into
  * next_bits at its neighbours; then one ascending pass over the vertices
  * keeps the bits not yet in visited_bits, marks them visited, writes depth
  * into their lanes' rows of the (lanes, num_vertices) row-major levels
@@ -298,22 +301,13 @@ int64_t repro_bfs_word(const int64_t *frontier,
                        int64_t *levels,
                        int64_t num_vertices,
                        int64_t depth,
-                       int64_t *lane_edges,
-                       int64_t lanes,
                        int64_t *next_frontier,
                        uint64_t *next_active)
 {
-    for (int64_t lane = 0; lane < lanes; lane++) lane_edges[lane] = 0;
     for (int64_t f = 0; f < num_frontier; f++) {
         uint64_t bits = active_bits[f];
         if (!bits) continue;
         int64_t edge_start = starts[f], edge_end = ends[f];
-        int64_t degree = edge_end - edge_start;
-        uint64_t b = bits;
-        while (b) {
-            lane_edges[__builtin_ctzll(b)] += degree;
-            b &= b - 1;
-        }
         for (int64_t e = edge_start; e < edge_end; e++) {
             next_bits[edges[e]] |= bits;
         }
@@ -411,20 +405,89 @@ int64_t repro_pagerank_step(const int64_t *offsets,
     return offsets[num_vertices] - offsets[0];
 }
 
+/* Per-(lane, sweep) rows of a traced BFS/SSSP word: what each lane's own
+ * frontier swept, summed over its vertices.
+ *
+ * The word's sweeps are concatenated: sweep k holds entries [bounds[k],
+ * bounds[k + 1]) of frontier (vertex ids) and masks (their lane words).  A
+ * vertex's row is its degree (offsets[v + 1] - offsets[v]), 1, then its
+ * width0 entries of table0 and its width1 entries of table1 (row-major
+ * (num_vertices, width) int64 request tables; a NULL table has width 0;
+ * widths are at most 4).  rows, of shape (lanes, num_sweeps, 2 + width0 +
+ * width1), receives for every lane l < lanes and sweep k the sum of the rows
+ * of sweep k's entries whose mask has bit l set.  An entry on which more
+ * than half the lanes are active adds its row to the sweep's total and
+ * takes it back from the lanes it lacks, so no entry visits more than half
+ * the lanes.  Returns 0.
+ */
+int64_t repro_lane_rows(const int64_t *frontier,
+                        const uint64_t *masks,
+                        const int64_t *bounds,
+                        int64_t num_sweeps,
+                        const int64_t *offsets,
+                        const int64_t *table0,
+                        int64_t width0,
+                        const int64_t *table1,
+                        int64_t width1,
+                        int64_t lanes,
+                        int64_t *rows)
+{
+    int64_t width = 2 + width0 + width1;
+    uint64_t word = lanes >= 64 ? ~0ull : ((1ull << lanes) - 1);
+    int64_t row[10], total[10];
+    for (int64_t k = 0; k < num_sweeps; k++) {
+        for (int64_t j = 0; j < width; j++) total[j] = 0;
+        for (int64_t l = 0; l < lanes; l++) {
+            int64_t *dst = rows + (l * num_sweeps + k) * width;
+            for (int64_t j = 0; j < width; j++) dst[j] = 0;
+        }
+        for (int64_t e = bounds[k]; e < bounds[k + 1]; e++) {
+            uint64_t mask = masks[e] & word;
+            if (!mask) continue;
+            int64_t v = frontier[e];
+            row[0] = offsets[v + 1] - offsets[v];
+            row[1] = 1;
+            for (int64_t j = 0; j < width0; j++) row[2 + j] = table0[v * width0 + j];
+            for (int64_t j = 0; j < width1; j++) row[2 + width0 + j] = table1[v * width1 + j];
+            if (2 * __builtin_popcountll(mask) > lanes) {
+                for (int64_t j = 0; j < width; j++) total[j] += row[j];
+                mask = ~mask & word;
+                while (mask) {
+                    int64_t *dst = rows + ((int64_t)__builtin_ctzll(mask) * num_sweeps + k) * width;
+                    mask &= mask - 1;
+                    for (int64_t j = 0; j < width; j++) dst[j] -= row[j];
+                }
+            } else {
+                while (mask) {
+                    int64_t *dst = rows + ((int64_t)__builtin_ctzll(mask) * num_sweeps + k) * width;
+                    mask &= mask - 1;
+                    for (int64_t j = 0; j < width; j++) dst[j] += row[j];
+                }
+            }
+        }
+        for (int64_t l = 0; l < lanes; l++) {
+            int64_t *dst = rows + (l * num_sweeps + k) * width;
+            for (int64_t j = 0; j < width; j++) dst[j] += total[j];
+        }
+    }
+    return 0;
+}
+
 /* The UVM residency state of one region, as UVMSpace holds it.
  *
  * state is the space's int64 array: [0] the clock, [1..4] the running
- * totals (faults, migrated bytes, evictions, accessed pages), [5..8] the
- * counters of the last replay (pages touched, page faults, migrated bytes,
- * evicted pages).  seen, chunk and migrated are num_pages each: seen[p]
- * holds the clock of the last chunk that touched p (so it must be zeroed
- * whenever the clock is); chunk holds a chunk's distinct pages and, once they
- * are stamped, the eviction candidates; migrated holds a chunk's migrations.
+ * totals (faults, migrated bytes, evictions, accessed pages).  counters
+ * points at the current segment's four counters (pages touched, page
+ * faults, migrated bytes, evicted pages).  seen, chunk and migrated are
+ * num_pages each: seen[p] holds the clock of the last chunk that touched p
+ * (so it must be zeroed whenever the clock is); chunk holds a chunk's
+ * distinct pages and, once they are stamped, the eviction candidates;
+ * migrated holds a chunk's migrations.
  */
 typedef struct {
     int64_t page_bytes, capacity, prefetch, num_pages;
     uint8_t *resident;
-    int64_t *last_touch, *state, *seen, *chunk, *migrated;
+    int64_t *last_touch, *state, *seen, *chunk, *migrated, *counters;
     int64_t resident_count; /* -1 until first needed */
 } uvm_space;
 
@@ -528,33 +591,116 @@ static void uvm_chunk(uvm_space *u, int64_t size)
         }
     }
     int64_t moved_bytes = moved * u->page_bytes;
-    int64_t *state = u->state;
+    int64_t *state = u->state, *counters = u->counters;
     state[1] += moved;
     state[2] += moved_bytes;
     state[3] += evicted;
     state[4] += size;
-    state[5] += size;
-    state[6] += moved;
-    state[7] += moved_bytes;
-    state[8] += evicted;
+    counters[0] += size;
+    counters[1] += moved;
+    counters[2] += moved_bytes;
+    counters[3] += evicted;
 }
 
-/* Replay one UVMSpace.access_byte_ranges call in place.
+/* A segment's page stream as it is being cut into chunks. */
+typedef struct {
+    int64_t chunk_pages, entries, size, previous, stamp;
+} uvm_stream;
+
+static void uvm_stream_start(uvm_stream *s, const uvm_space *u)
+{
+    s->entries = s->size = 0;
+    s->previous = -1;
+    s->stamp = u->state[0] + 1;
+}
+
+/* Feed one page of the stream: a page equal to the one before it is
+ * dropped, a chunk's first touch of a page stamps it, and every
+ * chunk_pages entries replay a chunk. */
+static inline void uvm_feed(uvm_space *u, uvm_stream *s, int64_t page)
+{
+    if (page == s->previous) return;
+    s->previous = page;
+    if (u->seen[page] != s->stamp) {
+        u->seen[page] = s->stamp;
+        u->chunk[s->size++] = page;
+    }
+    if (++s->entries == s->chunk_pages) {
+        uvm_chunk(u, s->size);
+        s->entries = s->size = 0;
+        s->stamp = u->state[0] + 1;
+    }
+}
+
+static void uvm_stream_end(uvm_space *u, uvm_stream *s)
+{
+    if (s->entries) uvm_chunk(u, s->size);
+}
+
+/* Each segment's ranges folded to the pages they touch, ascending, each
+ * with the OR of the masks of the ranges touching it: pages / folded for
+ * folded_bounds[k] <= i < folded_bounds[k + 1].  Returns 0 when some
+ * segment's page stream descends, 1 otherwise. */
+static int uvm_fold(const int64_t *starts, const int64_t *ends, const uint64_t *masks,
+                    const int64_t *bounds, int64_t num_segments, int shift,
+                    int64_t *pages, uint64_t *folded, int64_t *folded_bounds)
+{
+    int64_t count = 0;
+    folded_bounds[0] = 0;
+    for (int64_t k = 0; k < num_segments; k++) {
+        int64_t first = count;
+        for (int64_t r = bounds[k]; r < bounds[k + 1]; r++) {
+            if (ends[r] <= starts[r]) continue;
+            int64_t last = (ends[r] - 1) >> shift;
+            for (int64_t page = starts[r] >> shift; page <= last; page++) {
+                if (count > first && page <= pages[count - 1]) {
+                    if (page < pages[count - 1]) return 0;
+                    folded[count - 1] |= masks[r];
+                    continue;
+                }
+                pages[count] = page;
+                folded[count++] = masks[r];
+            }
+        }
+        folded_bounds[k + 1] = count;
+    }
+    return 1;
+}
+
+/* Replay segments of byte ranges in place, each segment one
+ * UVMSpace.access_byte_ranges call.
  *
- * page_bytes must be a power of two.  Every range with ends[r] > starts[r]
- * must lie within [0, size_bytes]; otherwise -1 is returned before any state
- * changes.  The valid ranges'
- * pages stream in range order, a page equal to the one before it dropped
- * (across range boundaries too), and are cut into chunks of chunk_pages
- * stream entries.  Each chunk is deduplicated in first-touch order and
- * replayed: its non-resident pages fault and migrate with their prefetch
- * blocks, and, when the cache would overflow, the least recently touched
- * resident pages outside the chunk are evicted.  With capacity <= 0 nothing
- * stays resident.  state[5..8] receives this call's counters.  Returns 0.
+ * Segment k holds ranges [bounds[k], bounds[k + 1]).  page_bytes must be a
+ * power of two.  Every range with ends[r] > starts[r] must lie within
+ * [0, size_bytes]; otherwise -1 is returned before any state changes.  A
+ * call's valid ranges' pages stream in range order, a page equal to the one
+ * before it dropped (across range boundaries too), and are cut into chunks
+ * of chunk_pages stream entries.  Each chunk is deduplicated in first-touch
+ * order and replayed: its non-resident pages fault and migrate with their
+ * prefetch blocks, and, when the cache would overflow, the least recently
+ * touched resident pages outside the chunk are evicted.  With capacity <= 0
+ * nothing stays resident.
+ *
+ * With masks NULL the segments are replayed once, on the space as it is,
+ * and counters[4 * k ...] receives segment k's pages touched, page faults,
+ * migrated bytes and evicted pages (lanes is not read).  Otherwise the
+ * segments are replayed once per entry of lanes, each time from a reset
+ * space (UVMSpace.reset: nothing resident, every clock and total zero),
+ * taking only the ranges whose mask has bit lanes[j] set, and
+ * counters[4 * (j * num_segments + k) ...] receives lane j's segment k.
+ * The masked ranges are first folded to pages: every segment's page stream
+ * must not descend, as a traversal frontier's ascending neighbour lists do
+ * not (-2 is returned before any state changes otherwise), so a lane's
+ * stream is exactly the pages carrying its bit.  Returns 0, or -3 when the
+ * fold's buffer cannot be allocated.
  */
 int64_t repro_uvm_replay(const int64_t *starts,
                          const int64_t *ends,
-                         int64_t num_ranges,
+                         const uint64_t *masks,
+                         const int64_t *bounds,
+                         int64_t num_segments,
+                         const int64_t *lanes,
+                         int64_t num_lanes,
                          int64_t size_bytes,
                          int64_t page_bytes,
                          int64_t capacity,
@@ -563,36 +709,67 @@ int64_t repro_uvm_replay(const int64_t *starts,
                          uint8_t *resident,
                          int64_t *last_touch,
                          int64_t *state,
-                         int64_t *scratch)
+                         int64_t *scratch,
+                         int64_t *counters)
 {
-    for (int64_t r = 0; r < num_ranges; r++) {
-        if (ends[r] > starts[r] && (starts[r] < 0 || ends[r] > size_bytes)) return -1;
+    int64_t folded_size = 0;
+    for (int64_t r = bounds[0]; r < bounds[num_segments]; r++) {
+        if (ends[r] <= starts[r]) continue;
+        if (starts[r] < 0 || ends[r] > size_bytes) return -1;
+        folded_size += (ends[r] - 1) / page_bytes - starts[r] / page_bytes + 1;
     }
     uvm_space u = {page_bytes, capacity, prefetch, num_pages, resident, last_touch,
-                   state, scratch, scratch + num_pages, scratch + 2 * num_pages, -1};
-    int64_t chunk_pages = capacity <= 0 ? 1024 : (capacity / 4 > 1 ? capacity / 4 : 1);
-    for (int k = 5; k < 9; k++) state[k] = 0;
+                   state, scratch, scratch + num_pages, scratch + 2 * num_pages,
+                   counters, -1};
+    uvm_stream s;
+    s.chunk_pages = capacity <= 0 ? 1024 : (capacity / 4 > 1 ? capacity / 4 : 1);
     /* page_bytes is a power of two and every valid offset is >= 0. */
     int shift = __builtin_ctzll((uint64_t)page_bytes);
-    int64_t entries = 0, size = 0, previous = -1, stamp = state[0] + 1;
-    for (int64_t r = 0; r < num_ranges; r++) {
-        if (ends[r] <= starts[r]) continue;
-        int64_t last = (ends[r] - 1) >> shift;
-        for (int64_t page = starts[r] >> shift; page <= last; page++) {
-            if (page == previous) continue;
-            previous = page;
-            if (u.seen[page] != stamp) {
-                u.seen[page] = stamp;
-                u.chunk[size++] = page;
+    if (!masks) {
+        for (int64_t k = 0; k < num_segments; k++) {
+            u.counters = counters + 4 * k;
+            for (int i = 0; i < 4; i++) u.counters[i] = 0;
+            uvm_stream_start(&s, &u);
+            for (int64_t r = bounds[k]; r < bounds[k + 1]; r++) {
+                if (ends[r] <= starts[r]) continue;
+                int64_t last = (ends[r] - 1) >> shift;
+                for (int64_t page = starts[r] >> shift; page <= last; page++) {
+                    uvm_feed(&u, &s, page);
+                }
             }
-            if (++entries == chunk_pages) {
-                uvm_chunk(&u, size);
-                entries = size = 0;
-                stamp = state[0] + 1;
+            uvm_stream_end(&u, &s);
+        }
+        return 0;
+    }
+    int64_t *pages = malloc((size_t)(folded_size + num_segments + 1) * 2 * sizeof(int64_t));
+    if (!pages) return -3;
+    uint64_t *folded = (uint64_t *)(pages + folded_size);
+    int64_t *folded_bounds = pages + 2 * folded_size;
+    if (!uvm_fold(starts, ends, masks, bounds, num_segments, shift, pages, folded,
+                  folded_bounds)) {
+        free(pages);
+        return -2;
+    }
+    for (int64_t j = 0; j < num_lanes; j++) {
+        uint64_t bit = (uint64_t)1 << (lanes[j] & 63);
+        for (int64_t p = 0; p < num_pages; p++) {
+            resident[p] = 0;
+            last_touch[p] = 0;
+            u.seen[p] = 0;
+        }
+        for (int i = 0; i < 5; i++) state[i] = 0;
+        u.resident_count = 0;
+        for (int64_t k = 0; k < num_segments; k++) {
+            u.counters = counters + 4 * (j * num_segments + k);
+            for (int i = 0; i < 4; i++) u.counters[i] = 0;
+            uvm_stream_start(&s, &u);
+            for (int64_t i = folded_bounds[k]; i < folded_bounds[k + 1]; i++) {
+                if (folded[i] & bit) uvm_feed(&u, &s, pages[i]);
             }
+            uvm_stream_end(&u, &s);
         }
     }
-    if (entries) uvm_chunk(&u, size);
+    free(pages);
     return 0;
 }
 """
@@ -721,7 +898,6 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
             pointer,  # dist
             pointer,  # snapshot
             pointer,  # next_bits
-            pointer,  # lane_edges
             integer,  # lanes
             ctypes.c_int,  # dense
         ]
@@ -738,8 +914,6 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
             pointer,  # levels
             integer,  # num_vertices
             integer,  # depth
-            pointer,  # lane_edges
-            integer,  # lanes
             pointer,  # next_frontier
             pointer,  # next_active
         ]
@@ -768,11 +942,29 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
             ctypes.c_double,  # damping
             ctypes.c_double,  # dangling
         ]
+        library.repro_lane_rows.restype = integer
+        library.repro_lane_rows.argtypes = [
+            pointer,  # frontier
+            pointer,  # masks
+            pointer,  # bounds
+            integer,  # num_sweeps
+            pointer,  # offsets
+            pointer,  # table0 (nullable)
+            integer,  # width0
+            pointer,  # table1 (nullable)
+            integer,  # width1
+            integer,  # lanes
+            pointer,  # rows
+        ]
         library.repro_uvm_replay.restype = integer
         library.repro_uvm_replay.argtypes = [
             pointer,  # starts
             pointer,  # ends
-            integer,  # num_ranges
+            pointer,  # masks (nullable)
+            pointer,  # bounds
+            integer,  # num_segments
+            pointer,  # lanes
+            integer,  # num_lanes
             integer,  # size_bytes
             integer,  # page_bytes
             integer,  # capacity
@@ -782,6 +974,7 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
             pointer,  # last_touch
             pointer,  # state
             pointer,  # scratch
+            pointer,  # counters
         ]
     except OSError as exc:
         return None, f"load failed: {exc}"
@@ -903,13 +1096,12 @@ def relax_word(
     values: np.ndarray,
     snapshot: np.ndarray,
     next_bits: np.ndarray,
-    lane_edges: np.ndarray,
     pins: Pins | None = None,
 ) -> int:
     """Invoke the compiled relaxation sweep; see the C source for the contract.
 
     ``values`` is the vertex-major ``(num_vertices, lanes)`` matrix updated in
-    place; ``next_bits`` and ``lane_edges`` must arrive zeroed.  Returns the
+    place; ``next_bits`` must arrive zeroed.  Returns the
     number of (lane, destination) improvements.  Every buffer is checked for
     its dtype and C-contiguity (``edges``, ``weights``, ``values``,
     ``snapshot`` and ``next_bits`` once per run when ``pins`` is given) and
@@ -919,7 +1111,6 @@ def relax_word(
     num_vertices, lanes = values.shape
     if not (
         lanes <= 64
-        and lane_edges.size == lanes
         and frontier.size == active_bits.size == starts.size == ends.size
         and snapshot.shape[0] >= frontier.size
         and snapshot.shape[1] == lanes
@@ -943,7 +1134,6 @@ def relax_word(
         pin(values, _FLOAT64, kernel),
         pin(snapshot, _FLOAT64, kernel),
         pin(next_bits, _UINT64, kernel),
-        _address(lane_edges, _INT64, kernel),
         lanes,
         _dense_arm,
     )
@@ -959,7 +1149,6 @@ def bfs_word(
     visited_bits: np.ndarray,
     levels: np.ndarray,
     depth: int,
-    lane_edges: np.ndarray,
     next_frontier: np.ndarray,
     next_active: np.ndarray,
     pins: Pins | None = None,
@@ -977,7 +1166,6 @@ def bfs_word(
     lanes, num_vertices = levels.shape
     if not (
         lanes <= 64
-        and lane_edges.size == lanes
         and frontier.size == active_bits.size == starts.size == ends.size
         and num_vertices
         == next_bits.size
@@ -1001,8 +1189,6 @@ def bfs_word(
         pin(levels, _INT64, kernel),
         num_vertices,
         depth,
-        pin(lane_edges, _INT64, kernel),
-        lanes,
         pin(next_frontier, _INT64, kernel),
         pin(next_active, _UINT64, kernel),
     )
@@ -1083,9 +1269,65 @@ def pagerank_step(
     )
 
 
+def lane_rows(
+    frontier: np.ndarray,
+    masks: np.ndarray,
+    bounds: np.ndarray,
+    offsets: np.ndarray,
+    tables: tuple[np.ndarray, ...],
+    rows: np.ndarray,
+) -> None:
+    """Invoke the compiled lane-row pass; see the C source for the contract.
+
+    ``frontier`` / ``masks`` are a traced word's sweeps concatenated and cut
+    by ``bounds``; ``tables`` holds at most two ``(num_vertices, width)``
+    request tables (width at most 4); ``rows`` (``(lanes, sweeps, 2 +
+    widths)`` int64) is overwritten.  Every buffer is checked for its dtype,
+    C-contiguity and length on every call.
+    """
+    lanes, sweeps, width = rows.shape
+    widths = [table.shape[1] for table in tables]
+    num_vertices = offsets.size - 1
+    if not (
+        lanes <= 64
+        and frontier.size == masks.size
+        and bounds.size == sweeps + 1
+        and len(tables) <= 2
+        and all(table.shape[0] == num_vertices and table.shape[1] <= 4 for table in tables)
+        and width == 2 + sum(widths)
+    ):
+        raise ValueError("lane_rows buffers do not match the (lanes, sweeps, width) rows")
+    if sweeps and not (
+        bounds[0] == 0 and bounds[-1] == frontier.size and (bounds[1:] >= bounds[:-1]).all()
+    ):
+        raise ValueError("lane_rows bounds must cut the frontier into sweeps")
+    if frontier.size and not (0 <= frontier.min() and frontier.max() < num_vertices):
+        raise ValueError("lane_rows frontier holds vertex ids outside the offsets")
+    kernel = "lane_rows"
+    tables = list(tables) + [None] * (2 - len(tables))
+    widths += [0] * (2 - len(widths))
+    _invoke(
+        kernel,
+        _address(frontier, _INT64, kernel),
+        _address(masks, _UINT64, kernel),
+        _address(bounds, _INT64, kernel),
+        sweeps,
+        _address(offsets, _INT64, kernel),
+        None if tables[0] is None else _address(tables[0], _INT64, kernel),
+        widths[0],
+        None if tables[1] is None else _address(tables[1], _INT64, kernel),
+        widths[1],
+        lanes,
+        _address(rows, _INT64, kernel),
+    )
+
+
 def uvm_replay(
     starts: np.ndarray,
     ends: np.ndarray,
+    masks: np.ndarray | None,
+    bounds: np.ndarray,
+    lanes: np.ndarray,
     size_bytes: int,
     page_bytes: int,
     capacity_pages: int,
@@ -1094,47 +1336,68 @@ def uvm_replay(
     last_touch: np.ndarray,
     state: np.ndarray,
     scratch: np.ndarray,
+    counters: np.ndarray,
     pins: Pins | None = None,
-) -> bool:
+) -> int:
     """Invoke the compiled UVM replay; see the C source for the contract.
 
-    ``resident`` (a ``uint8`` view of the space's residency flags),
-    ``last_touch``, ``state`` (9 entries: the clock, four totals and the
-    call's four counters) and ``scratch`` (three rows of ``num_pages``) are
-    updated in place; ``page_bytes`` must be a power of two, as
-    :class:`~repro.config.UVMConfig` ensures.  Returns False, with nothing
-    changed, when a non-empty range lies outside ``[0, size_bytes]``.  Every
+    ``bounds`` (``int64``, one more entry than there are segments) cuts
+    ``starts`` / ``ends`` into segments.  With ``masks`` None the segments
+    are replayed once on the space as it is and ``counters`` is
+    ``(segments, 4)``; otherwise they are replayed once per lane id in
+    ``lanes`` (``int64``), each from a reset space and taking the ranges
+    whose ``masks`` (``uint64`` lane words) carry that lane's bit, and
+    ``counters`` is ``(lanes, segments, 4)`` int64.  ``resident`` (a
+    ``uint8`` view of the space's residency flags), ``last_touch``,
+    ``state`` (5 entries: the clock and four totals) and ``scratch`` (three
+    rows of ``num_pages``) are updated in place; ``page_bytes`` must be a
+    power of two, as :class:`~repro.config.UVMConfig` ensures.  Returns the
+    kernel's code, with nothing changed unless it is 0: -1 when a non-empty
+    range lies outside ``[0, size_bytes]``, -2 when a masked segment's
+    pages descend, -3 when its fold buffer cannot be allocated.  Every
     buffer is checked for its dtype and C-contiguity (the space's own four
-    once per space when ``pins`` is given) and for its length on every call.
+    once per space when ``pins`` is given) and for its length on every
+    call.
     """
     num_pages = resident.size
+    segments = bounds.size - 1
+    replays = 1 if masks is None else lanes.size
     if not (
         starts.size == ends.size
+        and (masks is None or masks.size == starts.size)
+        and segments >= 0
+        and counters.size == 4 * segments * replays
         and page_bytes > 0
         and page_bytes & (page_bytes - 1) == 0
         and num_pages > 0
         and last_touch.size == num_pages
-        and state.size == 9
+        and state.size == 5
         and scratch.size == 3 * num_pages
     ):
         raise ValueError("uvm_replay buffers do not match the (num_pages,) residency")
+    if segments and not (
+        bounds[0] >= 0 and bounds[-1] <= starts.size and (bounds[1:] >= bounds[:-1]).all()
+    ):
+        raise ValueError("uvm_replay bounds must be ascending offsets into the ranges")
     kernel = "uvm_replay"
     pin = _address if pins is None else pins.address
-    return (
-        _invoke(
-            kernel,
-            _address(starts, _INT64, kernel),
-            _address(ends, _INT64, kernel),
-            starts.size,
-            size_bytes,
-            page_bytes,
-            capacity_pages,
-            prefetch_pages,
-            num_pages,
-            pin(resident, _UINT8, kernel),
-            pin(last_touch, _INT64, kernel),
-            pin(state, _INT64, kernel),
-            pin(scratch, _INT64, kernel),
-        )
-        == 0
+    return _invoke(
+        kernel,
+        _address(starts, _INT64, kernel),
+        _address(ends, _INT64, kernel),
+        None if masks is None else _address(masks, _UINT64, kernel),
+        _address(bounds, _INT64, kernel),
+        segments,
+        _address(lanes, _INT64, kernel),
+        lanes.size,
+        size_bytes,
+        page_bytes,
+        capacity_pages,
+        prefetch_pages,
+        num_pages,
+        pin(resident, _UINT8, kernel),
+        pin(last_touch, _INT64, kernel),
+        pin(state, _INT64, kernel),
+        pin(scratch, _INT64, kernel),
+        _address(counters, _INT64, kernel),
     )

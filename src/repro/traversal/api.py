@@ -18,7 +18,7 @@ from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY
 from .bfs import run_bfs
 from .cc import run_cc
-from .multisource import normalize_source
+from .multisource import normalize_source, run_batch
 from .results import AggregateResult, TraversalResult
 from .sssp import run_sssp
 
@@ -157,7 +157,6 @@ def run_average(
     sources: Iterable[int] | np.ndarray,
     strategy: AccessStrategy = EMOGI_STRATEGY,
     system: SystemConfig | None = None,
-    batched: bool = True,
 ) -> AggregateResult:
     """Run one application over several sources and aggregate (§5.2).
 
@@ -165,49 +164,30 @@ def run_average(
     source-free, so it is executed once regardless of how many sources are
     passed.
 
-    With ``batched`` (the default) multi-source BFS/SSSP runs execute through
-    :func:`repro.traversal.multisource.run_batch`: all sources share one
-    engine and each frontier sweep is paid once per batch instead of once per
-    source.  Per-source ``values`` are bit-identical to the serial path;
-    per-source metrics are the batch's cost *attributed* across sources, so
-    their mean reflects the amortized (batched) cost per source.  Pass
-    ``batched=False`` to reproduce the paper's measurement protocol of fully
-    independent per-source runs (the figure harness does).
+    BFS/SSSP sources run through :func:`repro.traversal.multisource.run_batch`:
+    up to 64 of them share one word's sweeps, and each source's values and
+    metrics are its solo :func:`run`'s bit for bit, so the aggregate is the
+    paper's average over fully independent per-source runs.  CC and
+    PageRank run once through
+    :func:`repro.traversal.streaming.run_streaming_batch`.
     """
+    from .streaming import run_streaming_batch
+
     application = normalize_application(application)
     strategy = normalize_strategy(strategy)
     aggregate = AggregateResult(
         application=application, graph_name=graph.name, strategy=strategy
     )
     if application.is_streaming:
-        if batched:
-            from .streaming import run_streaming_batch
-
-            outcome = run_streaming_batch(
-                application.value, graph, [(strategy, system)]
-            )
-            aggregate.add(outcome.results[0])
-        else:
-            aggregate.add(
-                run(application, graph, strategy=strategy, system=system)
-            )
+        outcome = run_streaming_batch(application.value, graph, [(strategy, system)])
+        aggregate.add(outcome.results[0])
         return aggregate
     normalized = [normalize_source(application, source) for source in sources]
     if not normalized:
         raise ConfigurationError(
             f"{application.value} needs at least one source to average over"
         )
-    if batched and len(normalized) > 1:
-        from .multisource import run_batch
-
-        outcome = run_batch(
-            application, graph, normalized, strategy=strategy, system=system
-        )
-        for result in outcome.results:
-            aggregate.add(result)
-        return aggregate
-    for source in normalized:
-        aggregate.add(
-            run(application, graph, source=source, strategy=strategy, system=system)
-        )
+    outcome = run_batch(application, graph, normalized, strategy=strategy, system=system)
+    for result in outcome.results:
+        aggregate.add(result)
     return aggregate

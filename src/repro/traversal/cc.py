@@ -15,7 +15,7 @@ from ..config import SystemConfig
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from . import _native
-from .engine import TraversalEngine
+from .engine import TraversalEngine, _iteration_checkpoint
 from .frontier import all_vertices_frontier, frontier_offsets, gather_frontier_edges
 from .results import TraversalResult
 
@@ -81,6 +81,7 @@ def cc_sweep(
     iterations = 0
     max_iterations = max(1, num_vertices)
     while frontier.size and iterations < max_iterations:
+        _iteration_checkpoint()
         for engine in engines:
             engine.process_frontier(frontier, starts, ends, native=native)
         if native:

@@ -2,11 +2,15 @@
 
 The algorithms in :mod:`repro.traversal.bfs` / ``sssp`` / ``cc`` compute their
 results directly on the CSR arrays (so the numerical output is exact), and
-call :meth:`TraversalEngine.process_frontier` once per traversal iteration to
-simulate what the corresponding CUDA kernel would have done to the memory
-system: the edge-list (and weight-list) bytes it touches, the PCIe read
-requests or UVM page migrations those touches generate, and the resulting
-simulated time.
+an engine simulates what the corresponding CUDA kernel would have done to the
+memory system: the edge-list (and weight-list) bytes it touches, the PCIe
+read requests or UVM page migrations those touches generate, and the
+resulting simulated time.  The streaming applications (CC, PageRank) call
+:meth:`TraversalEngine.process_frontier` once per iteration; a BFS/SSSP word
+records a :class:`WordTrace` of its sweeps and
+:meth:`TraversalEngine.price_lanes` prices every lane's own frontier
+sequence from it afterwards.  Both price a sweep with the same per-row
+arithmetic (:meth:`TraversalEngine._price_rows`).
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from ..memsim.address_space import AddressSpace
 from ..memsim.coalescer import REQUEST_SIZES, vertex_request_table, vertex_request_totals
 from ..memsim.gpu_memory import DeviceMemory
 from ..memsim.metrics import TimingModel, TrafficRecord
-from ..memsim.uvm import UVMSpace
+from ..memsim.uvm import COUNTER_COLUMNS, UVMSpace
 from ..timing import TimeBreakdown
 from ..types import AccessStrategy, MemorySpace, VERTEX_DTYPE
+from . import _native
 from .results import KernelCounters, TraversalMetrics
 from .strategies import spec_for
 
@@ -30,7 +35,7 @@ _checkpoint = None
 
 
 def _iteration_checkpoint() -> None:
-    """Cooperative cancellation + fault hook, one call per engine iteration.
+    """Cooperative cancellation + fault hook, one call per sweep of a run loop.
 
     The real hook lives in :func:`repro.service.resilience.iteration_checkpoint`
     (engine.sweep fault site + the thread's Cancellation token).  It is bound
@@ -46,6 +51,65 @@ def _iteration_checkpoint() -> None:
         _checkpoint = iteration_checkpoint
     _checkpoint()
 
+
+class WordTrace:
+    """What one BFS/SSSP word swept, recorded for :meth:`TraversalEngine.price_lanes`.
+
+    Sweep ``s`` is the union frontier (vertex ids, ascending) and each
+    frontier vertex's lane word: bit ``l`` is set when lane ``l``'s own
+    frontier holds the vertex.  So lane ``l``'s frontier at sweep ``s`` is
+    the entries carrying its bit, in order — exactly the frontier its solo
+    run sweeps.  BFS and SSSP record this one format.
+    """
+
+    __slots__ = ("lanes", "frontiers", "active_bits", "_flat")
+
+    def __init__(self, lanes: int) -> None:
+        self.lanes = lanes
+        self.frontiers: list[np.ndarray] = []
+        self.active_bits: list[np.ndarray] = []
+        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def record(self, frontier: np.ndarray, active_bits: np.ndarray) -> None:
+        """Append one sweep (copied: the run loop reuses its buffers)."""
+        self.frontiers.append(frontier.copy())
+        self.active_bits.append(active_bits.copy())
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sweeps concatenated, made once per trace: every frontier, every
+        lane word, and the ``sweeps + 1`` offsets that cut them into sweeps."""
+        if self._flat is None:
+            bounds = np.zeros(len(self.frontiers) + 1, dtype=np.int64)
+            np.cumsum([frontier.size for frontier in self.frontiers], out=bounds[1:])
+            self._flat = (
+                np.concatenate(self.frontiers),
+                np.concatenate(self.active_bits),
+                bounds,
+            )
+        return self._flat
+
+    def lane_frontiers(self, lane: int) -> list[np.ndarray]:
+        """Lane ``lane``'s frontier at every sweep it is active in."""
+        bit = np.uint64(1) << np.uint64(lane)
+        frontiers = [
+            frontier[(bits & bit) != 0]
+            for frontier, bits in zip(self.frontiers, self.active_bits)
+        ]
+        return [frontier for frontier in frontiers if frontier.size]
+
+
+#: Columns of :meth:`TraversalEngine._price_rows`' counters, in
+#: :meth:`TrafficRecord.counter_row` order.
+_REQUESTS = slice(0, len(REQUEST_SIZES))
+_COUNTERS = len(TrafficRecord().counter_row())
+(
+    _UVM_BYTES, _UVM_MIGRATIONS, _UVM_PAGES, _, _, _DRAM_BYTES,
+    _USEFUL_BYTES, _EDGES, _VERTICES, _LAUNCHES,
+) = range(len(REQUEST_SIZES), _COUNTERS)
+
+#: Columns of :meth:`TraversalEngine._price_rows`' seconds, in
+#: :meth:`TimeBreakdown.components` order.
+_INTERCONNECT, _DRAM, _COMPUTE, _FAULTS, _HOST, _LAUNCH = range(6)
 
 #: Allocation names used by the engine.
 EDGE_LIST = "edge_list"
@@ -77,11 +141,11 @@ class TraversalEngine:
         self.traffic = TrafficRecord()
         self.breakdown = TimeBreakdown()
         self.iterations = 0
-        #: Relax kernel backend used by this run, noted via ``note_relax``.
-        self.relax_backend: str | None = None
-        self.relax_candidates = 0
         self._max_frontier = 0
         self._edge_misalign_bytes = edge_misalign_bytes
+        self._launch_seconds = self.timing_model.kernel_launch_time(1).kernel_launch_seconds
+        #: Bytes one traversed edge reads: its element, plus its weight.
+        self._useful_bytes_per_edge = graph.element_bytes + (4 if self.needs_weights else 0)
         self._setup_memory()
 
     # ------------------------------------------------------------------ #
@@ -148,7 +212,9 @@ class TraversalEngine:
         if self.weight_allocation is not None:
             allocations.append(self.weight_allocation)
         # One request table per zero-copy region, shared by every engine that
-        # walks the same offsets array the same way, and its column totals.
+        # walks the same offsets array the same way, and its column totals;
+        # both as rows of request columns (one column, of sectors, for a
+        # strided walk).
         walks = [
             (
                 self.graph.offsets,
@@ -160,10 +226,16 @@ class TraversalEngine:
             )
             for allocation in allocations
         ]
-        self.request_tables = tuple(vertex_request_table(*walk) for walk in walks)
-        self.request_totals = tuple(vertex_request_totals(*walk) for walk in walks)
+        self.request_tables = tuple(
+            vertex_request_table(*walk).reshape(self.graph.num_vertices, -1) for walk in walks
+        )
+        self.request_totals = tuple(
+            vertex_request_totals(*walk).reshape(1, -1) for walk in walks
+        )
         self._refetch_rate = 1.0 - gpu.strided_sector_hit_rate
-        self._dram_bytes_per_second = self.system.host.dram.sequential_bandwidth_gbps * 1e9
+        #: The priced ``(seconds, counters)`` of a whole-graph frontier,
+        #: the same every time: made by its first streaming iteration.
+        self._whole_graph_price: tuple[list, list] | None = None
         self.edge_uvm = None
         self.weight_uvm = None
 
@@ -193,7 +265,6 @@ class TraversalEngine:
         replays the UVM page residency with the compiled kernel; the metrics
         are exactly the numpy arm's.
         """
-        _iteration_checkpoint()
         frontier = np.asarray(frontier, dtype=VERTEX_DTYPE).ravel()
         self.iterations += 1
         if frontier.size == 0:
@@ -206,93 +277,224 @@ class TraversalEngine:
         if starts is None or ends is None:
             starts = self.graph.offsets[frontier]
             ends = self.graph.offsets[frontier + 1]
-        edges_touched = int((ends - starts).sum())
+        edges = np.array([(ends - starts).sum()])
+        vertices = np.array([frontier.size])
         if frontier.size > self._max_frontier:
             self._max_frontier = int(frontier.size)
 
-        self.traffic.vertices_processed += int(frontier.size)
-        self.traffic.edges_processed += edges_touched
-        self.traffic.useful_bytes += edges_touched * self.graph.element_bytes
-        if self.needs_weights:
-            self.traffic.useful_bytes += edges_touched * 4
-        self.traffic.kernel_launches += 1
-
         if self.strategy is AccessStrategy.UVM:
-            iteration = self._access_uvm(starts, ends, native)
-        else:
+            migrations = []
+            for space, element_bytes in self._uvm_regions():
+                result = space.access_byte_ranges(
+                    starts * element_bytes, ends * element_bytes, native=native
+                )
+                migrations.append(np.array([[
+                    result.pages_touched, result.page_faults,
+                    result.migrated_bytes, result.evicted_pages,
+                ]]))
+            seconds, counters = self._price_rows(edges, vertices, migrations=migrations)
+            priced = seconds[0].tolist(), counters[0].tolist()
+        elif frontier.size == num_vertices and bool((frontier[1:] > frontier[:-1]).all()):
             # Every vertex once (strictly increasing, V of them): the
-            # streaming iterations, priced from the memoised totals.
-            whole_graph = frontier.size == num_vertices and bool(
-                (frontier[1:] > frontier[:-1]).all()
+            # streaming iterations, priced once from the memoised totals.
+            if self._whole_graph_price is None:
+                seconds, counters = self._price_rows(
+                    edges, vertices, requests=self.request_totals
+                )
+                self._whole_graph_price = seconds[0].tolist(), counters[0].tolist()
+            priced = self._whole_graph_price
+        else:
+            seconds, counters = self._price_rows(
+                edges, vertices, requests=self._frontier_requests(frontier)
             )
-            iteration = self._access_zero_copy(frontier, edges_touched, whole_graph)
+            priced = seconds[0].tolist(), counters[0].tolist()
 
-        iteration.add(self.timing_model.kernel_launch_time(1))
-        iteration.add(self.timing_model.compute_time(edges_touched, int(frontier.size)))
+        iteration = TimeBreakdown(*priced[0])
+        self.traffic.merge(TrafficRecord.from_counter_row(priced[1]))
         self.breakdown.add(iteration)
         return iteration
 
-    def _access_uvm(
-        self, starts: np.ndarray, ends: np.ndarray, native: bool
-    ) -> TimeBreakdown:
-        breakdown = TimeBreakdown()
-        element_bytes = self.graph.element_bytes
-        result = self.edge_uvm.access_byte_ranges(
-            starts * element_bytes, ends * element_bytes, native=native
-        )
-        self._record_uvm(result)
-        breakdown.add(self.timing_model.uvm_time(result.migrated_bytes, result.page_faults))
-        if self.weight_uvm is not None:
-            weight_result = self.weight_uvm.access_byte_ranges(
-                starts * 4, ends * 4, native=native
+    def _frontier_requests(self, frontier: np.ndarray) -> list[np.ndarray]:
+        """Each zero-copy region's request row of one frontier, for
+        :meth:`_price_rows`: its rows of the request table summed."""
+        return [table[frontier].sum(axis=0, keepdims=True) for table in self.request_tables]
+
+    def price_lanes(
+        self,
+        trace: WordTrace,
+        lanes,
+        relax_backend: str | None = None,
+        native: bool = False,
+    ) -> list[TraversalMetrics]:
+        """Metrics of each of ``lanes`` (lane indices of ``trace``'s word) run alone.
+
+        Every lane is priced on its own frontier sequence, exactly as
+        :meth:`process_frontier` would have priced its solo run sweep by
+        sweep, and the sweeps are accumulated in order, so each lane's
+        metrics equal its solo run's bit for bit whatever else rode the word.
+        Zero-copy request counts are the lane's own rows of the request
+        tables, summed by one :meth:`_lane_rows` pass over the trace; UVM
+        lanes each replay their own sequence on a freshly reset
+        residency, one :meth:`~repro.memsim.uvm.UVMSpace.replay_lanes`
+        call per region (``native`` takes the compiled kernel).  An SSSP
+        word passes its ``relax_backend``: each lane's relax candidates are
+        its own frontier's edges.  Nothing accumulated on the engine is
+        read or changed, bar the UVM residency.
+        """
+        lanes = np.asarray(lanes, dtype=np.int64)
+        rows = self._lane_rows(trace, native)[lanes]
+        # This engine's lanes, lane-major (lane, sweep) rows from here on.
+        rows = rows.reshape(-1, rows.shape[2])
+        edges, vertices = rows[:, 0], rows[:, 1]
+        if self.strategy is AccessStrategy.UVM:
+            seconds, counters = self._price_rows(
+                edges, vertices, migrations=self._replay_lanes(trace, lanes, native)
             )
-            self._record_uvm(weight_result)
-            breakdown.add(
-                self.timing_model.uvm_time(
-                    weight_result.migrated_bytes, weight_result.page_faults
+        else:
+            cuts = np.cumsum([2] + [table.shape[1] for table in self.request_tables])
+            requests = [rows[:, start:end] for start, end in zip(cuts[:-1], cuts[1:])]
+            seconds, counters = self._price_rows(edges, vertices, requests=requests)
+
+        shape = (lanes.size, len(trace.frontiers))
+        # In sweep order, as TimeBreakdown.add accumulates a solo run; a
+        # lane's sweeps after its last are all zeros.
+        seconds = np.add.accumulate(seconds.reshape(*shape, -1), axis=1)[:, -1]
+        counters = counters.reshape(*shape, -1).sum(axis=1)
+        vertices = vertices.reshape(shape)
+        dataset_bytes, system_name = self.dataset_bytes, self.system.name
+        metrics = []
+        for components, row, iterations, max_frontier in zip(
+            seconds.tolist(),
+            counters.tolist(),
+            np.count_nonzero(vertices, axis=1).tolist(),
+            vertices.max(axis=1).tolist(),
+        ):
+            breakdown = TimeBreakdown(*components)
+            traffic = TrafficRecord.from_counter_row(row)
+            edges = traffic.edges_processed
+            metrics.append(
+                TraversalMetrics(
+                    seconds=breakdown.total(),
+                    breakdown=breakdown,
+                    traffic=traffic,
+                    iterations=iterations,
+                    dataset_bytes=dataset_bytes,
+                    strategy=self.strategy,
+                    system_name=system_name,
+                    counters=KernelCounters(
+                        iterations=iterations,
+                        frontier_vertices=traffic.vertices_processed,
+                        edges_traversed=edges,
+                        max_frontier=max_frontier,
+                        relax_candidates=edges if relax_backend is not None else 0,
+                        relax_backend=relax_backend,
+                    ),
                 )
             )
-        return breakdown
+        return metrics
 
-    def _record_uvm(self, result) -> None:
-        self.traffic.uvm_migrated_bytes += result.migrated_bytes
-        self.traffic.uvm_migrations += result.page_faults
-        self.traffic.uvm_pages_touched += result.pages_touched
-        if result.migrated_bytes:
-            self.traffic.dram_bytes += self.system.host.dram.bytes_touched(
-                result.migrated_bytes
-            )
+    def _lane_rows(self, trace: WordTrace, native: bool) -> np.ndarray:
+        """Every lane's ``(lane, sweep)`` rows of ``trace``: its frontier's
+        edges, its vertices, then each request table's columns, summed over
+        the vertices of its own frontier.
 
-    def _access_zero_copy(
-        self, frontier: np.ndarray, edges_touched: int, whole_graph: bool
-    ) -> TimeBreakdown:
-        """Gather the frontier's rows of each region's request table, price once.
-
-        A ``whole_graph`` frontier takes the table's memoised column totals
-        instead of gathering every row.  Edge and weight regions are priced
-        apart: a stream's link time is a ``max`` of two ceilings, so it is
-        not additive across regions.
+        ``native`` runs ``repro_lane_rows``; the numpy arm, the fallback and
+        reference, multiplies each sweep's lane bits into its frontier's
+        rows.  Every count is exact either way.
         """
-        histogram = self.traffic.request_histogram.counts
-        link = self.timing_model.link
-        interconnect = dram = 0.0
-        for table, totals in zip(self.request_tables, self.request_totals):
-            rows = totals if whole_graph else table[frontier].sum(axis=0)
-            if self.spec.warp_per_vertex:
-                requests = rows.tolist()
-            else:
+        tables = self.request_tables
+        width = 2 + sum(table.shape[1] for table in tables)
+        rows = np.empty((trace.lanes, len(trace.frontiers), width), dtype=np.int64)
+        offsets = self.graph.offsets
+        if native:
+            _native.lane_rows(*trace.flat(), offsets, tables, rows)
+            return rows
+        lane_ids = np.arange(trace.lanes, dtype=np.uint64)
+        for sweep, (frontier, words) in enumerate(zip(trace.frontiers, trace.active_bits)):
+            bits = (words[:, None] >> lane_ids) & np.uint64(1)
+            columns = np.column_stack(
+                [offsets[frontier + 1] - offsets[frontier], np.ones(frontier.size)]
+                + [table[frontier] for table in tables]
+            )
+            rows[:, sweep] = bits.T.astype(np.float64) @ columns.astype(np.float64)
+        return rows
+
+    def _uvm_regions(self) -> list[tuple[UVMSpace, int]]:
+        """Each UVM region with the bytes of one of its elements."""
+        regions = [(self.edge_uvm, self.graph.element_bytes)]
+        if self.weight_uvm is not None:
+            regions.append((self.weight_uvm, 4))
+        return regions
+
+    def _replay_lanes(
+        self, trace: WordTrace, lanes: np.ndarray, native: bool
+    ) -> list[np.ndarray]:
+        """Each region's lane-major ``(lane, sweep)`` rows of UVM counters:
+        every lane's frontier sequence replayed from a reset residency."""
+        frontier, masks, bounds = trace.flat()
+        starts = self.graph.offsets[frontier]
+        ends = self.graph.offsets[frontier + 1]
+        return [
+            space.replay_lanes(
+                starts * element_bytes, ends * element_bytes, masks, bounds, lanes, native
+            ).reshape(-1, COUNTER_COLUMNS)
+            for space, element_bytes in self._uvm_regions()
+        ]
+
+    def _price_rows(
+        self,
+        edges: np.ndarray,
+        vertices: np.ndarray,
+        requests=(),
+        migrations=(),
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Price sweeps given as rows: the one copy of the per-sweep formula.
+
+        Row ``r`` is one sweep of one traversal: ``edges[r]`` edges out of
+        ``vertices[r]`` frontier vertices (a row with none is a sweep the
+        traversal did not run, and costs nothing), plus per zero-copy region
+        its request counts — a ``(rows, 4)`` matrix, or for a strided walk
+        a ``(rows, 1)`` column of sectors, to which the cache refetches are
+        added here — or per UVM region its ``(rows, 4)`` replay counters.
+        Returns the rows' seconds in :meth:`TimeBreakdown.components` order
+        and their integer counters in :meth:`TrafficRecord.counter_row`
+        order; every element takes the operations of one scalar sweep.
+        """
+        seconds = np.zeros((edges.size, 6))
+        counters = np.zeros((edges.size, _COUNTERS), dtype=np.int64)
+        for region in requests:
+            if region.shape[1] == 1:
                 # A strided thread re-fetches a sector the cache lost (§3.3):
-                # rounded from the iteration's totals.
-                sectors = int(rows)
-                refetches = int(round((edges_touched - sectors) * self._refetch_rate))
-                requests = [sectors + max(refetches, 0), 0, 0, 0]
-            link_seconds, dram_bytes = link.price_requests(requests)
-            for size, count in zip(REQUEST_SIZES, requests):
-                histogram[size] += count
-            self.traffic.dram_bytes += dram_bytes
-            interconnect += link_seconds
-            dram += dram_bytes / self._dram_bytes_per_second
-        return TimeBreakdown(interconnect_seconds=interconnect, dram_seconds=dram)
+                # rounded from the sweep's totals.
+                sectors = region[:, 0]
+                refetches = np.rint((edges - sectors) * self._refetch_rate).astype(np.int64)
+                region = np.zeros((edges.size, 4), dtype=np.int64)
+                region[:, 0] = sectors + np.maximum(refetches, 0)
+            link_seconds, dram_seconds, dram_bytes = self.timing_model.zero_copy_rows(region)
+            seconds[:, _INTERCONNECT] += link_seconds
+            seconds[:, _DRAM] += dram_seconds
+            counters[:, _REQUESTS] += region
+            counters[:, _DRAM_BYTES] += dram_bytes
+        for region in migrations:
+            touched, faults, migrated_bytes = region[:, 0], region[:, 1], region[:, 2]
+            link_seconds, dram_seconds, fault_seconds, dram_bytes = (
+                self.timing_model.uvm_rows(migrated_bytes, faults)
+            )
+            seconds[:, _INTERCONNECT] += link_seconds
+            seconds[:, _DRAM] += dram_seconds
+            seconds[:, _FAULTS] += fault_seconds
+            counters[:, _UVM_BYTES] += migrated_bytes
+            counters[:, _UVM_MIGRATIONS] += faults
+            counters[:, _UVM_PAGES] += touched
+            counters[:, _DRAM_BYTES] += dram_bytes
+        launched = vertices > 0
+        seconds[:, _LAUNCH] = self._launch_seconds * launched
+        seconds[:, _COMPUTE] = self.timing_model.compute_seconds(edges, vertices)
+        counters[:, _USEFUL_BYTES] = edges * self._useful_bytes_per_edge
+        counters[:, _EDGES] = edges
+        counters[:, _VERTICES] = vertices
+        counters[:, _LAUNCHES] = launched
+        return seconds, counters
 
     # ------------------------------------------------------------------ #
     # Reuse
@@ -309,8 +511,6 @@ class TraversalEngine:
         self.traffic = TrafficRecord()
         self.breakdown = TimeBreakdown()
         self.iterations = 0
-        self.relax_backend = None
-        self.relax_candidates = 0
         self._max_frontier = 0
         if self.edge_uvm is not None:
             self.edge_uvm.reset()
@@ -328,11 +528,6 @@ class TraversalEngine:
             total += self.graph.weight_list_bytes
         return total
 
-    def note_relax(self, backend: str, candidates: int) -> None:
-        """Record which relax kernel backend ran and how many candidates it saw."""
-        self.relax_backend = backend
-        self.relax_candidates += int(candidates)
-
     def counters(self) -> KernelCounters:
         """Kernel-level counters accumulated so far (see :class:`KernelCounters`)."""
         return KernelCounters(
@@ -340,8 +535,6 @@ class TraversalEngine:
             frontier_vertices=int(self.traffic.vertices_processed),
             edges_traversed=int(self.traffic.edges_processed),
             max_frontier=self._max_frontier,
-            relax_candidates=self.relax_candidates,
-            relax_backend=self.relax_backend,
         )
 
     def finalize(self) -> TraversalMetrics:

@@ -6,19 +6,18 @@ requests — yet a naive implementation still executes one full, independent
 traversal per source, paying for every edge gather and every simulated
 memory-system sweep once *per source*.
 
-This module restructures the engine around the batch instead: up to 64
+This module restructures the run around the batch instead: up to 64
 sources run together, one bit per source packed into a ``uint64`` word per
 vertex (the MS-BFS technique).  Each iteration expands the *union* frontier
-once — one edge gather, one :meth:`TraversalEngine.process_frontier` sweep —
-and bitwise operations keep every source's frontier evolution exactly what
-its solo run would have been:
+once — one edge gather for every lane — and bitwise operations keep every
+source's frontier evolution exactly what its solo run would have been:
 
 * **BFS** propagates frontier bits with an OR-scatter over the frontier's
   edges; a vertex's newly set bits are exactly the sources whose solo BFS
-  would discover it this iteration.  One sweep — per-lane edge counts,
-  the scatter, the visited update, the level writes and the next frontier —
-  is one call of the compiled ``repro_bfs_word`` loop of
-  :mod:`repro.traversal._native` when the host has a compiler, and a numpy
+  would discover it this iteration.  One sweep — the scatter, the visited
+  update, the level writes and the next frontier — is one call of the
+  compiled ``repro_bfs_word`` loop of :mod:`repro.traversal._native` when
+  the host has a compiler, and a numpy
   sweep (the fallback, and the reference the tests pin the kernel against)
   otherwise.
 * **SSSP** runs on the lane-parallel relaxation kernel of
@@ -47,20 +46,16 @@ The *streaming* applications (CC, PageRank) batch along the platform axis
 instead — one shared algorithm pass replayed into many per-configuration
 engines; see :mod:`repro.traversal.streaming`.
 
-Per-source :class:`TraversalMetrics` are derived by *attributing* the shared
-traffic: each iteration's time is split across the sources active in it,
-proportionally to their share of the edges swept, and the run-level traffic
-counters are split by each source's overall share.  Both are matrices, not
-per-lane objects: the attributed seconds are one ``(lanes, 6)`` float64
-accumulator (one multiply-then-add per element per iteration, the order of
-summing ``TimeBreakdown.scaled`` copies), and every lane's integer counters
-are one ``(lanes, counters)`` product rounded half to even; the per-lane
-result objects are built once per word from their rows.  Attributed
-*seconds* sum exactly to the batch total; the integer traffic counters are
-rounded per source, so their sums match the batch totals only to rounding
-(compare against ``batch_metrics`` for exact run-level numbers).  A word of
-exactly one lane skips the split: its lane's share is 1.0 in every
-iteration, so its metrics are its engine's run-level metrics as they are.
+Trace, then price: a word's sweeps touch no engine.  Each sweep records its
+union frontier and lane words in a :class:`~repro.traversal.engine.WordTrace`
+(one format for BFS and SSSP), and once the word has converged each distinct
+configuration's engine prices its own lanes from the trace with
+:meth:`~repro.traversal.engine.TraversalEngine.price_lanes`.  A lane's
+frontier at every sweep is exactly its solo run's, and it is priced alone —
+zero-copy requests from its own rows of the request tables, UVM residency
+replayed from a reset space over its own frontier sequence — so every lane's
+:class:`TraversalMetrics` equal its solo run's bit for bit, whichever other
+sources or configurations rode the word.
 """
 
 from __future__ import annotations
@@ -73,14 +68,12 @@ from ..config import SystemConfig, system_key
 from ..errors import ConfigurationError, SimulationError
 from ..graph.csr import CSRGraph
 from ..hotpath import hot_path
-from ..memsim.metrics import TrafficRecord
-from ..timing import TimeBreakdown
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from . import _native
-from .engine import TraversalEngine
+from .engine import TraversalEngine, WordTrace, _iteration_checkpoint
 from .frontier import frontier_offsets, gather_frontier_destinations
-from .relax import active_lane_mask, make_snapshot, relax_lanes
-from .results import KernelCounters, TraversalMetrics, TraversalResult
+from .relax import make_snapshot, relax_lanes
+from .results import TraversalResult
 
 #: Sources packed into one visited word (one bit per source lane).
 WORD_BITS = 64
@@ -92,9 +85,6 @@ UNREACHED = -1
 UNREACHABLE = np.inf
 
 _ONE = np.uint64(1)
-
-#: Columns of the attributed-seconds matrix (see TimeBreakdown.components).
-_COMPONENTS = len(TimeBreakdown().components())
 
 
 def source_vertex(source: object) -> int:
@@ -154,16 +144,13 @@ class MultiSourceResult:
     """Outcome of one batched multi-source run.
 
     ``results`` holds one :class:`TraversalResult` per requested lane, in
-    request order, with attributed per-lane metrics; ``batch_metrics`` holds
-    each engine's run-level metrics (one entry per distinct configuration per
-    executed ≤64-lane word).
+    request order, each with its solo run's values and metrics.
     """
 
     application: Application
     graph_name: str
     lanes: list[PackedLane] = field(default_factory=list)
     results: list[TraversalResult] = field(default_factory=list)
-    batch_metrics: list[TraversalMetrics] = field(default_factory=list)
     #: Shared algorithm executions performed (one per ≤64-lane word).
     words: int = 0
 
@@ -179,11 +166,6 @@ class MultiSourceResult:
     @property
     def num_batches(self) -> int:
         return self.words
-
-    @property
-    def batch_seconds(self) -> float:
-        """Total simulated time of the shared (batched) execution."""
-        return sum(metrics.seconds for metrics in self.batch_metrics)
 
 
 def run_bfs_batch(
@@ -240,7 +222,8 @@ def run_batch(
     :data:`repro.traversal.relax.RELAX_METHODS`); ``None`` picks the fastest
     available.  For BFS, ``None`` and ``"native"`` run the native word
     kernel when it is available; any other method runs the numpy sweep.
-    Every backend produces bit-identical per-source values and metrics.
+    Every backend produces bit-identical per-source values and metrics,
+    each source's equal to its solo run's.
     """
     if isinstance(sources, np.ndarray):
         sources = sources.ravel()
@@ -258,12 +241,11 @@ def run_packed_batch(
     """Run BFS/SSSP lanes spanning *different* configurations in one sweep.
 
     What the fusion planner packs with: up to 64 ``(source, strategy,
-    system)`` lanes share one union-frontier execution per word, with one
-    engine per distinct configuration replaying every frontier sweep.
-    Frontier evolution is engine-independent (engines only account traffic),
-    so each lane's ``values`` are bit-identical to its solo run regardless of
-    what other configurations ride along; each lane's metrics are its own
-    engine's cost attributed across that engine's lanes.
+    system)`` lanes share one union-frontier execution per word, and one
+    engine per distinct configuration prices that configuration's lanes
+    from the word's trace.  Frontier evolution is engine-independent, so
+    each lane's ``values`` and metrics are its solo run's regardless of what
+    other sources or configurations ride along.
     """
     lanes = [
         lane if isinstance(lane, PackedLane) else PackedLane(*lane) for lane in lanes
@@ -282,14 +264,13 @@ def _run_words(
     """The one BFS/SSSP run loop: behind :func:`run_batch`,
     :func:`run_packed_batch` and the one-lane solo runs.
 
-    Engines are acquired once per distinct configuration for the whole batch
-    — ``engine`` (one-configuration batches only), a lease from ``arena``, or
-    a private one — and recycled with :meth:`TraversalEngine.reset` between
-    words instead of being rebuilt.  A word of one lane is handed its
-    engine's metrics and its values row as they are: its share of every
-    iteration is 1.0, so :class:`_Attribution`'s split would be the
-    identity.  A lane alone on its engine in a wider word is not that case:
-    its engine replays the whole word's union frontier.
+    Each ≤64-lane word sweeps to convergence recording a
+    :class:`~repro.traversal.engine.WordTrace`; then the engine of each
+    configuration in the word, in first-appearance order, prices that
+    configuration's lanes from it.  Engines are acquired once per distinct
+    configuration for the whole batch — ``engine`` (one-configuration
+    batches only), a lease from ``arena``, or a private one; pricing reads
+    none of an engine's accumulated state, so a reused one needs no reset.
     """
     application = Application(application)
     if application is Application.BFS:
@@ -318,6 +299,7 @@ def _run_words(
     outcome = MultiSourceResult(
         application=application, graph_name=graph.name, lanes=lanes
     )
+    native = _native.wanted(relax_method)
     engines: dict[tuple, TraversalEngine] = {}
     leased: list[TraversalEngine] = []
     try:
@@ -334,50 +316,26 @@ def _run_words(
                 engines[key] = TraversalEngine(graph, lane.strategy, **options)
         for offset in range(0, len(lanes), WORD_BITS):
             word_lanes = lanes[offset : offset + WORD_BITS]
-            # The word's engines: one per configuration present in it, in
-            # first-appearance order.
-            slots: dict[tuple, int] = {}
-            lane_engine = np.array(
-                [
-                    slots.setdefault(key, len(slots))
-                    for key in keys[offset : offset + WORD_BITS]
-                ],
-                dtype=np.int64,
+            values, trace, relax_backend = chunk_runner(
+                graph, [lane.source for lane in word_lanes], weights, relax_method
             )
-            word_engines = [engines[key] for key in slots]
-            # Reset before every word (the first included): a caller-supplied
-            # or leased engine may carry a previous run's counters, which
-            # would contaminate this batch's metrics.  Resetting a fresh
-            # engine is a cheap no-op.
-            for word_engine in word_engines:
-                word_engine.reset()
-            alone = len(word_lanes) == 1
-            attribution = None if alone else _Attribution(len(word_lanes), lane_engine)
-            values = chunk_runner(
-                graph,
-                [lane.source for lane in word_lanes],
-                word_engines,
-                attribution,
-                weights,
-                relax_method,
-            )
-            engine_metrics = [word_engine.finalize() for word_engine in word_engines]
-            outcome.batch_metrics.extend(engine_metrics)
-            if alone:
-                lane_metrics, lane_values = engine_metrics, values
-            else:
-                lane_metrics = _lane_metrics(
-                    word_lanes, word_engines, engine_metrics, attribution
-                )
-                lane_values = [row.copy() for row in values]
-            for lane, row, metrics in zip(word_lanes, lane_values, lane_metrics):
+            # Each configuration's engine prices its own lanes of the word.
+            owned: dict[tuple, list[int]] = {}
+            for index, key in enumerate(keys[offset : offset + WORD_BITS]):
+                owned.setdefault(key, []).append(index)
+            lane_metrics = [None] * len(word_lanes)
+            for key, indices in owned.items():
+                priced = engines[key].price_lanes(trace, indices, relax_backend, native)
+                for index, metrics in zip(indices, priced):
+                    lane_metrics[index] = metrics
+            for lane, row, metrics in zip(word_lanes, values, lane_metrics):
                 outcome.results.append(
                     TraversalResult(
                         application=application,
                         graph_name=graph.name,
                         strategy=metrics.strategy,
                         source=lane.source,
-                        values=row,
+                        values=row.copy(),
                         metrics=metrics,
                     )
                 )
@@ -388,68 +346,6 @@ def _run_words(
     return outcome
 
 
-def _lane_metrics(
-    word_lanes: list[PackedLane],
-    engines: list[TraversalEngine],
-    engine_metrics: list[TraversalMetrics],
-    attribution: _Attribution,
-) -> list[TraversalMetrics]:
-    """Every lane's metrics for one word, from its engine's run-level metrics.
-
-    A lane carries its attributed seconds and iteration count, and its
-    engine's integer counters scaled by its share of that engine's edges —
-    one ``(lanes, counters)`` product rounded by ``np.rint``, which rounds
-    half to even on the same float64 product as ``int(round(count *
-    fraction))``.  ``max_frontier`` is the union frontier's (a batch-level
-    fact), and the relax backend is shared by construction.
-    """
-    counts = np.array(
-        [
-            (
-                *metrics.traffic.counter_row(),
-                metrics.counters.frontier_vertices,
-                metrics.counters.edges_traversed,
-                metrics.counters.relax_candidates,
-            )
-            for metrics in engine_metrics
-        ],
-        dtype=np.int64,
-    )
-    lane_engine = attribution.lane_engine
-    scaled = np.rint(attribution.lane_fractions()[:, None] * counts[lane_engine])
-    lanes = []
-    for lane, index, row, seconds, iterations in zip(
-        word_lanes,
-        lane_engine.tolist(),
-        scaled.astype(np.int64).tolist(),
-        attribution.seconds.tolist(),
-        attribution.iterations.tolist(),
-    ):
-        engine, batch_counters = engines[index], engine_metrics[index].counters
-        *traffic, frontier_vertices, edges_traversed, relax_candidates = row
-        breakdown = TimeBreakdown(*seconds)
-        lanes.append(
-            TraversalMetrics(
-                seconds=breakdown.total(),
-                breakdown=breakdown,
-                traffic=TrafficRecord.from_counter_row(traffic),
-                iterations=iterations,
-                dataset_bytes=engine.dataset_bytes,
-                strategy=lane.strategy,
-                system_name=engine.system.name,
-                counters=KernelCounters(
-                    iterations=iterations,
-                    frontier_vertices=frontier_vertices,
-                    edges_traversed=edges_traversed,
-                    max_frontier=batch_counters.max_frontier,
-                    relax_candidates=relax_candidates,
-                    relax_backend=batch_counters.relax_backend,
-                ),
-            )
-        )
-    return lanes
-
-
 # ---------------------------------------------------------------------- #
 # Word-level execution (≤64 sources)
 # ---------------------------------------------------------------------- #
@@ -457,17 +353,16 @@ def _lane_metrics(
 def _bfs_word(
     graph: CSRGraph,
     word: list[int],
-    engines: list[TraversalEngine],
-    attribution: _Attribution | None,
     weights=None,
     relax_method=None,
-) -> np.ndarray:
-    """Run one BFS word of ≤ 64 lanes; returns its ``(lanes, V)`` levels.
+) -> tuple[np.ndarray, WordTrace, None]:
+    """Run one BFS word of ≤ 64 lanes; returns its ``(lanes, V)`` levels,
+    its trace and no relax backend.
 
     Every O(V) array is allocated here, once per word, and reused by every
     sweep: the levels, the visited and scatter words and, for the native
     kernel, two frontier slots — the kernel appends the next frontier
-    (vertex ids and their new lane words) into one while the engines replay
+    (vertex ids and their new lane words) into one while the trace copies
     the other.  ``relax_method`` ``None`` or ``"native"`` runs
     ``repro_bfs_word`` when it is available; anything else runs the numpy
     sweep.
@@ -476,7 +371,6 @@ def _bfs_word(
     lanes = len(word)
     levels = np.full((lanes, num_vertices), UNREACHED, dtype=np.int64)  # repro: noqa[REPRO101] — once per word, not per sweep
     visited_bits, next_bits = np.zeros((2, num_vertices), dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
-    lane_edges = np.zeros(lanes, dtype=np.int64)  # repro: noqa[REPRO101] — O(lanes) <= 64 elements
     for lane, source in enumerate(word):
         visited_bits[source] |= _ONE << np.uint64(lane)
         levels[lane, source] = 0
@@ -490,42 +384,29 @@ def _bfs_word(
     # Depth 0: the frontier is the sources, and visited holds exactly their bits.
     frontier = np.flatnonzero(visited_bits).astype(VERTEX_DTYPE, copy=False)
     active_bits = visited_bits[frontier]
+    trace = WordTrace(lanes)
     depth = 0
     while frontier.size:
+        _iteration_checkpoint()
+        trace.record(frontier, active_bits)
         starts, ends = frontier_offsets(graph, frontier)
-        # Which lanes have frontier: read by the split and the numpy sweep.
-        active = (
-            None if native and attribution is None
-            else active_lane_mask(active_bits, lanes)
-        )
         depth += 1
-        # One sweep writes the new levels and the next frontier, and counts
-        # each lane's share of it — the edges its own frontier owns — once
-        # for all of the word's engines.
+        # One sweep writes the new levels and the next frontier.
         if native:
             slot = depth % 2
             size = _native.bfs_word(
                 frontier, active_bits, starts, ends, graph.edges, next_bits,
-                visited_bits, levels, depth, lane_edges, frontier_slots[slot],
+                visited_bits, levels, depth, frontier_slots[slot],
                 active_slots[slot], pins,
             )
-            next_frontier = frontier_slots[slot][:size]
-            next_active = active_slots[slot][:size]
+            frontier = frontier_slots[slot][:size]
+            active_bits = active_slots[slot][:size]
         else:
-            next_frontier, next_active = _bfs_sweep_numpy(
-                graph, frontier, active_bits, starts, ends, active,
-                next_bits, visited_bits, levels, depth, lane_edges,
+            frontier, active_bits = _bfs_sweep_numpy(
+                graph, frontier, active_bits, starts, ends, next_bits,
+                visited_bits, levels, depth,
             )
-        # Every engine replays the shared union frontier: frontier evolution
-        # never depends on the simulated platform (engines only account
-        # traffic), so per-lane levels stay bit-identical to solo runs even
-        # when lanes span different (strategy, system) configurations.
-        for engine_index, engine in enumerate(engines):
-            iteration = engine.process_frontier(frontier, starts, ends, native=native)
-            if attribution is not None:
-                attribution.record(iteration, engine_index, lane_edges, active)
-        frontier, active_bits = next_frontier, next_active
-    return levels
+    return levels, trace, None
 
 
 @hot_path
@@ -535,12 +416,10 @@ def _bfs_sweep_numpy(
     active_bits: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
-    active: np.ndarray,
     next_bits: np.ndarray,
     visited_bits: np.ndarray,
     levels: np.ndarray,
     depth: int,
-    lane_edges: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One BFS sweep in numpy: the fallback for, and reference of,
     :func:`repro.traversal._native.bfs_word` (same contract, except that
@@ -550,10 +429,6 @@ def _bfs_sweep_numpy(
     """
     lanes = levels.shape[0]
     degrees = ends - starts
-    lane_edges.fill(0)
-    for lane in np.flatnonzero(active):
-        lane_edges[lane] = degrees[_lane_mask(active_bits, lane)].sum()
-
     destinations = gather_frontier_destinations(graph, frontier, starts, ends)
     edge_bits = np.repeat(active_bits, degrees)
     next_bits = _scatter_or(destinations, edge_bits, out=next_bits)
@@ -573,12 +448,11 @@ def _bfs_sweep_numpy(
 def _sssp_word(
     graph: CSRGraph,
     word: list[int],
-    engines: list[TraversalEngine],
-    attribution: _Attribution | None,
     weights: np.ndarray | None = None,
     relax_method: str | None = None,
-) -> np.ndarray:
-    """Run one SSSP word of ≤ 64 lanes; returns its ``(lanes, V)`` distances."""
+) -> tuple[np.ndarray, WordTrace, str | None]:
+    """Run one SSSP word of ≤ 64 lanes; returns its ``(lanes, V)`` distances,
+    its trace and the relax backend that ran."""
     num_vertices = graph.num_vertices
     lanes = len(word)
     # Vertex-major layout: one vertex's 64 lane distances share cache lines,
@@ -593,14 +467,17 @@ def _sssp_word(
     snapshot = make_snapshot(num_vertices, lanes)
     next_scratch = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
     pins = _native.Pins()
-    native = _native.wanted(relax_method)
+    trace = WordTrace(lanes)
+    method = None
 
     iterations = 0
     max_iterations = max(1, num_vertices)
     frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
     while frontier.size and iterations < max_iterations:
+        _iteration_checkpoint()
         starts, ends = frontier_offsets(graph, frontier)
         active_bits = frontier_bits[frontier]
+        trace.record(frontier, active_bits)
 
         # One lane-parallel relaxation sweep: every lane's candidates are
         # gathered from the shared CSR slices and min-reduced per
@@ -611,16 +488,7 @@ def _sssp_word(
             weights=weights, method=relax_method, snapshot=snapshot,
             next_bits=next_scratch, pins=pins,
         )
-        # As in _bfs_word, every engine replays the shared union frontier;
-        # the relax sweep itself is platform-independent, so its candidate
-        # count is a batch-level fact noted on each engine.
-        for engine_index, engine in enumerate(engines):
-            iteration = engine.process_frontier(frontier, starts, ends, native=native)
-            engine.note_relax(outcome.method, outcome.candidates)
-            if attribution is not None:
-                attribution.record(
-                    iteration, engine_index, outcome.lane_edges, outcome.active_lanes
-                )
+        method = outcome.method
 
         # Double-buffer: the consumed frontier word becomes next sweep's
         # kernel scratch (zeroed inside relax_lanes).
@@ -628,7 +496,7 @@ def _sssp_word(
         frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
         iterations += 1
 
-    return distances.T
+    return distances.T, trace, method
 
 
 # ---------------------------------------------------------------------- #
@@ -664,83 +532,3 @@ def _scatter_or(
     if destinations.size:
         np.bitwise_or.at(out, destinations, bits)
     return out
-
-
-class _Attribution:
-    """Splits each shared iteration's cost across the sources that drove it.
-
-    A source's share of one iteration is its fraction of the edges swept (its
-    frontier's degree sum over the sum across all active sources).  Iterations
-    whose active sources own no edges at all split the fixed costs evenly.
-
-    ``lane_engine`` partitions the lanes across the word's engines, and each
-    engine's iteration cost is split only among *its own* lanes: per-engine
-    attributed seconds sum to that engine's own sweep total (with one engine,
-    to the batch total).
-
-    The attributed seconds are one ``(lanes, 6)`` float64 matrix, columns in
-    :meth:`TimeBreakdown.components` order; each lane's
-    :class:`TimeBreakdown` is built once, from its row, when the word ends.
-    """
-
-    def __init__(self, lanes: int, lane_engine: np.ndarray) -> None:
-        self.lanes = lanes
-        self.lane_engine = lane_engine
-        self._owned = [
-            lane_engine == index for index in range(int(lane_engine.max()) + 1)
-        ]
-        self.seconds = np.zeros((lanes, _COMPONENTS))
-        self.iterations = np.zeros(lanes, dtype=np.int64)
-        self.attributed_edges = np.zeros(lanes, dtype=np.float64)
-
-    def record(
-        self,
-        iteration: TimeBreakdown,
-        engine_index: int,
-        lane_edges: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        """Split one engine's ``iteration`` cost across the lanes it owns.
-
-        ``lane_edges`` / ``active`` describe the whole word's sweep (edges
-        each lane's frontier owns, lanes with any frontier vertex) and are
-        the same for every engine of the word; neither is modified.  Each
-        element is one multiply then one add, the order of
-        ``breakdown.add(iteration.scaled(share))``, so the seconds are bit
-        for bit what per-lane breakdowns would accumulate.
-        """
-        if iteration.extra:
-            raise SimulationError(
-                "batched attribution splits the six fixed time components; "
-                f"this iteration carries extra ones: {sorted(iteration.extra)}"
-            )
-        owned = self._owned[engine_index]
-        active = active & owned
-        lane_edges = np.where(owned, lane_edges, 0)
-        self.iterations += active
-        total = float(lane_edges.sum())
-        if total > 0:
-            shares = lane_edges / total
-        else:
-            count = int(np.count_nonzero(active))
-            shares = np.where(active, 1.0 / max(count, 1), 0.0)
-        self.attributed_edges += lane_edges
-        self.seconds += shares[:, None] * np.array(iteration.components())
-
-    def lane_fractions(self) -> np.ndarray:
-        """Each lane's share of its own engine's edges, over the whole word.
-
-        Normalized within each engine's lane subset: scaling an engine's
-        run-level counters by these keeps each engine's attributed totals
-        summing to that engine's own sweep, independent of how much work the
-        other engines' lanes did.
-        """
-        fractions = np.zeros(self.lanes)
-        for owned in self._owned:
-            edges = np.where(owned, self.attributed_edges, 0.0)
-            total = float(edges.sum())
-            if total <= 0:
-                fractions[owned] = 1.0 / max(int(np.count_nonzero(owned)), 1)
-            else:
-                fractions[owned] = (edges / total)[owned]
-        return fractions

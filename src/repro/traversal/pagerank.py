@@ -23,7 +23,7 @@ from ..errors import ConfigurationError
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, EMOGI_STRATEGY
 from . import _native
-from .engine import TraversalEngine
+from .engine import TraversalEngine, _iteration_checkpoint
 from .frontier import all_vertices_frontier
 from .results import TraversalMetrics
 
@@ -155,6 +155,7 @@ def pagerank_sweep(
     iterations = 0
     converged = False
     while iterations < max_iterations and not converged:
+        _iteration_checkpoint()
         for engine in engines:
             engine.process_frontier(frontier, starts, ends, native=native)
         dangling_mass = scores[dangling].sum() / num_vertices

@@ -90,42 +90,18 @@ class RelaxOutcome:
 
     ``next_bits`` is the per-vertex ``uint64`` word of lanes whose value at
     that vertex strictly improved (the next frontier, in MS-BFS encoding);
-    ``lane_edges`` counts the edges each lane relaxed this sweep (its share of
-    the union stream, used for cost attribution); ``active_lanes`` flags the
-    lanes that had at least one frontier vertex; ``method`` names the backend
-    that actually executed the sweep (observability: a silent fallback from
-    the native backend shows up here).
+    ``method`` names the backend that actually executed the sweep
+    (observability: a silent fallback from the native backend shows up
+    here).
     """
 
     next_bits: np.ndarray
-    lane_edges: np.ndarray
-    active_lanes: np.ndarray
     method: str = ""
 
     @property
     def touched(self) -> np.ndarray:
         """Vertices improved by at least one lane (sorted, unique)."""
         return np.flatnonzero(self.next_bits)
-
-    @property
-    def candidates(self) -> int:
-        """Candidate-stream length of this sweep (total (lane, edge) pairs)."""
-        return int(self.lane_edges.sum())
-
-
-@hot_path
-def active_lane_mask(active_bits: np.ndarray, lanes: int) -> np.ndarray:
-    """Boolean ``(lanes,)`` mask of lanes with any bit set in ``active_bits``.
-
-    One OR-reduction over the frontier words plus a 64-wide bit unpack —
-    replaces the per-lane ``mask.any()`` Python loop.
-    """
-    if active_bits.size:
-        union = np.bitwise_or.reduce(active_bits)
-    else:
-        union = np.uint64(0)
-    lane_ids = np.arange(lanes, dtype=np.uint64)
-    return ((union >> lane_ids) & _ONE).astype(bool)
 
 
 @hot_path
@@ -203,7 +179,6 @@ def relax_lanes(
     if weights is not None:
         weights = np.ascontiguousarray(weights, dtype=np.float64)
 
-    active_lanes = active_lane_mask(active_bits, lanes)
     if next_bits is None:
         # Solo-call fallback; fixed-point callers pass a double-buffered
         # scratch (see _sssp_word).
@@ -214,7 +189,6 @@ def relax_lanes(
         next_bits.fill(0)
 
     if method == "native":
-        lane_edges = np.zeros(lanes, dtype=np.int64)  # repro: noqa[REPRO101] — O(lanes) <= 64 elements
         if frontier.size:
             if snapshot is None:
                 snapshot = make_snapshot(frontier.size, lanes)
@@ -230,23 +204,19 @@ def relax_lanes(
                 values,
                 snapshot,
                 next_bits,
-                lane_edges,
                 pins,
             )
-        return RelaxOutcome(next_bits, lane_edges, active_lanes, method)
+        return RelaxOutcome(next_bits, method)
 
     flat = values.reshape(-1)
     pair_lane, pair_position = expand_lane_pairs(active_bits, lanes)
     pair_lengths = (ends - starts)[pair_position]
-    lane_edges = np.bincount(
-        pair_lane, weights=pair_lengths, minlength=lanes
-    ).astype(np.int64)
     populated = pair_lengths > 0
     pair_lane = pair_lane[populated]
     pair_position = pair_position[populated]
     pair_lengths = pair_lengths[populated]
     if pair_lane.size == 0:
-        return RelaxOutcome(next_bits, lane_edges, active_lanes, method)
+        return RelaxOutcome(next_bits, method)
 
     # Pre-gather every pair's source value ONCE, before any store: block N's
     # candidates must not observe improvements block N-1 already scattered.
@@ -287,4 +257,4 @@ def relax_lanes(
                 destinations[viable],
                 _ONE << (winner_keys % lanes).astype(np.uint64),
             )
-    return RelaxOutcome(next_bits, lane_edges, active_lanes, method)
+    return RelaxOutcome(next_bits, method)

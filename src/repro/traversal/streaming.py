@@ -89,8 +89,8 @@ class StreamingBatchResult:
     :class:`~repro.traversal.results.TraversalResult` for CC,
     :class:`~repro.traversal.pagerank.PageRankResult` for PageRank — each
     carrying the values the shared execution produced and the *full* metrics
-    of that lane's own engine (identical to a solo run's, not attributed
-    shares: every lane sweeps the full stream in its own simulation).
+    of that lane's own engine (identical to a solo run's: every lane sweeps
+    the full stream in its own simulation).
     """
 
     application: str

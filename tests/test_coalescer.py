@@ -26,6 +26,7 @@ from repro.memsim.coalescer import (
     vertex_request_table,
     vertex_request_totals,
 )
+from repro.memsim.metrics import TrafficRecord
 from repro.traversal.engine import TraversalEngine
 from repro.types import AccessStrategy
 
@@ -457,16 +458,19 @@ def test_request_table_totals_price_a_whole_graph_iteration_like_the_gather(
     base = default_system()
     system = replace(base, gpu=replace(base.gpu, strided_sector_hit_rate=hit_rate))
     every = np.arange(num_vertices, dtype=np.int64)
-    edges_touched = int(offsets[-1])
+    edges_touched = np.array([int(offsets[-1])])
+    vertices = np.array([num_vertices])
     priced = []
     for whole_graph in (True, False):
         engine = TraversalEngine(graph, strategy, system=system, edge_misalign_bytes=misalign)
-        breakdown = engine._access_zero_copy(every, edges_touched, whole_graph)
+        requests = engine.request_totals if whole_graph else engine._frontier_requests(every)
+        seconds, counters = engine._price_rows(edges_touched, vertices, requests=requests)
+        traffic = TrafficRecord.from_counter_row(counters[0].tolist())
         priced.append(
             (
-                [float(value).hex() for value in breakdown.components()],
-                dict(engine.traffic.request_histogram.counts),
-                engine.traffic.dram_bytes,
+                [float(value).hex() for value in seconds[0]],
+                dict(traffic.request_histogram.counts),
+                traffic.dram_bytes,
             )
         )
     assert priced[0] == priced[1]

@@ -46,7 +46,8 @@ class TestEngineReset:
 
     def test_reset_clears_counters_and_residency(self, random_graph):
         engine = TraversalEngine(random_graph, AccessStrategy.UVM)
-        run_bfs(random_graph, 3, strategy=AccessStrategy.UVM, engine=engine)
+        for frontier in ([3], [0, 1, 2, 5]):
+            engine.process_frontier(np.array(frontier))
         assert engine.iterations > 0
         assert engine.edge_uvm.resident_pages > 0
         engine.reset()

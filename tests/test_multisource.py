@@ -1,5 +1,5 @@
-"""Tests for batched multi-source traversal: bit-exact equivalence and
-attribution invariants."""
+"""Tests for batched multi-source traversal: every lane's values and
+metrics are its solo run's, bit for bit."""
 
 import hashlib
 from dataclasses import replace
@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from repro.config import ampere_pcie4
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.builder import from_edge_array
-from repro.timing import TimeBreakdown
 from repro.traversal import _native, multisource
-from repro.traversal.api import run_average
+from repro.traversal.api import run, run_average
 from repro.traversal.arena import EngineArena
 from repro.traversal.bfs import bfs_levels, run_bfs
 from repro.traversal.cc import run_cc
@@ -23,8 +22,6 @@ from repro.traversal.engine import TraversalEngine
 from repro.traversal.multisource import (
     WORD_BITS,
     PackedLane,
-    _Attribution,
-    _lane_metrics,
     run_batch,
     run_bfs_batch,
     run_packed_batch,
@@ -116,17 +113,21 @@ class TestValidation:
             run_batch(Application.CC, random_graph, [0])
 
 
-class TestAttribution:
-    def test_attributed_seconds_sum_to_batch_total(self, random_graph, sources):
-        batch = run_bfs_batch(random_graph, sources)
-        attributed = sum(result.metrics.seconds for result in batch.results)
-        assert attributed == pytest.approx(batch.batch_seconds, rel=1e-9)
+class TestLaneMetricsAreSolo:
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    @pytest.mark.parametrize("application", ("bfs", "sssp"))
+    def test_every_lane_equals_its_solo_run(
+        self, random_graph, sources, application, strategy
+    ):
+        batch = run_batch(application, random_graph, sources, strategy=strategy)
+        for result in batch.results:
+            solo = run(application, random_graph, result.source, strategy)
+            assert result.metrics == solo.metrics
 
-    def test_attributed_traffic_fractions_cover_batch(self, random_graph, sources):
-        batch = run_bfs_batch(random_graph, sources)
-        total_edges = sum(r.metrics.traffic.edges_processed for r in batch.results)
-        batch_edges = sum(m.traffic.edges_processed for m in batch.batch_metrics)
-        assert total_edges == pytest.approx(batch_edges, rel=0.01)
+    def test_lane_metrics_do_not_depend_on_word_mates(self, random_graph):
+        alone = run_bfs_batch(random_graph, [17]).results[0]
+        crowded = run_bfs_batch(random_graph, [0, 17, 250, 499]).results[1]
+        assert crowded.metrics == alone.metrics
 
     def test_per_source_metrics_carry_run_metadata(self, random_graph):
         batch = run_sssp_batch(random_graph, [1, 2], strategy=AccessStrategy.UVM)
@@ -140,38 +141,55 @@ class TestEngineReuseAcrossChunks:
     def test_caller_engine_is_reused(self, random_graph):
         engine = TraversalEngine(random_graph, AccessStrategy.MERGED_ALIGNED)
         sources = list(range(WORD_BITS + 2))
-        batch = run_bfs_batch(random_graph, sources, engine=engine)
+        priced = []
+        price_lanes = engine.price_lanes
+
+        def recording(trace, indices, *args):
+            priced.append(len(indices))
+            return price_lanes(trace, indices, *args)
+
+        with mock.patch.object(engine, "price_lanes", recording):
+            batch = run_bfs_batch(random_graph, sources, engine=engine)
         assert batch.num_batches == 2
-        # The second chunk ran on the same (reset) engine; its metrics are
-        # the engine's current state.
-        assert engine.iterations == batch.batch_metrics[-1].iterations
+        # Both chunks were priced by the caller's engine, with no reset
+        # between them: the second word's lanes are still solo runs.
+        assert priced == [WORD_BITS, 2]
+        last = batch.results[-1]
+        assert last.metrics == run_bfs(random_graph, last.source).metrics
 
 
 class TestRunAverageDispatch:
-    def test_batched_values_equal_serial_values(self, random_graph, sources):
-        batched = run_average(Application.BFS, random_graph, sources, batched=True)
-        serial = run_average(Application.BFS, random_graph, sources, batched=False)
-        assert batched.num_runs == serial.num_runs == len(sources)
-        for a, b in zip(batched.runs, serial.runs):
-            assert a.source == b.source
-            assert np.array_equal(a.values, b.values)
+    @pytest.mark.parametrize(
+        "strategy", (AccessStrategy.MERGED_ALIGNED, AccessStrategy.UVM)
+    )
+    @pytest.mark.parametrize("application", (Application.BFS, Application.SSSP))
+    def test_runs_equal_per_source_runs(
+        self, random_graph, sources, application, strategy
+    ):
+        aggregate = run_average(application, random_graph, sources, strategy=strategy)
+        assert aggregate.num_runs == len(sources)
+        for result, source in zip(aggregate.runs, sources):
+            solo = run(application, random_graph, source=source, strategy=strategy)
+            assert result.source == source
+            assert np.array_equal(result.values, solo.values)
+            assert result.metrics == solo.metrics
 
-    def test_single_source_stays_serial(self, random_graph):
-        aggregate = run_average(Application.BFS, random_graph, [3], batched=True)
+    def test_single_source(self, random_graph):
+        aggregate = run_average(Application.BFS, random_graph, [3])
         assert aggregate.num_runs == 1
+        assert aggregate.runs[0].metrics == run_bfs(random_graph, 3).metrics
         assert np.array_equal(aggregate.runs[0].values, bfs_levels(random_graph, 3))
 
-    def test_cc_unaffected_by_batching_flag(self, disconnected_graph):
-        a = run_average(Application.CC, disconnected_graph, [0, 1], batched=True)
-        b = run_average(Application.CC, disconnected_graph, [0, 1], batched=False)
-        assert a.num_runs == b.num_runs == 1
-        assert np.array_equal(a.runs[0].values, b.runs[0].values)
+    def test_cc_runs_once(self, disconnected_graph):
+        aggregate = run_average(Application.CC, disconnected_graph, [0, 1])
+        solo = run(Application.CC, disconnected_graph)
+        assert aggregate.num_runs == 1
+        assert np.array_equal(aggregate.runs[0].values, solo.values)
+        assert aggregate.runs[0].metrics == solo.metrics
 
-    def test_sssp_batched_dispatch(self, weighted_uniform_graph):
-        batched = run_average(
-            Application.SSSP, weighted_uniform_graph, [0, 9, 27], batched=True
-        )
-        for run_result in batched.runs:
+    def test_sssp_values_match_reference(self, weighted_uniform_graph):
+        aggregate = run_average(Application.SSSP, weighted_uniform_graph, [0, 9, 27])
+        for run_result in aggregate.runs:
             assert np.array_equal(
                 run_result.values,
                 sssp_distances(weighted_uniform_graph, run_result.source),
@@ -235,14 +253,29 @@ class TestPackedCrossConfigEquivalence:
                 result.values, bfs_levels(random_graph, lane.source)
             )
 
-    def test_one_engine_metrics_entry_per_distinct_config(self, random_graph):
+    def test_one_engine_prices_each_distinct_config(self, random_graph):
         lanes = [
             PackedLane(0, AccessStrategy.MERGED_ALIGNED),
-            PackedLane(1, AccessStrategy.MERGED_ALIGNED),
-            PackedLane(2, AccessStrategy.UVM),
+            PackedLane(1, AccessStrategy.UVM),
+            PackedLane(2, AccessStrategy.MERGED_ALIGNED),
         ]
-        packed = run_packed_batch("bfs", random_graph, lanes)
-        assert len(packed.batch_metrics) == 2  # two configs, one word
+        priced = []
+        price_lanes = TraversalEngine.price_lanes
+
+        def recording(engine, trace, indices, *args):
+            priced.append((engine.strategy, list(indices)))
+            return price_lanes(engine, trace, indices, *args)
+
+        with mock.patch.object(TraversalEngine, "price_lanes", recording):
+            packed = run_packed_batch("bfs", random_graph, lanes)
+        # Two configs, one word: each engine prices its own lanes once.
+        assert priced == [
+            (AccessStrategy.MERGED_ALIGNED, [0, 2]),
+            (AccessStrategy.UVM, [1]),
+        ]
+        for lane, result in zip(lanes, packed.results):
+            solo = run_bfs(random_graph, lane.source, strategy=lane.strategy)
+            assert result.metrics == solo.metrics
 
     def test_out_of_range_packed_source_rejected(self, random_graph):
         with pytest.raises(SimulationError):
@@ -261,7 +294,6 @@ def _outcome_digest(outcome) -> str:
         + metrics_fields(result.metrics)
         for result in outcome.results
     ]
-    parts += [metrics_fields(metrics) for metrics in outcome.batch_metrics]
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
@@ -317,30 +349,29 @@ def _front_digests(graph, application, lanes) -> dict:
     }
 
 
-#: Recorded at the commit before run_batch and run_packed_batch were merged
-#: onto one word runner (where every front of a shape already agreed):
+#: Recorded when every lane came to be priced alone from its word's trace
+#: (every front of a shape agrees, native and numpy alike):
 #: (graph fixture, application, lanes) -> {configs: digest}.
 PINNED_DIGESTS = {
-    ("random_graph", "bfs", 3): {"one": "4f486011cb81a4e8", "three": "e2d2abd2e479d7a0"},
-    ("random_graph", "bfs", 64): {"one": "e93684e29d6fa173", "three": "384f97f782cb8694"},
-    ("random_graph", "bfs", 70): {"one": "0a132bb4e6d9b212", "three": "5839d55d2bd2a922"},
-    ("random_graph", "sssp", 3): {"one": "89dabff5cb17c794", "three": "f5df1b3009697750"},
-    ("random_graph", "sssp", 64): {"one": "848fe034ac4164c5", "three": "e9cbd669c141ab0d"},
-    ("random_graph", "sssp", 70): {"one": "1306d4f9ff36d76b", "three": "6c319733a4b287c2"},
-    ("weighted_uniform_graph", "bfs", 3): {"one": "4d55f2feba294881", "three": "32dee48edee50f86"},
-    ("weighted_uniform_graph", "bfs", 64): {"one": "db03e2db9971d1b6", "three": "5277476733f2d27c"},
-    ("weighted_uniform_graph", "bfs", 70): {"one": "22d26b6e5bb12e8d", "three": "8319f6400b30498b"},
-    ("weighted_uniform_graph", "sssp", 3): {"one": "f96b8f79fc48cfa7", "three": "920e1327de0f53c3"},
-    ("weighted_uniform_graph", "sssp", 64): {"one": "42186151943802ec", "three": "b484acc0633b1131"},
-    ("weighted_uniform_graph", "sssp", 70): {"one": "25c76c0f8c65f0cd", "three": "e284beb9b9a5393f"},
+    ("random_graph", "bfs", 3): {"one": "e0f5a7b5140459fa", "three": "ad5d58a92aeb9ac3"},
+    ("random_graph", "bfs", 64): {"one": "fb1f5a4d635f4b94", "three": "ed17c5a75885c838"},
+    ("random_graph", "bfs", 70): {"one": "3cbf6d6a2c7b286c", "three": "25100b7f13d4e589"},
+    ("random_graph", "sssp", 3): {"one": "b4c651cc98a25189", "three": "738b99d73ce7a2c9"},
+    ("random_graph", "sssp", 64): {"one": "60d356cee8164ac1", "three": "d3840c57bde73c84"},
+    ("random_graph", "sssp", 70): {"one": "aa80aabb5a1a97aa", "three": "b4f06fb8988d01ad"},
+    ("weighted_uniform_graph", "bfs", 3): {"one": "6598cb6dfb1aa245", "three": "2d4655988308c5a0"},
+    ("weighted_uniform_graph", "bfs", 64): {"one": "33d558d9114c7bc0", "three": "a734a3a525803a84"},
+    ("weighted_uniform_graph", "bfs", 70): {"one": "6b157a59ebba1ca6", "three": "ac39a3bebc7d2634"},
+    ("weighted_uniform_graph", "sssp", 3): {"one": "fc4f5467ae971700", "three": "7e4041086e04808b"},
+    ("weighted_uniform_graph", "sssp", 64): {"one": "707822f6823d65b3", "three": "596a689cdbec3c99"},
+    ("weighted_uniform_graph", "sssp", 70): {"one": "e49afb8c2717ac42", "three": "69fe4b5c5c33b694"},
 }
 
 
-class TestPinnedAttributedMetrics:
-    """Attributed metrics are guarded across commits, not only against solo
+class TestPinnedBatchMetrics:
+    """Batched metrics are guarded across commits, not only against solo
     runs: every front must reproduce the pinned digest of its shape — each
-    lane's values, attributed metrics and kernel counters plus the engines'
-    batch metrics — bit for bit."""
+    lane's values, metrics and kernel counters — bit for bit."""
 
     @pytest.mark.parametrize("lanes", (3, 64, 70))
     @pytest.mark.parametrize("application", ("bfs", "sssp"))
@@ -427,24 +458,6 @@ class TestPinnedSoloMetrics:
 # ---------------------------------------------------------------------- #
 # Native vs numpy BFS word
 # ---------------------------------------------------------------------- #
-class _RecordingAttribution(_Attribution):
-    """Logs every (engine, lane edge counts, active lanes) it is handed."""
-
-    log: list = []
-
-    def record(self, iteration, engine_index, lane_edges, active):
-        self.log.append((engine_index, lane_edges.tolist(), active.tolist()))
-        super().record(iteration, engine_index, lane_edges, active)
-
-
-def _traced_bfs(graph, lanes, method):
-    """``run_packed_batch`` on one BFS backend plus its per-iteration log."""
-    _RecordingAttribution.log = []
-    with mock.patch.object(multisource, "_Attribution", _RecordingAttribution):
-        outcome = run_packed_batch("bfs", graph, lanes, relax_method=method)
-    return outcome, _RecordingAttribution.log
-
-
 @st.composite
 def bfs_words(draw):
     """A random CSR graph with self-loops, multi-edges and isolated vertices,
@@ -477,16 +490,23 @@ def bfs_words(draw):
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
 class TestNativeBFSWord:
     """The C BFS word against the numpy sweep it replaces: the same levels,
-    the same per-iteration lane edge counts and the same attributed metrics,
-    bit for bit."""
+    the same trace (every sweep's frontier and lane words) and the same
+    metrics, bit for bit."""
 
     @given(word=bfs_words())
     @settings(max_examples=60, deadline=None)
     def test_native_matches_numpy(self, word):
         graph, lanes = word
-        native, native_log = _traced_bfs(graph, lanes, "native")
-        numpy, numpy_log = _traced_bfs(graph, lanes, "scatter")
-        assert native_log == numpy_log
+        sources = [lane.source for lane in lanes[:WORD_BITS]]
+        native_word = multisource._bfs_word(graph, sources, None, "native")
+        numpy_word = multisource._bfs_word(graph, sources, None, "scatter")
+        assert np.array_equal(native_word[0], numpy_word[0])
+        for recorded in ("frontiers", "active_bits"):
+            a, b = getattr(native_word[1], recorded), getattr(numpy_word[1], recorded)
+            assert len(a) == len(b)
+            assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+        native = run_packed_batch("bfs", graph, lanes, relax_method="native")
+        numpy = run_packed_batch("bfs", graph, lanes, relax_method="scatter")
         assert _outcome_digest(native) == _outcome_digest(numpy)
         for lane, a, b in zip(lanes, native.results, numpy.results):
             assert np.array_equal(a.values, b.values)
@@ -521,14 +541,13 @@ class TestNativeBFSWord:
             visited_bits=np.zeros(size, dtype=np.uint64),
             levels=levels,
             depth=1,
-            lane_edges=np.zeros(lanes, dtype=np.int64),
             next_frontier=np.empty(size, dtype=np.int64),
             next_active=np.empty(size, dtype=np.uint64),
         )
 
     ARRAYS = (
         "frontier", "active_bits", "starts", "ends", "edges", "next_bits",
-        "visited_bits", "levels", "lane_edges", "next_frontier", "next_active",
+        "visited_bits", "levels", "next_frontier", "next_active",
     )
 
     @pytest.mark.parametrize("pinned", (False, True))
@@ -543,77 +562,3 @@ class TestNativeBFSWord:
             buffers[name] = bad(buffers[name])
             with pytest.raises(ValueError, match="bfs_word buffers must be C-contiguous"):
                 _native.bfs_word(**buffers, pins=_native.Pins() if pinned else None)
-
-
-# ---------------------------------------------------------------------- #
-# Attribution accumulator and lane assembly
-# ---------------------------------------------------------------------- #
-class TestAttributionMatrix:
-    def test_accumulator_equals_summed_scaled_breakdowns(self, random_graph):
-        """The (lanes, 6) matrix holds, bit for bit, what one TimeBreakdown
-        per lane accumulated with ``add(iteration.scaled(share))``."""
-        rng = np.random.default_rng(8)
-        lanes = 9
-        lane_engine = np.array([0, 1, 0, 0, 1, 1, 0, 1, 0])
-        engines = [
-            TraversalEngine(random_graph, AccessStrategy.MERGED_ALIGNED),
-            TraversalEngine(random_graph, AccessStrategy.UVM),
-        ]
-        attribution = _Attribution(lanes, lane_engine)
-        expected = [TimeBreakdown() for _ in range(lanes)]
-        for sweep in range(12):
-            frontier = np.unique(rng.integers(0, random_graph.num_vertices, 1 + sweep * 7))
-            active = rng.random(lanes) < 0.7
-            # Every third sweep owns no edges at all: the even split.
-            lane_edges = np.where(active, rng.integers(0, 50, lanes), 0) * (sweep % 3 != 2)
-            for index, engine in enumerate(engines):
-                iteration = engine.process_frontier(frontier)
-                attribution.record(iteration, index, lane_edges, active)
-                owned = lane_engine == index
-                owned_edges = np.where(owned, lane_edges, 0)
-                total = float(owned_edges.sum())
-                if total > 0:
-                    shares = owned_edges / total
-                else:
-                    count = int(np.count_nonzero(active & owned))
-                    shares = np.where(active & owned, 1.0 / max(count, 1), 0.0)
-                for lane in range(lanes):
-                    if shares[lane] > 0:
-                        expected[lane].add(iteration.scaled(float(shares[lane])))
-        for lane in range(lanes):
-            assert attribution.seconds[lane].tolist() == list(expected[lane].components())
-            rebuilt = TimeBreakdown(*attribution.seconds[lane].tolist())
-            assert rebuilt.total() == expected[lane].total()
-
-    def test_extra_components_are_refused(self):
-        attribution = _Attribution(2, np.zeros(2, dtype=np.int64))
-        iteration = TimeBreakdown(compute_seconds=1.0, extra={"sync": 0.5})
-        with pytest.raises(SimulationError, match="extra"):
-            attribution.record(
-                iteration, 0, np.array([1, 1]), np.array([True, True])
-            )
-
-    def test_lane_counters_round_half_to_even_like_round(self, random_graph):
-        """``np.rint`` over the lane matrix is ``int(round(count * fraction))``
-        per counter, ties included (odd counts at fractions 0.5 / 0.25)."""
-        engine = TraversalEngine(random_graph, AccessStrategy.UVM)
-        for frontier in ([0, 1, 2], [5], [7, 11, 13, 17, 19]):
-            engine.process_frontier(np.array(frontier))
-        batch = engine.finalize()
-        attribution = _Attribution(4, np.zeros(4, dtype=np.int64))
-        attribution.attributed_edges[:] = [1.0, 1.0, 2.0, 0.0]
-        lanes = [PackedLane(0, AccessStrategy.UVM)] * 4
-        metrics = _lane_metrics(lanes, [engine], [batch], attribution)
-        row = batch.traffic.counter_row()
-        counters = batch.counters
-        for fraction, lane in zip((0.25, 0.25, 0.5, 0.0), metrics):
-            assert lane.traffic.counter_row() == tuple(
-                int(round(count * fraction)) for count in row
-            )
-            assert lane.counters.edges_traversed == int(
-                round(counters.edges_traversed * fraction)
-            )
-            assert lane.counters.frontier_vertices == int(
-                round(counters.frontier_vertices * fraction)
-            )
-        assert any(count % 2 for count in row), "no odd count: no tie exercised"

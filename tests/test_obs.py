@@ -316,8 +316,8 @@ class TestKernelCounters:
 
     def test_batched_sssp_reports_relax_backend(self, random_graph):
         outcome = run_batch(Application.SSSP, random_graph, sources=(0, 1, 2))
-        for metrics in outcome.batch_metrics:
-            counters = metrics.counters
+        for result in outcome.results:
+            counters = result.metrics.counters
             assert counters is not None
             assert counters.relax_backend in ("native", "scatter")
             assert counters.relax_candidates > 0

@@ -24,7 +24,6 @@ from repro.traversal.multisource import run_batch, run_sssp_batch
 from repro.traversal.relax import (
     RELAX_METHODS,
     RelaxOutcome,
-    active_lane_mask,
     default_method,
     expand_lane_pairs,
     relax_lanes,
@@ -138,14 +137,6 @@ class TestBitIdentityAcrossBackends:
 
 
 class TestKernelUnits:
-    def test_active_lane_mask(self):
-        bits = np.array([0b101, 0b010], dtype=np.uint64)
-        mask = active_lane_mask(bits, 4)
-        assert mask.tolist() == [True, True, True, False]
-        assert active_lane_mask(np.empty(0, dtype=np.uint64), 3).tolist() == [
-            False, False, False,
-        ]
-
     def test_expand_lane_pairs_is_lane_major(self):
         bits = np.array([0b11, 0b10], dtype=np.uint64)
         lanes, positions = expand_lane_pairs(bits, 2)
@@ -200,8 +191,6 @@ class TestKernelUnits:
         assert outcome.touched.tolist() == [1]
         assert outcome.next_bits[1] == np.uint64(0b01)
         assert values[1].tolist() == [1.0, 0.5]
-        assert outcome.lane_edges.tolist() == [1, 1]
-        assert outcome.active_lanes.tolist() == [True, True]
 
     def test_default_method_is_known(self):
         assert default_method() in RELAX_METHODS
@@ -242,7 +231,6 @@ class TestNativeRelaxBuffers:
             values=values,
             snapshot=np.empty((size, lanes)),
             next_bits=np.zeros(size, dtype=np.uint64),
-            lane_edges=np.zeros(lanes, dtype=np.int64),
         )
 
     def test_matching_buffers_run(self):
@@ -253,7 +241,7 @@ class TestNativeRelaxBuffers:
         "short",
         (
             "frontier", "active_bits", "starts", "ends", "weights", "snapshot",
-            "next_bits", "lane_edges",
+            "next_bits",
         ),
     )
     def test_short_buffer_raises(self, short):
@@ -264,7 +252,7 @@ class TestNativeRelaxBuffers:
 
     ARRAYS = (
         "frontier", "active_bits", "starts", "ends", "edges", "weights", "values",
-        "snapshot", "next_bits", "lane_edges",
+        "snapshot", "next_bits",
     )
 
     @pytest.mark.parametrize("pinned", (False, True))
@@ -294,7 +282,6 @@ class TestNativeRelaxBuffers:
         pins = _native.Pins()
         assert _native.relax_word(**buffers, pins=pins) > 0
         buffers["next_bits"].fill(0)
-        buffers["lane_edges"].fill(0)
         assert _native.relax_word(**buffers, pins=pins) >= 0
         buffers["values"] = buffers["values"].astype(np.float32)
         with pytest.raises(ValueError, match="relax_word buffers must be C-contiguous"):
@@ -363,20 +350,19 @@ def relax_sweeps(draw):
 def _native_sweep(graph, weights, values, frontier, active_bits, dense_arm):
     values = values.copy()
     next_bits = np.zeros(graph.num_vertices, dtype=np.uint64)
-    lane_edges = np.zeros(values.shape[1], dtype=np.int64)
     with mock.patch.object(_native, "_dense_arm", dense_arm):
         improved = _native.relax_word(
             frontier, active_bits, graph.offsets[frontier], graph.offsets[frontier + 1],
-            graph.edges, weights, values, np.empty_like(values), next_bits, lane_edges,
+            graph.edges, weights, values, np.empty_like(values), next_bits,
         )
-    return values, next_bits, lane_edges, improved
+    return values, next_bits, improved
 
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
 class TestDenseArm:
     """The dense arm against the scalar arm and the numpy scatter sweep: the
-    same values, next-frontier words, lane edge counts and (between the
-    arms) the same improvement count."""
+    same values and next-frontier words and (between the arms) the same
+    improvement count."""
 
     @given(sweep=relax_sweeps())
     @settings(max_examples=150, deadline=None)
@@ -393,8 +379,7 @@ class TestDenseArm:
         for arm in (dense, scalar):
             assert arm[0].tobytes() == numpy_values.tobytes()
             assert arm[1].tolist() == outcome.next_bits.tolist()
-            assert arm[2].tolist() == outcome.lane_edges.tolist()
-        assert dense[3] == scalar[3]
+        assert dense[2] == scalar[2]
 
     @staticmethod
     def _inactive_snapshot_lanes(lanes, bits, dense_arm):
@@ -411,7 +396,7 @@ class TestDenseArm:
             _native.relax_word(
                 frontier, np.array(bits, dtype=np.uint64), graph.offsets[:2],
                 graph.offsets[1:3], graph.edges, None, values, snapshot,
-                np.zeros(3, dtype=np.uint64), np.zeros(lanes, dtype=np.int64),
+                np.zeros(3, dtype=np.uint64),
             )
         return [
             set(row[[(mask >> lane) & 1 == 0 for lane in range(lanes)]].tolist())

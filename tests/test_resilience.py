@@ -716,17 +716,15 @@ class TestUVMReplayGoesThroughTheBreaker:
         ]
 
     @pytest.mark.parametrize(
-        "application, sources, faults_spec, failing_kernel",
+        "application, sources, failing_kernel",
         [
-            # A word, lone or fused, sweeps first: its first invoke is the
-            # word kernel, its second the replay.
-            (Application.BFS, (0,), "native.invoke:permanent:limit=1", "bfs_word"),
-            (Application.SSSP, (0,), "native.invoke:permanent:limit=1", "relax_word"),
-            (Application.BFS, (0,), "native.invoke:permanent:n=2:limit=1", "uvm_replay"),
-            (Application.SSSP, (0,), "native.invoke:permanent:n=2:limit=1", "uvm_replay"),
-            (Application.BFS, (0, 1, 2), "native.invoke:permanent:limit=1", "bfs_word"),
-            (Application.BFS, (0, 1, 2), "native.invoke:permanent:n=2:limit=1", "uvm_replay"),
-            (Application.SSSP, (0, 1, 2), "native.invoke:permanent:n=2:limit=1", "uvm_replay"),
+            (Application.BFS, (0,), "bfs_word"),
+            (Application.SSSP, (0,), "relax_word"),
+            (Application.BFS, (0,), "uvm_replay"),
+            (Application.SSSP, (0,), "uvm_replay"),
+            (Application.BFS, (0, 1, 2), "bfs_word"),
+            (Application.BFS, (0, 1, 2), "uvm_replay"),
+            (Application.SSSP, (0, 1, 2), "uvm_replay"),
         ],
         ids=[
             "lone-bfs", "lone-sssp", "lone-bfs-replay", "lone-sssp-replay",
@@ -734,8 +732,16 @@ class TestUVMReplayGoesThroughTheBreaker:
         ],
     )
     def test_one_fault_steps_down_once_with_clean_numpy_results(
-        self, application, sources, faults_spec, failing_kernel, caplog
+        self, application, sources, failing_kernel, caplog
     ):
+        clean = self._clean_runs(application, sources, fused=len(sources) > 1)
+        # A word, lone or fused, runs its sweeps' kernels first (one invoke
+        # per sweep of its longest lane), then prices: the lane-row pass,
+        # then the replay.
+        sweeps = max(result.metrics.iterations for result in clean)
+        faults_spec = "native.invoke:permanent:limit=1"
+        if failing_kernel == "uvm_replay":
+            faults_spec = f"native.invoke:permanent:n={sweeps + 2}:limit=1"
         with _breaker_service(faults_spec, breaker_threshold=2, breaker_cooldown=60) as service:
             jobs = _drain_group(service, application, sources, strategies=("uvm",))
             stats = service.stats()
@@ -744,7 +750,6 @@ class TestUVMReplayGoesThroughTheBreaker:
             assert service._breaker.snapshot()["consecutive_failures"] == 1
         failures = caplog.text.count("kernel failed:")
         assert failures == 1 and f"native {failing_kernel} kernel failed" in caplog.text
-        clean = self._clean_runs(application, sources, fused=len(sources) > 1)
         for job, expected in zip(jobs, clean):
             assert job.status is JobStatus.DONE
             assert job.result.values.tobytes() == expected.values.tobytes()

@@ -161,14 +161,12 @@ class TestApiDispatch:
         outcome = run_streaming("cc", random_graph, ["uvm", "merged"])
         assert outcome.num_lanes == 2
 
-    def test_run_average_cc_batched_matches_serial(self, disconnected_graph):
-        batched = run_average(Application.CC, disconnected_graph, [0], batched=True)
-        serial = run_average(Application.CC, disconnected_graph, [0], batched=False)
-        assert batched.num_runs == serial.num_runs == 1
-        assert np.array_equal(batched.runs[0].values, serial.runs[0].values)
-        assert (
-            batched.runs[0].metrics.seconds == serial.runs[0].metrics.seconds
-        )
+    def test_run_average_cc_matches_solo(self, disconnected_graph):
+        batched = run_average(Application.CC, disconnected_graph, [0])
+        solo = run_cc(disconnected_graph)
+        assert batched.num_runs == 1
+        assert np.array_equal(batched.runs[0].values, solo.values)
+        assert batched.runs[0].metrics == solo.metrics
 
 
 class TestServiceStreamingFusion:

@@ -303,15 +303,120 @@ class TestNativeReplay:
     def test_replay_checks_its_buffers(self):
         uvm = make_uvm(size_pages=4)
         starts = np.array([0], dtype=np.int64)
+        segments = (None, np.array([0, 1]), np.zeros(0, dtype=np.int64))
         buffers = [uvm._resident_bytes, uvm._last_touch, uvm._state, np.zeros((3, 4), np.int64)]
+        counters = np.zeros((1, 4), dtype=np.int64)
         args = (uvm.allocation.size_bytes, PAGE, 16, 1)
         with pytest.raises(ValueError, match="do not match"):
-            _native.uvm_replay(starts, starts[:0], *args, *buffers)
+            _native.uvm_replay(starts, starts[:0], *segments, *args, *buffers, counters)
         with pytest.raises(ValueError, match="do not match"):
-            _native.uvm_replay(starts, starts + 1, *args, *buffers[:3], np.zeros(11, np.int64))
+            _native.uvm_replay(
+                starts, starts + 1, *segments, *args, *buffers[:3], np.zeros(11, np.int64),
+                counters,
+            )
+        with pytest.raises(ValueError, match="do not match"):
+            _native.uvm_replay(starts, starts + 1, *segments, *args, *buffers, counters[:, :3])
+        with pytest.raises(ValueError, match="bounds must be ascending"):
+            _native.uvm_replay(
+                starts, starts + 1, None, np.array([0, 2]), *segments[2:], *args, *buffers,
+                counters,
+            )
         with pytest.raises(ValueError, match="C-contiguous int64"):
-            _native.uvm_replay(starts.astype(np.float64), starts + 1.0, *args, *buffers)
+            _native.uvm_replay(
+                starts.astype(np.float64), starts + 1.0, *segments, *args, *buffers, counters
+            )
         with pytest.raises(ValueError, match="C-contiguous uint8"):
-            _native.uvm_replay(starts, starts + 1, *args, uvm._resident, *buffers[1:])
-        assert _native.uvm_replay(starts, starts + 1, *args, *buffers)
-        assert uvm._state[5:].tolist() == [1, 1, PAGE, 0]
+            _native.uvm_replay(
+                starts, starts + 1, *segments, *args, uvm._resident, *buffers[1:], counters
+            )
+        assert _native.uvm_replay(starts, starts + 1, *segments, *args, *buffers, counters) == 0
+        assert counters.ravel().tolist() == [1, 1, PAGE, 0]
+        # A masked replay folds each segment to pages, which must not descend.
+        lanes = np.zeros(1, dtype=np.int64)
+        masked = (np.ones(2, np.uint64), np.array([0, 2]), lanes)
+        two = np.array([PAGE, 0], dtype=np.int64)
+        code = _native.uvm_replay(two, two + 1, *masked, *args, *buffers, counters)
+        assert code == -2 and counters.ravel().tolist() == [1, 1, PAGE, 0]
+
+
+@st.composite
+def traced_words(draw):
+    """A region, a page cache and prefetch granule as for
+    :func:`uvm_call_sequences`, and a traced word over it: sweeps of
+    ascending, disjoint ranges (some empty), each with a lane word over up to
+    70 lanes' worth of bits, and the lanes to replay."""
+    size_pages = draw(st.integers(1, 40))
+    size_bytes = max(1, size_pages * PAGE - draw(st.sampled_from((0, 1, PAGE // 2))))
+    capacity = draw(st.sampled_from((0, 1, 2, 5, 8, max(1, size_pages // 3), size_pages + 8)))
+    prefetch = draw(st.sampled_from((1, 2, 16)))
+    lanes = draw(st.integers(1, 64))
+    starts, ends, masks, bounds = [], [], [], [0]
+    for _ in range(draw(st.integers(1, 6))):
+        cuts = sorted(draw(st.lists(st.integers(0, size_bytes), max_size=30)))
+        for start, end in zip(cuts[::2], cuts[1::2]):
+            starts.append(start)
+            ends.append(end)
+            masks.append(draw(st.integers(0, (1 << lanes) - 1)))
+        bounds.append(len(starts))
+    replayed = draw(st.lists(st.integers(0, lanes - 1), min_size=1, max_size=lanes, unique=True))
+    return (
+        size_bytes, capacity, prefetch,
+        np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64),
+        np.array(masks, dtype=np.uint64), np.array(bounds), np.array(sorted(replayed)),
+    )
+
+
+class TestReplayLanes:
+    """``UVMSpace.replay_lanes``: the native arm, one C call over the sweeps
+    folded to pages, against the numpy arm, which replays each lane's own
+    ranges call by call from a reset."""
+
+    ARMS = (False, True) if _native.available() else (False,)
+
+    @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+    @given(word=traced_words())
+    @settings(max_examples=200, deadline=None)
+    def test_native_replays_every_lane_like_the_numpy_arm(self, word):
+        size_bytes, capacity, prefetch, *trace = word
+        spaces = [
+            make_uvm(capacity_pages=capacity, prefetch_pages=prefetch, size_bytes=size_bytes)
+            for _ in range(2)
+        ]
+        numpy_counters = spaces[0].replay_lanes(*trace, native=False)
+        native_counters = spaces[1].replay_lanes(*trace, native=True)
+        assert np.array_equal(numpy_counters, native_counters)
+        # Both spaces are left as the last lane left them.
+        assert _state(spaces[0]) == _state(spaces[1])
+
+    def test_each_lane_starts_from_a_reset_space(self):
+        starts = np.array([0, PAGE], dtype=np.int64)
+        masks = np.array([0b11, 0b10], dtype=np.uint64)
+        for native in self.ARMS:
+            uvm = make_uvm()
+            touch(uvm, 5, 6)
+            counters = uvm.replay_lanes(
+                starts, starts + PAGE, masks, np.array([0, 2]), np.array([0, 1]), native
+            )
+            # Lane 0 takes page 0, lane 1 pages 0 and 1: every page faults.
+            assert counters[:, 0, :2].tolist() == [[1, 1], [2, 2]]
+            assert not uvm.is_resident(5)
+
+    def test_descending_pages_raise_natively(self):
+        if not _native.available():
+            pytest.skip("native kernels unavailable")
+        starts = np.array([PAGE, 0], dtype=np.int64)
+        uvm = make_uvm()
+        with pytest.raises(SimulationError, match="must not descend"):
+            uvm.replay_lanes(
+                starts, starts + 1, np.ones(2, np.uint64), np.array([0, 2]), np.array([0]), True
+            )
+
+    def test_out_of_range_ranges_raise(self):
+        starts = np.array([0], dtype=np.int64)
+        for native in self.ARMS:
+            uvm = make_uvm(size_pages=2)
+            with pytest.raises(SimulationError, match="outside the UVM allocation"):
+                uvm.replay_lanes(
+                    starts, starts + 3 * PAGE, np.ones(1, np.uint64), np.array([0, 1]),
+                    np.array([0]), native,
+                )
