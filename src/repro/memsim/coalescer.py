@@ -38,9 +38,6 @@ SECTORS_PER_LINE = CACHELINE_BYTES // SECTOR_BYTES
 #: The four request sizes the FPGA monitor observes (§3.3).
 REQUEST_SIZES = tuple(SECTOR_BYTES * i for i in range(1, SECTORS_PER_LINE + 1))
 
-#: A histogram holding exactly these sizes needs no checks.
-_SIZE_KEYS = frozenset(REQUEST_SIZES)
-
 
 @dataclass
 class RequestHistogram:
@@ -49,8 +46,6 @@ class RequestHistogram:
     counts: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.counts.keys() == _SIZE_KEYS:
-            return
         for size in self.counts:
             self._check_size(size)
         for size in REQUEST_SIZES:

@@ -9,10 +9,13 @@ Cooperative sweep timeouts
     PageRank iteration) calls :func:`iteration_checkpoint` once, which
     polls the thread's current token.  Solo, multisource, packed and
     streaming runs all sweep through those loops, so one hook covers every
-    execution shape.  The token *is* the watchdog — there is no killer thread (numpy work cannot
-    be interrupted from outside anyway); instead the sweep observes its own
-    overrun at the next iteration boundary and raises
-    :class:`SweepTimeoutError`.
+    execution shape.  A word is priced after its last sweep, one
+    configuration's engine after another, and :func:`poll_cancellation`
+    polls the token after each, so an overrun is seen at most one sweep or
+    one configuration's pricing of one word late.  The token *is* the
+    watchdog — there is no killer thread (numpy work cannot be interrupted
+    from outside anyway); instead the sweep observes its own overrun at the
+    next iteration or pricing boundary and raises :class:`SweepTimeoutError`.
 
 Retry backoff
     :class:`RetryPolicy` computes exponential backoff with deterministic
@@ -117,6 +120,16 @@ def iteration_checkpoint() -> None:
     reads — cheap enough for every iteration of every sweep.
     """
     faults.check("engine.sweep")
+    poll_cancellation()
+
+
+def poll_cancellation() -> None:
+    """Poll the thread's current cancellation token, and nothing else.
+
+    A BFS/SSSP word calls this after each configuration's engine has priced
+    its lanes: pricing runs after the word's last sweep, so without it a
+    deadline passed while pricing would go unseen.  It fires no fault.
+    """
     token = getattr(_current, "token", None)
     if token is not None:
         token.check()

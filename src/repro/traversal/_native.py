@@ -39,9 +39,10 @@ share one shared object:
   share along its out-edges in CSR order, then the damped update;
 * ``repro_lane_rows`` — a BFS/SSSP word's pricing rows (:func:`lane_rows`,
   called by :meth:`repro.traversal.engine.TraversalEngine.price_lanes`): for
-  every lane and sweep of a traced word, the edges, vertices and request
-  counts of the lane's own frontier, one ``ctz`` walk over each union
-  frontier vertex's lane word;
+  every sweep of a traced word and every lane the calling engine prices,
+  the edges, vertices and request counts of the lane's own frontier, one
+  ``ctz`` walk over each union frontier vertex's lane word masked to those
+  lanes;
 * ``repro_uvm_replay`` — a sequence of
   :meth:`repro.memsim.uvm.UVMSpace.access_byte_ranges` calls (:func:`uvm_replay`,
   taken with ``native=True``), cut by segment boundaries, in place on the
@@ -405,20 +406,21 @@ int64_t repro_pagerank_step(const int64_t *offsets,
     return offsets[num_vertices] - offsets[0];
 }
 
-/* Per-(lane, sweep) rows of a traced BFS/SSSP word: what each lane's own
- * frontier swept, summed over its vertices.
+/* Per-(lane, sweep) rows of a traced BFS/SSSP word: what each of the
+ * num_lanes lanes lanes[] (distinct lane indices below 64) swept, summed over
+ * the vertices of its own frontier.
  *
  * The word's sweeps are concatenated: sweep k holds entries [bounds[k],
  * bounds[k + 1]) of frontier (vertex ids) and masks (their lane words).  A
  * vertex's row is its degree (offsets[v + 1] - offsets[v]), 1, then its
  * width0 entries of table0 and its width1 entries of table1 (row-major
  * (num_vertices, width) int64 request tables; a NULL table has width 0;
- * widths are at most 4).  rows, of shape (lanes, num_sweeps, 2 + width0 +
- * width1), receives for every lane l < lanes and sweep k the sum of the rows
- * of sweep k's entries whose mask has bit l set.  An entry on which more
- * than half the lanes are active adds its row to the sweep's total and
- * takes it back from the lanes it lacks, so no entry visits more than half
- * the lanes.  Returns 0.
+ * widths are at most 4).  rows, of shape (num_lanes, num_sweeps, 2 + width0
+ * + width1), receives for every i < num_lanes and sweep k the sum of the
+ * rows of sweep k's entries whose mask has bit lanes[i] set; the other bits
+ * are never read.  An entry on which more than half the given lanes are
+ * active adds its row to the sweep's total and takes it back from the given
+ * lanes it lacks, so no entry visits more than half of them.  Returns 0.
  */
 int64_t repro_lane_rows(const int64_t *frontier,
                         const uint64_t *masks,
@@ -429,16 +431,22 @@ int64_t repro_lane_rows(const int64_t *frontier,
                         int64_t width0,
                         const int64_t *table1,
                         int64_t width1,
-                        int64_t lanes,
+                        const int64_t *lanes,
+                        int64_t num_lanes,
                         int64_t *rows)
 {
     int64_t width = 2 + width0 + width1;
-    uint64_t word = lanes >= 64 ? ~0ull : ((1ull << lanes) - 1);
+    int64_t slot[64];
+    uint64_t word = 0;
+    for (int64_t i = 0; i < num_lanes; i++) {
+        slot[lanes[i]] = i;
+        word |= 1ull << lanes[i];
+    }
     int64_t row[10], total[10];
     for (int64_t k = 0; k < num_sweeps; k++) {
         for (int64_t j = 0; j < width; j++) total[j] = 0;
-        for (int64_t l = 0; l < lanes; l++) {
-            int64_t *dst = rows + (l * num_sweeps + k) * width;
+        for (int64_t i = 0; i < num_lanes; i++) {
+            int64_t *dst = rows + (i * num_sweeps + k) * width;
             for (int64_t j = 0; j < width; j++) dst[j] = 0;
         }
         for (int64_t e = bounds[k]; e < bounds[k + 1]; e++) {
@@ -449,24 +457,24 @@ int64_t repro_lane_rows(const int64_t *frontier,
             row[1] = 1;
             for (int64_t j = 0; j < width0; j++) row[2 + j] = table0[v * width0 + j];
             for (int64_t j = 0; j < width1; j++) row[2 + width0 + j] = table1[v * width1 + j];
-            if (2 * __builtin_popcountll(mask) > lanes) {
+            if (2 * __builtin_popcountll(mask) > num_lanes) {
                 for (int64_t j = 0; j < width; j++) total[j] += row[j];
                 mask = ~mask & word;
                 while (mask) {
-                    int64_t *dst = rows + ((int64_t)__builtin_ctzll(mask) * num_sweeps + k) * width;
+                    int64_t *dst = rows + (slot[__builtin_ctzll(mask)] * num_sweeps + k) * width;
                     mask &= mask - 1;
                     for (int64_t j = 0; j < width; j++) dst[j] -= row[j];
                 }
             } else {
                 while (mask) {
-                    int64_t *dst = rows + ((int64_t)__builtin_ctzll(mask) * num_sweeps + k) * width;
+                    int64_t *dst = rows + (slot[__builtin_ctzll(mask)] * num_sweeps + k) * width;
                     mask &= mask - 1;
                     for (int64_t j = 0; j < width; j++) dst[j] += row[j];
                 }
             }
         }
-        for (int64_t l = 0; l < lanes; l++) {
-            int64_t *dst = rows + (l * num_sweeps + k) * width;
+        for (int64_t i = 0; i < num_lanes; i++) {
+            int64_t *dst = rows + (i * num_sweeps + k) * width;
             for (int64_t j = 0; j < width; j++) dst[j] += total[j];
         }
     }
@@ -953,7 +961,8 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
             integer,  # width0
             pointer,  # table1 (nullable)
             integer,  # width1
-            integer,  # lanes
+            pointer,  # lanes
+            integer,  # num_lanes
             pointer,  # rows
         ]
         library.repro_uvm_replay.restype = integer
@@ -1275,21 +1284,23 @@ def lane_rows(
     bounds: np.ndarray,
     offsets: np.ndarray,
     tables: tuple[np.ndarray, ...],
+    lanes: np.ndarray,
     rows: np.ndarray,
 ) -> None:
     """Invoke the compiled lane-row pass; see the C source for the contract.
 
     ``frontier`` / ``masks`` are a traced word's sweeps concatenated and cut
     by ``bounds``; ``tables`` holds at most two ``(num_vertices, width)``
-    request tables (width at most 4); ``rows`` (``(lanes, sweeps, 2 +
-    widths)`` int64) is overwritten.  Every buffer is checked for its dtype,
+    request tables (width at most 4); ``lanes`` (int64) names the distinct
+    lanes whose rows ``rows`` (``(len(lanes), sweeps, 2 + widths)`` int64)
+    receives, overwritten.  Every buffer is checked for its dtype,
     C-contiguity and length on every call.
     """
-    lanes, sweeps, width = rows.shape
+    num_lanes, sweeps, width = rows.shape
     widths = [table.shape[1] for table in tables]
     num_vertices = offsets.size - 1
     if not (
-        lanes <= 64
+        lanes.size == num_lanes
         and frontier.size == masks.size
         and bounds.size == sweeps + 1
         and len(tables) <= 2
@@ -1297,6 +1308,10 @@ def lane_rows(
         and width == 2 + sum(widths)
     ):
         raise ValueError("lane_rows buffers do not match the (lanes, sweeps, width) rows")
+    if lanes.size and not (
+        0 <= lanes.min() and lanes.max() < 64 and np.unique(lanes).size == lanes.size
+    ):
+        raise ValueError("lane_rows lanes must be distinct lane indices below 64")
     if sweeps and not (
         bounds[0] == 0 and bounds[-1] == frontier.size and (bounds[1:] >= bounds[:-1]).all()
     ):
@@ -1317,7 +1332,8 @@ def lane_rows(
         widths[0],
         None if tables[1] is None else _address(tables[1], _INT64, kernel),
         widths[1],
-        lanes,
+        _address(lanes, _INT64, kernel),
+        num_lanes,
         _address(rows, _INT64, kernel),
     )
 

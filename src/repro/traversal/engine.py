@@ -31,25 +31,38 @@ from . import _native
 from .results import KernelCounters, TraversalMetrics
 from .strategies import spec_for
 
-_checkpoint = None
+_hooks = None
+
+
+def _resilience_hooks():
+    """:func:`repro.service.resilience.iteration_checkpoint` and
+    :func:`~repro.service.resilience.poll_cancellation`, bound on first use.
+
+    They are bound lazily because importing ``repro.service`` at module
+    scope would be circular — the service package imports the traversal
+    API, which imports this module.  After the first call this is one
+    global read.
+    """
+    global _hooks
+    if _hooks is None:
+        from ..service.resilience import iteration_checkpoint, poll_cancellation
+
+        _hooks = iteration_checkpoint, poll_cancellation
+    return _hooks
 
 
 def _iteration_checkpoint() -> None:
-    """Cooperative cancellation + fault hook, one call per sweep of a run loop.
+    """Cooperative cancellation + fault hook, one call per sweep of a run loop
+    (the engine.sweep fault site + the thread's Cancellation token; two
+    reads when idle)."""
+    _resilience_hooks()[0]()
 
-    The real hook lives in :func:`repro.service.resilience.iteration_checkpoint`
-    (engine.sweep fault site + the thread's Cancellation token).  It is bound
-    lazily because importing ``repro.service`` at module scope would be
-    circular — the service package imports the traversal API, which imports
-    this module.  After the first call this is one global read plus the hook
-    itself (two reads when idle).
-    """
-    global _checkpoint
-    if _checkpoint is None:
-        from ..service.resilience import iteration_checkpoint
 
-        _checkpoint = iteration_checkpoint
-    _checkpoint()
+def _pricing_checkpoint() -> None:
+    """Poll the thread's Cancellation token between the configurations that
+    price one word, so a deadline passed while pricing is observed there;
+    it is no fault site, so the engine.sweep fault counts stay per sweep."""
+    _resilience_hooks()[1]()
 
 
 class WordTrace:
@@ -110,6 +123,9 @@ _COUNTERS = len(TrafficRecord().counter_row())
 #: Columns of :meth:`TraversalEngine._price_rows`' seconds, in
 #: :meth:`TimeBreakdown.components` order.
 _INTERCONNECT, _DRAM, _COMPUTE, _FAULTS, _HOST, _LAUNCH = range(6)
+
+#: Frontier vertices per multiply of :meth:`TraversalEngine._lane_rows`.
+_LANE_ROW_CHUNK = 4096
 
 #: Allocation names used by the engine.
 EDGE_LIST = "edge_list"
@@ -233,9 +249,6 @@ class TraversalEngine:
             vertex_request_totals(*walk).reshape(1, -1) for walk in walks
         )
         self._refetch_rate = 1.0 - gpu.strided_sector_hit_rate
-        #: The priced ``(seconds, counters)`` of a whole-graph frontier,
-        #: the same every time: made by its first streaming iteration.
-        self._whole_graph_price: tuple[list, list] | None = None
         self.edge_uvm = None
         self.weight_uvm = None
 
@@ -293,24 +306,19 @@ class TraversalEngine:
                     result.migrated_bytes, result.evicted_pages,
                 ]]))
             seconds, counters = self._price_rows(edges, vertices, migrations=migrations)
-            priced = seconds[0].tolist(), counters[0].tolist()
         elif frontier.size == num_vertices and bool((frontier[1:] > frontier[:-1]).all()):
             # Every vertex once (strictly increasing, V of them): the
-            # streaming iterations, priced once from the memoised totals.
-            if self._whole_graph_price is None:
-                seconds, counters = self._price_rows(
-                    edges, vertices, requests=self.request_totals
-                )
-                self._whole_graph_price = seconds[0].tolist(), counters[0].tolist()
-            priced = self._whole_graph_price
+            # streaming iterations, priced from the memoised totals.
+            seconds, counters = self._price_rows(
+                edges, vertices, requests=self.request_totals
+            )
         else:
             seconds, counters = self._price_rows(
                 edges, vertices, requests=self._frontier_requests(frontier)
             )
-            priced = seconds[0].tolist(), counters[0].tolist()
 
-        iteration = TimeBreakdown(*priced[0])
-        self.traffic.merge(TrafficRecord.from_counter_row(priced[1]))
+        iteration = TimeBreakdown(*seconds[0].tolist())
+        self.traffic.merge(TrafficRecord.from_counter_row(counters[0].tolist()))
         self.breakdown.add(iteration)
         return iteration
 
@@ -333,17 +341,18 @@ class TraversalEngine:
         sweep, and the sweeps are accumulated in order, so each lane's
         metrics equal its solo run's bit for bit whatever else rode the word.
         Zero-copy request counts are the lane's own rows of the request
-        tables, summed by one :meth:`_lane_rows` pass over the trace; UVM
-        lanes each replay their own sequence on a freshly reset
-        residency, one :meth:`~repro.memsim.uvm.UVMSpace.replay_lanes`
-        call per region (``native`` takes the compiled kernel).  An SSSP
+        tables, summed by one :meth:`_lane_rows` pass over the trace that
+        reads only these lanes' bits; UVM lanes each replay their own
+        sequence on a freshly reset residency, one
+        :meth:`~repro.memsim.uvm.UVMSpace.replay_lanes` call per region
+        (``native`` takes the compiled kernels).  An SSSP
         word passes its ``relax_backend``: each lane's relax candidates are
         its own frontier's edges.  Nothing accumulated on the engine is
         read or changed, bar the UVM residency.
         """
         lanes = np.asarray(lanes, dtype=np.int64)
-        rows = self._lane_rows(trace, native)[lanes]
         # This engine's lanes, lane-major (lane, sweep) rows from here on.
+        rows = self._lane_rows(trace, lanes, native)
         rows = rows.reshape(-1, rows.shape[2])
         edges, vertices = rows[:, 0], rows[:, 1]
         if self.strategy is AccessStrategy.UVM:
@@ -393,31 +402,42 @@ class TraversalEngine:
             )
         return metrics
 
-    def _lane_rows(self, trace: WordTrace, native: bool) -> np.ndarray:
-        """Every lane's ``(lane, sweep)`` rows of ``trace``: its frontier's
-        edges, its vertices, then each request table's columns, summed over
-        the vertices of its own frontier.
+    def _lane_rows(self, trace: WordTrace, lanes: np.ndarray, native: bool) -> np.ndarray:
+        """The ``(lane, sweep)`` rows of ``lanes`` (lane indices of
+        ``trace``'s word): each lane's frontier's edges, its vertices, then
+        each request table's columns, summed over the vertices of its own
+        frontier.
 
-        ``native`` runs ``repro_lane_rows``; the numpy arm, the fallback and
-        reference, multiplies each sweep's lane bits into its frontier's
-        rows.  Every count is exact either way.
+        ``native`` runs ``repro_lane_rows``.  The numpy arm, the fallback
+        and reference, multiplies each sweep's unpacked bits of ``lanes``
+        into its vertices' rows, :data:`_LANE_ROW_CHUNK` vertices at a time
+        so the unpacked bits stay small; every product and partial sum is an
+        integer below 2**53, so every count is exact.
         """
+        frontier, masks, bounds = trace.flat()
+        offsets = self.graph.offsets
         tables = self.request_tables
         width = 2 + sum(table.shape[1] for table in tables)
-        rows = np.empty((trace.lanes, len(trace.frontiers), width), dtype=np.int64)
-        offsets = self.graph.offsets
         if native:
-            _native.lane_rows(*trace.flat(), offsets, tables, rows)
+            rows = np.empty((lanes.size, bounds.size - 1, width), dtype=np.int64)
+            _native.lane_rows(frontier, masks, bounds, offsets, tables, lanes, rows)
             return rows
-        lane_ids = np.arange(trace.lanes, dtype=np.uint64)
-        for sweep, (frontier, words) in enumerate(zip(trace.frontiers, trace.active_bits)):
-            bits = (words[:, None] >> lane_ids) & np.uint64(1)
-            columns = np.column_stack(
-                [offsets[frontier + 1] - offsets[frontier], np.ones(frontier.size)]
-                + [table[frontier] for table in tables]
-            )
-            rows[:, sweep] = bits.T.astype(np.float64) @ columns.astype(np.float64)
-        return rows
+        rows = np.zeros((lanes.size, bounds.size - 1, width))
+        for sweep, (start, end) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            for lo in range(start, end, _LANE_ROW_CHUNK):
+                vertices = frontier[lo : min(lo + _LANE_ROW_CHUNK, end)]
+                columns = np.empty((vertices.size, width))
+                columns[:, 0] = np.take(offsets, vertices + 1) - np.take(offsets, vertices)
+                columns[:, 1] = 1
+                column = 2
+                for table in tables:
+                    columns[:, column : column + table.shape[1]] = np.take(table, vertices, axis=0)
+                    column += table.shape[1]
+                # Column l holds bit l of each lane word.
+                words = np.asarray(masks[lo : lo + vertices.size], dtype="<u8").view(np.uint8)
+                bits = np.unpackbits(words, bitorder="little").reshape(-1, 64)[:, lanes]
+                rows[:, sweep] += (columns.T @ bits.astype(np.float64)).T
+        return rows.astype(np.int64)
 
     def _uvm_regions(self) -> list[tuple[UVMSpace, int]]:
         """Each UVM region with the bytes of one of its elements."""

@@ -70,7 +70,7 @@ from ..graph.csr import CSRGraph
 from ..hotpath import hot_path
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from . import _native
-from .engine import TraversalEngine, WordTrace, _iteration_checkpoint
+from .engine import TraversalEngine, WordTrace, _iteration_checkpoint, _pricing_checkpoint
 from .frontier import frontier_offsets, gather_frontier_destinations
 from .relax import make_snapshot, relax_lanes
 from .results import TraversalResult
@@ -326,6 +326,7 @@ def _run_words(
             lane_metrics = [None] * len(word_lanes)
             for key, indices in owned.items():
                 priced = engines[key].price_lanes(trace, indices, relax_backend, native)
+                _pricing_checkpoint()
                 for index, metrics in zip(indices, priced):
                     lane_metrics[index] = metrics
             for lane, row, metrics in zip(word_lanes, values, lane_metrics):

@@ -12,6 +12,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -186,6 +187,43 @@ class TestKernelCountersPerSweep:
         assert counter.total() == 1
         edges = sum(result.metrics.counters.edges_traversed for result in results)
         assert metrics.get("repro_kernel_edges_total").value(app="sssp") == edges
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestLaneRows:
+    """The lane-row pass reads only the lanes it is given: the compiled pass
+    and the numpy arm agree on any subset of a word's lanes, in any order."""
+
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        application=st.sampled_from(("bfs", "sssp")),
+        strategy=st.sampled_from(ALL_STRATEGIES),
+        sources=st.lists(st.integers(0, 499), min_size=1, max_size=64),
+        data=st.data(),
+    )
+    def test_compiled_pass_matches_numpy_arm(
+        self, random_graph, application, strategy, sources, data
+    ):
+        word = multisource._bfs_word if application == "bfs" else multisource._sssp_word
+        _, trace, _ = word(random_graph, sources, None, "scatter")
+        order = data.draw(st.permutations(range(len(sources))))
+        lanes = np.array(order[: data.draw(st.integers(1, len(sources)))], dtype=np.int64)
+        engine = TraversalEngine(random_graph, strategy, needs_weights=application == "sssp")
+        native = engine._lane_rows(trace, lanes, True)
+        assert np.array_equal(native, engine._lane_rows(trace, lanes, False))
+
+    def test_refuses_repeated_lanes(self, random_graph):
+        _, trace, _ = multisource._bfs_word(random_graph, [0, 1], None, "scatter")
+        engine = TraversalEngine(random_graph, AccessStrategy.MERGED_ALIGNED)
+        rows = np.empty((2, len(trace.frontiers), 6), dtype=np.int64)
+        lanes = np.array([1, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match="distinct lane indices"):
+            _native.lane_rows(
+                *trace.flat(), random_graph.offsets, engine.request_tables, lanes, rows
+            )
 
 
 class TestPricingMatchesAFreshEngine:

@@ -34,7 +34,8 @@ from repro.traversal import _native
 from repro.service.jobs import JobStatus
 from repro.traversal.bfs import bfs_levels, run_bfs
 from repro.traversal.cc import cc_labels
-from repro.traversal.multisource import run_batch
+from repro.traversal.engine import TraversalEngine
+from repro.traversal.multisource import run_batch, run_packed_batch
 from repro.traversal.pagerank import pagerank_scores
 from repro.traversal.sssp import run_sssp, sssp_distances
 from repro.types import AccessStrategy, Application
@@ -217,6 +218,25 @@ class TestCancellation:
         with cancellation_scope(Cancellation(budget_seconds=0.0)):
             with pytest.raises(SweepTimeoutError):
                 iteration_checkpoint()
+
+    def test_pricing_overrun_is_seen_before_the_next_configuration(self, monkeypatch):
+        # A word is priced after its last sweep, one configuration after
+        # another; the token is polled after each, so an overrun while the
+        # first prices raises before the second starts.
+        priced = []
+        price_lanes = TraversalEngine.price_lanes
+
+        def overrunning(engine, *args):
+            priced.append(engine.strategy)
+            current_cancellation().cancel("pricing overran")
+            return price_lanes(engine, *args)
+
+        monkeypatch.setattr(TraversalEngine, "price_lanes", overrunning)
+        lanes = [(0, AccessStrategy.MERGED_ALIGNED), (1, AccessStrategy.UVM)]
+        with cancellation_scope(Cancellation(budget_seconds=60.0)):
+            with pytest.raises(SweepTimeoutError, match="pricing overran"):
+                run_packed_batch(Application.BFS, make_graph(), lanes)
+        assert priced == [AccessStrategy.MERGED_ALIGNED]
 
     def test_scope_is_thread_local(self):
         token = Cancellation(budget_seconds=0.0)
