@@ -65,9 +65,7 @@ from .traversal import (
     run,
     run_average,
     run_batch,
-    run_bfs_batch,
     run_pagerank,
-    run_sssp_batch,
     run_streaming,
     run_streaming_batch,
     sssp,
@@ -123,8 +121,6 @@ __all__ = [
     "run_batch",
     "run_streaming",
     "run_streaming_batch",
-    "run_bfs_batch",
-    "run_sssp_batch",
     "run_pagerank",
     "TraversalEngine",
     "TraversalResult",

@@ -128,7 +128,8 @@ CATALOG: dict[str, tuple[str, ...]] = {
         "counter", "Fusion plans executed, by kind.", "kind",
     ),
     "repro_planner_packed_lanes_total": (
-        "counter", "Lanes executed inside fused plans.",
+        "counter", "Lanes executed inside fused plans: distinct sources of a "
+        "BFS/SSSP plan, groups of a streaming one.",
     ),
     "repro_pending_jobs": ("gauge", "Jobs queued, not yet picked up."),
     "repro_active_workers": ("gauge", "Worker tasks queued or running."),

@@ -10,7 +10,8 @@ engines can execute for it —
   pending group can share its execution,
 * **packed** — the anchor plus small same-graph, same-application BFS/SSSP
   groups of *different* platform configurations, bin-packed into the ≤64
-  lanes of one :func:`~repro.traversal.multisource.run_packed_batch` word,
+  lanes of one :func:`~repro.traversal.multisource.run_packed_batch` word
+  (a lane is a distinct source, whichever configurations asked for it),
 * **streaming** — the anchor plus every same-graph pending group of the same
   streaming application (CC or PageRank), each group one platform lane of a
   shared :func:`~repro.traversal.streaming.run_streaming_batch` pass.
@@ -42,6 +43,15 @@ from .jobs import Job
 MAX_LANES = 64
 
 
+def sweep_lanes(application: Application, groups: list[list[Job]]) -> int:
+    """Lanes one sweep of ``groups`` occupies: a streaming group is one
+    platform lane; a BFS/SSSP lane is a distinct source, however many
+    configurations asked for it."""
+    if application.is_streaming:
+        return len(groups)
+    return len({job.request.source for group in groups for job in group})
+
+
 @dataclass
 class FusionPlan:
     """One executable drain shape: which groups run together, and how.
@@ -61,10 +71,9 @@ class FusionPlan:
 
     @property
     def lanes(self) -> int:
-        """Execution lanes the plan occupies (jobs for packed, groups for streaming)."""
-        if self.kind == "streaming":
-            return len(self.groups)
-        return sum(len(group) for group in self.groups)
+        """Execution lanes the plan occupies: its distinct sources for
+        BFS/SSSP, its groups for streaming (see :func:`sweep_lanes`)."""
+        return sweep_lanes(self.application, self.groups)
 
     @property
     def jobs(self) -> list[Job]:
@@ -86,14 +95,8 @@ class FusionPlan:
         survive only if :meth:`RequestQueue.claim_groups` actually delivered
         them.  Returns ``self`` (mutated) for convenience.
         """
-        survivors = [self.groups[0]]
-        kept_keys = []
-        for key, group in zip(self.rider_keys, self.groups[1:]):
-            if key in claimed:
-                survivors.append(claimed[key])  # repro: noqa[REPRO101] — O(groups) per drain
-                kept_keys.append(key)  # repro: noqa[REPRO101] — O(groups) per drain
-        self.rider_keys = kept_keys
-        self.narrow(survivors)
+        self.rider_keys = [key for key in self.rider_keys if key in claimed]
+        self.narrow([self.groups[0]] + [claimed[key] for key in self.rider_keys])
         return self
 
     def narrow(self, groups: list[list[Job]]) -> None:
@@ -101,24 +104,18 @@ class FusionPlan:
         self.groups = groups
         if not self.fused:
             # Every rider evaporated: the plan degrades to its baseline shape.
-            self.kind = self._baseline_kind(self.application, groups[0])
-
-    @staticmethod
-    def _baseline_kind(application: Application, anchor: list[Job]) -> str:
-        if application.is_streaming:
-            return "streaming"
-        return "multisource" if len(anchor) > 1 else "solo"
+            if self.application.is_streaming:
+                self.kind = "streaming"
+            else:
+                self.kind = "multisource" if len(groups[0]) > 1 else "solo"
 
     @classmethod
     def baseline(cls, anchor: list[Job]) -> "FusionPlan":
         """The unfused plan: the anchor group alone, no riders."""
         request = anchor[0].request
-        return cls(
-            kind=cls._baseline_kind(request.application, anchor),
-            application=request.application,
-            graph=request.graph,
-            groups=[list(anchor)],
-        )
+        plan = cls("", request.application, request.graph, groups=[])
+        plan.narrow([list(anchor)])
+        return plan
 
 
 class FusionPlanner:
@@ -141,13 +138,22 @@ class FusionPlanner:
         """
         request = anchor[0].request
         application = request.application
-        riders = self._compatible_riders(
-            request.batch_key, application, request.graph, snapshot
-        )
+        # Pending groups that could share the anchor's algorithm execution:
+        # same graph and application (the first two positions of a batch
+        # key), a different platform configuration — same-key jobs are
+        # already in the anchor.
+        riders = [
+            (key, jobs)
+            for key, jobs in snapshot.items()
+            if key != request.batch_key
+            and key[:2] == (request.graph, application.value)
+            and jobs
+        ]
         if not application.is_streaming:
             # Streaming groups are one lane each (words chunk at 64 inside
-            # the engine); BFS/SSSP lanes are per job and must fit the word.
-            riders = self._bin_pack(len(anchor), riders)
+            # the engine); BFS/SSSP lanes are distinct sources and must fit
+            # the word.
+            riders = self._bin_pack(anchor, riders)
         if not riders:
             return FusionPlan.baseline(anchor), []
         plan = FusionPlan(
@@ -159,47 +165,32 @@ class FusionPlanner:
         )
         return plan, plan.rider_keys
 
-    # ------------------------------------------------------------------ #
-    # Rider selection
-    # ------------------------------------------------------------------ #
-    def _compatible_riders(
-        self,
-        anchor_key: tuple,
-        application: Application,
-        graph: str,
-        snapshot: dict[tuple, tuple[Job, ...]],
-    ) -> list[tuple[tuple, tuple[Job, ...]]]:
-        """Pending groups that could share the anchor's algorithm execution.
-
-        Same graph and same application, different batch key (a different
-        platform configuration — same-key jobs are already in the anchor).
-        Batch keys are ``(graph, application, strategy, system)`` by
-        construction, so the first two positions identify compatibility.
-        """
-        return [
-            (key, jobs)
-            for key, jobs in snapshot.items()
-            if key != anchor_key
-            and key[0] == graph
-            and key[1] == application.value
-            and jobs
-        ]
-
     def _bin_pack(
-        self, anchor_width: int, riders: list[tuple[tuple, tuple[Job, ...]]]
+        self, anchor: list[Job], riders: list[tuple[tuple, tuple[Job, ...]]]
     ) -> list[tuple[tuple, tuple[Job, ...]]]:
-        """Greedy smallest-first packing of rider groups into the free lanes.
+        """Greedy cheapest-first packing of rider groups into the free lanes.
 
-        BFS/SSSP lanes are per *job* (each source is a lane), so only small
-        groups fit alongside the anchor; packing smallest-first maximizes the
-        number of groups that share the word.  An anchor already at or above
-        the word width packs nothing.
+        A BFS/SSSP lane is a distinct source, so a rider costs only the
+        sources new to the word: one whose sources all ride already costs
+        nothing.  Each step takes the rider that costs least (ties go to the
+        smaller group, then the key) and stops at the first that does not
+        fit, so every rider left over needs more lanes than are free.
+        Packing cheapest-first maximizes the number of groups that share the
+        word.  An anchor at the word width takes only riders whose sources
+        it already holds; one above it packs nothing.
         """
-        free = self._max_lanes - anchor_width
+        taken = {job.request.source for job in anchor}
+        pending = [
+            (key, jobs, {job.request.source for job in jobs})
+            for key, jobs in sorted(riders, key=lambda item: (len(item[1]), item[0]))
+        ]
         packed: list[tuple[tuple, tuple[Job, ...]]] = []
-        for key, jobs in sorted(riders, key=lambda item: (len(item[1]), item[0])):
-            if len(jobs) > free:
+        while pending:
+            costs = [len(sources - taken) for _, _, sources in pending]
+            cheapest = costs.index(min(costs))
+            if len(taken) + costs[cheapest] > self._max_lanes:
                 break
+            key, jobs, sources = pending.pop(cheapest)
             packed.append((key, jobs))  # repro: noqa[REPRO101] — O(groups) per drain
-            free -= len(jobs)
+            taken |= sources
         return packed

@@ -51,7 +51,7 @@ from .cache import ResultCache
 from .costmodel import CostModel
 from .faults import FaultPlan
 from .jobs import Job, JobStatus
-from .planner import FusionPlan, FusionPlanner
+from .planner import FusionPlan, FusionPlanner, sweep_lanes
 from .queue import RequestQueue
 from .registry import GraphRegistry
 from .requests import TraversalRequest
@@ -1103,20 +1103,22 @@ class Service:
         """Run the batch groups of one plan as ONE engine invocation.
 
         This is the only place the service invokes an engine.  Every shape
-        runs the same ladder; they differ only in the engine call, the span
-        label and how many lanes a group occupies:
+        runs the same ladder; they differ only in the engine call and the
+        span label.  A sweep's lanes are counted once, by
+        :func:`~repro.service.planner.sweep_lanes`:
 
         * ``solo`` — one job of a service with an injected ``engine=``,
           which answers one request per call;
-        * ``multisource`` — one BFS/SSSP group: each job is a lane of one
-          :func:`~repro.traversal.multisource.run_batch` over an arena-shared
-          engine, the frontier sweeps paid once per group instead of per job
-          (a lone job and each member of an isolation re-run are a group of
-          one: a one-lane word);
+        * ``multisource`` — one BFS/SSSP group: each job's source is a lane
+          of one :func:`~repro.traversal.multisource.run_batch` over an
+          arena-shared engine, the frontier sweeps paid once per group
+          instead of per job (a lone job and each member of an isolation
+          re-run are a group of one: a one-lane word);
         * ``packed`` — several BFS/SSSP groups of different platform
-          configurations: each job is a lane of one
-          :func:`~repro.traversal.multisource.run_packed_batch` word, lanes
-          of one group sharing that group's engine;
+          configurations in one
+          :func:`~repro.traversal.multisource.run_packed_batch` word: a lane
+          is a distinct source, traversed once and priced by the engine of
+          each group that asked for it;
         * ``streaming`` — CC/PageRank groups: the algorithm pass is
           engine-independent, so each *group* is one (strategy, system) lane
           of one :func:`~repro.traversal.streaming.run_streaming_batch` and
@@ -1173,7 +1175,7 @@ class Service:
                     return groups, 0.0
         requests = [job.request for job in jobs]
         if self._engine is not None:
-            kind, lanes = "solo", requests
+            kind, lanes = "solo", None
         elif streaming:
             kind = "streaming"
             lanes = [
@@ -1188,7 +1190,7 @@ class Service:
                 PackedLane(request.source, request.strategy, request.system)
                 for request in requests
             ]
-        total_lanes = len(lanes)
+        total_lanes = sweep_lanes(application, groups)
         # One prediction per sweep, the sum over its groups: it budgets the
         # watchdog, scores the observation and is logged beside the actual.
         predicted = self._costmodel.estimate_sweep(self._sweep_groups(groups))

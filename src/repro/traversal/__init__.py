@@ -11,7 +11,7 @@ from ..types import AccessStrategy, Application, EMOGI_STRATEGY
 from .api import bfs, cc, run, run_average, run_streaming, sssp
 from .arena import EngineArena
 from .engine import TraversalEngine
-from .multisource import MultiSourceResult, run_batch, run_bfs_batch, run_sssp_batch
+from .multisource import MultiSourceResult, run_batch
 from .pagerank import PageRankResult, run_pagerank
 from .streaming import StreamingBatchResult, StreamingLane, run_streaming_batch
 from .results import AggregateResult, KernelCounters, TraversalMetrics, TraversalResult
@@ -27,8 +27,6 @@ __all__ = [
     "run",
     "run_average",
     "run_batch",
-    "run_bfs_batch",
-    "run_sssp_batch",
     "run_streaming",
     "run_streaming_batch",
     "MultiSourceResult",

@@ -5,7 +5,9 @@ Algorithm 1: every iteration expands the current frontier by scanning each
 active vertex's full neighbor list, marking unvisited neighbors as the next
 frontier.  One iteration corresponds to one kernel launch, so the number of
 kernels equals the BFS depth (§4.2).  A solo run is a one-lane call of
-:func:`~repro.traversal.multisource._run_words`, the loop a batched word runs.
+:func:`~repro.traversal.multisource._run_words`, the loop a batched word runs,
+where a lane is one distinct source priced under every configuration that
+asked for it.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ traversal per source, paying for every edge gather and every simulated
 memory-system sweep once *per source*.
 
 This module restructures the run around the batch instead: up to 64
-sources run together, one bit per source packed into a ``uint64`` word per
-vertex (the MS-BFS technique).  Each iteration expands the *union* frontier
-once — one edge gather for every lane — and bitwise operations keep every
-source's frontier evolution exactly what its solo run would have been:
+distinct sources run together, one bit per source packed into a ``uint64``
+word per vertex (the MS-BFS technique).  Each iteration expands the *union*
+frontier once — one edge gather for every lane — and bitwise operations keep
+every source's frontier evolution exactly what its solo run would have been:
 
 * **BFS** propagates frontier bits with an OR-scatter over the frontier's
   edges; a vertex's newly set bits are exactly the sources whose solo BFS
@@ -49,13 +49,20 @@ engines; see :mod:`repro.traversal.streaming`.
 Trace, then price: a word's sweeps touch no engine.  Each sweep records its
 union frontier and lane words in a :class:`~repro.traversal.engine.WordTrace`
 (one format for BFS and SSSP), and once the word has converged each distinct
-configuration's engine prices its own lanes from the trace with
+configuration's engine prices the lanes it asked for from the trace with
 :meth:`~repro.traversal.engine.TraversalEngine.price_lanes`.  A lane's
 frontier at every sweep is exactly its solo run's, and it is priced alone —
 zero-copy requests from its own rows of the request tables, UVM residency
 replayed from a reset space over its own frontier sequence — so every lane's
 :class:`TraversalMetrics` equal its solo run's bit for bit, whichever other
 sources or configurations rode the word.
+
+A lane is a source, not a request: the frontier sequence does not depend on
+the access strategy or system (the paper's §5.2 protocol measures every
+strategy on the same sources), so a source asked for under several
+configurations — or several times under one — is traversed once, priced
+once per configuration that asked for it, and fanned out to one result per
+request.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from . import _native
 from .engine import TraversalEngine, WordTrace, _iteration_checkpoint, _pricing_checkpoint
 from .frontier import frontier_offsets, gather_frontier_destinations
 from .relax import make_snapshot, relax_lanes
-from .results import TraversalResult
+from .results import TraversalMetrics, TraversalResult
 
 #: Sources packed into one visited word (one bit per source lane).
 WORD_BITS = 64
@@ -123,8 +130,11 @@ def normalize_source(application: Application | str, source: object) -> int | No
 
 @dataclass(frozen=True)
 class PackedLane:
-    """One lane of a batch: a source plus the (strategy, system) it should be
-    accounted under.  The source is normalized by :func:`source_vertex`."""
+    """One request of a batch: a source plus the (strategy, system) it should
+    be priced under.  The source is normalized by :func:`source_vertex`.
+
+    Requests of one source share its lane of the word, whatever their
+    configurations."""
 
     source: int
     strategy: AccessStrategy = EMOGI_STRATEGY
@@ -135,7 +145,7 @@ class PackedLane:
         object.__setattr__(self, "strategy", AccessStrategy(self.strategy))
 
     def config_key(self) -> tuple:
-        """Engine-sharing identity: lanes with equal keys share one engine."""
+        """Engine-sharing identity: requests with equal keys share one engine."""
         return (self.strategy, system_key(self.system))
 
 
@@ -143,62 +153,15 @@ class PackedLane:
 class MultiSourceResult:
     """Outcome of one batched multi-source run.
 
-    ``results`` holds one :class:`TraversalResult` per requested lane, in
-    request order, each with its solo run's values and metrics.
+    ``results`` holds one :class:`TraversalResult` per request, in request
+    order, each with its solo run's values and metrics.
     """
 
     application: Application
     graph_name: str
-    lanes: list[PackedLane] = field(default_factory=list)
     results: list[TraversalResult] = field(default_factory=list)
-    #: Shared algorithm executions performed (one per ≤64-lane word).
+    #: Shared algorithm executions performed (one per ≤64 distinct sources).
     words: int = 0
-
-    @property
-    def strategy(self) -> AccessStrategy:
-        """Access strategy of the batch (of its first lane, when they differ)."""
-        return self.lanes[0].strategy
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.results)
-
-    @property
-    def num_batches(self) -> int:
-        return self.words
-
-
-def run_bfs_batch(
-    graph: CSRGraph,
-    sources,
-    strategy: AccessStrategy = EMOGI_STRATEGY,
-    system: SystemConfig | None = None,
-    engine: TraversalEngine | None = None,
-    arena=None,
-) -> MultiSourceResult:
-    """Batched BFS over up to 64 sources per frontier sweep.
-
-    Per-source ``values`` are bit-identical to per-source ``run_bfs`` calls.
-    """
-    return run_batch(
-        Application.BFS, graph, sources, strategy=strategy, system=system,
-        engine=engine, arena=arena,
-    )
-
-
-def run_sssp_batch(
-    graph: CSRGraph,
-    sources,
-    strategy: AccessStrategy = EMOGI_STRATEGY,
-    system: SystemConfig | None = None,
-    engine: TraversalEngine | None = None,
-    arena=None,
-) -> MultiSourceResult:
-    """Batched SSSP; per-source distances bit-identical to ``run_sssp``."""
-    return run_batch(
-        Application.SSSP, graph, sources, strategy=strategy, system=system,
-        engine=engine, arena=arena,
-    )
 
 
 def run_batch(
@@ -214,8 +177,8 @@ def run_batch(
     """Run a batched multi-source traversal, chunking sources into 64-bit words.
 
     The one-configuration spelling of :func:`run_packed_batch`: every source
-    is a lane of the same ``(strategy, system)``, so one engine serves the
-    whole batch — the caller's ``engine``, one leased from ``arena`` (an
+    is a request of the same ``(strategy, system)``, so one engine serves
+    the whole batch — the caller's ``engine``, one leased from ``arena`` (an
     :class:`~repro.traversal.arena.EngineArena`), or a private one.
 
     ``relax_method`` selects the SSSP relaxation backend (see
@@ -227,8 +190,8 @@ def run_batch(
     """
     if isinstance(sources, np.ndarray):
         sources = sources.ravel()
-    lanes = [PackedLane(source, strategy, system) for source in sources]
-    return _run_words(application, graph, lanes, arena, relax_method, engine)
+    requests = [PackedLane(source, strategy, system) for source in sources]
+    return _run_words(application, graph, requests, arena, relax_method, engine)
 
 
 def run_packed_batch(
@@ -238,25 +201,25 @@ def run_packed_batch(
     arena=None,
     relax_method: str | None = None,
 ) -> MultiSourceResult:
-    """Run BFS/SSSP lanes spanning *different* configurations in one sweep.
+    """Run BFS/SSSP requests spanning *different* configurations together.
 
-    What the fusion planner packs with: up to 64 ``(source, strategy,
-    system)`` lanes share one union-frontier execution per word, and one
-    engine per distinct configuration prices that configuration's lanes
-    from the word's trace.  Frontier evolution is engine-independent, so
-    each lane's ``values`` and metrics are its solo run's regardless of what
-    other sources or configurations ride along.
+    What the fusion planner packs with: ``lanes`` are ``(source, strategy,
+    system)`` requests; each distinct source is traversed once, in a word of
+    up to 64 of them, and one engine per distinct configuration prices the
+    sources that configuration asked for from the word's trace.  Frontier
+    evolution is engine-independent, so each request's ``values`` and
+    metrics are its solo run's regardless of what else rides along.
     """
-    lanes = [
+    requests = [
         lane if isinstance(lane, PackedLane) else PackedLane(*lane) for lane in lanes
     ]
-    return _run_words(application, graph, lanes, arena, relax_method)
+    return _run_words(application, graph, requests, arena, relax_method)
 
 
 def _run_words(
     application: Application | str,
     graph: CSRGraph,
-    lanes: list[PackedLane],
+    requests: list[PackedLane],
     arena,
     relax_method: str | None,
     engine: TraversalEngine | None = None,
@@ -264,13 +227,17 @@ def _run_words(
     """The one BFS/SSSP run loop: behind :func:`run_batch`,
     :func:`run_packed_batch` and the one-lane solo runs.
 
-    Each ≤64-lane word sweeps to convergence recording a
+    A lane is a distinct source: the requests' sources are deduplicated in
+    first-appearance order and cut into words of ≤ 64 lanes.  Each word
+    sweeps to convergence recording a
     :class:`~repro.traversal.engine.WordTrace`; then the engine of each
-    configuration in the word, in first-appearance order, prices that
-    configuration's lanes from it.  Engines are acquired once per distinct
-    configuration for the whole batch — ``engine`` (one-configuration
-    batches only), a lease from ``arena``, or a private one; pricing reads
-    none of an engine's accumulated state, so a reused one needs no reset.
+    configuration in the word, in first-appearance order, prices the
+    distinct lanes its requests name.  Every request gets its own result,
+    so requests repeating a source fan out from one lane.  Engines are
+    acquired once per distinct configuration for the whole batch —
+    ``engine`` (one-configuration batches only), a lease from ``arena``, or
+    a private one; pricing reads none of an engine's accumulated state, so
+    a reused one needs no reset.
     """
     application = Application(application)
     if application is Application.BFS:
@@ -281,10 +248,10 @@ def _run_words(
         raise ConfigurationError(
             f"batched execution supports bfs and sssp, not {application.value}"
         )
-    if not lanes:
+    if not requests:
         raise ConfigurationError("a batch needs at least one source lane")
-    for lane in lanes:
-        _check_source(graph, lane.source)
+    for request in requests:
+        _check_source(graph, request.source)
 
     weights = None
     if application is Application.SSSP and graph.has_weights:
@@ -295,56 +262,63 @@ def _run_words(
         # materialized at all, per word or otherwise.
         weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
 
-    keys = [lane.config_key() for lane in lanes]
-    outcome = MultiSourceResult(
-        application=application, graph_name=graph.name, lanes=lanes
-    )
+    # A lane is a distinct source, in first-appearance order; a word holds
+    # ≤ 64 of them, and each request is served from its source's lane.
+    lane_of: dict[int, int] = {}
+    for request in requests:
+        lane_of.setdefault(request.source, len(lane_of))
+    sources = list(lane_of)
+    lanes = [lane_of[request.source] for request in requests]
+    keys = [request.config_key() for request in requests]
+    by_word: list[list[int]] = [[] for _ in range(0, len(sources), WORD_BITS)]
+    for index, lane in enumerate(lanes):
+        by_word[lane // WORD_BITS].append(index)
+    results: list[TraversalResult] = [None] * len(requests)
     native = _native.wanted(relax_method)
     engines: dict[tuple, TraversalEngine] = {}
     leased: list[TraversalEngine] = []
     try:
-        for key, lane in zip(keys, lanes):
+        for key, request in zip(keys, requests):
             if key in engines:
                 continue
-            options = dict(system=lane.system, needs_weights=needs_weights)
+            options = dict(system=request.system, needs_weights=needs_weights)
             if engine is not None:
                 engines[key] = engine
             elif arena is not None:
-                engines[key] = arena.acquire(graph, lane.strategy, **options)
+                engines[key] = arena.acquire(graph, request.strategy, **options)
                 leased.append(engines[key])
             else:
-                engines[key] = TraversalEngine(graph, lane.strategy, **options)
-        for offset in range(0, len(lanes), WORD_BITS):
-            word_lanes = lanes[offset : offset + WORD_BITS]
+                engines[key] = TraversalEngine(graph, request.strategy, **options)
+        for word, indices in enumerate(by_word):
+            offset = word * WORD_BITS
             values, trace, relax_backend = chunk_runner(
-                graph, [lane.source for lane in word_lanes], weights, relax_method
+                graph, sources[offset : offset + WORD_BITS], weights, relax_method
             )
-            # Each configuration's engine prices its own lanes of the word.
-            owned: dict[tuple, list[int]] = {}
-            for index, key in enumerate(keys[offset : offset + WORD_BITS]):
-                owned.setdefault(key, []).append(index)
-            lane_metrics = [None] * len(word_lanes)
-            for key, indices in owned.items():
-                priced = engines[key].price_lanes(trace, indices, relax_backend, native)
+            # Each configuration's engine prices the distinct lanes it asked for.
+            asked: dict[tuple, dict[int, None]] = {}
+            for index in indices:
+                asked.setdefault(keys[index], {})[lanes[index] - offset] = None
+            priced: dict[tuple, TraversalMetrics] = {}
+            for key, word_lanes in asked.items():
+                word_lanes = list(word_lanes)
+                metrics = engines[key].price_lanes(trace, word_lanes, relax_backend, native)
+                priced.update(zip([(key, lane) for lane in word_lanes], metrics))
                 _pricing_checkpoint()
-                for index, metrics in zip(indices, priced):
-                    lane_metrics[index] = metrics
-            for lane, row, metrics in zip(word_lanes, values, lane_metrics):
-                outcome.results.append(
-                    TraversalResult(
-                        application=application,
-                        graph_name=graph.name,
-                        strategy=metrics.strategy,
-                        source=lane.source,
-                        values=row.copy(),
-                        metrics=metrics,
-                    )
+            for index in indices:
+                lane = lanes[index] - offset
+                metrics = priced[keys[index], lane]
+                results[index] = TraversalResult(
+                    application=application,
+                    graph_name=graph.name,
+                    strategy=metrics.strategy,
+                    source=requests[index].source,
+                    values=values[lane].copy(),
+                    metrics=metrics,
                 )
-            outcome.words += 1
     finally:
         for word_engine in leased:
             arena.release(word_engine)
-    return outcome
+    return MultiSourceResult(application, graph.name, results, words=len(by_word))
 
 
 # ---------------------------------------------------------------------- #

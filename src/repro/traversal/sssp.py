@@ -6,7 +6,9 @@ the previous iteration.  Edge weights live next to the edge list in host
 memory, so SSSP moves roughly 1.5x the bytes BFS does per edge (8-byte edge
 element + 4-byte weight).  A solo run is a one-lane call of
 :func:`~repro.traversal.multisource._run_words`, whose word relaxes with
-:func:`~repro.traversal.relax.relax_lanes` as a batched word does.
+:func:`~repro.traversal.relax.relax_lanes` as a batched word does; a batched
+lane is one distinct source, relaxed once whichever configurations asked
+for it.
 """
 
 from __future__ import annotations

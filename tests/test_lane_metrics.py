@@ -130,6 +130,77 @@ class TestEveryPathPricesEachLaneAlone:
                 assert service.stats().executions == 0
 
 
+@st.composite
+def repeated_sources(draw):
+    """A graph, an application, a backend and 1-150 requests over 1-70
+    distinct sources, repeating sources within and across configurations."""
+    vertices = draw(st.integers(70, 110))
+    edges = draw(st.integers(vertices, 4 * vertices))
+    seed = draw(st.integers(0, 1 << 16))
+    if draw(st.booleans()):
+        graph = rmat_graph(vertices, edges, seed=seed, name="sources")
+    else:
+        graph = uniform_random_graph(vertices, edges, seed=seed, name="sources")
+    if draw(st.booleans()):
+        graph = graph.with_weights(random_weights(graph.num_edges, seed=seed + 1))
+    distinct = draw(
+        st.lists(st.integers(0, graph.num_vertices - 1), min_size=1, max_size=70, unique=True)
+    )
+    configs = st.sampled_from(ALL_STRATEGIES)
+    # Every source at least once, then repeats of any of them.
+    requests = [(source, draw(configs)) for source in distinct]
+    requests += draw(
+        st.lists(
+            st.tuples(st.sampled_from(distinct), configs),
+            max_size=150 - len(distinct),
+        )
+    )
+    requests = [PackedLane(*pair) for pair in draw(st.permutations(requests))]
+    return graph, draw(st.sampled_from(("bfs", "sssp"))), requests, draw(st.booleans())
+
+
+class TestALaneIsASource:
+    @given(batch=repeated_sources())
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_requests_fan_out_from_one_lane_per_source(self, batch):
+        graph, application, requests, native = batch
+        method = "native" if native and _native.available() else "scatter"
+        solo = {}
+        for request in requests:
+            key = (request.source, request.strategy)
+            if key not in solo:
+                with numpy_only(native):
+                    solo[key] = RUNNERS[application](graph, *key)
+
+        def check(outcome, asked):
+            distinct = len({request.source for request in asked})
+            assert outcome.words == -(-distinct // 64)
+            assert len(outcome.results) == len(asked)
+            for request, result in zip(asked, outcome.results):
+                expected = solo[request.source, request.strategy]
+                assert result.source == request.source
+                assert np.array_equal(result.values, expected.values)
+                assert result.metrics == expected.metrics
+            # Duplicates fan out as copies: no two results share an array.
+            for a, b in zip(outcome.results, outcome.results[1:]):
+                assert not np.shares_memory(a.values, b.values)
+
+        # Every configuration in one packed batch, and each configuration
+        # alone, its own repeats included.
+        check(run_packed_batch(application, graph, requests, relax_method=method), requests)
+        for strategy in {request.strategy for request in requests}:
+            asked = [request for request in requests if request.strategy is strategy]
+            check(
+                run_batch(
+                    application, graph, [request.source for request in asked],
+                    strategy=strategy, relax_method=method,
+                ),
+                asked,
+            )
+
+
 def _catalogue(graph_name):
     """Every BFS/SSSP shape a burst can fuse: repeats, two strategies,
     several sources."""

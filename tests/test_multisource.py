@@ -23,9 +23,7 @@ from repro.traversal.multisource import (
     WORD_BITS,
     PackedLane,
     run_batch,
-    run_bfs_batch,
     run_packed_batch,
-    run_sssp_batch,
 )
 from repro.traversal.pagerank import run_pagerank
 from repro.traversal.sssp import run_sssp, sssp_distances
@@ -44,8 +42,8 @@ def sources():
 class TestBFSEquivalence:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_levels_bit_equal_to_solo_runs(self, random_graph, sources, strategy):
-        batch = run_bfs_batch(random_graph, sources, strategy=strategy)
-        assert batch.num_sources == len(sources)
+        batch = run_batch("bfs", random_graph, sources, strategy=strategy)
+        assert len(batch.results) == len(sources)
         for result in batch.results:
             solo = run_bfs(random_graph, result.source, strategy=strategy)
             assert np.array_equal(result.values, solo.values)
@@ -53,25 +51,25 @@ class TestBFSEquivalence:
             assert result.metrics.iterations == solo.metrics.iterations
 
     def test_levels_match_reference(self, random_graph, sources):
-        batch = run_bfs_batch(random_graph, sources)
+        batch = run_batch("bfs", random_graph, sources)
         for result in batch.results:
             assert np.array_equal(result.values, bfs_levels(random_graph, result.source))
 
     def test_disconnected_sources(self, disconnected_graph):
-        batch = run_bfs_batch(disconnected_graph, [0, 3, 5])
+        batch = run_batch("bfs", disconnected_graph, [0, 3, 5])
         assert np.array_equal(
             batch.results[2].values, bfs_levels(disconnected_graph, 5)
         )
 
     def test_duplicate_sources_allowed(self, random_graph):
-        batch = run_bfs_batch(random_graph, [4, 4, 7])
+        batch = run_batch("bfs", random_graph, [4, 4, 7])
         assert np.array_equal(batch.results[0].values, batch.results[1].values)
 
     def test_more_than_word_bits_sources_chunk(self, random_graph):
         sources = list(range(WORD_BITS + 6))
-        batch = run_bfs_batch(random_graph, sources)
-        assert batch.num_sources == len(sources)
-        assert batch.num_batches == 2
+        batch = run_batch("bfs", random_graph, sources)
+        assert len(batch.results) == len(sources)
+        assert batch.words == 2
         for result in (batch.results[0], batch.results[WORD_BITS + 5]):
             assert np.array_equal(
                 result.values, bfs_levels(random_graph, result.source)
@@ -81,32 +79,32 @@ class TestBFSEquivalence:
 class TestSSSPEquivalence:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_distances_bit_equal_to_solo_runs(self, random_graph, sources, strategy):
-        batch = run_sssp_batch(random_graph, sources, strategy=strategy)
+        batch = run_batch("sssp", random_graph, sources, strategy=strategy)
         for result in batch.results:
             solo = run_sssp(random_graph, result.source, strategy=strategy)
             assert np.array_equal(result.values, solo.values)
             assert result.metrics.iterations == solo.metrics.iterations
 
     def test_distances_match_reference(self, random_graph, sources):
-        batch = run_sssp_batch(random_graph, sources)
+        batch = run_batch("sssp", random_graph, sources)
         for result in batch.results:
             assert np.array_equal(
                 result.values, sssp_distances(random_graph, result.source)
             )
 
     def test_unweighted_graph_uses_unit_weights(self, path_graph):
-        batch = run_sssp_batch(path_graph, [0, 5])
+        batch = run_batch("sssp", path_graph, [0, 5])
         assert np.array_equal(batch.results[0].values, sssp_distances(path_graph, 0))
 
 
 class TestValidation:
     def test_empty_sources_rejected(self, random_graph):
         with pytest.raises(ConfigurationError):
-            run_bfs_batch(random_graph, [])
+            run_batch("bfs", random_graph, [])
 
     def test_out_of_range_source_rejected(self, random_graph):
         with pytest.raises(SimulationError):
-            run_bfs_batch(random_graph, [0, random_graph.num_vertices])
+            run_batch("bfs", random_graph, [0, random_graph.num_vertices])
 
     def test_cc_rejected(self, random_graph):
         with pytest.raises(ConfigurationError):
@@ -125,12 +123,12 @@ class TestLaneMetricsAreSolo:
             assert result.metrics == solo.metrics
 
     def test_lane_metrics_do_not_depend_on_word_mates(self, random_graph):
-        alone = run_bfs_batch(random_graph, [17]).results[0]
-        crowded = run_bfs_batch(random_graph, [0, 17, 250, 499]).results[1]
+        alone = run_batch("bfs", random_graph, [17]).results[0]
+        crowded = run_batch("bfs", random_graph, [0, 17, 250, 499]).results[1]
         assert crowded.metrics == alone.metrics
 
     def test_per_source_metrics_carry_run_metadata(self, random_graph):
-        batch = run_sssp_batch(random_graph, [1, 2], strategy=AccessStrategy.UVM)
+        batch = run_batch("sssp", random_graph, [1, 2], strategy=AccessStrategy.UVM)
         for result in batch.results:
             assert result.metrics.strategy is AccessStrategy.UVM
             assert result.metrics.dataset_bytes > 0
@@ -149,8 +147,8 @@ class TestEngineReuseAcrossChunks:
             return price_lanes(trace, indices, *args)
 
         with mock.patch.object(engine, "price_lanes", recording):
-            batch = run_bfs_batch(random_graph, sources, engine=engine)
-        assert batch.num_batches == 2
+            batch = run_batch("bfs", random_graph, sources, engine=engine)
+        assert batch.words == 2
         # Both chunks were priced by the caller's engine, with no reset
         # between them: the second word's lanes are still solo runs.
         assert priced == [WORD_BITS, 2]
@@ -236,7 +234,7 @@ class TestPackedCrossConfigEquivalence:
     def test_packed_matches_homogeneous_run_batch(self, random_graph, sources):
         lanes = [PackedLane(source) for source in sources]
         packed = run_packed_batch(Application.BFS, random_graph, lanes)
-        plain = run_bfs_batch(random_graph, sources)
+        plain = run_batch("bfs", random_graph, sources)
         for a, b in zip(packed.results, plain.results):
             assert np.array_equal(a.values, b.values)
 
@@ -519,7 +517,7 @@ class TestNativeBFSWord:
         monkeypatch.setattr(
             _native, "bfs_word", lambda *args: calls.append(1) or kernel(*args)
         )
-        run_bfs_batch(random_graph, [0, 3, 17])
+        run_batch("bfs", random_graph, [0, 3, 17])
         assert calls
         calls.clear()
         run_batch("bfs", random_graph, [0, 3, 17], relax_method="scatter")

@@ -43,14 +43,18 @@ def _no_leaked_plan():
 _ids = itertools.count()
 
 
-def make_jobs(application, graph="g", count=1, strategy="merged_aligned", **kwargs):
+def make_jobs(
+    application, graph="g", count=1, strategy="merged_aligned", first=0, **kwargs
+):
+    """``count`` jobs of one group; BFS/SSSP sources run ``first``,
+    ``first + 1``, ... (a planner lane is a distinct source)."""
     return [
         Job(
             job_id=f"job-{next(_ids)}",
             request=TraversalRequest(
                 application,
                 graph,
-                source=None if Application(application).is_streaming else index,
+                source=None if Application(application).is_streaming else first + index,
                 strategy=strategy,
                 **kwargs,
             ),
@@ -83,8 +87,8 @@ class TestPlannerUnit:
     def test_packs_same_app_same_graph_configs(self):
         planner = FusionPlanner()
         anchor = make_jobs("bfs", count=4)
-        rider_a = make_jobs("bfs", count=2, strategy="uvm")
-        rider_b = make_jobs("bfs", count=3, strategy="naive")
+        rider_a = make_jobs("bfs", count=2, strategy="uvm", first=4)
+        rider_b = make_jobs("bfs", count=3, strategy="naive", first=6)
         plan, rider_keys = planner.build(
             anchor, snapshot_of(anchor, rider_a, rider_b)
         )
@@ -113,8 +117,8 @@ class TestPlannerUnit:
     def test_bin_pack_respects_word_width(self):
         planner = FusionPlanner()
         anchor = make_jobs("bfs", count=MAX_LANES - 3)
-        small = make_jobs("bfs", count=2, strategy="uvm")
-        big = make_jobs("bfs", count=10, strategy="naive")
+        small = make_jobs("bfs", count=2, strategy="uvm", first=MAX_LANES - 3)
+        big = make_jobs("bfs", count=10, strategy="naive", first=MAX_LANES - 1)
         plan, rider_keys = planner.build(anchor, snapshot_of(anchor, small, big))
         assert rider_keys == [small[0].request.batch_key]
         assert plan.lanes == MAX_LANES - 1
@@ -123,10 +127,37 @@ class TestPlannerUnit:
     def test_full_anchor_packs_nothing(self):
         planner = FusionPlanner()
         anchor = make_jobs("bfs", count=MAX_LANES)
-        rider = make_jobs("bfs", count=1, strategy="uvm")
+        rider = make_jobs("bfs", count=1, strategy="uvm", first=MAX_LANES)
         plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
         assert rider_keys == []
         assert plan.kind == "multisource"
+
+    def test_rider_of_anchor_sources_adds_no_lanes(self):
+        # A lane is a distinct source: a rider asking only for sources the
+        # word already holds costs nothing, even in a full word.
+        planner = FusionPlanner()
+        for width in (4, MAX_LANES):
+            anchor = make_jobs("bfs", count=width)
+            rider = make_jobs("bfs", count=2, strategy="uvm", first=width - 2)
+            plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
+            assert rider_keys == [rider[0].request.batch_key]
+            assert plan.kind == "packed"
+            assert plan.lanes == width
+            assert plan.shape == f"packed:2x{width}"
+
+    def test_configurations_of_shared_sources_make_one_plan(self):
+        planner = FusionPlanner()
+        groups = [
+            make_jobs("sssp", count=16, strategy=strategy)
+            for strategy in ("merged_aligned", "merged", "naive", "uvm")
+        ]
+        groups.append(make_jobs("sssp", count=16, system=ampere_pcie4()))
+        plan, rider_keys = planner.build(groups[0], snapshot_of(*groups))
+        assert len(rider_keys) == 4
+        assert plan.kind == "packed"
+        assert len(plan.jobs) == 80
+        assert plan.lanes == 16
+        assert plan.shape == "packed:5x16"
 
     def test_streaming_takes_every_compatible_group(self):
         planner = FusionPlanner()
@@ -154,7 +185,7 @@ class TestPlannerUnit:
         # The rule that replaced the cost gate: fitting is the whole test.
         planner = FusionPlanner()
         anchor = make_jobs("bfs", count=2)
-        rider = make_jobs("bfs", count=2, strategy="uvm")
+        rider = make_jobs("bfs", count=2, strategy="uvm", first=2)
         plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
         assert plan.kind == "packed"
         assert plan.shape == "packed:2x4"
@@ -213,9 +244,15 @@ class TestPlanIsAFunctionOfTheBacklog:
     def test_every_rider_that_fits_is_taken(self, backlog, data):
         # Any queue order, and (being a permutation) any group as the anchor.
         order = data.draw(st.permutations(list(backlog)))
+        # Groups on disjoint sources, or all from source 0: a lane is a
+        # distinct source, so shared sources ride free.
+        shared = data.draw(st.booleans())
         groups = [
-            make_jobs(app, graph=graph, count=backlog[app, graph, strategy], strategy=strategy)
-            for app, graph, strategy in order
+            make_jobs(
+                app, graph=graph, count=backlog[app, graph, strategy],
+                strategy=strategy, first=0 if shared else 100 * index,
+            )
+            for index, (app, graph, strategy) in enumerate(order)
         ]
         snapshot = snapshot_of(*groups)
         anchor = groups[0]
@@ -241,13 +278,26 @@ class TestPlanIsAFunctionOfTheBacklog:
             assert list(rider_keys) == list(compatible)
             assert plan.kind == "streaming"
             return
-        taken = [len(compatible[key]) for key in rider_keys]
-        skipped = [len(jobs) for key, jobs in compatible.items() if key not in rider_keys]
+
+        def sources(jobs):
+            return {job.request.source for job in jobs}
+
+        lanes = set().union(*(sources(group) for group in plan.groups))
+        assert plan.lanes == len(lanes)
         if rider_keys:
             assert plan.kind == "packed"
-            assert plan.lanes == len(anchor) + sum(taken) <= MAX_LANES
+            assert plan.lanes <= MAX_LANES
         else:
             assert plan.kind == ("multisource" if len(anchor) > 1 else "solo")
+        # Every rider left over needs more new lanes than the word has free.
+        for key, jobs in compatible.items():
+            if key not in rider_keys:
+                assert len(sources(jobs) - lanes) > MAX_LANES - plan.lanes
+        if shared:
+            return
+        taken = [len(compatible[key]) for key in rider_keys]
+        skipped = [len(jobs) for key, jobs in compatible.items() if key not in rider_keys]
+        assert plan.lanes == len(anchor) + sum(taken)
         # Smallest-first: nothing skipped is smaller than anything taken, and
         # the smallest skipped group does not fit the lanes left over.
         if skipped:
@@ -339,7 +389,7 @@ class TestPlanShapesAreAFunctionOfTheBacklog:
         shapes = [entry["shape"] for entry in fresh]
         assert shapes == [entry["shape"] for entry in misled]
         assert shapes == [
-            "packed:4x10", "packed:2x4", "streaming:3x3", "streaming:2x2",
+            "packed:4x4", "packed:2x2", "streaming:3x3", "streaming:2x2",
         ]
 
     def test_bench_workload_fuses_both_kinds_twice_alike(self):
@@ -540,6 +590,32 @@ class TestPlannedDrainBitIdentity:
             assert [(s["kind"], s["lanes"]) for s in shared] == [
                 (expected["kind"], expected["lanes"])
             ]
+
+    def test_shared_sources_ride_one_word_once(self):
+        """Three configurations of the same 16 sources: one packed sweep of
+        16 lanes, and every job's result is its solo run's."""
+        graph = make_graph()
+        with Service(config=ServiceConfig()) as service:
+            service.registry.register_graph(graph)
+            requests = [
+                TraversalRequest("sssp", graph.name, source=s, strategy=strategy)
+                for strategy in ("merged_aligned", "uvm", "naive")
+                for s in range(16)
+            ]
+            jobs = enqueue_without_draining(service, requests)
+            drain_all(service)
+            (decision,) = service.plan_decisions()
+            spans = service.drain_traces()
+        assert decision["shape"] == "packed:3x16"
+        assert decision["jobs"] == 48
+        sweeps = [span["attributes"] for span in spans if span["name"] == "engine_sweep"]
+        assert [(s["kind"], s["jobs"], s["lanes"]) for s in sweeps] == [("packed", 48, 16)]
+        for job in jobs:
+            assert job.status is JobStatus.DONE
+            request = job.request
+            solo = run("sssp", graph, source=request.source, strategy=request.strategy)
+            assert np.array_equal(job.result.values, solo.values)
+            assert metrics_fields(job.result.metrics) == metrics_fields(solo.metrics)
 
     def test_poisoned_packed_lane_fails_alone_bit_identically(self):
         plan = FaultPlan.from_spec("seed=17;worker.task:permanent:source=2")

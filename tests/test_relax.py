@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.graph.builder import from_edge_array
 from repro.traversal import _native
-from repro.traversal.multisource import run_batch, run_sssp_batch
+from repro.traversal.multisource import run_batch
 from repro.traversal.relax import (
     RELAX_METHODS,
     RelaxOutcome,
@@ -91,10 +91,11 @@ class TestBitIdentityAcrossBackends:
     @pytest.mark.parametrize("lanes", [1, 63, 64, 65])
     def test_word_boundary_lane_counts(self, graph, lanes):
         rng = np.random.default_rng(lanes)
-        sources = rng.integers(0, graph.num_vertices, lanes).tolist()
-        batch = run_sssp_batch(graph, sources)
-        assert batch.num_sources == lanes
-        assert batch.num_batches == (lanes + 63) // 64
+        # Distinct sources: a word's lanes are distinct sources.
+        sources = rng.choice(graph.num_vertices, lanes, replace=False).tolist()
+        batch = run_batch("sssp", graph, sources)
+        assert len(batch.results) == lanes
+        assert batch.words == (lanes + 63) // 64
         # Spot-check first, last, and a word-straddling source.
         for index in {0, lanes - 1, min(lanes - 1, 63)}:
             result = batch.results[index]
@@ -122,7 +123,7 @@ class TestBitIdentityAcrossBackends:
             sources_arr, destinations_arr, num_vertices=50, directed=True,
             name="unweighted",
         )
-        batch = run_sssp_batch(graph, [0, 7, 21])
+        batch = run_batch("sssp", graph, [0, 7, 21])
         for result in batch.results:
             solo = run_sssp(graph, result.source)
             assert np.array_equal(result.values, solo.values)
@@ -130,7 +131,7 @@ class TestBitIdentityAcrossBackends:
     def test_unreachable_component_stays_unreachable(self, graph):
         # Sources inside the isolated tail reach only themselves.
         isolated = graph.num_vertices - 1
-        batch = run_sssp_batch(graph, [0, isolated])
+        batch = run_batch("sssp", graph, [0, isolated])
         values = batch.results[1].values
         assert values[isolated] == 0.0
         assert np.isinf(np.delete(values, isolated)).all()

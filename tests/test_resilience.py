@@ -485,7 +485,8 @@ class TestServiceRetries:
             drain_all(service)
             assert all(job.status.value == "done" for job in jobs)
             (plan,) = [p for p in service.plan_decisions() if p["kind"] == "packed"]
-            assert plan["shape"] == "packed:2x32"
+            # Two groups of the same 16 sources: one 16-lane word.
+            assert plan["shape"] == "packed:2x16"
             assert plan["predicted_seconds"] == pytest.approx(expected)
             assert budgets == [("packed sweep", pytest.approx(200.0 * expected))]
             assert service.stats().sweep_timeouts == 0
