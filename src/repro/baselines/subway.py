@@ -66,11 +66,10 @@ class SubwayEngine:
         frontier: np.ndarray,
         starts: np.ndarray | None = None,
         ends: np.ndarray | None = None,
-        native: bool = False,
     ) -> TimeBreakdown:
-        # starts/ends/native are accepted for TraversalEngine interface
-        # parity; the Subway cost model recompacts the subgraph itself and
-        # has no use for the precomputed offsets or a UVM replay.
+        # starts/ends are accepted for TraversalEngine interface parity; the
+        # Subway cost model recompacts the subgraph itself and has no use
+        # for the precomputed offsets.
         frontier = np.asarray(frontier, dtype=VERTEX_DTYPE).ravel()
         iteration = TimeBreakdown()
         self.iterations += 1

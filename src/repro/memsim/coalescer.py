@@ -315,10 +315,9 @@ def naive_thread_spans(
     )
 
 
-#: Request tables of every live offsets array, each with its column totals:
-#: ``id(offsets) -> {walk: (table, totals)}``.  A finalizer drops an array's
-#: entry when the array is freed.
-_REQUEST_TABLES: dict[int, dict[tuple, tuple[np.ndarray, np.ndarray]]] = {}
+#: Request tables of every live offsets array: ``id(offsets) -> {walk:
+#: table}``.  A finalizer drops an array's entry when the array is freed.
+_REQUEST_TABLES: dict[int, dict[tuple, np.ndarray]] = {}
 
 
 def vertex_request_table(
@@ -351,56 +350,19 @@ def vertex_request_table(
     memo entry goes when the array does.  The returned array is shared and
     read-only.
     """
-    return _memoised_table(
-        offsets, element_bytes, base_address, warp_size, aligned, strided
-    )[0]
-
-
-def vertex_request_totals(
-    offsets: np.ndarray,
-    element_bytes: int,
-    base_address: int = 0,
-    warp_size: int = 32,
-    aligned: bool = False,
-    strided: bool = False,
-) -> np.ndarray:
-    """Column totals of :func:`vertex_request_table`: the every-vertex histogram.
-
-    A frontier holding every vertex once (CC's first iteration, every
-    PageRank iteration) requests ``table.sum(0)``; a table is immutable, so
-    the totals are memoised beside it.  The returned array is shared and
-    read-only: shape ``(4,)`` for the merged walk, ``()`` for the strided one.
-    """
-    return _memoised_table(
-        offsets, element_bytes, base_address, warp_size, aligned, strided
-    )[1]
-
-
-def _memoised_table(
-    offsets: np.ndarray,
-    element_bytes: int,
-    base_address: int,
-    warp_size: int,
-    aligned: bool,
-    strided: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The memo entry ``(table, totals)`` of one walk over ``offsets``."""
     key = (element_bytes, base_address % CACHELINE_BYTES, warp_size, aligned, strided)
     tables = _REQUEST_TABLES.get(id(offsets))
     if tables is None:
-        fresh: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        fresh: dict[tuple, np.ndarray] = {}
         tables = _REQUEST_TABLES.setdefault(id(offsets), fresh)
         if tables is fresh:
             weakref.finalize(offsets, _REQUEST_TABLES.pop, id(offsets), None)
-    entry = tables.get(key)
-    if entry is None:
+    table = tables.get(key)
+    if table is None:
         # Threads racing on a missing table each build an equal one;
         # setdefault keeps the first.
-        table = _build_request_table(offsets, *key)
-        totals = np.asarray(table.sum(axis=0))
-        totals.flags.writeable = False
-        entry = tables.setdefault(key, (table, totals))
-    return entry
+        table = tables.setdefault(key, _build_request_table(offsets, *key))
+    return table
 
 
 def _build_request_table(

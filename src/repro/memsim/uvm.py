@@ -14,15 +14,14 @@ demand.  The model tracks, for one UVM-allocated region (the CSR edge list):
 is modelled by treating migrations as read-only duplications: pages never need
 to be written back on eviction.
 
-A space replays its accesses on one of two arms over the same state: the
-numpy passes below (the fallback, and the reference), or the native
-``repro_uvm_replay`` kernel (:func:`repro.traversal._native.uvm_replay`), which
-replays one :meth:`UVMSpace.access_byte_ranges` call — or, through
-:meth:`UVMSpace.replay_lanes`, every lane of a traced word's sequence of
-them, each from a reset — in one C call, in place.  The residency flags,
-the last-touch clocks and one small int64 array holding the clock and the
-running totals are shared, so calls on either arm may be interleaved on one
-space and give bit-identical results and state.
+A space replays its accesses on numpy, call by call
+(:meth:`UVMSpace.access_byte_ranges`): the reference.  A traced run's
+lanes are replayed by :meth:`UVMSpace.replay_lanes`, each from a reset, on
+that arm or on the native ``repro_uvm_replay`` kernel
+(:func:`repro.traversal._native.uvm_replay`), which replays every lane in one
+C call, in place on the same residency flags, last-touch clocks and small
+int64 array holding the clock and the running totals, and gives
+bit-identical counters and state.
 """
 
 from __future__ import annotations
@@ -60,9 +59,6 @@ _STATE_SLOTS = 5
 COUNTER_COLUMNS = 4
 
 _OUT_OF_BOUNDS = "access range outside the UVM allocation"
-
-#: ``lanes`` of an unmasked replay (not read).
-_NO_LANES = np.zeros(0, dtype=np.int64)
 
 #: :meth:`UVMSpace._replay` errors by ``repro_uvm_replay`` return code.
 _REPLAY_ERRORS = {
@@ -115,7 +111,7 @@ class UVMSpace:
     # Access paths
     # ------------------------------------------------------------------ #
     def access_byte_ranges(
-        self, start_bytes: np.ndarray, end_bytes: np.ndarray, native: bool = False
+        self, start_bytes: np.ndarray, end_bytes: np.ndarray
     ) -> UVMAccessResult:
         """Access a batch of ``[start, end)`` byte ranges within the region.
 
@@ -124,20 +120,11 @@ class UVMSpace:
         the frontier's neighbor lists: the touched pages stream through the
         LRU page cache in chunks, so a working set larger than the cache
         thrashes within the iteration exactly as the paper describes (§2.2).
-
-        ``native`` replays the call with the compiled kernel (the caller has
-        checked it is wanted); its result and the state it leaves are
-        exactly the numpy arm's.
         """
         start_bytes = np.asarray(start_bytes, dtype=np.int64).ravel()
         end_bytes = np.asarray(end_bytes, dtype=np.int64).ravel()
         if start_bytes.size != end_bytes.size:
             raise SimulationError("start/end arrays must have the same length")
-        if native:
-            counters = self._replay(
-                start_bytes, end_bytes, None, np.array([0, start_bytes.size]), _NO_LANES
-            )
-            return UVMAccessResult(*counters[0].tolist())
         valid = end_bytes > start_bytes
         start_bytes, end_bytes = start_bytes[valid], end_bytes[valid]
         if start_bytes.size == 0:
@@ -251,21 +238,17 @@ class UVMSpace:
         self,
         start_bytes: np.ndarray,
         end_bytes: np.ndarray,
-        masks: np.ndarray | None,
+        masks: np.ndarray,
         bounds: np.ndarray,
         lanes: np.ndarray,
     ) -> np.ndarray:
-        """The native arm: one ``repro_uvm_replay`` call; returns the
-        counters, ``(segments, 4)`` unmasked, ``(lanes, segments, 4)``
-        masked."""
+        """The native arm of :meth:`replay_lanes`: one ``repro_uvm_replay``
+        call; returns the ``(lanes, segments, 4)`` counters."""
         native = _native_backend()
         if self._scratch is None:
             self._scratch = np.zeros((3, self.num_pages), dtype=np.int64)
             self._pins = native.Pins()
-        shape = (bounds.size - 1, COUNTER_COLUMNS)
-        if masks is not None:
-            shape = (lanes.size, *shape)
-        counters = np.empty(shape, dtype=np.int64)
+        counters = np.empty((lanes.size, bounds.size - 1, COUNTER_COLUMNS), dtype=np.int64)
         code = native.uvm_replay(
             start_bytes, end_bytes, masks, bounds, lanes, self.allocation.size_bytes,
             self.config.page_bytes, self.capacity_pages, self.config.prefetch_pages,

@@ -150,9 +150,9 @@ class FusionPlanner:
             and jobs
         ]
         if not application.is_streaming:
-            # Streaming groups are one lane each (words chunk at 64 inside
-            # the engine); BFS/SSSP lanes are distinct sources and must fit
-            # the word.
+            # Streaming groups are one lane each, and a pass takes any
+            # number of them; BFS/SSSP lanes are distinct sources and must
+            # fit the word.
             riders = self._bin_pack(anchor, riders)
         if not riders:
             return FusionPlan.baseline(anchor), []

@@ -995,15 +995,17 @@ class Service:
                 return
             break
         started = time.perf_counter()
-        swept, predicted = self._execute_sweep(
-            groups, graph, schedule_seconds, plan.planning_seconds
-        )
-        if swept is not groups:
-            # Source validation dropped jobs: record the shape that ran (the
-            # chosen groups if no source was usable), relabelled if riderless.
-            plan.narrow(swept or groups)
-        elapsed = time.perf_counter() - started
-        self._record_plan(plan, started, elapsed, schedule_seconds, predicted)
+
+        def record(swept: list[list[Job]], predicted: float) -> None:
+            if swept is not groups:
+                # Source validation dropped jobs: record the shape that ran
+                # (the chosen groups if no source was usable), relabelled if
+                # riderless.
+                plan.narrow(swept or groups)
+            elapsed = time.perf_counter() - started
+            self._record_plan(plan, started, elapsed, schedule_seconds, predicted)
+
+        self._execute_sweep(groups, graph, schedule_seconds, plan.planning_seconds, record)
 
     def _record_plan(
         self,
@@ -1099,6 +1101,7 @@ class Service:
         graph: CSRGraph,
         schedule_seconds: float = 0.0,
         fusion_seconds: float = 0.0,
+        record: Callable[[list[list[Job]], float], None] | None = None,
     ) -> tuple[list[list[Job]], float]:
         """Run the batch groups of one plan as ONE engine invocation.
 
@@ -1140,24 +1143,31 @@ class Service:
 
         Every lane's values and metrics are its solo run's in every shape,
         so a poisoned rider lane cannot take the anchor down with it.
-        Returns the groups left after source validation (``groups`` itself
-        when none was dropped) and the engine seconds predicted for
-        sweeping them.
+        ``record``, when given, is called once with the groups left after
+        source validation (``groups`` itself when none was dropped) and the
+        engine seconds predicted for sweeping them, before any of those
+        jobs settles (bar an injected engine's, each of which settles with
+        its own solo sweep), so a client woken by :meth:`result` finds its
+        plan logged.  Returns the same two values.
         """
         jobs = [job for group in groups for job in group]
         application = jobs[0].request.application
         streaming = application.is_streaming
         if len(jobs) > 1 and self._engine is not None:
             # An injected engine answers one request per call: each job is a
-            # solo sweep of its own.
+            # solo sweep of its own, and settles with it.
             predicted = sum(
                 self._execute_sweep([[job]], graph, schedule_seconds)[1] for job in jobs
             )
+            if record is not None:
+                record(groups, predicted)
             return groups, predicted
         if not streaming and self._engine is None:
             # A missing source is just as poisonous to the word as an
             # out-of-range one.
             invalid = [job for job in jobs if not self._has_source(job.request, graph)]
+            if invalid and record is not None and len(invalid) == len(jobs):
+                record([], 0.0)
             for job in invalid:
                 self._fail_group(
                     [job],
@@ -1245,6 +1255,8 @@ class Service:
                     # The sweep gives up without a verdict on the native
                     # kernels: a half-open probe it held goes to the next run.
                     self._breaker.release_probe()
+                if record is not None:
+                    record(groups, predicted)
                 if len(jobs) > 1:
                     self._isolate_group(jobs, graph, exc, schedule_seconds)
                 else:
@@ -1290,6 +1302,8 @@ class Service:
         self._metrics["repro_executions_total"].inc(len(jobs))
         self._metrics["repro_engine_seconds_total"].inc(elapsed)
         self._observe_cost(groups, elapsed, predicted)
+        if record is not None:
+            record(groups, predicted)
         for job, result in published:
             self._cache_put_safe(job.request.cache_key, result)
             job.mark_done(result)

@@ -43,15 +43,15 @@ share one shared object:
   the edges, vertices and request counts of the lane's own frontier, one
   ``ctz`` walk over each union frontier vertex's lane word masked to those
   lanes;
-* ``repro_uvm_replay`` — a sequence of
-  :meth:`repro.memsim.uvm.UVMSpace.access_byte_ranges` calls (:func:`uvm_replay`,
-  taken with ``native=True``), cut by segment boundaries, in place on the
-  space's residency flags, last-touch clocks and state array (the clock and
-  running totals).  One streaming iteration is one segment; a BFS/SSSP
-  word's UVM pricing is one call per region: the word's sweeps are the
-  segments, folded once to the pages they touch with the OR of their lane
-  words, and each lane replays the pages carrying its bit from a reset
-  space.  It reproduces the numpy arm bit for bit: every
+* ``repro_uvm_replay`` — a traced run's UVM pricing (:func:`uvm_replay`,
+  called by :meth:`repro.memsim.uvm.UVMSpace.replay_lanes` with
+  ``native=True``), one call per region, in place on the space's residency
+  flags, last-touch clocks and state array (the clock and running totals):
+  the run's sweeps are the segments, folded once to the pages they touch
+  with the OR of their lane words, and each lane replays the pages carrying
+  its bit from a reset space, each segment one
+  :meth:`repro.memsim.uvm.UVMSpace.access_byte_ranges` call.  It reproduces
+  the numpy arm bit for bit: every
   range is bounds-checked before any state changes; a segment's pages
   stream in order without being materialised, a page equal to the one
   before it dropped; the stream is cut into chunks of ``chunk_pages``
@@ -62,7 +62,8 @@ share one shared object:
   ``argsort``.  The engine takes it exactly when the run goes native
   (:func:`wanted`).
 
-A solo BFS/SSSP run is a word of one lane, so it calls the same kernels.
+A solo BFS/SSSP run is a word of one lane, and a CC/PageRank pass is priced
+as a one-lane trace, so every run calls the same pricing kernels.
 
 This module builds them *at runtime* with whatever C compiler the host
 already has (``gcc``/``cc``), caches the shared object under
@@ -101,6 +102,9 @@ import numpy as np
 from ..analysis.lockorder import tracked_lock
 from ..envflags import env_choice, env_flag, env_str
 from ..errors import ConfigurationError, NativeBackendError
+
+#: Backends a run's ``relax_method`` may name (``None`` = best available).
+RELAX_METHODS = ("native", "scatter")
 
 #: Environment switch: set REPRO_NATIVE=0 to force the numpy kernel.
 _ENV_SWITCH = "REPRO_NATIVE"
@@ -496,7 +500,7 @@ typedef struct {
     int64_t page_bytes, capacity, prefetch, num_pages;
     uint8_t *resident;
     int64_t *last_touch, *state, *seen, *chunk, *migrated, *counters;
-    int64_t resident_count; /* -1 until first needed */
+    int64_t resident_count;
 } uvm_space;
 
 /* Key order of LRU eviction: older last touch first, then lower page id --
@@ -533,13 +537,6 @@ static void uvm_select(int64_t *ids, int64_t n, int64_t k, const int64_t *last_t
     }
 }
 
-static int64_t uvm_count_resident(const uvm_space *u)
-{
-    int64_t count = 0;
-    for (int64_t p = 0; p < u->num_pages; p++) count += u->resident[p] != 0;
-    return count;
-}
-
 /* One chunk of the page stream: its size distinct pages are in u->chunk and
  * carry seen == the clock this call gives the chunk. */
 static void uvm_chunk(uvm_space *u, int64_t size)
@@ -570,7 +567,6 @@ static void uvm_chunk(uvm_space *u, int64_t size)
     for (int64_t i = 0; i < size; i++) last_touch[u->chunk[i]] = clock;
     int64_t evicted = 0;
     if (moved) {
-        if (u->resident_count < 0) u->resident_count = uvm_count_resident(u);
         if (u->capacity <= 0) {
             /* No page cache: whatever is resident goes. */
             if (u->resident_count) {
@@ -675,8 +671,9 @@ static int uvm_fold(const int64_t *starts, const int64_t *ends, const uint64_t *
     return 1;
 }
 
-/* Replay segments of byte ranges in place, each segment one
- * UVMSpace.access_byte_ranges call.
+/* Replay the lanes of a traced run's segments of byte ranges, each lane
+ * from a reset space, each of its segments one
+ * UVMSpace.access_byte_ranges call over the ranges carrying its bit.
  *
  * Segment k holds ranges [bounds[k], bounds[k + 1]).  page_bytes must be a
  * power of two.  Every range with ends[r] > starts[r] must lie within
@@ -689,18 +686,16 @@ static int uvm_fold(const int64_t *starts, const int64_t *ends, const uint64_t *
  * touched resident pages outside the chunk are evicted.  With capacity <= 0
  * nothing stays resident.
  *
- * With masks NULL the segments are replayed once, on the space as it is,
- * and counters[4 * k ...] receives segment k's pages touched, page faults,
- * migrated bytes and evicted pages (lanes is not read).  Otherwise the
- * segments are replayed once per entry of lanes, each time from a reset
+ * The segments are replayed once per entry of lanes, each time from a reset
  * space (UVMSpace.reset: nothing resident, every clock and total zero),
  * taking only the ranges whose mask has bit lanes[j] set, and
- * counters[4 * (j * num_segments + k) ...] receives lane j's segment k.
- * The masked ranges are first folded to pages: every segment's page stream
- * must not descend, as a traversal frontier's ascending neighbour lists do
- * not (-2 is returned before any state changes otherwise), so a lane's
- * stream is exactly the pages carrying its bit.  Returns 0, or -3 when the
- * fold's buffer cannot be allocated.
+ * counters[4 * (j * num_segments + k) ...] receives lane j's segment k:
+ * its pages touched, page faults, migrated bytes and evicted pages.  The
+ * ranges are first folded to pages: every segment's page stream must not
+ * descend, as a traversal frontier's ascending neighbour lists do not (-2
+ * is returned before any state changes otherwise), so a lane's stream is
+ * exactly the pages carrying its bit.  Returns 0, or -3 when the fold's
+ * buffer cannot be allocated.
  */
 int64_t repro_uvm_replay(const int64_t *starts,
                          const int64_t *ends,
@@ -728,27 +723,11 @@ int64_t repro_uvm_replay(const int64_t *starts,
     }
     uvm_space u = {page_bytes, capacity, prefetch, num_pages, resident, last_touch,
                    state, scratch, scratch + num_pages, scratch + 2 * num_pages,
-                   counters, -1};
+                   counters, 0};
     uvm_stream s;
     s.chunk_pages = capacity <= 0 ? 1024 : (capacity / 4 > 1 ? capacity / 4 : 1);
     /* page_bytes is a power of two and every valid offset is >= 0. */
     int shift = __builtin_ctzll((uint64_t)page_bytes);
-    if (!masks) {
-        for (int64_t k = 0; k < num_segments; k++) {
-            u.counters = counters + 4 * k;
-            for (int i = 0; i < 4; i++) u.counters[i] = 0;
-            uvm_stream_start(&s, &u);
-            for (int64_t r = bounds[k]; r < bounds[k + 1]; r++) {
-                if (ends[r] <= starts[r]) continue;
-                int64_t last = (ends[r] - 1) >> shift;
-                for (int64_t page = starts[r] >> shift; page <= last; page++) {
-                    uvm_feed(&u, &s, page);
-                }
-            }
-            uvm_stream_end(&u, &s);
-        }
-        return 0;
-    }
     int64_t *pages = malloc((size_t)(folded_size + num_segments + 1) * 2 * sizeof(int64_t));
     if (!pages) return -3;
     uint64_t *folded = (uint64_t *)(pages + folded_size);
@@ -1006,13 +985,22 @@ def available() -> bool:
     return _ensure_loaded() is not None
 
 
+def check_method(relax_method: str | None) -> None:
+    """Refuse a ``relax_method`` that is neither ``None`` nor one of
+    :data:`RELAX_METHODS`."""
+    if relax_method is not None and relax_method not in RELAX_METHODS:
+        raise ValueError(f"unknown relaxation method {relax_method!r}; use {RELAX_METHODS}")
+
+
 def wanted(relax_method: str | None) -> bool:
-    """True when a sweep run with ``relax_method`` takes the native kernels.
+    """True when a run with ``relax_method`` takes the native kernels.
 
     ``None`` (best available) and ``"native"`` do, on a host where they are
-    available; anything else (``"scatter"``: the service's breaker is open)
-    runs every kernel, UVM replay included, on numpy.
+    available; ``"scatter"`` (the service's breaker is open) runs every
+    kernel, UVM replay included, on numpy.  Every run loop asks this first,
+    so any other value raises :class:`ValueError` before anything runs.
     """
+    check_method(relax_method)
     return relax_method in (None, "native") and available()
 
 
@@ -1341,7 +1329,7 @@ def lane_rows(
 def uvm_replay(
     starts: np.ndarray,
     ends: np.ndarray,
-    masks: np.ndarray | None,
+    masks: np.ndarray,
     bounds: np.ndarray,
     lanes: np.ndarray,
     size_bytes: int,
@@ -1358,31 +1346,26 @@ def uvm_replay(
     """Invoke the compiled UVM replay; see the C source for the contract.
 
     ``bounds`` (``int64``, one more entry than there are segments) cuts
-    ``starts`` / ``ends`` into segments.  With ``masks`` None the segments
-    are replayed once on the space as it is and ``counters`` is
-    ``(segments, 4)``; otherwise they are replayed once per lane id in
+    ``starts`` / ``ends`` into segments, replayed once per lane id in
     ``lanes`` (``int64``), each from a reset space and taking the ranges
-    whose ``masks`` (``uint64`` lane words) carry that lane's bit, and
+    whose ``masks`` (``uint64`` lane words) carry that lane's bit;
     ``counters`` is ``(lanes, segments, 4)`` int64.  ``resident`` (a
     ``uint8`` view of the space's residency flags), ``last_touch``,
     ``state`` (5 entries: the clock and four totals) and ``scratch`` (three
     rows of ``num_pages``) are updated in place; ``page_bytes`` must be a
     power of two, as :class:`~repro.config.UVMConfig` ensures.  Returns the
     kernel's code, with nothing changed unless it is 0: -1 when a non-empty
-    range lies outside ``[0, size_bytes]``, -2 when a masked segment's
-    pages descend, -3 when its fold buffer cannot be allocated.  Every
-    buffer is checked for its dtype and C-contiguity (the space's own four
-    once per space when ``pins`` is given) and for its length on every
-    call.
+    range lies outside ``[0, size_bytes]``, -2 when a segment's pages
+    descend, -3 when its fold buffer cannot be allocated.  Every buffer is
+    checked for its dtype and C-contiguity (the space's own four once per
+    space when ``pins`` is given) and for its length on every call.
     """
     num_pages = resident.size
     segments = bounds.size - 1
-    replays = 1 if masks is None else lanes.size
     if not (
-        starts.size == ends.size
-        and (masks is None or masks.size == starts.size)
+        starts.size == ends.size == masks.size
         and segments >= 0
-        and counters.size == 4 * segments * replays
+        and counters.size == 4 * segments * lanes.size
         and page_bytes > 0
         and page_bytes & (page_bytes - 1) == 0
         and num_pages > 0
@@ -1401,7 +1384,7 @@ def uvm_replay(
         kernel,
         _address(starts, _INT64, kernel),
         _address(ends, _INT64, kernel),
-        None if masks is None else _address(masks, _UINT64, kernel),
+        _address(masks, _UINT64, kernel),
         _address(bounds, _INT64, kernel),
         segments,
         _address(lanes, _INT64, kernel),

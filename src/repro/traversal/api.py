@@ -142,7 +142,7 @@ def run_streaming(
 
     ``lanes`` is a collection of access strategies or ``(strategy, system)``
     pairs (see :func:`repro.traversal.streaming.normalize_lanes`).  The
-    algorithm executes once per ≤64-lane word; every lane's values and
+    algorithm executes once, however many lanes; every lane's values and
     metrics are identical to its solo run.  Returns a
     :class:`~repro.traversal.streaming.StreamingBatchResult`.
     """

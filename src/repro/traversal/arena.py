@@ -7,7 +7,8 @@ edge/weight regions) and the UVM residency arrays.  A 64-source
 per source; an :class:`EngineArena` pays it once per
 ``(graph, strategy, system, needs_weights)`` configuration and recycles the
 engine with :meth:`~repro.traversal.engine.TraversalEngine.reset` between
-runs.
+runs.  :func:`config_engines` is how a run loop gets one engine per
+configuration: the caller's, a lease from an arena, or a private one.
 """
 
 from __future__ import annotations
@@ -155,3 +156,40 @@ class EngineArena:
         with self._lock:
             self._idle.clear()
             self._idle_count = 0
+
+
+@contextmanager
+def config_engines(
+    graph: CSRGraph,
+    configs: dict,
+    arena: EngineArena | None = None,
+    engine=None,
+    needs_weights: bool = False,
+) -> Iterator[dict]:
+    """``with config_engines(...) as engines:`` one engine per configuration.
+
+    ``configs`` maps each configuration's key to its ``(strategy, system)``,
+    in the order the engines are acquired; ``engines`` maps the same keys to
+    ``engine`` (a one-configuration run's own engine, or a baseline's
+    drop-in), else to a lease from ``arena``, released when the block exits
+    however it exits, else to a private engine.
+    """
+    engines: dict = {}
+    leased: list[TraversalEngine] = []
+    try:
+        for key, (strategy, system) in configs.items():
+            if engine is not None:
+                engines[key] = engine
+            elif arena is not None:
+                engines[key] = arena.acquire(
+                    graph, strategy, system=system, needs_weights=needs_weights
+                )
+                leased.append(engines[key])
+            else:
+                engines[key] = TraversalEngine(
+                    graph, strategy, system=system, needs_weights=needs_weights
+                )
+        yield engines
+    finally:
+        for leased_engine in leased:
+            arena.release(leased_engine)

@@ -4,7 +4,10 @@ Unlike BFS/SSSP there is no root vertex: every vertex starts active and the
 whole edge list is streamed in the first iteration, which is why the paper
 observes CC giving UVM relatively better performance (its access pattern is
 close to a sequential stream with good page-level locality).  The paper
-evaluates CC only on the undirected graphs (GK, GU, FS, ML).
+evaluates CC only on the undirected graphs (GK, GU, FS, ML).  A run records
+its pass as a one-lane trace and prices it afterwards: :func:`run_cc` is a
+one-lane call of the streaming run loop
+(:mod:`repro.traversal.streaming`).
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..graph.csr import CSRGraph
-from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
+from ..types import AccessStrategy, EMOGI_STRATEGY, VERTEX_DTYPE
 from . import _native
-from .engine import TraversalEngine, _iteration_checkpoint
+from .engine import TraversalEngine, WordTrace, _iteration_checkpoint
 from .frontier import all_vertices_frontier, frontier_offsets, gather_frontier_edges
 from .results import TraversalResult
 
@@ -38,34 +41,30 @@ def run_cc(
 ) -> TraversalResult:
     """Connected components under the given edge-list access strategy.
 
-    ``relax_method`` picks the sweep backend as for
-    :func:`cc_sweep`.
+    ``engine`` (a :class:`TraversalEngine` or a baseline's drop-in) prices
+    the run in place of one built for ``strategy`` / ``system``.
+    ``relax_method`` picks the sweep backend as for :func:`cc_sweep`.
     """
-    engine = engine or TraversalEngine(graph, strategy, system=system, needs_weights=False)
-    labels, _ = cc_sweep(graph, engines=(engine,), relax_method=relax_method)
-    return TraversalResult(
-        application=Application.CC,
-        graph_name=graph.name,
-        strategy=strategy,
-        source=None,
-        values=labels,
-        metrics=engine.finalize(),
-    )
+    from .streaming import StreamingLane, _run_pass
+
+    lane = StreamingLane(strategy, system)
+    return _run_pass("cc", graph, [lane], None, relax_method, engine).results[0]
 
 
 def cc_sweep(
-    graph: CSRGraph, engines=(), relax_method: str | None = None
-) -> tuple[np.ndarray, int]:
-    """Min-label propagation, driving every engine once per iteration.
+    graph: CSRGraph, relax_method: str | None = None
+) -> tuple[np.ndarray, WordTrace]:
+    """Min-label propagation, recording every iteration's frontier.
 
-    The label evolution is engine-independent (the engines only *account*
-    memory traffic), so one shared algorithm pass can serve any number of
-    simulated platforms: each iteration computes the frontier's CSR slices
-    once and replays them into every engine.  This is what
-    :func:`repro.traversal.streaming.run_streaming_batch` exploits to batch
-    CC across access-strategy/system lanes.  ``relax_method`` ``None`` or
-    ``"native"`` runs ``repro_cc_sweep`` when it is available; anything else
-    runs the numpy sweep.  Returns ``(labels, iterations)``.
+    The label evolution does not depend on the memory system, so the pass
+    is recorded once as a one-lane
+    :class:`~repro.traversal.engine.WordTrace` (lane word 1 on every
+    frontier vertex) that any number of engines price afterwards; this is
+    what :func:`repro.traversal.streaming.run_streaming_batch` exploits to
+    batch CC across access-strategy/system lanes.  ``relax_method`` ``None``
+    or ``"native"`` runs ``repro_cc_sweep`` when it is available;
+    ``"scatter"`` runs the numpy sweep.  Returns ``(labels, trace)``; the
+    iterations are the trace's sweeps.
     """
     num_vertices = graph.num_vertices
     labels = np.arange(num_vertices, dtype=np.int64)
@@ -78,12 +77,13 @@ def cc_sweep(
         previous = np.empty_like(labels)
         # Two frontier slots: the kernel never writes the one it reads.
         slots = np.empty((2, num_vertices), dtype=VERTEX_DTYPE)
+    lane_words = np.ones(num_vertices, dtype=np.uint64)
+    trace = WordTrace(1)
     iterations = 0
     max_iterations = max(1, num_vertices)
     while frontier.size and iterations < max_iterations:
         _iteration_checkpoint()
-        for engine in engines:
-            engine.process_frontier(frontier, starts, ends, native=native)
+        trace.record(frontier, lane_words[: frontier.size])
         if native:
             slot = slots[iterations % 2]
             size = _native.cc_sweep(
@@ -97,5 +97,4 @@ def cc_sweep(
             frontier = np.flatnonzero(labels < previous).astype(VERTEX_DTYPE)
         iterations += 1
         starts, ends = frontier_offsets(graph, frontier)
-    return labels, iterations
-
+    return labels, trace

@@ -1,16 +1,18 @@
 """Traversal engine: accounts the memory-system cost of frontier expansion.
 
-The algorithms in :mod:`repro.traversal.bfs` / ``sssp`` / ``cc`` compute their
-results directly on the CSR arrays (so the numerical output is exact), and
-an engine simulates what the corresponding CUDA kernel would have done to the
-memory system: the edge-list (and weight-list) bytes it touches, the PCIe
-read requests or UVM page migrations those touches generate, and the
-resulting simulated time.  The streaming applications (CC, PageRank) call
-:meth:`TraversalEngine.process_frontier` once per iteration; a BFS/SSSP word
-records a :class:`WordTrace` of its sweeps and
+The algorithms in :mod:`repro.traversal.bfs` / ``sssp`` / ``cc`` /
+``pagerank`` compute their results directly on the CSR arrays (so the
+numerical output is exact), and an engine simulates what the corresponding
+CUDA kernel would have done to the memory system: the edge-list (and
+weight-list) bytes it touches, the PCIe read requests or UVM page migrations
+those touches generate, and the resulting simulated time.
+
+Trace, then price: a run records a :class:`WordTrace` of its sweeps — a
+BFS/SSSP word one lane per source, a CC/PageRank pass one lane — and
 :meth:`TraversalEngine.price_lanes` prices every lane's own frontier
-sequence from it afterwards.  Both price a sweep with the same per-row
-arithmetic (:meth:`TraversalEngine._price_rows`).
+sequence from it afterwards.  :meth:`TraversalEngine.process_frontier` is
+the per-sweep definition that pricing is checked against, and both price a
+sweep with the same per-row arithmetic (:meth:`TraversalEngine._price_rows`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from ..config import SystemConfig, default_system
 from ..errors import SimulationError
 from ..graph.csr import CSRGraph
 from ..memsim.address_space import AddressSpace
-from ..memsim.coalescer import REQUEST_SIZES, vertex_request_table, vertex_request_totals
+from ..memsim.coalescer import REQUEST_SIZES, vertex_request_table
 from ..memsim.gpu_memory import DeviceMemory
 from ..memsim.metrics import TimingModel, TrafficRecord
 from ..memsim.uvm import COUNTER_COLUMNS, UVMSpace
@@ -66,13 +68,14 @@ def _pricing_checkpoint() -> None:
 
 
 class WordTrace:
-    """What one BFS/SSSP word swept, recorded for :meth:`TraversalEngine.price_lanes`.
+    """What one run swept, recorded for :meth:`TraversalEngine.price_lanes`.
 
     Sweep ``s`` is the union frontier (vertex ids, ascending) and each
     frontier vertex's lane word: bit ``l`` is set when lane ``l``'s own
     frontier holds the vertex.  So lane ``l``'s frontier at sweep ``s`` is
     the entries carrying its bit, in order — exactly the frontier its solo
-    run sweeps.  BFS and SSSP record this one format.
+    run sweeps.  BFS and SSSP words record this one format, and so does a
+    CC or PageRank pass, as one lane whose every lane word is 1.
     """
 
     __slots__ = ("lanes", "frontiers", "active_bits", "_flat")
@@ -94,9 +97,10 @@ class WordTrace:
         if self._flat is None:
             bounds = np.zeros(len(self.frontiers) + 1, dtype=np.int64)
             np.cumsum([frontier.size for frontier in self.frontiers], out=bounds[1:])
+            # The empty heads keep the dtypes of a trace with no sweeps.
             self._flat = (
-                np.concatenate(self.frontiers),
-                np.concatenate(self.active_bits),
+                np.concatenate([np.empty(0, dtype=VERTEX_DTYPE), *self.frontiers]),
+                np.concatenate([np.empty(0, dtype=np.uint64), *self.active_bits]),
                 bounds,
             )
         return self._flat
@@ -217,7 +221,6 @@ class TraversalEngine:
                 self.weight_allocation, self.system.uvm, capacity_pages - edge_share
             )
         self.request_tables = ()
-        self.request_totals = ()
 
     def _setup_zero_copy(self) -> None:
         gpu = self.system.gpu
@@ -228,25 +231,19 @@ class TraversalEngine:
         if self.weight_allocation is not None:
             allocations.append(self.weight_allocation)
         # One request table per zero-copy region, shared by every engine that
-        # walks the same offsets array the same way, and its column totals;
-        # both as rows of request columns (one column, of sectors, for a
-        # strided walk).
-        walks = [
-            (
+        # walks the same offsets array the same way, as rows of request
+        # columns (one column, of sectors, for a strided walk).
+        width = 1 if strided else len(REQUEST_SIZES)
+        self.request_tables = tuple(
+            vertex_request_table(
                 self.graph.offsets,
                 allocation.element_bytes,
                 allocation.base_address,
                 gpu.warp_size,
                 self.spec.aligned,
                 strided,
-            )
+            ).reshape(self.graph.num_vertices, width)
             for allocation in allocations
-        ]
-        self.request_tables = tuple(
-            vertex_request_table(*walk).reshape(self.graph.num_vertices, -1) for walk in walks
-        )
-        self.request_totals = tuple(
-            vertex_request_totals(*walk).reshape(1, -1) for walk in walks
         )
         self._refetch_rate = 1.0 - gpu.strided_sector_hit_rate
         self.edge_uvm = None
@@ -260,23 +257,17 @@ class TraversalEngine:
         frontier: np.ndarray,
         starts: np.ndarray | None = None,
         ends: np.ndarray | None = None,
-        native: bool = False,
     ) -> TimeBreakdown:
         """Account one traversal iteration (one kernel launch) over ``frontier``.
 
         Every vertex in the frontier has its full neighbor list scanned, which
         is exactly what the vertex-centric kernels in Listings 1 and 2 do.
         Returns the time breakdown of just this iteration (also accumulated
-        into the run totals).
+        into the run totals).  This is the per-sweep definition that
+        :meth:`price_lanes` implements for whole traces; no run loop calls it.
 
         ``starts``/``ends`` may carry the frontier's precomputed edge-list
-        offsets (see :func:`~repro.traversal.frontier.frontier_offsets`) so
-        algorithms that also gather the frontier's edges only index
-        ``graph.offsets`` once per iteration.
-
-        ``native`` (the sweep's :func:`~repro.traversal._native.wanted`)
-        replays the UVM page residency with the compiled kernel; the metrics
-        are exactly the numpy arm's.
+        offsets (see :func:`~repro.traversal.frontier.frontier_offsets`).
         """
         frontier = np.asarray(frontier, dtype=VERTEX_DTYPE).ravel()
         self.iterations += 1
@@ -284,8 +275,7 @@ class TraversalEngine:
             return TimeBreakdown()
         # Checked with precomputed offsets too: the request tables are indexed
         # by vertex id, where a negative id would silently wrap around.
-        num_vertices = self.graph.num_vertices
-        if frontier.min() < 0 or frontier.max() >= num_vertices:
+        if frontier.min() < 0 or frontier.max() >= self.graph.num_vertices:
             raise SimulationError("frontier contains invalid vertex IDs")
         if starts is None or ends is None:
             starts = self.graph.offsets[frontier]
@@ -298,20 +288,12 @@ class TraversalEngine:
         if self.strategy is AccessStrategy.UVM:
             migrations = []
             for space, element_bytes in self._uvm_regions():
-                result = space.access_byte_ranges(
-                    starts * element_bytes, ends * element_bytes, native=native
-                )
+                result = space.access_byte_ranges(starts * element_bytes, ends * element_bytes)
                 migrations.append(np.array([[
                     result.pages_touched, result.page_faults,
                     result.migrated_bytes, result.evicted_pages,
                 ]]))
             seconds, counters = self._price_rows(edges, vertices, migrations=migrations)
-        elif frontier.size == num_vertices and bool((frontier[1:] > frontier[:-1]).all()):
-            # Every vertex once (strictly increasing, V of them): the
-            # streaming iterations, priced from the memoised totals.
-            seconds, counters = self._price_rows(
-                edges, vertices, requests=self.request_totals
-            )
         else:
             seconds, counters = self._price_rows(
                 edges, vertices, requests=self._frontier_requests(frontier)
@@ -335,6 +317,9 @@ class TraversalEngine:
         native: bool = False,
     ) -> list[TraversalMetrics]:
         """Metrics of each of ``lanes`` (lane indices of ``trace``'s word) run alone.
+
+        The one production pricing path: a BFS/SSSP word prices the lanes
+        each configuration asked for, a CC/PageRank pass its one lane ``0``.
 
         Every lane is priced on its own frontier sequence, exactly as
         :meth:`process_frontier` would have priced its solo run sweep by
@@ -366,9 +351,11 @@ class TraversalEngine:
 
         shape = (lanes.size, len(trace.frontiers))
         # In sweep order, as TimeBreakdown.add accumulates a solo run; a
-        # lane's sweeps after its last are all zeros.
-        seconds = np.add.accumulate(seconds.reshape(*shape, -1), axis=1)[:, -1]
-        counters = counters.reshape(*shape, -1).sum(axis=1)
+        # lane's sweeps after its last are all zeros, and a trace with no
+        # sweeps costs nothing.
+        seconds = seconds.reshape(*shape, seconds.shape[1])
+        seconds = np.add.accumulate(seconds, axis=1)[:, -1] if shape[1] else seconds.sum(axis=1)
+        counters = counters.reshape(*shape, counters.shape[1]).sum(axis=1)
         vertices = vertices.reshape(shape)
         dataset_bytes, system_name = self.dataset_bytes, self.system.name
         metrics = []
@@ -376,7 +363,7 @@ class TraversalEngine:
             seconds.tolist(),
             counters.tolist(),
             np.count_nonzero(vertices, axis=1).tolist(),
-            vertices.max(axis=1).tolist(),
+            vertices.max(axis=1, initial=0).tolist(),
         ):
             breakdown = TimeBreakdown(*components)
             traffic = TrafficRecord.from_counter_row(row)

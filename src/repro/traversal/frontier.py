@@ -49,9 +49,9 @@ def frontier_offsets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validated ``(starts, ends)`` edge-list offsets for a frontier.
 
-    Computing these once per iteration and passing them to both
-    :meth:`~repro.traversal.engine.TraversalEngine.process_frontier` and the
-    gather helpers avoids indexing ``graph.offsets`` twice per iteration.
+    Computing these once per iteration and passing them to both the sweep
+    kernel and the gather helpers avoids indexing ``graph.offsets`` twice
+    per iteration.
     """
     frontier = np.asarray(frontier, dtype=VERTEX_DTYPE).ravel()
     if frontier.size and (frontier.min() < 0 or frontier.max() >= graph.num_vertices):

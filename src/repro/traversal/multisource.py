@@ -43,8 +43,8 @@ source executes the same loop and kernels, and the ``REPRO_NATIVE=0`` numpy
 sweeps are the one fallback of both.
 
 The *streaming* applications (CC, PageRank) batch along the platform axis
-instead — one shared algorithm pass replayed into many per-configuration
-engines; see :mod:`repro.traversal.streaming`.
+instead — one shared algorithm pass, recorded as a one-lane trace and priced
+by each configuration's engine; see :mod:`repro.traversal.streaming`.
 
 Trace, then price: a word's sweeps touch no engine.  Each sweep records its
 union frontier and lane words in a :class:`~repro.traversal.engine.WordTrace`
@@ -77,6 +77,7 @@ from ..graph.csr import CSRGraph
 from ..hotpath import hot_path
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from . import _native
+from .arena import config_engines
 from .engine import TraversalEngine, WordTrace, _iteration_checkpoint, _pricing_checkpoint
 from .frontier import frontier_offsets, gather_frontier_destinations
 from .relax import make_snapshot, relax_lanes
@@ -233,11 +234,11 @@ def _run_words(
     :class:`~repro.traversal.engine.WordTrace`; then the engine of each
     configuration in the word, in first-appearance order, prices the
     distinct lanes its requests name.  Every request gets its own result,
-    so requests repeating a source fan out from one lane.  Engines are
-    acquired once per distinct configuration for the whole batch —
-    ``engine`` (one-configuration batches only), a lease from ``arena``, or
-    a private one; pricing reads none of an engine's accumulated state, so
-    a reused one needs no reset.
+    so requests repeating a source fan out from one lane.  Engines come
+    from :func:`~repro.traversal.arena.config_engines`, once per distinct
+    configuration for the whole batch — ``engine`` (one-configuration
+    batches only), a lease from ``arena``, or a private one; pricing reads
+    none of an engine's accumulated state, so a reused one needs no reset.
     """
     application = Application(application)
     if application is Application.BFS:
@@ -275,20 +276,10 @@ def _run_words(
         by_word[lane // WORD_BITS].append(index)
     results: list[TraversalResult] = [None] * len(requests)
     native = _native.wanted(relax_method)
-    engines: dict[tuple, TraversalEngine] = {}
-    leased: list[TraversalEngine] = []
-    try:
-        for key, request in zip(keys, requests):
-            if key in engines:
-                continue
-            options = dict(system=request.system, needs_weights=needs_weights)
-            if engine is not None:
-                engines[key] = engine
-            elif arena is not None:
-                engines[key] = arena.acquire(graph, request.strategy, **options)
-                leased.append(engines[key])
-            else:
-                engines[key] = TraversalEngine(graph, request.strategy, **options)
+    configs: dict[tuple, tuple] = {}
+    for key, request in zip(keys, requests):
+        configs.setdefault(key, (request.strategy, request.system))
+    with config_engines(graph, configs, arena, engine, needs_weights) as engines:
         for word, indices in enumerate(by_word):
             offset = word * WORD_BITS
             values, trace, relax_backend = chunk_runner(
@@ -315,9 +306,6 @@ def _run_words(
                     values=values[lane].copy(),
                     metrics=metrics,
                 )
-    finally:
-        for word_engine in leased:
-            arena.release(word_engine)
     return MultiSourceResult(application, graph.name, results, words=len(by_word))
 
 

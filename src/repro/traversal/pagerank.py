@@ -11,7 +11,9 @@ observation of §5.4.
 
 The implementation is push-style power iteration on out-edges, which matches
 how the edge list is laid out in CSR and therefore how the traversal engine
-accounts its traffic.
+accounts its traffic.  A run records its pass as a one-lane trace and prices
+it afterwards: :func:`run_pagerank` is a one-lane call of the streaming run
+loop (:mod:`repro.traversal.streaming`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ..errors import ConfigurationError
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, EMOGI_STRATEGY
 from . import _native
-from .engine import TraversalEngine, _iteration_checkpoint
+from .engine import TraversalEngine, WordTrace, _iteration_checkpoint
 from .frontier import all_vertices_frontier
 from .results import TraversalMetrics
 
@@ -90,41 +92,39 @@ def run_pagerank(
 ) -> PageRankResult:
     """PageRank under the given edge-list access strategy.
 
+    ``engine`` (a :class:`TraversalEngine` or a baseline's drop-in) prices
+    the run in place of one built for ``strategy`` / ``system``.
     ``relax_method`` picks the sweep backend as for :func:`pagerank_sweep`.
     """
-    engine = engine or TraversalEngine(graph, strategy, system=system, needs_weights=False)
-    scores, iterations, converged = pagerank_sweep(
-        graph,
-        engines=(engine,),
-        damping=damping,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        relax_method=relax_method,
+    from .streaming import StreamingLane, _run_pass
+
+    outcome = _run_pass(
+        "pagerank", graph, [StreamingLane(strategy, system)], None, relax_method, engine,
+        damping=damping, tolerance=tolerance, max_iterations=max_iterations,
     )
-    # An empty graph never sweeps, so its run has no metrics.
-    metrics = engine.finalize() if graph.num_vertices else None
-    return PageRankResult(graph.name, strategy, scores, iterations, converged, metrics)
+    return outcome.results[0]
 
 
 def pagerank_sweep(
     graph: CSRGraph,
-    engines=(),
     damping: float = 0.85,
     tolerance: float = 1e-6,
     max_iterations: int = 100,
     relax_method: str | None = None,
-) -> tuple[np.ndarray, int, bool]:
-    """Push-style power iteration, driving every engine once per iteration.
+) -> tuple[np.ndarray, bool, WordTrace]:
+    """Push-style power iteration, recording every iteration's frontier.
 
-    Like :func:`repro.traversal.cc.cc_sweep`, the score evolution is
-    engine-independent: each iteration streams the whole edge list once for
-    the algorithm and replays the all-vertices frontier into every attached
-    engine, which is how the streaming batch runs one PageRank under many
-    simulated platforms.  ``relax_method`` ``None`` or ``"native"`` pushes
-    with ``repro_pagerank_step`` when it is available; anything else pushes
-    with ``np.add.at``.  The two reductions (dangling mass and the L1 delta)
-    are numpy's pairwise sums on both backends, so the scores are
-    bit-identical.  Returns ``(scores, iterations, converged)``.
+    Like :func:`repro.traversal.cc.cc_sweep`, the score evolution does not
+    depend on the memory system: each iteration streams the whole edge list
+    once and is recorded as the all-vertices frontier of a one-lane
+    :class:`~repro.traversal.engine.WordTrace`, which is how the streaming
+    batch prices one PageRank under many simulated platforms.
+    ``relax_method`` ``None`` or ``"native"`` pushes with
+    ``repro_pagerank_step`` when it is available; ``"scatter"`` pushes with
+    ``np.add.at``.  The two reductions (dangling mass and the L1 delta) are
+    numpy's pairwise sums on both backends, so the scores are bit-identical.
+    Returns ``(scores, converged, trace)``; the iterations are the trace's
+    sweeps.
     """
     if not 0.0 < damping < 1.0:
         raise ConfigurationError("damping must lie strictly between 0 and 1")
@@ -134,18 +134,18 @@ def pagerank_sweep(
         raise ConfigurationError("max_iterations must be positive")
 
     num_vertices = graph.num_vertices
+    native = _native.wanted(relax_method)
+    trace = WordTrace(1)
     if num_vertices == 0:
-        return np.empty(0), 0, True
+        return np.empty(0), True, trace
 
     degrees = graph.degrees().astype(np.float64)
     active = degrees > 0
     dangling = np.flatnonzero(~active)
     frontier = all_vertices_frontier(graph)
-    # Every iteration's frontier is every vertex: its slices are the offsets.
-    starts, ends = graph.offsets[:-1], graph.offsets[1:]
+    lane_words = np.ones(num_vertices, dtype=np.uint64)
     scores = np.full(num_vertices, 1.0 / num_vertices)
     base = (1.0 - damping) / num_vertices
-    native = _native.wanted(relax_method)
     if native:
         contribution = np.empty(num_vertices)
         spare = np.empty(num_vertices)
@@ -156,8 +156,7 @@ def pagerank_sweep(
     converged = False
     while iterations < max_iterations and not converged:
         _iteration_checkpoint()
-        for engine in engines:
-            engine.process_frontier(frontier, starts, ends, native=native)
+        trace.record(frontier, lane_words)
         dangling_mass = scores[dangling].sum() / num_vertices
         if native:
             new_scores = spare
@@ -175,5 +174,5 @@ def pagerank_sweep(
         scores, spare = new_scores, scores
         iterations += 1
         converged = delta < tolerance
-    return scores, iterations, converged
+    return scores, converged, trace
 

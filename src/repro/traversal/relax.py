@@ -65,7 +65,7 @@ from . import _native
 _ONE = np.uint64(1)
 
 #: Backends accepted by :func:`relax_lanes` (``None`` = best available).
-RELAX_METHODS = ("native", "scatter")
+RELAX_METHODS = _native.RELAX_METHODS
 
 #: (lane, edge) candidates per numpy block: large enough to amortize numpy
 #: dispatch, small enough that the temporaries stay in the allocator's
@@ -169,10 +169,9 @@ def relax_lanes(
     associative/commutative (see module docstring).
     """
     num_vertices, lanes = values.shape
+    _native.check_method(method)
     if method is None:
         method = default_method()
-    if method not in RELAX_METHODS:
-        raise ValueError(f"unknown relaxation method {method!r}; use {RELAX_METHODS}")
     if not values.flags.c_contiguous:
         raise ValueError("values must be C-contiguous (updated in place)")
 

@@ -1,40 +1,38 @@
 """Batched streaming traversals: one algorithm pass, many simulated platforms.
 
-CC and PageRank are *streaming* applications: every vertex is active every
-iteration, so each iteration reads the whole edge list exactly once and the
-frontier evolution never depends on the simulated memory system.  That makes
-them batchable along a different axis than BFS/SSSP — not across sources
-(they have none) but across **platform lanes**: up to 64 distinct
-(access-strategy, system-config) pairs share ONE algorithm execution per
-word, with the shared per-iteration frontier slices replayed into each lane's
-:class:`~repro.traversal.engine.TraversalEngine`.  A lane is nothing but
+CC and PageRank are *streaming* applications: every vertex is active in the
+first iteration (every iteration, for PageRank), and the frontier evolution
+never depends on the simulated memory system.  That makes them batchable
+along a different axis than BFS/SSSP — not across sources (they have none)
+but across **platform lanes**: any number of (access-strategy,
+system-config) pairs share ONE algorithm execution.  A lane is nothing but
 that pair: PageRank's damping, tolerance and iteration cap belong to the
-batch, so CC and PageRank cut their lanes into words the same way.
+batch.
 
-Because the engines only account traffic, every lane's values *and* metrics
-are exactly what its solo :func:`~repro.traversal.cc.run_cc` /
-:func:`~repro.traversal.pagerank.run_pagerank` would produce — the streaming
-analog of the multisource module's bit-identity guarantee — while the
-algorithm's work (the dominant wall-clock cost) is paid once per word
-instead of once per lane.  The union sweep is a pure win here: unlike SSSP
-there is no per-lane masking at all, since every lane is active every
-iteration.
+Trace, then price, as a BFS/SSSP word does: the pass records each
+iteration's frontier in a one-lane
+:class:`~repro.traversal.engine.WordTrace`, and the engine of each distinct
+configuration prices that lane once with
+:meth:`~repro.traversal.engine.TraversalEngine.price_lanes`.  Every lane's
+values *and* metrics are therefore exactly what its solo
+:func:`~repro.traversal.cc.run_cc` /
+:func:`~repro.traversal.pagerank.run_pagerank` would produce — those are
+one-lane calls of the same loop — while the algorithm's work is paid once
+per batch instead of once per lane.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..config import SystemConfig
+from ..config import SystemConfig, system_key
 from ..errors import ConfigurationError
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application
+from . import _native
+from .arena import config_engines
 from .cc import cc_sweep
-from .engine import TraversalEngine
-from .multisource import WORD_BITS
+from .engine import TraversalEngine, _pricing_checkpoint
 from .pagerank import PageRankResult, pagerank_sweep
 from .results import TraversalResult
 
@@ -54,6 +52,10 @@ class StreamingLane:
 
     strategy: AccessStrategy
     system: SystemConfig | None = None
+
+    def config_key(self) -> tuple:
+        """Engine-sharing identity: lanes with equal keys share one pricing."""
+        return (self.strategy, system_key(self.system))
 
 
 def normalize_lanes(lanes) -> list[StreamingLane]:
@@ -88,40 +90,15 @@ class StreamingBatchResult:
     ``results`` holds one result per requested lane, in request order:
     :class:`~repro.traversal.results.TraversalResult` for CC,
     :class:`~repro.traversal.pagerank.PageRankResult` for PageRank — each
-    carrying the values the shared execution produced and the *full* metrics
-    of that lane's own engine (identical to a solo run's: every lane sweeps
-    the full stream in its own simulation).
+    carrying its own copy of the values the shared pass produced and the
+    metrics of that lane's configuration pricing the pass (identical to a
+    solo run's).
     """
 
     application: str
     graph_name: str
     lanes: list[StreamingLane] = field(default_factory=list)
     results: list = field(default_factory=list)
-    #: Algorithm executions performed (one per ≤64-lane word).
-    words: int = 0
-
-    @property
-    def num_lanes(self) -> int:
-        return len(self.results)
-
-
-@contextmanager
-def _lane_engines(graph: CSRGraph, word, arena):
-    """Acquire one engine per lane in ``word``, releasing leases on exit."""
-    engines: list[TraversalEngine] = []
-    leased: list[TraversalEngine] = []
-    try:
-        for lane in word:
-            if arena is not None:
-                engine = arena.acquire(graph, lane.strategy, system=lane.system)
-                leased.append(engine)  # repro: noqa[REPRO101] — O(lanes) bookkeeping, <= 64 per word
-            else:
-                engine = TraversalEngine(graph, lane.strategy, system=lane.system)
-            engines.append(engine)  # repro: noqa[REPRO101] — O(lanes) bookkeeping, <= 64 per word
-        yield engines
-    finally:
-        for engine in leased:
-            arena.release(engine)
 
 
 def run_streaming_batch(
@@ -134,15 +111,15 @@ def run_streaming_batch(
     max_iterations: int = 100,
     relax_method: str | None = None,
 ) -> StreamingBatchResult:
-    """Run CC or PageRank once per ≤64-lane word, fanned across platforms.
+    """Run CC or PageRank once, priced on every platform lane.
 
     ``lanes`` is any collection :func:`normalize_lanes` accepts.  Engines are
     leased from ``arena`` (an :class:`~repro.traversal.arena.EngineArena`)
-    when given, else constructed per lane.  ``damping`` / ``tolerance`` /
-    ``max_iterations`` apply to every lane of a PageRank batch.
-    ``relax_method`` picks the sweep backend as for
+    when given, else constructed, one per distinct configuration.
+    ``damping`` / ``tolerance`` / ``max_iterations`` apply to every lane of
+    a PageRank batch.  ``relax_method`` picks the sweep backend as for
     :func:`~repro.traversal.cc.cc_sweep` /
-    :func:`~repro.traversal.pagerank.pagerank_sweep`.
+    :func:`~repro.traversal.pagerank.pagerank_sweep`, and the pricing's.
     """
     application = (
         application.value if isinstance(application, Application) else str(application)
@@ -151,46 +128,69 @@ def run_streaming_batch(
         raise ConfigurationError(
             f"streaming batches support {STREAMING_APPLICATIONS}, not {application!r}"
         )
-    lane_list = normalize_lanes(lanes)
-    outcome = StreamingBatchResult(application=application, graph_name=graph.name)
-    outcome.lanes = lane_list
-    for offset in range(0, len(lane_list), WORD_BITS):
-        word = lane_list[offset : offset + WORD_BITS]
-        with _lane_engines(graph, word, arena) as engines:
-            if application == "cc":
-                labels, _ = cc_sweep(graph, engines=engines, relax_method=relax_method)
-                outcome.results.extend(
-                    TraversalResult(
-                        application=Application.CC,
-                        graph_name=graph.name,
-                        strategy=lane.strategy,
-                        source=None,
-                        values=labels.copy(),
-                        metrics=engine.finalize(),
-                    )
-                    for lane, engine in zip(word, engines)
-                )
-            else:
-                scores, iterations, converged = pagerank_sweep(
-                    graph,
-                    engines=engines,
-                    damping=damping,
-                    tolerance=tolerance,
-                    max_iterations=max_iterations,
-                    relax_method=relax_method,
-                )
-                outcome.results.extend(
-                    PageRankResult(
-                        graph_name=graph.name,
-                        strategy=lane.strategy,
-                        scores=scores.copy(),
-                        iterations=iterations,
-                        converged=converged,
-                        # Solo run_pagerank reports no metrics for an
-                        # empty graph (it never sweeps); stay identical.
-                        metrics=engine.finalize() if graph.num_vertices else None,
-                    )
-                    for lane, engine in zip(word, engines)
-                )
-        outcome.words += 1
+    return _run_pass(
+        application, graph, normalize_lanes(lanes), arena, relax_method,
+        damping=damping, tolerance=tolerance, max_iterations=max_iterations,
+    )
+
+
+def _run_pass(
+    application: str,
+    graph: CSRGraph,
+    lanes: list[StreamingLane],
+    arena,
+    relax_method: str | None,
+    engine: TraversalEngine | None = None,
+    **pagerank_params,
+) -> StreamingBatchResult:
+    """The one CC/PageRank run loop: behind :func:`run_streaming_batch`,
+    :func:`~repro.traversal.cc.run_cc` and
+    :func:`~repro.traversal.pagerank.run_pagerank`.
+
+    The pass runs once for every lane, recording a one-lane trace; then the
+    engine of each distinct configuration, in first-appearance order,
+    prices the trace's lane ``0``.  Every lane gets its own result, so
+    lanes repeating a configuration fan out from one pricing, each with its
+    own copy of the values.  Engines come from
+    :func:`~repro.traversal.arena.config_engines` — ``engine``
+    (one-configuration runs only), a lease from ``arena``, or a private
+    one.  An empty graph's PageRank never sweeps, so it has no metrics.
+    """
+    native = _native.wanted(relax_method)
+    configs: dict[tuple, tuple] = {}
+    for lane in lanes:
+        configs.setdefault(lane.config_key(), (lane.strategy, lane.system))
+    with config_engines(graph, configs, arena, engine) as engines:
+        if application == "cc":
+            values, trace = cc_sweep(graph, relax_method=relax_method)
+        else:
+            values, converged, trace = pagerank_sweep(
+                graph, relax_method=relax_method, **pagerank_params
+            )
+        priced = {}
+        for key, config_engine in engines.items():
+            priced[key] = config_engine.price_lanes(trace, [0], None, native)[0]
+            _pricing_checkpoint()
+    outcome = StreamingBatchResult(application, graph.name, lanes)
+    for lane in lanes:
+        metrics = priced[lane.config_key()]
+        if application == "cc":
+            result = TraversalResult(
+                application=Application.CC,
+                graph_name=graph.name,
+                strategy=lane.strategy,
+                source=None,
+                values=values.copy(),
+                metrics=metrics,
+            )
+        else:
+            result = PageRankResult(
+                graph.name,
+                lane.strategy,
+                values.copy(),
+                iterations=len(trace.frontiers),
+                converged=converged,
+                metrics=metrics if graph.num_vertices else None,
+            )
+        outcome.results.append(result)
     return outcome

@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
-from repro.config import default_system
 from repro.errors import SimulationError
-from repro.graph.csr import CSRGraph
 from repro.memsim.coalescer import (
     CACHELINE_BYTES,
     REQUEST_SIZES,
@@ -24,11 +20,7 @@ from repro.memsim.coalescer import (
     naive_thread_spans,
     strided_request_counts,
     vertex_request_table,
-    vertex_request_totals,
 )
-from repro.memsim.metrics import TrafficRecord
-from repro.traversal.engine import TraversalEngine
-from repro.types import AccessStrategy
 
 
 class TestRequestHistogram:
@@ -405,76 +397,3 @@ def test_request_table_is_memoised_per_offsets_array_and_released_with_it():
     del offsets, table
     gc.collect()
     assert released() is None
-
-
-@given(
-    offsets=csr_offsets(),
-    element_bytes=st.sampled_from((4, 8)),
-    misalign=st.sampled_from((0, 32, 40, 896)),
-    warp_size=st.sampled_from((4, 8, 16, 32)),
-    aligned=st.booleans(),
-)
-@settings(max_examples=100, deadline=None)
-def test_request_table_totals_are_the_every_vertex_gather(
-    offsets, element_bytes, misalign, warp_size, aligned
-):
-    """Property: the memoised totals equal ``table[arange(V)].sum(0)``, for the
-    merged table and the strided column alike, and are memoised beside them."""
-    base = 4096 + misalign
-    every = np.arange(offsets.size - 1)
-    for strided in (False, True):
-        walk = (offsets, element_bytes, base, warp_size, aligned, strided)
-        table = vertex_request_table(*walk)
-        totals = vertex_request_totals(*walk)
-        assert totals.tolist() == table[every].sum(axis=0).tolist()
-        assert totals.shape == table.shape[1:]
-        assert not totals.flags.writeable
-        assert vertex_request_totals(*walk) is totals
-
-
-@given(
-    offsets=csr_offsets(),
-    element_bytes=st.sampled_from((4, 8)),
-    hit_rate=st.sampled_from((0.0, 0.5, 0.3, 0.77, 1.0)),
-    strategy=st.sampled_from(
-        (AccessStrategy.NAIVE, AccessStrategy.MERGED, AccessStrategy.MERGED_ALIGNED)
-    ),
-    misalign=st.sampled_from((0, 8, 40)),
-)
-@settings(max_examples=100, deadline=None)
-def test_request_table_totals_price_a_whole_graph_iteration_like_the_gather(
-    offsets, element_bytes, hit_rate, strategy, misalign
-):
-    """Property: an every-vertex iteration priced from the totals is, bit for
-    bit, the one priced from the gathered rows -- requests, DRAM bytes and
-    time, the strided refetch rounding included."""
-    num_vertices = offsets.size - 1
-    graph = CSRGraph(
-        offsets=offsets,
-        edges=np.arange(int(offsets[-1]), dtype=np.int64) % num_vertices,
-        directed=True,
-        element_bytes=element_bytes,
-    )
-    base = default_system()
-    system = replace(base, gpu=replace(base.gpu, strided_sector_hit_rate=hit_rate))
-    every = np.arange(num_vertices, dtype=np.int64)
-    edges_touched = np.array([int(offsets[-1])])
-    vertices = np.array([num_vertices])
-    priced = []
-    for whole_graph in (True, False):
-        engine = TraversalEngine(graph, strategy, system=system, edge_misalign_bytes=misalign)
-        requests = engine.request_totals if whole_graph else engine._frontier_requests(every)
-        seconds, counters = engine._price_rows(edges_touched, vertices, requests=requests)
-        traffic = TrafficRecord.from_counter_row(counters[0].tolist())
-        priced.append(
-            (
-                [float(value).hex() for value in seconds[0]],
-                dict(traffic.request_histogram.counts),
-                traffic.dram_bytes,
-            )
-        )
-    assert priced[0] == priced[1]
-    # process_frontier takes the totals for exactly such a frontier.
-    engine = TraversalEngine(graph, strategy, system=system, edge_misalign_bytes=misalign)
-    engine.process_frontier(every)
-    assert dict(engine.traffic.request_histogram.counts) == priced[1][1]

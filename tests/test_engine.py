@@ -11,9 +11,12 @@ from repro.memsim.monitor import PCIeTrafficMonitor
 from repro.memsim.zero_copy import ZeroCopyRegion
 from repro.traversal import _native
 from repro.traversal.bfs import run_bfs
+from repro.traversal.cc import run_cc
 from repro.traversal.engine import TraversalEngine
 from repro.traversal.multisource import run_batch
+from repro.traversal.pagerank import run_pagerank
 from repro.traversal.sssp import run_sssp
+from repro.traversal.streaming import run_streaming_batch
 from repro.types import AccessStrategy, MemorySpace
 
 
@@ -207,7 +210,8 @@ def _without_backend(metrics):
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
 class TestNativeUVMReplay:
     """A UVM run replays its page residency natively when its sweep runs
-    native, and its metrics are exactly those of the numpy replay."""
+    native, and its metrics are exactly those of the numpy replay: BFS/SSSP
+    words and CC/PageRank passes alike."""
 
     @pytest.fixture(params=[0, 6, None], ids=["no-cache", "thrashing", "roomy"])
     def system(self, request, weighted_uniform_graph):
@@ -271,3 +275,19 @@ class TestNativeUVMReplay:
             # Each lane's replay is its solo run's, whatever rode the word.
             solo = runner(weighted_uniform_graph, ours.source, AccessStrategy.UVM, system)
             assert ours.metrics == solo.metrics
+
+    @pytest.mark.parametrize("application", ["cc", "pagerank"])
+    def test_streaming_passes(self, application, weighted_uniform_graph, system, replays):
+        lanes = [(AccessStrategy.UVM, system)] * 2
+        native, numpy = self._run_both(
+            lambda method: run_streaming_batch(
+                application, weighted_uniform_graph, lanes, relax_method=method
+            ),
+            replays,
+        )
+        runner = run_cc if application == "cc" else run_pagerank
+        solo = runner(weighted_uniform_graph, AccessStrategy.UVM, system)
+        for ours, theirs in zip(native.results, numpy.results):
+            assert ours.values.tobytes() == theirs.values.tobytes() == solo.values.tobytes()
+            assert ours.metrics == theirs.metrics == solo.metrics
+            assert ours.metrics.traffic.uvm_migrations > 0

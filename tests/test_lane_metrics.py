@@ -22,8 +22,10 @@ from repro.graph.generators import random_weights, rmat_graph, uniform_random_gr
 from repro.service import GraphRegistry, Job, Service, TraversalRequest
 from repro.traversal import _native, multisource
 from repro.traversal.bfs import run_bfs
+from repro.traversal.cc import cc_sweep
 from repro.traversal.engine import TraversalEngine
 from repro.traversal.multisource import PackedLane, run_batch, run_packed_batch
+from repro.traversal.pagerank import pagerank_sweep
 from repro.traversal.sssp import run_sssp
 from repro.types import AccessStrategy
 
@@ -300,19 +302,24 @@ class TestLaneRows:
 class TestPricingMatchesAFreshEngine:
     """``price_lanes`` against the definition it implements: each lane's
     frontier sequence replayed, sweep by sweep, into a fresh engine with
-    ``process_frontier``."""
+    ``process_frontier`` — a BFS/SSSP word's every lane, and a CC/PageRank
+    pass's one."""
 
     @pytest.mark.parametrize("native", (False, True))
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    @pytest.mark.parametrize("application", ("bfs", "sssp"))
+    @pytest.mark.parametrize("application", ("bfs", "sssp", "cc", "pagerank"))
     def test_each_lane(self, random_graph, application, strategy, native):
-        word = multisource._bfs_word if application == "bfs" else multisource._sssp_word
-        sources = [0, 3, 17, 42, 99, 250, 499, 3]
         method = "native" if native and _native.available() else "scatter"
-        _, trace, backend = word(random_graph, sources, None, method)
+        if application in RUNNERS:
+            word = multisource._bfs_word if application == "bfs" else multisource._sssp_word
+            sources = [0, 3, 17, 42, 99, 250, 499, 3]
+            _, trace, backend = word(random_graph, sources, None, method)
+        else:
+            sweep = cc_sweep if application == "cc" else pagerank_sweep
+            trace, backend = sweep(random_graph, relax_method=method)[-1], None
         needs_weights = application == "sssp"
         engine = TraversalEngine(random_graph, strategy, needs_weights=needs_weights)
-        priced = engine.price_lanes(trace, range(len(sources)), backend, method == "native")
+        priced = engine.price_lanes(trace, range(trace.lanes), backend, method == "native")
         for lane, metrics in enumerate(priced):
             fresh = TraversalEngine(random_graph, strategy, needs_weights=needs_weights)
             for frontier in trace.lane_frontiers(lane):

@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 
 from repro.graph.builder import from_edge_array
 from repro.traversal import _native
-from repro.traversal.multisource import run_batch
+from repro.traversal.bfs import run_bfs
+from repro.traversal.cc import run_cc
+from repro.traversal.multisource import run_batch, run_packed_batch
+from repro.traversal.pagerank import run_pagerank
 from repro.traversal.relax import (
     RELAX_METHODS,
     RelaxOutcome,
@@ -29,6 +32,7 @@ from repro.traversal.relax import (
     relax_lanes,
 )
 from repro.traversal.sssp import run_sssp
+from repro.traversal.streaming import run_streaming_batch
 from repro.types import Application
 
 NUMPY_METHODS = ("scatter",)
@@ -156,6 +160,31 @@ class TestKernelUnits:
                 np.empty(0, dtype=np.uint64),
                 method="bogus",
             )
+
+    @pytest.mark.parametrize("application", ("bfs", "sssp", "cc", "pagerank"))
+    def test_every_run_rejects_an_unknown_method(self, random_graph, application):
+        # Solo and batched alike, with relax_lanes' error, before any sweep.
+        if application in ("bfs", "sssp"):
+            solo = run_bfs if application == "bfs" else run_sssp
+            runs = [
+                lambda method: solo(random_graph, 0, relax_method=method),
+                lambda method: run_batch(application, random_graph, [0, 1], relax_method=method),
+                lambda method: run_packed_batch(
+                    application, random_graph, [(0, "uvm"), (1, "merged")], relax_method=method
+                ),
+            ]
+        else:
+            solo = run_cc if application == "cc" else run_pagerank
+            runs = [
+                lambda method: solo(random_graph, relax_method=method),
+                lambda method: run_streaming_batch(
+                    application, random_graph, ["uvm", "merged"], relax_method=method
+                ),
+            ]
+        for run in runs:
+            with pytest.raises(ValueError, match="unknown relaxation method 'bogus'"):
+                run("bogus")
+            run("scatter")
 
     def test_non_contiguous_values_rejected(self):
         values = np.zeros((8, 4))[:, ::2]

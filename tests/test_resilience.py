@@ -38,6 +38,7 @@ from repro.traversal.engine import TraversalEngine
 from repro.traversal.multisource import run_batch, run_packed_batch
 from repro.traversal.pagerank import pagerank_scores
 from repro.traversal.sssp import run_sssp, sssp_distances
+from repro.traversal.streaming import run_streaming_batch
 from repro.types import AccessStrategy, Application
 
 from .test_chaos import drain_all, enqueue_without_draining
@@ -236,6 +237,27 @@ class TestCancellation:
         with cancellation_scope(Cancellation(budget_seconds=60.0)):
             with pytest.raises(SweepTimeoutError, match="pricing overran"):
                 run_packed_batch(Application.BFS, make_graph(), lanes)
+        assert priced == [AccessStrategy.MERGED_ALIGNED]
+
+    @pytest.mark.parametrize("application", (Application.CC, Application.PAGERANK))
+    def test_streaming_pricing_overrun_is_seen_before_the_next_configuration(
+        self, monkeypatch, application
+    ):
+        # A streaming pass is priced after its last iteration, one
+        # configuration after another, with the token polled after each.
+        priced = []
+        price_lanes = TraversalEngine.price_lanes
+
+        def overrunning(engine, *args):
+            priced.append(engine.strategy)
+            current_cancellation().cancel("pricing overran")
+            return price_lanes(engine, *args)
+
+        monkeypatch.setattr(TraversalEngine, "price_lanes", overrunning)
+        lanes = [AccessStrategy.MERGED_ALIGNED, AccessStrategy.UVM]
+        with cancellation_scope(Cancellation(budget_seconds=60.0)):
+            with pytest.raises(SweepTimeoutError, match="pricing overran"):
+                run_streaming_batch(application, make_graph(), lanes)
         assert priced == [AccessStrategy.MERGED_ALIGNED]
 
     def test_scope_is_thread_local(self):

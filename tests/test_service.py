@@ -289,6 +289,34 @@ class TestLoneJobsMatchTheLibrary:
         assert getattr(result, "iterations", None) == getattr(direct, "iterations", None)
 
 
+class TestPlanIsLoggedBeforeTheJobWakes:
+    """A client woken by ``result()`` finds its job's plan in
+    ``plan_decisions()``, however slowly the plan is recorded: it is
+    recorded before the sweep's jobs settle, on every way out of a sweep."""
+
+    @pytest.mark.parametrize("case", ("done", "bad-source", "engine-failure"))
+    def test_slow_plan_record(self, registry, random_graph, monkeypatch, case):
+        record_plan = Service._record_plan
+
+        def slow(service, *args):
+            time.sleep(0.2)
+            return record_plan(service, *args)
+
+        monkeypatch.setattr(Service, "_record_plan", slow)
+        engine = GatedCountingEngine(fail_sources=(7,)) if case == "engine-failure" else None
+        source = {"done": 3, "bad-source": random_graph.num_vertices, "engine-failure": 7}[case]
+        with make_service(registry, engine=engine, max_workers=1) as service:
+            job = service.submit(
+                TraversalRequest("sssp", random_graph.name, source, "naive")
+            )
+            if case == "done":
+                service.result(job, timeout=30)
+            else:
+                with pytest.raises(JobFailedError):
+                    service.result(job, timeout=30)
+            assert [plan["jobs"] for plan in service.plan_decisions()] == [1]
+
+
 class TestFailurePaths:
     def test_engine_failure_propagates_as_job_failed_error(
         self, registry, random_graph

@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.config import ServiceConfig, ampere_pcie4, default_system
 from repro.errors import ConfigurationError
 from repro.graph.builder import from_edge_array
 from repro.service import GraphRegistry, Service, TraversalRequest
-from repro.traversal import _native
+from repro.traversal import _native, streaming
 from repro.traversal.api import run_average, run_streaming
 from repro.traversal.arena import EngineArena
+from repro.traversal.engine import TraversalEngine
 from repro.traversal.cc import cc_labels, cc_sweep, run_cc
 from repro.traversal.pagerank import pagerank_scores, pagerank_sweep, run_pagerank
 from repro.traversal.streaming import (
@@ -40,8 +42,7 @@ class TestCCStreamingEquivalence:
             for strategy in ALL_STRATEGIES
         ]
         batch = run_streaming_batch("cc", random_graph, lanes)
-        assert batch.num_lanes == len(lanes)
-        assert batch.words == 1
+        assert len(batch.results) == len(lanes)
         for lane, result in zip(lanes, batch.results):
             solo = run_cc(random_graph, strategy=lane.strategy, system=lane.system)
             assert np.array_equal(result.values, solo.values)
@@ -85,11 +86,9 @@ class TestPageRankStreamingEquivalence:
         assert batch.results[0].iterations <= 2
 
     def test_batch_level_params_reach_every_lane(self, random_graph):
-        # The batch's damping/tolerance/max_iterations apply to every lane,
-        # and all lanes share one sweep.
+        # The batch's damping/tolerance/max_iterations apply to every lane.
         params = dict(damping=0.6, tolerance=1e-3, max_iterations=7)
         batch = run_streaming_batch("pagerank", random_graph, ALL_STRATEGIES, **params)
-        assert batch.words == 1
         for strategy, result in zip(ALL_STRATEGIES, batch.results, strict=True):
             solo = run_pagerank(random_graph, strategy=strategy, **params)
             assert np.array_equal(result.values, solo.values)
@@ -128,12 +127,51 @@ class TestLaneNormalization:
             run_streaming_batch("bfs", disconnected_graph, ["uvm"])
 
 
-class TestWordChunking:
-    def test_more_than_64_lanes_split_into_words(self, disconnected_graph):
-        lanes = [AccessStrategy.UVM] * 70
-        batch = run_streaming_batch("cc", disconnected_graph, lanes)
-        assert batch.num_lanes == 70
-        assert batch.words == 2
+class TestOnePass:
+    """A batch runs its pass once, however many lanes it has, and prices it
+    once per distinct configuration."""
+
+    @pytest.mark.parametrize("application", ("cc", "pagerank"))
+    def test_seventy_configurations_run_one_pass(self, random_graph, monkeypatch, application):
+        passes, priced = [], []
+        name = "cc_sweep" if application == "cc" else "pagerank_sweep"
+        sweep = getattr(streaming, name)
+        monkeypatch.setattr(
+            streaming, name, lambda *args, **kwargs: passes.append(1) or sweep(*args, **kwargs)
+        )
+        price_lanes = TraversalEngine.price_lanes
+
+        def counted(engine, *args):
+            priced.append(1)
+            return price_lanes(engine, *args)
+
+        monkeypatch.setattr(TraversalEngine, "price_lanes", counted)
+        systems = (None, ampere_pcie4())
+        configs = [(strategy, system) for system in systems for strategy in ALL_STRATEGIES]
+        lanes = (configs * 9)[:70]
+        batch = run_streaming_batch(application, random_graph, lanes)
+        assert passes == [1]
+        assert len(priced) == len(configs)
+        assert len(batch.results) == 70
+        runner = run_cc if application == "cc" else run_pagerank
+        for (strategy, system), result in zip(lanes[: len(configs)], batch.results):
+            solo = runner(random_graph, strategy=strategy, system=system)
+            assert result.values.tobytes() == solo.values.tobytes()
+            assert result.metrics == solo.metrics
+
+    @pytest.mark.parametrize("application", ("cc", "pagerank"))
+    def test_duplicate_configurations_fan_out_without_shared_arrays(
+        self, random_graph, application
+    ):
+        lanes = [AccessStrategy.UVM, AccessStrategy.MERGED, AccessStrategy.UVM]
+        batch = run_streaming_batch(application, random_graph, lanes * 2)
+        results = batch.results
+        for index, result in enumerate(results):
+            assert result.values.tobytes() == results[0].values.tobytes()
+            assert result.metrics == results[index % len(lanes)].metrics
+            assert not any(
+                np.shares_memory(result.values, other.values) for other in results[:index]
+            )
 
 
 class TestArenaIntegration:
@@ -156,10 +194,37 @@ class TestArenaIntegration:
         assert batch.results[0].metrics.seconds == solo.metrics.seconds
 
 
+class TestEmptyGraph:
+    """A zero-vertex graph runs CC and PageRank under every strategy: CC's
+    pass records no sweep and prices to the zero metrics a fresh engine
+    finalizes; PageRank never sweeps and reports no metrics."""
+
+    @pytest.fixture
+    def empty_graph(self):
+        none = np.zeros(0, dtype=np.int64)
+        return from_edge_array(none, none, num_vertices=0, directed=False, name="empty")
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_cc(self, empty_graph, strategy):
+        zero = TraversalEngine(empty_graph, strategy).finalize()
+        batch = run_streaming_batch("cc", empty_graph, [strategy, strategy])
+        for result in (repro.run("cc", empty_graph, strategy=strategy), *batch.results):
+            assert result.values.size == 0
+            assert result.metrics == zero
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_pagerank(self, empty_graph, strategy):
+        batch = run_streaming_batch("pagerank", empty_graph, [strategy, strategy])
+        for result in (repro.run("pagerank", empty_graph, strategy=strategy), *batch.results):
+            assert result.values.size == 0
+            assert result.metrics is None
+            assert (result.iterations, result.converged) == (0, True)
+
+
 class TestApiDispatch:
     def test_run_streaming_wrapper(self, random_graph):
         outcome = run_streaming("cc", random_graph, ["uvm", "merged"])
-        assert outcome.num_lanes == 2
+        assert len(outcome.results) == 2
 
     def test_run_average_cc_matches_solo(self, disconnected_graph):
         batched = run_average(Application.CC, disconnected_graph, [0])
@@ -249,6 +314,14 @@ def _lane_fields(outcome):
     return [metrics_fields(result.metrics) for result in outcome.results]
 
 
+def _frontiers(trace):
+    """A pass's recorded sweeps, comparable."""
+    return [
+        (frontier.tobytes(), bits.tobytes())
+        for frontier, bits in zip(trace.frontiers, trace.active_bits)
+    ]
+
+
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
 class TestNativeStreamingKernels:
     """``repro_cc_sweep`` / ``repro_pagerank_step`` against the numpy sweeps:
@@ -258,10 +331,10 @@ class TestNativeStreamingKernels:
     @given(graph=streaming_graphs())
     @settings(max_examples=60, deadline=None)
     def test_cc_native_matches_numpy(self, graph):
-        native_labels, native_iterations = cc_sweep(graph, relax_method="native")
-        numpy_labels, numpy_iterations = cc_sweep(graph, relax_method="scatter")
+        native_labels, native_trace = cc_sweep(graph, relax_method="native")
+        numpy_labels, numpy_trace = cc_sweep(graph, relax_method="scatter")
         assert native_labels.tobytes() == numpy_labels.tobytes()
-        assert native_iterations == numpy_iterations
+        assert _frontiers(native_trace) == _frontiers(numpy_trace)
         assert np.array_equal(native_labels, cc_labels(graph))
         native, numpy = (
             run_streaming_batch("cc", graph, ALL_STRATEGIES, relax_method=method)
@@ -283,7 +356,8 @@ class TestNativeStreamingKernels:
         native = pagerank_sweep(graph, relax_method="native", **params)
         numpy = pagerank_sweep(graph, relax_method="scatter", **params)
         assert native[0].tobytes() == numpy[0].tobytes()
-        assert native[1:] == numpy[1:]
+        assert native[1] == numpy[1]
+        assert _frontiers(native[2]) == _frontiers(numpy[2])
         assert native[0].tobytes() == pagerank_scores(graph, **params).tobytes()
         batches = [
             run_streaming_batch(

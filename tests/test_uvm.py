@@ -12,7 +12,7 @@ from repro.errors import SimulationError
 from repro.memsim.address_space import AddressSpace
 from repro.memsim.gpu_memory import DeviceMemory
 from repro.memsim.metrics import TimingModel
-from repro.memsim.uvm import UVMSpace
+from repro.memsim.uvm import UVMAccessResult, UVMSpace
 from repro.traversal import _native
 from repro.types import MemorySpace
 
@@ -35,10 +35,24 @@ def make_uvm(
     return UVMSpace(allocation, config, capacity_pages=capacity_pages)
 
 
-def touch(uvm, *pages, native=False):
+def touch(uvm, *pages):
     """Access each of ``pages`` whole, in order, as one batch of ranges."""
     starts = np.array(pages, dtype=np.int64) * PAGE
-    return uvm.access_byte_ranges(starts, starts + PAGE, native=native)
+    return uvm.access_byte_ranges(starts, starts + PAGE)
+
+
+def run_calls(uvm, native, *calls):
+    """Each of ``calls`` (pages, each touched whole, ascending) on a fresh
+    ``uvm``: one :func:`touch` each on numpy; natively, the calls as the
+    sweeps of one lane of :meth:`UVMSpace.replay_lanes`."""
+    if not native:
+        return [touch(uvm, *pages) for pages in calls]
+    starts = np.array([page for pages in calls for page in pages], dtype=np.int64) * PAGE
+    bounds = np.cumsum([0] + [len(pages) for pages in calls])
+    counters = uvm.replay_lanes(
+        starts, starts + PAGE, np.ones(starts.size, np.uint64), bounds, np.zeros(1), True
+    )
+    return [UVMAccessResult(*row) for row in counters[0].tolist()]
 
 
 class TestBasicMigration:
@@ -200,7 +214,7 @@ def test_fault_handling_seconds_is_what_the_engine_charges(native):
     prefetch expansion, so ``fault_handling_seconds()`` read 16x low."""
     uvm = make_uvm(size_pages=64, capacity_pages=64, prefetch_pages=16)
     timing = TimingModel(replace(default_system(), uvm=uvm.config))
-    results = [touch(uvm, 0, 20, native=native), touch(uvm, 40, 5, native=native)]
+    results = run_calls(uvm, native, (0, 20), (5, 40))
     assert [result.page_faults for result in results] == [32, 16]
     assert uvm.total_faults == 48
     charged = sum(
@@ -213,52 +227,13 @@ def test_fault_handling_seconds_is_what_the_engine_charges(native):
 @pytest.mark.parametrize("native", ARMS, ids=["numpy", "native"])
 def test_a_chunk_never_evicts_its_own_pages(native):
     uvm = make_uvm(size_pages=64, capacity_pages=8, prefetch_pages=16)
-    touch(uvm, 0, native=native)  # one 16-page block: twice what the cache holds
-    # One chunk (capacity // 4 = 2 pages): page 20's block overflows the
-    # cache by 24, but page 1 is the chunk's own and stays.
-    result = touch(uvm, 20, 1, native=native)
+    # The first call is one 16-page block: twice what the cache holds.  The
+    # second is one chunk (capacity // 4 = 2 pages): page 20's block
+    # overflows the cache by 24, but page 1 is the chunk's own and stays.
+    _, result = run_calls(uvm, native, (0,), (1, 20))
     assert result.page_faults == 16
     assert result.evicted_pages == 15
     assert uvm.is_resident(1) and not uvm.is_resident(0)
-
-
-@st.composite
-def uvm_call_sequences(draw):
-    """A region (not always a whole number of pages), a page cache from
-    none to larger than the region, a prefetch granule, and a sequence of
-    calls on the one space, with ``reset()``s (``None``) among them.  A call's
-    ranges may be empty, zero-length or negative, straddle pages, repeat, or
-    come in descending order; one call in ten has a range out of bounds."""
-    size_pages = draw(st.integers(1, 80))
-    size_bytes = max(1, size_pages * PAGE - draw(st.sampled_from((0, 1, PAGE // 2, PAGE - 1))))
-    # Chunks of two or more pages (capacity >= 8) under 16-page prefetch can
-    # overflow the cache by more than the resident pages outside the chunk.
-    capacity = draw(
-        st.sampled_from((0, 1, 2, 3, 5, 8, 17, max(1, size_pages // 3), size_pages + 8))
-    )
-    prefetch = draw(st.sampled_from((1, 2, 16)))
-    one_range = st.tuples(st.integers(0, size_bytes), st.integers(-PAGE, 3 * PAGE))
-    calls = []
-    for _ in range(draw(st.integers(1, 8))):
-        if draw(st.integers(0, 9)) == 0:
-            calls.append(None)
-            continue
-        ranges = draw(st.lists(one_range, max_size=25))
-        ranges += ranges[: draw(st.integers(0, 4))]
-        if draw(st.booleans()):
-            ranges.sort(reverse=True)
-        starts = np.array([start for start, _ in ranges], dtype=np.int64)
-        lengths = np.array([length for _, length in ranges], dtype=np.int64)
-        ends = np.minimum(starts + lengths, size_bytes)
-        if ranges and draw(st.integers(0, 9)) == 0:
-            index = draw(st.integers(0, len(ranges) - 1))
-            if draw(st.booleans()):
-                ends[index] = size_bytes + draw(st.integers(1, PAGE))
-            else:
-                starts[index] = -draw(st.integers(1, PAGE))
-                ends[index] = max(ends[index], 1)
-        calls.append((starts, ends))
-    return size_bytes, capacity, prefetch, calls
 
 
 def _state(uvm):
@@ -269,61 +244,41 @@ def _state(uvm):
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
 class TestNativeReplay:
-    """``repro_uvm_replay`` against the numpy arm it replays."""
-
-    @given(sequence=uvm_call_sequences())
-    @settings(max_examples=300, deadline=None)
-    def test_native_replays_the_numpy_arm_exactly(self, sequence):
-        """Three spaces take the same calls: numpy only, native only, and
-        the arms alternating on one space.  Every result, and the state every
-        call leaves, is the same; an out-of-range call raises on every arm
-        and changes nothing."""
-        size_bytes, capacity, prefetch, calls = sequence
-        spaces = [
-            make_uvm(capacity_pages=capacity, prefetch_pages=prefetch, size_bytes=size_bytes)
-            for _ in range(3)
-        ]
-        for number, call in enumerate(calls):
-            if call is None:
-                for space in spaces:
-                    space.reset()
-                continue
-            before = _state(spaces[0])
-            results = []
-            for space, native in zip(spaces, (False, True, number % 2 == 1)):
-                try:
-                    results.append(space.access_byte_ranges(*call, native=native))
-                except SimulationError:
-                    results.append(None)
-            assert results[0] == results[1] == results[2]
-            if results[0] is None:
-                assert _state(spaces[0]) == before
-            assert _state(spaces[0]) == _state(spaces[1]) == _state(spaces[2])
+    """The ``repro_uvm_replay`` wrapper refuses buffers that do not match."""
 
     def test_replay_checks_its_buffers(self):
         uvm = make_uvm(size_pages=4)
         starts = np.array([0], dtype=np.int64)
-        segments = (None, np.array([0, 1]), np.zeros(0, dtype=np.int64))
+        segments = (np.ones(1, np.uint64), np.array([0, 1]), np.zeros(1, dtype=np.int64))
         buffers = [uvm._resident_bytes, uvm._last_touch, uvm._state, np.zeros((3, 4), np.int64)]
-        counters = np.zeros((1, 4), dtype=np.int64)
+        counters = np.zeros((1, 1, 4), dtype=np.int64)
         args = (uvm.allocation.size_bytes, PAGE, 16, 1)
         with pytest.raises(ValueError, match="do not match"):
             _native.uvm_replay(starts, starts[:0], *segments, *args, *buffers, counters)
+        with pytest.raises(ValueError, match="do not match"):
+            _native.uvm_replay(
+                starts, starts + 1, segments[0][:0], *segments[1:], *args, *buffers, counters
+            )
         with pytest.raises(ValueError, match="do not match"):
             _native.uvm_replay(
                 starts, starts + 1, *segments, *args, *buffers[:3], np.zeros(11, np.int64),
                 counters,
             )
         with pytest.raises(ValueError, match="do not match"):
-            _native.uvm_replay(starts, starts + 1, *segments, *args, *buffers, counters[:, :3])
+            _native.uvm_replay(starts, starts + 1, *segments, *args, *buffers, counters[..., :3])
         with pytest.raises(ValueError, match="bounds must be ascending"):
             _native.uvm_replay(
-                starts, starts + 1, None, np.array([0, 2]), *segments[2:], *args, *buffers,
-                counters,
+                starts, starts + 1, segments[0], np.array([0, 2]), segments[2], *args,
+                *buffers, counters,
             )
         with pytest.raises(ValueError, match="C-contiguous int64"):
             _native.uvm_replay(
                 starts.astype(np.float64), starts + 1.0, *segments, *args, *buffers, counters
+            )
+        with pytest.raises(ValueError, match="C-contiguous uint64"):
+            _native.uvm_replay(
+                starts, starts + 1, segments[0].view(np.int64), *segments[1:], *args,
+                *buffers, counters,
             )
         with pytest.raises(ValueError, match="C-contiguous uint8"):
             _native.uvm_replay(
@@ -331,20 +286,19 @@ class TestNativeReplay:
             )
         assert _native.uvm_replay(starts, starts + 1, *segments, *args, *buffers, counters) == 0
         assert counters.ravel().tolist() == [1, 1, PAGE, 0]
-        # A masked replay folds each segment to pages, which must not descend.
-        lanes = np.zeros(1, dtype=np.int64)
-        masked = (np.ones(2, np.uint64), np.array([0, 2]), lanes)
+        # Each segment is folded to pages, which must not descend.
         two = np.array([PAGE, 0], dtype=np.int64)
+        masked = (np.ones(2, np.uint64), np.array([0, 2]), segments[2])
         code = _native.uvm_replay(two, two + 1, *masked, *args, *buffers, counters)
         assert code == -2 and counters.ravel().tolist() == [1, 1, PAGE, 0]
 
 
 @st.composite
 def traced_words(draw):
-    """A region, a page cache and prefetch granule as for
-    :func:`uvm_call_sequences`, and a traced word over it: sweeps of
-    ascending, disjoint ranges (some empty), each with a lane word over up to
-    70 lanes' worth of bits, and the lanes to replay."""
+    """A region (not always a whole number of pages), a page cache from none
+    to larger than the region, a prefetch granule, and a traced word over
+    it: sweeps of ascending, disjoint ranges (some empty), each with a lane
+    word over up to 64 lanes' worth of bits, and the lanes to replay."""
     size_pages = draw(st.integers(1, 40))
     size_bytes = max(1, size_pages * PAGE - draw(st.sampled_from((0, 1, PAGE // 2))))
     capacity = draw(st.sampled_from((0, 1, 2, 5, 8, max(1, size_pages // 3), size_pages + 8)))
