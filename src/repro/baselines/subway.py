@@ -168,13 +168,13 @@ def run_subway(
     """Run one application with the Subway-style cost model.
 
     ``graph`` should use 4-byte edge elements to mirror the real Subway
-    implementation (Table 3 notes it only supports 4-byte data types).  A
-    BFS/SSSP result takes its ``"subway"`` label from the engine's metrics.
+    implementation (Table 3 notes it only supports 4-byte data types).  The
+    result takes its ``"subway"`` label from the engine's metrics.
     """
     application = Application(application)
     if application is Application.CC:
         engine = SubwayEngine(graph, system=system, asynchronous=asynchronous)
-        return run_cc(graph, strategy=SUBWAY_LABEL, engine=engine)
+        return run_cc(graph, engine=engine)
     if source is None:
         raise ConfigurationError(f"{application.value} requires a source vertex")
     if application is Application.BFS:

@@ -1123,10 +1123,10 @@ class Service:
           is a distinct source, traversed once and priced by the engine of
           each group that asked for it;
         * ``streaming`` — CC/PageRank groups: the algorithm pass is
-          engine-independent, so each *group* is one (strategy, system) lane
-          of one :func:`~repro.traversal.streaming.run_streaming_batch` and
-          every job of the group receives that lane's result (a lone job is a
-          one-lane pass).
+          engine-independent, so each job is one (strategy, system) request
+          of one :func:`~repro.traversal.streaming.run_streaming_batch` pass,
+          priced once per distinct configuration (a lone job is a
+          one-request pass).
 
         Every BFS/SSSP sweep on the built-in engines first fails each job
         whose source is missing or out of range, alone, with
@@ -1188,9 +1188,7 @@ class Service:
             kind, lanes = "solo", None
         elif streaming:
             kind = "streaming"
-            lanes = [
-                (group[0].request.strategy, group[0].request.system) for group in groups
-            ]
+            lanes = [(request.strategy, request.system) for request in requests]
         elif len(groups) == 1:
             kind = "multisource"
             lanes = [request.source for request in requests]
@@ -1273,18 +1271,9 @@ class Service:
             published = [(jobs[0], outcome)]
             sweep_metrics = [getattr(outcome, "metrics", None)]
         else:
-            # Every lane carries its own solo run's metrics.
+            # Every job has its own result, with its own solo run's metrics.
+            published = list(zip(jobs, outcome.results))
             sweep_metrics = [result.metrics for result in outcome.results]
-            published = []
-            lane = 0
-            for group in groups:
-                width = 1 if streaming else len(group)
-                lane_results = outcome.results[lane : lane + width]
-                lane += width
-                # A lane's result goes to its job, or to every job of its group.
-                published += zip(
-                    group, lane_results * len(group) if streaming else lane_results
-                )
         # One shared sweep span for the whole sweep: every rider's
         # per-request sweep span will point at it via sweep_ref.
         self._emit_sweep_span(

@@ -13,7 +13,7 @@ from .arena import EngineArena
 from .engine import TraversalEngine
 from .multisource import MultiSourceResult, run_batch
 from .pagerank import PageRankResult, run_pagerank
-from .streaming import StreamingBatchResult, StreamingLane, run_streaming_batch
+from .streaming import run_streaming_batch
 from .results import AggregateResult, KernelCounters, TraversalMetrics, TraversalResult
 from .toy import AccessPattern, ToyResult, run_array_copy, run_uvm_array_scan
 
@@ -30,8 +30,6 @@ __all__ = [
     "run_streaming",
     "run_streaming_batch",
     "MultiSourceResult",
-    "StreamingBatchResult",
-    "StreamingLane",
     "EngineArena",
     "run_pagerank",
     "PageRankResult",

@@ -31,14 +31,17 @@ share one shared object:
   words, and one pass over the vertices that keeps the unvisited bits,
   writes their levels and emits the next frontier;
 * ``repro_cc_sweep`` — one min-label propagation sweep (:func:`cc_sweep`,
-  called by :func:`repro.traversal.cc.cc_sweep`): snapshot, scatter-min and
-  one scan emitting the lowered vertices as the next frontier;
+  called by :func:`repro.traversal.cc.cc_sweep`, the pass of a CC word):
+  snapshot, scatter-min and one scan emitting the lowered vertices as the
+  next frontier;
 * ``repro_pagerank_step`` — one PageRank power-iteration step
   (:func:`pagerank_step`, called by
-  :func:`repro.traversal.pagerank.pagerank_sweep`): push every vertex's
-  share along its out-edges in CSR order, then the damped update;
-* ``repro_lane_rows`` — a BFS/SSSP word's pricing rows (:func:`lane_rows`,
-  called by :meth:`repro.traversal.engine.TraversalEngine.price_lanes`): for
+  :func:`repro.traversal.pagerank.pagerank_sweep`, the pass of a PageRank
+  word): push every vertex's share along its out-edges in CSR order, then
+  the damped update;
+* ``repro_lane_rows`` — a word's pricing rows (:func:`lane_rows`, called by
+  :meth:`repro.traversal.engine.TraversalEngine.price_lanes`), for every
+  application alike (a CC/PageRank pass is a word of one lane): for
   every sweep of a traced word and every lane the calling engine prices,
   the edges, vertices and request counts of the lane's own frontier, one
   ``ctz`` walk over each union frontier vertex's lane word masked to those

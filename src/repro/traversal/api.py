@@ -144,7 +144,7 @@ def run_streaming(
     pairs (see :func:`repro.traversal.streaming.normalize_lanes`).  The
     algorithm executes once, however many lanes; every lane's values and
     metrics are identical to its solo run.  Returns a
-    :class:`~repro.traversal.streaming.StreamingBatchResult`.
+    :class:`~repro.traversal.multisource.MultiSourceResult` of one word.
     """
     from .streaming import run_streaming_batch
 

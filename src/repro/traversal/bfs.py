@@ -4,10 +4,10 @@ The implementation follows the vertex-centric, scatter-style flow of
 Algorithm 1: every iteration expands the current frontier by scanning each
 active vertex's full neighbor list, marking unvisited neighbors as the next
 frontier.  One iteration corresponds to one kernel launch, so the number of
-kernels equals the BFS depth (§4.2).  A solo run is a one-lane call of
-:func:`~repro.traversal.multisource._run_words`, the loop a batched word runs,
-where a lane is one distinct source priced under every configuration that
-asked for it.
+kernels equals the BFS depth (§4.2).  A solo run is a one-request call of
+:func:`~repro.traversal.multisource._run_words`, the one run loop of all four
+applications, where a lane is one distinct source priced under every
+configuration that asked for it.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ observes CC giving UVM relatively better performance (its access pattern is
 close to a sequential stream with good page-level locality).  The paper
 evaluates CC only on the undirected graphs (GK, GU, FS, ML).  A run records
 its pass as a one-lane trace and prices it afterwards: :func:`run_cc` is a
-one-lane call of the streaming run loop
-(:mod:`repro.traversal.streaming`).
+one-request call of the run loop of every application,
+:func:`repro.traversal.multisource._run_words`, whose word is the pass and
+whose one lane is the source ``None``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..graph.csr import CSRGraph
-from ..types import AccessStrategy, EMOGI_STRATEGY, VERTEX_DTYPE
+from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from . import _native
 from .engine import TraversalEngine, WordTrace, _iteration_checkpoint
 from .frontier import all_vertices_frontier, frontier_offsets, gather_frontier_edges
@@ -42,13 +43,14 @@ def run_cc(
     """Connected components under the given edge-list access strategy.
 
     ``engine`` (a :class:`TraversalEngine` or a baseline's drop-in) prices
-    the run in place of one built for ``strategy`` / ``system``.
-    ``relax_method`` picks the sweep backend as for :func:`cc_sweep`.
+    the run in place of one built for ``strategy`` / ``system``, and the
+    result carries its strategy label.  ``relax_method`` picks the sweep
+    backend as for :func:`cc_sweep`.
     """
-    from .streaming import StreamingLane, _run_pass
+    from .multisource import PackedLane, _run_words
 
-    lane = StreamingLane(strategy, system)
-    return _run_pass("cc", graph, [lane], None, relax_method, engine).results[0]
+    lane = PackedLane(None, strategy, system)
+    return _run_words(Application.CC, graph, [lane], None, relax_method, engine).results[0]
 
 
 def cc_sweep(
@@ -61,7 +63,7 @@ def cc_sweep(
     :class:`~repro.traversal.engine.WordTrace` (lane word 1 on every
     frontier vertex) that any number of engines price afterwards; this is
     what :func:`repro.traversal.streaming.run_streaming_batch` exploits to
-    batch CC across access-strategy/system lanes.  ``relax_method`` ``None``
+    batch CC across access-strategy/system requests.  ``relax_method`` ``None``
     or ``"native"`` runs ``repro_cc_sweep`` when it is available;
     ``"scatter"`` runs the numpy sweep.  Returns ``(labels, trace)``; the
     iterations are the trace's sweeps.

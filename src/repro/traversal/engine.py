@@ -93,16 +93,21 @@ class WordTrace:
 
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sweeps concatenated, made once per trace: every frontier, every
-        lane word, and the ``sweeps + 1`` offsets that cut them into sweeps."""
+        lane word, and the ``sweeps + 1`` offsets that cut them into sweeps.
+
+        Each sweep is held once: from here on ``frontiers`` and
+        ``active_bits`` are views of the flat arrays, and the recorded copies
+        are freed."""
         if self._flat is None:
             bounds = np.zeros(len(self.frontiers) + 1, dtype=np.int64)
             np.cumsum([frontier.size for frontier in self.frontiers], out=bounds[1:])
             # The empty heads keep the dtypes of a trace with no sweeps.
-            self._flat = (
-                np.concatenate([np.empty(0, dtype=VERTEX_DTYPE), *self.frontiers]),
-                np.concatenate([np.empty(0, dtype=np.uint64), *self.active_bits]),
-                bounds,
-            )
+            frontiers = np.concatenate([np.empty(0, dtype=VERTEX_DTYPE), *self.frontiers])
+            active_bits = np.concatenate([np.empty(0, dtype=np.uint64), *self.active_bits])
+            self._flat = (frontiers, active_bits, bounds)
+            cuts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+            self.frontiers = [frontiers[start:end] for start, end in cuts]
+            self.active_bits = [active_bits[start:end] for start, end in cuts]
         return self._flat
 
     def lane_frontiers(self, lane: int) -> list[np.ndarray]:

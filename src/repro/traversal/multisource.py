@@ -36,15 +36,16 @@ every source's frontier evolution exactly what its solo run would have been:
   frontier, so no per-iteration ``np.unique`` or before/after probing is
   needed.
 
-Solo and batched runs share this module's one run loop:
-:func:`repro.traversal.bfs.run_bfs` and :func:`repro.traversal.sssp.run_sssp`
-are calls of :func:`_run_words` with one lane, so every way of running a
-source executes the same loop and kernels, and the ``REPRO_NATIVE=0`` numpy
-sweeps are the one fallback of both.
-
-The *streaming* applications (CC, PageRank) batch along the platform axis
-instead — one shared algorithm pass, recorded as a one-lane trace and priced
-by each configuration's engine; see :mod:`repro.traversal.streaming`.
+Every run of every application shares this module's one run loop,
+:func:`_run_words`: :func:`repro.traversal.bfs.run_bfs`,
+:func:`repro.traversal.sssp.run_sssp`, :func:`repro.traversal.cc.run_cc` and
+:func:`repro.traversal.pagerank.run_pagerank` are calls of it with one
+request, so every way of running a source executes the same loop and
+kernels, and the ``REPRO_NATIVE=0`` numpy sweeps are the one fallback of
+all of them.  The *streaming* applications (CC, PageRank) have no source:
+their pass is a word whose one lane is the source ``None``, and it batches
+along the platform axis only — one shared pass priced by each
+configuration's engine (see :mod:`repro.traversal.streaming`).
 
 Trace, then price: a word's sweeps touch no engine.  Each sweep records its
 union frontier and lane words in a :class:`~repro.traversal.engine.WordTrace`
@@ -78,8 +79,10 @@ from ..hotpath import hot_path
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from . import _native
 from .arena import config_engines
+from .cc import cc_sweep
 from .engine import TraversalEngine, WordTrace, _iteration_checkpoint, _pricing_checkpoint
 from .frontier import frontier_offsets, gather_frontier_destinations
+from .pagerank import PageRankResult, pagerank_sweep
 from .relax import make_snapshot, relax_lanes
 from .results import TraversalMetrics, TraversalResult
 
@@ -132,17 +135,19 @@ def normalize_source(application: Application | str, source: object) -> int | No
 @dataclass(frozen=True)
 class PackedLane:
     """One request of a batch: a source plus the (strategy, system) it should
-    be priced under.  The source is normalized by :func:`source_vertex`.
+    be priced under.  A source vertex is normalized by :func:`source_vertex`;
+    CC and PageRank requests carry the source ``None``.
 
     Requests of one source share its lane of the word, whatever their
     configurations."""
 
-    source: int
+    source: int | None
     strategy: AccessStrategy = EMOGI_STRATEGY
     system: SystemConfig | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source", source_vertex(self.source))
+        if self.source is not None:
+            object.__setattr__(self, "source", source_vertex(self.source))
         object.__setattr__(self, "strategy", AccessStrategy(self.strategy))
 
     def config_key(self) -> tuple:
@@ -152,17 +157,35 @@ class PackedLane:
 
 @dataclass
 class MultiSourceResult:
-    """Outcome of one batched multi-source run.
+    """Outcome of one batched run.
 
-    ``results`` holds one :class:`TraversalResult` per request, in request
-    order, each with its solo run's values and metrics.
+    ``results`` holds one result per request, in request order, each with
+    its solo run's values and metrics: a :class:`TraversalResult`, or a
+    :class:`~repro.traversal.pagerank.PageRankResult` for PageRank.
     """
 
     application: Application
     graph_name: str
-    results: list[TraversalResult] = field(default_factory=list)
-    #: Shared algorithm executions performed (one per ≤64 distinct sources).
+    results: list = field(default_factory=list)
+    #: Shared algorithm executions performed (one per ≤64 distinct sources;
+    #: one for a CC/PageRank pass).
     words: int = 0
+
+
+def batch_application(application: Application | str, streaming: bool) -> Application:
+    """``application`` as an :class:`Application`, checked against the
+    family a batch front serves: BFS/SSSP (``streaming=False``) or CC/PageRank
+    (``streaming=True``).  Anything else raises :class:`ConfigurationError`."""
+    try:
+        application = Application(application)
+    except ValueError:
+        raise ConfigurationError(f"unknown application {application!r}") from None
+    if application.is_streaming is not streaming:
+        family = "cc and pagerank" if streaming else "bfs and sssp"
+        raise ConfigurationError(
+            f"this batch supports {family}, not {application.value}"
+        )
+    return application
 
 
 def run_batch(
@@ -191,6 +214,7 @@ def run_batch(
     """
     if isinstance(sources, np.ndarray):
         sources = sources.ravel()
+    application = batch_application(application, streaming=False)
     requests = [PackedLane(source, strategy, system) for source in sources]
     return _run_words(application, graph, requests, arena, relax_method, engine)
 
@@ -211,6 +235,7 @@ def run_packed_batch(
     evolution is engine-independent, so each request's ``values`` and
     metrics are its solo run's regardless of what else rides along.
     """
+    application = batch_application(application, streaming=False)
     requests = [
         lane if isinstance(lane, PackedLane) else PackedLane(*lane) for lane in lanes
     ]
@@ -218,19 +243,23 @@ def run_packed_batch(
 
 
 def _run_words(
-    application: Application | str,
+    application: Application,
     graph: CSRGraph,
     requests: list[PackedLane],
     arena,
     relax_method: str | None,
     engine: TraversalEngine | None = None,
+    **params,
 ) -> MultiSourceResult:
-    """The one BFS/SSSP run loop: behind :func:`run_batch`,
-    :func:`run_packed_batch` and the one-lane solo runs.
+    """The one run loop of all four applications: behind :func:`run_batch`,
+    :func:`run_packed_batch`,
+    :func:`~repro.traversal.streaming.run_streaming_batch` and the
+    one-request solo runs.
 
-    A lane is a distinct source: the requests' sources are deduplicated in
-    first-appearance order and cut into words of ≤ 64 lanes.  Each word
-    sweeps to convergence recording a
+    A lane is a distinct source: the requests' sources, each checked by
+    :func:`normalize_source` (CC and PageRank have the one source ``None``),
+    are deduplicated in first-appearance order and cut into words of ≤ 64
+    lanes.  Each word sweeps to convergence recording a
     :class:`~repro.traversal.engine.WordTrace`; then the engine of each
     configuration in the word, in first-appearance order, prices the
     distinct lanes its requests name.  Every request gets its own result,
@@ -239,23 +268,19 @@ def _run_words(
     configuration for the whole batch — ``engine`` (one-configuration
     batches only), a lease from ``arena``, or a private one; pricing reads
     none of an engine's accumulated state, so a reused one needs no reset.
+    ``params`` go to the word runner (PageRank's damping, tolerance and
+    iteration cap).
     """
-    application = Application(application)
-    if application is Application.BFS:
-        chunk_runner, needs_weights = _bfs_word, False
-    elif application is Application.SSSP:
-        chunk_runner, needs_weights = _sssp_word, True
-    else:
-        raise ConfigurationError(
-            f"batched execution supports bfs and sssp, not {application.value}"
-        )
+    word_runner, needs_weights = _RUNNERS[application]
     if not requests:
-        raise ConfigurationError("a batch needs at least one source lane")
-    for request in requests:
-        _check_source(graph, request.source)
+        raise ConfigurationError("a batch needs at least one lane")
+    request_sources = [normalize_source(application, request.source) for request in requests]
+    if not application.is_streaming:
+        for source in request_sources:
+            _check_source(graph, source)
 
     weights = None
-    if application is Application.SSSP and graph.has_weights:
+    if needs_weights and graph.has_weights:
         # Hoisted out of the per-word runner: ONE float64 view of the weight
         # list per batch (float32 -> float64 is exact, so candidates stay
         # bit-identical to the solo runs' upcast-per-add).  Unweighted graphs
@@ -265,16 +290,16 @@ def _run_words(
 
     # A lane is a distinct source, in first-appearance order; a word holds
     # ≤ 64 of them, and each request is served from its source's lane.
-    lane_of: dict[int, int] = {}
-    for request in requests:
-        lane_of.setdefault(request.source, len(lane_of))
+    lane_of: dict[int | None, int] = {}
+    for source in request_sources:
+        lane_of.setdefault(source, len(lane_of))
     sources = list(lane_of)
-    lanes = [lane_of[request.source] for request in requests]
+    lanes = [lane_of[source] for source in request_sources]
     keys = [request.config_key() for request in requests]
     by_word: list[list[int]] = [[] for _ in range(0, len(sources), WORD_BITS)]
     for index, lane in enumerate(lanes):
         by_word[lane // WORD_BITS].append(index)
-    results: list[TraversalResult] = [None] * len(requests)
+    results: list = [None] * len(requests)
     native = _native.wanted(relax_method)
     configs: dict[tuple, tuple] = {}
     for key, request in zip(keys, requests):
@@ -282,8 +307,9 @@ def _run_words(
     with config_engines(graph, configs, arena, engine, needs_weights) as engines:
         for word, indices in enumerate(by_word):
             offset = word * WORD_BITS
-            values, trace, relax_backend = chunk_runner(
-                graph, sources[offset : offset + WORD_BITS], weights, relax_method
+            values, trace, relax_backend, converged = word_runner(
+                graph, sources[offset : offset + WORD_BITS], weights, relax_method,
+                **params,
             )
             # Each configuration's engine prices the distinct lanes it asked for.
             asked: dict[tuple, dict[int, None]] = {}
@@ -298,19 +324,31 @@ def _run_words(
             for index in indices:
                 lane = lanes[index] - offset
                 metrics = priced[keys[index], lane]
-                results[index] = TraversalResult(
-                    application=application,
-                    graph_name=graph.name,
-                    strategy=metrics.strategy,
-                    source=requests[index].source,
-                    values=values[lane].copy(),
-                    metrics=metrics,
-                )
+                if application is Application.PAGERANK:
+                    results[index] = PageRankResult(
+                        graph.name, metrics.strategy, values[lane].copy(),
+                        iterations=len(trace.frontiers), converged=converged,
+                        metrics=metrics,
+                    )
+                else:
+                    results[index] = TraversalResult(
+                        application=application,
+                        graph_name=graph.name,
+                        strategy=metrics.strategy,
+                        source=request_sources[index],
+                        values=values[lane].copy(),
+                        metrics=metrics,
+                    )
     return MultiSourceResult(application, graph.name, results, words=len(by_word))
 
 
 # ---------------------------------------------------------------------- #
 # Word-level execution (≤64 sources)
+#
+# A word runner takes ``(graph, sources, weights, relax_method, **params)``
+# and returns ``(values, trace, relax_backend, converged)``: one row of
+# values per lane, the word's trace, the relax backend that ran (``None``
+# when the relax kernel did not) and whether the sweeps converged.
 # ---------------------------------------------------------------------- #
 @hot_path
 def _bfs_word(
@@ -318,9 +356,9 @@ def _bfs_word(
     word: list[int],
     weights=None,
     relax_method=None,
-) -> tuple[np.ndarray, WordTrace, None]:
+) -> tuple[np.ndarray, WordTrace, None, bool]:
     """Run one BFS word of ≤ 64 lanes; returns its ``(lanes, V)`` levels,
-    its trace and no relax backend.
+    its trace, no relax backend, and ``True``: a BFS always converges.
 
     Every O(V) array is allocated here, once per word, and reused by every
     sweep: the levels, the visited and scatter words and, for the native
@@ -369,7 +407,7 @@ def _bfs_word(
                 graph, frontier, active_bits, starts, ends, next_bits,
                 visited_bits, levels, depth,
             )
-    return levels, trace, None
+    return levels, trace, None, True
 
 
 @hot_path
@@ -413,9 +451,10 @@ def _sssp_word(
     word: list[int],
     weights: np.ndarray | None = None,
     relax_method: str | None = None,
-) -> tuple[np.ndarray, WordTrace, str | None]:
+) -> tuple[np.ndarray, WordTrace, str | None, bool]:
     """Run one SSSP word of ≤ 64 lanes; returns its ``(lanes, V)`` distances,
-    its trace and the relax backend that ran."""
+    its trace, the relax backend that ran and whether it converged before
+    the iteration cap."""
     num_vertices = graph.num_vertices
     lanes = len(word)
     # Vertex-major layout: one vertex's 64 lane distances share cache lines,
@@ -459,7 +498,35 @@ def _sssp_word(
         frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
         iterations += 1
 
-    return distances.T, trace, method
+    return distances.T, trace, method, not frontier.size
+
+
+def _cc_word(
+    graph: CSRGraph, word: list[None], weights=None, relax_method=None
+) -> tuple[np.ndarray, WordTrace, None, bool]:
+    """CC's pass as a word whose one lane is the source ``None``: its
+    ``(1, V)`` labels, its one-lane trace, no relax backend, converged."""
+    labels, trace = cc_sweep(graph, relax_method=relax_method)
+    return labels[np.newaxis], trace, None, True
+
+
+def _pagerank_word(
+    graph: CSRGraph, word: list[None], weights=None, relax_method=None, **params
+) -> tuple[np.ndarray, WordTrace, None, bool]:
+    """PageRank's pass as a one-lane word, as :func:`_cc_word`; ``params``
+    are :func:`~repro.traversal.pagerank.pagerank_sweep`'s damping,
+    tolerance and iteration cap."""
+    scores, converged, trace = pagerank_sweep(graph, relax_method=relax_method, **params)
+    return scores[np.newaxis], trace, None, converged
+
+
+#: Each application's word runner, and whether its engines price edge weights.
+_RUNNERS = {
+    Application.BFS: (_bfs_word, False),
+    Application.SSSP: (_sssp_word, True),
+    Application.CC: (_cc_word, False),
+    Application.PAGERANK: (_pagerank_word, False),
+}
 
 
 # ---------------------------------------------------------------------- #

@@ -12,8 +12,9 @@ observation of §5.4.
 The implementation is push-style power iteration on out-edges, which matches
 how the edge list is laid out in CSR and therefore how the traversal engine
 accounts its traffic.  A run records its pass as a one-lane trace and prices
-it afterwards: :func:`run_pagerank` is a one-lane call of the streaming run
-loop (:mod:`repro.traversal.streaming`).
+it afterwards: :func:`run_pagerank` is a one-request call of the run loop of
+every application, :func:`repro.traversal.multisource._run_words`, whose
+word is the pass and whose one lane is the source ``None``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..errors import ConfigurationError
 from ..graph.csr import CSRGraph
-from ..types import AccessStrategy, EMOGI_STRATEGY
+from ..types import AccessStrategy, Application, EMOGI_STRATEGY
 from . import _native
 from .engine import TraversalEngine, WordTrace, _iteration_checkpoint
 from .frontier import all_vertices_frontier
@@ -40,7 +41,7 @@ class PageRankResult:
         scores: np.ndarray,
         iterations: int,
         converged: bool,
-        metrics: TraversalMetrics | None,
+        metrics: TraversalMetrics,
     ) -> None:
         self.graph_name = graph_name
         self.strategy = strategy
@@ -51,7 +52,7 @@ class PageRankResult:
 
     @property
     def seconds(self) -> float:
-        return self.metrics.seconds if self.metrics is not None else 0.0
+        return self.metrics.seconds
 
     def top_vertices(self, count: int = 10) -> np.ndarray:
         """Vertex IDs with the highest PageRank, best first."""
@@ -93,13 +94,15 @@ def run_pagerank(
     """PageRank under the given edge-list access strategy.
 
     ``engine`` (a :class:`TraversalEngine` or a baseline's drop-in) prices
-    the run in place of one built for ``strategy`` / ``system``.
-    ``relax_method`` picks the sweep backend as for :func:`pagerank_sweep`.
+    the run in place of one built for ``strategy`` / ``system``, and the
+    result carries its strategy label.  ``relax_method`` picks the sweep
+    backend as for :func:`pagerank_sweep`.
     """
-    from .streaming import StreamingLane, _run_pass
+    from .multisource import PackedLane, _run_words
 
-    outcome = _run_pass(
-        "pagerank", graph, [StreamingLane(strategy, system)], None, relax_method, engine,
+    outcome = _run_words(
+        Application.PAGERANK, graph, [PackedLane(None, strategy, system)], None,
+        relax_method, engine,
         damping=damping, tolerance=tolerance, max_iterations=max_iterations,
     )
     return outcome.results[0]
@@ -118,7 +121,8 @@ def pagerank_sweep(
     depend on the memory system: each iteration streams the whole edge list
     once and is recorded as the all-vertices frontier of a one-lane
     :class:`~repro.traversal.engine.WordTrace`, which is how the streaming
-    batch prices one PageRank under many simulated platforms.
+    batch prices one PageRank under many simulated platforms (a graph
+    without vertices records no sweep, and prices to zero metrics).
     ``relax_method`` ``None`` or ``"native"`` pushes with
     ``repro_pagerank_step`` when it is available; ``"scatter"`` pushes with
     ``np.add.at``.  The two reductions (dangling mass and the L1 delta) are

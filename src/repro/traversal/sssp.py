@@ -4,8 +4,9 @@ The paper bases its SSSP on the GraphBIG/maximum-warp formulation: every
 iteration relaxes all outgoing edges of the vertices whose distance changed in
 the previous iteration.  Edge weights live next to the edge list in host
 memory, so SSSP moves roughly 1.5x the bytes BFS does per edge (8-byte edge
-element + 4-byte weight).  A solo run is a one-lane call of
-:func:`~repro.traversal.multisource._run_words`, whose word relaxes with
+element + 4-byte weight).  A solo run is a one-request call of
+:func:`~repro.traversal.multisource._run_words`, the one run loop of all four
+applications, whose SSSP word relaxes with
 :func:`~repro.traversal.relax.relax_lanes` as a batched word does; a batched
 lane is one distinct source, relaxed once whichever configurations asked
 for it.

@@ -6,8 +6,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.traversal.api import bfs, cc, run, run_average, sssp
 from repro.traversal.bfs import bfs_levels, run_bfs
+from repro.traversal.cc import run_cc
 from repro.traversal.multisource import run_batch, run_packed_batch
+from repro.traversal.pagerank import run_pagerank
 from repro.traversal.sssp import run_sssp
+from repro.traversal.streaming import run_streaming_batch
 from repro.types import AccessStrategy, Application, EMOGI_STRATEGY
 
 
@@ -114,6 +117,12 @@ STRATEGY_ENTRY_POINTS = {
     "run_batch": lambda g, strategy: run_batch("bfs", g, [0], strategy=strategy).results,
     "run_packed_batch": lambda g, strategy: run_packed_batch(
         "bfs", g, [(0, strategy)]
+    ).results,
+    "run_cc": lambda g, strategy: [run_cc(g, strategy=strategy)],
+    "run_pagerank": lambda g, strategy: [run_pagerank(g, strategy=strategy)],
+    "repro.cc": lambda g, strategy: [cc(g, strategy=strategy)],
+    "run_streaming_batch": lambda g, strategy: run_streaming_batch(
+        "pagerank", g, [strategy, (strategy, None)]
     ).results,
 }
 

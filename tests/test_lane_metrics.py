@@ -1,10 +1,11 @@
 """A lane's metrics are its solo run's, on every path that answers a source.
 
-A batched BFS/SSSP word records one trace of its sweeps and prices each lane
-alone from it, so a lane's :class:`~repro.traversal.results.TraversalMetrics`
-may not depend on which other sources or configurations rode the word, on
-the sweep backend, or on whether the answer came from an engine, the result
-cache or the durable store.
+A batched word records one trace of its sweeps and prices each lane alone
+from it, so a lane's :class:`~repro.traversal.results.TraversalMetrics` may
+not depend on which other sources or configurations rode the word, on the
+sweep backend, or on whether the answer came from an engine, the result
+cache or the durable store.  A CC/PageRank pass is a word of one lane, the
+source ``None``.
 """
 
 import tempfile
@@ -17,16 +18,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import ServiceConfig
+from repro.config import ServiceConfig, ampere_pcie4
 from repro.graph.generators import random_weights, rmat_graph, uniform_random_graph
 from repro.service import GraphRegistry, Job, Service, TraversalRequest
 from repro.traversal import _native, multisource
 from repro.traversal.bfs import run_bfs
-from repro.traversal.cc import cc_sweep
+from repro.traversal.cc import cc_sweep, run_cc
 from repro.traversal.engine import TraversalEngine
 from repro.traversal.multisource import PackedLane, run_batch, run_packed_batch
-from repro.traversal.pagerank import pagerank_sweep
+from repro.traversal.pagerank import pagerank_sweep, run_pagerank
 from repro.traversal.sssp import run_sssp
+from repro.traversal.streaming import run_streaming_batch
 from repro.types import AccessStrategy
 
 from .conftest import _serve_backlog
@@ -161,7 +163,66 @@ def repeated_sources(draw):
     return graph, draw(st.sampled_from(("bfs", "sssp"))), requests, draw(st.booleans())
 
 
+#: The platforms a generated streaming batch draws from, by index.
+SYSTEMS = (None, ampere_pcie4())
+
+
+@st.composite
+def streaming_batches(draw):
+    """A graph, CC or PageRank, a backend and 1-30 configurations over all
+    four strategies and two systems, repeats included."""
+    vertices = draw(st.integers(2, 90))
+    edges = draw(st.integers(vertices, 4 * vertices))
+    seed = draw(st.integers(0, 1 << 16))
+    if draw(st.booleans()):
+        graph = rmat_graph(vertices, edges, seed=seed, name="passes")
+    else:
+        graph = uniform_random_graph(vertices, edges, seed=seed, name="passes")
+    config = st.tuples(st.sampled_from(ALL_STRATEGIES), st.integers(0, len(SYSTEMS) - 1))
+    configs = draw(st.lists(config, min_size=1, max_size=20))
+    configs += draw(st.lists(st.sampled_from(configs), max_size=10))
+    configs = draw(st.permutations(configs))
+    return graph, draw(st.sampled_from(("cc", "pagerank"))), configs, draw(st.booleans())
+
+
 class TestALaneIsASource:
+    @given(batch=streaming_batches())
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_a_streaming_pass_is_a_one_lane_word(self, batch):
+        """Every configuration of a CC/PageRank batch gets its solo run's
+        values and metrics from the one pass, in its own array."""
+        graph, application, configs, native = batch
+        method = "native" if native and _native.available() else "scatter"
+        runner = run_cc if application == "cc" else run_pagerank
+        solo = {}
+        for strategy, system in configs:
+            if (strategy, system) not in solo:
+                with numpy_only(native):
+                    solo[strategy, system] = runner(graph, strategy, SYSTEMS[system])
+        outcome = run_streaming_batch(
+            application, graph,
+            [(strategy, SYSTEMS[system]) for strategy, system in configs],
+            relax_method=method,
+        )
+        assert outcome.words == 1
+        assert len(outcome.results) == len(configs)
+        for config, result in zip(configs, outcome.results):
+            expected = solo[config]
+            assert result.values.tobytes() == expected.values.tobytes()
+            assert result.metrics == expected.metrics
+            assert result.strategy is config[0]
+            if application == "pagerank":
+                assert (result.iterations, result.converged) == (
+                    expected.iterations, expected.converged
+                )
+        for index, result in enumerate(outcome.results):
+            assert not any(
+                np.shares_memory(result.values, other.values)
+                for other in outcome.results[:index]
+            )
+
     @given(batch=repeated_sources())
     @settings(
         max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -281,7 +342,7 @@ class TestLaneRows:
         self, random_graph, application, strategy, sources, data
     ):
         word = multisource._bfs_word if application == "bfs" else multisource._sssp_word
-        _, trace, _ = word(random_graph, sources, None, "scatter")
+        _, trace, _, _ = word(random_graph, sources, None, "scatter")
         order = data.draw(st.permutations(range(len(sources))))
         lanes = np.array(order[: data.draw(st.integers(1, len(sources)))], dtype=np.int64)
         engine = TraversalEngine(random_graph, strategy, needs_weights=application == "sssp")
@@ -289,7 +350,7 @@ class TestLaneRows:
         assert np.array_equal(native, engine._lane_rows(trace, lanes, False))
 
     def test_refuses_repeated_lanes(self, random_graph):
-        _, trace, _ = multisource._bfs_word(random_graph, [0, 1], None, "scatter")
+        _, trace, _, _ = multisource._bfs_word(random_graph, [0, 1], None, "scatter")
         engine = TraversalEngine(random_graph, AccessStrategy.MERGED_ALIGNED)
         rows = np.empty((2, len(trace.frontiers), 6), dtype=np.int64)
         lanes = np.array([1, 1], dtype=np.int64)
@@ -313,7 +374,7 @@ class TestPricingMatchesAFreshEngine:
         if application in RUNNERS:
             word = multisource._bfs_word if application == "bfs" else multisource._sssp_word
             sources = [0, 3, 17, 42, 99, 250, 499, 3]
-            _, trace, backend = word(random_graph, sources, None, method)
+            _, trace, backend, _ = word(random_graph, sources, None, method)
         else:
             sweep = cc_sweep if application == "cc" else pagerank_sweep
             trace, backend = sweep(random_graph, relax_method=method)[-1], None

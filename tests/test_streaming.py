@@ -6,6 +6,9 @@ identical to its solo run — the streaming analog of the multisource module's
 bit-identity guarantee.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,18 +18,16 @@ import repro
 from repro.config import ServiceConfig, ampere_pcie4, default_system
 from repro.errors import ConfigurationError
 from repro.graph.builder import from_edge_array
+from repro.graph.generators import uniform_random_graph
 from repro.service import GraphRegistry, Service, TraversalRequest
-from repro.traversal import _native, streaming
+from repro.traversal import _native, multisource
 from repro.traversal.api import run_average, run_streaming
 from repro.traversal.arena import EngineArena
 from repro.traversal.engine import TraversalEngine
 from repro.traversal.cc import cc_labels, cc_sweep, run_cc
 from repro.traversal.pagerank import pagerank_scores, pagerank_sweep, run_pagerank
-from repro.traversal.streaming import (
-    StreamingLane,
-    normalize_lanes,
-    run_streaming_batch,
-)
+from repro.traversal.multisource import PackedLane
+from repro.traversal.streaming import normalize_lanes, run_streaming_batch
 from repro.types import AccessStrategy, Application
 
 from .conftest import metrics_fields
@@ -37,7 +38,7 @@ ALL_STRATEGIES = tuple(AccessStrategy)
 class TestCCStreamingEquivalence:
     def test_values_and_metrics_identical_to_solo(self, random_graph):
         lanes = [
-            StreamingLane(strategy, system)
+            PackedLane(None, strategy, system)
             for system in (None, ampere_pcie4())
             for strategy in ALL_STRATEGIES
         ]
@@ -104,7 +105,7 @@ class TestLaneNormalization:
                 "uvm",
                 AccessStrategy.MERGED,
                 (AccessStrategy.MERGED_ALIGNED, default_system()),
-                StreamingLane(AccessStrategy.NAIVE),
+                PackedLane(None, AccessStrategy.NAIVE),
             ]
         )
         assert [lane.strategy for lane in lanes] == [
@@ -135,9 +136,9 @@ class TestOnePass:
     def test_seventy_configurations_run_one_pass(self, random_graph, monkeypatch, application):
         passes, priced = [], []
         name = "cc_sweep" if application == "cc" else "pagerank_sweep"
-        sweep = getattr(streaming, name)
+        sweep = getattr(multisource, name)
         monkeypatch.setattr(
-            streaming, name, lambda *args, **kwargs: passes.append(1) or sweep(*args, **kwargs)
+            multisource, name, lambda *args, **kwargs: passes.append(1) or sweep(*args, **kwargs)
         )
         price_lanes = TraversalEngine.price_lanes
 
@@ -174,6 +175,34 @@ class TestOnePass:
             )
 
 
+class TestTraceHoldsEachSweepOnce:
+    def test_flat_keeps_one_copy_of_the_sweeps(self):
+        """``flat()`` concatenates the recorded sweeps and frees the
+        per-sweep copies: traced memory grows by at most a tenth of one
+        copy, and the sweeps read back the same through their views."""
+        graph = uniform_random_graph(20_000, 60_000, seed=5, name="flat")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, _, trace = pagerank_sweep(graph, tolerance=1e-300, max_iterations=16)
+            gc.collect()
+            swept, _ = tracemalloc.get_traced_memory()
+            trace.flat()
+            gc.collect()
+            flat, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_copy = sum(
+            frontier.nbytes + bits.nbytes
+            for frontier, bits in zip(trace.frontiers, trace.active_bits)
+        )
+        assert len(trace.frontiers) == 16
+        assert flat - swept <= 0.1 * one_copy
+        every_vertex = np.arange(graph.num_vertices)
+        sweep = (every_vertex.tobytes(), np.ones_like(every_vertex, np.uint64).tobytes())
+        assert _frontiers(trace) == [sweep] * 16
+
+
 class TestArenaIntegration:
     def test_engines_leased_and_returned(self, random_graph):
         arena = EngineArena(max_idle=8)
@@ -195,9 +224,9 @@ class TestArenaIntegration:
 
 
 class TestEmptyGraph:
-    """A zero-vertex graph runs CC and PageRank under every strategy: CC's
+    """A zero-vertex graph runs CC and PageRank under every strategy: each
     pass records no sweep and prices to the zero metrics a fresh engine
-    finalizes; PageRank never sweeps and reports no metrics."""
+    finalizes."""
 
     @pytest.fixture
     def empty_graph(self):
@@ -214,10 +243,12 @@ class TestEmptyGraph:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_pagerank(self, empty_graph, strategy):
+        zero = TraversalEngine(empty_graph, strategy).finalize()
         batch = run_streaming_batch("pagerank", empty_graph, [strategy, strategy])
         for result in (repro.run("pagerank", empty_graph, strategy=strategy), *batch.results):
             assert result.values.size == 0
-            assert result.metrics is None
+            assert result.metrics == zero
+            assert result.seconds == 0.0
             assert (result.iterations, result.converged) == (0, True)
 
 
