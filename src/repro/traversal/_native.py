@@ -9,27 +9,32 @@ magnitude faster.  The streaming applications pay the same tax on their
 UVM model on its four numpy passes per region and iteration.  Six kernels
 share one shared object:
 
-* ``repro_relax_word`` — one SSSP relaxation sweep
-  (:func:`relax_word`, fronted by :func:`repro.traversal.relax.relax_lanes`):
-  gather two doubles, add, compare, occasionally store, over vertex-major
-  ``(num_vertices, lanes)`` value rows so one vertex's lanes share cache
-  lines.  It has two arms.  A frontier vertex on which at least a quarter of
-  the word's lanes are active takes the *dense* arm: its snapshot row holds
+* ``repro_sssp_sweep`` — one SSSP relaxation sweep of a word
+  (:func:`sssp_sweep`, driven by
+  :func:`repro.traversal.multisource._sssp_word`): read the sweep's
+  frontier from the word's trace, gather two doubles, add, compare,
+  occasionally store, over vertex-major ``(num_vertices, lanes)`` value rows
+  so one vertex's lanes share cache lines, then scan the improved lanes'
+  words and append them to the trace as the next frontier.  The relaxation
+  has two arms.  A frontier vertex on which at least a quarter of the
+  word's lanes are active takes the *dense* arm: its snapshot row holds
   ``+inf`` in the inactive lanes (``inf + w`` never wins), and every edge
   relaxes the whole row four lanes at a time with AVX2 add / compare /
   blend, ORing the improved lanes into the next-frontier word once per
   edge.  Every other vertex takes the *scalar* arm, which walks its active
-  lanes with ``ctz``.  Both give exactly the same values, words and
-  improvement count.  The dense body is compiled under
-  ``__attribute__((target("avx2")))`` and chosen at run time by the
-  ``repro_dense_arm`` probe (``__builtin_cpu_supports``), so the object
-  carries no ``-march`` flag: hosts without AVX2, and words of fewer than 4
-  lanes, run the scalar arm.  The probe's answer is :data:`_dense_arm`,
-  passed to every call (tests patch it to force an arm);
-* ``repro_bfs_word`` — one BFS sweep (:func:`bfs_word`, called by
-  :func:`repro.traversal.multisource._bfs_word`): OR-scatter of the frontier
-  words, and one pass over the vertices that keeps the unvisited bits,
-  writes their levels and emits the next frontier;
+  lanes with ``ctz``.  Both give exactly the same values and words.  The
+  dense body is compiled under ``__attribute__((target("avx2")))`` and
+  chosen at run time by the ``repro_dense_arm`` probe
+  (``__builtin_cpu_supports``), so the object carries no ``-march`` flag:
+  hosts without AVX2, and words of fewer than 4 lanes, run the scalar arm.
+  The probe's answer is :data:`_dense_arm`, read as a word binds its sweep
+  (tests patch it to force an arm).  The weights are the graph's float32
+  list, read in place: float32 → float64 is exact;
+* ``repro_bfs_sweep`` — one BFS sweep of a word (:func:`bfs_sweep`, driven
+  by :func:`repro.traversal.multisource._bfs_word`): OR-scatter of the
+  frontier words read from the trace, and one pass over the vertices that
+  keeps the unvisited bits, writes their levels and appends the next
+  frontier to the trace;
 * ``repro_cc_sweep`` — one min-label propagation sweep (:func:`cc_sweep`,
   called by :func:`repro.traversal.cc.cc_sweep`, the pass of a CC word):
   snapshot, scatter-min and one scan emitting the lowered vertices as the
@@ -65,8 +70,14 @@ share one shared object:
   ``argsort``.  The engine takes it exactly when the run goes native
   (:func:`wanted`).
 
-A solo BFS/SSSP run is a word of one lane, and a CC/PageRank pass is priced
-as a one-lane trace, so every run calls the same pricing kernels.
+The two word sweeps take the word's :class:`~repro.traversal.engine.WordTrace`
+as their frontier buffer: sweep *k* reads entries ``[bounds[k], bounds[k +
+1])``, finds each vertex's edge range in ``graph.offsets`` itself, and
+appends the next frontier (found by its own scan of ``next_bits``, left
+zeroed) at the tail, where Python keeps ``num_vertices`` entries free.  So a
+sweep is one C call, and the trace needs no copy at pricing.  A solo
+BFS/SSSP run is a word of one lane, and a CC/PageRank pass is priced as a
+one-lane trace, so every run calls the same pricing kernels.
 
 This module builds them *at runtime* with whatever C compiler the host
 already has (``gcc``/``cc``), caches the shared object under
@@ -86,8 +97,9 @@ draining separate batches sweep concurrently.  Buffers cross as raw
 addresses (``c_void_p`` argtypes): ``ndpointer`` argtypes cost tens of
 microseconds per call, more than a small sweep.  The wrappers make the
 checks ``ndpointer`` made (dtype and C-contiguity) besides their length
-checks; a run's long-lived buffers are checked and addressed once per run
-through :class:`Pins`, and per-sweep arrays on every call.
+checks: a word sweep's buffers once per word (:class:`TraceSweep`) and its
+trace's again after each growth, a UVM space's once per space
+(:class:`Pins`), and every other kernel's on every call.
 """
 
 from __future__ import annotations
@@ -124,9 +136,13 @@ _ENV_SANITIZE = "REPRO_NATIVE_SANITIZE"
 
 _SANITIZE_MODES = ("asan", "ubsan")
 
+#: Warnings are errors in these builds, so a kernel that draws a warning fails
+#: the sanitizer CI job at compile time rather than degrading to numpy.
+_WARNING_FLAGS = ("-Wall", "-Wextra", "-Werror")
+
 _SANITIZE_FLAGS = {
-    "asan": ("-fsanitize=address", "-fno-omit-frame-pointer", "-g"),
-    "ubsan": ("-fsanitize=undefined", "-fno-omit-frame-pointer", "-g"),
+    "asan": ("-fsanitize=address", "-fno-omit-frame-pointer", "-g", *_WARNING_FLAGS),
+    "ubsan": ("-fsanitize=undefined", "-fno-omit-frame-pointer", "-g", *_WARNING_FLAGS),
 }
 
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
@@ -164,23 +180,22 @@ int repro_dense_arm(void)
  * the row needs no per-lane branch.  Each 4-lane group computes
  * c = snap + w, stores min(drow, c) with a blend and collects the improved
  * lanes' bits; the lanes after the last full group take a scalar tail.  The
- * improved lanes are ORed into next_bits once per edge.  Values, next_bits
- * and the returned improvement count are exactly the scalar loop's.
+ * improved lanes are ORed into next_bits once per edge.  Values and
+ * next_bits are exactly the scalar loop's.
  */
 __attribute__((target("avx2")))
-static int64_t relax_row_avx2(const double *snap,
-                              const int64_t *edge,
-                              const int64_t *end,
-                              const double *weight,
-                              double *dist,
-                              uint64_t *next_bits,
-                              int64_t lanes)
+static void relax_row_avx2(const double *snap,
+                           const int64_t *edge,
+                           const int64_t *end,
+                           const float *weight,
+                           double *dist,
+                           uint64_t *next_bits,
+                           int64_t lanes)
 {
-    int64_t improved = 0;
     int64_t groups = lanes & ~(int64_t)3;
     for (; edge < end; edge++) {
         int64_t destination = *edge;
-        double w = weight ? *weight++ : 1.0;
+        double w = weight ? (double)*weight++ : 1.0;
         double *drow = dist + destination * lanes;
         __m256d wide = _mm256_set1_pd(w);
         uint64_t mask = 0;
@@ -199,43 +214,70 @@ static int64_t relax_row_avx2(const double *snap,
                 mask |= 1ull << (uint64_t)lane;
             }
         }
-        if (mask) {
-            next_bits[destination] |= mask;
-            improved += __builtin_popcountll(mask);
-        }
+        if (mask) next_bits[destination] |= mask;
     }
-    return improved;
 }
 #endif
 
-/* One lane-parallel relaxation sweep over the union frontier.
+/* Append the next frontier to a word's trace: one ascending scan of
+ * next_bits writes every vertex with a bit set, and its lane word, from
+ * entry end on, and zeroes the word.  Returns the number of entries
+ * appended. */
+static int64_t append_frontier(int64_t *vertices, uint64_t *masks, int64_t end,
+                               uint64_t *next_bits, int64_t num_vertices)
+{
+    int64_t count = 0;
+    for (int64_t v = 0; v < num_vertices; v++) {
+        uint64_t bits = next_bits[v];
+        if (!bits) continue;
+        next_bits[v] = 0;
+        vertices[end + count] = v;
+        masks[end + count] = bits;
+        count++;
+    }
+    return count;
+}
+
+/* One lane-parallel SSSP relaxation sweep of a <= 64-lane word, on the
+ * word's trace.
  *
- * dist is the (num_vertices, lanes) row-major value matrix; snapshot is a
- * (num_frontier, lanes) scratch area.  Source values are snapshotted before
+ * The trace is the pair vertices / masks: entries [start, end) are the
+ * sweep's union frontier (ascending vertex ids) and each one's lane word,
+ * and a vertex v's edges are edges[offsets[v] .. offsets[v + 1]).  dist is
+ * the (num_vertices, lanes) row-major value matrix; snapshot is a
+ * (num_vertices, lanes) scratch area.  Source values are snapshotted before
  * any store so a destination improved earlier in the same sweep can never
  * feed a later candidate -- exactly the gather-then-scatter semantics of the
- * numpy kernel and of the solo per-source runs.  weights may be NULL
- * (unweighted graphs relax with 1.0).  next_bits must arrive zeroed.
- * Returns the number of (lane, destination) improvements.
+ * numpy sweep and of the solo per-source runs.  weights (float32, added as
+ * their exact double upcast) may be NULL: an unweighted graph relaxes with
+ * 1.0.  The lanes each destination improved on are ORed into next_bits,
+ * which must arrive zeroed; append_frontier then writes them to the trace
+ * from entry end on (the caller leaves num_vertices entries free there) and
+ * leaves next_bits zeroed.  Returns the number of entries appended: the
+ * next frontier's size.
  *
  * A frontier vertex on which at least a quarter of the word's lanes are
  * active takes the dense arm (relax_row_avx2) when dense is nonzero, the
  * word has at least 4 lanes and repro_dense_arm() holds; every other vertex
  * walks its active lanes with ctz, one branch per (edge, lane).
  */
-int64_t repro_relax_word(const int64_t *frontier,
-                         const uint64_t *active_bits,
-                         const int64_t *starts,
-                         const int64_t *ends,
-                         int64_t num_frontier,
+int64_t repro_sssp_sweep(int64_t *vertices,
+                         uint64_t *masks,
+                         int64_t start,
+                         int64_t end,
+                         const int64_t *offsets,
                          const int64_t *edges,
-                         const double *weights,
+                         const float *weights,
                          double *dist,
                          double *snapshot,
                          uint64_t *next_bits,
+                         int64_t num_vertices,
                          int64_t lanes,
                          int dense)
 {
+    const int64_t *frontier = vertices + start;
+    const uint64_t *active_bits = masks + start;
+    int64_t num_frontier = end - start;
     dense = dense && lanes >= 4 && repro_dense_arm();
     for (int64_t f = 0; f < num_frontier; f++) {
         const double *row = dist + frontier[f] * lanes;
@@ -253,23 +295,21 @@ int64_t repro_relax_word(const int64_t *frontier,
             snap[lane] = row[lane];
         }
     }
-    int64_t improved = 0;
     for (int64_t f = 0; f < num_frontier; f++) {
         uint64_t bits = active_bits[f];
         if (!bits) continue;
         const double *snap = snapshot + f * lanes;
-        int64_t edge_start = starts[f], edge_end = ends[f];
+        int64_t edge_start = offsets[frontier[f]], edge_end = offsets[frontier[f] + 1];
 #if REPRO_DENSE_ARM
         if (dense && 4 * __builtin_popcountll(bits) >= lanes) {
-            improved += relax_row_avx2(snap, edges + edge_start, edges + edge_end,
-                                       weights ? weights + edge_start : 0,
-                                       dist, next_bits, lanes);
+            relax_row_avx2(snap, edges + edge_start, edges + edge_end,
+                           weights ? weights + edge_start : 0, dist, next_bits, lanes);
             continue;
         }
 #endif
         for (int64_t e = edge_start; e < edge_end; e++) {
             int64_t destination = edges[e];
-            double weight = weights ? weights[e] : 1.0;
+            double weight = weights ? (double)weights[e] : 1.0;
             double *drow = dist + destination * lanes;
             uint64_t b = bits;
             while (b) {
@@ -279,43 +319,40 @@ int64_t repro_relax_word(const int64_t *frontier,
                 if (candidate < drow[lane]) {
                     drow[lane] = candidate;
                     next_bits[destination] |= 1ull << (uint64_t)lane;
-                    improved++;
                 }
             }
         }
     }
-    return improved;
+    return append_frontier(vertices, masks, end, next_bits, num_vertices);
 }
 
-/* One BFS sweep of a <= 64-lane word.
+/* One BFS sweep of a <= 64-lane word, on the word's trace.
  *
- * frontier (ascending) holds the union frontier and active_bits[f] the lane
- * word of frontier[f].  Every frontier word is OR-scattered into
- * next_bits at its neighbours; then one ascending pass over the vertices
- * keeps the bits not yet in visited_bits, marks them visited, writes depth
- * into their lanes' rows of the (lanes, num_vertices) row-major levels
- * matrix, and appends the vertex and its new lane word to next_frontier /
- * next_active (num_vertices capacity each).  next_bits must arrive zeroed
- * and is left zeroed.  Returns the next frontier's size.
+ * The trace and the edge ranges are as for repro_sssp_sweep.  Every
+ * frontier word is OR-scattered into next_bits at its vertex's neighbours;
+ * then one ascending pass over the vertices keeps the bits not yet in
+ * visited_bits, marks them visited, writes depth into their lanes' rows of
+ * the (lanes, num_vertices) row-major levels matrix, and appends the vertex
+ * and its new lane word to the trace from entry end on (the caller leaves
+ * num_vertices entries free there).  next_bits must arrive zeroed and is
+ * left zeroed.  Returns the number of entries appended: the next frontier's
+ * size.
  */
-int64_t repro_bfs_word(const int64_t *frontier,
-                       const uint64_t *active_bits,
-                       const int64_t *starts,
-                       const int64_t *ends,
-                       int64_t num_frontier,
-                       const int64_t *edges,
-                       uint64_t *next_bits,
-                       uint64_t *visited_bits,
-                       int64_t *levels,
-                       int64_t num_vertices,
-                       int64_t depth,
-                       int64_t *next_frontier,
-                       uint64_t *next_active)
+int64_t repro_bfs_sweep(int64_t *vertices,
+                        uint64_t *masks,
+                        int64_t start,
+                        int64_t end,
+                        const int64_t *offsets,
+                        const int64_t *edges,
+                        uint64_t *next_bits,
+                        uint64_t *visited_bits,
+                        int64_t *levels,
+                        int64_t num_vertices,
+                        int64_t depth)
 {
-    for (int64_t f = 0; f < num_frontier; f++) {
-        uint64_t bits = active_bits[f];
-        if (!bits) continue;
-        int64_t edge_start = starts[f], edge_end = ends[f];
+    for (int64_t f = start; f < end; f++) {
+        uint64_t bits = masks[f];
+        int64_t edge_start = offsets[vertices[f]], edge_end = offsets[vertices[f] + 1];
         for (int64_t e = edge_start; e < edge_end; e++) {
             next_bits[edges[e]] |= bits;
         }
@@ -328,8 +365,8 @@ int64_t repro_bfs_word(const int64_t *frontier,
         uint64_t fresh = reached & ~visited_bits[v];
         if (!fresh) continue;
         visited_bits[v] |= fresh;
-        next_frontier[count] = v;
-        next_active[count] = fresh;
+        vertices[end + count] = v;
+        masks[end + count] = fresh;
         count++;
         while (fresh) {
             int lane = __builtin_ctzll(fresh);
@@ -768,10 +805,11 @@ _lock = tracked_lock("traversal._native._lock")
 _library: ctypes.CDLL | None = None
 _status: str | None = None  # None = not yet probed
 
-#: 1 when ``repro_relax_word`` may take its dense (AVX2) arm: set once per
-#: load from the ``repro_dense_arm`` probe and passed to every relax call, so
-#: a test can force either arm by patching it.  The kernel still re-checks
-#: the CPU, so forcing 1 on a host without AVX2 runs the scalar arm.
+#: 1 when ``repro_sssp_sweep`` may take its dense (AVX2) arm: set once per
+#: load from the ``repro_dense_arm`` probe and read as each SSSP word binds
+#: its sweep, so a test can force either arm by patching it.  The kernel
+#: still re-checks the CPU, so forcing 1 on a host without AVX2 runs the
+#: scalar arm.
 _dense_arm = 0
 
 _fault_check = None
@@ -876,36 +914,35 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
         pointer, integer = ctypes.c_void_p, ctypes.c_int64
         library.repro_dense_arm.restype = ctypes.c_int
         library.repro_dense_arm.argtypes = []
-        library.repro_relax_word.restype = integer
-        library.repro_relax_word.argtypes = [
-            pointer,  # frontier
-            pointer,  # active_bits
-            pointer,  # starts
-            pointer,  # ends
-            integer,  # num_frontier
+        library.repro_sssp_sweep.restype = integer
+        library.repro_sssp_sweep.argtypes = [
+            pointer,  # vertices
+            pointer,  # masks
+            integer,  # start
+            integer,  # end
+            pointer,  # offsets
             pointer,  # edges
             pointer,  # weights (nullable)
             pointer,  # dist
             pointer,  # snapshot
             pointer,  # next_bits
+            integer,  # num_vertices
             integer,  # lanes
             ctypes.c_int,  # dense
         ]
-        library.repro_bfs_word.restype = integer
-        library.repro_bfs_word.argtypes = [
-            pointer,  # frontier
-            pointer,  # active_bits
-            pointer,  # starts
-            pointer,  # ends
-            integer,  # num_frontier
+        library.repro_bfs_sweep.restype = integer
+        library.repro_bfs_sweep.argtypes = [
+            pointer,  # vertices
+            pointer,  # masks
+            integer,  # start
+            integer,  # end
+            pointer,  # offsets
             pointer,  # edges
             pointer,  # next_bits
             pointer,  # visited_bits
             pointer,  # levels
             integer,  # num_vertices
             integer,  # depth
-            pointer,  # next_frontier
-            pointer,  # next_active
         ]
         library.repro_cc_sweep.restype = integer
         library.repro_cc_sweep.argtypes = [
@@ -1036,9 +1073,10 @@ def _invoke(kernel: str, *args) -> int:
 _INT64 = np.dtype(np.int64)
 _UINT8 = np.dtype(np.uint8)
 _UINT64 = np.dtype(np.uint64)
+_FLOAT32 = np.dtype(np.float32)
 _FLOAT64 = np.dtype(np.float64)
 
-#: Arrays one :class:`Pins` holds before it starts over (a run pins ≤ 9).
+#: Arrays one :class:`Pins` holds before it starts over (a UVM space pins 4).
 _MAX_PINS = 16
 
 
@@ -1057,14 +1095,15 @@ def _address(array: np.ndarray, dtype: np.dtype, kernel: str) -> int:
 
 
 class Pins:
-    """Addresses of the buffers one run hands to every sweep, each taken once.
+    """Addresses of the buffers a UVM space hands to every replay, each
+    taken once.
 
     Taking an address costs microseconds (``ndarray.ctypes``), which is the
-    whole kernel on a small frontier.  A run's long-lived buffers (values,
-    snapshot, next-bits words, the edge and weight lists, BFS's levels and
-    frontier slots) are therefore checked (dtype, C-contiguity) and
-    addressed the first time a wrapper sees them; a later sweep passing the
-    same array object pays one dict lookup.  Each pinned array is held with
+    whole kernel on a small trace.  A space's long-lived buffers (residency
+    flags, last-touch clocks, state and scratch) are therefore checked
+    (dtype, C-contiguity) and addressed the first time :func:`uvm_replay`
+    sees them; a later replay passing the same array object pays one dict
+    lookup.  Each pinned array is held with
     its address, so its id cannot be reused while the address is kept and
     numpy refuses to resize it in place.  Lengths are still checked on every
     call, by the wrapper.
@@ -1086,111 +1125,148 @@ class Pins:
         return address
 
 
-def relax_word(
-    frontier: np.ndarray,
-    active_bits: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
+class TraceSweep:
+    """One word's native BFS or SSSP sweep, bound to the word's buffers.
+
+    ``repro_bfs_sweep`` / ``repro_sssp_sweep`` read a sweep's frontier from
+    the word's :class:`~repro.traversal.engine.WordTrace` (its pending
+    entries) and append the next frontier to it, so one call is one whole
+    sweep.  The word's own buffers are checked (dtype, C-contiguity, length)
+    and addressed once, by :func:`bfs_sweep` / :func:`sssp_sweep`; the
+    trace's two arrays again whenever the trace has grown into new ones.
+    Each call first leaves ``num_vertices`` entries free in the trace (a
+    next frontier holds each vertex at most once), then runs the kernel with
+    the call's scalars appended (BFS: the depth), then closes the swept
+    frontier; it returns the next frontier's size.
+    """
+
+    __slots__ = (
+        "_kernel", "_trace", "_free", "_buffers", "_args", "_vertices", "_masks", "_addresses"
+    )
+
+    def __init__(self, kernel: str, trace, free: int, buffers: tuple, scalars: tuple) -> None:
+        self._kernel = kernel
+        self._trace = trace
+        self._free = free
+        # Held while their addresses are: a buffer the caller drops must
+        # not be freed under the kernel.
+        self._buffers = buffers
+        self._args = tuple(
+            None if array is None else _address(array, dtype, kernel)
+            for array, dtype in buffers
+        ) + scalars
+        self._vertices = self._masks = None
+        self._addresses: tuple[int, int] = (0, 0)
+
+    def __call__(self, *scalars: int) -> int:
+        trace = self._trace
+        trace.reserve(self._free)
+        if trace.vertices is not self._vertices or trace.masks is not self._masks:
+            self._bind(trace.vertices, trace.masks)
+        appended = _invoke(
+            self._kernel, *self._addresses, trace.start, trace.size, *self._args, *scalars
+        )
+        trace.advance(appended)
+        return appended
+
+    def _bind(self, vertices: np.ndarray, masks: np.ndarray) -> None:
+        kernel = self._kernel
+        if vertices.size != masks.size:
+            raise ValueError(f"{kernel} trace arrays differ in length")
+        self._addresses = (_address(vertices, _INT64, kernel), _address(masks, _UINT64, kernel))
+        self._vertices, self._masks = vertices, masks
+
+
+def _check_word(
+    trace, offsets: np.ndarray, edges: np.ndarray, num_vertices: int, lanes: int
+) -> bool:
+    """True when a word of ``lanes`` lanes over ``num_vertices`` vertices may
+    sweep: ``offsets`` has one entry per vertex and one more, every edge
+    range it names lies within ``edges``, and the trace's pending frontier
+    (the one entry range the kernel reads before writing any) holds vertex
+    ids and lane words of the word."""
+    pending = slice(trace.start, trace.size)
+    vertices, masks = trace.vertices[pending], trace.masks[pending]
+    return (
+        lanes <= 64
+        and offsets.size == num_vertices + 1
+        and 0 <= offsets[0]
+        and offsets[-1] <= edges.size
+        and (
+            not vertices.size
+            or (0 <= vertices.min() and vertices.max() < num_vertices
+                and int(masks.max()) >> lanes == 0)
+        )
+    )
+
+
+def bfs_sweep(
+    trace,
+    offsets: np.ndarray,
+    edges: np.ndarray,
+    next_bits: np.ndarray,
+    visited_bits: np.ndarray,
+    levels: np.ndarray,
+) -> TraceSweep:
+    """Bind ``repro_bfs_sweep`` to one BFS word; see the C source for the
+    contract.
+
+    ``levels`` is the ``(lanes, num_vertices)`` matrix updated in place;
+    ``next_bits`` must arrive zeroed (it is left zeroed).  Call the result
+    with a sweep's depth: it sweeps the trace's pending frontier and returns
+    the next one's size.  Every buffer is checked for its dtype,
+    C-contiguity and length here, once per word, and the trace's pending
+    frontier for vertex ids and lane words of the word.
+    """
+    lanes, num_vertices = levels.shape
+    if not (
+        _check_word(trace, offsets, edges, num_vertices, lanes)
+        and num_vertices == next_bits.size == visited_bits.size
+    ):
+        raise ValueError("bfs_sweep buffers do not match the (lanes, num_vertices) levels")
+    buffers = (
+        (offsets, _INT64), (edges, _INT64), (next_bits, _UINT64), (visited_bits, _UINT64),
+        (levels, _INT64),
+    )
+    return TraceSweep("bfs_sweep", trace, num_vertices, buffers, (num_vertices,))
+
+
+def sssp_sweep(
+    trace,
+    offsets: np.ndarray,
     edges: np.ndarray,
     weights: np.ndarray | None,
     values: np.ndarray,
     snapshot: np.ndarray,
     next_bits: np.ndarray,
-    pins: Pins | None = None,
-) -> int:
-    """Invoke the compiled relaxation sweep; see the C source for the contract.
+) -> TraceSweep:
+    """Bind ``repro_sssp_sweep`` to one SSSP word; see the C source for the
+    contract.
 
-    ``values`` is the vertex-major ``(num_vertices, lanes)`` matrix updated in
-    place; ``next_bits`` must arrive zeroed.  Returns the
-    number of (lane, destination) improvements.  Every buffer is checked for
-    its dtype and C-contiguity (``edges``, ``weights``, ``values``,
-    ``snapshot`` and ``next_bits`` once per run when ``pins`` is given) and
-    for its length on every call, since a short one would be read or written
-    past its end.  The dense arm is taken when :data:`_dense_arm` is set.
+    ``values`` is the vertex-major ``(num_vertices, lanes)`` matrix updated
+    in place, ``snapshot`` a scratch of its shape; ``weights`` is the
+    graph's float32 weight list, or ``None`` for unit weights; ``next_bits``
+    must arrive zeroed (it is left zeroed).  Call the result with no
+    argument: it sweeps the trace's pending frontier and returns the next
+    one's size.  Every buffer is checked for its dtype, C-contiguity and
+    length here, once per word, and the trace's pending frontier as for
+    :func:`bfs_sweep`.  The dense arm is taken when :data:`_dense_arm` is
+    set as the word binds.
     """
     num_vertices, lanes = values.shape
     if not (
-        lanes <= 64
-        and frontier.size == active_bits.size == starts.size == ends.size
-        and snapshot.shape[0] >= frontier.size
-        and snapshot.shape[1] == lanes
+        _check_word(trace, offsets, edges, num_vertices, lanes)
+        and snapshot.shape == values.shape
         and num_vertices == next_bits.size
         and (weights is None or weights.size == edges.size)
     ):
-        raise ValueError(
-            "relax_word buffers do not match the (num_vertices, lanes) values"
-        )
-    kernel = "relax_word"
-    pin = _address if pins is None else pins.address
-    return _invoke(
-        kernel,
-        _address(frontier, _INT64, kernel),
-        _address(active_bits, _UINT64, kernel),
-        _address(starts, _INT64, kernel),
-        _address(ends, _INT64, kernel),
-        frontier.size,
-        pin(edges, _INT64, kernel),
-        None if weights is None else pin(weights, _FLOAT64, kernel),
-        pin(values, _FLOAT64, kernel),
-        pin(snapshot, _FLOAT64, kernel),
-        pin(next_bits, _UINT64, kernel),
-        lanes,
-        _dense_arm,
+        raise ValueError("sssp_sweep buffers do not match the (num_vertices, lanes) values")
+    buffers = (
+        (offsets, _INT64), (edges, _INT64), (weights, _FLOAT32), (values, _FLOAT64),
+        (snapshot, _FLOAT64), (next_bits, _UINT64),
     )
-
-
-def bfs_word(
-    frontier: np.ndarray,
-    active_bits: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    edges: np.ndarray,
-    next_bits: np.ndarray,
-    visited_bits: np.ndarray,
-    levels: np.ndarray,
-    depth: int,
-    next_frontier: np.ndarray,
-    next_active: np.ndarray,
-    pins: Pins | None = None,
-) -> int:
-    """Invoke the compiled BFS sweep; see the C source for the contract.
-
-    ``levels`` is the ``(lanes, num_vertices)`` matrix updated in place;
-    ``next_bits`` must arrive zeroed (it is left zeroed).  Returns the next
-    frontier's size: ``next_frontier[:size]`` / ``next_active[:size]``.
-    Every buffer is checked for its dtype and C-contiguity (all but the four
-    frontier arrays once per run when ``pins`` is given, as
-    :func:`repro.traversal.multisource._bfs_word` does) and for its length
-    on every call.
-    """
-    lanes, num_vertices = levels.shape
-    if not (
-        lanes <= 64
-        and frontier.size == active_bits.size == starts.size == ends.size
-        and num_vertices
-        == next_bits.size
-        == visited_bits.size
-        == next_frontier.size
-        == next_active.size
-    ):
-        raise ValueError("bfs_word buffers do not match the (lanes, num_vertices) levels")
-    kernel = "bfs_word"
-    pin = _address if pins is None else pins.address
-    return _invoke(
-        kernel,
-        _address(frontier, _INT64, kernel),
-        _address(active_bits, _UINT64, kernel),
-        _address(starts, _INT64, kernel),
-        _address(ends, _INT64, kernel),
-        frontier.size,
-        pin(edges, _INT64, kernel),
-        pin(next_bits, _UINT64, kernel),
-        pin(visited_bits, _UINT64, kernel),
-        pin(levels, _INT64, kernel),
-        num_vertices,
-        depth,
-        pin(next_frontier, _INT64, kernel),
-        pin(next_active, _UINT64, kernel),
+    return TraceSweep(
+        "sssp_sweep", trace, num_vertices, buffers, (num_vertices, lanes, _dense_arm)
     )
 
 

@@ -18,7 +18,12 @@ from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY
 from .bfs import run_bfs
 from .cc import run_cc
-from .multisource import normalize_source, run_batch
+from .multisource import (
+    normalize_application,
+    normalize_source,
+    normalize_strategy,
+    run_batch,
+)
 from .results import AggregateResult, TraversalResult
 from .sssp import run_sssp
 
@@ -55,16 +60,6 @@ def cc(
 ) -> TraversalResult:
     """Connected components (undirected graphs); ``values`` holds labels."""
     return run_cc(graph, strategy=strategy, system=system)
-
-
-def normalize_application(application: Application | str) -> Application:
-    """Coerce an application given as enum member or string ("bfs", "cc", ...)."""
-    return Application(application)
-
-
-def normalize_strategy(strategy: AccessStrategy | str) -> AccessStrategy:
-    """Coerce a strategy given as enum member or string ("uvm", "merged", ...)."""
-    return AccessStrategy(strategy)
 
 
 def normalize_deadline(deadline: object) -> float | None:
@@ -182,12 +177,13 @@ def run_average(
         outcome = run_streaming_batch(application.value, graph, [(strategy, system)])
         aggregate.add(outcome.results[0])
         return aggregate
-    normalized = [normalize_source(application, source) for source in sources]
-    if not normalized:
+    # Each source is checked once, by the batch's PackedLane.
+    sources = np.ravel(sources) if isinstance(sources, np.ndarray) else list(sources)
+    if not len(sources):
         raise ConfigurationError(
             f"{application.value} needs at least one source to average over"
         )
-    outcome = run_batch(application, graph, normalized, strategy=strategy, system=system)
+    outcome = run_batch(application, graph, sources, strategy=strategy, system=system)
     for result in outcome.results:
         aggregate.add(result)
     return aggregate

@@ -67,6 +67,15 @@ def _pricing_checkpoint() -> None:
     _resilience_hooks()[1]()
 
 
+#: A fresh trace's capacity, in entries per graph vertex.  A solo BFS's
+#: sweeps hold each reached vertex once, and a native sweep wants one
+#: vertex's worth free, so two per vertex never grow on a solo BFS.
+_TRACE_ENTRIES_PER_VERTEX = 2
+
+#: Sweeps a fresh trace's ``bounds`` hold before they grow.
+_TRACE_SWEEPS = 16
+
+
 class WordTrace:
     """What one run swept, recorded for :meth:`TraversalEngine.price_lanes`.
 
@@ -76,39 +85,101 @@ class WordTrace:
     the entries carrying its bit, in order — exactly the frontier its solo
     run sweeps.  BFS and SSSP words record this one format, and so does a
     CC or PageRank pass, as one lane whose every lane word is 1.
+
+    The sweeps are held flat, in one growable pair of arrays: ``vertices``
+    and ``masks`` (the lane words), sweep ``s`` at entries ``[bounds[s],
+    bounds[s + 1])``.  The trace is also the frontier buffer of a native
+    BFS/SSSP sweep: the entries ``[start, size)`` after the last sweep are
+    the *pending* frontier, which the kernel reads and appends the next
+    frontier after; :meth:`advance` then closes the pending frontier as a
+    sweep (see :class:`repro.traversal._native.TraceSweep`).  The numpy
+    sweeps and CC/PageRank append each sweep whole with :meth:`record`.
+    Whenever fewer entries are free than a write needs, the arrays grow
+    geometrically (:meth:`reserve`).
     """
 
-    __slots__ = ("lanes", "frontiers", "active_bits", "_flat")
+    __slots__ = ("lanes", "vertices", "masks", "sweeps", "start", "size", "_bounds")
 
-    def __init__(self, lanes: int) -> None:
+    def __init__(self, lanes: int, num_vertices: int = 0) -> None:
+        capacity = _TRACE_ENTRIES_PER_VERTEX * num_vertices
         self.lanes = lanes
-        self.frontiers: list[np.ndarray] = []
-        self.active_bits: list[np.ndarray] = []
-        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.vertices = np.empty(capacity, dtype=VERTEX_DTYPE)
+        self.masks = np.empty(capacity, dtype=np.uint64)
+        self._bounds = np.zeros(_TRACE_SWEEPS + 1, dtype=np.int64)
+        #: Sweeps closed so far.
+        self.sweeps = 0
+        #: Where the pending frontier starts: ``bounds[sweeps]``.
+        self.start = 0
+        #: Entries written: the sweeps, then the pending frontier.
+        self.size = 0
+
+    @property
+    def pending(self) -> int:
+        """Entries of the pending frontier (0 once a word has converged)."""
+        return self.size - self.start
+
+    def reserve(self, free: int) -> None:
+        """Leave at least ``free`` entries free after the written ones: when
+        fewer are, both arrays at least double."""
+        capacity = self.vertices.size
+        if capacity - self.size >= free:
+            return
+        capacity = max(2 * capacity, self.size + free)
+        written = slice(0, self.size)
+        vertices = np.empty(capacity, dtype=VERTEX_DTYPE)
+        masks = np.empty(capacity, dtype=np.uint64)
+        vertices[written] = self.vertices[written]
+        masks[written] = self.masks[written]
+        self.vertices, self.masks = vertices, masks
+
+    def append(self, frontier: np.ndarray, active_bits: np.ndarray) -> None:
+        """Write a frontier and its lane words after the written entries, as
+        (part of) the pending frontier."""
+        end = self.size + frontier.size
+        self.reserve(frontier.size)
+        self.vertices[self.size : end] = frontier
+        self.masks[self.size : end] = active_bits
+        self.size = end
+
+    def advance(self, appended: int = 0) -> None:
+        """Close the pending frontier as the next sweep; the ``appended``
+        entries a kernel wrote after it become the new pending frontier."""
+        self.sweeps += 1
+        if self.sweeps == self._bounds.size:
+            self._bounds = np.concatenate([self._bounds, np.empty_like(self._bounds)])
+        self._bounds[self.sweeps] = self.start = self.size
+        self.size += appended
 
     def record(self, frontier: np.ndarray, active_bits: np.ndarray) -> None:
-        """Append one sweep (copied: the run loop reuses its buffers)."""
-        self.frontiers.append(frontier.copy())
-        self.active_bits.append(active_bits.copy())
+        """Append one whole sweep (copied: the run loop reuses its buffers)."""
+        self.append(frontier, active_bits)
+        self.advance()
 
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sweeps concatenated, made once per trace: every frontier, every
+        """The sweeps as views, nothing copied: every frontier vertex, every
         lane word, and the ``sweeps + 1`` offsets that cut them into sweeps.
+        A pending frontier left after the last sweep (an SSSP word stopped
+        by its iteration cap) is no sweep and is not included."""
+        return self.vertices[: self.start], self.masks[: self.start], self.bounds
 
-        Each sweep is held once: from here on ``frontiers`` and
-        ``active_bits`` are views of the flat arrays, and the recorded copies
-        are freed."""
-        if self._flat is None:
-            bounds = np.zeros(len(self.frontiers) + 1, dtype=np.int64)
-            np.cumsum([frontier.size for frontier in self.frontiers], out=bounds[1:])
-            # The empty heads keep the dtypes of a trace with no sweeps.
-            frontiers = np.concatenate([np.empty(0, dtype=VERTEX_DTYPE), *self.frontiers])
-            active_bits = np.concatenate([np.empty(0, dtype=np.uint64), *self.active_bits])
-            self._flat = (frontiers, active_bits, bounds)
-            cuts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-            self.frontiers = [frontiers[start:end] for start, end in cuts]
-            self.active_bits = [active_bits[start:end] for start, end in cuts]
-        return self._flat
+    @property
+    def bounds(self) -> np.ndarray:
+        """The ``sweeps + 1`` offsets of the sweeps into the flat arrays."""
+        return self._bounds[: self.sweeps + 1]
+
+    @property
+    def frontiers(self) -> list[np.ndarray]:
+        """Each sweep's union frontier (views)."""
+        return self._cut(self.vertices)
+
+    @property
+    def active_bits(self) -> list[np.ndarray]:
+        """Each sweep's lane words (views)."""
+        return self._cut(self.masks)
+
+    def _cut(self, array: np.ndarray) -> list[np.ndarray]:
+        bounds = self.bounds.tolist()
+        return [array[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
 
     def lane_frontiers(self, lane: int) -> list[np.ndarray]:
         """Lane ``lane``'s frontier at every sweep it is active in."""
@@ -354,7 +425,7 @@ class TraversalEngine:
             requests = [rows[:, start:end] for start, end in zip(cuts[:-1], cuts[1:])]
             seconds, counters = self._price_rows(edges, vertices, requests=requests)
 
-        shape = (lanes.size, len(trace.frontiers))
+        shape = (lanes.size, trace.sweeps)
         # In sweep order, as TimeBreakdown.add accumulates a solo run; a
         # lane's sweeps after its last are all zeros, and a trace with no
         # sweeps costs nothing.

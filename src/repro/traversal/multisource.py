@@ -16,18 +16,18 @@ every source's frontier evolution exactly what its solo run would have been:
   edges; a vertex's newly set bits are exactly the sources whose solo BFS
   would discover it this iteration.  One sweep — the scatter, the visited
   update, the level writes and the next frontier — is one call of the
-  compiled ``repro_bfs_word`` loop of :mod:`repro.traversal._native` when
+  compiled ``repro_bfs_sweep`` loop of :mod:`repro.traversal._native` when
   the host has a compiler, and a numpy
   sweep (the fallback, and the reference the tests pin the kernel against)
   otherwise.
-* **SSSP** runs on the lane-parallel relaxation kernel of
-  :mod:`repro.traversal.relax`: each iteration expands the union frontier's
-  lane bit-masks into shared (lane, edge) candidate streams — one ragged
-  gather covering every lane at once — and min-reduces every lane's
-  candidates into the flattened vertex-major ``destination * lanes + lane``
-  key space in a single segmented pass (the shared-candidate relaxation;
-  executed by a runtime-compiled C loop over the bit-packed words when the
-  host has a compiler, by blocked numpy indexed-ufunc passes otherwise).
+* **SSSP** relaxes every lane's frontier edges in one shared pass: each
+  iteration gathers every active lane's candidates along the union
+  frontier's edges and min-reduces them per ``(destination, lane)`` of the
+  vertex-major ``(num_vertices, lanes)`` distance matrix — one call of the
+  compiled ``repro_sssp_sweep`` loop over the bit-packed words when the
+  host has a compiler, the blocked numpy indexed-ufunc passes of
+  :func:`repro.traversal.relax.relax_lanes` otherwise.  Both read the
+  graph's float32 weights in place and add their exact float64 upcast.
   For each source the reduced candidate *multiset* is exactly the solo
   run's, and min over IEEE floats is exactly
   associative/commutative, so distances are bit-identical to
@@ -35,6 +35,11 @@ every source's frontier evolution exactly what its solo run would have been:
   under every backend.  The kernel's touched-set output doubles as the next
   frontier, so no per-iteration ``np.unique`` or before/after probing is
   needed.
+
+A native sweep is one C call: the word's
+:class:`~repro.traversal.engine.WordTrace` is its frontier buffer, which the
+kernel reads the sweep's frontier from and appends the next one to, so
+Python runs one checkpoint and one call per sweep.
 
 Every run of every application shares this module's one run loop,
 :func:`_run_words`: :func:`repro.traversal.bfs.run_bfs`,
@@ -83,7 +88,7 @@ from .cc import cc_sweep
 from .engine import TraversalEngine, WordTrace, _iteration_checkpoint, _pricing_checkpoint
 from .frontier import frontier_offsets, gather_frontier_destinations
 from .pagerank import PageRankResult, pagerank_sweep
-from .relax import make_snapshot, relax_lanes
+from .relax import relax_lanes
 from .results import TraversalMetrics, TraversalResult
 
 #: Sources packed into one visited word (one bit per source lane).
@@ -115,6 +120,24 @@ def source_vertex(source: object) -> int:
     raise ConfigurationError(f"source vertex must be an integer, got {source!r}")
 
 
+def normalize_application(application: Application | str) -> Application:
+    """Coerce an application given as enum member or string ("bfs", "cc",
+    ...); anything else raises :class:`ConfigurationError`."""
+    try:
+        return Application(application)
+    except ValueError as exc:
+        raise ConfigurationError(f"unknown application {application!r}") from exc
+
+
+def normalize_strategy(strategy: AccessStrategy | str) -> AccessStrategy:
+    """Coerce a strategy given as enum member or string ("uvm", "merged",
+    ...); anything else raises :class:`ConfigurationError`."""
+    try:
+        return AccessStrategy(strategy)
+    except ValueError as exc:
+        raise ConfigurationError(f"unknown access strategy {strategy!r}") from exc
+
+
 def normalize_source(application: Application | str, source: object) -> int | None:
     """Canonicalize a source vertex for one application.
 
@@ -124,7 +147,7 @@ def normalize_source(application: Application | str, source: object) -> int | No
     BFS/SSSP require a source, normalized by :func:`source_vertex` to a
     plain hashable ``int``.
     """
-    application = Application(application)
+    application = normalize_application(application)
     if application.is_streaming:
         return None
     if source is None:
@@ -148,7 +171,7 @@ class PackedLane:
     def __post_init__(self) -> None:
         if self.source is not None:
             object.__setattr__(self, "source", source_vertex(self.source))
-        object.__setattr__(self, "strategy", AccessStrategy(self.strategy))
+        object.__setattr__(self, "strategy", normalize_strategy(self.strategy))
 
     def config_key(self) -> tuple:
         """Engine-sharing identity: requests with equal keys share one engine."""
@@ -176,10 +199,7 @@ def batch_application(application: Application | str, streaming: bool) -> Applic
     """``application`` as an :class:`Application`, checked against the
     family a batch front serves: BFS/SSSP (``streaming=False``) or CC/PageRank
     (``streaming=True``).  Anything else raises :class:`ConfigurationError`."""
-    try:
-        application = Application(application)
-    except ValueError:
-        raise ConfigurationError(f"unknown application {application!r}") from None
+    application = normalize_application(application)
     if application.is_streaming is not streaming:
         family = "cc and pagerank" if streaming else "bfs and sssp"
         raise ConfigurationError(
@@ -205,12 +225,11 @@ def run_batch(
     the whole batch — the caller's ``engine``, one leased from ``arena`` (an
     :class:`~repro.traversal.arena.EngineArena`), or a private one.
 
-    ``relax_method`` selects the SSSP relaxation backend (see
-    :data:`repro.traversal.relax.RELAX_METHODS`); ``None`` picks the fastest
-    available.  For BFS, ``None`` and ``"native"`` run the native word
-    kernel when it is available; any other method runs the numpy sweep.
-    Every backend produces bit-identical per-source values and metrics,
-    each source's equal to its solo run's.
+    ``relax_method`` selects the sweep backend (see
+    :data:`repro.traversal.relax.RELAX_METHODS`): ``None`` and ``"native"``
+    run the native word sweeps when they are available; ``"scatter"`` runs
+    the numpy sweeps.  Every backend produces bit-identical per-source
+    values and metrics, each source's equal to its solo run's.
     """
     if isinstance(sources, np.ndarray):
         sources = sources.ravel()
@@ -256,8 +275,9 @@ def _run_words(
     :func:`~repro.traversal.streaming.run_streaming_batch` and the
     one-request solo runs.
 
-    A lane is a distinct source: the requests' sources, each checked by
-    :func:`normalize_source` (CC and PageRank have the one source ``None``),
+    A lane is a distinct source: the requests' sources (each checked once,
+    when its :class:`PackedLane` was made; CC and PageRank have the one
+    source ``None``, and a BFS/SSSP request without one is refused here)
     are deduplicated in first-appearance order and cut into words of ≤ 64
     lanes.  Each word sweeps to convergence recording a
     :class:`~repro.traversal.engine.WordTrace`; then the engine of each
@@ -274,19 +294,15 @@ def _run_words(
     word_runner, needs_weights = _RUNNERS[application]
     if not requests:
         raise ConfigurationError("a batch needs at least one lane")
-    request_sources = [normalize_source(application, request.source) for request in requests]
-    if not application.is_streaming:
+    if application.is_streaming:
+        request_sources = [None] * len(requests)
+    else:
+        # Each PackedLane checked its source when it was made.
+        request_sources = [request.source for request in requests]
         for source in request_sources:
+            if source is None:
+                raise ConfigurationError(f"{application.value} requires a source vertex")
             _check_source(graph, source)
-
-    weights = None
-    if needs_weights and graph.has_weights:
-        # Hoisted out of the per-word runner: ONE float64 view of the weight
-        # list per batch (float32 -> float64 is exact, so candidates stay
-        # bit-identical to the solo runs' upcast-per-add).  Unweighted graphs
-        # pass None and relax with the scalar 1.0 — no unit-weight array is
-        # materialized at all, per word or otherwise.
-        weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
 
     # A lane is a distinct source, in first-appearance order; a word holds
     # ≤ 64 of them, and each request is served from its source's lane.
@@ -308,8 +324,7 @@ def _run_words(
         for word, indices in enumerate(by_word):
             offset = word * WORD_BITS
             values, trace, relax_backend, converged = word_runner(
-                graph, sources[offset : offset + WORD_BITS], weights, relax_method,
-                **params,
+                graph, sources[offset : offset + WORD_BITS], relax_method, **params
             )
             # Each configuration's engine prices the distinct lanes it asked for.
             asked: dict[tuple, dict[int, None]] = {}
@@ -327,7 +342,7 @@ def _run_words(
                 if application is Application.PAGERANK:
                     results[index] = PageRankResult(
                         graph.name, metrics.strategy, values[lane].copy(),
-                        iterations=len(trace.frontiers), converged=converged,
+                        iterations=trace.sweeps, converged=converged,
                         metrics=metrics,
                     )
                 else:
@@ -345,27 +360,23 @@ def _run_words(
 # ---------------------------------------------------------------------- #
 # Word-level execution (≤64 sources)
 #
-# A word runner takes ``(graph, sources, weights, relax_method, **params)``
+# A word runner takes ``(graph, sources, relax_method, **params)``
 # and returns ``(values, trace, relax_backend, converged)``: one row of
 # values per lane, the word's trace, the relax backend that ran (``None``
 # when the relax kernel did not) and whether the sweeps converged.
 # ---------------------------------------------------------------------- #
 @hot_path
 def _bfs_word(
-    graph: CSRGraph,
-    word: list[int],
-    weights=None,
-    relax_method=None,
+    graph: CSRGraph, word: list[int], relax_method: str | None = None
 ) -> tuple[np.ndarray, WordTrace, None, bool]:
     """Run one BFS word of ≤ 64 lanes; returns its ``(lanes, V)`` levels,
     its trace, no relax backend, and ``True``: a BFS always converges.
 
     Every O(V) array is allocated here, once per word, and reused by every
-    sweep: the levels, the visited and scatter words and, for the native
-    kernel, two frontier slots — the kernel appends the next frontier
-    (vertex ids and their new lane words) into one while the trace copies
-    the other.  ``relax_method`` ``None`` or ``"native"`` runs
-    ``repro_bfs_word`` when it is available; anything else runs the numpy
+    sweep: the levels, the visited and scatter words, and the trace.
+    ``relax_method`` ``None`` or ``"native"`` runs ``repro_bfs_sweep`` when
+    it is available: each sweep is one call, which reads its frontier from
+    the trace and appends the next one to it.  Anything else runs the numpy
     sweep.
     """
     num_vertices = graph.num_vertices
@@ -375,38 +386,30 @@ def _bfs_word(
     for lane, source in enumerate(word):
         visited_bits[source] |= _ONE << np.uint64(lane)
         levels[lane, source] = 0
-    native = _native.wanted(relax_method)
-    if native:
-        # Rows unpacked once, so that Pins checks and addresses each slot
-        # once per word rather than a fresh view every sweep.
-        frontier_slots = tuple(np.empty((2, num_vertices), dtype=VERTEX_DTYPE))  # repro: noqa[REPRO101] — once per word, double-buffered below
-        active_slots = tuple(np.empty((2, num_vertices), dtype=np.uint64))  # repro: noqa[REPRO101] — once per word, double-buffered below
-        pins = _native.Pins()
     # Depth 0: the frontier is the sources, and visited holds exactly their bits.
     frontier = np.flatnonzero(visited_bits).astype(VERTEX_DTYPE, copy=False)
     active_bits = visited_bits[frontier]
-    trace = WordTrace(lanes)
+    trace = WordTrace(lanes, num_vertices)
     depth = 0
+    if _native.wanted(relax_method):
+        trace.append(frontier, active_bits)
+        sweep = _native.bfs_sweep(
+            trace, graph.offsets, graph.edges, next_bits, visited_bits, levels
+        )
+        while trace.pending:
+            _iteration_checkpoint()
+            depth += 1
+            sweep(depth)
+        return levels, trace, None, True
     while frontier.size:
         _iteration_checkpoint()
         trace.record(frontier, active_bits)
         starts, ends = frontier_offsets(graph, frontier)
         depth += 1
-        # One sweep writes the new levels and the next frontier.
-        if native:
-            slot = depth % 2
-            size = _native.bfs_word(
-                frontier, active_bits, starts, ends, graph.edges, next_bits,
-                visited_bits, levels, depth, frontier_slots[slot],
-                active_slots[slot], pins,
-            )
-            frontier = frontier_slots[slot][:size]
-            active_bits = active_slots[slot][:size]
-        else:
-            frontier, active_bits = _bfs_sweep_numpy(
-                graph, frontier, active_bits, starts, ends, next_bits,
-                visited_bits, levels, depth,
-            )
+        frontier, active_bits = _bfs_sweep_numpy(
+            graph, frontier, active_bits, starts, ends, next_bits,
+            visited_bits, levels, depth,
+        )
     return levels, trace, None, True
 
 
@@ -423,8 +426,9 @@ def _bfs_sweep_numpy(
     depth: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One BFS sweep in numpy: the fallback for, and reference of,
-    :func:`repro.traversal._native.bfs_word` (same contract, except that
-    ``next_bits`` is zeroed here rather than on the way out).
+    ``repro_bfs_sweep`` (the same levels and next frontier, except that
+    ``next_bits`` is zeroed here rather than on the way out, and the
+    frontiers are the caller's arrays rather than the trace's).
 
     Returns the next frontier and its lane words.
     """
@@ -447,14 +451,19 @@ def _bfs_sweep_numpy(
 
 @hot_path
 def _sssp_word(
-    graph: CSRGraph,
-    word: list[int],
-    weights: np.ndarray | None = None,
-    relax_method: str | None = None,
-) -> tuple[np.ndarray, WordTrace, str | None, bool]:
+    graph: CSRGraph, word: list[int], relax_method: str | None = None
+) -> tuple[np.ndarray, WordTrace, str, bool]:
     """Run one SSSP word of ≤ 64 lanes; returns its ``(lanes, V)`` distances,
     its trace, the relax backend that ran and whether it converged before
-    the iteration cap."""
+    the iteration cap.
+
+    The weights are the graph's float32 list, read in place by both arms:
+    each candidate adds a weight's exact float64 upcast, as the solo
+    reference does.  ``relax_method`` ``None`` or ``"native"`` runs
+    ``repro_sssp_sweep`` when it is available, one call per sweep as for
+    BFS; anything else relaxes with the numpy
+    :func:`~repro.traversal.relax.relax_lanes`.
+    """
     num_vertices = graph.num_vertices
     lanes = len(word)
     # Vertex-major layout: one vertex's 64 lane distances share cache lines,
@@ -466,43 +475,48 @@ def _sssp_word(
     for lane, source in enumerate(word):
         frontier_bits[source] |= _ONE << np.uint64(lane)
         distances[source, lane] = 0.0
-    snapshot = make_snapshot(num_vertices, lanes)
-    next_scratch = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
-    pins = _native.Pins()
-    trace = WordTrace(lanes)
-    method = None
-
+    frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
+    trace = WordTrace(lanes, num_vertices)
     iterations = 0
     max_iterations = max(1, num_vertices)
-    frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
+    if _native.wanted(relax_method):
+        trace.append(frontier, frontier_bits[frontier])
+        frontier_bits[frontier] = 0  # the kernel's next_bits arrive zeroed
+        snapshot = np.empty_like(distances)  # repro: noqa[REPRO101] — once per word, not per sweep
+        sweep = _native.sssp_sweep(
+            trace, graph.offsets, graph.edges, graph.weights, distances, snapshot,
+            frontier_bits,
+        )
+        while trace.pending and iterations < max_iterations:
+            _iteration_checkpoint()
+            sweep()
+            iterations += 1
+        return distances.T, trace, "native", not trace.pending
+
+    next_scratch = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, double-buffered below
     while frontier.size and iterations < max_iterations:
         _iteration_checkpoint()
         starts, ends = frontier_offsets(graph, frontier)
         active_bits = frontier_bits[frontier]
         trace.record(frontier, active_bits)
-
         # One lane-parallel relaxation sweep: every lane's candidates are
         # gathered from the shared CSR slices and min-reduced per
         # (lane, destination) in a single pass (see repro.traversal.relax).
         # The kernel's touched-set output IS the next frontier word array.
-        outcome = relax_lanes(
+        next_bits = relax_lanes(
             distances, graph.edges, frontier, starts, ends, active_bits,
-            weights=weights, method=relax_method, snapshot=snapshot,
-            next_bits=next_scratch, pins=pins,
+            weights=graph.weights, next_bits=next_scratch,
         )
-        method = outcome.method
-
         # Double-buffer: the consumed frontier word becomes next sweep's
-        # kernel scratch (zeroed inside relax_lanes).
-        frontier_bits, next_scratch = outcome.next_bits, frontier_bits
+        # scratch (zeroed inside relax_lanes).
+        frontier_bits, next_scratch = next_bits, frontier_bits
         frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
         iterations += 1
-
-    return distances.T, trace, method, not frontier.size
+    return distances.T, trace, "scatter", not frontier.size
 
 
 def _cc_word(
-    graph: CSRGraph, word: list[None], weights=None, relax_method=None
+    graph: CSRGraph, word: list[None], relax_method: str | None = None
 ) -> tuple[np.ndarray, WordTrace, None, bool]:
     """CC's pass as a word whose one lane is the source ``None``: its
     ``(1, V)`` labels, its one-lane trace, no relax backend, converged."""
@@ -511,7 +525,7 @@ def _cc_word(
 
 
 def _pagerank_word(
-    graph: CSRGraph, word: list[None], weights=None, relax_method=None, **params
+    graph: CSRGraph, word: list[None], relax_method: str | None = None, **params
 ) -> tuple[np.ndarray, WordTrace, None, bool]:
     """PageRank's pass as a one-lane word, as :func:`_cc_word`; ``params``
     are :func:`~repro.traversal.pagerank.pagerank_sweep`'s damping,

@@ -26,11 +26,13 @@ This kernel restructures the work around the shared data stream:
    pre-filtered to the candidates that can actually win), executed in
    bounded blocks so the temporaries stay allocator-friendly.
 
-When the host has a C compiler, a second backend — ``"native"``, built and
-gated by :mod:`repro.traversal._native` — runs the same sweep as a compiled
-loop over the bit-packed lane words and is the default; the numpy kernel
-remains the portable fallback and the reference the native backend is
-pinned against.  The compiled loop has two arms, chosen per frontier
+This is the ``"scatter"`` backend: the portable fallback, and the
+reference the ``"native"`` one is pinned against.  When the host has a C
+compiler, an SSSP word instead runs each sweep as one call of the compiled
+``repro_sssp_sweep`` (:mod:`repro.traversal._native`, driven by
+:func:`repro.traversal.multisource._sssp_word`), which reads the sweep's
+frontier from the word's trace, relaxes it over the bit-packed lane words
+and appends the next frontier.  Its loop has two arms, chosen per frontier
 vertex: when at least a quarter of the word's lanes are active on it, a
 *dense* arm relaxes the vertex's whole contiguous lane row per edge with
 AVX2 (inactive lanes snapshot as ``+inf``, so they can never win); every
@@ -54,8 +56,6 @@ destinations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..arrays import ragged_gather_indices
@@ -64,7 +64,7 @@ from . import _native
 
 _ONE = np.uint64(1)
 
-#: Backends accepted by :func:`relax_lanes` (``None`` = best available).
+#: Backends a run's ``relax_method`` may name (``None`` = best available).
 RELAX_METHODS = _native.RELAX_METHODS
 
 #: (lane, edge) candidates per numpy block: large enough to amortize numpy
@@ -84,26 +84,6 @@ def backend_status() -> str:
     return _native.status()
 
 
-@dataclass(frozen=True)
-class RelaxOutcome:
-    """Result of one lane-parallel relaxation sweep.
-
-    ``next_bits`` is the per-vertex ``uint64`` word of lanes whose value at
-    that vertex strictly improved (the next frontier, in MS-BFS encoding);
-    ``method`` names the backend that actually executed the sweep
-    (observability: a silent fallback from the native backend shows up
-    here).
-    """
-
-    next_bits: np.ndarray
-    method: str = ""
-
-    @property
-    def touched(self) -> np.ndarray:
-        """Vertices improved by at least one lane (sorted, unique)."""
-        return np.flatnonzero(self.next_bits)
-
-
 @hot_path
 def expand_lane_pairs(
     active_bits: np.ndarray, lanes: int
@@ -120,11 +100,6 @@ def expand_lane_pairs(
     return pair_lane, pair_position
 
 
-def make_snapshot(num_vertices: int, lanes: int) -> np.ndarray:
-    """Scratch buffer for the native backend, reusable across sweeps."""
-    return np.empty((num_vertices, lanes), dtype=np.float64)
-
-
 @hot_path
 def relax_lanes(
     values: np.ndarray,
@@ -134,17 +109,14 @@ def relax_lanes(
     ends: np.ndarray,
     active_bits: np.ndarray,
     weights: np.ndarray | None = None,
-    method: str | None = None,
-    snapshot: np.ndarray | None = None,
     next_bits: np.ndarray | None = None,
-    pins: _native.Pins | None = None,
-) -> RelaxOutcome:
-    """One shared relaxation sweep over every lane's frontier edges.
+) -> np.ndarray:
+    """One shared relaxation sweep over every lane's frontier edges, in
+    numpy; returns the next frontier's per-vertex lane words.
 
     ``values`` is the vertex-major ``(num_vertices, lanes)`` per-lane state
     matrix (C contiguous, float64; updated in place).  ``frontier`` /
-    ``starts`` / ``ends`` describe the *union* frontier's CSR slices —
-    computed once by the caller and shared with the engine sweep — and
+    ``starts`` / ``ends`` describe the *union* frontier's CSR slices and
     ``active_bits[i]`` is the lane word of ``frontier[i]``.  Each lane
     relaxes exactly the edges whose tail carries its frontier bit: candidate
     ``values[src, lane] + weight`` (1.0 when ``weights`` is None) is
@@ -152,31 +124,21 @@ def relax_lanes(
     are always read from the pre-sweep values (gather-then-scatter), matching
     the solo per-source formulation.
 
-    ``weights``, when given, must be float64 — convert once per batch, not
-    per sweep.  ``snapshot`` (see :func:`make_snapshot`) lets the native
-    backend reuse its scratch across sweeps.  ``next_bits``, when given, is a
-    ``(num_vertices,)`` uint64 scratch the kernel zeroes and fills — callers
-    iterating to a fixed point double-buffer it against the previous sweep's
-    word array instead of allocating O(V) per sweep; the returned
-    ``RelaxOutcome.next_bits`` is this same array.  ``pins`` (one
-    :class:`~repro.traversal._native.Pins` per run) lets the native backend
-    check and address the buffers every sweep passes again — ``values``,
-    ``edges``, ``weights``, ``snapshot`` and the ``next_bits`` scratch —
-    once per run instead of once per sweep.
+    ``weights`` may be the graph's float32 list as it is: a candidate adds a
+    weight's exact float64 upcast, as the native sweep does.  ``next_bits``,
+    when given, is a ``(num_vertices,)`` uint64 scratch the sweep zeroes,
+    fills and returns — callers iterating to a fixed point double-buffer it
+    against the previous sweep's word array instead of allocating O(V) per
+    sweep.  A ``(lane, destination)`` pair's bit is set exactly when its
+    value strictly improved.
 
-    Per-lane results are bit-identical across every ``method`` and to
+    Per-lane results are bit-identical to the native sweep's and to
     relaxing each lane on its own, because min is exactly
     associative/commutative (see module docstring).
     """
     num_vertices, lanes = values.shape
-    _native.check_method(method)
-    if method is None:
-        method = default_method()
     if not values.flags.c_contiguous:
         raise ValueError("values must be C-contiguous (updated in place)")
-
-    if weights is not None:
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
 
     if next_bits is None:
         # Solo-call fallback; fixed-point callers pass a double-buffered
@@ -187,26 +149,6 @@ def relax_lanes(
             raise ValueError("next_bits scratch must be (num_vertices,) uint64")
         next_bits.fill(0)
 
-    if method == "native":
-        if frontier.size:
-            if snapshot is None:
-                snapshot = make_snapshot(frontier.size, lanes)
-            elif snapshot.shape[0] < frontier.size or snapshot.shape[1] != lanes:
-                raise ValueError("snapshot scratch is too small for this frontier")
-            _native.relax_word(
-                np.ascontiguousarray(frontier, dtype=np.int64),
-                np.ascontiguousarray(active_bits, dtype=np.uint64),
-                np.ascontiguousarray(starts, dtype=np.int64),
-                np.ascontiguousarray(ends, dtype=np.int64),
-                np.ascontiguousarray(edges, dtype=np.int64),
-                weights,
-                values,
-                snapshot,
-                next_bits,
-                pins,
-            )
-        return RelaxOutcome(next_bits, method)
-
     flat = values.reshape(-1)
     pair_lane, pair_position = expand_lane_pairs(active_bits, lanes)
     pair_lengths = (ends - starts)[pair_position]
@@ -215,7 +157,7 @@ def relax_lanes(
     pair_position = pair_position[populated]
     pair_lengths = pair_lengths[populated]
     if pair_lane.size == 0:
-        return RelaxOutcome(next_bits, method)
+        return next_bits
 
     # Pre-gather every pair's source value ONCE, before any store: block N's
     # candidates must not observe improvements block N-1 already scattered.
@@ -256,4 +198,4 @@ def relax_lanes(
                 destinations[viable],
                 _ONE << (winner_keys % lanes).astype(np.uint64),
             )
-    return RelaxOutcome(next_bits, method)
+    return next_bits

@@ -45,8 +45,9 @@ class TestDispatch:
             run("sssp", random_graph)
 
     def test_unknown_application_rejected(self, random_graph):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError) as raised:
             run("katz", random_graph, source=0)
+        assert isinstance(raised.value.__cause__, ValueError)
 
     def test_strategy_parameter_respected(self, random_graph):
         result = bfs(random_graph, 0, strategy=AccessStrategy.UVM)
@@ -137,8 +138,9 @@ class TestStrategyByName:
         for named, enum in zip(by_name, by_enum, strict=True):
             assert np.array_equal(named.values, enum.values)
             assert named.metrics == enum.metrics
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError) as raised:
             call(random_graph, "bogus")
+        assert isinstance(raised.value.__cause__, ValueError)
 
 
 #: Entry points that take a source, each returning the result of that lane.

@@ -342,7 +342,7 @@ class TestLaneRows:
         self, random_graph, application, strategy, sources, data
     ):
         word = multisource._bfs_word if application == "bfs" else multisource._sssp_word
-        _, trace, _, _ = word(random_graph, sources, None, "scatter")
+        _, trace, _, _ = word(random_graph, sources, "scatter")
         order = data.draw(st.permutations(range(len(sources))))
         lanes = np.array(order[: data.draw(st.integers(1, len(sources)))], dtype=np.int64)
         engine = TraversalEngine(random_graph, strategy, needs_weights=application == "sssp")
@@ -350,9 +350,9 @@ class TestLaneRows:
         assert np.array_equal(native, engine._lane_rows(trace, lanes, False))
 
     def test_refuses_repeated_lanes(self, random_graph):
-        _, trace, _, _ = multisource._bfs_word(random_graph, [0, 1], None, "scatter")
+        _, trace, _, _ = multisource._bfs_word(random_graph, [0, 1], "scatter")
         engine = TraversalEngine(random_graph, AccessStrategy.MERGED_ALIGNED)
-        rows = np.empty((2, len(trace.frontiers), 6), dtype=np.int64)
+        rows = np.empty((2, trace.sweeps, 6), dtype=np.int64)
         lanes = np.array([1, 1], dtype=np.int64)
         with pytest.raises(ValueError, match="distinct lane indices"):
             _native.lane_rows(
@@ -374,7 +374,7 @@ class TestPricingMatchesAFreshEngine:
         if application in RUNNERS:
             word = multisource._bfs_word if application == "bfs" else multisource._sssp_word
             sources = [0, 3, 17, 42, 99, 250, 499, 3]
-            _, trace, backend, _ = word(random_graph, sources, None, method)
+            _, trace, backend, _ = word(random_graph, sources, method)
         else:
             sweep = cc_sweep if application == "cc" else pagerank_sweep
             trace, backend = sweep(random_graph, relax_method=method)[-1], None

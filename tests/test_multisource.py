@@ -18,7 +18,8 @@ from repro.traversal.api import run, run_average
 from repro.traversal.arena import EngineArena
 from repro.traversal.bfs import bfs_levels, run_bfs
 from repro.traversal.cc import run_cc
-from repro.traversal.engine import TraversalEngine
+from repro.traversal import engine as engine_module
+from repro.traversal.engine import TraversalEngine, WordTrace
 from repro.traversal.multisource import (
     WORD_BITS,
     PackedLane,
@@ -496,8 +497,8 @@ class TestNativeBFSWord:
     def test_native_matches_numpy(self, word):
         graph, lanes = word
         sources = [lane.source for lane in lanes[:WORD_BITS]]
-        native_word = multisource._bfs_word(graph, sources, None, "native")
-        numpy_word = multisource._bfs_word(graph, sources, None, "scatter")
+        native_word = multisource._bfs_word(graph, sources, "native")
+        numpy_word = multisource._bfs_word(graph, sources, "scatter")
         assert np.array_equal(native_word[0], numpy_word[0])
         for recorded in ("frontiers", "active_bits"):
             a, b = getattr(native_word[1], recorded), getattr(numpy_word[1], recorded)
@@ -513,9 +514,9 @@ class TestNativeBFSWord:
 
     def test_none_takes_the_native_kernel(self, random_graph, monkeypatch):
         calls = []
-        kernel = _native.bfs_word
+        kernel = _native.bfs_sweep
         monkeypatch.setattr(
-            _native, "bfs_word", lambda *args: calls.append(1) or kernel(*args)
+            _native, "bfs_sweep", lambda *args: calls.append(1) or kernel(*args)
         )
         run_batch("bfs", random_graph, [0, 3, 17])
         assert calls
@@ -528,35 +529,149 @@ class TestNativeBFSWord:
         size = graph.num_vertices
         levels = np.full((lanes, size), -1, dtype=np.int64)
         levels[:, :2] = 0
-        # Two frontier vertices: a strided view of one element is contiguous.
+        trace = WordTrace(lanes, size)
+        trace.append(np.arange(2), np.full(2, (1 << lanes) - 1, dtype=np.uint64))
         return dict(
-            frontier=np.arange(2, dtype=np.int64),
-            active_bits=np.full(2, (1 << lanes) - 1, dtype=np.uint64),
-            starts=graph.offsets[:2].copy(),
-            ends=graph.offsets[1:3].copy(),
+            trace=trace,
+            offsets=graph.offsets,
             edges=graph.edges,
             next_bits=np.zeros(size, dtype=np.uint64),
-            visited_bits=np.zeros(size, dtype=np.uint64),
+            visited_bits=np.full(size, (1 << lanes) - 1, dtype=np.uint64),
             levels=levels,
-            depth=1,
-            next_frontier=np.empty(size, dtype=np.int64),
-            next_active=np.empty(size, dtype=np.uint64),
         )
 
-    ARRAYS = (
-        "frontier", "active_bits", "starts", "ends", "edges", "next_bits",
-        "visited_bits", "levels", "next_frontier", "next_active",
-    )
+    ARRAYS = ("offsets", "edges", "next_bits", "visited_bits", "levels")
 
-    @pytest.mark.parametrize("pinned", (False, True))
     @pytest.mark.parametrize("name", ARRAYS)
-    def test_wrong_dtype_or_stride_raises(self, random_graph, name, pinned):
-        assert _native.bfs_word(**self._buffers(random_graph)) >= 0
+    def test_wrong_dtype_or_stride_raises(self, random_graph, name):
+        assert _native.bfs_sweep(**self._buffers(random_graph))(1) >= 0
         for bad in (
             lambda array: array.view(np.float64),
             lambda array: np.stack([array, array], axis=-1)[..., 0],
         ):
             buffers = self._buffers(random_graph)
             buffers[name] = bad(buffers[name])
-            with pytest.raises(ValueError, match="bfs_word buffers must be C-contiguous"):
-                _native.bfs_word(**buffers, pins=_native.Pins() if pinned else None)
+            with pytest.raises(ValueError, match="bfs_sweep buffers must be C-contiguous"):
+                _native.bfs_sweep(**buffers)
+
+    @pytest.mark.parametrize("name", ("offsets", "edges", "next_bits", "visited_bits"))
+    def test_short_buffer_raises(self, random_graph, name):
+        buffers = self._buffers(random_graph)
+        buffers[name] = buffers[name][:-2]
+        with pytest.raises(ValueError, match="bfs_sweep buffers do not match"):
+            _native.bfs_sweep(**buffers)
+
+    def test_more_than_64_lanes_raises(self, random_graph):
+        buffers = self._buffers(random_graph)
+        buffers["levels"] = np.zeros((65, random_graph.num_vertices), dtype=np.int64)
+        with pytest.raises(ValueError, match="bfs_sweep buffers do not match"):
+            _native.bfs_sweep(**buffers)
+
+    @pytest.mark.parametrize("entry", ("vertex", "lane"))
+    def test_pending_frontier_outside_the_word_raises(self, random_graph, entry):
+        buffers = self._buffers(random_graph)
+        vertex, mask = (random_graph.num_vertices, 1) if entry == "vertex" else (0, 1 << 3)
+        trace = WordTrace(3, random_graph.num_vertices)
+        trace.append(np.array([vertex]), np.array([mask], dtype=np.uint64))
+        buffers["trace"] = trace
+        with pytest.raises(ValueError, match="bfs_sweep buffers do not match"):
+            _native.bfs_sweep(**buffers)
+
+
+# ---------------------------------------------------------------------- #
+# Native vs numpy whole words, BFS and SSSP
+# ---------------------------------------------------------------------- #
+@st.composite
+def traced_words(draw):
+    """A random graph — directed or not, with self-loops, multi-edges and
+    isolated vertices; unweighted, weighted, or weighted with negative
+    edges, whose cycles keep an SSSP word sweeping to its iteration cap —
+    and a word of 1-64 sources."""
+    reachable = draw(st.integers(1, 30))
+    isolated = draw(st.integers(0, 4))
+    vertex = st.integers(0, reachable - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=150))
+    pairs += pairs[: draw(st.integers(0, 8))]
+    pairs += [(v, v) for v in range(0, reachable, 6)]
+    sources, destinations = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    graph = from_edge_array(
+        sources, destinations, num_vertices=reachable + isolated,
+        directed=draw(st.booleans()), name="hypothesis",
+    )
+    weighting = draw(st.sampled_from(("none", "positive", "negative")))
+    if weighting != "none":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        choices = [0.0, 0.25, 0.5, 1.0, 1.75] + ([-0.5] if weighting == "negative" else [])
+        graph = graph.with_weights(rng.choice(choices, graph.num_edges))
+    lanes = draw(st.integers(1, WORD_BITS))
+    word = draw(st.lists(st.integers(0, graph.num_vertices - 1), min_size=lanes, max_size=lanes))
+    return graph, word
+
+
+def _word_bytes(word):
+    """A word runner's outcome, comparable: values, the trace's flat arrays
+    (dtypes included) and whether it converged."""
+    values, trace, _, converged = word
+    return (
+        values.dtype.str, values.tobytes(),
+        [(array.dtype.str, array.tobytes()) for array in trace.flat()],
+        converged,
+    )
+
+
+@pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+class TestNativeWordMatchesNumpy:
+    """A whole native word against the numpy word loop: the same values and
+    the same ``trace.flat()`` (frontiers, lane words, bounds), whether the
+    trace grows from its initial capacity or from none, with either relax
+    arm, and when an SSSP word stops at its iteration cap."""
+
+    RUNNERS = {"bfs": multisource._bfs_word, "sssp": multisource._sssp_word}
+
+    @given(
+        word=traced_words(),
+        application=st.sampled_from(("bfs", "sssp")),
+        dense_arm=st.sampled_from((0, 1)),
+        grow=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_words_match(self, word, application, dense_arm, grow):
+        graph, sources = word
+        runner = self.RUNNERS[application]
+        # A fresh trace of no capacity grows at its first write.
+        capacity = 0 if grow else engine_module._TRACE_ENTRIES_PER_VERTEX
+        with mock.patch.object(_native, "_dense_arm", dense_arm), mock.patch.object(
+            engine_module, "_TRACE_ENTRIES_PER_VERTEX", capacity
+        ):
+            native = runner(graph, sources, "native")
+            numpy = runner(graph, sources, "scatter")
+        assert _word_bytes(native) == _word_bytes(numpy)
+        assert (native[2], numpy[2]) == (
+            ("native", "scatter") if application == "sssp" else (None, None)
+        )
+
+    @pytest.mark.parametrize("capacity", (0, 64))
+    def test_trace_growth_keeps_the_sweeps(self, random_graph, capacity):
+        # A 64-lane word on a trace of no capacity grows several times; one
+        # of 64 entries per vertex never does.
+        sources = list(range(0, 320, 5))
+        for runner in self.RUNNERS.values():
+            with mock.patch.object(engine_module, "_TRACE_ENTRIES_PER_VERTEX", capacity):
+                native = runner(random_graph, sources, "native")
+            grown = native[1].vertices.size != capacity * random_graph.num_vertices
+            assert grown is (capacity == 0)
+            assert _word_bytes(native) == _word_bytes(runner(random_graph, sources, "scatter"))
+
+    def test_iteration_cap_leaves_the_pending_frontier_out(self):
+        # 0 -> 1 -> 0 with weight -1: every sweep improves the next vertex,
+        # so the word stops at its cap of V sweeps with a frontier pending.
+        graph = from_edge_array(
+            np.array([0, 1]), np.array([1, 0]), num_vertices=2, directed=True, name="loop"
+        ).with_weights(np.array([-1.0, -1.0]))
+        native = multisource._sssp_word(graph, [0], "native")
+        numpy = multisource._sssp_word(graph, [0], "scatter")
+        assert _word_bytes(native) == _word_bytes(numpy)
+        trace = native[1]
+        assert not native[3] and trace.sweeps == 2 and trace.pending == 1
+        assert trace.flat()[2].tolist() == [0, 1, 2]
+        assert native[0].tolist() == [[-2.0, -1.0]]

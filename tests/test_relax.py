@@ -3,10 +3,10 @@
 Every backend (native C when available, indexed-ufunc scatter) must produce
 per-source SSSP distances bit-identical to the solo ``run_sssp`` runs — across
 random weighted graphs with duplicate edges, zero-weight edges, unreachable
-components, and word-boundary lane counts.  The native kernel's two arms
+components, and word-boundary lane counts.  The native sweep's two arms
 (dense AVX2 rows and scalar ``ctz`` lanes, forced through
-``_native._dense_arm``) must agree with each other and with ``scatter``
-sweep for sweep.
+``_native._dense_arm``) must agree with each other and with the numpy
+``relax_lanes`` sweep for sweep.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from repro.traversal.bfs import run_bfs
 from repro.traversal.cc import run_cc
 from repro.traversal.multisource import run_batch, run_packed_batch
 from repro.traversal.pagerank import run_pagerank
+from repro.traversal.engine import WordTrace
 from repro.traversal.relax import (
     RELAX_METHODS,
-    RelaxOutcome,
     default_method,
     expand_lane_pairs,
     relax_lanes,
@@ -148,22 +148,9 @@ class TestKernelUnits:
         assert lanes.tolist() == [0, 1, 1]
         assert positions.tolist() == [0, 0, 1]
 
-    def test_unknown_method_rejected(self):
-        values = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="unknown relaxation method"):
-            relax_lanes(
-                values,
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.uint64),
-                method="bogus",
-            )
-
     @pytest.mark.parametrize("application", ("bfs", "sssp", "cc", "pagerank"))
     def test_every_run_rejects_an_unknown_method(self, random_graph, application):
-        # Solo and batched alike, with relax_lanes' error, before any sweep.
+        # Solo and batched alike, with _native.wanted's error, before any sweep.
         if application in ("bfs", "sssp"):
             solo = run_bfs if application == "bfs" else run_sssp
             runs = [
@@ -196,11 +183,9 @@ class TestKernelUnits:
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.uint64),
-                method="scatter",
             )
 
-    @pytest.mark.parametrize("method", [m for m in METHODS if m in NUMPY_METHODS])
-    def test_touched_set_matches_next_bits(self, method):
+    def test_touched_set_matches_next_bits(self):
         # Tiny hand-checked relaxation: vertex 0 relaxes lanes 0 and 1 along
         # one edge to vertex 1; only lane 0 improves (lane 1 already has a
         # better distance at the destination).
@@ -212,14 +197,10 @@ class TestKernelUnits:
         starts = np.array([0], dtype=np.int64)
         ends = np.array([1], dtype=np.int64)
         active = np.array([0b11], dtype=np.uint64)
-        weights = np.array([1.0], dtype=np.float64)
-        outcome = relax_lanes(
-            values, edges, frontier, starts, ends, active,
-            weights=weights, method=method,
-        )
-        assert isinstance(outcome, RelaxOutcome)
-        assert outcome.touched.tolist() == [1]
-        assert outcome.next_bits[1] == np.uint64(0b01)
+        weights = np.array([1.0], dtype=np.float32)
+        next_bits = relax_lanes(values, edges, frontier, starts, ends, active, weights=weights)
+        assert np.flatnonzero(next_bits).tolist() == [1]
+        assert next_bits[1] == np.uint64(0b01)
         assert values[1].tolist() == [1.0, 0.5]
 
     def test_default_method_is_known(self):
@@ -240,11 +221,18 @@ class TestKernelUnits:
             assert result.metrics.iterations == solo.metrics.iterations
 
 
+def _sweep_trace(frontier, active_bits, num_vertices):
+    """A word's trace whose pending frontier is ``frontier``."""
+    trace = WordTrace(64, num_vertices)
+    trace.append(np.asarray(frontier, dtype=np.int64), np.asarray(active_bits, dtype=np.uint64))
+    return trace
+
+
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
-class TestNativeRelaxBuffers:
-    """relax_word refuses mismatched buffers, as bfs_word does: a short
-    ``starts`` used to crash the process and a short ``active_bits`` to read
-    past its end."""
+class TestNativeSweepBuffers:
+    """sssp_sweep refuses mismatched buffers when a word binds them, as
+    bfs_sweep does: a short weight list would be read past its end, a short
+    snapshot or next-bits word written past it."""
 
     @staticmethod
     def _buffers(graph, lanes=3):
@@ -252,12 +240,10 @@ class TestNativeRelaxBuffers:
         values = np.full((size, lanes), np.inf)
         values[0] = 0.0
         return dict(
-            frontier=np.arange(size, dtype=np.int64),
-            active_bits=np.full(size, (1 << min(lanes, 64)) - 1, dtype=np.uint64),
-            starts=graph.offsets[:-1].copy(),
-            ends=graph.offsets[1:].copy(),
+            trace=_sweep_trace([0], [(1 << min(lanes, 64)) - 1], size),
+            offsets=graph.offsets,
             edges=graph.edges,
-            weights=np.ones(graph.num_edges),
+            weights=graph.weights,
             values=values,
             snapshot=np.empty((size, lanes)),
             next_bits=np.zeros(size, dtype=np.uint64),
@@ -265,36 +251,35 @@ class TestNativeRelaxBuffers:
 
     def test_matching_buffers_run(self):
         buffers = self._buffers(messy_graph(5))
-        assert _native.relax_word(**buffers) > 0
+        trace = buffers["trace"]
+        assert _native.sssp_sweep(**buffers)() > 0
+        assert trace.sweeps == 1 and trace.pending > 0
 
     @pytest.mark.parametrize(
-        "short",
-        (
-            "frontier", "active_bits", "starts", "ends", "weights", "snapshot",
-            "next_bits",
-        ),
+        "short", ("offsets", "edges", "weights", "snapshot", "next_bits")
     )
     def test_short_buffer_raises(self, short):
         buffers = self._buffers(messy_graph(5))
         buffers[short] = buffers[short][:2]
-        with pytest.raises(ValueError, match="relax_word buffers"):
-            _native.relax_word(**buffers)
+        with pytest.raises(ValueError, match="sssp_sweep buffers do not match"):
+            _native.sssp_sweep(**buffers)
 
-    ARRAYS = (
-        "frontier", "active_bits", "starts", "ends", "edges", "weights", "values",
-        "snapshot", "next_bits",
-    )
+    ARRAYS = ("offsets", "edges", "weights", "values", "snapshot", "next_bits")
 
-    @pytest.mark.parametrize("pinned", (False, True))
+    @staticmethod
+    def _retyped(array):
+        """``array`` viewed as another dtype of its itemsize."""
+        kind = {"f": "i", "i": "f", "u": "f"}[array.dtype.kind]
+        return array.view(f"{kind}{array.itemsize}")
+
     @pytest.mark.parametrize("name", ARRAYS)
-    def test_wrong_dtype_raises(self, name, pinned):
+    def test_wrong_dtype_raises(self, name):
         # The checks an ndpointer argtype used to make: same itemsize and
         # shape, so only the dtype check can catch it.
         buffers = self._buffers(messy_graph(5))
-        array = buffers[name]
-        buffers[name] = array.view(np.int64 if array.dtype == np.float64 else np.float64)
-        with pytest.raises(ValueError, match="relax_word buffers must be C-contiguous"):
-            _native.relax_word(**buffers, pins=_native.Pins() if pinned else None)
+        buffers[name] = self._retyped(buffers[name])
+        with pytest.raises(ValueError, match="sssp_sweep buffers must be C-contiguous"):
+            _native.sssp_sweep(**buffers)
 
     @pytest.mark.parametrize("name", ARRAYS)
     def test_strided_buffer_raises(self, name):
@@ -302,37 +287,47 @@ class TestNativeRelaxBuffers:
         array = buffers[name]
         buffers[name] = np.stack([array, array], axis=-1)[..., 0]
         assert buffers[name].shape == array.shape
-        with pytest.raises(ValueError, match="relax_word buffers must be C-contiguous"):
-            _native.relax_word(**buffers)
+        with pytest.raises(ValueError, match="sssp_sweep buffers must be C-contiguous"):
+            _native.sssp_sweep(**buffers)
 
-    def test_pins_check_a_new_buffer(self):
-        # A pinned run checks each array object once; an array it has not
-        # seen is checked afresh, even when a sweep swaps it in mid-run.
+    @pytest.mark.parametrize("name", ("vertices", "masks"))
+    @pytest.mark.parametrize("bad", ("dtype", "stride"))
+    def test_trace_arrays_are_checked_again_when_replaced(self, name, bad):
+        # A grown trace's new arrays are checked before the kernel sees them.
         buffers = self._buffers(messy_graph(5))
-        pins = _native.Pins()
-        assert _native.relax_word(**buffers, pins=pins) > 0
-        buffers["next_bits"].fill(0)
-        assert _native.relax_word(**buffers, pins=pins) >= 0
-        buffers["values"] = buffers["values"].astype(np.float32)
-        with pytest.raises(ValueError, match="relax_word buffers must be C-contiguous"):
-            _native.relax_word(**buffers, pins=pins)
+        trace = buffers["trace"]
+        sweep = _native.sssp_sweep(**buffers)
+        array = getattr(trace, name)
+        if bad == "dtype":
+            replaced = array.view(np.float64)
+        else:
+            replaced = np.stack([array, array], axis=-1)[..., 0]
+        setattr(trace, name, replaced)
+        with pytest.raises(ValueError, match="sssp_sweep buffers must be C-contiguous"):
+            sweep()
 
     def test_more_than_64_lanes_raises(self):
-        with pytest.raises(ValueError, match="relax_word buffers"):
-            _native.relax_word(**self._buffers(messy_graph(5), lanes=65))
+        with pytest.raises(ValueError, match="sssp_sweep buffers do not match"):
+            _native.sssp_sweep(**self._buffers(messy_graph(5), lanes=65))
 
-    @pytest.mark.parametrize("short", ("starts", "ends", "active_bits", "weights"))
-    def test_relax_lanes_refuses_short_slices_on_native(self, short):
-        # A short weights list was read past its end, where scatter raised.
+    @pytest.mark.parametrize("entry", ("vertex", "lane"))
+    def test_pending_frontier_outside_the_word_raises(self, entry):
+        # The first frontier is the one the kernel reads unchecked.
         graph = messy_graph(5)
         buffers = self._buffers(graph)
-        buffers[short] = buffers[short][:5]
-        with pytest.raises(ValueError, match="relax_word buffers"):
-            relax_lanes(
-                buffers["values"], graph.edges, buffers["frontier"],
-                buffers["starts"], buffers["ends"], buffers["active_bits"],
-                weights=buffers["weights"], method="native",
-            )
+        vertex, mask = (graph.num_vertices, 1) if entry == "vertex" else (0, 1 << 3)
+        buffers["trace"] = _sweep_trace([vertex], [mask], graph.num_vertices)
+        with pytest.raises(ValueError, match="sssp_sweep buffers do not match"):
+            _native.sssp_sweep(**buffers)
+
+    def test_bound_buffers_outlive_the_caller(self):
+        # The sweep holds the buffers it addressed: a scratch the caller
+        # made inline is not freed under the kernel.
+        graph = messy_graph(5)
+        buffers = self._buffers(graph)
+        del buffers["snapshot"]
+        sweep = _native.sssp_sweep(**buffers, snapshot=np.empty_like(buffers["values"]))
+        assert sweep() > 0
 
 
 LANE_COUNTS = (1, 3, 4, 15, 16, 17, 63, 64)
@@ -362,7 +357,7 @@ def relax_sweeps(draw):
     values[rng.random(num_vertices) < 0.3] = np.inf
     weights = None
     if draw(st.booleans()):
-        weights = rng.choice([0.0, 0.25, 0.5, 1.0, 1.75], graph.num_edges)
+        weights = rng.choice([0.0, 0.25, 0.5, 1.0, 1.75], graph.num_edges).astype(np.float32)
     frontier = np.flatnonzero(rng.random(num_vertices) < 0.6).astype(np.int64)
     if not frontier.size:
         frontier = np.array([0], dtype=np.int64)
@@ -378,21 +373,25 @@ def relax_sweeps(draw):
 
 
 def _native_sweep(graph, weights, values, frontier, active_bits, dense_arm):
+    """One native sweep on a trace whose pending frontier is ``frontier``:
+    the values and the next frontier's per-vertex lane words it left."""
     values = values.copy()
-    next_bits = np.zeros(graph.num_vertices, dtype=np.uint64)
+    trace = _sweep_trace(frontier, active_bits, graph.num_vertices)
     with mock.patch.object(_native, "_dense_arm", dense_arm):
-        improved = _native.relax_word(
-            frontier, active_bits, graph.offsets[frontier], graph.offsets[frontier + 1],
-            graph.edges, weights, values, np.empty_like(values), next_bits,
-        )
-    return values, next_bits, improved
+        _native.sssp_sweep(
+            trace, graph.offsets, graph.edges, weights, values, np.empty_like(values),
+            np.zeros(graph.num_vertices, dtype=np.uint64),
+        )()
+    next_bits = np.zeros(graph.num_vertices, dtype=np.uint64)
+    appended = slice(trace.start, trace.size)
+    next_bits[trace.vertices[appended]] = trace.masks[appended]
+    return values, next_bits
 
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
 class TestDenseArm:
     """The dense arm against the scalar arm and the numpy scatter sweep: the
-    same values and next-frontier words and (between the arms) the same
-    improvement count."""
+    same values and next-frontier words."""
 
     @given(sweep=relax_sweeps())
     @settings(max_examples=150, deadline=None)
@@ -401,15 +400,13 @@ class TestDenseArm:
         dense = _native_sweep(graph, weights, values, frontier, active_bits, 1)
         scalar = _native_sweep(graph, weights, values, frontier, active_bits, 0)
         numpy_values = values.copy()
-        outcome = relax_lanes(
+        next_bits = relax_lanes(
             numpy_values, graph.edges, frontier, graph.offsets[frontier],
             graph.offsets[frontier + 1], active_bits, weights=weights,
-            method="scatter",
         )
         for arm in (dense, scalar):
             assert arm[0].tobytes() == numpy_values.tobytes()
-            assert arm[1].tolist() == outcome.next_bits.tolist()
-        assert dense[2] == scalar[2]
+            assert arm[1].tolist() == next_bits.tolist()
 
     @staticmethod
     def _inactive_snapshot_lanes(lanes, bits, dense_arm):
@@ -420,14 +417,13 @@ class TestDenseArm:
             np.array([0, 1]), np.array([2, 2]), num_vertices=3, name="arms"
         )
         values = np.zeros((3, lanes))
-        snapshot = np.full((2, lanes), -1.0)
-        frontier = np.array([0, 1], dtype=np.int64)
+        snapshot = np.full((3, lanes), -1.0)
+        trace = _sweep_trace([0, 1], bits, 3)
         with mock.patch.object(_native, "_dense_arm", dense_arm):
-            _native.relax_word(
-                frontier, np.array(bits, dtype=np.uint64), graph.offsets[:2],
-                graph.offsets[1:3], graph.edges, None, values, snapshot,
+            _native.sssp_sweep(
+                trace, graph.offsets, graph.edges, None, values, snapshot,
                 np.zeros(3, dtype=np.uint64),
-            )
+            )()
         return [
             set(row[[(mask >> lane) & 1 == 0 for lane in range(lanes)]].tolist())
             for row, mask in zip(snapshot, bits)
@@ -471,6 +467,9 @@ class TestSanitizerBuildMode:
         ubsan, note = _native._build_flags()
         assert note == " [ubsan]"
         assert "-fsanitize=undefined" in ubsan
+        # Sanitized builds treat warnings as errors; the plain build does not.
+        assert all("-Werror" in flags for flags in (asan, ubsan))
+        assert "-Werror" not in plain
         # Different flags -> different cache digests: switching modes can
         # never serve a stale unsanitized object.
         assert len({plain, asan, ubsan}) == 3

@@ -761,11 +761,11 @@ class TestUVMReplayGoesThroughTheBreaker:
     @pytest.mark.parametrize(
         "application, sources, failing_kernel",
         [
-            (Application.BFS, (0,), "bfs_word"),
-            (Application.SSSP, (0,), "relax_word"),
+            (Application.BFS, (0,), "bfs_sweep"),
+            (Application.SSSP, (0,), "sssp_sweep"),
             (Application.BFS, (0,), "uvm_replay"),
             (Application.SSSP, (0,), "uvm_replay"),
-            (Application.BFS, (0, 1, 2), "bfs_word"),
+            (Application.BFS, (0, 1, 2), "bfs_sweep"),
             (Application.BFS, (0, 1, 2), "uvm_replay"),
             (Application.SSSP, (0, 1, 2), "uvm_replay"),
         ],

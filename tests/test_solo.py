@@ -1,7 +1,7 @@
 """A solo run is a one-lane word.
 
 ``run_bfs`` and ``run_sssp`` sweep through the same kernels as a batched word
-(the native ``repro_bfs_word`` / ``repro_relax_word`` loops, or the numpy
+(the native ``repro_bfs_sweep`` / ``repro_sssp_sweep`` loops, or the numpy
 sweeps they fall back to), with one lane.  So on any graph, strategy and
 backend a solo run must return its numpy oracle's values and every simulated
 number of the one-source ``run_batch`` — the relax counters included.

@@ -177,9 +177,9 @@ class TestOnePass:
 
 class TestTraceHoldsEachSweepOnce:
     def test_flat_keeps_one_copy_of_the_sweeps(self):
-        """``flat()`` concatenates the recorded sweeps and frees the
-        per-sweep copies: traced memory grows by at most a tenth of one
-        copy, and the sweeps read back the same through their views."""
+        """The trace holds its sweeps flat and ``flat()`` returns views of
+        them: traced memory grows by at most a tenth of one copy, and the
+        sweeps read back the same through the views."""
         graph = uniform_random_graph(20_000, 60_000, seed=5, name="flat")
         gc.collect()
         tracemalloc.start()
