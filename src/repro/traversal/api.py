@@ -113,8 +113,8 @@ def run(
     :class:`~repro.traversal.results.TraversalResult`.
     """
     application = normalize_application(application)
-    source = normalize_source(application, source)
     strategy = normalize_strategy(strategy)
+    # A BFS/SSSP source is checked once, by the run's PackedLane.
     if application is Application.CC:
         return cc(graph, strategy=strategy, system=system)
     if application is Application.PAGERANK:
