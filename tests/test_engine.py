@@ -1,18 +1,22 @@
 """Tests for the traversal engine: memory placement and traffic invariants."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import default_system
 from repro.errors import SimulationError
 from repro.memsim.monitor import PCIeTrafficMonitor
 from repro.memsim.zero_copy import ZeroCopyRegion
 from repro.traversal import _native
+from repro.traversal import engine as engine_module
 from repro.traversal.bfs import run_bfs
 from repro.traversal.cc import run_cc
-from repro.traversal.engine import TraversalEngine
+from repro.traversal.engine import TraversalEngine, WordTrace
 from repro.traversal.multisource import run_batch
 from repro.traversal.pagerank import run_pagerank
 from repro.traversal.sssp import run_sssp
@@ -291,3 +295,154 @@ class TestNativeUVMReplay:
             assert ours.values.tobytes() == theirs.values.tobytes() == solo.values.tobytes()
             assert ours.metrics == theirs.metrics == solo.metrics
             assert ours.metrics.traffic.uvm_migrations > 0
+
+
+def _words(*masks):
+    return np.array(masks, dtype=np.uint64)
+
+
+class TestWordTrace:
+    """The flat sweep record that is also a native word's frontier buffer:
+    sweeps closed by ``record`` or ``advance``, a pending frontier kept out
+    of ``flat()``, and growth that keeps every written entry."""
+
+    def test_a_new_trace_is_empty(self):
+        trace = WordTrace(3, 10)
+        assert trace.vertices.size == trace.masks.size == (
+            engine_module._TRACE_ENTRIES_PER_VERTEX * 10
+        )
+        assert (trace.sweeps, trace.start, trace.size, trace.pending) == (0, 0, 0, 0)
+        vertices, masks, bounds = trace.flat()
+        assert vertices.size == masks.size == 0
+        assert bounds.tolist() == [0]
+        assert trace.frontiers == [] and trace.lane_frontiers(0) == []
+
+    def test_record_closes_one_sweep_per_call(self):
+        trace = WordTrace(2, 8)
+        trace.record(np.array([0]), _words(0b11))
+        trace.record(np.array([1, 4, 5]), _words(0b01, 0b10, 0b11))
+        trace.record(np.array([], dtype=np.int64), _words())
+        assert trace.sweeps == 3 and trace.pending == 0
+        assert [f.tolist() for f in trace.frontiers] == [[0], [1, 4, 5], []]
+        assert [b.tolist() for b in trace.active_bits] == [[3], [1, 2, 3], []]
+        assert trace.bounds.tolist() == [0, 1, 4, 4]
+
+    def test_record_copies_the_callers_buffers(self):
+        trace = WordTrace(1, 4)
+        frontier, bits = np.array([2, 3]), _words(1, 1)
+        trace.record(frontier, bits)
+        frontier[:] = 0
+        bits[:] = 0
+        assert trace.frontiers[0].tolist() == [2, 3]
+        assert trace.active_bits[0].tolist() == [1, 1]
+
+    def test_flat_returns_views(self):
+        trace = WordTrace(1, 4)
+        trace.record(np.array([0, 1]), _words(1, 1))
+        vertices, masks, bounds = trace.flat()
+        assert np.shares_memory(vertices, trace.vertices)
+        assert np.shares_memory(masks, trace.masks)
+        assert np.shares_memory(bounds, trace.bounds)
+
+    def test_flat_leaves_the_pending_frontier_out(self):
+        trace = WordTrace(1, 4)
+        trace.record(np.array([0]), _words(1))
+        trace.append(np.array([1, 2]), _words(1, 1))
+        assert (trace.start, trace.size, trace.pending) == (1, 3, 2)
+        vertices, masks, bounds = trace.flat()
+        assert vertices.tolist() == [0] and masks.tolist() == [1]
+        assert bounds.tolist() == [0, 1]
+
+    def test_advance_makes_the_appended_entries_pending(self):
+        # What a native sweep does: write the next frontier after the
+        # pending one, then close the pending one as a sweep.
+        trace = WordTrace(1, 4)
+        trace.append(np.array([0]), _words(1))
+        trace.reserve(4)
+        trace.vertices[1:3] = [2, 3]
+        trace.masks[1:3] = 1
+        trace.advance(2)
+        assert (trace.sweeps, trace.start, trace.size, trace.pending) == (1, 1, 3, 2)
+        assert trace.bounds.tolist() == [0, 1]
+        trace.advance()
+        assert trace.frontiers[1].tolist() == [2, 3] and trace.pending == 0
+
+    def test_reserve_with_room_keeps_the_arrays(self):
+        trace = WordTrace(1, 4)
+        vertices, masks = trace.vertices, trace.masks
+        trace.reserve(vertices.size)
+        assert trace.vertices is vertices and trace.masks is masks
+
+    @pytest.mark.parametrize(
+        "capacity, written, free, grown",
+        ((0, 0, 1, 1), (0, 0, 5, 5), (4, 3, 2, 8), (4, 4, 9, 13), (8, 2, 7, 16)),
+    )
+    def test_reserve_grows_at_least_double_and_keeps_the_entries(
+        self, capacity, written, free, grown
+    ):
+        trace = WordTrace(1, 0)
+        trace.reserve(capacity)
+        assert trace.vertices.size == capacity
+        trace.append(np.arange(written), _words(*range(1, written + 1)))
+        trace.reserve(free)
+        assert trace.vertices.size == trace.masks.size == grown
+        assert trace.vertices.size - trace.size >= free
+        assert trace.vertices[:written].tolist() == list(range(written))
+        assert trace.masks[:written].tolist() == list(range(1, written + 1))
+
+    def test_bounds_grow_past_the_initial_sweeps(self):
+        trace = WordTrace(1, 1)
+        sweeps = 3 * engine_module._TRACE_SWEEPS + 1
+        for vertex in range(sweeps):
+            trace.record(np.array([vertex % 2] * (vertex % 3)), _words(*[1] * (vertex % 3)))
+        assert trace.sweeps == sweeps
+        assert trace.bounds.tolist() == [0] + np.cumsum(
+            [vertex % 3 for vertex in range(sweeps)]
+        ).tolist()
+
+    @pytest.mark.parametrize("lane, expected", ((0, [[0], [1, 5]]), (1, [[0], [4, 5]]), (2, [])))
+    def test_lane_frontiers_skip_the_sweeps_a_lane_is_idle_in(self, lane, expected):
+        trace = WordTrace(3, 8)
+        trace.record(np.array([0]), _words(0b011))
+        trace.record(np.array([1, 4, 5]), _words(0b001, 0b010, 0b011))
+        assert [f.tolist() for f in trace.lane_frontiers(lane)] == expected
+
+    @given(
+        sweeps=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.tuples(st.integers(0, 9), st.integers(1, 7)), max_size=12),
+            ),
+            max_size=40,
+        ),
+        capacity=st.sampled_from((0, 1, 2)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_list_of_sweeps(self, sweeps, capacity):
+        # Whole sweeps recorded, or appended as a pending frontier and
+        # closed by the next advance, from a trace of small or no capacity.
+        with mock.patch.object(engine_module, "_TRACE_ENTRIES_PER_VERTEX", capacity):
+            trace = WordTrace(3, 10)
+        model = []
+        for whole, entries in sweeps:
+            frontier = np.array([vertex for vertex, _ in entries], dtype=np.int64)
+            bits = _words(*[mask for _, mask in entries])
+            if whole:
+                trace.record(frontier, bits)
+            else:
+                trace.append(frontier, bits)
+                assert trace.pending == len(entries)
+                trace.advance()
+            model.append(entries)
+        assert trace.sweeps == len(model) and trace.pending == 0
+        assert [f.tolist() for f in trace.frontiers] == [[v for v, _ in s] for s in model]
+        assert [b.tolist() for b in trace.active_bits] == [[m for _, m in s] for s in model]
+        vertices, masks, bounds = trace.flat()
+        assert vertices.tolist() == [v for s in model for v, _ in s]
+        assert masks.tolist() == [m for s in model for _, m in s]
+        assert bounds.tolist() == [0] + np.cumsum([len(s) for s in model], dtype=int).tolist()
+        for lane in range(3):
+            lane_model = [[v for v, m in s if m >> lane & 1] for s in model]
+            assert [f.tolist() for f in trace.lane_frontiers(lane)] == [
+                f for f in lane_model if f
+            ]

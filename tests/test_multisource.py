@@ -567,15 +567,63 @@ class TestNativeBFSWord:
         with pytest.raises(ValueError, match="bfs_sweep buffers do not match"):
             _native.bfs_sweep(**buffers)
 
-    @pytest.mark.parametrize("entry", ("vertex", "lane"))
+    @pytest.mark.parametrize("entry", ("vertex", "lane", "negative"))
     def test_pending_frontier_outside_the_word_raises(self, random_graph, entry):
         buffers = self._buffers(random_graph)
-        vertex, mask = (random_graph.num_vertices, 1) if entry == "vertex" else (0, 1 << 3)
+        vertex, mask = {
+            "vertex": (random_graph.num_vertices, 1), "lane": (0, 1 << 3), "negative": (-1, 1)
+        }[entry]
         trace = WordTrace(3, random_graph.num_vertices)
         trace.append(np.array([vertex]), np.array([mask], dtype=np.uint64))
         buffers["trace"] = trace
         with pytest.raises(ValueError, match="bfs_sweep buffers do not match"):
             _native.bfs_sweep(**buffers)
+
+    @pytest.mark.parametrize("end", ("first", "last"))
+    def test_offsets_outside_the_edges_raise(self, random_graph, end):
+        buffers = self._buffers(random_graph)
+        offsets = buffers["offsets"].copy()
+        if end == "first":
+            offsets[0] = -1
+        else:
+            offsets[-1] = random_graph.edges.size + 1
+        buffers["offsets"] = offsets
+        with pytest.raises(ValueError, match="bfs_sweep buffers do not match"):
+            _native.bfs_sweep(**buffers)
+
+    @pytest.mark.parametrize("name", ("vertices", "masks"))
+    @pytest.mark.parametrize("bad", ("dtype", "stride"))
+    def test_trace_arrays_are_checked_again_when_replaced(self, random_graph, name, bad):
+        # A grown trace's new arrays are checked before the kernel sees them.
+        buffers = self._buffers(random_graph)
+        trace = buffers["trace"]
+        sweep = _native.bfs_sweep(**buffers)
+        array = getattr(trace, name)
+        if bad == "dtype":
+            replaced = array.view(np.float64)
+        else:
+            replaced = np.stack([array, array], axis=-1)[..., 0]
+        setattr(trace, name, replaced)
+        with pytest.raises(ValueError, match="bfs_sweep buffers must be C-contiguous"):
+            sweep(1)
+
+    def test_trace_arrays_that_differ_in_length_raise(self, random_graph):
+        buffers = self._buffers(random_graph)
+        trace = buffers["trace"]
+        sweep = _native.bfs_sweep(**buffers)
+        trace.masks = np.zeros(trace.vertices.size + 1, dtype=np.uint64)
+        with pytest.raises(ValueError, match="bfs_sweep trace arrays differ in length"):
+            sweep(1)
+
+    def test_an_empty_pending_frontier_sweeps_nothing(self, random_graph):
+        buffers = self._buffers(random_graph)
+        buffers["trace"] = trace = WordTrace(3, random_graph.num_vertices)
+        levels = buffers["levels"].copy()
+        assert _native.bfs_sweep(**buffers)(1) == 0
+        assert (trace.sweeps, trace.pending) == (1, 0)
+        assert trace.bounds.tolist() == [0, 0]
+        assert np.array_equal(buffers["levels"], levels)
+        assert not buffers["next_bits"].any()
 
 
 # ---------------------------------------------------------------------- #

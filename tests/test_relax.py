@@ -310,15 +310,49 @@ class TestNativeSweepBuffers:
         with pytest.raises(ValueError, match="sssp_sweep buffers do not match"):
             _native.sssp_sweep(**self._buffers(messy_graph(5), lanes=65))
 
-    @pytest.mark.parametrize("entry", ("vertex", "lane"))
+    @pytest.mark.parametrize("entry", ("vertex", "lane", "negative"))
     def test_pending_frontier_outside_the_word_raises(self, entry):
         # The first frontier is the one the kernel reads unchecked.
         graph = messy_graph(5)
         buffers = self._buffers(graph)
-        vertex, mask = (graph.num_vertices, 1) if entry == "vertex" else (0, 1 << 3)
+        vertex, mask = {
+            "vertex": (graph.num_vertices, 1), "lane": (0, 1 << 3), "negative": (-1, 1)
+        }[entry]
         buffers["trace"] = _sweep_trace([vertex], [mask], graph.num_vertices)
         with pytest.raises(ValueError, match="sssp_sweep buffers do not match"):
             _native.sssp_sweep(**buffers)
+
+    @pytest.mark.parametrize("end", ("first", "last"))
+    def test_offsets_outside_the_edges_raise(self, end):
+        graph = messy_graph(5)
+        buffers = self._buffers(graph)
+        offsets = buffers["offsets"].copy()
+        if end == "first":
+            offsets[0] = -1
+        else:
+            offsets[-1] = graph.edges.size + 1
+        buffers["offsets"] = offsets
+        with pytest.raises(ValueError, match="sssp_sweep buffers do not match"):
+            _native.sssp_sweep(**buffers)
+
+    def test_trace_arrays_that_differ_in_length_raise(self):
+        buffers = self._buffers(messy_graph(5))
+        trace = buffers["trace"]
+        sweep = _native.sssp_sweep(**buffers)
+        trace.vertices = np.zeros(trace.masks.size + 1, dtype=np.int64)
+        with pytest.raises(ValueError, match="sssp_sweep trace arrays differ in length"):
+            sweep()
+
+    def test_an_empty_pending_frontier_sweeps_nothing(self):
+        graph = messy_graph(5)
+        buffers = self._buffers(graph)
+        buffers["trace"] = trace = _sweep_trace([], [], graph.num_vertices)
+        values = buffers["values"].copy()
+        assert _native.sssp_sweep(**buffers)() == 0
+        assert (trace.sweeps, trace.pending) == (1, 0)
+        assert trace.bounds.tolist() == [0, 0]
+        assert buffers["values"].tobytes() == values.tobytes()
+        assert not buffers["next_bits"].any()
 
     def test_bound_buffers_outlive_the_caller(self):
         # The sweep holds the buffers it addressed: a scratch the caller
