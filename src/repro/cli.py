@@ -9,7 +9,6 @@ Usage::
     python -m repro.cli serve-batch examples/workload.json --trace-output trace.jsonl
     python -m repro.cli stats examples/workload.json --format prom
     python -m repro.cli health examples/workload.json --faults 'seed=7;registry.load:transient:n=2:limit=1'
-    python -m repro.cli bench-scheduler --output BENCH_scheduler.json
     python -m repro.cli lint --format json --output lint.json
     python -m repro.cli lint --locks
     python -m repro.cli serve-batch examples/workload.json --store serving.db
@@ -114,14 +113,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         metavar="TENANT=W[,TENANT=W...]",
         help="relative fair-queueing shares for the wfq policy, e.g. "
         "'interactive=4,bulk=1' (overrides the workload file)",
-    )
-    parser.add_argument(
-        "--planner",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="enable/disable the fusion planner "
-        "(--no-planner drains every group solo; overrides the workload file; "
-        "default on)",
     )
     parser.add_argument(
         "--reject-infeasible",
@@ -295,40 +286,6 @@ def _store(argv: list[str]) -> int:
     return 0
 
 
-def _build_bench_scheduler_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench-scheduler",
-        description=(
-            "Benchmark the serving scheduler: a skewed open-loop burst of "
-            "bulk batch groups plus tight-deadline urgent requests, run under "
-            "every scheduling policy, reported to BENCH_scheduler.json."
-        ),
-    )
-    parser.add_argument(
-        "--vertices", type=int, default=None, help="bulk benchmark graph vertex count"
-    )
-    parser.add_argument(
-        "--edges", type=int, default=None, help="bulk benchmark graph edge count"
-    )
-    parser.add_argument(
-        "--urgent",
-        type=int,
-        default=None,
-        help="number of tight-deadline urgent requests",
-    )
-    parser.add_argument(
-        "--policies",
-        default=",".join(SCHEDULING_POLICIES),
-        help="comma-separated scheduling policies to compare",
-    )
-    parser.add_argument(
-        "--output",
-        default="BENCH_scheduler.json",
-        help="path of the JSON report (default: BENCH_scheduler.json)",
-    )
-    return parser
-
-
 def _build_lint_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
@@ -436,41 +393,6 @@ def _lint(argv: list[str]) -> int:
     return status
 
 
-def _bench_scheduler(argv: list[str]) -> int:
-    from .bench.scheduler_bench import (
-        DEFAULT_EDGES,
-        DEFAULT_URGENT,
-        DEFAULT_VERTICES,
-        bench_scheduler,
-        build_bench_graphs,
-        format_report,
-        headline_ok,
-        write_report,
-    )
-
-    args = _build_bench_scheduler_parser().parse_args(argv)
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    try:
-        graphs = build_bench_graphs(
-            num_vertices=args.vertices if args.vertices is not None else DEFAULT_VERTICES,
-            num_edges=args.edges if args.edges is not None else DEFAULT_EDGES,
-        )
-        report = bench_scheduler(
-            graphs=graphs,
-            policies=policies,
-            num_urgent=args.urgent if args.urgent is not None else DEFAULT_URGENT,
-        )
-        path = write_report(report, args.output)
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"bench-scheduler failed: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    print(f"(report written to {path})")
-    # headline_ok is None when the fifo/edf contrast was not requested
-    # (e.g. --policies largest): a deliberate subset is simply successful.
-    return 1 if headline_ok(report) is False else 0
-
-
 def _make_harness(args: argparse.Namespace) -> ExperimentHarness:
     kwargs: dict = {"num_sources": args.sources}
     if args.scale is not None:
@@ -511,7 +433,6 @@ def _serve_batch(argv: list[str]) -> int:
             queue_limit=args.queue_limit,
             tenant_quota=args.tenant_quota,
             tenant_weights=args.tenant_weights,
-            planner=args.planner,
             reject_infeasible=args.reject_infeasible,
             trace_sample=args.trace_sample,
             fault_plan=args.faults,
@@ -612,7 +533,6 @@ SUBCOMMANDS = {
     "serve-batch": _serve_batch,
     "stats": _stats,
     "health": _health,
-    "bench-scheduler": _bench_scheduler,
     "lint": _lint,
     "store": _store,
 }

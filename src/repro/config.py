@@ -275,7 +275,7 @@ def system_key(system: SystemConfig | None) -> str:
 #: Scheduling policies accepted by :attr:`ServiceConfig.policy`; the
 #: implementations live in :mod:`repro.service.scheduler` (which validates
 #: against this tuple so the two cannot drift apart).
-SCHEDULING_POLICIES = ("fifo", "largest", "edf", "wfq")
+SCHEDULING_POLICIES = ("fifo", "edf", "wfq")
 
 
 def normalize_tenant_weights(weights) -> tuple[tuple[str, float], ...] | None:
@@ -335,11 +335,10 @@ class ServiceConfig:
     #: beyond this are pruned so a long-running server's memory stays bounded.
     job_retention: int = 4096
     #: Which pending batch group a free worker drains next: ``"fifo"``
-    #: (arrival order, the default), ``"largest"`` (most jobs first, maximizing
-    #: multi-source amortization per engine sweep), ``"edf"`` (earliest
-    #: deadline first), or ``"wfq"`` (start-time weighted-fair queueing over
-    #: tenants, charged by predicted drain cost).  See
-    #: :mod:`repro.service.scheduler`.
+    #: (arrival order, the default), ``"edf"`` (earliest deadline first), or
+    #: ``"wfq"`` (start-time weighted-fair queueing over tenants, charged by
+    #: predicted drain cost).  Widening sweeps across groups is the fusion
+    #: planner's job, whatever the policy.  See :mod:`repro.service.scheduler`.
     policy: str = "fifo"
     #: Relative fair-queueing shares per tenant for the ``"wfq"`` policy,
     #: given as a mapping (canonicalized to a sorted item tuple).  A tenant
@@ -393,13 +392,6 @@ class ServiceConfig:
     #: estimated engine seconds for the group (used when ``sweep_timeout`` is
     #: ``None``; ``None`` disables the watchdog entirely).
     sweep_timeout_multiplier: float | None = None
-    #: Fusion planning on the built-in execution path: each drain takes every
-    #: compatible pending group that fits (≤64-lane packed cross-config
-    #: words, streaming platform lanes) along with the policy-selected one
-    #: (:mod:`repro.service.planner`).  With ``False`` every policy-selected
-    #: group drains alone — the planner-off baseline the scheduler benchmark
-    #: compares against.
-    planner: bool = True
     #: Consecutive native-kernel failures that trip the circuit breaker from
     #: closed to open (degrading sweeps to the bit-identical numpy backend).
     breaker_threshold: int = 3

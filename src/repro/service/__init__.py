@@ -10,8 +10,8 @@ the serving stacks built over specialized engines:
   (:mod:`repro.service.requests`);
 * :class:`RequestQueue` — in-flight deduplication + same-configuration
   batching + bounded admission (:mod:`repro.service.queue`);
-* :class:`SchedulingPolicy` — pluggable drain ordering: FIFO, largest batch
-  first, earliest deadline first, weighted-fair queueing over tenants
+* :class:`SchedulingPolicy` — pluggable drain ordering: FIFO, earliest
+  deadline first, weighted-fair queueing over tenants
   (:mod:`repro.service.scheduler`);
 * :class:`CostModel` — one learned seconds-per-edge-word rate per
   application, pricing WFQ ordering, infeasible-deadline admission and the
@@ -64,7 +64,6 @@ from .resilience import (
 from .scheduler import (
     EdfPolicy,
     FifoPolicy,
-    LargestBatchPolicy,
     SchedulingPolicy,
     WeightedFairPolicy,
     make_policy,
@@ -109,7 +108,6 @@ __all__ = [
     "InfeasibleDeadlineError",
     "Job",
     "JobStatus",
-    "LargestBatchPolicy",
     "LatencyStats",
     "MetricsRegistry",
     "RegistryStats",

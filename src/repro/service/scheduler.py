@@ -4,23 +4,18 @@ The request queue groups pending jobs by :attr:`TraversalRequest.batch_key`
 (:mod:`repro.service.queue`); whenever a worker frees up it drains exactly one
 group.  *Which* group is the scheduling decision, and under a deep queue it is
 the difference between a server that merely stays busy and one that spends its
-engine sweeps where they matter.  Four policies ship:
+engine sweeps where they matter.  Three policies ship:
 
 ``fifo``
     Arrival order of the groups — exactly the pre-policy behaviour, and the
     default.  Predictable and starvation-free, but a deep backlog of bulk
     work delays every latecomer, deadline or not.
-``largest``
-    The group with the most pending jobs first.  Multi-source batched
-    execution pays each frontier sweep once per *group*, so draining the
-    widest group maximizes jobs retired per sweep (throughput), at the cost
-    of letting small groups wait.
 ``edf``
     Earliest deadline first: the group whose most urgent member job expires
     soonest.  Groups with no deadlines sort last (among themselves: FIFO).
-    Classic EDF is optimal for meeting feasible deadlines on one machine,
-    and under the skewed workloads of ``BENCH_scheduler.json`` it meets
-    deadlines strict FIFO cannot.
+    Classic EDF is optimal for meeting feasible deadlines on one machine:
+    behind a bulk backlog it drains an urgent latecomer that strict FIFO
+    would leave waiting.
 ``wfq``
     Start-time weighted-fair queueing over *tenants*.  Each group is charged
     its estimated drain cost (:mod:`repro.service.costmodel`) divided by its
@@ -104,24 +99,6 @@ class FifoPolicy(SchedulingPolicy):
         group_deadlines: Mapping[tuple, float] | None = None,
     ) -> tuple:
         return next(iter(groups))
-
-
-class LargestBatchPolicy(SchedulingPolicy):
-    """Drain the widest group first; ties break toward the older group."""
-
-    name = "largest"
-
-    def select(
-        self,
-        groups: Mapping[tuple, Sequence["Job"]],
-        group_deadlines: Mapping[tuple, float] | None = None,
-    ) -> tuple:
-        best_key = None
-        best_size = -1
-        for key, jobs in groups.items():
-            if len(jobs) > best_size:
-                best_key, best_size = key, len(jobs)
-        return best_key
 
 
 def group_deadline(jobs: Sequence["Job"]) -> float:
@@ -279,7 +256,7 @@ class WeightedFairPolicy(SchedulingPolicy):
 
 _POLICY_CLASSES: dict[str, type[SchedulingPolicy]] = {
     policy.name: policy
-    for policy in (FifoPolicy, LargestBatchPolicy, EdfPolicy, WeightedFairPolicy)
+    for policy in (FifoPolicy, EdfPolicy, WeightedFairPolicy)
 }
 assert set(_POLICY_CLASSES) == set(SCHEDULING_POLICIES), (
     "repro.config.SCHEDULING_POLICIES and repro.service.scheduler drifted apart"

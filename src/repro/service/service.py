@@ -904,7 +904,7 @@ class Service:
         The pick is always a whole :class:`~repro.service.planner.FusionPlan`
         — the policy-selected anchor group plus whatever compatible backlog
         the planner decided should ride along (nothing, with an injected
-        engine or ``config.planner`` off; see :meth:`_build_plan`).
+        engine; see :meth:`_build_plan`).
 
         The catch-alls exist because the future this runs in is never
         awaited — an exception escaping a drain would strand every popped
@@ -948,15 +948,13 @@ class Service:
     def _build_plan(self, anchor: list[Job], snapshot) -> tuple[FusionPlan, list]:
         """Queue callback: plan one drain.
 
-        With ``config.planner`` off the anchor group drains alone as the
-        baseline plan; an injected engine additionally runs it job by job,
-        which the plan records as kind ``solo``.
+        An injected engine runs the anchor group alone, job by job, as the
+        baseline plan recorded as kind ``solo``.
         """
         started = time.perf_counter()
-        if self._engine is not None or not self.config.planner:
+        if self._engine is not None:
             plan, rider_keys = FusionPlan.baseline(anchor), []
-            if self._engine is not None:
-                plan.kind = "solo"
+            plan.kind = "solo"
         else:
             plan, rider_keys = self._planner.build(anchor, snapshot())
         plan.planning_seconds = time.perf_counter() - started

@@ -59,7 +59,7 @@ class ServiceStats:
     uptime_seconds: float
     cache: CacheStats
     registry: RegistryStats
-    #: Active scheduling policy name ("fifo" / "largest" / "edf" / "wfq").
+    #: Active scheduling policy name ("fifo" / "edf" / "wfq").
     policy: str = "fifo"
     #: Submissions refused by admission control (queue limit / tenant quota /
     #: infeasible deadline).

@@ -24,7 +24,7 @@ duplicates the request — the natural way to exercise deduplication and the
 result cache from a workload file.
 
 Scheduling and admission knobs ride along: top-level ``policy`` ("fifo" /
-"largest" / "edf" / "wfq"), ``queue_limit``, ``tenant_quota``,
+"edf" / "wfq"), ``queue_limit``, ``tenant_quota``,
 ``tenant_weights`` (a tenant→share object for WFQ) and ``reject_infeasible``
 (reject deadlines the cost model deems unmeetable at arrival) configure the
 service, and per-request ``deadline``
@@ -39,6 +39,10 @@ Resilience knobs ride the same way: top-level ``fault_plan`` (a
 ``store_path`` (SQLite file for the durable serving store, see
 :mod:`repro.service.store`), which the CLI's ``--store PATH`` sets; the store
 has no tuning knob.
+
+:func:`load_workload` refuses any key it does not know, at the top level and
+in each graph and request entry, so a misspelt knob fails loudly instead of
+quietly serving with its default.
 """
 
 from __future__ import annotations
@@ -135,10 +139,26 @@ def load_workload(path: str | Path) -> dict:
     spec = json.loads(Path(path).read_text())
     if not isinstance(spec, dict):
         raise ServiceError("workload file must contain a JSON object")
-    for section in ("graphs", "requests"):
-        if not isinstance(spec.get(section), list) or not spec[section]:
+    _check_keys(spec, _TOP_LEVEL_KEYS, "workload")
+    for section, accepted in (("graphs", _GRAPH_KEYS), ("requests", _REQUEST_KEYS)):
+        entries = spec.get(section)
+        if not isinstance(entries, list) or not entries:
             raise ServiceError(f"workload must define a non-empty {section!r} list")
+        for index, entry in enumerate(entries):
+            where = f"{section}[{index}]"
+            if not isinstance(entry, dict):
+                raise ServiceError(f"{where} must be a JSON object, got {entry!r}")
+            _check_keys(entry, accepted, where)
     return spec
+
+
+def _check_keys(entry: dict, accepted: frozenset, where: str) -> None:
+    unknown = sorted(set(entry) - accepted)
+    if unknown:
+        raise ServiceError(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(sorted(accepted))}"
+        )
 
 
 #: Knobs a workload file (or a CLI override of the same name) hands straight
@@ -157,9 +177,22 @@ _FORWARDED_KNOBS = {
     "sweep_timeout_multiplier": float,
     "breaker_threshold": int,
     "breaker_cooldown": float,
-    "planner": bool,
     "store_path": str,
 }
+
+#: Every key :func:`load_workload` accepts, per level of the file.
+_TOP_LEVEL_KEYS = frozenset(
+    {"workers", "registry_budget_mib", "result_cache_entries", "policy",
+     "graphs", "requests", *_FORWARDED_KNOBS}
+)
+_GRAPH_KEYS = frozenset(
+    {"name", "dataset", "scale", "element_bytes", "with_weights",
+     "generator", "vertices", "edges", "seed"}
+)
+_REQUEST_KEYS = frozenset(
+    {"app", "application", "graph", "strategy", "repeat", "deadline", "tenant",
+     "sources", "random_sources", "seed", "source"}
+)
 
 
 def config_from_spec(spec: dict, **overrides) -> ServiceConfig:
@@ -187,8 +220,12 @@ def config_from_spec(spec: dict, **overrides) -> ServiceConfig:
     }
     for name, cast in _FORWARDED_KNOBS.items():
         value = given(name)
-        if value is not None:
-            knobs[name] = cast(value)
+        if value is None:
+            continue
+        if cast is bool and not isinstance(value, bool):
+            # bool("false") is True: a flag must arrive as a JSON boolean.
+            raise ServiceError(f"{name} must be true or false, got {value!r}")
+        knobs[name] = cast(value)
     if overrides:
         raise TypeError(f"unknown workload override(s): {', '.join(sorted(overrides))}")
     return ServiceConfig(**knobs)

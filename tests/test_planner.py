@@ -20,14 +20,11 @@ from hypothesis import strategies as st
 from repro.config import ServiceConfig, ampere_pcie4
 from repro.errors import PermanentFaultError
 from repro.graph.generators import uniform_random_graph
-from repro.bench.scheduler_bench import DEFAULT_PLANNER_SOURCES, _planner_workload
 from repro.service import FaultPlan, Service, TraversalRequest
 from repro.service import faults
 from repro.service.jobs import Job, JobStatus
 from repro.service.planner import MAX_LANES, FusionPlan, FusionPlanner
 from repro.traversal.api import run
-from repro.traversal.multisource import run_batch
-from repro.traversal.streaming import run_streaming_batch
 from repro.types import AccessStrategy, Application
 
 from .conftest import _serve_backlog, metrics_fields
@@ -358,6 +355,40 @@ def mixed_backlog(graph_name):
     return requests
 
 
+#: Sources per fusible BFS/SSSP batch group in :func:`planner_workload`; three
+#: strategy groups of this width bin-pack comfortably into one 64-lane word.
+DEFAULT_PLANNER_SOURCES = 6
+#: Three same-graph groups per application, each a distinct platform
+#: configuration the planner fuses.
+PLANNER_STRATEGIES = (
+    AccessStrategy.MERGED_ALIGNED,
+    AccessStrategy.UVM,
+    AccessStrategy.NAIVE,
+)
+
+
+def planner_workload(graph, sources: int) -> list[TraversalRequest]:
+    """A mixed-application, same-graph backlog with fusion headroom.
+
+    BFS and SSSP groups across three strategies (packed-plan candidates),
+    plus CC and PageRank configuration groups (streaming-plan candidates).
+    """
+    requests: list[TraversalRequest] = []
+    for application in (Application.BFS, Application.SSSP):
+        for strategy in PLANNER_STRATEGIES:
+            requests.extend(
+                TraversalRequest(application, graph.name, source=source, strategy=strategy)
+                for source in range(sources)
+            )
+    for strategy in PLANNER_STRATEGIES:
+        requests.append(TraversalRequest(Application.CC, graph.name, strategy=strategy))
+    for strategy in PLANNER_STRATEGIES[:2]:
+        requests.append(
+            TraversalRequest(Application.PAGERANK, graph.name, strategy=strategy)
+        )
+    return requests
+
+
 def logged_plans(graph, requests, prime=None, **config):
     """Queue ``requests`` on a fresh service, drain, return the plan records."""
     with Service(config=ServiceConfig(**config)) as service:
@@ -392,9 +423,9 @@ class TestPlanShapesAreAFunctionOfTheBacklog:
             "packed:4x4", "packed:2x2", "streaming:3x3", "streaming:2x2",
         ]
 
-    def test_bench_workload_fuses_both_kinds_twice_alike(self):
+    def test_planner_workload_fuses_both_kinds_twice_alike(self):
         graph = make_graph()
-        requests = _planner_workload(graph, DEFAULT_PLANNER_SOURCES)
+        requests = planner_workload(graph, DEFAULT_PLANNER_SOURCES)
         first = logged_plans(graph, requests)
         second = logged_plans(graph, requests)
         assert [entry["shape"] for entry in first] == [
@@ -402,13 +433,6 @@ class TestPlanShapesAreAFunctionOfTheBacklog:
         ]
         fused = {entry["kind"] for entry in first if entry["groups"] > 1}
         assert fused == {"packed", "streaming"}
-
-    def test_bench_workload_planner_off_never_fuses(self):
-        graph = make_graph()
-        requests = _planner_workload(graph, DEFAULT_PLANNER_SOURCES)
-        decisions = logged_plans(graph, requests, planner=False)
-        assert len(decisions) == len({request.batch_key for request in requests})
-        assert all(entry["groups"] == 1 for entry in decisions)
 
 
 class TestPlannedDrainBitIdentity:
@@ -466,67 +490,9 @@ class TestPlannedDrainBitIdentity:
             assert fused and fused[0]["kind"] == "streaming"
             assert fused[0]["groups"] == 3
 
-    def test_planner_off_matches_planner_on(self):
-        graph = make_graph()
-        values = {}
-        for planner in (True, False):
-            with Service(config=ServiceConfig(planner=planner)) as service:
-                service.registry.register_graph(graph)
-                jobs = enqueue_without_draining(service, mixed_backlog(graph.name))
-                drain_all(service)
-                assert all(job.status is JobStatus.DONE for job in jobs)
-                for job in jobs:
-                    values.setdefault(job.request.cache_key, []).append(
-                        job.result.values
-                    )
-                if not planner:
-                    assert not any(
-                        entry["groups"] > 1 for entry in service.plan_decisions()
-                    )
-        for cache_key, (on, off) in values.items():
-            assert np.array_equal(on, off), cache_key
-
-    def test_planner_off_drains_through_the_plan_path(self):
-        """Without the planner every group still drains as a (baseline) plan:
-        one single-group decision and one batch per group, and each job's
-        metrics are those of a direct engine call of its group's shape."""
-        graph = make_graph()
-        with Service(config=ServiceConfig(planner=False)) as service:
-            service.registry.register_graph(graph)
-            jobs = enqueue_without_draining(service, mixed_backlog(graph.name))
-            drain_all(service)
-            decisions = service.plan_decisions()
-            stats = service.stats()
-            spans = service.drain_traces()
-        groups: dict[tuple, list[Job]] = {}
-        for job in jobs:
-            assert job.status is JobStatus.DONE
-            groups.setdefault(job.request.batch_key, []).append(job)
-        assert len(decisions) == stats.batches == len(groups)
-        assert all(entry["groups"] == 1 for entry in decisions)
-        assert sorted(entry["jobs"] for entry in decisions) == sorted(
-            len(group) for group in groups.values()
-        )
-        assert len([s for s in spans if s["name"] == "plan"]) == len(groups)
-        for group in groups.values():
-            request = group[0].request
-            config = {"strategy": request.strategy, "system": request.system}
-            if request.application.is_streaming:
-                lane = (request.strategy, request.system)
-                direct = run_streaming_batch(request.application, graph, [lane])
-                expected = direct.results * len(group)
-            elif len(group) == 1:
-                expected = [run(request.application, graph, request.source, **config)]
-            else:
-                sources = [job.request.source for job in group]
-                expected = run_batch(request.application, graph, sources, **config).results
-            for job, reference in zip(group, expected):
-                assert metrics_fields(job.result.metrics) == metrics_fields(
-                    reference.metrics
-                ), request.describe()
-
     def test_injected_engine_drains_through_the_plan_path(self):
-        """An injected engine runs once per job; its drains are ``solo`` plans."""
+        """An injected engine runs once per job; its drains are ``solo`` plans:
+        one single-group decision, one batch and one ``plan`` span per group."""
         graph = make_graph()
         calls = []
 
@@ -543,6 +509,7 @@ class TestPlannedDrainBitIdentity:
             drain_all(service)
             decisions = service.plan_decisions()
             stats = service.stats()
+            spans = service.drain_traces()
         assert all(job.status is JobStatus.DONE for job in jobs)
         assert sorted(calls) == sorted(job.request.cache_key for job in jobs)
         group_sizes: dict[tuple, int] = {}
@@ -553,6 +520,8 @@ class TestPlannedDrainBitIdentity:
         assert {entry["kind"] for entry in decisions} == {"solo"}
         assert all(entry["groups"] == 1 for entry in decisions)
         assert sorted(entry["lanes"] for entry in decisions) == sorted(group_sizes.values())
+        assert sorted(entry["jobs"] for entry in decisions) == sorted(group_sizes.values())
+        assert len([s for s in spans if s["name"] == "plan"]) == len(group_sizes)
         assert stats.executions == len(jobs)
 
     def test_plan_record_counts_only_lanes_that_rode_the_word(self):

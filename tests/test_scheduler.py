@@ -1,8 +1,10 @@
 """Tests for scheduling policies, admission control and deadline handling."""
 
+import json
 import threading
 import time
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.errors import (
     DeadlineExceededError,
     InfeasibleDeadlineError,
     JobFailedError,
+    ServiceError,
 )
 from repro.service import (
     CostModel,
@@ -25,7 +28,6 @@ from repro.service import (
     GraphRegistry,
     Job,
     JobStatus,
-    LargestBatchPolicy,
     LatencyStats,
     RequestQueue,
     Service,
@@ -34,8 +36,15 @@ from repro.service import (
     default_engine,
     make_policy,
 )
-from repro.service.workload import config_from_spec, expand_requests
+from repro.service.workload import (
+    config_from_spec,
+    expand_requests,
+    load_workload,
+    serve_workload_file,
+)
 from repro.types import Application
+
+EXAMPLE_WORKLOAD = Path(__file__).resolve().parents[1] / "examples" / "workload.json"
 
 
 def make_job(job_id: str, source: int, deadline: float | None = None, **kwargs) -> Job:
@@ -127,14 +136,6 @@ class TestPolicies:
         )
         assert FifoPolicy().select(groups) == ("a",)
 
-    def test_largest_picks_widest_group_ties_fifo(self):
-        groups = self.groups(
-            (("a",), [make_job("a1", 1)]),
-            (("b",), [make_job("b1", 2), make_job("b2", 3)]),
-            (("c",), [make_job("c1", 4), make_job("c2", 5)]),
-        )
-        assert LargestBatchPolicy().select(groups) == ("b",)
-
     def test_edf_picks_most_urgent_group(self):
         groups = self.groups(
             (("a",), [make_job("a1", 1)]),
@@ -152,7 +153,7 @@ class TestPolicies:
 
     def test_make_policy(self):
         assert isinstance(make_policy(None), FifoPolicy)
-        assert isinstance(make_policy("largest"), LargestBatchPolicy)
+        assert isinstance(make_policy("edf"), EdfPolicy)
         edf = EdfPolicy()
         assert make_policy(edf) is edf
         with pytest.raises(ConfigurationError):
@@ -169,8 +170,9 @@ class TestPolicies:
         assert policy.weight_of(None) == WeightedFairPolicy.DEFAULT_WEIGHT
 
     def test_config_rejects_unknown_policy_and_bad_limits(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(policy="lifo")
+        for unknown in ("lifo", "largest"):
+            with pytest.raises(ConfigurationError):
+                ServiceConfig(policy=unknown)
         with pytest.raises(ConfigurationError):
             ServiceConfig(queue_limit=0)
         with pytest.raises(ConfigurationError):
@@ -1005,7 +1007,7 @@ class TestServiceScheduling:
     def test_fifo_results_identical_to_edf(self, registry, random_graph):
         """Policies change order, never answers."""
         outcomes = {}
-        for policy in ("fifo", "edf", "largest"):
+        for policy in ("fifo", "edf", "wfq"):
             with make_service(registry, max_workers=1, policy=policy) as service:
                 jobs = [
                     service.submit(
@@ -1016,7 +1018,7 @@ class TestServiceScheduling:
                 outcomes[policy] = [
                     service.result(job, timeout=30).values.tolist() for job in jobs
                 ]
-        assert outcomes["fifo"] == outcomes["edf"] == outcomes["largest"]
+        assert outcomes["fifo"] == outcomes["edf"] == outcomes["wfq"]
 
 
 class TestLatencyStats:
@@ -1082,8 +1084,8 @@ class TestWorkloadPlumbing:
         assert config.policy == "edf"
         assert config.queue_limit == 7
         assert config.tenant_quota == 3
-        override = config_from_spec(spec, policy="largest", queue_limit=9)
-        assert override.policy == "largest" and override.queue_limit == 9
+        override = config_from_spec(spec, policy="wfq", queue_limit=9)
+        assert override.policy == "wfq" and override.queue_limit == 9
 
     def test_config_from_spec_reads_wfq_keys(self):
         spec = {
@@ -1128,6 +1130,45 @@ class TestWorkloadPlumbing:
         # ... and an override that is not a knob is refused, not dropped.
         with pytest.raises(TypeError, match="bogus"):
             config_from_spec(spec, bogus=1)
+
+    @staticmethod
+    def write_spec(tmp_path, spec: dict) -> Path:
+        path = tmp_path / "workload.json"
+        path.write_text(json.dumps(spec))
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, where, unknown",
+        [
+            (lambda spec: spec.update(quue_limit=3), "workload", "'quue_limit'"),
+            (lambda spec: spec.update(planner=False), "workload", "'planner'"),
+            (lambda spec: spec["graphs"][0].update(vertex=9), "graphs[0]", "'vertex'"),
+            (lambda spec: spec["requests"][1].update(sorce=5), "requests[1]", "'sorce'"),
+            (lambda spec: spec.update(zeta=1, alpha=2), "workload", "'alpha', 'zeta'"),
+        ],
+    )
+    def test_load_workload_refuses_unknown_keys(self, tmp_path, edit, where, unknown):
+        spec = json.loads(EXAMPLE_WORKLOAD.read_text())
+        edit(spec)
+        with pytest.raises(ServiceError) as caught:
+            load_workload(self.write_spec(tmp_path, spec))
+        message = str(caught.value)
+        assert message.startswith(f"{where}: unknown key(s) {unknown};")
+        # The error lists what the level accepts, so the fix is in the message.
+        assert "; accepted: " in message
+
+    def test_load_workload_refuses_non_object_entries(self, tmp_path):
+        spec = json.loads(EXAMPLE_WORKLOAD.read_text())
+        spec["requests"].append("bfs")
+        with pytest.raises(ServiceError, match=r"requests\[10\] must be a JSON object"):
+            load_workload(self.write_spec(tmp_path, spec))
+
+    @pytest.mark.parametrize("flag", ["false", 0])
+    def test_reject_infeasible_must_be_a_json_boolean(self, tmp_path, flag):
+        spec = json.loads(EXAMPLE_WORKLOAD.read_text())
+        spec["reject_infeasible"] = flag
+        with pytest.raises(ServiceError, match="reject_infeasible must be true or false"):
+            serve_workload_file(self.write_spec(tmp_path, spec))
 
     def test_expand_requests_carries_deadline_and_tenant(self, random_graph):
         registry = GraphRegistry()

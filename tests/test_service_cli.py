@@ -26,10 +26,10 @@ class TestServeBatch:
         assert "requests/s" in capsys.readouterr().out
 
     def test_scheduling_overrides(self, capsys):
-        assert main(["serve-batch", str(WORKLOAD), "--policy", "largest",
+        assert main(["serve-batch", str(WORKLOAD), "--policy", "edf",
                      "--queue-limit", "512", "--tenant-quota", "128"]) == 0
         output = capsys.readouterr().out
-        assert "policy=largest" in output
+        assert "policy=edf" in output
         assert "rejected at admission" in output
 
     def test_wfq_overrides(self, capsys):
