@@ -207,9 +207,9 @@ def _build_health_parser() -> argparse.ArgumentParser:
         description=(
             "Run a JSON workload through the traversal service and print a "
             "resilience-focused health summary: terminal outcomes, retries, "
-            "sweep timeouts, fault isolation, and circuit-breaker state.  "
-            "Exits 1 when the run ended degraded (breaker not closed) or "
-            "with unexpected failures."
+            "sweep timeouts, fault isolation, native-kernel step-downs and "
+            "the durable store.  Exits 1 only when a request failed: a sweep "
+            "re-run on numpy and a degraded store return the same values."
         ),
     )
     parser.add_argument("workload", help="path to a workload JSON file")
@@ -492,11 +492,11 @@ def _health(argv: list[str]) -> int:
         return 2
     stats = report.stats
     terminal = stats.completed + stats.failed
-    # A degraded/quarantined store never fails requests (serving falls back
-    # to in-memory behaviour), so it is *reported* here without flipping the
-    # exit status — that stays tied to request outcomes and the native
-    # breaker, which chaos drills gate on.
-    healthy = stats.breaker_state == "closed" and stats.failed == 0
+    # A sweep re-run on numpy and a degraded/quarantined store never fail
+    # requests (the values are the same), so both are *reported* here
+    # without flipping the exit status — that stays tied to request
+    # outcomes, which chaos drills gate on.
+    healthy = stats.failed == 0
     lines = [
         "Service health summary",
         "=" * 55,
@@ -510,8 +510,7 @@ def _health(argv: list[str]) -> int:
         f"(cancelled at an iteration boundary)",
         f"fault isolation     : {stats.isolations} fused group(s) "
         f"re-executed member-by-member",
-        f"native breaker      : {stats.breaker_state} "
-        f"({stats.degraded} sweep(s) served degraded on the numpy backend)",
+        f"native kernels      : {stats.degraded} sweep(s) re-run on numpy",
         f"faults injected     : {stats.faults_injected}",
         f"cache errors        : {stats.cache_errors} absorbed "
         f"(reads degraded to misses, writes dropped)",

@@ -392,12 +392,6 @@ class ServiceConfig:
     #: estimated engine seconds for the group (used when ``sweep_timeout`` is
     #: ``None``; ``None`` disables the watchdog entirely).
     sweep_timeout_multiplier: float | None = None
-    #: Consecutive native-kernel failures that trip the circuit breaker from
-    #: closed to open (degrading sweeps to the bit-identical numpy backend).
-    breaker_threshold: int = 3
-    #: Seconds the breaker stays open before a half-open probe sweep may try
-    #: the native backend again.
-    breaker_cooldown: float = 30.0
     #: Filesystem path of the durable serving store
     #: (:mod:`repro.service.store`): an SQLite/WAL database persisting the
     #: graph catalog, result cache and cost-model rates across restarts.
@@ -457,10 +451,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 "sweep_timeout_multiplier must be positive or None"
             )
-        if self.breaker_threshold < 1:
-            raise ConfigurationError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown < 0:
-            raise ConfigurationError("breaker_cooldown cannot be negative")
         if self.store_path is not None and (
             not isinstance(self.store_path, (str, Path)) or not str(self.store_path)
         ):

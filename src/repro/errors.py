@@ -151,8 +151,8 @@ class StoreError(ServiceError):
 
 
 class NativeBackendError(ReproError):
-    """The runtime-compiled native kernel failed to build, load, or run.
+    """A runtime-compiled native kernel failed to run.
 
-    The serving tier's circuit breaker counts these; after enough consecutive
-    failures it degrades to the bit-identical numpy relaxation backend.
+    The serving tier re-runs the failed sweep once on the bit-identical numpy
+    backend and counts it as degraded; clients see the same values.
     """

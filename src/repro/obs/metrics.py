@@ -107,9 +107,6 @@ CATALOG: dict[str, tuple[str, ...]] = {
     "repro_native_degraded_total": (
         "counter", "Sweeps degraded to the numpy backend.",
     ),
-    "repro_native_breaker_transitions_total": (
-        "counter", "Circuit-breaker transitions, by state.", "state",
-    ),
     "repro_faults_injected_total": (
         "counter", "Injected faults fired, by site.", "site",
     ),
@@ -140,9 +137,6 @@ CATALOG: dict[str, tuple[str, ...]] = {
         "gauge", "Mean absolute cost-model error.",
     ),
     "repro_trace_buffered_spans": ("gauge", "Spans buffered in the tracer ring."),
-    "repro_native_breaker_state": (
-        "gauge", "Circuit-breaker state code (0 closed / 1 half_open / 2 open).",
-    ),
     "repro_store_operations_total": (
         "counter", "Durable-store operations, by op and outcome.", "op", "outcome",
     ),

@@ -24,8 +24,8 @@ the serving stacks built over specialized engines:
   via ``ServiceConfig(fault_plan=...)`` or ``REPRO_FAULTS``
   (:mod:`repro.service.faults`);
 * :class:`RetryPolicy` / :class:`Cancellation` / :class:`CircuitBreaker` —
-  backoff retries, cooperative sweep timeouts, and native-backend breaking
-  with bit-identical numpy degradation (:mod:`repro.service.resilience`);
+  backoff retries, cooperative sweep timeouts, and the durable store's
+  breaker (:mod:`repro.service.resilience`);
 * :class:`Service` — the front door: ``submit() / result() / stats()``
   (:mod:`repro.service.service`);
 * :func:`serve_workload_file` — declarative JSON workloads, also behind
@@ -54,7 +54,6 @@ from .queue import RequestQueue
 from .registry import GraphRegistry, RegistryStats
 from .requests import TraversalRequest
 from .resilience import (
-    BREAKER_STATE_CODES,
     Cancellation,
     CircuitBreaker,
     RetryPolicy,
@@ -84,7 +83,6 @@ from .workload import (
 
 __all__ = [
     "AdmissionError",
-    "BREAKER_STATE_CODES",
     "CacheStats",
     "Cancellation",
     "CircuitBreaker",

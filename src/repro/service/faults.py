@@ -20,8 +20,9 @@ Sites
     In :mod:`repro.traversal._native`, before compiling the C kernels and at
     each invocation of any of them (BFS word, SSSP relaxation, CC sweep,
     PageRank step, and after a word's sweeps its lane-row pass and UVM
-    replays); both surface as ``NativeBackendError`` so the circuit
-    breaker sees them.
+    replays).  A compile fault leaves the kernels unavailable, so every run
+    takes the numpy paths; an invoke fault surfaces as
+    ``NativeBackendError``, and the service re-runs that sweep on numpy.
 ``cache.get`` / ``cache.put``
     In :class:`ResultCache`; the service absorbs these (a failing read is a
     miss, a failing write is dropped) so cache faults never fail requests.

@@ -23,13 +23,12 @@ Retry backoff
     nearest deadline so a retry never runs past an EDF/WFQ budget.
 
 Circuit breaker
-    :class:`CircuitBreaker` guards the native kernels (BFS word, SSSP
-    relaxation, CC sweep, PageRank step, lane rows, UVM replay): closed
-    (native allowed) → open after ``failure_threshold`` consecutive
-    ``NativeBackendError``s (numpy only) →
-    half-open after ``cooldown_seconds`` (one probe sweep may try native
-    again).  Because every backend is bit-identical, degradation changes
-    latency, never values.
+    :class:`CircuitBreaker` guards the durable store's SQLite connection
+    (see :mod:`repro.service.store`): closed (store used) → open after
+    ``failure_threshold`` consecutive failures (in-memory serving only) →
+    half-open after ``cooldown_seconds`` (one probe may try the store
+    again).  A native-kernel failure needs no breaker: the service re-runs
+    that sweep once on the bit-identical numpy backend.
 """
 
 from __future__ import annotations
@@ -235,17 +234,6 @@ class CircuitBreaker:
             self._opened_at = None
             self._transition_locked(self.CLOSED)
 
-    def release_probe(self) -> None:
-        """Hand back a probe whose run ended without a verdict on the backend.
-
-        A run granted the half-open probe that then fails for an unrelated
-        reason (a job fault, a timeout, a bad source) neither closes nor
-        re-opens the circuit; without this the probe would stay spent and
-        every later caller would be refused it.
-        """
-        with self._lock:
-            self._probe_granted = False
-
     def record_failure(self) -> None:
         with self._lock:
             self._consecutive_failures += 1
@@ -264,11 +252,3 @@ class CircuitBreaker:
                 "consecutive_failures": self._consecutive_failures,
                 "transitions": self._transitions,
             }
-
-
-#: Numeric encoding of breaker states for the Prometheus gauge.
-BREAKER_STATE_CODES = {
-    CircuitBreaker.CLOSED: 0,
-    CircuitBreaker.HALF_OPEN: 1,
-    CircuitBreaker.OPEN: 2,
-}

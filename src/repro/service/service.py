@@ -39,7 +39,6 @@ from ..errors import (
 from ..graph.csr import CSRGraph
 from ..obs.metrics import CATALOG, MetricsRegistry
 from ..obs.trace import JobRecord, Span, Tracer
-from ..traversal import _native
 from ..traversal.api import run
 from ..traversal.arena import EngineArena
 from ..traversal.multisource import PackedLane, run_batch, run_packed_batch
@@ -56,9 +55,7 @@ from .queue import RequestQueue
 from .registry import GraphRegistry
 from .requests import TraversalRequest
 from .resilience import (
-    BREAKER_STATE_CODES,
     Cancellation,
-    CircuitBreaker,
     RetryPolicy,
     cancellation_scope,
 )
@@ -106,7 +103,7 @@ class Service:
         self.system = system or default_system()
         #: The one ledger: every count the service keeps is written here, once,
         #: and :meth:`stats` reads it back.  Built before anything that reports
-        #: into it (queue, breaker, fault plan, store).
+        #: into it (queue, fault plan, store).
         self._metrics = MetricsRegistry(CATALOG, window=self.config.latency_window)
         #: ``None`` selects the built-in batched execution path (shared
         #: engines from the arena, multi-source batches per drained group);
@@ -159,10 +156,9 @@ class Service:
         self._sweep_ids = itertools.count(1)
         self._plan_ids = itertools.count(1)
         # Resilience substrate: fault plan (explicit, spec string, or the
-        # REPRO_FAULTS environment fallback), retry policy, and the native
-        # circuit breaker.  The plan is activated globally so the hook sites
-        # outside the service (registry, cache, engines, native backend) see
-        # it; close() deactivates it again.
+        # REPRO_FAULTS environment fallback) and retry policy.  The plan is
+        # activated globally so the hook sites outside the service (registry,
+        # cache, engines, native backend) see it; close() deactivates it again.
         plan = self.config.fault_plan
         if isinstance(plan, str):
             plan = FaultPlan.from_spec(plan)
@@ -175,11 +171,6 @@ class Service:
         self._retry_policy = RetryPolicy(limit=self.config.retry_limit)
         #: Jitter RNG for retry backoff; seeded so chaos runs replay exactly.
         self._retry_rng = random.Random(0x5EED)
-        self._breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            cooldown_seconds=self.config.breaker_cooldown,
-            on_transition=self._note_breaker_transition,
-        )
         # Durable serving store (optional).  Opened after the fault plan is
         # activated so chaos drills can poison the open itself; store trouble
         # degrades serving to in-memory-only behavior and never raises into
@@ -268,10 +259,6 @@ class Service:
         """Fault-plan listener: export every injected fault as a counter bump."""
         self._metrics["repro_faults_injected_total"].inc(site=site)
 
-    def _note_breaker_transition(self, state: str) -> None:
-        self._metrics["repro_native_breaker_transitions_total"].inc(state=state)
-        logger.warning("native backend circuit breaker -> %s", state)
-
     @property
     def metrics(self) -> MetricsRegistry:
         """The live metrics registry (always-on counters and summaries)."""
@@ -295,7 +282,6 @@ class Service:
             snapshot.cost_model.mean_abs_error_seconds
         )
         m["repro_trace_buffered_spans"].set(len(self._tracer))
-        m["repro_native_breaker_state"].set(BREAKER_STATE_CODES[snapshot.breaker_state])
         m["repro_store_state"].set(STORE_STATE_CODES.get(snapshot.store_state, 3))
         m["repro_store_pending_writes"].set(snapshot.store_pending)
         return m
@@ -555,36 +541,23 @@ class Service:
             budget = multiplier * predicted
         return Cancellation(budget, label=label)
 
-    def _relax_method(self) -> str | None:
-        """Native-kernel backend for one sweep, as the breaker allows.
-
-        ``None`` (engine default) when the native kernels never compiled —
-        the breaker only arbitrates a backend that nominally works.  While
-        closed (or probing half-open) the native kernels are used; while
-        open, the bit-identical numpy paths ("scatter" relaxation, the numpy
-        BFS, CC and PageRank sweeps) serve degraded traffic, and the run
-        counts as degraded.
-        """
-        if not _native.available():
-            return None
-        if self._breaker.allow():
-            return "native"
-        self._metrics["repro_native_degraded_total"].inc()
-        return "scatter"
-
     def _stepped_down(
         self, exc: BaseException, relax_method: str | None, label: str
     ) -> bool:
-        """The breaker ladder for one failed sweep attempt.
+        """The step-down rule for one failed sweep attempt.
 
-        True when ``exc`` is a native-kernel failure of a native attempt: the
-        failure is recorded (opening the breaker at its threshold), the sweep
-        counts as degraded, and the caller re-runs it on the bit-identical
-        numpy backend — the clients see the same values, just a slower run.
+        True when ``exc`` is a native-kernel failure of a built-in sweep's
+        attempt on the default backend: the sweep counts as degraded, and the
+        caller re-runs it once on the bit-identical numpy backend ("scatter"
+        relaxation, the numpy BFS, CC and PageRank sweeps, UVM replay on
+        numpy) — the clients see the same values, just a slower run.
         """
-        if not (isinstance(exc, NativeBackendError) and relax_method == "native"):
+        if not (
+            isinstance(exc, NativeBackendError)
+            and relax_method is None
+            and self._engine is None
+        ):
             return False
-        self._breaker.record_failure()
         self._metrics["repro_native_degraded_total"].inc()
         logger.warning(
             "native kernel failed (%s); re-running %s on the numpy backend", exc, label
@@ -1202,11 +1175,10 @@ class Service:
         predicted = self._costmodel.estimate_sweep(self._sweep_groups(groups))
         for job in jobs:
             job.mark_running()
-        # Every built-in run sweeps a native kernel (the BFS word, the SSSP
-        # relaxation, the CC min-label sweep or the PageRank step), so it
-        # consults the native-backend breaker and reports to it; an injected
-        # engine never does.
-        relax_method = self._relax_method() if self._engine is None else None
+        # A built-in sweep's first attempt runs the default backend (the
+        # native kernels when they are available) and may step down to numpy;
+        # an injected engine never does.
+        relax_method: str | None = None
         attempt = 0
         while True:
             started = time.perf_counter()
@@ -1247,10 +1219,6 @@ class Service:
                 if self._maybe_retry("sweep", jobs, attempt, exc, sweep_ref):
                     attempt += 1
                     continue
-                if relax_method == "native":
-                    # The sweep gives up without a verdict on the native
-                    # kernels: a half-open probe it held goes to the next run.
-                    self._breaker.release_probe()
                 if record is not None:
                     record(groups, predicted)
                 if len(jobs) > 1:
@@ -1259,8 +1227,6 @@ class Service:
                     self._fail_group(jobs, exc, started + elapsed)
                 return groups, predicted
             break
-        if relax_method == "native":
-            self._breaker.record_success()
         elapsed = time.perf_counter() - started
         now = started + elapsed
         for job in jobs:
@@ -1330,7 +1296,6 @@ class Service:
                 registry=self.registry.stats(),
                 policy=self.config.policy,
                 cost_model=self._costmodel.stats(),
-                breaker_state=self._breaker.snapshot()["state"],
                 faults_injected=(
                     self._faults.total_fired() if self._faults is not None else 0
                 ),

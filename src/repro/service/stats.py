@@ -89,11 +89,9 @@ class ServiceStats:
     #: Fused multisource/streaming groups whose members were re-executed solo
     #: after a group failure (fault isolation).
     isolations: int = 0
-    #: BFS/SSSP sweeps served by the numpy backend because the native
-    #: circuit breaker was open or tripping (values stay bit-identical).
+    #: Sweeps re-run on the numpy backend after a native-kernel failure
+    #: (values stay bit-identical).
     degraded: int = 0
-    #: Native-backend circuit breaker state: closed / half_open / open.
-    breaker_state: str = "closed"
     #: Submissions refused because the service or its pool was already closed.
     rejected_after_close: int = 0
     #: Faults fired by the active fault-injection plan (0 without a plan).
@@ -231,7 +229,7 @@ class ServiceStats:
             f"{self.registry.pinned_bytes} pinned by loader closures)",
             f"resilience: {self.retries} retries, {self.sweep_timeouts} sweep "
             f"timeouts, {self.isolations} fused groups isolated, "
-            f"{self.degraded} degraded sweeps, breaker {self.breaker_state}, "
+            f"{self.degraded} degraded sweeps, "
             f"{self.rejected_after_close} rejected after close, "
             f"{self.faults_injected} faults injected, "
             f"{self.cache_errors} cache errors absorbed",

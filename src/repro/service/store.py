@@ -235,8 +235,8 @@ class ServingStore:
         self,
         path: str | Path,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 2.0,
+        failure_threshold: int = 3,
+        cooldown_seconds: float = 2.0,
         on_event: Callable[[str, dict], None] | None = None,
     ) -> None:
         if not str(path):
@@ -275,8 +275,8 @@ class ServingStore:
         self._errors = 0
         self._backfilled = 0
         self._breaker = CircuitBreaker(
-            failure_threshold=breaker_threshold,
-            cooldown_seconds=breaker_cooldown,
+            failure_threshold=failure_threshold,
+            cooldown_seconds=cooldown_seconds,
             on_transition=self._note_breaker,
         )
         self._pending: queue.Queue = queue.Queue(maxsize=queue_limit)

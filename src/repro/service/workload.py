@@ -34,8 +34,9 @@ not fatal.
 
 Resilience knobs ride the same way: top-level ``fault_plan`` (a
 ``REPRO_FAULTS``-format spec string, see :mod:`repro.service.faults`),
-``retry_limit``, ``sweep_timeout`` / ``sweep_timeout_multiplier``, and
-``breaker_threshold`` / ``breaker_cooldown``.  Durability too: top-level
+``retry_limit`` and ``sweep_timeout`` / ``sweep_timeout_multiplier``.  A
+failed native kernel needs no knob: its sweep re-runs once on the
+bit-identical numpy backend.  Durability too: top-level
 ``store_path`` (SQLite file for the durable serving store, see
 :mod:`repro.service.store`), which the CLI's ``--store PATH`` sets; the store
 has no tuning knob.
@@ -175,8 +176,6 @@ _FORWARDED_KNOBS = {
     "retry_limit": int,
     "sweep_timeout": float,
     "sweep_timeout_multiplier": float,
-    "breaker_threshold": int,
-    "breaker_cooldown": float,
     "store_path": str,
 }
 

@@ -88,9 +88,9 @@ no compiler, a failed compile, or ``REPRO_NATIVE=0`` simply mean
 the relax, multisource and streaming equivalence tests keep bit-identical
 (``-ffp-contract=off`` keeps an FMA-capable host from fusing PageRank's
 multiply-add).  Every kernel fires the same ``native.invoke`` fault site and
-raises the same :class:`~repro.errors.NativeBackendError`, so the service's
-one native circuit breaker guards BFS, SSSP, CC and PageRank sweeps and their
-UVM accounting alike.
+raises the same :class:`~repro.errors.NativeBackendError`, so the service
+re-runs a failed BFS, SSSP, CC or PageRank sweep, UVM accounting included, on
+the numpy paths alike.
 
 The C calls release the GIL (plain ``ctypes.CDLL``), so service workers
 draining separate batches sweep concurrently.  Buffers cross as raw
@@ -834,7 +834,7 @@ def _check_fault(site: str) -> None:
 def reset_probe() -> None:
     """Forget the cached build/load outcome so the next call re-probes.
 
-    Used by the circuit breaker's tests and chaos harness: after an injected
+    Used by the resilience tests and chaos harness: after an injected
     compile failure poisons the cached status, this restores the healthy
     backend without restarting the process.
     """
@@ -1029,16 +1029,19 @@ def check_method(relax_method: str | None) -> None:
     """Refuse a ``relax_method`` that is neither ``None`` nor one of
     :data:`RELAX_METHODS`."""
     if relax_method is not None and relax_method not in RELAX_METHODS:
-        raise ValueError(f"unknown relaxation method {relax_method!r}; use {RELAX_METHODS}")
+        raise ConfigurationError(
+            f"unknown relaxation method {relax_method!r}; use {RELAX_METHODS}"
+        )
 
 
 def wanted(relax_method: str | None) -> bool:
     """True when a run with ``relax_method`` takes the native kernels.
 
     ``None`` (best available) and ``"native"`` do, on a host where they are
-    available; ``"scatter"`` (the service's breaker is open) runs every
-    kernel, UVM replay included, on numpy.  Every run loop asks this first,
-    so any other value raises :class:`ValueError` before anything runs.
+    available; ``"scatter"`` (the service's re-run after a native failure)
+    runs every kernel, UVM replay included, on numpy.  Every run loop asks
+    this first, so any other value raises
+    :class:`~repro.errors.ConfigurationError` before anything runs.
     """
     check_method(relax_method)
     return relax_method in (None, "native") and available()
@@ -1054,8 +1057,8 @@ def _invoke(kernel: str, *args) -> int:
     """Call ``repro_<kernel>`` behind the ``native.invoke`` fault site.
 
     Injected invoke faults, a missing library and ctypes-level failures all
-    surface as :class:`NativeBackendError`, so the circuit breaker cannot
-    tell an injected failure from a real one.
+    surface as :class:`NativeBackendError`, so the service's step-down to
+    numpy cannot tell an injected failure from a real one.
     """
     try:
         _check_fault("native.invoke")

@@ -79,11 +79,6 @@ def default_method() -> str:
     return "native" if _native.available() else "scatter"
 
 
-def backend_status() -> str:
-    """Describe the native backend's availability (for benchmark reports)."""
-    return _native.status()
-
-
 @hot_path
 def expand_lane_pairs(
     active_bits: np.ndarray, lanes: int

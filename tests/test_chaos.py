@@ -4,8 +4,8 @@ These tests drive the drain path deterministically (jobs are enqueued first,
 then drained on the test thread) so fused groups form reliably, and assert
 the resilience invariants the PR promises: every request reaches a terminal
 state, a poisoned lane fails alone while its siblings' results stay
-bit-identical, a tripped native breaker degrades to bit-identical numpy
-results, and the drained trace passes ``repro.obs.check``.
+bit-identical, a failed native kernel steps its sweep down to bit-identical
+numpy results, and the drained trace passes ``repro.obs.check``.
 """
 
 import numpy as np
@@ -129,13 +129,13 @@ class TestPoisonedLaneIsolation:
             assert service.stats().isolations >= 1
 
 
-class TestBreakerDegradation:
+class TestNativeStepDown:
     @pytest.mark.skipif(
         not _native.available(), reason="native relax kernel unavailable"
     )
     def test_forced_native_failure_degrades_bit_identically(self):
         plan = FaultPlan.from_spec("seed=2;native.invoke:permanent")
-        config = ServiceConfig(fault_plan=plan, breaker_threshold=1)
+        config = ServiceConfig(fault_plan=plan)
         graph = make_graph()
         with Service(config=config) as service:
             service.registry.register_graph(graph)
@@ -149,53 +149,103 @@ class TestBreakerDegradation:
             drain_all(service)
 
             stats = service.stats()
-            assert stats.breaker_state == "open"
-            assert stats.degraded >= 1
+            assert stats.degraded == 1  # one word, one step-down
             assert stats.failed == 0 and stats.completed == 8
             for job in jobs:
                 expected = clean_values(graph, Application.SSSP, job.request.source)
                 assert np.array_equal(job.result.values, expected)
+                assert job.result.metrics.counters.relax_backend == "scatter"
 
-            # The breaker state is exported through the Prometheus surface.
+            # The step-down is exported through the Prometheus surface.
             rendered = service.collect_metrics().render_prometheus()
-            assert "repro_native_breaker_state 2" in rendered
-            assert "repro_native_degraded_total" in rendered
+            assert "repro_native_degraded_total 1" in rendered
 
     @pytest.mark.skipif(
         not _native.available(), reason="native relax kernel unavailable"
     )
-    def test_open_breaker_keeps_serving_without_native(self):
+    def test_every_drain_tries_native_and_steps_down_alone(self):
         plan = FaultPlan.from_spec("seed=2;native.invoke:permanent")
-        config = ServiceConfig(fault_plan=plan, breaker_threshold=1)
+        config = ServiceConfig(fault_plan=plan)
         graph = make_graph()
         with Service(config=config) as service:
             service.registry.register_graph(graph)
-            first = enqueue_without_draining(
-                service,
-                [
-                    TraversalRequest(
-                        graph="chaos", application=Application.SSSP, source=s
-                    )
-                    for s in range(4)
-                ],
-            )
-            drain_all(service)
-            assert service.stats().breaker_state == "open"
-            # Subsequent drains route straight to numpy: no new native
-            # attempt, still-correct results.
-            second = enqueue_without_draining(
-                service,
-                [
-                    TraversalRequest(
-                        graph="chaos", application=Application.SSSP, source=s
-                    )
-                    for s in range(4, 8)
-                ],
-            )
-            drain_all(service)
-            for job in first + second:
+            jobs = []
+            for sources in (range(4), range(4, 8)):
+                jobs += enqueue_without_draining(
+                    service,
+                    [
+                        TraversalRequest(
+                            graph="chaos", application=Application.SSSP, source=s
+                        )
+                        for s in sources
+                    ],
+                )
+                drain_all(service)
+            for job in jobs:
                 assert job.status is JobStatus.DONE
-            assert service.stats().degraded >= 2
+                expected = clean_values(graph, Application.SSSP, job.request.source)
+                assert np.array_equal(job.result.values, expected)
+            stats = service.stats()
+            assert stats.degraded == 2 and stats.faults_injected == 2
+
+    @pytest.mark.skipif(
+        not _native.available(), reason="native kernels unavailable"
+    )
+    def test_mixed_wave_with_every_native_call_failing(self):
+        # Every application, lone and fused, on a plan that fails every
+        # native kernel call: each sweep that tries native steps down once,
+        # and every request gets the values a fault-free service gives it.
+        graph = make_graph()
+        requests = [
+            TraversalRequest(graph="chaos", application=app, source=s, strategy=strategy)
+            for app in (Application.BFS, Application.SSSP)
+            for strategy in ("merged_aligned", "uvm")
+            for s in (0, 3, 9)
+        ]
+        requests += [
+            TraversalRequest(graph="chaos", application=app, strategy=strategy)
+            for app in (Application.CC, Application.PAGERANK)
+            for strategy in ("merged_aligned", "uvm")
+        ]
+        requests.append(
+            TraversalRequest(graph="chaos", application=Application.SSSP, source=17)
+        )
+
+        def serve(fault_plan):
+            config = ServiceConfig(
+                fault_plan=fault_plan, trace_enabled=True, trace_sample=1.0
+            )
+            with Service(config=config) as service:
+                service.registry.register_graph(graph)
+                jobs = enqueue_without_draining(service, requests)
+                drain_all(service)
+                return jobs, service.stats(), service.drain_traces(), (
+                    service.collect_metrics().render_prometheus()
+                )
+
+        clean, clean_stats, _, _ = serve(None)
+        jobs, stats, spans, rendered = serve("native.invoke:permanent")
+        assert clean_stats.degraded == 0
+        assert stats.failed == 0 and stats.completed == len(requests)
+        for job, reference in zip(jobs, clean, strict=True):
+            assert job.status is JobStatus.DONE
+            assert job.result.values.tobytes() == reference.result.values.tobytes()
+        sweeps = [span for span in spans if span["name"] == "engine_sweep"]
+        tried_native = [
+            span for span in sweeps
+            if span["attributes"].get("error") == "NativeBackendError"
+        ]
+        # One failed native attempt and one clean numpy re-run per sweep.
+        assert len(tried_native) * 2 == len(sweeps)
+        assert stats.degraded == len(tried_native) == stats.faults_injected
+        assert stats.degraded >= 4  # BFS, SSSP, CC and PageRank each swept
+        native_series = {
+            line.split()[2]
+            for line in rendered.splitlines()
+            if line.startswith("# TYPE repro_native_")
+        }
+        assert native_series == {"repro_native_degraded_total"}
+        assert f"repro_native_degraded_total {stats.degraded}" in rendered
 
 
 class TestChaosPlanEndToEnd:
@@ -275,4 +325,4 @@ class TestChaosPlanEndToEnd:
             rendered = service.collect_metrics().render_prometheus()
             assert 'repro_retries_total{site="registry"} 1' in rendered
             assert 'repro_faults_injected_total{site="registry.load"} 1' in rendered
-            assert "repro_native_breaker_state 0" in rendered
+            assert "repro_native_degraded_total 0" in rendered

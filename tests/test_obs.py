@@ -679,13 +679,13 @@ class TestOneLedger:
             (CI_CHAOS_PLAN, {"retries": 3, "cache_errors": 2, "faults_injected": 5}),
             (
                 "seed=3;worker.task:permanent:source=7;native.invoke:permanent:limit=1",
-                {"failed": 1, "isolations": 1},
+                {"failed": 1, "isolations": 1, "degraded": 1},
             ),
         ],
         ids=["plain", "ci-chaos", "permanent"],
     )
     def test_backlog_under_fault_plan(self, lazy_registry, random_graph, plan, expect):
-        service = self._service(lazy_registry, fault_plan=plan, breaker_threshold=1)
+        service = self._service(lazy_registry, fault_plan=plan)
         with service:
             _serve_backlog(service, _mixed_requests(random_graph.name))
             # A second wave of repeats is answered by the result cache.

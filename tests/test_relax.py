@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.graph.builder import from_edge_array
 from repro.traversal import _native
 from repro.traversal.bfs import run_bfs
@@ -169,7 +170,9 @@ class TestKernelUnits:
                 ),
             ]
         for run in runs:
-            with pytest.raises(ValueError, match="unknown relaxation method 'bogus'"):
+            with pytest.raises(
+                ConfigurationError, match="unknown relaxation method 'bogus'"
+            ):
                 run("bogus")
             run("scatter")
 

@@ -1,4 +1,4 @@
-"""Tests for the resilience substrate: faults, retries, timeouts, breaker."""
+"""Tests for the resilience substrate: faults, retries, timeouts, breaker, step-down."""
 
 import threading
 import time
@@ -27,7 +27,7 @@ from repro.service import (
     default_engine,
 )
 from repro.service import faults
-from repro.service.resilience import BREAKER_STATE_CODES, iteration_checkpoint
+from repro.service.resilience import iteration_checkpoint
 from repro.errors import PermanentFaultError, TransientFaultError
 from repro.graph.generators import uniform_random_graph
 from repro.traversal import _native
@@ -334,9 +334,6 @@ class TestCircuitBreaker:
         assert breaker.state == "half_open"
         assert breaker.allow()  # the single probe
         assert not breaker.allow()  # everyone else stays degraded
-        breaker.release_probe()  # the probe's run ended without a verdict
-        assert breaker.state == "half_open"
-        assert breaker.allow() and not breaker.allow()
 
     def test_probe_success_closes(self):
         clock = [0.0]
@@ -364,13 +361,12 @@ class TestCircuitBreaker:
         clock[0] = 10.0
         assert breaker.state == "half_open"
 
-    def test_snapshot_and_state_codes(self):
+    def test_snapshot_counts_transitions(self):
         breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=60.0)
         snap = breaker.snapshot()
         assert snap["state"] == "closed" and snap["consecutive_failures"] == 0
         breaker.record_failure()
         assert breaker.snapshot()["transitions"] == 1
-        assert BREAKER_STATE_CODES == {"closed": 0, "half_open": 1, "open": 2}
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -452,7 +448,7 @@ class TestServiceRetries:
             assert isinstance(excinfo.value.__cause__, SweepTimeoutError)
             stats = service.stats()
             assert stats.sweep_timeouts == 1
-            assert stats.breaker_state == "closed"
+            assert stats.degraded == 0  # a timeout is not a native failure
 
     def test_multiplier_watchdog_waits_for_cost_samples(self):
         # With only a multiplier configured, an application without a learned
@@ -523,8 +519,8 @@ class TestServiceRetries:
 
 
 # --------------------------------------------------------------------------- #
-# The native breaker hears from every sweep and every solo job: BFS and SSSP
-# words, CC min-label sweeps and PageRank steps all run native kernels
+# A native failure steps its sweep down to numpy: BFS and SSSP words, CC
+# min-label sweeps, PageRank steps and UVM replays all run native kernels
 # --------------------------------------------------------------------------- #
 def _drain_group(service, application, sources=(None,), strategies=("merged_aligned",)):
     """Queue one group per strategy, then drain them on the test thread."""
@@ -543,8 +539,8 @@ def _drain_group(service, application, sources=(None,), strategies=("merged_alig
     return jobs
 
 
-def _breaker_service(faults_spec, **config):
-    service = Service(config=ServiceConfig(fault_plan=faults_spec, **config))
+def _faulted_service(faults_spec):
+    service = Service(config=ServiceConfig(fault_plan=faults_spec))
     service.registry.register_graph(make_graph())
     return service
 
@@ -555,10 +551,10 @@ def _streaming_oracle(application):
 
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
-class TestStreamingSweepsGoThroughTheBreaker:
+class TestStreamingSweepsStepDown:
     """CC and PageRank sweep native kernels too: a streaming drain or a lone
-    streaming job consults the breaker, reports to it and steps down to the
-    bit-identical numpy sweep on a native failure, as BFS/SSSP do."""
+    streaming job steps down to the bit-identical numpy sweep on a native
+    failure, as BFS/SSSP do."""
 
     @staticmethod
     def _assert_values(jobs):
@@ -569,64 +565,23 @@ class TestStreamingSweepsGoThroughTheBreaker:
 
     @pytest.mark.parametrize("application", (Application.CC, Application.PAGERANK))
     def test_one_fault_degrades_the_drain_with_identical_values(self, application):
-        with _breaker_service(
-            "native.invoke:permanent:limit=1", breaker_threshold=2, breaker_cooldown=60
-        ) as service:
+        with _faulted_service("native.invoke:permanent:limit=1") as service:
             self._assert_values(
                 _drain_group(service, application, strategies=("merged_aligned", "uvm"))
             )
             stats = service.stats()
             assert stats.degraded == 1
             assert stats.failed == 0 and stats.isolations == 0
-            assert stats.breaker_state == "closed"
-            assert service._breaker.snapshot()["consecutive_failures"] == 1
-            # A clean native streaming drain is a success the breaker hears.
+            # The next drain runs native again, and cleanly.
             self._assert_values(_drain_group(service, application, strategies=("naive",)))
-            assert service._breaker.snapshot()["consecutive_failures"] == 0
             assert service.stats().degraded == 1
-
-    def test_streaming_drain_takes_the_half_open_probe(self):
-        with _breaker_service(
-            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=0
-        ) as service:
-            _drain_group(service, Application.SSSP, (0, 1, 2))
-            assert service._breaker.snapshot()["state"] == "half_open"
-            self._assert_values(
-                _drain_group(service, Application.CC, strategies=("merged_aligned", "uvm"))
-            )
-            assert service.stats().breaker_state == "closed"
-            transitions = service.metrics.get("repro_native_breaker_transitions_total")
-            assert transitions.value(state="half_open") == 1
-            assert transitions.value(state="closed") == 1
-
-    def test_open_breaker_serves_streaming_drains_on_numpy(self, monkeypatch):
-        with _breaker_service(
-            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=60
-        ) as service:
-            _drain_group(service, Application.SSSP, (0, 1, 2))
-            assert service.stats().breaker_state == "open"
-            assert service.stats().degraded == 1
-            calls = []
-            for kernel in ("cc_sweep", "pagerank_step"):
-                monkeypatch.setattr(_native, kernel, lambda *args: calls.append(args))
-            jobs = _drain_group(service, Application.CC, strategies=("merged_aligned", "uvm"))
-            jobs += _drain_group(
-                service, Application.PAGERANK, strategies=("merged_aligned", "uvm")
-            )
-            self._assert_values(jobs)
-            assert not calls
-            stats = service.stats()
-            assert stats.breaker_state == "open"
-            assert stats.degraded == 3 and stats.failed == 0
 
     @pytest.mark.parametrize("application", (Application.CC, Application.PAGERANK))
     def test_lone_streaming_job_steps_down(self, application):
         # The job fault fails the fused sweep into solo re-runs; the first
         # solo run then meets the native fault and must step down, not fail.
-        with _breaker_service(
-            "worker.task:permanent:limit=1;native.invoke:permanent:limit=1",
-            breaker_threshold=2,
-            breaker_cooldown=60,
+        with _faulted_service(
+            "worker.task:permanent:limit=1;native.invoke:permanent:limit=1"
         ) as service:
             self._assert_values(
                 _drain_group(service, application, strategies=("merged_aligned", "uvm"))
@@ -634,13 +589,11 @@ class TestStreamingSweepsGoThroughTheBreaker:
             stats = service.stats()
             assert stats.isolations == 1
             assert stats.degraded == 1 and stats.failed == 0
-            # The second solo run was native and clean: the breaker heard it.
-            assert service._breaker.snapshot()["consecutive_failures"] == 0
 
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
-class TestBFSSweepsGoThroughTheBreaker:
-    """Regression: a failing native BFS word used to bypass the breaker and
+class TestBFSSweepsStepDown:
+    """Regression: a failing native BFS word used to skip the step-down and
     fail the whole fused sweep into solo re-runs."""
 
     @staticmethod
@@ -650,9 +603,7 @@ class TestBFSSweepsGoThroughTheBreaker:
             assert np.array_equal(job.result.values, bfs_levels(graph, job.request.source))
 
     def test_one_fault_degrades_the_drain_with_identical_values(self):
-        with _breaker_service(
-            "native.invoke:permanent:limit=1", breaker_threshold=2, breaker_cooldown=60
-        ) as service:
+        with _faulted_service("native.invoke:permanent:limit=1") as service:
             jobs = _drain_group(
                 service, Application.BFS, (0, 1, 2), strategies=("merged_aligned", "uvm")
             )
@@ -660,43 +611,15 @@ class TestBFSSweepsGoThroughTheBreaker:
             stats = service.stats()
             assert stats.degraded == 1
             assert stats.failed == 0 and stats.isolations == 0
-            assert stats.breaker_state == "closed"
-            assert service._breaker.snapshot()["consecutive_failures"] == 1
-            # A clean native BFS drain is a success the breaker hears about.
+            # The next drain runs native again, and cleanly.
             self._assert_levels(_drain_group(service, Application.BFS, (3, 4, 5)))
-            assert service._breaker.snapshot()["consecutive_failures"] == 0
             assert service.stats().degraded == 1
-
-    def test_bfs_faults_open_the_breaker_at_its_threshold(self):
-        with _breaker_service(
-            "native.invoke:permanent:limit=2", breaker_threshold=2, breaker_cooldown=60
-        ) as service:
-            self._assert_levels(_drain_group(service, Application.BFS, (0, 1, 2)))
-            assert service.stats().breaker_state == "closed"
-            self._assert_levels(_drain_group(service, Application.BFS, (3, 4, 5)))
-            assert service.stats().breaker_state == "open"
-            assert service.stats().degraded == 2
-            # While open, a whole BFS drain is served by numpy and counted.
-            self._assert_levels(_drain_group(service, Application.BFS, (6, 7, 8)))
-            stats = service.stats()
-            assert stats.breaker_state == "open"
-            assert stats.degraded == 3 and stats.failed == 0
-
-    def test_bfs_drain_takes_the_half_open_probe(self):
-        with _breaker_service(
-            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=0
-        ) as service:
-            _drain_group(service, Application.SSSP, (0, 1, 2))
-            assert service._breaker.snapshot()["state"] == "half_open"
-            self._assert_levels(_drain_group(service, Application.BFS, (3, 4, 5)))
-            assert service.stats().breaker_state == "closed"
 
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
-class TestLoneJobsGoThroughTheBreaker:
+class TestLoneJobsStepDown:
     """A lone BFS/SSSP job runs solo on the same native kernels as a word, so
-    its native failures reach the breaker and step down to numpy as a
-    drain's do."""
+    its native failures step down to numpy as a drain's do."""
 
     @staticmethod
     def _assert_values(jobs):
@@ -708,39 +631,25 @@ class TestLoneJobsGoThroughTheBreaker:
 
     @pytest.mark.parametrize("application", (Application.BFS, Application.SSSP))
     def test_one_fault_steps_a_lone_job_down_with_identical_values(self, application):
-        with _breaker_service(
-            "native.invoke:permanent:limit=1", breaker_threshold=2, breaker_cooldown=60
-        ) as service:
-            self._assert_values(_drain_group(service, application, (0,)))
+        with _faulted_service("native.invoke:permanent:limit=1") as service:
+            jobs = _drain_group(service, application, (0,))
             stats = service.stats()
             assert stats.degraded == 1
             assert stats.failed == 0 and stats.isolations == 0
-            assert service._breaker.snapshot()["consecutive_failures"] == 1
-            # A clean native solo run is a success the breaker hears about.
-            self._assert_values(_drain_group(service, application, (1,)))
-            assert service._breaker.snapshot()["consecutive_failures"] == 0
+            # The next lone job runs native again, and cleanly.
+            jobs += _drain_group(service, application, (1,))
+            self._assert_values(jobs)
             assert service.stats().degraded == 1
-
-    def test_open_breaker_serves_lone_jobs_on_numpy(self):
-        with _breaker_service(
-            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=60
-        ) as service:
-            self._assert_values(_drain_group(service, Application.SSSP, (0,)))
-            assert service.stats().breaker_state == "open"
-            sssp = _drain_group(service, Application.SSSP, (1,))
-            bfs = _drain_group(service, Application.BFS, (2,))
-            self._assert_values(sssp + bfs)
-            assert sssp[0].result.metrics.counters.relax_backend == "scatter"
-            stats = service.stats()
-            assert stats.breaker_state == "open"
-            assert stats.degraded == 3 and stats.failed == 0
+            if application is Application.SSSP:
+                backends = [job.result.metrics.counters.relax_backend for job in jobs]
+                assert backends == ["scatter", "native"]
 
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
-class TestUVMReplayGoesThroughTheBreaker:
+class TestUVMReplayStepsDown:
     """A UVM sweep replays its page residency with a native kernel too: a
     failing replay steps the sweep down like a failing traversal kernel, and
-    while the breaker is open UVM accounting runs on numpy."""
+    the numpy re-run replays UVM on numpy."""
 
     @staticmethod
     def _clean_runs(application, sources, fused):
@@ -785,12 +694,11 @@ class TestUVMReplayGoesThroughTheBreaker:
         faults_spec = "native.invoke:permanent:limit=1"
         if failing_kernel == "uvm_replay":
             faults_spec = f"native.invoke:permanent:n={sweeps + 2}:limit=1"
-        with _breaker_service(faults_spec, breaker_threshold=2, breaker_cooldown=60) as service:
+        with _faulted_service(faults_spec) as service:
             jobs = _drain_group(service, application, sources, strategies=("uvm",))
             stats = service.stats()
             assert stats.degraded == 1
             assert stats.failed == 0 and stats.isolations == 0
-            assert service._breaker.snapshot()["consecutive_failures"] == 1
         failures = caplog.text.count("kernel failed:")
         assert failures == 1 and f"native {failing_kernel} kernel failed" in caplog.text
         for job, expected in zip(jobs, clean):
@@ -798,12 +706,10 @@ class TestUVMReplayGoesThroughTheBreaker:
             assert job.result.values.tobytes() == expected.values.tobytes()
             assert job.result.metrics == expected.metrics
 
-    def test_open_breaker_replays_uvm_on_numpy(self, monkeypatch):
-        with _breaker_service(
-            "native.invoke:permanent:limit=1", breaker_threshold=1, breaker_cooldown=60
-        ) as service:
-            _drain_group(service, Application.SSSP, (0,), strategies=("uvm",))
-            assert service.stats().breaker_state == "open"
+    def test_a_stepped_down_sweep_replays_uvm_on_numpy(self, monkeypatch):
+        # Every native call fails, so each sweep's native attempt dies on its
+        # first kernel; the numpy re-run, UVM replay included, makes none.
+        with _faulted_service("native.invoke:permanent") as service:
             kernels = []
             invoke = _native._invoke
 
@@ -815,11 +721,10 @@ class TestUVMReplayGoesThroughTheBreaker:
             jobs = _drain_group(service, Application.BFS, (1,), strategies=("uvm",))
             jobs += _drain_group(service, Application.BFS, (2, 3, 4), strategies=("uvm",))
             jobs += _drain_group(service, Application.CC, strategies=("uvm",))
-            assert not kernels
+            assert kernels == ["bfs_sweep", "bfs_sweep", "cc_sweep"]
             assert all(job.status is JobStatus.DONE for job in jobs)
             stats = service.stats()
-            assert stats.breaker_state == "open"
-            assert stats.degraded == 4 and stats.failed == 0
+            assert stats.degraded == 3 and stats.failed == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -874,8 +779,7 @@ def _serve_shape(faults_spec, shape, engine=None):
 class TestOneLadder:
     """Regression: a lone job ran a second, hand-copied ladder that checked
     the ``worker.task`` fault outside its retry and timed its whole retry
-    loop, backoff sleep included, as one engine sweep; and a sweep that gave
-    up for a reason other than the native kernels kept a half-open probe."""
+    loop, backoff sleep included, as one engine sweep."""
 
     @pytest.mark.parametrize(
         "shape, engine",
@@ -919,32 +823,6 @@ class TestOneLadder:
         # The cost model learned from the clean attempt alone.
         assert stats.cost_model.samples == 1
         assert 0 < sample <= stats.engine_seconds < backoff
-
-    @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
-    def test_a_probe_spent_on_a_job_fault_is_handed_on(self):
-        # Regression: the word that took the half-open probe failed on a job
-        # fault and never reported, so the probe stayed spent and every
-        # later sweep ran degraded.
-        with _breaker_service(
-            "native.invoke:permanent:limit=1;worker.task:permanent:source=4",
-            breaker_threshold=1,
-            breaker_cooldown=0,
-        ) as service:
-            _drain_group(service, Application.SSSP, (0, 1, 2))
-            assert service._breaker.snapshot()["state"] == "half_open"
-            jobs = enqueue_without_draining(
-                service,
-                [
-                    TraversalRequest(graph="resil", application=Application.BFS, source=s)
-                    for s in (3, 4)
-                ],
-            )
-            drain_all(service)
-            assert [job.status for job in jobs] == [JobStatus.DONE, JobStatus.FAILED]
-            assert np.array_equal(jobs[0].result.values, bfs_levels(make_graph(), 3))
-            stats = service.stats()
-            assert stats.isolations == 1 and stats.degraded == 1
-            assert stats.breaker_state == "closed"
 
 
 # --------------------------------------------------------------------------- #

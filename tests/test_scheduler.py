@@ -1125,8 +1125,8 @@ class TestWorkloadPlumbing:
         assert config_from_spec({**spec, "retry_limit": None, "workers": None}) == (
             ServiceConfig()
         )
-        given = config_from_spec({**spec, "retry_limit": "3"}, breaker_cooldown=2)
-        assert (given.retry_limit, given.breaker_cooldown) == (3, 2.0)
+        given = config_from_spec({**spec, "retry_limit": "3"}, sweep_timeout=2)
+        assert (given.retry_limit, given.sweep_timeout) == (3, 2.0)
         # ... and an override that is not a knob is refused, not dropped.
         with pytest.raises(TypeError, match="bogus"):
             config_from_spec(spec, bogus=1)
@@ -1142,6 +1142,7 @@ class TestWorkloadPlumbing:
         [
             (lambda spec: spec.update(quue_limit=3), "workload", "'quue_limit'"),
             (lambda spec: spec.update(planner=False), "workload", "'planner'"),
+            (lambda spec: spec.update(breaker_threshold=3), "workload", "'breaker_threshold'"),
             (lambda spec: spec["graphs"][0].update(vertex=9), "graphs[0]", "'vertex'"),
             (lambda spec: spec["requests"][1].update(sorce=5), "requests[1]", "'sorce'"),
             (lambda spec: spec.update(zeta=1, alpha=2), "workload", "'alpha', 'zeta'"),

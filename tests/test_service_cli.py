@@ -108,7 +108,7 @@ class TestServeBatch:
         ]) == 0
         output = capsys.readouterr().out
         assert "Service health summary" in output
-        assert "native breaker" in output
+        assert "native kernels      : 0 sweep(s) re-run on numpy" in output
         assert "health: ok" in output
 
     def test_health_degraded_exit_code(self, capsys):

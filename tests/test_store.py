@@ -402,7 +402,7 @@ class TestChaosDegradation:
         plan = faults.FaultPlan.from_spec("store.open:transient:n=1:limit=1")
         faults.activate(plan)
         try:
-            store = ServingStore(path, breaker_cooldown=0.05)
+            store = ServingStore(path, cooldown_seconds=0.05)
         finally:
             faults.deactivate()
         try:
@@ -531,7 +531,7 @@ class TestSweepWrites:
         # write fails (or the open breaker skips it): the catalog still holds
         # the old content's fingerprint, so the old rows would pass the join.
         old, new = make_graph(seed=5), make_graph(seed=9)
-        store = ServingStore(tmp_path / "store.db", breaker_cooldown=0.2)
+        store = ServingStore(tmp_path / "store.db", cooldown_seconds=0.2)
         try:
             store.record_load("durable", old)
             store.record_sweep(old, [(KEY, run("bfs", old, source=0))], {}.get)
@@ -641,8 +641,8 @@ class TestSweepWrites:
         result = run("bfs", graph, source=0)
         store = ServingStore(
             tmp_path / "store.db",
-            breaker_threshold=1,
-            breaker_cooldown=0.2,
+            failure_threshold=1,
+            cooldown_seconds=0.2,
             on_event=lambda kind, labels: events.append((kind, labels)),
         )
         try:
