@@ -592,27 +592,30 @@ class TestStreamingSweepsStepDown:
 
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
-class TestBFSSweepsStepDown:
+class TestPackedWordsStepDown:
     """Regression: a failing native BFS word used to skip the step-down and
-    fail the whole fused sweep into solo re-runs."""
+    fail the whole fused sweep into solo re-runs. A packed word, BFS or SSSP,
+    now re-runs once on numpy with identical values."""
 
     @staticmethod
-    def _assert_levels(jobs):
+    def _assert_values(jobs):
         graph = make_graph()
         for job in jobs:
-            assert np.array_equal(job.result.values, bfs_levels(graph, job.request.source))
+            oracle = bfs_levels if job.request.application is Application.BFS else sssp_distances
+            assert np.array_equal(job.result.values, oracle(graph, job.request.source))
 
-    def test_one_fault_degrades_the_drain_with_identical_values(self):
+    @pytest.mark.parametrize("application", (Application.BFS, Application.SSSP))
+    def test_one_fault_degrades_the_drain_with_identical_values(self, application):
         with _faulted_service("native.invoke:permanent:limit=1") as service:
             jobs = _drain_group(
-                service, Application.BFS, (0, 1, 2), strategies=("merged_aligned", "uvm")
+                service, application, (0, 1, 2), strategies=("merged_aligned", "uvm")
             )
-            self._assert_levels(jobs)
+            self._assert_values(jobs)
             stats = service.stats()
             assert stats.degraded == 1
             assert stats.failed == 0 and stats.isolations == 0
             # The next drain runs native again, and cleanly.
-            self._assert_levels(_drain_group(service, Application.BFS, (3, 4, 5)))
+            self._assert_values(_drain_group(service, application, (3, 4, 5)))
             assert service.stats().degraded == 1
 
 
@@ -640,9 +643,17 @@ class TestLoneJobsStepDown:
             jobs += _drain_group(service, application, (1,))
             self._assert_values(jobs)
             assert service.stats().degraded == 1
-            if application is Application.SSSP:
-                backends = [job.result.metrics.counters.relax_backend for job in jobs]
-                assert backends == ["scatter", "native"]
+
+    def test_every_sweep_tries_native_first(self):
+        # No memory between sweeps: each failing sweep steps down alone, and
+        # the sweep after the last fault is served by the native kernels.
+        with _faulted_service("native.invoke:permanent:limit=2") as service:
+            jobs = [_drain_group(service, Application.SSSP, (s,))[0] for s in range(3)]
+            self._assert_values(jobs)
+            backends = [job.result.metrics.counters.relax_backend for job in jobs]
+            assert backends == ["scatter", "scatter", "native"]
+            stats = service.stats()
+            assert stats.degraded == 2 and stats.failed == 0
 
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.traversal import _native
 
 WORKLOAD = Path(__file__).resolve().parents[1] / "examples" / "workload.json"
 
@@ -95,6 +96,18 @@ class TestServeBatch:
         assert "request(s) failed" in captured.err
         assert "Serving workload report" in captured.out  # report still prints
 
+    @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+    def test_native_faults_step_down_without_failing_a_request(self, capsys):
+        # The chaos smoke's native arm: two failed native sweeps, each re-run
+        # once on numpy, and the run still exits 0.
+        assert main([
+            "serve-batch", str(WORKLOAD),
+            "--faults", "native.invoke:transient:n=2:limit=2",
+        ]) == 0
+        output = capsys.readouterr().out
+        assert "0 failed" in output
+        assert "2 degraded sweeps" in output and "2 faults injected" in output
+
     def test_malformed_fault_spec_is_a_usage_error(self, capsys):
         assert main([
             "serve-batch", str(WORKLOAD), "--faults", "not-a-site:transient",
@@ -110,6 +123,25 @@ class TestServeBatch:
         assert "Service health summary" in output
         assert "native kernels      : 0 sweep(s) re-run on numpy" in output
         assert "health: ok" in output
+
+    @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
+    def test_health_stays_ok_when_every_native_call_fails(self, capsys):
+        # Every sweep steps down to numpy and returns the same values, so no
+        # request fails and the exit status stays 0.
+        assert main([
+            "health", str(WORKLOAD), "--faults", "native.invoke:permanent",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fields = {
+            name.strip(): value.strip()
+            for name, sep, value in (line.partition(":") for line in lines)
+            if sep
+        }
+        stepped_down = int(fields["native kernels"].split()[0])
+        assert stepped_down > 0
+        assert fields["faults injected"] == str(stepped_down)
+        assert "0 failed" in fields["requests"]
+        assert fields["health"] == "ok"
 
     def test_health_degraded_exit_code(self, capsys):
         assert main([
