@@ -520,7 +520,7 @@ def _health(argv: list[str]) -> int:
         f"{stats.store_backfilled} backfilled, "
         f"{stats.store_errors} errors absorbed)",
         "-" * 55,
-        f"health: {'ok' if healthy else 'degraded'}",
+        f"health: {'ok' if healthy else 'failed'}",
     ]
     print("\n".join(lines))
     return 0 if healthy else 1

@@ -3,8 +3,8 @@
 Fusion used to live in two ad-hoc branches of the drain path — multi-source
 batching inside one group, and a CC-only "pop every sibling group" streaming
 merge.  This module replaces them with an explicit planning step: each drain
-snapshots the pending backlog and builds the one :class:`FusionPlan` the
-engines can execute for it —
+reads the pending backlog and builds the one :class:`FusionPlan` the engines
+can execute for it —
 
 * **solo / multisource** — the policy-selected anchor group alone, when no
   pending group can share its execution,
@@ -18,21 +18,23 @@ engines can execute for it —
 
 The rule is structural, like the paper's coalescer merging every access that
 falls in one 128-byte line: every rider that fits is taken.  The plan is a
-pure function of the anchor and the snapshot — no cost estimate, clock or
+pure function of the anchor and the backlog — no cost estimate, clock or
 learned state enters it — so the same backlog yields the same plan on any
 machine at any load (``docs/fusion-planner.md`` records why the earlier
 cost-model gate was deleted).
 
 The planner is *policy-visible*: the anchor group is still whatever the
-scheduling policy selected, riders are claimed through
-:meth:`~repro.service.queue.RequestQueue.claim_groups` (which refunds any
-WFQ virtual time booked for them), and every decision is observable through
-the service's ``plan`` span and ``repro_planner_*`` metrics.
+scheduling policy selected, the planner runs inside
+:meth:`~repro.service.queue.RequestQueue.pop_plan`'s critical section, which
+pops the riders it names (refunding any WFQ virtual time booked for them),
+and every decision is observable through the service's ``plan`` span and
+``repro_planner_*`` metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from ..types import Application
 from .jobs import Job
@@ -56,17 +58,14 @@ def sweep_lanes(application: Application, groups: list[list[Job]]) -> int:
 class FusionPlan:
     """One executable drain shape: which groups run together, and how.
 
-    ``groups`` always starts with the policy-selected anchor group;
-    ``rider_keys`` names the batch keys of every non-anchor group the plan
-    wants claimed from the queue.
+    ``groups`` always starts with the policy-selected anchor group.
     """
 
     kind: str  # "solo" | "multisource" | "packed" | "streaming"
     application: Application
     graph: str
     groups: list[list[Job]]
-    rider_keys: list[tuple] = field(default_factory=list)
-    #: Seconds spent planning (snapshot + packing), for span attribution.
+    #: Seconds spent planning (rider selection + packing), for span attribution.
     planning_seconds: float = 0.0
 
     @property
@@ -88,19 +87,8 @@ class FusionPlan:
         """Compact human-readable shape, e.g. ``packed:3x14`` (groups x lanes)."""
         return f"{self.kind}:{len(self.groups)}x{self.lanes}"
 
-    def restrict(self, claimed: dict[tuple, list[Job]]) -> "FusionPlan":
-        """Drop rider groups a concurrent worker drained between snapshot and claim.
-
-        The anchor group is already popped and always survives; riders
-        survive only if :meth:`RequestQueue.claim_groups` actually delivered
-        them.  Returns ``self`` (mutated) for convenience.
-        """
-        self.rider_keys = [key for key in self.rider_keys if key in claimed]
-        self.narrow([self.groups[0]] + [claimed[key] for key in self.rider_keys])
-        return self
-
     def narrow(self, groups: list[list[Job]]) -> None:
-        """Keep only ``groups``: what the claim, expiry or source validation left."""
+        """Keep only ``groups``: what expiry or source validation left."""
         self.groups = groups
         if not self.fused:
             # Every rider evaporated: the plan degrades to its baseline shape.
@@ -121,20 +109,18 @@ class FusionPlan:
 class FusionPlanner:
     """Builds the fusion plan for one drained anchor group.
 
-    Stateless; safe to call from every worker thread concurrently.
+    Stateless; it runs under the queue lock, so it takes no lock itself.
     """
 
-    def __init__(self, max_lanes: int = MAX_LANES) -> None:
-        self._max_lanes = max_lanes
-
     def build(
-        self, anchor: list[Job], snapshot: dict[tuple, tuple[Job, ...]]
+        self, anchor: list[Job], pending: Mapping[tuple, Sequence[Job]]
     ) -> tuple[FusionPlan, list[tuple]]:
-        """The plan for ``anchor`` given the backlog snapshot: every rider that fits.
+        """The plan for ``anchor`` given the pending backlog: every rider that fits.
 
-        Returns ``(plan, rider_keys)`` — the keys the caller should claim
-        atomically; the plan must then be :meth:`FusionPlan.restrict`-ed to
-        whatever the claim actually delivered.
+        ``pending`` maps each pending batch key to its jobs and is only read.
+        Returns ``(plan, keys)``, ``keys`` being the riders' batch keys:
+        :meth:`RequestQueue.pop_plan` pops exactly those groups, in the same
+        critical section.
         """
         request = anchor[0].request
         application = request.application
@@ -144,7 +130,7 @@ class FusionPlanner:
         # already in the anchor.
         riders = [
             (key, jobs)
-            for key, jobs in snapshot.items()
+            for key, jobs in pending.items()
             if key != request.batch_key
             and key[:2] == (request.graph, application.value)
             and jobs
@@ -161,13 +147,13 @@ class FusionPlanner:
             application=application,
             graph=request.graph,
             groups=[list(anchor)] + [list(jobs) for _, jobs in riders],
-            rider_keys=[key for key, _ in riders],
         )
-        return plan, plan.rider_keys
+        return plan, [key for key, _ in riders]
 
+    @staticmethod
     def _bin_pack(
-        self, anchor: list[Job], riders: list[tuple[tuple, tuple[Job, ...]]]
-    ) -> list[tuple[tuple, tuple[Job, ...]]]:
+        anchor: list[Job], riders: list[tuple[tuple, Sequence[Job]]]
+    ) -> list[tuple[tuple, Sequence[Job]]]:
         """Greedy cheapest-first packing of rider groups into the free lanes.
 
         A BFS/SSSP lane is a distinct source, so a rider costs only the
@@ -184,11 +170,11 @@ class FusionPlanner:
             (key, jobs, {job.request.source for job in jobs})
             for key, jobs in sorted(riders, key=lambda item: (len(item[1]), item[0]))
         ]
-        packed: list[tuple[tuple, tuple[Job, ...]]] = []
+        packed: list[tuple[tuple, Sequence[Job]]] = []
         while pending:
             costs = [len(sources - taken) for _, _, sources in pending]
             cheapest = costs.index(min(costs))
-            if len(taken) + costs[cheapest] > self._max_lanes:
+            if len(taken) + costs[cheapest] > MAX_LANES:
                 break
             key, jobs, sources = pending.pop(cheapest)
             packed.append((key, jobs))  # repro: noqa[REPRO101] — O(groups) per drain

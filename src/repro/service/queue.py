@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import OrderedDict
 from typing import Callable
 
 from ..analysis.lockorder import tracked_lock
@@ -57,7 +56,8 @@ class RequestQueue:
         #: to arrival order — wired to a service counter so policy bugs are
         #: visible instead of silently absorbed.
         self._on_policy_fallback = on_policy_fallback
-        self._groups: OrderedDict[tuple, list[Job]] = OrderedDict()
+        #: Pending groups in arrival order (dicts keep insertion order).
+        self._groups: dict[tuple, list[Job]] = {}
         #: Most urgent absolute deadline per pending group (inf when none),
         #: maintained incrementally on push/join/discard so deadline-aware
         #: policies select in O(groups) instead of rescanning every job.
@@ -192,6 +192,32 @@ class RequestQueue:
         else:
             self._pending_by_tenant.pop(tenant, None)
 
+    def _select_locked(self) -> tuple:
+        """The batch key the policy drains next (lock held, queue non-empty)."""
+        key = self._policy.select(self._groups, self._group_deadlines)
+        if key in self._groups:
+            return key
+        # Defensive: a policy named a non-pending group; fall back to arrival
+        # order rather than dropping the wakeup — but loudly, so a buggy
+        # policy cannot hide behind the safety net.
+        logger.warning(
+            "scheduling policy %r selected non-pending group %r; "
+            "falling back to arrival order",
+            self._policy.name,
+            key,
+        )
+        if self._on_policy_fallback is not None:
+            self._on_policy_fallback()
+        return next(iter(self._groups))
+
+    def _pop_locked(self, key: tuple) -> list[Job]:
+        """Remove the pending group ``key`` and its bookkeeping (lock held)."""
+        jobs = self._groups.pop(key)
+        self._group_deadlines.pop(key, None)
+        for job in jobs:
+            self._forget_pending(job)
+        return jobs
+
     def pop_batch(self) -> list[Job]:
         """Remove and return the next batch group (empty list if idle).
 
@@ -202,81 +228,32 @@ class RequestQueue:
         with self._lock:
             if not self._groups:
                 return []
-            key = self._policy.select(self._groups, self._group_deadlines)
-            jobs = self._groups.pop(key, None)
-            if jobs is None:
-                # Defensive: a policy named a non-pending group; fall back to
-                # arrival order rather than dropping the wakeup — but loudly,
-                # so a buggy policy cannot hide behind the safety net.
-                logger.warning(
-                    "scheduling policy %r selected non-pending group %r; "
-                    "falling back to arrival order",
-                    self._policy.name,
-                    key,
-                )
-                if self._on_policy_fallback is not None:
-                    self._on_policy_fallback()
-                key, jobs = self._groups.popitem(last=False)
-            self._group_deadlines.pop(key, None)
-            for job in jobs:
-                self._forget_pending(job)
-            return jobs
-
-    def snapshot_groups(self) -> dict[tuple, tuple[Job, ...]]:
-        """Point-in-time copy of the pending backlog, keyed by batch key.
-
-        Fusion planning input: the caller picks riders from the snapshot
-        *without* holding the queue lock, then claims the groups its plan
-        needs through :meth:`claim_groups` — which tolerates any
-        group another worker drained in between.  Job tuples are copies; the
-        queue's own group lists are never exposed.
-        """
-        with self._lock:
-            return {key: tuple(jobs) for key, jobs in self._groups.items()}
-
-    def claim_groups(self, keys) -> dict[tuple, list[Job]]:
-        """Atomically pop the named groups for rider execution in a fused plan.
-
-        Returns only the groups still pending — a key drained by a concurrent
-        worker since the snapshot is simply absent from the result, and the
-        caller's plan must adjust.  Each claimed group is reported to
-        :meth:`SchedulingPolicy.forget_group`: the rider rides along with a
-        group the policy already selected and charged for, so stateful
-        policies (WFQ) refund any virtual time booked for it — the plan
-        accounting that keeps fairness exact under fusion.
-        """
-        with self._lock:
-            claimed: dict[tuple, list[Job]] = {}
-            for key in keys:
-                jobs = self._groups.pop(key, None)
-                if jobs is None:
-                    continue
-                self._group_deadlines.pop(key, None)
-                for job in jobs:
-                    self._forget_pending(job)
-                self._policy.forget_group(key, jobs)
-                claimed[key] = jobs
-            return claimed
+            return self._pop_locked(self._select_locked())
 
     def pop_plan(self, build):
-        """Pop the policy-selected group, then claim the riders ``build`` names.
+        """Pop the policy-selected group plus the riders ``build`` packs with it.
 
-        ``build(anchor_jobs, snapshot)`` runs *without* the queue lock (it may
-        consult the cost model freely) and returns ``(plan, rider_keys)``;
-        ``snapshot`` is :meth:`snapshot_groups` itself, so a build that plans
-        no riders never pays for the backlog copy, and the plan object is
-        opaque to the queue.  Returns ``(plan, claimed)``
-        where ``claimed`` maps each successfully claimed rider key to its
-        jobs, or ``None`` when the queue was idle.  The scheduling policy
-        stays in charge of *which* work drains next — planning only decides
-        what rides along with its selection.
+        One critical section: the policy selects and pops the anchor group,
+        ``build(anchor_jobs, pending)`` plans against the live pending
+        mapping (``batch_key → jobs``, which it must only read) and returns
+        ``(plan, riders)``, and exactly the ``riders`` batch keys are popped
+        before the lock is released — so no submit can grow a group between
+        being counted and being claimed.  The queue lock is not reentrant:
+        nothing ``build`` calls may take it.  Each rider is reported to
+        :meth:`SchedulingPolicy.forget_group`, which refunds any WFQ virtual
+        time booked for it.  Returns the plan (opaque to the queue), or
+        ``None`` when the queue was idle.  The scheduling policy stays in
+        charge of *which* work drains next — planning only decides what
+        rides along with its selection.
         """
-        anchor = self.pop_batch()
-        if not anchor:
-            return None
-        plan, rider_keys = build(anchor, self.snapshot_groups)
-        claimed = self.claim_groups(rider_keys) if rider_keys else {}
-        return plan, claimed
+        with self._lock:
+            if not self._groups:
+                return None
+            anchor = self._pop_locked(self._select_locked())
+            plan, riders = build(anchor, self._groups)
+            for key in riders:
+                self._policy.forget_group(key, self._pop_locked(key))
+            return plan
 
     def discard(self, job: Job) -> bool:
         """Withdraw a still-pending job (used when dispatch fails).

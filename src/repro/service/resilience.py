@@ -190,7 +190,6 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at: float | None = None
         self._probe_granted = False
-        self._transitions = 0
 
     @property
     def state(self) -> str:
@@ -210,7 +209,6 @@ class CircuitBreaker:
         if state == self._state:
             return
         self._state = state
-        self._transitions += 1
         callback = self._on_transition
         if callback is not None:
             callback(state)
@@ -244,11 +242,3 @@ class CircuitBreaker:
             ):
                 self._opened_at = self._clock()
                 self._transition_locked(self.OPEN)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "state": self._effective_state_locked(),
-                "consecutive_failures": self._consecutive_failures,
-                "transitions": self._transitions,
-            }

@@ -79,12 +79,12 @@ class SchedulingPolicy(abc.ABC):
         """Note that ``key`` was dequeued without being selected.
 
         Called under the queue lock when a group leaves the queue outside
-        :meth:`select` — the fusion planner claiming a rider group
-        (:meth:`RequestQueue.claim_groups`) to ride along with a group the
-        policy already selected.  Stateless policies ignore it; stateful
-        ones (WFQ) refund any bookkeeping already charged for the group,
-        since it will consume no separately scheduled drain — the plan
-        accounting that keeps virtual time exact under fusion.
+        :meth:`select` — a rider group that :meth:`RequestQueue.pop_plan`
+        pops to ride along with the group the policy just selected.
+        Stateless policies ignore it; stateful ones (WFQ) refund any
+        bookkeeping already charged for the group, since it will consume no
+        separately scheduled drain — the plan accounting that keeps virtual
+        time exact under fusion.
         """
 
 

@@ -887,19 +887,16 @@ class Service:
         """
         pick_started = time.perf_counter()
         try:
-            popped = self._queue.pop_plan(self._build_plan)
+            plan = self._queue.pop_plan(self._build_plan)
         except Exception:  # noqa: BLE001 - keep the drain loop alive
             logger.exception("scheduler failed to pick a batch group")
             return
         # Schedule-pick cost: policy selection plus plan enumeration,
         # attributed to the drained batch's sweep span.
         schedule_seconds = time.perf_counter() - pick_started
-        if popped is None:
+        if plan is None:
             # Another worker already drained the group this wakeup was for.
             return
-        plan, claimed = popped
-        if plan.fused:
-            plan.restrict(claimed)
         try:
             self._execute_plan(plan, schedule_seconds)
         except Exception as exc:  # noqa: BLE001 - never strand popped jobs
@@ -918,20 +915,21 @@ class Service:
         if stranded:
             self._settle(*stranded)
 
-    def _build_plan(self, anchor: list[Job], snapshot) -> tuple[FusionPlan, list]:
-        """Queue callback: plan one drain.
+    def _build_plan(self, anchor: list[Job], pending) -> tuple[FusionPlan, list]:
+        """Queue callback: plan one drain against the live ``pending`` backlog.
 
-        An injected engine runs the anchor group alone, job by job, as the
-        baseline plan recorded as kind ``solo``.
+        Runs under the queue lock (see :meth:`RequestQueue.pop_plan`), so it
+        must take no lock.  An injected engine runs the anchor group alone,
+        job by job, as the baseline plan recorded as kind ``solo``.
         """
         started = time.perf_counter()
         if self._engine is not None:
-            plan, rider_keys = FusionPlan.baseline(anchor), []
+            plan, riders = FusionPlan.baseline(anchor), []
             plan.kind = "solo"
         else:
-            plan, rider_keys = self._planner.build(anchor, snapshot())
+            plan, riders = self._planner.build(anchor, pending)
         plan.planning_seconds = time.perf_counter() - started
-        return plan, rider_keys
+        return plan, riders
 
     def _execute_plan(self, plan: FusionPlan, schedule_seconds: float) -> None:
         """Execute one chosen fusion plan with full bookkeeping.

@@ -215,7 +215,6 @@ class StoreStats:
     backfilled: int
     pending: int
     quarantined: bool
-    breaker_state: str
     catalog_rows: int
     result_rows: int
     rate_rows: int
@@ -498,7 +497,6 @@ class ServingStore:
             backfilled=counters[5],
             pending=self._pending.qsize(),
             quarantined=quarantined,
-            breaker_state=self._breaker.snapshot()["state"],
             catalog_rows=catalog,
             result_rows=results,
             rate_rows=rates,

@@ -213,19 +213,19 @@ class TestDrainLoopSurvival:
         assert service.result(retry, timeout=30).values is not None
         service.close()
 
-    def test_pop_batch_failure_keeps_the_worker_alive(self, monkeypatch):
+    def test_pop_plan_failure_keeps_the_worker_alive(self, monkeypatch):
         service = Service()
         service.registry.register_graph(make_graph("g"))
-        original = service._queue.pop_batch
+        original = service._queue.pop_plan
         state = {"raised": False}
 
-        def flaky_pop_batch():
+        def flaky_pop_plan(build):
             if not state["raised"]:
                 state["raised"] = True
                 raise RuntimeError("policy blew up")
-            return original()
+            return original(build)
 
-        monkeypatch.setattr(service._queue, "pop_batch", flaky_pop_batch)
+        monkeypatch.setattr(service._queue, "pop_plan", flaky_pop_plan)
         job = service.submit(
             TraversalRequest(graph="g", application=Application.BFS, source=0)
         )

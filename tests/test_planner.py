@@ -1,7 +1,7 @@
 """Tests for the fusion planner.
 
-Three layers: :class:`FusionPlanner` unit tests on synthetic backlog
-snapshots (rider selection, ≤64-lane bin-packing) with a Hypothesis property
+Three layers: :class:`FusionPlanner` unit tests on synthetic pending
+backlogs (rider selection, ≤64-lane bin-packing) with a Hypothesis property
 over generated backlogs pinning the rule — every rider that fits is taken,
 and the plan is a function of the backlog alone; service-level tests that
 the logged plan shapes do not depend on what the cost model has learned;
@@ -60,15 +60,16 @@ def make_jobs(
     ]
 
 
-def snapshot_of(*groups):
-    return {group[0].request.batch_key: tuple(group) for group in groups}
+def pending_of(*groups):
+    """A pending backlog as the queue hands it to the planner."""
+    return {group[0].request.batch_key: list(group) for group in groups}
 
 
 class TestPlannerUnit:
     def test_no_riders_yields_baseline(self):
         planner = FusionPlanner()
         anchor = make_jobs("bfs", count=3)
-        plan, rider_keys = planner.build(anchor, snapshot_of(anchor))
+        plan, rider_keys = planner.build(anchor, pending_of(anchor))
         assert rider_keys == []
         assert plan.kind == "multisource"
         assert not plan.fused
@@ -77,7 +78,7 @@ class TestPlannerUnit:
     def test_single_job_anchor_is_solo(self):
         planner = FusionPlanner()
         anchor = make_jobs("bfs", count=1)
-        plan, _ = planner.build(anchor, snapshot_of(anchor))
+        plan, _ = planner.build(anchor, pending_of(anchor))
         assert plan.kind == "solo"
         assert plan.shape == "solo:1x1"
 
@@ -87,7 +88,7 @@ class TestPlannerUnit:
         rider_a = make_jobs("bfs", count=2, strategy="uvm", first=4)
         rider_b = make_jobs("bfs", count=3, strategy="naive", first=6)
         plan, rider_keys = planner.build(
-            anchor, snapshot_of(anchor, rider_a, rider_b)
+            anchor, pending_of(anchor, rider_a, rider_b)
         )
         assert plan.kind == "packed"
         assert plan.fused
@@ -106,7 +107,7 @@ class TestPlannerUnit:
         other_graph = make_jobs("bfs", graph="h", count=2, strategy="uvm")
         other_app = make_jobs("sssp", count=2, strategy="uvm")
         plan, rider_keys = planner.build(
-            anchor, snapshot_of(anchor, other_graph, other_app)
+            anchor, pending_of(anchor, other_graph, other_app)
         )
         assert rider_keys == []
         assert plan.kind == "multisource"
@@ -116,7 +117,7 @@ class TestPlannerUnit:
         anchor = make_jobs("bfs", count=MAX_LANES - 3)
         small = make_jobs("bfs", count=2, strategy="uvm", first=MAX_LANES - 3)
         big = make_jobs("bfs", count=10, strategy="naive", first=MAX_LANES - 1)
-        plan, rider_keys = planner.build(anchor, snapshot_of(anchor, small, big))
+        plan, rider_keys = planner.build(anchor, pending_of(anchor, small, big))
         assert rider_keys == [small[0].request.batch_key]
         assert plan.lanes == MAX_LANES - 1
         assert plan.lanes <= MAX_LANES
@@ -125,7 +126,7 @@ class TestPlannerUnit:
         planner = FusionPlanner()
         anchor = make_jobs("bfs", count=MAX_LANES)
         rider = make_jobs("bfs", count=1, strategy="uvm", first=MAX_LANES)
-        plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
+        plan, rider_keys = planner.build(anchor, pending_of(anchor, rider))
         assert rider_keys == []
         assert plan.kind == "multisource"
 
@@ -136,7 +137,7 @@ class TestPlannerUnit:
         for width in (4, MAX_LANES):
             anchor = make_jobs("bfs", count=width)
             rider = make_jobs("bfs", count=2, strategy="uvm", first=width - 2)
-            plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
+            plan, rider_keys = planner.build(anchor, pending_of(anchor, rider))
             assert rider_keys == [rider[0].request.batch_key]
             assert plan.kind == "packed"
             assert plan.lanes == width
@@ -149,7 +150,7 @@ class TestPlannerUnit:
             for strategy in ("merged_aligned", "merged", "naive", "uvm")
         ]
         groups.append(make_jobs("sssp", count=16, system=ampere_pcie4()))
-        plan, rider_keys = planner.build(groups[0], snapshot_of(*groups))
+        plan, rider_keys = planner.build(groups[0], pending_of(*groups))
         assert len(rider_keys) == 4
         assert plan.kind == "packed"
         assert len(plan.jobs) == 80
@@ -162,7 +163,7 @@ class TestPlannerUnit:
         rider_a = make_jobs("cc", strategy="uvm")
         rider_b = make_jobs("cc", strategy="naive")
         plan, rider_keys = planner.build(
-            anchor, snapshot_of(anchor, rider_a, rider_b)
+            anchor, pending_of(anchor, rider_a, rider_b)
         )
         assert plan.kind == "streaming"
         assert len(rider_keys) == 2
@@ -174,7 +175,7 @@ class TestPlannerUnit:
         planner = FusionPlanner()
         anchor = make_jobs("pagerank")
         rider = make_jobs("pagerank", strategy="uvm")
-        plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
+        plan, rider_keys = planner.build(anchor, pending_of(anchor, rider))
         assert plan.kind == "streaming"
         assert rider_keys == [rider[0].request.batch_key]
 
@@ -183,39 +184,25 @@ class TestPlannerUnit:
         planner = FusionPlanner()
         anchor = make_jobs("bfs", count=2)
         rider = make_jobs("bfs", count=2, strategy="uvm", first=2)
-        plan, rider_keys = planner.build(anchor, snapshot_of(anchor, rider))
+        plan, rider_keys = planner.build(anchor, pending_of(anchor, rider))
         assert plan.kind == "packed"
         assert plan.shape == "packed:2x4"
         assert rider_keys == [rider[0].request.batch_key]
 
-    def test_restrict_drops_unclaimed_riders(self):
-        planner = FusionPlanner()
-        anchor = make_jobs("bfs", count=2)
-        rider_a = make_jobs("bfs", count=1, strategy="uvm")
-        rider_b = make_jobs("bfs", count=1, strategy="naive")
-        plan, rider_keys = planner.build(
-            anchor, snapshot_of(anchor, rider_a, rider_b)
-        )
-        key_a = rider_a[0].request.batch_key
-        plan.restrict({key_a: list(rider_a)})
-        assert plan.rider_keys == [key_a]
-        assert plan.groups == [anchor, rider_a]
-        assert plan.kind == "packed"
-
-    def test_restrict_to_anchor_degrades_to_baseline(self):
+    def test_narrow_to_anchor_degrades_to_baseline(self):
         planner = FusionPlanner()
         anchor = make_jobs("cc")
         rider = make_jobs("cc", strategy="uvm")
-        plan, _ = planner.build(anchor, snapshot_of(anchor, rider))
-        plan.restrict({})
+        plan, _ = planner.build(anchor, pending_of(anchor, rider))
+        plan.narrow(plan.groups[:1])
         assert plan.kind == "streaming"
         assert not plan.fused
 
         anchor = make_jobs("bfs", count=1)
         rider = make_jobs("bfs", count=1, strategy="uvm")
-        plan, _ = planner.build(anchor, snapshot_of(anchor, rider))
+        plan, _ = planner.build(anchor, pending_of(anchor, rider))
         assert plan.kind == "packed"
-        plan.restrict({})
+        plan.narrow(plan.groups[:1])
         assert plan.kind == "solo"
 
 
@@ -251,25 +238,24 @@ class TestPlanIsAFunctionOfTheBacklog:
             )
             for index, (app, graph, strategy) in enumerate(order)
         ]
-        snapshot = snapshot_of(*groups)
+        pending = pending_of(*groups)
         anchor = groups[0]
         request = anchor[0].request
 
-        plan, rider_keys = FusionPlanner().build(anchor, snapshot)
-        again, again_keys = FusionPlanner().build(anchor, dict(snapshot))
+        plan, rider_keys = FusionPlanner().build(anchor, pending)
+        again, again_keys = FusionPlanner().build(anchor, dict(pending))
         assert plan == again and rider_keys == again_keys
 
         compatible = {
             key: jobs
-            for key, jobs in snapshot.items()
+            for key, jobs in pending.items()
             if key != request.batch_key
             and key[:2] == (request.graph, request.application.value)
         }
         assert plan.groups[0] == anchor
-        assert rider_keys == plan.rider_keys
         assert len(set(rider_keys)) == len(rider_keys)
         assert set(rider_keys) <= set(compatible)
-        assert plan.groups[1:] == [list(snapshot[key]) for key in rider_keys]
+        assert plan.groups[1:] == [pending[key] for key in rider_keys]
         assert plan.fused == bool(rider_keys)
         if request.application.is_streaming:
             assert list(rider_keys) == list(compatible)

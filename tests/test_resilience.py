@@ -361,12 +361,21 @@ class TestCircuitBreaker:
         clock[0] = 10.0
         assert breaker.state == "half_open"
 
-    def test_snapshot_counts_transitions(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=60.0)
-        snap = breaker.snapshot()
-        assert snap["state"] == "closed" and snap["consecutive_failures"] == 0
+    def test_on_transition_counts_transitions(self):
+        transitions = []
+        clock = [0.0]
+        breaker = CircuitBreaker(
+            failure_threshold=1, cooldown_seconds=5.0,
+            on_transition=transitions.append, clock=lambda: clock[0],
+        )
+        assert breaker.state == "closed" and transitions == []
         breaker.record_failure()
-        assert breaker.snapshot()["transitions"] == 1
+        breaker.record_failure()  # already open: no second transition
+        assert transitions == ["open"]
+        clock[0] = 5.0
+        assert breaker.allow()  # the probe moves the circuit to half-open
+        breaker.record_success()
+        assert transitions == ["open", "half_open", "closed"]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

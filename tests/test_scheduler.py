@@ -36,6 +36,7 @@ from repro.service import (
     default_engine,
     make_policy,
 )
+from repro.service.planner import MAX_LANES, FusionPlanner
 from repro.service.workload import (
     config_from_spec,
     expand_requests,
@@ -257,7 +258,7 @@ class TestWeightedFairPolicy:
 
     def test_forget_group_refunds_fused_away_virtual_time(self):
         """Regression: a group fused into a shared run as a plan rider
-        (claimed via claim_groups, never selected) must not leave its booked
+        (popped by pop_plan, never selected) must not leave its booked
         cost on the tenant's virtual tail — otherwise the tenant's future
         groups are deprioritized for work that rode along free."""
         def run_sequence(refund: bool):
@@ -272,7 +273,7 @@ class TestWeightedFairPolicy:
             assert policy.select(groups) == ("t1",)
             groups.pop(("t1",))
             # The second group rides along with a fused plan instead of
-            # draining through select (claim_groups semantics).
+            # draining through select (pop_plan semantics).
             groups.pop(("t2",))
             if refund:
                 policy.forget_group(("t2",), fused_jobs)
@@ -545,16 +546,14 @@ class TestQueueScheduling:
         queue.push_or_join(other)
         # The drain selects tenant "t"'s first CC group (arrival-order tie
         # with "other"), tagging everything visible: "t" is charged twice.
-        anchor = queue.pop_batch()
-        assert anchor[0].job_id == "t1"
         # The sibling CC group rides along with the anchor as a plan rider
         # instead of consuming its own drain; its charge must be refunded.
-        snapshot = queue.snapshot_groups()
-        rider_keys = [
-            key for key in snapshot if key[0] == "g" and key[1] == "cc"
-        ]
-        claimed = queue.claim_groups(rider_keys)
-        riders = [claimed[key] for key in rider_keys]
+        def build(anchor, pending):
+            rider_keys = [key for key in pending if key[:2] == ("g", "cc")]
+            return (anchor, [list(pending[key]) for key in rider_keys]), rider_keys
+
+        anchor, riders = queue.pop_plan(build)
+        assert anchor[0].job_id == "t1"
         assert [group[0].job_id for group in riders] == ["t2"]
         assert policy._tenant_tail["t"] == pytest.approx(
             policy._tenant_tail["other"]
@@ -569,6 +568,39 @@ class TestQueueScheduling:
         late_other = make_job("o2", 5, tenant="other")
         queue.push_or_join(late_other)
         assert queue.pop_batch() == [late_t]
+
+    def test_late_submit_cannot_grow_a_packed_word(self):
+        """The plan is built and its riders popped in one critical section:
+        a submit that arrives while the planner runs waits for the lock and
+        lands in a fresh group, so a word packed to the brim stays at
+        ``MAX_LANES`` lanes."""
+        queue = RequestQueue()
+        anchor_job = make_job("anchor", 0)
+        queue.push_or_join(anchor_job)
+        for source in range(1, MAX_LANES):
+            queue.push_or_join(make_job(f"r{source}", source, strategy="uvm"))
+        late = make_job("late", MAX_LANES, strategy="uvm")
+
+        submitter = threading.Thread(target=queue.push_or_join, args=(late,))
+
+        def build(anchor, pending):
+            planned = FusionPlanner().build(anchor, pending)
+            submitter.start()
+            submitter.join(0.2)
+            return planned
+
+        plan = queue.pop_plan(build)
+        assert plan.kind == "packed"
+        assert plan.jobs[0] is anchor_job
+        assert plan.lanes == MAX_LANES
+        assert late not in plan.jobs
+        # The submitter ran once the lock was released: the late job waits
+        # in its own group, and the next pop drains it.
+        submitter.join(10)
+        assert queue.pending_count() == 1
+        following = queue.pop_plan(FusionPlanner().build)
+        assert following.jobs == [late]
+        assert queue.pop_plan(FusionPlanner().build) is None
 
     def test_expire_is_atomic_with_dedup_retirement(self):
         queue = RequestQueue()

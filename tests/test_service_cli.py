@@ -143,12 +143,12 @@ class TestServeBatch:
         assert "0 failed" in fields["requests"]
         assert fields["health"] == "ok"
 
-    def test_health_degraded_exit_code(self, capsys):
+    def test_health_failed_exit_code(self, capsys):
         assert main([
             "health", str(WORKLOAD),
             "--faults", "worker.task:permanent:tenant=interactive",
         ]) == 1
-        assert "health: degraded" in capsys.readouterr().out
+        assert "health: failed" in capsys.readouterr().out
 
     def test_listed_alongside_figures(self, capsys):
         assert main(["list"]) == 0
