@@ -580,7 +580,6 @@ class TestQueueScheduling:
         for source in range(1, MAX_LANES):
             queue.push_or_join(make_job(f"r{source}", source, strategy="uvm"))
         late = make_job("late", MAX_LANES, strategy="uvm")
-
         submitter = threading.Thread(target=queue.push_or_join, args=(late,))
 
         def build(anchor, pending):
