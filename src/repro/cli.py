@@ -8,7 +8,7 @@ Usage::
     python -m repro.cli serve-batch examples/workload.json --policy edf
     python -m repro.cli serve-batch examples/workload.json --trace-output trace.jsonl
     python -m repro.cli stats examples/workload.json --format prom
-    python -m repro.cli health examples/workload.json --faults 'seed=7;registry.load:transient:n=2:limit=1'
+    python -m repro.cli serve-batch examples/workload.json --faults 'seed=7;registry.load:transient:n=2:limit=1'
     python -m repro.cli lint --format json --output lint.json
     python -m repro.cli lint --locks
     python -m repro.cli serve-batch examples/workload.json --store serving.db
@@ -58,7 +58,13 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         prog="repro serve-batch",
         description=(
             "Drive the repro.service traversal server with a JSON workload "
-            "file and print a throughput/latency report."
+            "file and print a throughput/latency report: request outcomes, "
+            "scheduling, latency, batching, caches, resilience (retries, "
+            "sweep timeouts, fault isolation, native-kernel step-downs, "
+            "injected faults) and the durable store.  Exits 0 when every "
+            "request completed, 1 when a request failed (a sweep re-run on "
+            "numpy or a degraded store return the same values, so neither "
+            "fails one), 2 on a usage, workload or service error."
         ),
     )
     parser.add_argument("workload", help="path to a workload JSON file")
@@ -191,41 +197,6 @@ def _build_stats_parser() -> argparse.ArgumentParser:
         choices=("prom", "json"),
         default="prom",
         help="exposition format (default: prom)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="abort if the workload does not finish within this many seconds",
-    )
-    return parser
-
-
-def _build_health_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro health",
-        description=(
-            "Run a JSON workload through the traversal service and print a "
-            "resilience-focused health summary: terminal outcomes, retries, "
-            "sweep timeouts, fault isolation, native-kernel step-downs and "
-            "the durable store.  Exits 1 only when a request failed: a sweep "
-            "re-run on numpy and a degraded store return the same values."
-        ),
-    )
-    parser.add_argument("workload", help="path to a workload JSON file")
-    parser.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="fault-injection plan in REPRO_FAULTS format "
-        "(overrides the workload file and the environment)",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="SQLite file backing the durable serving store "
-        "(overrides the workload file's store_path)",
     )
     parser.add_argument(
         "--timeout",
@@ -476,62 +447,11 @@ def _stats(argv: list[str]) -> int:
     return 0
 
 
-def _health(argv: list[str]) -> int:
-    from .service.workload import serve_workload_file
-
-    args = _build_health_parser().parse_args(argv)
-    try:
-        report = serve_workload_file(
-            args.workload,
-            timeout=args.timeout,
-            fault_plan=args.faults,
-            store_path=args.store,
-        )
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"health failed: {exc}", file=sys.stderr)
-        return 2
-    stats = report.stats
-    terminal = stats.completed + stats.failed
-    # A sweep re-run on numpy and a degraded/quarantined store never fail
-    # requests (the values are the same), so both are *reported* here
-    # without flipping the exit status — that stays tied to request
-    # outcomes, which chaos drills gate on.
-    healthy = stats.failed == 0
-    lines = [
-        "Service health summary",
-        "=" * 55,
-        f"requests            : {report.total_requests} submitted, "
-        f"{stats.deduplicated} coalesced onto in-flight jobs, "
-        f"{terminal} terminal ({stats.completed} completed, "
-        f"{stats.failed} failed, {stats.expired} of those expired in queue)",
-        f"retries             : {stats.retries} "
-        f"(transient loader/sweep failures retried with backoff)",
-        f"sweep timeouts      : {stats.sweep_timeouts} "
-        f"(cancelled at an iteration boundary)",
-        f"fault isolation     : {stats.isolations} fused group(s) "
-        f"re-executed member-by-member",
-        f"native kernels      : {stats.degraded} sweep(s) re-run on numpy",
-        f"faults injected     : {stats.faults_injected}",
-        f"cache errors        : {stats.cache_errors} absorbed "
-        f"(reads degraded to misses, writes dropped)",
-        f"rejected after close: {stats.rejected_after_close}",
-        f"durable store       : {stats.store_state} "
-        f"({stats.store_hits} persistent hits, {stats.store_writes} writes, "
-        f"{stats.store_backfilled} backfilled, "
-        f"{stats.store_errors} errors absorbed)",
-        "-" * 55,
-        f"health: {'ok' if healthy else 'failed'}",
-    ]
-    print("\n".join(lines))
-    return 0 if healthy else 1
-
-
 #: Subcommands with their own argument parser, in ``list`` order; everything
 #: else is a figure/table target of the default parser.
 SUBCOMMANDS = {
     "serve-batch": _serve_batch,
     "stats": _stats,
-    "health": _health,
     "lint": _lint,
     "store": _store,
 }

@@ -33,6 +33,16 @@ from .scheduler import SchedulingPolicy, group_deadline, make_policy
 logger = logging.getLogger(__name__)
 
 
+class PlanBuildError(Exception):
+    """:meth:`RequestQueue.pop_plan`'s ``build`` raised after the anchor
+    group was popped: ``jobs`` are those popped jobs, which the caller now
+    owns failing, and ``__cause__`` is the planner's error."""
+
+    def __init__(self, jobs: list[Job]) -> None:
+        super().__init__("planning the popped anchor group failed")
+        self.jobs = jobs
+
+
 class RequestQueue:
     """Thread-safe queue of batch groups plus the in-flight dedup index.
 
@@ -242,15 +252,19 @@ class RequestQueue:
         nothing ``build`` calls may take it.  Each rider is reported to
         :meth:`SchedulingPolicy.forget_group`, which refunds any WFQ virtual
         time booked for it.  Returns the plan (opaque to the queue), or
-        ``None`` when the queue was idle.  The scheduling policy stays in
-        charge of *which* work drains next — planning only decides what
-        rides along with its selection.
+        ``None`` when the queue was idle.  If ``build`` raises, no rider has
+        been popped and the anchor jobs leave in a :class:`PlanBuildError`.
+        The scheduling policy stays in charge of *which* work drains next —
+        planning only decides what rides along with its selection.
         """
         with self._lock:
             if not self._groups:
                 return None
             anchor = self._pop_locked(self._select_locked())
-            plan, riders = build(anchor, self._groups)
+            try:
+                plan, riders = build(anchor, self._groups)
+            except Exception as exc:
+                raise PlanBuildError(anchor) from exc
             for key in riders:
                 self._policy.forget_group(key, self._pop_locked(key))
             return plan

@@ -51,7 +51,7 @@ from .costmodel import CostModel
 from .faults import FaultPlan
 from .jobs import Job, JobStatus
 from .planner import FusionPlan, FusionPlanner, sweep_lanes
-from .queue import RequestQueue
+from .queue import PlanBuildError, RequestQueue
 from .registry import GraphRegistry
 from .requests import TraversalRequest
 from .resilience import (
@@ -179,9 +179,7 @@ class Service:
         # catalog loads/evictions and backfill still-valid cached results.
         self._store: ServingStore | None = None
         if self.config.store_path is not None:
-            self._store = ServingStore(
-                self.config.store_path, on_event=self._note_store_event
-            )
+            self._store = ServingStore(self.config.store_path, metrics=self._metrics)
             seeded = self._costmodel.seed(self._store.load_cost_rates())
             if seeded:
                 logger.info(
@@ -218,23 +216,6 @@ class Service:
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
-    def _note_store_event(self, kind: str, labels: dict) -> None:
-        """Store event hook: map store activity onto the metric series."""
-        m = self._metrics
-        if kind == "op":
-            m["repro_store_operations_total"].inc(
-                op=labels.get("op", "unknown"),
-                outcome=labels.get("outcome", "unknown"),
-            )
-        elif kind == "hit":
-            m["repro_store_hits_total"].inc()
-        elif kind == "drop":
-            m["repro_store_dropped_writes_total"].inc()
-        elif kind == "breaker":
-            state = labels.get("state", "unknown")
-            m["repro_store_breaker_transitions_total"].inc(state=state)
-            logger.warning("durable store circuit breaker -> %s", state)
-
     def _on_graph_load(self, name: str, graph: CSRGraph) -> None:
         """Registry listener: catalog the load, backfill still-valid results.
 
@@ -888,6 +869,14 @@ class Service:
         pick_started = time.perf_counter()
         try:
             plan = self._queue.pop_plan(self._build_plan)
+        except PlanBuildError as exc:
+            # The anchor group is already off the queue: fail its jobs with
+            # the planner's error, or nothing would ever settle them.
+            logger.error(
+                "planner failed on a popped batch group", exc_info=exc.__cause__
+            )
+            self._fail_stranded(exc.jobs, exc.__cause__)
+            return
         except Exception:  # noqa: BLE001 - keep the drain loop alive
             logger.exception("scheduler failed to pick a batch group")
             return

@@ -17,7 +17,7 @@ from ..obs.metrics import LatencyStats, MetricsRegistry
 from .cache import CacheStats
 from .costmodel import CostModelStats
 from .registry import RegistryStats
-from .store import StoreStats
+from .store import StoreStats, failed_operations
 
 __all__ = ["LatencyStats", "ServiceStats", "TenantStats"]
 
@@ -141,9 +141,7 @@ class ServiceStats:
         if store is not None:
             snapshots.update(
                 store_state=store.state,
-                store_hits=store.hits,
                 store_writes=store.writes,
-                store_errors=store.errors,
                 store_pending=store.pending,
                 store_backfilled=store.backfilled,
             )
@@ -179,6 +177,8 @@ class ServiceStats:
             degraded=count("repro_native_degraded_total"),
             rejected_after_close=count("repro_rejected_after_close_total"),
             cache_errors=total("repro_cache_errors_total"),
+            store_hits=count("repro_store_hits_total"),
+            store_errors=failed_operations(metrics),
             **snapshots,
         )
 

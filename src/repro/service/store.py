@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import pickle
 import queue
 import sqlite3
@@ -89,9 +90,12 @@ from ..analysis.lockorder import tracked_lock
 from ..errors import StoreError
 from ..graph.analysis import degree_stats
 from ..graph.csr import CSRGraph
+from ..obs.metrics import CATALOG, MetricsRegistry
 from ..traversal.results import TraversalResult
 from . import faults
 from .resilience import CircuitBreaker
+
+logger = logging.getLogger("repro.service")
 
 SCHEMA_VERSION = 2
 
@@ -184,6 +188,13 @@ def graph_fingerprint(graph: CSRGraph) -> str:
     return digest.hexdigest()[:16]
 
 
+def failed_operations(metrics: MetricsRegistry) -> int:
+    """Store failures absorbed: ``repro_store_operations_total`` over every
+    ``outcome="error"`` child (armed faults included)."""
+    samples = metrics["repro_store_operations_total"].samples()
+    return int(sum(n for (_, outcome), n in samples.items() if outcome == "error"))
+
+
 def _key_columns(key: tuple) -> tuple[str, str, str, str, str]:
     """Flatten a request cache key into the result_cache key columns.
 
@@ -203,12 +214,15 @@ def _key_columns(key: tuple) -> tuple[str, str, str, str, str]:
 
 @dataclass(frozen=True)
 class StoreStats:
-    """Counter snapshot for ``stats()`` / health / metrics exposition."""
+    """Counter snapshot for ``stats()`` and metrics exposition.
+
+    ``hits``, ``dropped`` and ``errors`` are reads of the store's
+    ``repro_store_*`` series; the rest are counted by the store itself.
+    """
 
     state: str
     path: str
     hits: int
-    misses: int
     writes: int
     dropped: int
     errors: int
@@ -223,11 +237,12 @@ class StoreStats:
 class ServingStore:
     """SQLite/WAL durability layer behind a circuit breaker.
 
-    ``on_event`` (optional) receives ``(kind, labels)`` for every countable
-    event — ``op`` (labels op/outcome), ``hit``, ``drop``, ``breaker``
-    (label state) — which is how the service maps store activity onto its
-    catalog-declared ``repro_store_*`` metric series without the store
-    importing the metrics registry.
+    ``metrics`` is the registry the store counts into: every operation
+    (``repro_store_operations_total`` by op and outcome), persistent hit,
+    dropped sweep write and breaker transition lands on its
+    catalog-declared ``repro_store_*`` series, which is the only copy of
+    those counts.  A service passes its own ledger; a standalone store
+    builds one from :data:`~repro.obs.metrics.CATALOG`.
     """
 
     def __init__(
@@ -236,12 +251,15 @@ class ServingStore:
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         failure_threshold: int = 3,
         cooldown_seconds: float = 2.0,
-        on_event: Callable[[str, dict], None] | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if not str(path):
             raise StoreError("store path must be a non-empty filesystem path")
         self.path = Path(path)
-        self._on_event = on_event
+        self._metrics = MetricsRegistry(CATALOG) if metrics is None else metrics
+        self._ops = self._metrics["repro_store_operations_total"]
+        self._hit_series = self._metrics["repro_store_hits_total"]
+        self._drop_series = self._metrics["repro_store_dropped_writes_total"]
         self._db_lock = tracked_lock("service.ServingStore._db_lock")
         #: Reads run on their own WAL connection behind their own lock, so a
         #: hot-path lookup never waits for the flush thread's write
@@ -267,11 +285,7 @@ class ServingStore:
         #: Dropped at eviction, which keeps the store from pinning a graph
         #: the registry let go.
         self._loaded: dict[str, tuple[CSRGraph, str]] = {}
-        self._hits = 0
-        self._misses = 0
         self._writes = 0
-        self._dropped = 0
-        self._errors = 0
         self._backfilled = 0
         self._breaker = CircuitBreaker(
             failure_threshold=failure_threshold,
@@ -346,15 +360,14 @@ class ServingStore:
                     tuple(row) for row in rows if row[0] not in self._loaded
                 }
         except Exception:
-            self._count_error()
             self._breaker.record_failure()
-            self._emit("op", {"op": "open", "outcome": "error"})
+            self._ops.inc(op="open", outcome="error")
             if initial:
                 # Leave a breadcrumb in the counters; the service stays up.
                 self._conn = None
             return False
         self._breaker.record_success()
-        self._emit("op", {"op": "open", "outcome": "ok"})
+        self._ops.inc(op="open", outcome="ok")
         return True
 
     def _connect(self) -> sqlite3.Connection:
@@ -423,7 +436,7 @@ class ServingStore:
         if self._closed:
             return None
         if not self._breaker.allow():
-            self._emit("op", {"op": op, "outcome": "skipped"})
+            self._ops.inc(op=op, outcome="skipped")
             return None
         if self._conn is None:
             self._try_open()
@@ -476,25 +489,17 @@ class ServingStore:
                 pass
         with self._state_lock:
             quarantined = self._quarantined_from is not None
-            counters = (
-                self._hits,
-                self._misses,
-                self._writes,
-                self._dropped,
-                self._errors,
-                self._backfilled,
-            )
+            writes, backfilled = self._writes, self._backfilled
         # ``self.state`` re-takes the (non-reentrant) state lock, so it must
         # be read after the counter snapshot, never inside it.
         return StoreStats(
             state=self.state,
             path=str(self.path),
-            hits=counters[0],
-            misses=counters[1],
-            writes=counters[2],
-            dropped=counters[3],
-            errors=counters[4],
-            backfilled=counters[5],
+            hits=int(self._hit_series.value()),
+            writes=writes,
+            dropped=int(self._drop_series.value()),
+            errors=failed_operations(self._metrics),
+            backfilled=backfilled,
             pending=self._pending.qsize(),
             quarantined=quarantined,
             catalog_rows=catalog,
@@ -502,21 +507,9 @@ class ServingStore:
             rate_rows=rates,
         )
 
-    def _count_error(self) -> None:
-        with self._state_lock:
-            self._errors += 1
-
     def _note_breaker(self, state: str) -> None:
-        self._emit("breaker", {"state": state})
-
-    def _emit(self, kind: str, labels: dict | None = None) -> None:
-        callback = self._on_event
-        if callback is None:
-            return
-        try:
-            callback(kind, labels or {})
-        except Exception:
-            pass
+        self._metrics["repro_store_breaker_transitions_total"].inc(state=state)
+        logger.warning("durable store circuit breaker -> %s", state)
 
     # ------------------------------------------------------------------ #
     # Reads (request path: fast, absorb everything)
@@ -537,7 +530,6 @@ class ServingStore:
         # half-open probe it would leave unresolved.
         with self._state_lock:
             if columns not in self._known_keys:
-                self._misses += 1
                 return None
         conn = self._guarded_read_connection("read")
         if conn is None:
@@ -554,22 +546,17 @@ class ServingStore:
                     columns,
                 ).fetchone()
             if row is None:
-                with self._state_lock:
-                    self._misses += 1
                 self._breaker.record_success()
-                self._emit("op", {"op": "read", "outcome": "ok"})
+                self._ops.inc(op="read", outcome="ok")
                 return None
             result = pickle.loads(row[0])
         except Exception:
-            self._count_error()
             self._breaker.record_failure()
-            self._emit("op", {"op": "read", "outcome": "error"})
+            self._ops.inc(op="read", outcome="error")
             return None
-        with self._state_lock:
-            self._hits += 1
         self._breaker.record_success()
-        self._emit("op", {"op": "read", "outcome": "ok"})
-        self._emit("hit", {})
+        self._ops.inc(op="read", outcome="ok")
+        self._hit_series.inc()
         return result
 
     def load_cost_rates(self) -> dict[str, float]:
@@ -584,12 +571,11 @@ class ServingStore:
                     "SELECT application, seconds_per_edge_word FROM cost_rates"
                 ).fetchall()
         except Exception:
-            self._count_error()
             self._breaker.record_failure()
-            self._emit("op", {"op": "read", "outcome": "error"})
+            self._ops.inc(op="read", outcome="error")
             return {}
         self._breaker.record_success()
-        self._emit("op", {"op": "read", "outcome": "ok"})
+        self._ops.inc(op="read", outcome="ok")
         return {application: float(rate) for application, rate in rows}
 
     # ------------------------------------------------------------------ #
@@ -688,12 +674,11 @@ class ServingStore:
                     (name, fingerprint),
                 ).fetchall()
         except Exception:
-            self._count_error()
             self._breaker.record_failure()
-            self._emit("op", {"op": "read", "outcome": "error"})
+            self._ops.inc(op="read", outcome="error")
             return []
         self._breaker.record_success()
-        self._emit("op", {"op": "read", "outcome": "ok"})
+        self._ops.inc(op="read", outcome="ok")
         entries = []
         for graph, application, source, strategy, system, payload in rows:
             try:
@@ -752,9 +737,7 @@ class ServingStore:
         try:
             self._pending.put_nowait((graph, list(results), rate_of))
         except queue.Full:
-            with self._state_lock:
-                self._dropped += 1
-            self._emit("drop", {})
+            self._drop_series.inc()
 
     def _sweep_rows(
         self, graph: CSRGraph, results: list[tuple[tuple, TraversalResult]]
@@ -793,8 +776,7 @@ class ServingStore:
         except Exception:
             # A result that will not pickle is a data problem, not a store
             # failure: count the dropped batch, leave the breaker alone.
-            self._count_error()
-            self._emit("op", {"op": "write", "outcome": "error"})
+            self._ops.inc(op="write", outcome="error")
             return
 
         def apply(conn: sqlite3.Connection) -> int:
@@ -882,16 +864,14 @@ class ServingStore:
                 return
             self._pending.task_done()
             if op is not None:
-                with self._state_lock:
-                    self._dropped += 1
-                self._emit("drop", {})
+                self._drop_series.inc()
 
     def _commit(self, apply: Callable[[sqlite3.Connection], int]) -> None:
         """Run ``apply`` as one write transaction behind the breaker.
 
         ``apply`` returns how many rows it wrote, for :attr:`StoreStats.writes`.
         Never raises and never retries: a skipped (breaker open) or failed
-        write is counted on the ``op``/``outcome`` events and dropped —
+        write is counted on ``repro_store_operations_total`` and dropped —
         every row the store holds can be re-derived.
         """
         if self._guarded_connection("write") is None:
@@ -909,14 +889,13 @@ class ServingStore:
                     conn.rollback()
                     raise
         except Exception:
-            self._count_error()
             self._breaker.record_failure()
-            self._emit("op", {"op": "write", "outcome": "error"})
+            self._ops.inc(op="write", outcome="error")
             return
         with self._state_lock:
             self._writes += rows
         self._breaker.record_success()
-        self._emit("op", {"op": "write", "outcome": "ok"})
+        self._ops.inc(op="write", outcome="ok")
 
     # ------------------------------------------------------------------ #
     # Checkpoint / close
@@ -925,19 +904,18 @@ class ServingStore:
         """Flush the WAL back into the main database file."""
         conn = self._conn
         if conn is None or not self._breaker.allow():
-            self._emit("op", {"op": "checkpoint", "outcome": "skipped"})
+            self._ops.inc(op="checkpoint", outcome="skipped")
             return False
         try:
             with self._db_lock:
                 faults.check("store.checkpoint", path=str(self.path))
                 conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         except Exception:
-            self._count_error()
             self._breaker.record_failure()
-            self._emit("op", {"op": "checkpoint", "outcome": "error"})
+            self._ops.inc(op="checkpoint", outcome="error")
             return False
         self._breaker.record_success()
-        self._emit("op", {"op": "checkpoint", "outcome": "ok"})
+        self._ops.inc(op="checkpoint", outcome="ok")
         return True
 
     def flush(self) -> None:

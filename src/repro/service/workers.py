@@ -28,31 +28,26 @@ class WorkerPool:
         )
         self._lock = tracked_lock("service.WorkerPool._lock")
         self._active = 0
-        self._dispatched = 0
-        self._rejected = 0
         self._closed = False
 
     def submit(self, fn: Callable, *args, **kwargs) -> Future:
         """Schedule ``fn(*args, **kwargs)`` on the pool.
 
         After :meth:`shutdown` this raises :class:`ServiceClosedError` (a
-        ``ServiceError``) rather than the executor's bare ``RuntimeError``,
-        and the refusal is counted for the stats snapshot.
+        ``ServiceError``) rather than the executor's bare ``RuntimeError``;
+        the service counts each refusal in its metrics ledger.
         """
         # The closed check and the executor submit happen under one lock so a
         # concurrent shutdown() cannot slip between them; any residual
         # executor-level refusal surfaces as the same ServiceClosedError.
         with self._lock:
             if self._closed:
-                self._rejected += 1
                 raise ServiceClosedError("worker pool is shut down")
             try:
                 future = self._executor.submit(fn, *args, **kwargs)
             except RuntimeError as exc:
-                self._rejected += 1
                 raise ServiceClosedError("worker pool is shut down") from exc
             self._active += 1
-            self._dispatched += 1
         # The decrement lives in a done-callback, not a wrapper around ``fn``:
         # ``shutdown(cancel_pending=True)`` cancels queued tasks whose body
         # never runs, and a wrapper-based decrement then leaked ``_active``
@@ -72,18 +67,6 @@ class WorkerPool:
         """Tasks currently queued on or running in the executor."""
         with self._lock:
             return self._active
-
-    @property
-    def dispatched(self) -> int:
-        """Total tasks ever submitted to the pool."""
-        with self._lock:
-            return self._dispatched
-
-    @property
-    def rejected_after_close(self) -> int:
-        """Submissions refused because the pool was already shut down."""
-        with self._lock:
-            return self._rejected
 
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
         """Stop the pool; ``cancel_pending`` drops tasks not yet started."""

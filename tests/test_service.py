@@ -367,6 +367,38 @@ class TestFailurePaths:
             assert blocker.status is JobStatus.DONE
         assert service.stats().failed == 2
 
+    def test_planner_failure_fails_the_popped_anchor(
+        self, registry, random_graph, monkeypatch
+    ):
+        """The anchor group is popped before the planner runs: when the build
+        raises, its jobs fail with the planner's error instead of staying
+        PENDING with nothing left in the queue to drain them."""
+        with make_service(registry, max_workers=1) as service:
+            build = service._planner.build
+            calls = []
+
+            def failing_once(anchor, pending):
+                calls.append(anchor)
+                if len(calls) == 1:
+                    raise SimulationError("planner broke")
+                return build(anchor, pending)
+
+            monkeypatch.setattr(service._planner, "build", failing_once)
+            stranded = service.submit(
+                TraversalRequest("bfs", random_graph.name, source=0)
+            )
+            assert stranded.wait(10), "the popped anchor job never settled"
+            assert stranded.status is JobStatus.FAILED
+            assert isinstance(stranded.error, SimulationError)
+            assert str(stranded.error) == "planner broke"
+            assert service._queue.pending_count() == 0
+            served = service.submit(
+                TraversalRequest("bfs", random_graph.name, source=1)
+            )
+            assert service.result(served, timeout=30) is not None
+        stats = service.stats()
+        assert stats.failed == 1 and stats.completed == 1
+
     def test_result_timeout(self, registry, random_graph):
         engine = GatedCountingEngine(gated=True)
         service = make_service(registry, engine=engine)
@@ -619,7 +651,6 @@ class TestWorkerPool:
         while pool.active and time.monotonic() < deadline:
             time.sleep(0.005)
         assert pool.active == 0
-        assert pool.dispatched == 5
 
     def test_completed_and_failing_tasks_release_active_count(self):
         pool = WorkerPool(max_workers=2)

@@ -18,6 +18,7 @@ import pytest
 from repro.config import ServiceConfig
 from repro.errors import ConfigurationError, StoreError
 from repro.graph.generators import uniform_random_graph
+from repro.obs.metrics import CATALOG, MetricsRegistry
 from repro.service import (
     STORE_STATE_CODES,
     Service,
@@ -636,14 +637,14 @@ class TestSweepWrites:
             assert service.store.stats().result_rows == 2
 
     def test_write_skipped_while_breaker_open_lands_after_cooldown(self, tmp_path):
-        events = []
+        metrics = MetricsRegistry(CATALOG)
         graph = make_graph()
         result = run("bfs", graph, source=0)
         store = ServingStore(
             tmp_path / "store.db",
             failure_threshold=1,
             cooldown_seconds=0.2,
-            on_event=lambda kind, labels: events.append((kind, labels)),
+            metrics=metrics,
         )
         try:
             store.record_load("durable", graph)
@@ -654,9 +655,12 @@ class TestSweepWrites:
             assert store.state == "degraded"
             store.record_sweep(graph, [(KEY, result)], {}.get)  # skipped, never raises
             store.flush()
-            writes = [labels["outcome"] for kind, labels in events
-                      if kind == "op" and labels["op"] == "write"]
-            assert writes == ["ok", "error", "skipped"]
+            writes = metrics["repro_store_operations_total"]
+            assert [
+                writes.value(op="write", outcome=outcome)
+                for outcome in ("ok", "error", "skipped")
+            ] == [1, 1, 1]
+            assert store.stats().errors == 1
             assert store.stats().result_rows == 0, "not retried"
             time.sleep(0.25)
             store.record_sweep(graph, [(KEY, result)], {}.get)  # the half-open probe
