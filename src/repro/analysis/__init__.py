@@ -6,7 +6,7 @@ every metric name actually exports, that 15+ locks keep a consistent
 acquisition order.  This package can:
 
 * :mod:`repro.analysis.engine` — an AST lint engine running the rule set in
-  :mod:`repro.analysis.rules` (REPRO101–REPRO106), with structured findings
+  :mod:`repro.analysis.rules` (REPRO101–REPRO107), with structured findings
   and ``# repro: noqa[RULE]`` suppressions, surfaced as ``repro.cli lint``
   and gated in CI.  See ``docs/lint-rules.md`` for the catalog.
 * :mod:`repro.analysis.lockorder` — ``TrackedLock``: a zero-cost-when-idle

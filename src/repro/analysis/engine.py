@@ -92,6 +92,9 @@ class LintConfig:
     #: Declared metric series (REPRO106); resolved from the live catalog.
     metric_names: frozenset = frozenset()
     metric_prefix: str = "repro_"
+    #: Path fragments of the modules whose counts belong in the ledger
+    #: (REPRO107).
+    counter_scopes: tuple = ("repro/service/", "repro/obs/", "repro/traversal/arena.py")
 
 
 def default_config() -> LintConfig:

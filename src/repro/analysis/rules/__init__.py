@@ -18,6 +18,9 @@ REPRO105    every fault-site literal armed at a ``faults.check(...)`` call
             exists in ``repro.service.faults.SITES``
 REPRO106    every ``repro_*`` metric-series literal is declared in
             ``repro.obs.metrics.CATALOG``
+REPRO107    no private counters in the serving, observability and arena
+            modules: an attribute zeroed in ``__init__`` and only ever
+            increased with ``+=`` belongs in a ledger series
 ==========  ===============================================================
 
 See ``docs/lint-rules.md`` for the catalog with rationale and suppression
@@ -57,6 +60,7 @@ def iter_functions(tree: ast.Module):
 
 from .bare_acquire import BareAcquireRule
 from .hotpath_alloc import HotPathAllocRule
+from .private_counter import PrivateCounterRule
 from .raw_envflag import RawEnvFlagRule
 from .registration import FaultSiteRule, MetricNameRule
 from .timing_mix import TimingMixRule
@@ -69,6 +73,7 @@ ALL_RULES = (
     RawEnvFlagRule,
     FaultSiteRule,
     MetricNameRule,
+    PrivateCounterRule,
 )
 
 __all__ = [
@@ -77,6 +82,7 @@ __all__ = [
     "FaultSiteRule",
     "HotPathAllocRule",
     "MetricNameRule",
+    "PrivateCounterRule",
     "RawEnvFlagRule",
     "TimingMixRule",
     "dotted_name",

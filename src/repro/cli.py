@@ -261,7 +261,7 @@ def _build_lint_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "Run the repo-invariant lint rules (REPRO101..REPRO106) over the "
+            "Run the repo-invariant lint rules (REPRO101..REPRO107) over the "
             "repro package (or explicit paths) and, with --locks, drive an "
             "in-process service smoke under the lock-order detector.  Exits "
             "non-zero when findings or ordering cycles are reported."

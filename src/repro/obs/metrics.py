@@ -53,9 +53,6 @@ CATALOG: dict[str, tuple[str, ...]] = {
     "repro_requests_deduplicated_total": (
         "counter", "Requests coalesced onto in-flight jobs.",
     ),
-    "repro_requests_cache_served_total": (
-        "counter", "Requests answered from the result cache.",
-    ),
     "repro_requests_rejected_total": (
         "counter", "Submissions refused at admission, by reason.", "reason",
     ),
@@ -79,10 +76,7 @@ CATALOG: dict[str, tuple[str, ...]] = {
         "counter", "Deadline-carrying waiters, by result (met / missed).", "result",
     ),
     "repro_costmodel_abs_error_seconds": (
-        "summary", "Absolute cost-model estimate error.",
-    ),
-    "repro_costmodel_observations_total": (
-        "counter", "Cost-model observations folded in.",
+        "summary", "Absolute cost-model estimate error, per observation folded in.",
     ),
     "repro_kernel_iterations_total": (
         "counter", "Traversal iterations, summed over every lane's own run, by app.", "app",
@@ -128,20 +122,32 @@ CATALOG: dict[str, tuple[str, ...]] = {
         "counter", "Lanes executed inside fused plans: distinct sources of a "
         "BFS/SSSP plan, groups of a streaming one.",
     ),
+    "repro_cache_hits_total": ("counter", "Result-cache lookups that hit."),
+    "repro_cache_misses_total": ("counter", "Result-cache lookups that missed."),
+    "repro_cache_evictions_total": ("counter", "Results the result cache's LRU evicted."),
+    "repro_registry_lookups_total": (
+        "counter", "Graph-registry lookups, by outcome (hit / miss).", "outcome",
+    ),
+    "repro_registry_loads_total": ("counter", "Graph loads completed by the registry."),
+    "repro_registry_evictions_total": ("counter", "Resident graphs the registry dropped."),
+    "repro_trace_evicted_spans_total": ("counter", "Spans the full tracer ring dropped."),
+    "repro_arena_engines_total": (
+        "counter", "Engine-arena acquires, by outcome (created / reused).", "outcome",
+    ),
     "repro_pending_jobs": ("gauge", "Jobs queued, not yet picked up."),
     "repro_active_workers": ("gauge", "Worker tasks queued or running."),
     "repro_uptime_seconds": ("gauge", "Seconds since service construction."),
     "repro_cache_entries": ("gauge", "Results held by the result cache."),
-    "repro_cache_hit_rate": ("gauge", "Result cache hit rate in [0, 1]."),
-    "repro_costmodel_mean_abs_error_seconds": (
-        "gauge", "Mean absolute cost-model error.",
-    ),
     "repro_trace_buffered_spans": ("gauge", "Spans buffered in the tracer ring."),
     "repro_store_operations_total": (
         "counter", "Durable-store operations, by op and outcome.", "op", "outcome",
     ),
     "repro_store_hits_total": (
         "counter", "Requests answered from the persistent result cache.",
+    ),
+    "repro_store_rows_written_total": ("counter", "Rows committed to the store."),
+    "repro_store_backfilled_total": (
+        "counter", "Stored results re-installed into the result cache at graph load.",
     ),
     "repro_store_dropped_writes_total": (
         "counter", "Sweep writes dropped because the writer's queue was full.",
@@ -374,6 +380,13 @@ class Summary(_Instrument):
             child.window.append(float(value))
             child.sum += float(value)
             child.count += 1
+
+    def totals(self, **labels: Any) -> tuple[int, float]:
+        """Cumulative ``(count, sum)`` of one label set's observations."""
+        key = _label_key(self.label_names, labels)
+        with self._lock:
+            child = self._children.get(key)
+            return (0, 0.0) if child is None else (child.count, child.sum)
 
     def snapshot(self, **labels: Any) -> LatencyStats:
         """LatencyStats over the current window for one label set."""

@@ -40,6 +40,7 @@ from typing import Any, ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
 from ..analysis.lockorder import tracked_lock
 from ..envflags import env_flag
+from .metrics import CATALOG, MetricsRegistry
 
 #: Environment variable that disables tracing when set to a falsy value.
 ENV_SWITCH = "REPRO_TRACE"
@@ -182,7 +183,9 @@ class Tracer:
 
     Buffer entries are :class:`Span` objects and :class:`JobRecord` tuples;
     ``capacity`` and every count here are in spans, a record weighing
-    :attr:`JobRecord.span_count`.
+    :attr:`JobRecord.span_count`.  Spans the full ring drops are counted in
+    ``metrics`` (``repro_trace_evicted_spans_total``; default: a registry
+    built from :data:`~repro.obs.metrics.CATALOG`).
     """
 
     def __init__(
@@ -190,6 +193,7 @@ class Tracer:
         capacity: int = 8192,
         sample: float = 1.0,
         enabled: bool | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -206,10 +210,8 @@ class Tracer:
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self._accumulator = 0.0
-        self._sampled = 0
-        self._skipped = 0
-        self._emitted = 0
-        self._evicted = 0
+        metrics = MetricsRegistry(CATALOG) if metrics is None else metrics
+        self._evicted = metrics["repro_trace_evicted_spans_total"]
 
     def begin(self, kind: str = "req") -> str | None:
         """Sampling decision for a new trace: an id to record, or ``None``.
@@ -219,16 +221,12 @@ class Tracer:
         exactly every ``k``-th request rather than a coin flip per request.
         """
         if not self.enabled or self.sample <= 0.0:
-            with self._lock:
-                self._skipped += 1
             return None
         with self._lock:
             self._accumulator += self.sample
             if self._accumulator >= 1.0 - 1e-12:
                 self._accumulator -= 1.0
-                self._sampled += 1
                 return f"{kind}-{next(self._trace_ids)}"
-            self._skipped += 1
             return None
 
     def next_span_id(self, prefix: str = "span") -> str:
@@ -238,26 +236,26 @@ class Tracer:
         if not self.enabled:
             return
         with self._lock:
-            self._append_locked(entry)
+            evicted = self._append_locked(entry)
+        if evicted:
+            self._evicted.inc(evicted)
 
     def emit_many(self, entries: Iterable[Span | JobRecord]) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
-            for entry in entries:
-                self._append_locked(entry)
+        for entry in entries:
+            self.emit(entry)
 
-    def _append_locked(self, entry: Span | JobRecord) -> None:
-        # Evict whole oldest entries until the spans fit; an entry heavier
-        # than the whole buffer goes too, so the bound always holds.
+    def _append_locked(self, entry: Span | JobRecord) -> int:
+        # Evict whole oldest entries until the spans fit (an entry heavier
+        # than the whole buffer goes too); returns the spans evicted.
         entries = self._entries
         entries.append(entry)
-        self._emitted += entry.span_count
         self._buffered += entry.span_count
+        evicted = 0
         while self._buffered > self.capacity:
             dropped = entries.popleft().span_count
             self._buffered -= dropped
-            self._evicted += dropped
+            evicted += dropped
+        return evicted
 
     def drain(self) -> list[Span]:
         """Return and clear every buffered span (oldest first).
@@ -283,18 +281,10 @@ class Tracer:
         with self._lock:
             return self._buffered
 
-    def describe(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "enabled": self.enabled,
-                "capacity": self.capacity,
-                "sample": self.sample,
-                "buffered": self._buffered,
-                "sampled_traces": self._sampled,
-                "skipped_traces": self._skipped,
-                "emitted_spans": self._emitted,
-                "evicted_spans": self._evicted,
-            }
+    @property
+    def evicted(self) -> int:
+        """Spans the full ring dropped unread (a read of the ledger series)."""
+        return int(self._evicted.value())
 
 
 def write_jsonl(spans: Iterable[Span], path: str) -> int:

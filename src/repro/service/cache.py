@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 from ..analysis.lockorder import tracked_lock
 from ..errors import ConfigurationError
+from ..obs.metrics import CATALOG, MetricsRegistry
 from ..traversal.results import TraversalResult
 from . import faults
 
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss/eviction counters plus current occupancy."""
+    """Hit/miss/eviction counts (reads of the cache's series) plus occupancy."""
 
     hits: int
     misses: int
@@ -39,28 +40,34 @@ class ResultCache:
 
     ``max_entries=0`` disables caching entirely (every lookup misses, stores
     are dropped), which keeps the service code free of special cases.
+
+    Hits, misses and evictions are counted in ``metrics`` (``repro_cache_*``;
+    default: a registry built from :data:`~repro.obs.metrics.CATALOG`).
     """
 
-    def __init__(self, max_entries: int = 1024) -> None:
+    def __init__(
+        self, max_entries: int = 1024, metrics: MetricsRegistry | None = None
+    ) -> None:
         if max_entries < 0:
             raise ConfigurationError("max_entries cannot be negative")
         self.max_entries = max_entries
         self._lock = tracked_lock("service.ResultCache._lock")
         self._entries: OrderedDict[tuple, TraversalResult] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        metrics = MetricsRegistry(CATALOG) if metrics is None else metrics
+        # Unlabelled series: a hit is a whole memory-served request, and an
+        # unlabelled inc skips the label-key build.
+        self._hits = metrics["repro_cache_hits_total"]
+        self._misses = metrics["repro_cache_misses_total"]
+        self._evictions = metrics["repro_cache_evictions_total"]
 
     def get(self, key: tuple) -> TraversalResult | None:
         faults.check("cache.get")
         with self._lock:
             result = self._entries.get(key)
-            if result is None:
-                self._misses += 1
-                return None
-            self._hits += 1
-            self._entries.move_to_end(key)
-            return result
+            if result is not None:
+                self._entries.move_to_end(key)
+        (self._misses if result is None else self._hits).inc()
+        return result
 
     def put(self, key: tuple, result: TraversalResult) -> None:
         faults.check("cache.put")
@@ -69,9 +76,11 @@ class ResultCache:
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
+            evicted = len(self._entries) - self.max_entries
+            for _ in range(evicted):
                 self._entries.popitem(last=False)
-                self._evictions += 1
+        if evicted > 0:
+            self._evictions.inc(evicted)
 
     def clear(self) -> None:
         with self._lock:
@@ -86,11 +95,10 @@ class ResultCache:
             return key in self._entries
 
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                entries=len(self._entries),
-                max_entries=self.max_entries,
-            )
+        return CacheStats(
+            hits=int(self._hits.value()),
+            misses=int(self._misses.value()),
+            evictions=int(self._evictions.value()),
+            entries=len(self),
+            max_entries=self.max_entries,
+        )

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..analysis.lockorder import tracked_lock
+from ..obs.metrics import CATALOG, MetricsRegistry
 from ..traversal.multisource import WORD_BITS
 
 #: EWMA weight of the newest observation.
@@ -66,14 +67,22 @@ class CostModel:
     ``edge_lookup`` resolves a graph name to the ``num_edges`` of a *resident*
     graph, or None (it must be cheap and never force a load — see
     :meth:`GraphRegistry.peek`); it is never called with the model lock held.
+
+    Each observation's error goes to ``metrics``'
+    ``repro_costmodel_abs_error_seconds``, whose count and sum :meth:`stats`
+    reads (default: a registry built from :data:`~repro.obs.metrics.CATALOG`).
     """
 
-    def __init__(self, edge_lookup: Callable[[str], int | None] | None = None) -> None:
+    def __init__(
+        self,
+        edge_lookup: Callable[[str], int | None] | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
         self._edge_lookup = edge_lookup or (lambda name: None)
         self._lock = tracked_lock("service.CostModel._lock")
         self._rates: dict[str, float] = {}
-        self._samples = 0
-        self._error_sum = 0.0
+        metrics = MetricsRegistry(CATALOG) if metrics is None else metrics
+        self._errors = metrics["repro_costmodel_abs_error_seconds"]
 
     def _work(self, groups: Iterable[Group]) -> list[tuple[str, int, int | None]]:
         """``(application, words, num_edges or None)`` per group; takes no lock."""
@@ -129,9 +138,8 @@ class CostModel:
             self._rates[application] = (
                 observed if rate is None else rate + EWMA_WEIGHT * (observed - rate)
             )
-            error = abs(predicted - seconds)
-            self._samples += 1
-            self._error_sum += error
+        error = abs(predicted - seconds)
+        self._errors.observe(error)
         return error
 
     def seed(self, rates: dict[str, float]) -> int:
@@ -144,6 +152,7 @@ class CostModel:
             return len(self._rates) - before
 
     def stats(self) -> CostModelStats:
+        samples, error_sum = self._errors.totals()
         with self._lock:
-            mean_error = self._error_sum / max(1, self._samples)
-            return CostModelStats(len(self._rates), self._samples, mean_error)
+            applications = len(self._rates)
+        return CostModelStats(applications, samples, error_sum / max(1, samples))

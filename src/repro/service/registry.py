@@ -20,12 +20,13 @@ from ..analysis.lockorder import tracked_rlock
 from ..errors import ConfigurationError, ServiceError, UnknownGraphError
 from ..graph.csr import CSRGraph
 from ..graph.datasets import load_dataset
+from ..obs.metrics import CATALOG, MetricsRegistry
 from . import faults
 
 
 @dataclass(frozen=True)
 class RegistryStats:
-    """Counters describing registry behaviour since construction."""
+    """Registry counts since construction (reads of its series) plus residency."""
 
     loads: int
     evictions: int
@@ -51,12 +52,24 @@ class GraphRegistry:
     around); the most recently used graph is always kept resident even when it
     alone exceeds the budget, since evicting it would only force an immediate
     reload.
+
+    Lookups, loads and evictions are counted in :attr:`metrics`
+    (``repro_registry_*``; default: a registry built from
+    :data:`~repro.obs.metrics.CATALOG`).  A service that builds its graph
+    registry hands it the service's ledger; one passed into a service (or
+    shared by several) keeps its own.
     """
 
-    def __init__(self, budget_bytes: int | None = None) -> None:
+    def __init__(
+        self, budget_bytes: int | None = None, metrics: MetricsRegistry | None = None
+    ) -> None:
         if budget_bytes is not None and budget_bytes <= 0:
             raise ConfigurationError("budget_bytes must be positive or None")
         self.budget_bytes = budget_bytes
+        self.metrics = MetricsRegistry(CATALOG) if metrics is None else metrics
+        self._lookups = self.metrics["repro_registry_lookups_total"]
+        self._loads = self.metrics["repro_registry_loads_total"]
+        self._evictions = self.metrics["repro_registry_evictions_total"]
         self._lock = tracked_rlock("service.GraphRegistry._lock")
         #: Per-name events marking loads in progress, so concurrent requests
         #: for the same graph wait for one load instead of duplicating it,
@@ -69,10 +82,6 @@ class GraphRegistry:
         #: the registry's lifetime whatever the LRU does (see register_graph).
         self._pinned: dict[str, int] = {}
         self._resident: OrderedDict[str, CSRGraph] = OrderedDict()
-        self._loads = 0
-        self._evictions = 0
-        self._hits = 0
-        self._misses = 0
         #: Lifecycle listeners (durable catalog, warm backfill).  Always
         #: invoked *outside* the registry lock, and a listener raising never
         #: breaks the load/eviction that triggered it.
@@ -100,6 +109,9 @@ class GraphRegistry:
                 pass
 
     def _notify_evictions(self, names: "list[str]") -> None:
+        """Count ``names`` as evicted, then tell every listener, one by one."""
+        if names:
+            self._evictions.inc(len(names))
         for evicted in names:
             for callback in list(self._evict_listeners):
                 try:
@@ -162,7 +174,7 @@ class GraphRegistry:
         while True:
             with self._lock:
                 if name in self._resident:
-                    self._hits += 1
+                    self._lookups.inc(outcome="hit")
                     self._resident.move_to_end(name)
                     return self._resident[name]
                 if name not in self._loaders:
@@ -174,7 +186,7 @@ class GraphRegistry:
                 if pending is None:
                     loader = self._loaders[name]
                     pending = self._loading[name] = threading.Event()
-                    self._misses += 1
+                    self._lookups.inc(outcome="miss")
                     break
             # Another thread is loading this graph; wait and re-check (if its
             # load failed, the next iteration elects this thread as loader).
@@ -195,7 +207,7 @@ class GraphRegistry:
             pending.set()
             raise
         with self._lock:
-            self._loads += 1
+            self._loads.inc()
             self._resident[name] = graph
             evicted = self._evict_over_budget()
             del self._loading[name]
@@ -268,7 +280,6 @@ class GraphRegistry:
             if name not in self._resident:
                 return False
             del self._resident[name]
-            self._evictions += 1
         self._notify_evictions([name])
         return True
 
@@ -276,7 +287,6 @@ class GraphRegistry:
         """Drop every resident graph (registrations are kept)."""
         with self._lock:
             dropped = list(self._resident)
-            self._evictions += len(self._resident)
             self._resident.clear()
         self._notify_evictions(dropped)
 
@@ -289,19 +299,19 @@ class GraphRegistry:
             and sum(g.total_bytes for g in self._resident.values()) > self.budget_bytes
         ):
             evicted.append(self._resident.popitem(last=False)[0])
-            self._evictions += 1
         return evicted
 
     # ------------------------------------------------------------------ #
     # Stats
     # ------------------------------------------------------------------ #
     def stats(self) -> RegistryStats:
+        lookups = self._lookups.samples()
         with self._lock:
             return RegistryStats(
-                loads=self._loads,
-                evictions=self._evictions,
-                hits=self._hits,
-                misses=self._misses,
+                loads=int(self._loads.value()),
+                evictions=int(self._evictions.value()),
+                hits=int(lookups.get(("hit",), 0)),
+                misses=int(lookups.get(("miss",), 0)),
                 resident_graphs=len(self._resident),
                 resident_bytes=sum(g.total_bytes for g in self._resident.values()),
                 budget_bytes=self.budget_bytes,

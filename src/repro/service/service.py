@@ -97,27 +97,30 @@ class Service:
         engine: Engine | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
+        #: The one ledger: every count the service and its components keep is
+        #: written here, once, and :meth:`stats` reads it back.  Built before
+        #: anything that reports into it.  A graph registry passed in keeps
+        #: the ledger it was built with (it may serve several services).
+        self._metrics = MetricsRegistry(CATALOG, window=self.config.latency_window)
         self.registry = registry or GraphRegistry(
-            budget_bytes=self.config.registry_budget_bytes
+            budget_bytes=self.config.registry_budget_bytes, metrics=self._metrics
         )
         self.system = system or default_system()
-        #: The one ledger: every count the service keeps is written here, once,
-        #: and :meth:`stats` reads it back.  Built before anything that reports
-        #: into it (queue, fault plan, store).
-        self._metrics = MetricsRegistry(CATALOG, window=self.config.latency_window)
         #: ``None`` selects the built-in batched execution path (shared
         #: engines from the arena, multi-source batches per drained group);
         #: injecting a callable forces per-job execution through it, which is
         #: what the test doubles rely on.
         self._engine = engine
-        self._arena = EngineArena(max_idle=max(8, 2 * self.config.max_workers))
-        self._cache = ResultCache(self.config.result_cache_entries)
+        self._arena = EngineArena(
+            max_idle=max(8, 2 * self.config.max_workers), metrics=self._metrics
+        )
+        self._cache = ResultCache(self.config.result_cache_entries, metrics=self._metrics)
         #: Online cost estimator (one rate per application), fed by every
         #: successful engine invocation below and consumed by the WFQ policy,
         #: infeasible-deadline admission and the sweep watchdog.  Edge counts
         #: are peeked from the registry (resident graphs only — estimating
         #: must never force a load or an eviction).
-        self._costmodel = CostModel(edge_lookup=self._resident_edges)
+        self._costmodel = CostModel(edge_lookup=self._resident_edges, metrics=self._metrics)
         self._queue = RequestQueue(
             policy=make_policy(
                 self.config.policy,
@@ -152,6 +155,7 @@ class Service:
             capacity=self.config.trace_buffer,
             sample=self.config.trace_sample,
             enabled=self.config.trace_enabled,
+            metrics=self._metrics,
         )
         self._sweep_ids = itertools.count(1)
         self._plan_ids = itertools.count(1)
@@ -251,17 +255,13 @@ class Service:
         return self._store
 
     def collect_metrics(self) -> MetricsRegistry:
-        """Refresh the point-in-time gauges from :meth:`stats` and return the registry."""
+        """Refresh the state gauges from :meth:`stats` and return the registry."""
         snapshot = self.stats()
         m = self._metrics
         m["repro_pending_jobs"].set(snapshot.pending)
         m["repro_active_workers"].set(snapshot.active_workers)
         m["repro_uptime_seconds"].set(snapshot.uptime_seconds)
         m["repro_cache_entries"].set(snapshot.cache.entries)
-        m["repro_cache_hit_rate"].set(snapshot.cache.hit_rate)
-        m["repro_costmodel_mean_abs_error_seconds"].set(
-            snapshot.cost_model.mean_abs_error_seconds
-        )
         m["repro_trace_buffered_spans"].set(len(self._tracer))
         m["repro_store_state"].set(STORE_STATE_CODES.get(snapshot.store_state, 3))
         m["repro_store_pending_writes"].set(snapshot.store_pending)
@@ -275,15 +275,6 @@ class Service:
     def _sweep_groups(groups: list[list[Job]]) -> list[tuple[tuple, int]]:
         """One sweep's groups as the cost model prices them: ``(batch_key, jobs)``."""
         return [(group[0].request.batch_key, len(group)) for group in groups]
-
-    def _observe_cost(
-        self, groups: list[list[Job]], seconds: float, predicted: float
-    ) -> None:
-        """Feed the cost model one engine invocation, scored against ``predicted``."""
-        error = self._costmodel.observe(self._sweep_groups(groups), seconds, predicted)
-        if error is not None:
-            self._metrics["repro_costmodel_abs_error_seconds"].observe(error)
-            self._metrics["repro_costmodel_observations_total"].inc()
 
     @staticmethod
     def _sweep_counters(metrics_list) -> tuple[int, int, int, int, str | None]:
@@ -462,6 +453,19 @@ class Service:
         )
         time.sleep(delay)
         return True
+
+    def _resolve_graph(
+        self, name: str, jobs: list[Job], site: str = "registry"
+    ) -> CSRGraph:
+        """``registry.get(name)`` on the retry ladder, retries counted at ``site``."""
+        attempt = 0
+        while True:
+            try:
+                return self.registry.get(name)
+            except Exception as exc:  # noqa: BLE001 - the ladder decides
+                if not self._maybe_retry(site, jobs, attempt, exc):
+                    raise
+                attempt += 1
 
     def _emit_retry_span(
         self,
@@ -653,7 +657,6 @@ class Service:
                 job.enqueued_at = time.perf_counter()
                 job.mark_done(payload, from_cache=True)
                 job.compute_finished_at = job.started_at
-                self._metrics["repro_requests_cache_served_total"].inc()
                 with self._lock:
                     self._jobs[job.job_id] = job
                 self._settle(job)  # also enforces retention
@@ -941,17 +944,11 @@ class Service:
         # stays executions-per-sweep.
         self._metrics["repro_batches_total"].inc(len(groups))
         all_jobs = plan.jobs
-        attempt = 0
-        while True:
-            try:
-                graph = self.registry.get(plan.graph)
-            except Exception as exc:  # noqa: BLE001 - retry, then every waiter
-                if self._maybe_retry("registry", all_jobs, attempt, exc):
-                    attempt += 1
-                    continue
-                self._fail_stranded(all_jobs, exc)
-                return
-            break
+        try:
+            graph = self._resolve_graph(plan.graph, all_jobs)
+        except Exception as exc:  # noqa: BLE001 - retried already; every waiter fails
+            self._fail_stranded(all_jobs, exc)
+            return
         started = time.perf_counter()
 
         def record(swept: list[list[Job]], predicted: float) -> None:
@@ -1241,7 +1238,7 @@ class Service:
         )
         self._metrics["repro_executions_total"].inc(len(jobs))
         self._metrics["repro_engine_seconds_total"].inc(elapsed)
-        self._observe_cost(groups, elapsed, predicted)
+        self._costmodel.observe(self._sweep_groups(groups), elapsed, predicted)
         if record is not None:
             record(groups, predicted)
         for job, result in published:
@@ -1283,9 +1280,6 @@ class Service:
                 registry=self.registry.stats(),
                 policy=self.config.policy,
                 cost_model=self._costmodel.stats(),
-                faults_injected=(
-                    self._faults.total_fired() if self._faults is not None else 0
-                ),
             )
 
     def close(self, wait: bool = True, cancel_pending: bool = False) -> None:

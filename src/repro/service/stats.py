@@ -127,7 +127,8 @@ class ServiceStats:
 
         ``snapshots`` are the point-in-time fields the service's components
         own (``pending``, ``cache``, ``registry``, ``cost_model``, ...), and
-        ``store`` the durable store's, when one is attached.
+        ``store`` the durable store's (its state and queue depth), when one is
+        attached.
         """
 
         def count(name: str, **labels) -> int:
@@ -139,12 +140,7 @@ class ServiceStats:
         expired = count("repro_requests_total", outcome="expired")
         tally = metrics["repro_tenant_jobs_total"].samples()
         if store is not None:
-            snapshots.update(
-                store_state=store.state,
-                store_writes=store.writes,
-                store_pending=store.pending,
-                store_backfilled=store.backfilled,
-            )
+            snapshots.update(store_state=store.state, store_pending=store.pending)
         return cls(
             submitted=count("repro_requests_submitted_total"),
             deduplicated=count("repro_requests_deduplicated_total"),
@@ -176,8 +172,11 @@ class ServiceStats:
             isolations=count("repro_fused_isolations_total"),
             degraded=count("repro_native_degraded_total"),
             rejected_after_close=count("repro_rejected_after_close_total"),
+            faults_injected=total("repro_faults_injected_total"),
             cache_errors=total("repro_cache_errors_total"),
             store_hits=count("repro_store_hits_total"),
+            store_writes=count("repro_store_rows_written_total"),
+            store_backfilled=count("repro_store_backfilled_total"),
             store_errors=failed_operations(metrics),
             **snapshots,
         )

@@ -57,7 +57,6 @@ from ..config import ServiceConfig
 from ..errors import (
     AdmissionError,
     InfeasibleDeadlineError,
-    RetryableError,
     ServiceError,
 )
 from ..graph.datasets import get_spec, pick_sources
@@ -275,30 +274,6 @@ def _register_graph(service: Service, entry: dict) -> None:
     raise ServiceError(f"graph entry needs 'dataset' or 'generator': {entry!r}")
 
 
-def _get_graph_for_sampling(service: Service, graph: str):
-    """Resolve a graph for source sampling, riding out transient loads.
-
-    Source sampling runs at workload-setup time, before any request enters
-    the drain loop's retry machinery — so a transient registry fault (a
-    chaos drill, a storage hiccup) gets the same bounded retry treatment
-    here instead of aborting the whole run.
-    """
-    attempt = 0
-    while True:
-        try:
-            return service.registry.get(graph)
-        except RetryableError:
-            attempt += 1
-            if attempt > _SAMPLING_RETRY_LIMIT:
-                raise
-            time.sleep(_SAMPLING_RETRY_BACKOFF * attempt)
-
-
-#: Bounded retries for setup-time graph resolution (see above).
-_SAMPLING_RETRY_LIMIT = 3
-_SAMPLING_RETRY_BACKOFF = 0.02
-
-
 def expand_requests(service: Service, spec: dict) -> list[TraversalRequest]:
     """Expand the workload's request entries into concrete requests."""
     requests: list[TraversalRequest] = []
@@ -316,8 +291,10 @@ def expand_requests(service: Service, spec: dict) -> list[TraversalRequest]:
         elif "sources" in entry:
             sources = [int(s) for s in entry["sources"]]
         elif "random_sources" in entry:
+            # Before any request exists: a transient load fault rides the
+            # service's retry ladder, counted at site ``registry.load``.
             picked = pick_sources(
-                _get_graph_for_sampling(service, graph),
+                service._resolve_graph(graph, [], site="registry.load"),
                 int(entry["random_sources"]),
                 seed=int(entry.get("seed", 42)),
             )

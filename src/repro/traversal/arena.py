@@ -21,6 +21,7 @@ from ..analysis.lockorder import tracked_lock
 from ..config import SystemConfig, system_key
 from ..errors import ConfigurationError
 from ..graph.csr import CSRGraph
+from ..obs.metrics import CATALOG, MetricsRegistry
 from ..types import AccessStrategy
 from .engine import TraversalEngine
 
@@ -35,17 +36,20 @@ class EngineArena:
     parked — beyond that the least recently released configuration is dropped
     (its simulated allocations are plain numpy arrays, so dropping is just
     garbage collection).
+
+    Acquires are counted in ``metrics``' ``repro_arena_engines_total`` by
+    outcome (default: a registry built from :data:`~repro.obs.metrics.CATALOG`).
     """
 
-    def __init__(self, max_idle: int = 16) -> None:
+    def __init__(self, max_idle: int = 16, metrics: MetricsRegistry | None = None) -> None:
         if max_idle < 0:
             raise ConfigurationError("max_idle cannot be negative")
         self.max_idle = max_idle
         self._lock = tracked_lock("traversal.EngineArena._lock")
         self._idle: OrderedDict[tuple, list[TraversalEngine]] = OrderedDict()
         self._idle_count = 0
-        self._created = 0
-        self._reused = 0
+        metrics = MetricsRegistry(CATALOG) if metrics is None else metrics
+        self._engines = metrics["repro_arena_engines_total"]
 
     @staticmethod
     def _key(
@@ -87,14 +91,13 @@ class EngineArena:
                     del self._idle[key]
                 self._idle_count -= dropped + (1 if engine is not None else 0)
                 if engine is not None:
-                    self._reused += 1
+                    self._engines.inc(outcome="reused")
                     return engine
         engine = TraversalEngine(
             graph, strategy, system=system, needs_weights=needs_weights
         )
         engine._arena_key = key
-        with self._lock:
-            self._created += 1
+        self._engines.inc(outcome="created")
         return engine
 
     def release(self, engine: TraversalEngine) -> None:
@@ -142,14 +145,12 @@ class EngineArena:
     @property
     def created(self) -> int:
         """Engines constructed (pool misses)."""
-        with self._lock:
-            return self._created
+        return int(self._engines.value(outcome="created"))
 
     @property
     def reused(self) -> int:
         """Acquires served from the pool without construction."""
-        with self._lock:
-            return self._reused
+        return int(self._engines.value(outcome="reused"))
 
     def clear(self) -> None:
         """Drop every parked engine."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -414,3 +415,106 @@ def test_cli_fails_on_each_seeded_rule_class(tmp_path, capsys, snippet, expected
     seeded.write_text(textwrap.dedent(snippet))
     assert main(["lint", str(seeded)]) == 1
     assert expected_rule in capsys.readouterr().out
+
+
+class TestPrivateCounterRule:
+    SCOPED = "src/repro/service/component.py"
+
+    def test_zeroed_and_only_increased_is_flagged(self):
+        findings = lint(
+            """
+            class Component:
+                def __init__(self):
+                    self._hits = 0
+                    self._seconds = 0.0
+                    self._name = ""
+
+                def hit(self, seconds):
+                    self._hits += 1
+                    self._seconds += seconds
+            """,
+            path=self.SCOPED,
+        )
+        assert rules_of(findings) == ["REPRO107", "REPRO107"]
+        assert "Component._hits" in findings[0].message
+        assert "Component._seconds" in findings[1].message
+
+    def test_state_that_goes_down_or_resets_is_not_flagged(self):
+        findings = lint(
+            """
+            class Pool:
+                def __init__(self):
+                    self._active = 0
+                    self._buffered = 0
+                    self._failures = 0
+                    self._flag = False
+
+                def start(self):
+                    self._active += 1
+                    self._buffered += 4
+                    self._failures += 1
+                    self._flag = True
+
+                def stop(self):
+                    self._active -= 1
+                    self._buffered, self._failures = 0, 0
+            """,
+            path=self.SCOPED,
+        )
+        assert findings == []
+
+    def test_only_scoped_modules_are_checked(self):
+        source = """
+            class Engine:
+                def __init__(self):
+                    self._sweeps = 0
+
+                def sweep(self):
+                    self._sweeps += 1
+            """
+        assert lint(source, path="src/repro/traversal/engine.py") == []
+        assert rules_of(lint(source, path="src/repro/traversal/arena.py")) == ["REPRO107"]
+        assert rules_of(lint(source, path="src/repro/obs/trace.py")) == ["REPRO107"]
+
+    def test_noqa_with_reason_suppresses(self):
+        findings = lint(
+            """
+            class Plan:
+                def __init__(self):
+                    self._calls = 0  # repro: noqa[REPRO107] — the plan's own replay cursor
+
+                def call(self):
+                    self._calls += 1
+            """,
+            path=self.SCOPED,
+        )
+        assert findings == []
+
+    def test_finds_every_tally_of_the_store_before_the_ledger(self):
+        """The durable store as it was before it counted into the ledger."""
+        fixture = Path(__file__).parent / "fixtures" / "store_before_ledger.py.txt"
+        engine = LintEngine(default_config())
+        findings = engine.lint_source(fixture.read_text(), "src/repro/service/store.py")
+        assert rules_of(findings) == ["REPRO107"] * 6
+        assert [f.message.split()[0] for f in findings] == [
+            f"ServingStore.{name}"
+            for name in ("_hits", "_misses", "_writes", "_dropped", "_errors", "_backfilled")
+        ]
+
+    def test_cli_fails_on_a_seeded_private_counter(self, tmp_path, capsys):
+        seeded = tmp_path / "repro" / "service" / "seeded.py"
+        seeded.parent.mkdir(parents=True)
+        seeded.write_text(
+            textwrap.dedent(
+                """
+                class Cache:
+                    def __init__(self):
+                        self._misses = 0
+
+                    def get(self, key):
+                        self._misses += 1
+                """
+            )
+        )
+        assert main(["lint", str(seeded)]) == 1
+        assert "REPRO107" in capsys.readouterr().out

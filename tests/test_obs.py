@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from repro.config import ServiceConfig
-from repro.obs import MetricsRegistry, Span, Tracer, tracing_enabled
+from repro.obs import Counter, Gauge, MetricsRegistry, Span, Summary, Tracer, tracing_enabled
 from repro.obs.check import LIFECYCLE_STAGES, check_trace_lines
 from repro.obs.metrics import CATALOG
 from repro.obs.trace import ENV_SWITCH, JobRecord
@@ -110,9 +110,8 @@ class TestTracer:
         drained = tracer.drain()
         assert [s.span_id for s in drained] == ["s2", "s3", "s4", "s5"]
         assert len(tracer) == 0  # drain clears
-        described = tracer.describe()
-        assert described["emitted_spans"] == 6
-        assert described["evicted_spans"] == 2
+        assert tracer.evicted == 2
+        assert len(drained) + tracer.evicted == 6  # every emitted span
 
     def test_job_records_weigh_four_spans_and_evict_whole(self):
         tracer = Tracer(capacity=6, enabled=True)
@@ -121,8 +120,7 @@ class TestTracer:
         assert len(tracer) == 5
         tracer.emit(_job_record("b"))  # 9 > 6: the span and record "a" go
         assert len(tracer) == 4
-        described = tracer.describe()
-        assert (described["emitted_spans"], described["evicted_spans"]) == (9, 5)
+        assert tracer.evicted == 5  # emitted 9 = 5 evicted + 4 buffered
         drained = tracer.drain()
         assert [s.name for s in drained] == list(LIFECYCLE_STAGES)
         assert {s.trace_id for s in drained} == {"b"}
@@ -130,7 +128,7 @@ class TestTracer:
         tiny = Tracer(capacity=3, enabled=True)
         tiny.emit(_job_record("c"))
         assert len(tiny) == 0 and tiny.drain() == []
-        assert tiny.describe()["evicted_spans"] == 4
+        assert tiny.evicted == 4
 
     def test_concurrent_emit_and_drain_lose_no_span(self):
         tracer = Tracer(capacity=64, enabled=True)
@@ -166,10 +164,9 @@ class TestTracer:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in producers + [consumer])
         drained.extend(tracer.drain())
-        described = tracer.describe()
-        assert described["emitted_spans"] == 4 * (250 * 4 + 250)
-        assert described["buffered"] == len(tracer) == 0
-        assert described["emitted_spans"] == described["evicted_spans"] + len(drained)
+        # Every emitted span was drained or evicted; none is still buffered.
+        assert len(tracer) == 0
+        assert tracer.evicted + len(drained) == 4 * (250 * 4 + 250)
         ids = [span.span_id for span in drained]
         assert len(ids) == len(set(ids))
 
@@ -402,15 +399,16 @@ class TestServiceTracing:
         with make_service(registry, trace_buffer=8) as service:
             _serve_backlog(service, [request])
             service.drain_traces()
-            before = service._tracer.describe()
+            before = service._tracer.evicted
             jobs = [service.submit(request) for _ in range(3)]  # three hits
             assert all(job.from_cache for job in jobs)
-            after = service._tracer.describe()
-            buffered = service.collect_metrics().get("repro_trace_buffered_spans")
+            metrics = service.collect_metrics()
+            buffered = len(service._tracer)
             spans = service.drain_traces()
-        assert after["emitted_spans"] - before["emitted_spans"] == 12
-        assert after["evicted_spans"] - before["evicted_spans"] == 4
-        assert after["buffered"] == buffered.value() == len(spans) == 8
+        # The three records' 12 spans: 4 evicted, 8 still buffered.
+        assert service._tracer.evicted - before == 4
+        assert metrics.get("repro_trace_evicted_spans_total").value() == service._tracer.evicted
+        assert buffered == metrics.get("repro_trace_buffered_spans").value() == len(spans) == 8
         assert [span["trace_id"] for span in spans] == [
             job.trace_id for job in jobs[1:] for _ in LIFECYCLE_STAGES
         ]
@@ -478,7 +476,8 @@ class TestServiceMetrics:
         assert metrics.get("repro_requests_total").value(outcome="completed") == 3
         assert metrics.get("repro_kernel_iterations_total").value(app="bfs") > 0
         assert metrics.get("repro_kernel_edges_total").value(app="bfs") > 0
-        assert metrics.get("repro_costmodel_observations_total").value() > 0
+        observed, _ = metrics.get("repro_costmodel_abs_error_seconds").totals()
+        assert observed == service.cost_model.stats().samples > 0
         text = metrics.render_prometheus()
         assert "repro_request_latency_seconds_count 3" in text
         assert "repro_costmodel_abs_error_seconds_count" in text
@@ -612,6 +611,8 @@ def assert_one_ledger(service, spans=None):
         "rejected_after_close": _series(metrics, "repro_rejected_after_close_total"),
         "faults_injected": _series(metrics, "repro_faults_injected_total"),
         "store_hits": _series(metrics, "repro_store_hits_total"),
+        "store_writes": _series(metrics, "repro_store_rows_written_total"),
+        "store_backfilled": _series(metrics, "repro_store_backfilled_total"),
         "store_errors": sum(
             value
             for (_, outcome), value in metrics.get("repro_store_operations_total")
@@ -625,11 +626,39 @@ def assert_one_ledger(service, spans=None):
     assert from_stats == from_series
     assert stats.latency == metrics.get("repro_request_latency_seconds").snapshot()
     assert stats.queue_wait == metrics.get("repro_queue_wait_seconds").snapshot()
-    assert stats.cache.hits + stats.store_hits == _series(
-        metrics, "repro_requests_cache_served_total"
+    # Every component counts into a ledger and reads its stats back from it.
+    assert (stats.cache.hits, stats.cache.misses, stats.cache.evictions) == (
+        _series(metrics, "repro_cache_hits_total"),
+        _series(metrics, "repro_cache_misses_total"),
+        _series(metrics, "repro_cache_evictions_total"),
+    )
+    # A graph registry passed in keeps its own ledger.
+    graphs = service.registry.metrics
+    assert (
+        stats.registry.hits,
+        stats.registry.misses,
+        stats.registry.loads,
+        stats.registry.evictions,
+    ) == (
+        _series(graphs, "repro_registry_lookups_total", outcome="hit"),
+        _series(graphs, "repro_registry_lookups_total", outcome="miss"),
+        _series(graphs, "repro_registry_loads_total"),
+        _series(graphs, "repro_registry_evictions_total"),
+    )
+    assert service._tracer.evicted == _series(metrics, "repro_trace_evicted_spans_total")
+    assert (service._arena.created, service._arena.reused) == (
+        _series(metrics, "repro_arena_engines_total", outcome="created"),
+        _series(metrics, "repro_arena_engines_total", outcome="reused"),
+    )
+    assert stats.cost_model.samples == (
+        metrics.get("repro_costmodel_abs_error_seconds").totals()[0]
     )
     # Every terminal job left one admission span naming the same outcome.
     admissions = [span for span in spans if span["name"] == "admission"]
+    # A job answered from cache was a memory hit or a store hit, never both.
+    assert stats.cache.hits + stats.store_hits == sum(
+        span["attributes"]["from_cache"] for span in admissions
+    )
     by_outcome = {"completed": 0, "failed": 0, "expired": 0}
     for span in admissions:
         by_outcome[span["attributes"]["outcome"]] += 1
@@ -765,6 +794,46 @@ class TestOneLedger:
         stats = assert_one_ledger(service)
         assert (stats.expired, stats.completed, stats.batches) == (1, 0, 0)
         assert service.plan_decisions() == []
+
+    def test_memory_hit_makes_six_ledger_writes(
+        self, lazy_registry, random_graph, monkeypatch
+    ):
+        """Pins the hot path: submitted, cache hit, outcome, queue wait,
+        latency and tenant tally — one write each, nothing else."""
+        request = TraversalRequest("bfs", random_graph.name, source=0)
+        with self._service(lazy_registry) as service:
+            _serve_backlog(service, [request])
+            writes = []
+            for cls, method in ((Counter, "inc"), (Gauge, "set"), (Summary, "observe")):
+                original = getattr(cls, method)
+
+                def counted(instrument, *args, _original=original, **labels):
+                    writes.append(instrument.name)
+                    return _original(instrument, *args, **labels)
+
+                monkeypatch.setattr(cls, method, counted)
+            job = service.submit(request)
+            monkeypatch.undo()
+        assert job.from_cache and job.done
+        assert sorted(writes) == sorted(
+            [
+                "repro_requests_submitted_total",
+                "repro_cache_hits_total",
+                "repro_requests_total",
+                "repro_queue_wait_seconds",
+                "repro_request_latency_seconds",
+                "repro_tenant_jobs_total",
+            ]
+        )
+
+    def test_built_registry_counts_into_the_service_ledger(self, random_graph):
+        with self._service(None) as service:
+            service.registry.register_graph(random_graph)
+            _serve_backlog(service, _mixed_requests(random_graph.name)[:3])
+        stats = assert_one_ledger(service)
+        assert service.registry.metrics is service.metrics
+        assert (stats.registry.loads, stats.registry.misses) == (1, 1)
+        assert "repro_registry_loads_total 1\n" in service.metrics.render_prometheus()
 
     def test_plan_without_a_graph_is_on_no_surface(self, lazy_registry, random_graph):
         service = self._service(lazy_registry, fault_plan="seed=5;registry.load:permanent")

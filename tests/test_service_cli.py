@@ -88,6 +88,19 @@ class TestServeBatch:
         assert "resilience:" in output
         assert "faults injected" in output
 
+    def test_setup_time_load_faults_are_retried_on_the_ledger(self, capsys):
+        # Both faults fire while sources are sampled, before any request is
+        # submitted: the service's retry ladder rides them, and they are
+        # reported as retries like a drain's.
+        assert main([
+            "serve-batch", str(WORKLOAD),
+            "--faults", "seed=9;registry.load:transient:n=1:limit=2",
+        ]) == 0
+        output = capsys.readouterr().out
+        assert "failed=0" in output
+        assert "resilience: 2 retries," in output
+        assert "2 faults injected" in output
+
     def test_permanent_faults_fail_the_batch(self, capsys):
         assert main([
             "serve-batch", str(WORKLOAD),
