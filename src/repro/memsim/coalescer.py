@@ -59,6 +59,14 @@ class RequestHistogram:
             )
 
     @classmethod
+    def from_counts(cls, counts) -> "RequestHistogram":
+        """Build from counts ordered as :data:`REQUEST_SIZES`.  Every size is
+        one of the four, so nothing is re-checked."""
+        histogram = cls.__new__(cls)
+        histogram.counts = dict(zip(REQUEST_SIZES, counts))
+        return histogram
+
+    @classmethod
     def from_array(cls, per_size_counts: np.ndarray) -> "RequestHistogram":
         """Build from a length-4 array ordered ``[32B, 64B, 96B, 128B]``."""
         per_size_counts = np.asarray(per_size_counts).ravel()

@@ -21,6 +21,16 @@ from .coalescer import REQUEST_SIZES, RequestHistogram
 from .interconnect import PCIeLink
 
 
+#: Columns of :meth:`TrafficRecord.counter_row`: the request counts by size,
+#: then each scalar counter.
+REQUEST_COLUMNS = slice(0, len(REQUEST_SIZES))
+(
+    UVM_BYTES, UVM_MIGRATIONS, UVM_PAGES, BLOCK_BYTES, BLOCK_TRANSFERS, DRAM_BYTES,
+    USEFUL_BYTES, EDGES, VERTICES, LAUNCHES,
+) = range(len(REQUEST_SIZES), len(REQUEST_SIZES) + 10)
+COUNTER_ROW_WIDTH = LAUNCHES + 1
+
+
 @dataclass
 class TrafficRecord:
     """Raw traffic counters accumulated over one traversal run."""
@@ -81,7 +91,7 @@ class TrafficRecord:
     def from_counter_row(cls, row) -> "TrafficRecord":
         """Rebuild a record from a :meth:`counter_row` sequence."""
         sizes = len(REQUEST_SIZES)
-        return cls(RequestHistogram(dict(zip(REQUEST_SIZES, row[:sizes]))), *row[sizes:])
+        return cls(RequestHistogram.from_counts(row[:sizes]), *row[sizes:])
 
     def merge(self, other: "TrafficRecord") -> None:
         self.request_histogram.merge_in_place(other.request_histogram)

@@ -454,16 +454,15 @@ class Service:
         time.sleep(delay)
         return True
 
-    def _resolve_graph(
-        self, name: str, jobs: list[Job], site: str = "registry"
-    ) -> CSRGraph:
-        """``registry.get(name)`` on the retry ladder, retries counted at ``site``."""
+    def _resolve_graph(self, name: str, jobs: list[Job]) -> CSRGraph:
+        """``registry.get(name)`` on the retry ladder; its retries are counted
+        at ``registry.load``, the fault site a load fires."""
         attempt = 0
         while True:
             try:
                 return self.registry.get(name)
             except Exception as exc:  # noqa: BLE001 - the ladder decides
-                if not self._maybe_retry(site, jobs, attempt, exc):
+                if not self._maybe_retry("registry.load", jobs, attempt, exc):
                     raise
                 attempt += 1
 

@@ -294,7 +294,7 @@ def expand_requests(service: Service, spec: dict) -> list[TraversalRequest]:
             # Before any request exists: a transient load fault rides the
             # service's retry ladder, counted at site ``registry.load``.
             picked = pick_sources(
-                service._resolve_graph(graph, [], site="registry.load"),
+                service._resolve_graph(graph, []),
                 int(entry["random_sources"]),
                 seed=int(entry.get("seed", 42)),
             )

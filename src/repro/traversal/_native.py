@@ -1379,7 +1379,7 @@ def lane_rows(
     ):
         raise ValueError("lane_rows buffers do not match the (lanes, sweeps, width) rows")
     if lanes.size and not (
-        0 <= lanes.min() and lanes.max() < 64 and np.unique(lanes).size == lanes.size
+        0 <= lanes.min() and lanes.max() < 64 and len(set(lanes.tolist())) == lanes.size
     ):
         raise ValueError("lane_rows lanes must be distinct lane indices below 64")
     if sweeps and not (

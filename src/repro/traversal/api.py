@@ -164,26 +164,25 @@ def run_average(
     metrics are its solo :func:`run`'s bit for bit, so the aggregate is the
     paper's average over fully independent per-source runs.  CC and
     PageRank run once through
-    :func:`repro.traversal.streaming.run_streaming_batch`.
+    :func:`repro.traversal.streaming.run_streaming_batch`.  The aggregate's
+    ``runs`` are the batch's results, each built when read; its means read
+    the priced columns and build none.
     """
     from .streaming import run_streaming_batch
 
     application = normalize_application(application)
     strategy = normalize_strategy(strategy)
-    aggregate = AggregateResult(
-        application=application, graph_name=graph.name, strategy=strategy
-    )
     if application.is_streaming:
         outcome = run_streaming_batch(application.value, graph, [(strategy, system)])
-        aggregate.add(outcome.results[0])
-        return aggregate
-    # Each source is checked once, by the batch's PackedLane.
-    sources = np.ravel(sources) if isinstance(sources, np.ndarray) else list(sources)
-    if not len(sources):
-        raise ConfigurationError(
-            f"{application.value} needs at least one source to average over"
-        )
-    outcome = run_batch(application, graph, sources, strategy=strategy, system=system)
-    for result in outcome.results:
-        aggregate.add(result)
-    return aggregate
+    else:
+        # Each source is checked once, by the batch.
+        sources = np.ravel(sources) if isinstance(sources, np.ndarray) else list(sources)
+        if not len(sources):
+            raise ConfigurationError(
+                f"{application.value} needs at least one source to average over"
+            )
+        outcome = run_batch(application, graph, sources, strategy=strategy, system=system)
+    return AggregateResult(
+        application=application, graph_name=graph.name, strategy=strategy,
+        runs=outcome.results,
+    )

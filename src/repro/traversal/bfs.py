@@ -19,7 +19,7 @@ from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from .engine import TraversalEngine
 from .frontier import gather_frontier_edges
-from .multisource import UNREACHED, PackedLane, _check_source, _run_words
+from .multisource import UNREACHED, PackedLane, _check_source, _run_words, request_columns
 from .results import TraversalResult
 
 
@@ -55,4 +55,6 @@ def run_bfs(
     backend as for :func:`~repro.traversal.multisource.run_batch`.
     """
     lane = PackedLane(source, strategy, system)
-    return _run_words(Application.BFS, graph, [lane], None, relax_method, engine).results[0]
+    return _run_words(
+        Application.BFS, graph, *request_columns([lane]), None, relax_method, engine
+    ).results[0]

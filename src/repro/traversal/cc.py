@@ -47,10 +47,12 @@ def run_cc(
     result carries its strategy label.  ``relax_method`` picks the sweep
     backend as for :func:`cc_sweep`.
     """
-    from .multisource import PackedLane, _run_words
+    from .multisource import PackedLane, _run_words, request_columns
 
     lane = PackedLane(None, strategy, system)
-    return _run_words(Application.CC, graph, [lane], None, relax_method, engine).results[0]
+    return _run_words(
+        Application.CC, graph, *request_columns([lane]), None, relax_method, engine
+    ).results[0]
 
 
 def cc_sweep(

@@ -17,6 +17,8 @@ sweep with the same per-row arithmetic (:meth:`TraversalEngine._price_rows`).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..config import SystemConfig, default_system
@@ -25,12 +27,15 @@ from ..graph.csr import CSRGraph
 from ..memsim.address_space import AddressSpace
 from ..memsim.coalescer import REQUEST_SIZES, vertex_request_table
 from ..memsim.gpu_memory import DeviceMemory
-from ..memsim.metrics import TimingModel, TrafficRecord
+from ..memsim.metrics import (
+    COUNTER_ROW_WIDTH, DRAM_BYTES, EDGES, LAUNCHES, REQUEST_COLUMNS, USEFUL_BYTES,
+    UVM_BYTES, UVM_MIGRATIONS, UVM_PAGES, VERTICES, TimingModel, TrafficRecord,
+)
 from ..memsim.uvm import COUNTER_COLUMNS, UVMSpace
 from ..timing import TimeBreakdown
 from ..types import AccessStrategy, MemorySpace, VERTEX_DTYPE
 from . import _native
-from .results import KernelCounters, TraversalMetrics
+from .results import KernelCounters, LaneMetrics, TraversalMetrics
 from .strategies import spec_for
 
 _hooks = None
@@ -190,15 +195,6 @@ class WordTrace:
         ]
         return [frontier for frontier in frontiers if frontier.size]
 
-
-#: Columns of :meth:`TraversalEngine._price_rows`' counters, in
-#: :meth:`TrafficRecord.counter_row` order.
-_REQUESTS = slice(0, len(REQUEST_SIZES))
-_COUNTERS = len(TrafficRecord().counter_row())
-(
-    _UVM_BYTES, _UVM_MIGRATIONS, _UVM_PAGES, _, _, _DRAM_BYTES,
-    _USEFUL_BYTES, _EDGES, _VERTICES, _LAUNCHES,
-) = range(len(REQUEST_SIZES), _COUNTERS)
 
 #: Columns of :meth:`TraversalEngine._price_rows`' seconds, in
 #: :meth:`TimeBreakdown.components` order.
@@ -391,8 +387,11 @@ class TraversalEngine:
         lanes,
         relax_backend: str | None = None,
         native: bool = False,
-    ) -> list[TraversalMetrics]:
-        """Metrics of each of ``lanes`` (lane indices of ``trace``'s word) run alone.
+    ) -> LaneMetrics:
+        """The metrics of each of ``lanes`` (lane indices of ``trace``'s
+        word) run alone, as one :class:`~repro.traversal.results.LaneMetrics`
+        block: row ``r`` is ``lanes[r]``, and ``block[r]`` builds its
+        :class:`TraversalMetrics` when it is read.
 
         The one production pricing path: a BFS/SSSP word prices the lanes
         each configuration asked for, a CC/PageRank pass its one lane ``0``.
@@ -431,39 +430,17 @@ class TraversalEngine:
         # sweeps costs nothing.
         seconds = seconds.reshape(*shape, seconds.shape[1])
         seconds = np.add.accumulate(seconds, axis=1)[:, -1] if shape[1] else seconds.sum(axis=1)
-        counters = counters.reshape(*shape, counters.shape[1]).sum(axis=1)
         vertices = vertices.reshape(shape)
-        dataset_bytes, system_name = self.dataset_bytes, self.system.name
-        metrics = []
-        for components, row, iterations, max_frontier in zip(
-            seconds.tolist(),
-            counters.tolist(),
-            np.count_nonzero(vertices, axis=1).tolist(),
-            vertices.max(axis=1, initial=0).tolist(),
-        ):
-            breakdown = TimeBreakdown(*components)
-            traffic = TrafficRecord.from_counter_row(row)
-            edges = traffic.edges_processed
-            metrics.append(
-                TraversalMetrics(
-                    seconds=breakdown.total(),
-                    breakdown=breakdown,
-                    traffic=traffic,
-                    iterations=iterations,
-                    dataset_bytes=dataset_bytes,
-                    strategy=self.strategy,
-                    system_name=system_name,
-                    counters=KernelCounters(
-                        iterations=iterations,
-                        frontier_vertices=traffic.vertices_processed,
-                        edges_traversed=edges,
-                        max_frontier=max_frontier,
-                        relax_candidates=edges if relax_backend is not None else 0,
-                        relax_backend=relax_backend,
-                    ),
-                )
-            )
-        return metrics
+        return LaneMetrics(
+            seconds=seconds,
+            counters=counters.reshape(*shape, counters.shape[1]).sum(axis=1),
+            iterations=np.count_nonzero(vertices, axis=1),
+            max_frontier=vertices.max(axis=1, initial=0),
+            strategy=self.strategy,
+            system_name=self.system.name,
+            dataset_bytes=self.dataset_bytes,
+            relax_backend=relax_backend,
+        )
 
     def _lane_rows(self, trace: WordTrace, lanes: np.ndarray, native: bool) -> np.ndarray:
         """The ``(lane, sweep)`` rows of ``lanes`` (lane indices of
@@ -471,13 +448,54 @@ class TraversalEngine:
         each request table's columns, summed over the vertices of its own
         frontier.
 
+        A sweep of a one-lane trace that holds all ``V`` vertices (every
+        PageRank iteration, CC's first) is the engine's memoised
+        whole-graph row; :meth:`_summed_rows` sums the other sweeps.
+        """
+        frontier, masks, bounds = trace.flat()
+        if trace.lanes == 1 and trace.start >= self.graph.num_vertices:
+            sizes = bounds[1:] - bounds[:-1]
+            whole = sizes == self.graph.num_vertices
+            if whole.any():
+                rows = np.empty((1, sizes.size, self._whole_graph_row.size), dtype=np.int64)
+                rows[0, whole] = self._whole_graph_row
+                part = ~whole
+                if part.any():
+                    kept = np.repeat(part, sizes)
+                    rows[:, part] = self._summed_rows(
+                        frontier[kept], masks[kept],
+                        np.concatenate([[0], np.cumsum(sizes[part])]), lanes, native,
+                    )
+                return rows
+        return self._summed_rows(frontier, masks, bounds, lanes, native)
+
+    @cached_property
+    def _whole_graph_row(self) -> np.ndarray:
+        """The row of a sweep over every vertex: the degree sum, ``V``, then
+        each request table's column sums (exact integers)."""
+        offsets = self.graph.offsets
+        return np.concatenate(
+            [[offsets[-1] - offsets[0], self.graph.num_vertices]]
+            + [table.sum(axis=0) for table in self.request_tables]
+        ).astype(np.int64)
+
+    def _summed_rows(
+        self,
+        frontier: np.ndarray,
+        masks: np.ndarray,
+        bounds: np.ndarray,
+        lanes: np.ndarray,
+        native: bool,
+    ) -> np.ndarray:
+        """:meth:`_lane_rows` of the sweeps ``bounds`` cuts ``frontier`` /
+        ``masks`` into, every vertex's rows summed.
+
         ``native`` runs ``repro_lane_rows``.  The numpy arm, the fallback
         and reference, multiplies each sweep's unpacked bits of ``lanes``
         into its vertices' rows, :data:`_LANE_ROW_CHUNK` vertices at a time
         so the unpacked bits stay small; every product and partial sum is an
         integer below 2**53, so every count is exact.
         """
-        frontier, masks, bounds = trace.flat()
         offsets = self.graph.offsets
         tables = self.request_tables
         width = 2 + sum(table.shape[1] for table in tables)
@@ -544,7 +562,7 @@ class TraversalEngine:
         order; every element takes the operations of one scalar sweep.
         """
         seconds = np.zeros((edges.size, 6))
-        counters = np.zeros((edges.size, _COUNTERS), dtype=np.int64)
+        counters = np.zeros((edges.size, COUNTER_ROW_WIDTH), dtype=np.int64)
         for region in requests:
             if region.shape[1] == 1:
                 # A strided thread re-fetches a sector the cache lost (§3.3):
@@ -556,8 +574,8 @@ class TraversalEngine:
             link_seconds, dram_seconds, dram_bytes = self.timing_model.zero_copy_rows(region)
             seconds[:, _INTERCONNECT] += link_seconds
             seconds[:, _DRAM] += dram_seconds
-            counters[:, _REQUESTS] += region
-            counters[:, _DRAM_BYTES] += dram_bytes
+            counters[:, REQUEST_COLUMNS] += region
+            counters[:, DRAM_BYTES] += dram_bytes
         for region in migrations:
             touched, faults, migrated_bytes = region[:, 0], region[:, 1], region[:, 2]
             link_seconds, dram_seconds, fault_seconds, dram_bytes = (
@@ -566,17 +584,17 @@ class TraversalEngine:
             seconds[:, _INTERCONNECT] += link_seconds
             seconds[:, _DRAM] += dram_seconds
             seconds[:, _FAULTS] += fault_seconds
-            counters[:, _UVM_BYTES] += migrated_bytes
-            counters[:, _UVM_MIGRATIONS] += faults
-            counters[:, _UVM_PAGES] += touched
-            counters[:, _DRAM_BYTES] += dram_bytes
+            counters[:, UVM_BYTES] += migrated_bytes
+            counters[:, UVM_MIGRATIONS] += faults
+            counters[:, UVM_PAGES] += touched
+            counters[:, DRAM_BYTES] += dram_bytes
         launched = vertices > 0
         seconds[:, _LAUNCH] = self._launch_seconds * launched
         seconds[:, _COMPUTE] = self.timing_model.compute_seconds(edges, vertices)
-        counters[:, _USEFUL_BYTES] = edges * self._useful_bytes_per_edge
-        counters[:, _EDGES] = edges
-        counters[:, _VERTICES] = vertices
-        counters[:, _LAUNCHES] = launched
+        counters[:, USEFUL_BYTES] = edges * self._useful_bytes_per_edge
+        counters[:, EDGES] = edges
+        counters[:, VERTICES] = vertices
+        counters[:, LAUNCHES] = launched
         return seconds, counters
 
     # ------------------------------------------------------------------ #

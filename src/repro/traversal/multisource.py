@@ -60,8 +60,8 @@ configuration's engine prices the lanes it asked for from the trace with
 frontier at every sweep is exactly its solo run's, and it is priced alone —
 zero-copy requests from its own rows of the request tables, UVM residency
 replayed from a reset space over its own frontier sequence — so every lane's
-:class:`TraversalMetrics` equal its solo run's bit for bit, whichever other
-sources or configurations rode the word.
+:class:`~repro.traversal.results.TraversalMetrics` equal its solo run's bit
+for bit, whichever other sources or configurations rode the word.
 
 A lane is a source, not a request: the frontier sequence does not depend on
 the access strategy or system (the paper's §5.2 protocol measures every
@@ -69,11 +69,20 @@ strategy on the same sources), so a source asked for under several
 configurations — or several times under one — is traversed once, priced
 once per configuration that asked for it, and fanned out to one result per
 request.
+
+The counter row is the record: an engine prices its lanes as one
+:class:`~repro.traversal.results.LaneMetrics` column block, a request keeps
+three integers (its lane, its block, its row there), and the batch's
+:class:`LaneResults` builds a request's result — its own copy of its lane's
+values, its row's metrics — when it is first read.  An aggregate over the
+batch reduces the columns and builds none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +98,7 @@ from .engine import TraversalEngine, WordTrace, _iteration_checkpoint, _pricing_
 from .frontier import frontier_offsets, gather_frontier_destinations
 from .pagerank import PageRankResult, pagerank_sweep
 from .relax import relax_lanes
-from .results import TraversalMetrics, TraversalResult
+from .results import LaneMetrics, TraversalResult
 
 #: Sources packed into one visited word (one bit per source lane).
 WORD_BITS = 64
@@ -184,15 +193,101 @@ class MultiSourceResult:
 
     ``results`` holds one result per request, in request order, each with
     its solo run's values and metrics: a :class:`TraversalResult`, or a
-    :class:`~repro.traversal.pagerank.PageRankResult` for PageRank.
+    :class:`~repro.traversal.pagerank.PageRankResult` for PageRank.  It is a
+    read-only :class:`LaneResults` sequence, which builds a result when it
+    is first read.
     """
 
     application: Application
     graph_name: str
-    results: list = field(default_factory=list)
+    results: Sequence
     #: Shared algorithm executions performed (one per ≤64 distinct sources;
     #: one for a CC/PageRank pass).
     words: int = 0
+
+
+class _Word:
+    """One word's values (a row per lane), what a PageRank result reports of
+    its pass, and how many of its requests' results are still unbuilt."""
+
+    __slots__ = ("values", "sweeps", "converged", "unbuilt")
+
+    def __init__(self, values: np.ndarray, sweeps: int, converged: bool, unbuilt: int) -> None:
+        self.values, self.sweeps, self.converged, self.unbuilt = values, sweeps, converged, unbuilt
+
+
+class LaneResults(Sequence):
+    """A batch's results, one per request, each built when first read.
+
+    A request is three integers: its lane (a distinct source), the
+    :class:`~repro.traversal.results.LaneMetrics` block of its configuration
+    in its lane's word, and its row in that block.  ``results[i]`` builds
+    request ``i``'s result with its own copy of its lane's values and its
+    block row's metrics, and keeps it, so ``results[i] is results[i]``; once
+    every request of a word has been built, the word's values are let go.
+    """
+
+    __slots__ = (
+        "_application", "_graph_name", "_sources", "_words", "_blocks",
+        "_lanes", "_block_of", "_row_of", "_built", "_lock",
+    )
+
+    def __init__(
+        self, application: Application, graph_name: str, sources: list,
+        words: list[_Word], blocks: list, lanes: list[int], block_of: list[int],
+        row_of: list[int],
+    ) -> None:
+        self._application = application
+        self._graph_name = graph_name
+        self._sources = sources
+        self._words = words
+        self._blocks = blocks
+        self._lanes = lanes
+        self._block_of = block_of
+        self._row_of = row_of
+        self._built: list = [None] * len(self._lanes)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        result = self._built[index]
+        if result is None:
+            with self._lock:
+                result = self._built[index]
+                if result is None:
+                    result = self._built[index] = self._build(index)
+        return result
+
+    def _build(self, index: int):
+        lane = self._lanes[index]
+        word = self._words[lane // WORD_BITS]
+        values = word.values[lane % WORD_BITS].copy()
+        word.unbuilt -= 1
+        if not word.unbuilt:
+            word.values = None
+        metrics = self._blocks[self._block_of[index]][self._row_of[index]]
+        if self._application is Application.PAGERANK:
+            return PageRankResult(
+                self._graph_name, metrics.strategy, values,
+                iterations=word.sweeps, converged=word.converged, metrics=metrics,
+            )
+        return TraversalResult(
+            application=self._application,
+            graph_name=self._graph_name,
+            strategy=metrics.strategy,
+            source=self._sources[lane],
+            values=values,
+            metrics=metrics,
+        )
+
+    def lane_metrics(self) -> LaneMetrics:
+        """Every request's metrics as one block, row ``i`` request ``i``'s,
+        read from the priced blocks without building a result."""
+        return LaneMetrics.gather(self._blocks, self._block_of, self._row_of)
 
 
 def batch_application(application: Application | str, streaming: bool) -> Application:
@@ -223,7 +318,9 @@ def run_batch(
     The one-configuration spelling of :func:`run_packed_batch`: every source
     is a request of the same ``(strategy, system)``, so one engine serves
     the whole batch — the caller's ``engine``, one leased from ``arena`` (an
-    :class:`~repro.traversal.arena.EngineArena`), or a private one.
+    :class:`~repro.traversal.arena.EngineArena`), or a private one.  An
+    integer array of sources is checked as one array; anything else source
+    by source, by :func:`source_vertex`.
 
     ``relax_method`` selects the sweep backend (see
     :data:`repro.traversal.relax.RELAX_METHODS`): ``None`` and ``"native"``
@@ -233,9 +330,13 @@ def run_batch(
     """
     if isinstance(sources, np.ndarray):
         sources = sources.ravel()
+    if not (isinstance(sources, np.ndarray) and sources.dtype.kind in "iu"):
+        sources = [None if source is None else source_vertex(source) for source in sources]
     application = batch_application(application, streaming=False)
-    requests = [PackedLane(source, strategy, system) for source in sources]
-    return _run_words(application, graph, requests, arena, relax_method, engine)
+    configs = [(normalize_strategy(strategy), system)]
+    return _run_words(
+        application, graph, sources, configs, [0] * len(sources), arena, relax_method, engine
+    )
 
 
 def run_packed_batch(
@@ -258,13 +359,30 @@ def run_packed_batch(
     requests = [
         lane if isinstance(lane, PackedLane) else PackedLane(*lane) for lane in lanes
     ]
-    return _run_words(application, graph, requests, arena, relax_method)
+    return _run_words(application, graph, *request_columns(requests), arena, relax_method)
+
+
+def request_columns(requests: list[PackedLane]) -> tuple[list, list[tuple], list[int]]:
+    """``requests`` as the run loop's columns: each one's source, the
+    distinct ``(strategy, system)`` configurations in first-appearance
+    order, and each one's index into them."""
+    index: dict[tuple, int] = {}
+    configs, config_of = [], []
+    for request in requests:
+        key = request.config_key()
+        if key not in index:
+            index[key] = len(configs)
+            configs.append((request.strategy, request.system))
+        config_of.append(index[key])
+    return [request.source for request in requests], configs, config_of
 
 
 def _run_words(
     application: Application,
     graph: CSRGraph,
-    requests: list[PackedLane],
+    sources,
+    configs: list[tuple],
+    config_of: list[int],
     arena,
     relax_method: str | None,
     engine: TraversalEngine | None = None,
@@ -275,86 +393,89 @@ def _run_words(
     :func:`~repro.traversal.streaming.run_streaming_batch` and the
     one-request solo runs.
 
-    A lane is a distinct source: the requests' sources (each checked once,
-    when its :class:`PackedLane` was made; CC and PageRank have the one
-    source ``None``, and a BFS/SSSP request without one is refused here)
-    are deduplicated in first-appearance order and cut into words of ≤ 64
-    lanes.  Each word sweeps to convergence recording a
+    Request ``i`` asks for ``sources[i]`` (an integer array, or a list of
+    :func:`source_vertex` ints; CC and PageRank ignore it) priced under
+    ``configs[config_of[i]]``, a ``(strategy, system)`` pair.  A lane is a
+    distinct source: the sources (checked here for range, and a BFS/SSSP
+    request without one refused) are deduplicated in first-appearance order
+    and cut into words of ≤ 64 lanes; CC and PageRank have the one source
+    ``None``.  Each word sweeps to convergence recording a
     :class:`~repro.traversal.engine.WordTrace`; then the engine of each
-    configuration in the word, in first-appearance order, prices the
-    distinct lanes its requests name.  Every request gets its own result,
-    so requests repeating a source fan out from one lane.  Engines come
-    from :func:`~repro.traversal.arena.config_engines`, once per distinct
-    configuration for the whole batch — ``engine`` (one-configuration
-    batches only), a lease from ``arena``, or a private one; pricing reads
-    none of an engine's accumulated state, so a reused one needs no reset.
+    configuration in the word prices, as one
+    :class:`~repro.traversal.results.LaneMetrics` block, the distinct lanes
+    its requests name.  A request keeps only integers (its lane, its block
+    and its row there); :class:`LaneResults` builds its result when read, so
+    requests repeating a source fan out from one lane.  Engines come from
+    :func:`~repro.traversal.arena.config_engines`, once per configuration
+    for the whole batch — ``engine`` (one-configuration batches only), a
+    lease from ``arena``, or a private one; pricing reads none of an
+    engine's accumulated state, so a reused one needs no reset.
     ``params`` go to the word runner (PageRank's damping, tolerance and
     iteration cap).
     """
     word_runner, needs_weights = _RUNNERS[application]
-    if not requests:
+    if not config_of:
         raise ConfigurationError("a batch needs at least one lane")
     if application.is_streaming:
-        request_sources = [None] * len(requests)
+        distinct, lanes = [None], [0] * len(config_of)
     else:
-        # Each PackedLane checked its source when it was made.
-        request_sources = [request.source for request in requests]
-        for source in request_sources:
-            if source is None:
-                raise ConfigurationError(f"{application.value} requires a source vertex")
-            _check_source(graph, source)
-
-    # A lane is a distinct source, in first-appearance order; a word holds
-    # ≤ 64 of them, and each request is served from its source's lane.
-    lane_of: dict[int | None, int] = {}
-    for source in request_sources:
-        lane_of.setdefault(source, len(lane_of))
-    sources = list(lane_of)
-    lanes = [lane_of[source] for source in request_sources]
-    keys = [request.config_key() for request in requests]
-    by_word: list[list[int]] = [[] for _ in range(0, len(sources), WORD_BITS)]
-    for index, lane in enumerate(lanes):
-        by_word[lane // WORD_BITS].append(index)
-    results: list = [None] * len(requests)
+        distinct, lanes = _distinct_lanes(_checked_sources(application, graph, sources))
+    # Each word's configurations in first-appearance order, each with its
+    # distinct lanes in first-appearance order: a request's row is its
+    # lane's index among its configuration's, and blocks go in word order,
+    # then configuration order.
+    asked: list[dict[int, dict[int, int]]] = [{} for _ in range(0, len(distinct), WORD_BITS)]
+    requests_in = [0] * len(asked)
+    row_of = []
+    for config, lane in zip(config_of, lanes):
+        word, lane_in_word = divmod(lane, WORD_BITS)
+        rows = asked[word].setdefault(config, {})
+        row_of.append(rows.setdefault(lane_in_word, len(rows)))
+        requests_in[word] += 1
+    block_at, first = [], 0
+    for word_asked in asked:
+        block_at.append(dict(zip(word_asked, range(first, first + len(word_asked)))))
+        first += len(word_asked)
+    block_of = [block_at[lane // WORD_BITS][config] for config, lane in zip(config_of, lanes)]
     native = _native.wanted(relax_method)
-    configs: dict[tuple, tuple] = {}
-    for key, request in zip(keys, requests):
-        configs.setdefault(key, (request.strategy, request.system))
-    with config_engines(graph, configs, arena, engine, needs_weights) as engines:
-        for word, indices in enumerate(by_word):
+    words: list[_Word] = []
+    blocks: list = []
+    with config_engines(graph, dict(enumerate(configs)), arena, engine, needs_weights) as engines:
+        for word, word_asked in enumerate(asked):
             offset = word * WORD_BITS
             values, trace, relax_backend, converged = word_runner(
-                graph, sources[offset : offset + WORD_BITS], relax_method, **params
+                graph, distinct[offset : offset + WORD_BITS], relax_method, **params
             )
-            # Each configuration's engine prices the distinct lanes it asked for.
-            asked: dict[tuple, dict[int, None]] = {}
-            for index in indices:
-                asked.setdefault(keys[index], {})[lanes[index] - offset] = None
-            priced: dict[tuple, TraversalMetrics] = {}
-            for key, word_lanes in asked.items():
-                word_lanes = list(word_lanes)
-                metrics = engines[key].price_lanes(trace, word_lanes, relax_backend, native)
-                priced.update(zip([(key, lane) for lane in word_lanes], metrics))
+            for config, rows in word_asked.items():
+                blocks.append(engines[config].price_lanes(trace, list(rows), relax_backend, native))
                 _pricing_checkpoint()
-            for index in indices:
-                lane = lanes[index] - offset
-                metrics = priced[keys[index], lane]
-                if application is Application.PAGERANK:
-                    results[index] = PageRankResult(
-                        graph.name, metrics.strategy, values[lane].copy(),
-                        iterations=trace.sweeps, converged=converged,
-                        metrics=metrics,
-                    )
-                else:
-                    results[index] = TraversalResult(
-                        application=application,
-                        graph_name=graph.name,
-                        strategy=metrics.strategy,
-                        source=request_sources[index],
-                        values=values[lane].copy(),
-                        metrics=metrics,
-                    )
-    return MultiSourceResult(application, graph.name, results, words=len(by_word))
+            words.append(_Word(values, trace.sweeps, converged, requests_in[word]))
+    results = LaneResults(application, graph.name, distinct, words, blocks, lanes, block_of, row_of)
+    return MultiSourceResult(application, graph.name, results, words=len(words))
+
+
+def _checked_sources(application: Application, graph: CSRGraph, sources) -> list[int]:
+    """BFS/SSSP ``sources`` as plain ints once each is in range: an integer
+    array is checked as one array; a list is checked in order, a missing
+    source (``None``) refused."""
+    if isinstance(sources, np.ndarray):
+        outside = (sources < 0) | (sources >= graph.num_vertices)
+        if outside.any():
+            _check_source(graph, int(sources[outside.argmax()]))
+        return sources.tolist()
+    for source in sources:
+        if source is None:
+            raise ConfigurationError(f"{application.value} requires a source vertex")
+        _check_source(graph, source)
+    return sources
+
+
+def _distinct_lanes(sources: list[int]) -> tuple[list[int], list[int]]:
+    """The distinct sources in first-appearance order, and each source's
+    lane: its index among them."""
+    lane_of: dict[int, int] = {}
+    lanes = [lane_of.setdefault(source, len(lane_of)) for source in sources]
+    return list(lane_of), lanes
 
 
 # ---------------------------------------------------------------------- #
@@ -383,9 +504,8 @@ def _bfs_word(
     lanes = len(word)
     levels = np.full((lanes, num_vertices), UNREACHED, dtype=np.int64)  # repro: noqa[REPRO101] — once per word, not per sweep
     visited_bits, next_bits = np.zeros((2, num_vertices), dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
-    for lane, source in enumerate(word):
-        visited_bits[source] |= _ONE << np.uint64(lane)
-        levels[lane, source] = 0
+    sources, lane_ids = _seed_bits(word, visited_bits)
+    levels[lane_ids, sources] = 0
     # Depth 0: the frontier is the sources, and visited holds exactly their bits.
     frontier = np.flatnonzero(visited_bits).astype(VERTEX_DTYPE, copy=False)
     active_bits = visited_bits[frontier]
@@ -472,9 +592,8 @@ def _sssp_word(
     # lane, as the BFS word's levels do.
     distances = np.full((num_vertices, lanes), UNREACHABLE, dtype=np.float64)  # repro: noqa[REPRO101] — once per word, not per sweep
     frontier_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
-    for lane, source in enumerate(word):
-        frontier_bits[source] |= _ONE << np.uint64(lane)
-        distances[source, lane] = 0.0
+    sources, lane_ids = _seed_bits(word, frontier_bits)
+    distances[sources, lane_ids] = 0.0
     frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
     trace = WordTrace(lanes, num_vertices)
     iterations = 0
@@ -552,6 +671,15 @@ def _check_source(graph: CSRGraph, source: int) -> None:
             f"source vertex {source} out of range for graph with "
             f"{graph.num_vertices} vertices"
         )
+
+
+def _seed_bits(word: list[int], bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """OR each lane's bit into the per-vertex word of its source in ``bits``;
+    returns the sources and their lane indices, to set depth-0 values."""
+    sources = np.asarray(word, dtype=np.int64)
+    lane_ids = np.arange(sources.size)
+    np.bitwise_or.at(bits, sources, _ONE << lane_ids.astype(np.uint64))
+    return sources, lane_ids
 
 
 @hot_path

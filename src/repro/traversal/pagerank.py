@@ -98,11 +98,11 @@ def run_pagerank(
     result carries its strategy label.  ``relax_method`` picks the sweep
     backend as for :func:`pagerank_sweep`.
     """
-    from .multisource import PackedLane, _run_words
+    from .multisource import PackedLane, _run_words, request_columns
 
     outcome = _run_words(
-        Application.PAGERANK, graph, [PackedLane(None, strategy, system)], None,
-        relax_method, engine,
+        Application.PAGERANK, graph, *request_columns([PackedLane(None, strategy, system)]),
+        None, relax_method, engine,
         damping=damping, tolerance=tolerance, max_iterations=max_iterations,
     )
     return outcome.results[0]

@@ -21,7 +21,7 @@ from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application, EMOGI_STRATEGY, VERTEX_DTYPE
 from .engine import TraversalEngine
 from .frontier import gather_frontier_edges
-from .multisource import UNREACHABLE, PackedLane, _check_source, _run_words
+from .multisource import UNREACHABLE, PackedLane, _check_source, _run_words, request_columns
 from .results import TraversalResult
 
 
@@ -58,4 +58,6 @@ def run_sssp(
     :data:`~repro.traversal.relax.RELAX_METHODS`; ``None`` = fastest).
     """
     lane = PackedLane(source, strategy, system)
-    return _run_words(Application.SSSP, graph, [lane], None, relax_method, engine).results[0]
+    return _run_words(
+        Application.SSSP, graph, *request_columns([lane]), None, relax_method, engine
+    ).results[0]

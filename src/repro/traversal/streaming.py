@@ -24,7 +24,9 @@ from __future__ import annotations
 from ..errors import ConfigurationError
 from ..graph.csr import CSRGraph
 from ..types import AccessStrategy, Application
-from .multisource import MultiSourceResult, PackedLane, _run_words, batch_application
+from .multisource import (
+    MultiSourceResult, PackedLane, _run_words, batch_application, request_columns,
+)
 
 
 def normalize_lanes(lanes) -> list[PackedLane]:
@@ -79,5 +81,6 @@ def run_streaming_batch(
     if application is Application.PAGERANK:
         params = dict(damping=damping, tolerance=tolerance, max_iterations=max_iterations)
     return _run_words(
-        application, graph, normalize_lanes(lanes), arena, relax_method, **params
+        application, graph, *request_columns(normalize_lanes(lanes)), arena, relax_method,
+        **params,
     )

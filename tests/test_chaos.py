@@ -323,6 +323,6 @@ class TestChaosPlanEndToEnd:
             )
             service.result(job, timeout=30)
             rendered = service.collect_metrics().render_prometheus()
-            assert 'repro_retries_total{site="registry"} 1' in rendered
+            assert 'repro_retries_total{site="registry.load"} 1' in rendered
             assert 'repro_faults_injected_total{site="registry.load"} 1' in rendered
             assert "repro_native_degraded_total 0" in rendered

@@ -405,7 +405,7 @@ class TestServiceRetries:
             spans = service.drain_traces()
             retry_spans = [s for s in spans if s["name"] == "retry"]
             assert len(retry_spans) == 1
-            assert retry_spans[0]["attributes"]["site"] == "registry"
+            assert retry_spans[0]["attributes"]["site"] == "registry.load"
 
     def test_retry_budget_exhaustion_fails_the_job(self):
         plan = FaultPlan.from_spec("registry.load:transient")  # fires every time
