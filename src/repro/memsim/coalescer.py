@@ -37,6 +37,7 @@ SECTORS_PER_LINE = CACHELINE_BYTES // SECTOR_BYTES
 
 #: The four request sizes the FPGA monitor observes (§3.3).
 REQUEST_SIZES = tuple(SECTOR_BYTES * i for i in range(1, SECTORS_PER_LINE + 1))
+_SIZE_SET = frozenset(REQUEST_SIZES)
 
 
 @dataclass
@@ -46,6 +47,8 @@ class RequestHistogram:
     counts: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.counts.keys() == _SIZE_SET:  # every size present, none other
+            return
         for size in self.counts:
             self._check_size(size)
         for size in REQUEST_SIZES:
@@ -57,14 +60,6 @@ class RequestHistogram:
             raise SimulationError(
                 f"invalid PCIe request size {size}; must be one of {REQUEST_SIZES}"
             )
-
-    @classmethod
-    def from_counts(cls, counts) -> "RequestHistogram":
-        """Build from counts ordered as :data:`REQUEST_SIZES`.  Every size is
-        one of the four, so nothing is re-checked."""
-        histogram = cls.__new__(cls)
-        histogram.counts = dict(zip(REQUEST_SIZES, counts))
-        return histogram
 
     @classmethod
     def from_array(cls, per_size_counts: np.ndarray) -> "RequestHistogram":

@@ -91,7 +91,7 @@ class TrafficRecord:
     def from_counter_row(cls, row) -> "TrafficRecord":
         """Rebuild a record from a :meth:`counter_row` sequence."""
         sizes = len(REQUEST_SIZES)
-        return cls(RequestHistogram.from_counts(row[:sizes]), *row[sizes:])
+        return cls(RequestHistogram(dict(zip(REQUEST_SIZES, row[:sizes]))), *row[sizes:])
 
     def merge(self, other: "TrafficRecord") -> None:
         self.request_histogram.merge_in_place(other.request_histogram)

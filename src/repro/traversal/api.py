@@ -164,9 +164,7 @@ def run_average(
     metrics are its solo :func:`run`'s bit for bit, so the aggregate is the
     paper's average over fully independent per-source runs.  CC and
     PageRank run once through
-    :func:`repro.traversal.streaming.run_streaming_batch`.  The aggregate's
-    ``runs`` are the batch's results, each built when read; its means read
-    the priced columns and build none.
+    :func:`repro.traversal.streaming.run_streaming_batch`.
     """
     from .streaming import run_streaming_batch
 

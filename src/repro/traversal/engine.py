@@ -390,8 +390,8 @@ class TraversalEngine:
     ) -> LaneMetrics:
         """The metrics of each of ``lanes`` (lane indices of ``trace``'s
         word) run alone, as one :class:`~repro.traversal.results.LaneMetrics`
-        block: row ``r`` is ``lanes[r]``, and ``block[r]`` builds its
-        :class:`TraversalMetrics` when it is read.
+        block: row ``r`` is ``lanes[r]``, and iterating the block builds
+        each row's :class:`TraversalMetrics`.
 
         The one production pricing path: a BFS/SSSP word prices the lanes
         each configuration asked for, a CC/PageRank pass its one lane ``0``.

@@ -72,17 +72,14 @@ request.
 
 The counter row is the record: an engine prices its lanes as one
 :class:`~repro.traversal.results.LaneMetrics` column block, a request keeps
-three integers (its lane, its block, its row there), and the batch's
-:class:`LaneResults` builds a request's result — its own copy of its lane's
-values, its row's metrics — when it is first read.  An aggregate over the
-batch reduces the columns and builds none.
+two integers (its lane and its row in its configuration's block), and each
+request's result — its own copy of its lane's values, its row's metrics —
+is built from them as soon as its word is priced.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,7 +95,7 @@ from .engine import TraversalEngine, WordTrace, _iteration_checkpoint, _pricing_
 from .frontier import frontier_offsets, gather_frontier_destinations
 from .pagerank import PageRankResult, pagerank_sweep
 from .relax import relax_lanes
-from .results import LaneMetrics, TraversalResult
+from .results import TraversalResult
 
 #: Sources packed into one visited word (one bit per source lane).
 WORD_BITS = 64
@@ -193,101 +190,15 @@ class MultiSourceResult:
 
     ``results`` holds one result per request, in request order, each with
     its solo run's values and metrics: a :class:`TraversalResult`, or a
-    :class:`~repro.traversal.pagerank.PageRankResult` for PageRank.  It is a
-    read-only :class:`LaneResults` sequence, which builds a result when it
-    is first read.
+    :class:`~repro.traversal.pagerank.PageRankResult` for PageRank.
     """
 
     application: Application
     graph_name: str
-    results: Sequence
+    results: list = field(default_factory=list)
     #: Shared algorithm executions performed (one per ≤64 distinct sources;
     #: one for a CC/PageRank pass).
     words: int = 0
-
-
-class _Word:
-    """One word's values (a row per lane), what a PageRank result reports of
-    its pass, and how many of its requests' results are still unbuilt."""
-
-    __slots__ = ("values", "sweeps", "converged", "unbuilt")
-
-    def __init__(self, values: np.ndarray, sweeps: int, converged: bool, unbuilt: int) -> None:
-        self.values, self.sweeps, self.converged, self.unbuilt = values, sweeps, converged, unbuilt
-
-
-class LaneResults(Sequence):
-    """A batch's results, one per request, each built when first read.
-
-    A request is three integers: its lane (a distinct source), the
-    :class:`~repro.traversal.results.LaneMetrics` block of its configuration
-    in its lane's word, and its row in that block.  ``results[i]`` builds
-    request ``i``'s result with its own copy of its lane's values and its
-    block row's metrics, and keeps it, so ``results[i] is results[i]``; once
-    every request of a word has been built, the word's values are let go.
-    """
-
-    __slots__ = (
-        "_application", "_graph_name", "_sources", "_words", "_blocks",
-        "_lanes", "_block_of", "_row_of", "_built", "_lock",
-    )
-
-    def __init__(
-        self, application: Application, graph_name: str, sources: list,
-        words: list[_Word], blocks: list, lanes: list[int], block_of: list[int],
-        row_of: list[int],
-    ) -> None:
-        self._application = application
-        self._graph_name = graph_name
-        self._sources = sources
-        self._words = words
-        self._blocks = blocks
-        self._lanes = lanes
-        self._block_of = block_of
-        self._row_of = row_of
-        self._built: list = [None] * len(self._lanes)
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        result = self._built[index]
-        if result is None:
-            with self._lock:
-                result = self._built[index]
-                if result is None:
-                    result = self._built[index] = self._build(index)
-        return result
-
-    def _build(self, index: int):
-        lane = self._lanes[index]
-        word = self._words[lane // WORD_BITS]
-        values = word.values[lane % WORD_BITS].copy()
-        word.unbuilt -= 1
-        if not word.unbuilt:
-            word.values = None
-        metrics = self._blocks[self._block_of[index]][self._row_of[index]]
-        if self._application is Application.PAGERANK:
-            return PageRankResult(
-                self._graph_name, metrics.strategy, values,
-                iterations=word.sweeps, converged=word.converged, metrics=metrics,
-            )
-        return TraversalResult(
-            application=self._application,
-            graph_name=self._graph_name,
-            strategy=metrics.strategy,
-            source=self._sources[lane],
-            values=values,
-            metrics=metrics,
-        )
-
-    def lane_metrics(self) -> LaneMetrics:
-        """Every request's metrics as one block, row ``i`` request ``i``'s,
-        read from the priced blocks without building a result."""
-        return LaneMetrics.gather(self._blocks, self._block_of, self._row_of)
 
 
 def batch_application(application: Application | str, streaming: bool) -> Application:
@@ -403,9 +314,9 @@ def _run_words(
     :class:`~repro.traversal.engine.WordTrace`; then the engine of each
     configuration in the word prices, as one
     :class:`~repro.traversal.results.LaneMetrics` block, the distinct lanes
-    its requests name.  A request keeps only integers (its lane, its block
-    and its row there); :class:`LaneResults` builds its result when read, so
-    requests repeating a source fan out from one lane.  Engines come from
+    its requests name, and each of the word's requests gets its own result
+    from its lane's values and its row of that block, so requests repeating
+    a source fan out from one lane.  Engines come from
     :func:`~repro.traversal.arena.config_engines`, once per configuration
     for the whole batch — ``engine`` (one-configuration batches only), a
     lease from ``arena``, or a private one; pricing reads none of an
@@ -419,39 +330,52 @@ def _run_words(
     if application.is_streaming:
         distinct, lanes = [None], [0] * len(config_of)
     else:
-        distinct, lanes = _distinct_lanes(_checked_sources(application, graph, sources))
-    # Each word's configurations in first-appearance order, each with its
-    # distinct lanes in first-appearance order: a request's row is its
-    # lane's index among its configuration's, and blocks go in word order,
-    # then configuration order.
+        lane_of: dict[int, int] = {}
+        checked = _checked_sources(application, graph, sources)
+        lanes = [lane_of.setdefault(source, len(lane_of)) for source in checked]
+        distinct = list(lane_of)
+    # Each word's configurations, each with its distinct lanes in
+    # first-appearance order (a request's row is its lane's index among its
+    # configuration's), and each word's requests.
     asked: list[dict[int, dict[int, int]]] = [{} for _ in range(0, len(distinct), WORD_BITS)]
-    requests_in = [0] * len(asked)
+    by_word: list[list[int]] = [[] for _ in asked]
     row_of = []
-    for config, lane in zip(config_of, lanes):
+    for index, (config, lane) in enumerate(zip(config_of, lanes)):
         word, lane_in_word = divmod(lane, WORD_BITS)
         rows = asked[word].setdefault(config, {})
         row_of.append(rows.setdefault(lane_in_word, len(rows)))
-        requests_in[word] += 1
-    block_at, first = [], 0
-    for word_asked in asked:
-        block_at.append(dict(zip(word_asked, range(first, first + len(word_asked)))))
-        first += len(word_asked)
-    block_of = [block_at[lane // WORD_BITS][config] for config, lane in zip(config_of, lanes)]
+        by_word[word].append(index)
+    results: list = [None] * len(config_of)
     native = _native.wanted(relax_method)
-    words: list[_Word] = []
-    blocks: list = []
     with config_engines(graph, dict(enumerate(configs)), arena, engine, needs_weights) as engines:
         for word, word_asked in enumerate(asked):
             offset = word * WORD_BITS
             values, trace, relax_backend, converged = word_runner(
                 graph, distinct[offset : offset + WORD_BITS], relax_method, **params
             )
+            priced: dict[int, list] = {}
             for config, rows in word_asked.items():
-                blocks.append(engines[config].price_lanes(trace, list(rows), relax_backend, native))
+                block = engines[config].price_lanes(trace, list(rows), relax_backend, native)
+                priced[config] = list(block)
                 _pricing_checkpoint()
-            words.append(_Word(values, trace.sweeps, converged, requests_in[word]))
-    results = LaneResults(application, graph.name, distinct, words, blocks, lanes, block_of, row_of)
-    return MultiSourceResult(application, graph.name, results, words=len(words))
+            for index in by_word[word]:
+                lane = lanes[index]
+                metrics = priced[config_of[index]][row_of[index]]
+                if application is Application.PAGERANK:
+                    results[index] = PageRankResult(
+                        graph.name, metrics.strategy, values[lane - offset].copy(),
+                        iterations=trace.sweeps, converged=converged, metrics=metrics,
+                    )
+                else:
+                    results[index] = TraversalResult(
+                        application=application,
+                        graph_name=graph.name,
+                        strategy=metrics.strategy,
+                        source=distinct[lane],
+                        values=values[lane - offset].copy(),
+                        metrics=metrics,
+                    )
+    return MultiSourceResult(application, graph.name, results, words=len(asked))
 
 
 def _checked_sources(application: Application, graph: CSRGraph, sources) -> list[int]:
@@ -468,14 +392,6 @@ def _checked_sources(application: Application, graph: CSRGraph, sources) -> list
             raise ConfigurationError(f"{application.value} requires a source vertex")
         _check_source(graph, source)
     return sources
-
-
-def _distinct_lanes(sources: list[int]) -> tuple[list[int], list[int]]:
-    """The distinct sources in first-appearance order, and each source's
-    lane: its index among them."""
-    lane_of: dict[int, int] = {}
-    lanes = [lane_of.setdefault(source, len(lane_of)) for source in sources]
-    return list(lane_of), lanes
 
 
 # ---------------------------------------------------------------------- #
@@ -504,8 +420,9 @@ def _bfs_word(
     lanes = len(word)
     levels = np.full((lanes, num_vertices), UNREACHED, dtype=np.int64)  # repro: noqa[REPRO101] — once per word, not per sweep
     visited_bits, next_bits = np.zeros((2, num_vertices), dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
-    sources, lane_ids = _seed_bits(word, visited_bits)
-    levels[lane_ids, sources] = 0
+    for lane, source in enumerate(word):
+        visited_bits[source] |= _ONE << np.uint64(lane)
+        levels[lane, source] = 0
     # Depth 0: the frontier is the sources, and visited holds exactly their bits.
     frontier = np.flatnonzero(visited_bits).astype(VERTEX_DTYPE, copy=False)
     active_bits = visited_bits[frontier]
@@ -592,8 +509,9 @@ def _sssp_word(
     # lane, as the BFS word's levels do.
     distances = np.full((num_vertices, lanes), UNREACHABLE, dtype=np.float64)  # repro: noqa[REPRO101] — once per word, not per sweep
     frontier_bits = np.zeros(num_vertices, dtype=np.uint64)  # repro: noqa[REPRO101] — once per word, not per sweep
-    sources, lane_ids = _seed_bits(word, frontier_bits)
-    distances[sources, lane_ids] = 0.0
+    for lane, source in enumerate(word):
+        frontier_bits[source] |= _ONE << np.uint64(lane)
+        distances[source, lane] = 0.0
     frontier = np.flatnonzero(frontier_bits).astype(VERTEX_DTYPE, copy=False)
     trace = WordTrace(lanes, num_vertices)
     iterations = 0
@@ -671,15 +589,6 @@ def _check_source(graph: CSRGraph, source: int) -> None:
             f"source vertex {source} out of range for graph with "
             f"{graph.num_vertices} vertices"
         )
-
-
-def _seed_bits(word: list[int], bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """OR each lane's bit into the per-vertex word of its source in ``bits``;
-    returns the sources and their lane indices, to set depth-0 values."""
-    sources = np.asarray(word, dtype=np.int64)
-    lane_ids = np.arange(sources.size)
-    np.bitwise_or.at(bits, sources, _ONE << lane_ids.astype(np.uint64))
-    return sources, lane_ids
 
 
 @hot_path

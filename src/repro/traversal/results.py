@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from statistics import mean
 
 import numpy as np
 
 from ..memsim.coalescer import REQUEST_SIZES
-from ..memsim.metrics import BLOCK_BYTES, REQUEST_COLUMNS, UVM_BYTES, TrafficRecord
+from ..memsim.metrics import TrafficRecord
 from ..timing import TimeBreakdown
 from ..types import AccessStrategy, Application
 
@@ -93,14 +93,14 @@ class TraversalMetrics:
 
 
 @dataclass(frozen=True, eq=False)
-class LaneMetrics(Sequence):
+class LaneMetrics:
     """The metrics of several lanes priced by one engine, as columns.
 
     Row ``r`` is one lane: ``seconds[r]`` its :meth:`TimeBreakdown.components`,
     ``counters[r]`` its :meth:`TrafficRecord.counter_row`, ``iterations[r]``
     and ``max_frontier[r]`` its kernel counts; the rest is the engine's, the
-    same for every row.  ``block[r]`` builds that lane's
-    :class:`TraversalMetrics`, equal to its solo run's.
+    same for every row.  Iterating builds each row's
+    :class:`TraversalMetrics`, equal to its lane's solo run's.
     """
 
     seconds: np.ndarray
@@ -115,10 +115,17 @@ class LaneMetrics(Sequence):
     def __len__(self) -> int:
         return len(self.counters)
 
-    def __getitem__(self, row: int) -> TraversalMetrics:
-        breakdown = TimeBreakdown(*self.seconds[row].tolist())
-        traffic = TrafficRecord.from_counter_row(self.counters[row].tolist())
-        iterations = int(self.iterations[row])
+    def __iter__(self) -> Iterator[TraversalMetrics]:
+        return map(
+            self._metrics, self.seconds.tolist(), self.counters.tolist(),
+            self.iterations.tolist(), self.max_frontier.tolist(),
+        )
+
+    def _metrics(
+        self, components: list, row: list, iterations: int, max_frontier: int
+    ) -> TraversalMetrics:
+        breakdown = TimeBreakdown(*components)
+        traffic = TrafficRecord.from_counter_row(row)
         edges = traffic.edges_processed
         return TraversalMetrics(
             seconds=breakdown.total(),
@@ -132,36 +139,11 @@ class LaneMetrics(Sequence):
                 iterations=iterations,
                 frontier_vertices=traffic.vertices_processed,
                 edges_traversed=edges,
-                max_frontier=int(self.max_frontier[row]),
+                max_frontier=max_frontier,
                 relax_candidates=edges if self.relax_backend is not None else 0,
                 relax_backend=self.relax_backend,
             ),
         )
-
-    @classmethod
-    def gather(cls, blocks: list["LaneMetrics"], block_of, row_of) -> "LaneMetrics":
-        """Row ``row_of[i]`` of block ``block_of[i]`` for every ``i``, as one
-        block; the blocks are one engine's, so their engine fields agree."""
-        starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
-        rows = starts[block_of] + row_of
-        columns = {
-            name: np.concatenate([getattr(block, name) for block in blocks])[rows]
-            for name in ("seconds", "counters", "iterations", "max_frontier")
-        }
-        return replace(blocks[0], **columns)
-
-    def totals(self) -> np.ndarray:
-        """Each row's :meth:`TimeBreakdown.total`, with its operations in its
-        order, so every element equals the scalar's bit for bit."""
-        interconnect, dram, compute, faults, host, launch = self.seconds.T
-        serial = faults + host + launch
-        return serial + np.maximum(np.maximum(interconnect, dram), compute)
-
-    def host_bytes(self) -> np.ndarray:
-        """Each row's :attr:`TrafficRecord.host_bytes_read`."""
-        counters = self.counters
-        zero_copy = counters[:, REQUEST_COLUMNS] @ np.array(REQUEST_SIZES, dtype=np.int64)
-        return zero_copy + counters[:, UVM_BYTES] + counters[:, BLOCK_BYTES]
 
 
 @dataclass(frozen=True)
@@ -185,79 +167,52 @@ class AggregateResult:
     """Average over several runs of the same configuration.
 
     The paper averages BFS/SSSP execution times over 64 random source
-    vertices (§5.2); this container plays that role.  ``runs`` is a list
-    :meth:`add` appends to, or a batch's results (as :func:`run_average`
-    passes), whose columns the means read without building any run.
+    vertices (§5.2); this container plays that role.
     """
 
     application: Application
     graph_name: str
     strategy: AccessStrategy | str
-    runs: Sequence = field(default_factory=list)
+    runs: list[TraversalResult] = field(default_factory=list)
 
     def add(self, result: TraversalResult) -> None:
-        if not isinstance(self.runs, list):
-            self.runs = list(self.runs)  # a batch's results, built to take one more
         self.runs.append(result)
 
     @property
     def num_runs(self) -> int:
         return len(self.runs)
 
-    def _columns(self) -> tuple[list, list, list, list]:
-        """Per run: its seconds, host bytes read, dataset bytes and request
-        counts by size, as Python numbers."""
-        lane_metrics = getattr(self.runs, "lane_metrics", None)
-        if lane_metrics is not None:
-            block = lane_metrics()
-            return (
-                block.totals().tolist(),
-                block.host_bytes().tolist(),
-                [block.dataset_bytes] * len(block),
-                block.counters[:, REQUEST_COLUMNS].tolist(),
-            )
-        metrics = [run.metrics for run in self.runs]
-        return (
-            [m.seconds for m in metrics],
-            [m.host_bytes_read for m in metrics],
-            [m.dataset_bytes for m in metrics],
-            [[m.traffic.request_histogram.counts[size] for size in REQUEST_SIZES] for m in metrics],
-        )
-
     @property
     def mean_seconds(self) -> float:
         if not self.runs:
             return 0.0
-        return mean(self._columns()[0])
+        return mean(run.seconds for run in self.runs)
 
     @property
     def mean_io_amplification(self) -> float:
         if not self.runs:
             return 0.0
-        _, host, dataset, _ = self._columns()
-        return mean(h / d if d > 0 else 0.0 for h, d in zip(host, dataset))
+        return mean(run.metrics.io_amplification for run in self.runs)
 
     @property
     def mean_bandwidth_gbps(self) -> float:
         if not self.runs:
             return 0.0
-        seconds, host, _, _ = self._columns()
-        return mean(h / s / 1e9 if s > 0 else 0.0 for h, s in zip(host, seconds))
+        return mean(run.metrics.achieved_bandwidth_gbps for run in self.runs)
 
     @property
     def mean_pcie_requests(self) -> float:
         if not self.runs:
             return 0.0
-        return mean(sum(counts) for counts in self._columns()[3])
+        return mean(run.metrics.total_pcie_requests for run in self.runs)
 
     def mean_request_size_distribution(self) -> dict[int, float]:
-        merged = {size: 0.0 for size in REQUEST_SIZES}
         if not self.runs:
-            return merged
-        for counts in self._columns()[3]:
-            total = sum(counts)
-            for size, count in zip(REQUEST_SIZES, counts):
-                merged[size] += count / total if total else 0.0
+            return {size: 0.0 for size in REQUEST_SIZES}
+        merged = {size: 0.0 for size in REQUEST_SIZES}
+        for run in self.runs:
+            for size, fraction in run.metrics.request_size_distribution.items():
+                merged[size] += fraction
         return {size: value / len(self.runs) for size, value in merged.items()}
 
     def speedup_over(self, baseline: "AggregateResult") -> float:

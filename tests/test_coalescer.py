@@ -21,6 +21,7 @@ from repro.memsim.coalescer import (
     strided_request_counts,
     vertex_request_table,
 )
+from repro.memsim.metrics import TrafficRecord
 
 
 class TestRequestHistogram:
@@ -42,6 +43,17 @@ class TestRequestHistogram:
             RequestHistogram().add(48)
         with pytest.raises(SimulationError):
             RequestHistogram({100: 1})
+        # Four sizes, or all four valid ones, are not enough: every key is checked.
+        for counts in ({32: 0, 64: 0, 96: 0, 48: 1}, {32: 1, 64: 0, 96: 0, 128: 0, 48: 1}):
+            with pytest.raises(SimulationError):
+                RequestHistogram(counts)
+
+    def test_missing_sizes_are_filled(self):
+        histogram = RequestHistogram({64: 2})
+        assert histogram.counts == {32: 0, 64: 2, 96: 0, 128: 0}
+        assert TrafficRecord.from_counter_row([1, 2]).request_histogram.counts == {
+            32: 1, 64: 2, 96: 0, 128: 0,
+        }
 
     def test_negative_count_rejected(self):
         with pytest.raises(SimulationError):

@@ -1,14 +1,15 @@
-"""A batch's results are a column block, and objects are built when read.
+"""A word's lanes are priced as a column block, and each request's result
+is built from its row.
 
 ``price_lanes`` returns one :class:`~repro.traversal.results.LaneMetrics`
-block per configuration and word; a batch's ``results`` sequence builds a
-request's result on its first read, and ``run_average``'s aggregate reduces
-the columns without building one.  What is built must be exactly what the
-eager per-lane objects were: the solo run's values and metrics, the same
-pickle, and nothing of the word (its value matrix, trace or engines) kept
-alive by it.
+block per configuration and word, and the run loop builds every request's
+result from its lane's values and its block row.  What is built must be
+exactly what the per-lane objects were: the solo run's values and metrics,
+the same pickle, and nothing of the word (its value matrix, trace or
+engines) kept alive by it.
 """
 
+import copy
 import gc
 import pickle
 from statistics import mean
@@ -30,7 +31,6 @@ from repro.traversal.engine import TraversalEngine, WordTrace
 from repro.traversal.multisource import PackedLane, run_packed_batch
 from repro.traversal.pagerank import PageRankResult, pagerank_sweep
 from repro.traversal.results import (
-    AggregateResult,
     KernelCounters,
     LaneMetrics,
     TraversalMetrics,
@@ -158,34 +158,28 @@ def _reachable(root, limit=10_000):
     return list(seen.values())
 
 
-class TestResultsAreBuiltOnRead:
+class TestEachResultIsItsSoloRun:
     @given(batch=batches())
     @SETTINGS
-    def test_each_result_is_its_solo_run_and_built_once(self, batch):
+    def test_each_result_is_its_solo_run(self, batch):
         graph, application, requests, native = batch
         outcome = _run(graph, application, requests, native)
         results = outcome.results
-        assert len(results) == len(requests)
+        assert type(results) is list and len(results) == len(requests)
         solo = {}
-        for index in range(len(requests) - 1, -1, -1):  # any order of first reads
+        for index in range(len(requests)):
             source, strategy, system = requests[index]
             key = (source, strategy, system)
             if key not in solo:
                 solo[key] = _solo(graph, application, *key, native)
             expected = solo[key]
             result = results[index]
-            assert result is results[index]
             assert result.values.tobytes() == expected.values.tobytes()
             assert result.values.dtype == expected.values.dtype
             assert result.metrics == expected.metrics
             assert result.strategy is strategy
             if application in ("bfs", "sssp"):
                 assert type(result.source) is int and result.source == source
-        assert list(results) == [results[i] for i in range(len(results))]
-        assert results[-1] is results[len(results) - 1]
-        assert results[1:3] == [results[i] for i in range(1, min(3, len(results)))]
-        with pytest.raises(IndexError):
-            results[len(results)]
 
     @given(batch=batches())
     @SETTINGS
@@ -208,7 +202,7 @@ class TestResultsAreBuiltOnRead:
                 (capturing, needs_weights),
             )
             outcome = _run(graph, application, requests, native)
-        built = [outcome.results[index] for index in range(len(requests))]
+        built = outcome.results
         words = {id(array) for array in captured["values"]}
         words |= {id(array.base) for array in captured["values"] if array.base is not None}
         traces = {id(trace) for trace in captured["traces"]}
@@ -218,15 +212,18 @@ class TestResultsAreBuiltOnRead:
             for obj in _reachable(result):
                 assert id(obj) not in words and id(obj) not in traces
                 assert not isinstance(obj, (WordTrace, TraversalEngine, LaneMetrics))
-        # Once every result of a word is built, the batch lets its values go.
-        assert all(word.values is None for word in outcome.results._words)
+        # The whole outcome pickles and deep-copies as its results do.
+        for clone in (pickle.loads(pickle.dumps(outcome)), copy.deepcopy(outcome)):
+            assert clone.words == outcome.words and len(clone.results) == len(built)
+            for twin, result in zip(clone.results, built):
+                assert pickle.dumps(twin) == pickle.dumps(result)
 
 
 def _hex(value):
     return float(value).hex()
 
 
-class TestTheAggregateReadsColumns:
+class TestTheAggregate:
     @given(
         graph=graphs(),
         application=st.sampled_from(("bfs", "sssp", "cc", "pagerank")),
@@ -234,70 +231,37 @@ class TestTheAggregateReadsColumns:
         data=st.data(),
     )
     @SETTINGS
-    def test_every_mean_equals_the_mean_over_the_built_runs(
-        self, graph, application, strategy, data
-    ):
+    def test_every_mean_equals_the_mean_over_its_runs(self, graph, application, strategy, data):
         sources = data.draw(
             st.lists(st.integers(0, graph.num_vertices - 1), min_size=1, max_size=80)
         )
         aggregate = run_average(application, graph, sources, strategy)
-        means = (
-            aggregate.mean_seconds, aggregate.mean_io_amplification,
-            aggregate.mean_bandwidth_gbps, aggregate.mean_pcie_requests,
-        )
-        distribution = aggregate.mean_request_size_distribution()
-        runs = [aggregate.runs[index] for index in range(aggregate.num_runs)]
+        runs = aggregate.runs
+        assert type(runs) is list
+        assert aggregate.num_runs == (1 if application in ("cc", "pagerank") else len(sources))
         metrics = [run.metrics for run in runs]
-        assert [_hex(value) for value in means] == [
+        assert [
+            _hex(aggregate.mean_seconds), _hex(aggregate.mean_io_amplification),
+            _hex(aggregate.mean_bandwidth_gbps), _hex(aggregate.mean_pcie_requests),
+        ] == [
             _hex(mean(m.seconds for m in metrics)),
             _hex(mean(m.io_amplification for m in metrics)),
             _hex(mean(m.achieved_bandwidth_gbps for m in metrics)),
             _hex(mean(m.total_pcie_requests for m in metrics)),
         ]
-        # The same reduction over objects (the path ``add`` feeds).
-        eager = AggregateResult(aggregate.application, graph.name, strategy)
-        for result in runs:
-            eager.add(result)
-        assert [_hex(value) for value in means] == [
-            _hex(eager.mean_seconds), _hex(eager.mean_io_amplification),
-            _hex(eager.mean_bandwidth_gbps), _hex(eager.mean_pcie_requests),
-        ]
-        merged = {size: 0.0 for size in REQUEST_SIZES}
-        for m in metrics:
-            for size, fraction in m.request_size_distribution.items():
-                merged[size] += fraction
-        expected = {size: value / len(runs) for size, value in merged.items()}
-        assert {k: _hex(v) for k, v in distribution.items()} == {
-            k: _hex(v) for k, v in expected.items()
-        }
-        assert eager.mean_request_size_distribution() == distribution
-        # One more run turns the batch's results into a list that holds them.
-        aggregate.add(runs[0])
-        assert all(a is b for a, b in zip(aggregate.runs, runs + [runs[0]], strict=True))
-        assert _hex(aggregate.mean_seconds) == _hex(
-            mean([m.seconds for m in metrics] + [metrics[0].seconds])
-        )
+        if application in ("bfs", "sssp"):
+            for source, result in zip(sources, runs):
+                assert result.metrics == run(application, graph, source, strategy).metrics
 
-    def test_run_average_builds_no_result_until_a_run_is_read(self, random_graph, monkeypatch):
-        built = []
-        init = TraversalResult.__init__
-
-        def constructing(self, *args, **kwargs):
-            built.append(TraversalResult)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(TraversalResult, "__init__", constructing)
+    def test_an_aggregate_pickles_and_deep_copies(self, random_graph):
         aggregate = run_average("bfs", random_graph, list(range(70)) + [3, 3])
         assert aggregate.num_runs == 72
-        aggregate.mean_seconds, aggregate.mean_io_amplification
-        aggregate.mean_bandwidth_gbps, aggregate.mean_pcie_requests
-        aggregate.mean_request_size_distribution()
-        aggregate.speedup_over(aggregate)
-        assert built == []
-        first = aggregate.runs[5]
-        assert built == [TraversalResult]
-        assert aggregate.runs[5] is first and len(built) == 1
-        assert first.metrics == run("bfs", random_graph, 5).metrics
+        for clone in (pickle.loads(pickle.dumps(aggregate)), copy.deepcopy(aggregate)):
+            assert clone.num_runs == 72
+            assert _hex(clone.mean_seconds) == _hex(aggregate.mean_seconds)
+            assert pickle.dumps(clone.runs) == pickle.dumps(aggregate.runs)
+        aggregate.add(aggregate.runs[0])
+        assert aggregate.num_runs == 73
 
 
 class TestTheBlock:
@@ -313,12 +277,15 @@ class TestTheBlock:
             engine = TraversalEngine(graph, strategy, needs_weights=application == "sssp")
             block = engine.price_lanes(trace, range(len(sources)), backend, _native.available())
             assert len(block) == len(sources)
-            totals, host = block.totals().tolist(), block.host_bytes().tolist()
-            for row, metrics in enumerate(block):
-                assert _hex(totals[row]) == _hex(metrics.seconds)
+            built = list(block)
+            assert built == list(block) and len(built) == len(sources)
+            for row, metrics in enumerate(built):
                 assert _hex(metrics.breakdown.total()) == _hex(metrics.seconds)
-                assert host[row] == metrics.host_bytes_read
+                assert metrics.breakdown.components() == tuple(block.seconds[row].tolist())
                 assert metrics.traffic.counter_row() == tuple(block.counters[row].tolist())
+                assert metrics.iterations == block.iterations[row]
+                assert metrics.counters.max_frontier == block.max_frontier[row]
+                assert metrics.strategy is strategy
 
     def test_counter_columns_name_the_counter_row(self):
         row = TrafficRecord.from_counter_row(list(range(COUNTER_ROW_WIDTH)))
