@@ -313,6 +313,10 @@ class Counter(_Scalar):
         with self._lock:
             self._children[key] = self._children.get(key, 0.0) + amount
 
+    def bind(self, **labels: Any) -> "BoundCounter":
+        """One label set's child, its key built once; see :class:`BoundCounter`."""
+        return BoundCounter(self, _label_key(self.label_names, labels))
+
     def samples(self) -> dict[tuple[str, ...], float]:
         """Every child's value, keyed by its label values in label-name order."""
         with self._lock:
@@ -325,6 +329,31 @@ class Counter(_Scalar):
         """Sum over all children: a labelled series read without its labels."""
         with self._lock:
             return sum(self._children.values())
+
+
+class BoundCounter:
+    """A :class:`Counter` child with its label key built once, at bind time.
+
+    ``inc`` writes the counter's own children dict under the counter's own
+    lock — the same entry ``Counter.inc(**labels)`` writes — so binding is a
+    shortcut to a child, never a second tally.  Nothing is written at bind
+    time: an unwritten child stays absent from the exposition.
+    """
+
+    __slots__ = ("name", "_lock", "_children", "_key")
+
+    def __init__(self, counter: Counter, key: _LabelKey) -> None:
+        self.name = counter.name
+        self._lock = counter._lock
+        self._children = counter._children
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
+        key = self._key
+        with self._lock:
+            self._children[key] = self._children.get(key, 0.0) + amount
 
 
 class Gauge(_Scalar):
@@ -374,12 +403,19 @@ class Summary(_Instrument):
     def observe(self, value: float, **labels: Any) -> None:
         key = _label_key(self.label_names, labels)
         with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = _SummaryChild(self.window)
-            child.window.append(float(value))
-            child.sum += float(value)
-            child.count += 1
+            self._record_locked(key, float(value))
+
+    def _record_locked(self, key: _LabelKey, value: float) -> None:
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = _SummaryChild(self.window)
+        child.window.append(value)
+        child.sum += value
+        child.count += 1
+
+    def bind(self, **labels: Any) -> "BoundSummary":
+        """One label set's child, its key built once; see :class:`BoundSummary`."""
+        return BoundSummary(self, _label_key(self.label_names, labels))
 
     def totals(self, **labels: Any) -> tuple[int, float]:
         """Cumulative ``(count, sum)`` of one label set's observations."""
@@ -445,6 +481,26 @@ class Summary(_Instrument):
         return entries
 
 
+class BoundSummary:
+    """A :class:`Summary` child with its label key built once, at bind time.
+
+    ``observe`` records into the summary's own child under the summary's own
+    lock, exactly as ``Summary.observe(**labels)`` does.
+    """
+
+    __slots__ = ("name", "_summary", "_key")
+
+    def __init__(self, summary: Summary, key: _LabelKey) -> None:
+        self.name = summary.name
+        self._summary = summary
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        summary = self._summary
+        with summary._lock:
+            summary._record_locked(self._key, float(value))
+
+
 class MetricsRegistry:
     """Name-keyed collection of instruments with idempotent constructors.
 
@@ -458,11 +514,22 @@ class MetricsRegistry:
     """
 
     def __init__(
-        self, catalog: Mapping[str, tuple[str, ...]] | None = None, window: int = 1024
+        self,
+        catalog: Mapping[str, tuple[str, ...]] | None = None,
+        window: int = 1024,
+        shared: Iterable[_Instrument] = (),
     ) -> None:
-        """Declare every ``catalog`` series; ``window`` sizes its summaries."""
+        """Declare every ``catalog`` series; ``window`` sizes its summaries.
+
+        ``shared`` instruments belong to another registry (an outside graph
+        registry's ledger, say) and are exposed here as the very same
+        objects — one tally, rendered by both — in place of the catalog's own
+        series of that name, whose kind and labels they must match.
+        """
         self._lock = tracked_lock("obs.MetricsRegistry._lock")
-        self._instruments: dict[str, _Instrument] = {}
+        self._instruments: dict[str, _Instrument] = {
+            instrument.name: instrument for instrument in shared
+        }
         for name, (kind, help, *label_names) in (catalog or {}).items():
             sized = {"window": window} if kind == Summary.kind else {}
             getattr(self, kind)(name, help, label_names, **sized)

@@ -54,9 +54,10 @@ class ResultCache:
         self._lock = tracked_lock("service.ResultCache._lock")
         self._entries: OrderedDict[tuple, TraversalResult] = OrderedDict()
         metrics = MetricsRegistry(CATALOG) if metrics is None else metrics
-        # Unlabelled series: a hit is a whole memory-served request, and an
-        # unlabelled inc skips the label-key build.
         self._hits = metrics["repro_cache_hits_total"]
+        # A hit is a whole memory-served request: its write goes through a
+        # child bound once, which skips the label-key build.
+        self._hit = self._hits.bind()
         self._misses = metrics["repro_cache_misses_total"]
         self._evictions = metrics["repro_cache_evictions_total"]
 
@@ -66,7 +67,7 @@ class ResultCache:
             result = self._entries.get(key)
             if result is not None:
                 self._entries.move_to_end(key)
-        (self._misses if result is None else self._hits).inc()
+        (self._misses if result is None else self._hit).inc()
         return result
 
     def put(self, key: tuple, result: TraversalResult) -> None:

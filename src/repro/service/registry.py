@@ -57,7 +57,8 @@ class GraphRegistry:
     (``repro_registry_*``; default: a registry built from
     :data:`~repro.obs.metrics.CATALOG`).  A service that builds its graph
     registry hands it the service's ledger; one passed into a service (or
-    shared by several) keeps its own.
+    shared by several) keeps its own, and each such service exposes these
+    :attr:`series` objects in its ledger as they are.
     """
 
     def __init__(
@@ -87,6 +88,11 @@ class GraphRegistry:
         #: breaks the load/eviction that triggered it.
         self._load_listeners: list[Callable[[str, CSRGraph], None]] = []
         self._evict_listeners: list[Callable[[str], None]] = []
+
+    @property
+    def series(self) -> tuple:
+        """The ``repro_registry_*`` instruments this registry counts into."""
+        return (self._lookups, self._loads, self._evictions)
 
     # ------------------------------------------------------------------ #
     # Lifecycle listeners

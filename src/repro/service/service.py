@@ -37,7 +37,7 @@ from ..errors import (
     SweepTimeoutError,
 )
 from ..graph.csr import CSRGraph
-from ..obs.metrics import CATALOG, MetricsRegistry
+from ..obs.metrics import CATALOG, BoundCounter, MetricsRegistry
 from ..obs.trace import JobRecord, Span, Tracer
 from ..traversal.api import run
 from ..traversal.arena import EngineArena
@@ -100,11 +100,31 @@ class Service:
         #: The one ledger: every count the service and its components keep is
         #: written here, once, and :meth:`stats` reads it back.  Built before
         #: anything that reports into it.  A graph registry passed in keeps
-        #: the ledger it was built with (it may serve several services).
-        self._metrics = MetricsRegistry(CATALOG, window=self.config.latency_window)
-        self.registry = registry or GraphRegistry(
-            budget_bytes=self.config.registry_budget_bytes, metrics=self._metrics
+        #: the ledger it was built with (it may serve several services); its
+        #: series objects are exposed here as they are, so the exposition
+        #: reports the registry's counts, as ``stats().registry`` does.
+        self._metrics = MetricsRegistry(
+            CATALOG,
+            window=self.config.latency_window,
+            shared=() if registry is None else registry.series,
         )
+        # The series every finishing job writes, bound once: a bound child
+        # skips the per-write label-key build (see Counter.bind).  The tenant
+        # tally is bound per tenant on first sight, under ``self._lock``.
+        m = self._metrics
+        self._submitted = m["repro_requests_submitted_total"].bind()
+        self._outcomes = {
+            outcome: m["repro_requests_total"].bind(outcome=outcome)
+            for outcome in ("completed", "failed", "expired")
+        }
+        self._queue_wait = m["repro_queue_wait_seconds"].bind()
+        self._latency = m["repro_request_latency_seconds"].bind()
+        self._tenant_completed: dict[str, BoundCounter] = {}
+        if registry is None:
+            registry = GraphRegistry(
+                budget_bytes=self.config.registry_budget_bytes, metrics=self._metrics
+            )
+        self.registry = registry
         self.system = system or default_system()
         #: ``None`` selects the built-in batched execution path (shared
         #: engines from the arena, multi-source batches per drained group);
@@ -645,7 +665,7 @@ class Service:
                     else "admission"
                 )
                 raise
-            self._metrics["repro_requests_submitted_total"].inc()
+            self._submitted.inc()
             if outcome == "joined":
                 self._metrics["repro_requests_deduplicated_total"].inc()
                 return payload
@@ -763,13 +783,13 @@ class Service:
         m = self._metrics
         for job in jobs:
             outcome = self._outcome(job.error)
-            m["repro_requests_total"].inc(outcome=outcome)
+            self._outcomes[outcome].inc()
             wait = job.wait_seconds
             if wait is not None:
-                m["repro_queue_wait_seconds"].observe(wait)
+                self._queue_wait.observe(wait)
             total = job.total_seconds
             if total is not None:
-                m["repro_request_latency_seconds"].observe(total)
+                self._latency.observe(total)
             if job.job_id in self._jobs:
                 self._mark_prunable_locked(job)
             # Per-tenant breakdown, attributed to the job's owning tenant
@@ -782,7 +802,12 @@ class Service:
             # (and the WFQ policy's virtual clocks) with label cardinality.
             tenant = job.request.tenant or ""
             if job.status is JobStatus.DONE:
-                m["repro_tenant_jobs_total"].inc(tenant=tenant, result="completed")
+                completed = self._tenant_completed.get(tenant)
+                if completed is None:
+                    completed = self._tenant_completed[tenant] = m[
+                        "repro_tenant_jobs_total"
+                    ].bind(tenant=tenant, result="completed")
+                completed.inc()
             if job.met_deadline is False:
                 m["repro_tenant_jobs_total"].inc(tenant=tenant, result="missed")
             finished_at = job.finished_at

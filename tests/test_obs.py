@@ -19,7 +19,7 @@ import pytest
 from repro.config import ServiceConfig
 from repro.obs import Counter, Gauge, MetricsRegistry, Span, Summary, Tracer, tracing_enabled
 from repro.obs.check import LIFECYCLE_STAGES, check_trace_lines
-from repro.obs.metrics import CATALOG
+from repro.obs.metrics import CATALOG, BoundCounter, BoundSummary
 from repro.obs.trace import ENV_SWITCH, JobRecord
 from repro.service import GraphRegistry, Job, Service, TraversalRequest, faults
 from repro.service.stats import LatencyStats
@@ -804,7 +804,13 @@ class TestOneLedger:
         with self._service(lazy_registry) as service:
             _serve_backlog(service, [request])
             writes = []
-            for cls, method in ((Counter, "inc"), (Gauge, "set"), (Summary, "observe")):
+            for cls, method in (
+                (Counter, "inc"),
+                (Gauge, "set"),
+                (Summary, "observe"),
+                (BoundCounter, "inc"),
+                (BoundSummary, "observe"),
+            ):
                 original = getattr(cls, method)
 
                 def counted(instrument, *args, _original=original, **labels):
@@ -825,6 +831,88 @@ class TestOneLedger:
                 "repro_tenant_jobs_total",
             ]
         )
+
+    def test_hits_construct_no_event(self, lazy_registry, random_graph, tmp_path, monkeypatch):
+        """A job woken before anyone waits never builds its completion event:
+        neither a memory hit nor a store hit constructs a threading.Event."""
+        path = str(tmp_path / "events.sqlite")
+        memory_hit = TraversalRequest("bfs", random_graph.name, source=0)
+        store_hit = TraversalRequest("bfs", random_graph.name, source=1)
+        with self._service(lazy_registry, store_path=path) as cold:
+            _serve_backlog(cold, [store_hit])
+        # One cache entry: the load backfills the stored result, and serving
+        # the memory hit's key evicts it again, so only the store holds it.
+        hot = self._service(lazy_registry, store_path=path, result_cache_entries=1)
+        with hot:
+            _serve_backlog(hot, [memory_hit])
+            hot.store.flush()
+            built = []
+            # Patched on the class, so a reference captured before the patch
+            # (a dataclass default_factory, say) is counted too.
+            init = threading.Event.__init__
+
+            def counting_init(event, *args, **kwargs):
+                built.append(event)
+                init(event, *args, **kwargs)
+
+            monkeypatch.setattr(threading.Event, "__init__", counting_init)
+            jobs = [hot.submit(memory_hit), hot.submit(store_hit)]
+            results = [hot.result(job) for job in jobs]
+            monkeypatch.undo()
+        assert built == []
+        assert all(job.done and job.from_cache for job in jobs)
+        assert all(result is not None for result in results)
+        stats = hot.stats()
+        assert (stats.cache.hits, stats.store_hits) == (1, 1)
+
+    def test_bound_and_labelled_writes_land_on_one_child(self):
+        """Binding is a shortcut to a child, not a second tally: the same
+        writes, bound or label-keyed, render byte-identical exposition."""
+        keyed, bound = MetricsRegistry(CATALOG), MetricsRegistry(CATALOG)
+        unwritten = bound["repro_tenant_jobs_total"].bind(tenant="idle", result="missed")
+        writes = [
+            ("repro_requests_submitted_total", {}, 1.0),
+            ("repro_requests_total", {"outcome": "completed"}, 1.0),
+            ("repro_requests_total", {"outcome": "expired"}, 2.0),
+            ("repro_tenant_jobs_total", {"tenant": "", "result": "completed"}, 1.0),
+            ("repro_tenant_jobs_total", {"tenant": "t", "result": "completed"}, 3.0),
+            ("repro_cache_hits_total", {}, 1.0),
+        ]
+        for name, labels, amount in writes:
+            keyed[name].inc(amount, **labels)
+            bound[name].bind(**labels).inc(amount)
+        for name, value in (
+            ("repro_queue_wait_seconds", 0.25),
+            ("repro_request_latency_seconds", 0.5),
+            ("repro_request_latency_seconds", 1.5),
+        ):
+            keyed[name].observe(value)
+            bound[name].bind().observe(value)
+        assert bound.render_prometheus() == keyed.render_prometheus()
+        assert bound.render_json() == keyed.render_json()
+        # Mixing both on one instrument adds into the one child.
+        bound["repro_requests_total"].inc(outcome="completed")
+        assert bound["repro_requests_total"].value(outcome="completed") == 2.0
+        assert 'tenant="idle"' not in bound.render_prometheus()
+        with pytest.raises(ValueError):
+            unwritten.inc(-1)
+        with pytest.raises(ValueError):
+            bound["repro_requests_total"].bind(result="completed")
+
+    def test_outside_registry_counts_show_in_the_exposition(self):
+        """A service over a registry it did not build exposes that
+        registry's series, so the exposition and stats().registry agree."""
+        registry = GraphRegistry()
+        registry.register_dataset("GK", scale=40000)
+        with make_service(registry) as service:
+            service.result(service.submit(TraversalRequest("bfs", "GK", source=0)))
+        stats = service.stats()
+        text = service.collect_metrics().render_prometheus()
+        assert stats.registry.loads == 1
+        assert "repro_registry_loads_total 1\n" in text
+        assert registry.metrics is not service.metrics
+        name = "repro_registry_loads_total"
+        assert service.metrics[name] is registry.metrics[name]
 
     def test_built_registry_counts_into_the_service_ledger(self, random_graph):
         with self._service(None) as service:
