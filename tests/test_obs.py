@@ -877,6 +877,9 @@ class TestOneLedger:
             ("repro_tenant_jobs_total", {"tenant": "", "result": "completed"}, 1.0),
             ("repro_tenant_jobs_total", {"tenant": "t", "result": "completed"}, 3.0),
             ("repro_cache_hits_total", {}, 1.0),
+            ("repro_store_operations_total", {"op": "read", "outcome": "ok"}, 1.0),
+            ("repro_store_operations_total", {"op": "read", "outcome": "ok"}, 2.0),
+            ("repro_store_hits_total", {}, 1.0),
         ]
         for name, labels, amount in writes:
             keyed[name].inc(amount, **labels)

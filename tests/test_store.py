@@ -9,7 +9,9 @@ cost-model persistence round-trip reproducing the same admission decisions
 after a restart.
 """
 
+import dataclasses
 import os
+import pickle
 import sqlite3
 import time
 
@@ -34,7 +36,11 @@ from repro.service.store import (
     store_vacuum,
     store_verify,
 )
+from repro.timing import TimeBreakdown
+from repro.traversal import _native
 from repro.traversal.api import run
+from repro.traversal.pagerank import PageRankResult
+from repro.types import AccessStrategy
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +57,103 @@ def make_graph(name="durable", vertices=300, edges=2400, seed=5):
 def make_service(path, **knobs):
     knobs.setdefault("max_workers", 2)
     return Service(config=ServiceConfig(store_path=str(path), **knobs))
+
+
+def assert_same_result(restored, expected):
+    """Class, dtype, values bytes, metrics and every float bit-exact."""
+    assert type(restored) is type(expected)
+    assert restored.values.dtype == expected.values.dtype
+    assert restored.values.tobytes() == expected.values.tobytes()
+    assert restored.values.flags.writeable
+    assert restored.metrics == expected.metrics
+    assert float(restored.seconds).hex() == float(expected.seconds).hex()
+    assert [float(c).hex() for c in restored.metrics.breakdown.components()] == [
+        float(c).hex() for c in expected.metrics.breakdown.components()
+    ]
+    assert (restored.graph_name, restored.strategy) == (
+        expected.graph_name,
+        expected.strategy,
+    )
+    if isinstance(expected, PageRankResult):
+        assert (restored.iterations, restored.converged) == (
+            expected.iterations,
+            expected.converged,
+        )
+    else:
+        assert (restored.application, restored.source) == (
+            expected.application,
+            expected.source,
+        )
+
+
+#: The store layout of versions 1 and 2: each result one pickled payload.
+LEGACY_TABLES = """
+CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE graph_catalog (
+    name TEXT PRIMARY KEY, fingerprint TEXT NOT NULL,
+    num_vertices INTEGER NOT NULL, num_edges INTEGER NOT NULL,
+    total_bytes INTEGER NOT NULL, average_degree REAL NOT NULL,
+    median_degree REAL NOT NULL, max_degree INTEGER NOT NULL,
+    min_degree INTEGER NOT NULL, std_degree REAL NOT NULL,
+    params TEXT NOT NULL, resident INTEGER NOT NULL DEFAULT 0,
+    loads INTEGER NOT NULL DEFAULT 0, evictions INTEGER NOT NULL DEFAULT 0,
+    first_loaded_at TEXT NOT NULL, last_loaded_at TEXT NOT NULL
+);
+CREATE TABLE result_cache (
+    graph TEXT NOT NULL, application TEXT NOT NULL, source TEXT NOT NULL,
+    strategy TEXT NOT NULL, system TEXT NOT NULL, fingerprint TEXT NOT NULL,
+    payload BLOB NOT NULL, created_at TEXT NOT NULL,
+    PRIMARY KEY (graph, application, source, strategy, system)
+);
+"""
+
+#: Version 1 kept per-family EWMA rows; version 2 keeps one rate per
+#: application.
+LEGACY_COST_TABLES = {
+    "1": """
+CREATE TABLE cost_history (
+    id INTEGER PRIMARY KEY AUTOINCREMENT, family TEXT NOT NULL,
+    group_seconds REAL NOT NULL, job_seconds REAL NOT NULL,
+    samples INTEGER NOT NULL, iterations REAL, recorded_at TEXT NOT NULL
+);
+CREATE INDEX idx_cost_history_family ON cost_history (family, id);
+INSERT INTO cost_history (family, group_seconds, job_seconds, samples, recorded_at)
+    VALUES ('{"__tuple__": ["durable", "bfs"]}', 0.3, 0.15, 3, 'then');
+""",
+    "2": """
+CREATE TABLE cost_rates (
+    application TEXT PRIMARY KEY, seconds_per_edge_word REAL NOT NULL,
+    recorded_at TEXT NOT NULL
+);
+""",
+}
+
+
+def write_legacy_file(path, version, name, graph, results):
+    """A version-1 or -2 store holding ``(key, payload)`` rows, where a
+    payload is a result (pickled here) or raw bytes."""
+    conn = sqlite3.connect(path)
+    conn.executescript(LEGACY_TABLES + LEGACY_COST_TABLES[version])
+    conn.execute("INSERT INTO store_meta VALUES ('schema_version', ?)", (version,))
+    fingerprint = graph_fingerprint(graph)
+    conn.execute(
+        "INSERT INTO graph_catalog VALUES"
+        " (?, ?, ?, ?, ?, 1.0, 1.0, 1, 1, 0.0, '{}', 0, 1, 0, 'then', 'then')",
+        (name, fingerprint, graph.num_vertices, graph.num_edges, graph.total_bytes),
+    )
+    conn.executemany(
+        "INSERT INTO result_cache VALUES (?, ?, ?, ?, ?, ?, ?, 'then')",
+        [
+            (
+                *store_module._key_columns(key),
+                fingerprint,
+                payload if isinstance(payload, bytes) else pickle.dumps(payload),
+            )
+            for key, payload in results
+        ],
+    )
+    conn.commit()
+    conn.close()
 
 
 def wait_for(predicate, timeout=10.0, interval=0.01):
@@ -75,12 +178,14 @@ class TestSchemaAndPragmas:
                 "SELECT name FROM sqlite_master WHERE type = 'table'"
             )
         }
-        assert {"store_meta", "graph_catalog", "result_cache", "cost_rates"} <= tables
+        assert {
+            "store_meta", "graph_catalog", "result_cache", "result_values", "cost_rates"
+        } <= tables
         assert "cost_history" not in tables
         version = conn.execute(
             "SELECT value FROM store_meta WHERE key = 'schema_version'"
         ).fetchone()
-        assert version == ("2",)
+        assert version == ("3",)
         conn.close()
 
     def test_timestamps_are_utc_iso8601(self, tmp_path):
@@ -169,6 +274,134 @@ class TestResultRoundTrip:
             stats = service.stats()
             assert stats.store_hits >= 1
             assert stats.executions == 0
+
+
+APPLICATIONS = ("bfs", "sssp", "cc", "pagerank")
+STRATEGIES = tuple(strategy.value for strategy in AccessStrategy)
+
+
+def every_class_request(application, strategy):
+    source = 0 if application in ("bfs", "sssp") else None
+    return TraversalRequest(application, "durable", source=source, strategy=strategy)
+
+
+@pytest.fixture(scope="module", params=["native", "numpy"])
+def stored_every_class(request, tmp_path_factory):
+    """One store holding every application under every strategy, computed
+    on the native kernels or on the numpy fallback."""
+    path = tmp_path_factory.mktemp(f"every-class-{request.param}") / "store.db"
+    graph = make_graph()
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "numpy":
+            patch.setattr(_native, "available", lambda: False)
+        with make_service(path) as service:
+            service.registry.register("durable", lambda: graph)
+            jobs = {
+                (application, strategy): service.submit(
+                    every_class_request(application, strategy)
+                )
+                for application in APPLICATIONS
+                for strategy in STRATEGIES
+            }
+            computed = {
+                config: (job.request, service.result(job, timeout=30))
+                for config, job in jobs.items()
+            }
+    if request.param == "numpy":
+        sssp = computed["sssp", STRATEGIES[0]][1]
+        assert sssp.metrics.counters.relax_backend == "scatter"
+    return path, graph, computed
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("application", APPLICATIONS)
+class TestEveryResultClassRoundTrips:
+    """Every result class and strategy comes back from the store exactly as
+    it was computed, through a store hit and through a warm backfill."""
+
+    def test_store_hit(self, stored_every_class, application, strategy):
+        path, graph, computed = stored_every_class
+        request, expected = computed[application, strategy]
+        with make_service(path) as service:
+            service.registry.register("durable", lambda: graph)
+            job = service.submit(request)
+            restored = service.result(job, timeout=30)
+            stats = service.stats()
+        assert job.from_cache
+        assert (stats.store_hits, stats.executions) == (1, 0)
+        assert_same_result(restored, expected)
+
+    def test_backfill(self, stored_every_class, application, strategy):
+        path, graph, computed = stored_every_class
+        request, expected = computed[application, strategy]
+        with make_service(path) as service:
+            service.registry.register("durable", lambda: graph)
+            service.registry.get("durable")
+            job = service.submit(request)
+            restored = service.result(job, timeout=30)
+            stats = service.stats()
+        assert stats.store_backfilled == len(computed)
+        assert (stats.cache.hits, stats.store_hits, stats.executions) == (1, 0, 0)
+        assert_same_result(restored, expected)
+
+
+class TestValuesRows:
+    def test_every_configuration_of_one_source_shares_one_values_row(
+        self, stored_every_class
+    ):
+        path, _, computed = stored_every_class
+        info = store_info(path)
+        assert info["result_cache"] == len(computed)
+        assert info["result_values"] == len(APPLICATIONS)
+
+    def test_a_second_configuration_keeps_the_first(self, tmp_path):
+        # Writing a source's values again must not replace the row: with
+        # foreign keys on, a replace deletes it and cascades to every
+        # configuration's metric row.
+        path = tmp_path / "store.db"
+        graph = make_graph()
+        requests = [
+            TraversalRequest("bfs", "durable", source=0, strategy=strategy)
+            for strategy in ("merged_aligned", "uvm")
+        ]
+        with make_service(path) as service:
+            service.registry.register("durable", lambda: graph)
+            for request in requests:  # two sweeps, two transactions
+                service.result(service.submit(request), timeout=30)
+                service.store.flush()
+        info = store_info(path)
+        assert (info["result_cache"], info["result_values"]) == (2, 1)
+        with make_service(path) as service:
+            service.registry.register("durable", lambda: graph)
+            for request in requests:
+                service.result(service.submit(request), timeout=30)
+            stats = service.stats()
+        assert (stats.store_hits, stats.executions) == (2, 0)
+
+    def test_a_result_the_columns_cannot_hold_is_counted_not_written(self, tmp_path):
+        graph = make_graph()
+        result = run("bfs", graph, source=0)
+        metrics = result.metrics
+        extra = TimeBreakdown(*metrics.breakdown.components(), extra={"x": 1.0})
+        refused = [
+            dataclasses.replace(
+                result, metrics=dataclasses.replace(metrics, counters=None)
+            ),
+            dataclasses.replace(
+                result, metrics=dataclasses.replace(metrics, breakdown=extra)
+            ),
+            run("pagerank", graph),  # a PageRank result under a bfs key
+        ]
+        with ServingStore(tmp_path / "store.db") as store:
+            store.record_load("durable", graph)
+            store.record_sweep(
+                graph, [(KEY, bad) for bad in refused] + [(KEY, result)], {}.get
+            )
+            store.flush()
+            assert store.stats().errors == len(refused)
+            assert store.stats().result_rows == 1
+            assert_same_result(store.lookup(KEY), result)
+            assert store.state == "ok"
 
 
 class TestWarmRestart:
@@ -260,50 +493,48 @@ class TestWarmRestart:
 
     def test_version_1_file_upgrades_in_place_and_keeps_its_results(self, tmp_path):
         # Version 1 kept per-family EWMA rows in `cost_history`, which the
-        # rate model cannot read: the table goes, everything else stays.
+        # rate model cannot read, and pickled results: the table goes, the
+        # results are re-encoded.
+        self._check_legacy_upgrade(tmp_path, "1")
+
+    def test_version_2_file_upgrades_in_place_and_keeps_its_results(self, tmp_path):
+        self._check_legacy_upgrade(tmp_path, "2")
+
+    def _check_legacy_upgrade(self, tmp_path, version):
         path = tmp_path / "store.db"
         graph = make_graph()
-        request = TraversalRequest("bfs", "durable", source=0)
-        with make_service(path) as service:
+        with Service(config=ServiceConfig(max_workers=2)) as service:
             service.registry.register("durable", lambda: graph)
-            service.result(service.submit(request), timeout=30)
-        conn = sqlite3.connect(path)
-        conn.executescript(
-            """
-            DROP TABLE cost_rates;
-            CREATE TABLE cost_history (
-                id INTEGER PRIMARY KEY AUTOINCREMENT, family TEXT NOT NULL,
-                group_seconds REAL NOT NULL, job_seconds REAL NOT NULL,
-                samples INTEGER NOT NULL, iterations REAL, recorded_at TEXT NOT NULL
-            );
-            CREATE INDEX idx_cost_history_family ON cost_history (family, id);
-            INSERT INTO cost_history
-                (family, group_seconds, job_seconds, samples, recorded_at)
-                VALUES ('{"__tuple__": ["durable", "bfs"]}', 0.3, 0.15, 3, 'then');
-            UPDATE store_meta SET value = '1' WHERE key = 'schema_version';
-            """
+            job = service.submit(TraversalRequest("bfs", "durable", source=0))
+            expected = service.result(job, timeout=30)
+        request, key = job.request, job.request.cache_key
+        undecodable = (key[0], key[1], 1, *key[3:])
+        write_legacy_file(
+            path, version, "durable", graph, [(key, expected), (undecodable, b"torn")]
         )
-        conn.commit()
-        conn.close()
-        before = store_info(path)  # the operator helper reads a version-1 file
-        assert before["schema_version"] == "1" and before["cost_rates"] == 0
+        before = store_info(path)  # the operator helper reads an old file
+        assert before["schema_version"] == version
+        assert (before["result_cache"], before["result_values"]) == (2, 0)
         with make_service(path) as service:
             service.registry.register("durable", lambda: graph)
             assert service.stats().store_state == "ok", "upgraded, not quarantined"
             assert service.store.quarantined_path is None
             assert service.cost_model.stats().applications == 0
-            service.result(service.submit(request), timeout=30)
+            restored = service.result(service.submit(request), timeout=30)
             stats = service.stats()
             assert stats.executions == 0 and stats.store_hits == 1
+        assert_same_result(restored, expected)
         info = store_info(path)
-        assert info["schema_version"] == "2" and info["result_cache"] == 1
+        assert info["schema_version"] == "3"
+        assert (info["result_cache"], info["result_values"]) == (1, 1)
         tables = {
             row[0]
             for row in sqlite3.connect(path).execute(
                 "SELECT name FROM sqlite_master WHERE type = 'table'"
             )
         }
-        assert "cost_history" not in tables and "cost_rates" in tables
+        assert "cost_rates" in tables
+        assert not {"cost_history", "result_cache_pickled"} & tables
 
     def test_seed_does_not_override_live_samples(self, tmp_path):
         model = CostModel(edge_lookup={"g": 1_000}.get)
@@ -435,7 +666,7 @@ class TestOperatorHelpers:
             job = service.submit(TraversalRequest("bfs", "durable", source=0))
             service.result(job, timeout=30)
         info = store_info(path)
-        assert info["schema_version"] == "2"
+        assert info["schema_version"] == "3"
         assert info["journal_mode"] == "wal"
         assert info["graph_catalog"] == 1
         assert info["result_cache"] >= 1
