@@ -142,6 +142,11 @@ FLUSH_INTERVAL = 0.05
 #: up on the ops still queued.
 DRAIN_TIMEOUT = 5.0
 
+#: Longest single wait of flush() on the queue's last task_done(); it kicks
+#: the flush thread again before each, so a kick lost to the thread clearing
+#: the event for its coalescing wait delays a drain by one slice at most.
+DRAIN_SLICE = 0.001
+
 #: Run one statement at a time inside the open transaction, so an upgrade
 #: commits with the tables it creates or not at all.
 _SCHEMA = (
@@ -1079,7 +1084,7 @@ class ServingStore:
                 # serve-backlog wave on a 2-core host.  flush()/close() kick
                 # the event to cut the wait short; clearing *before* the wait
                 # discards a kick left over from an already-finished drain (a
-                # live flush() re-sets it every millisecond, so no cut-short
+                # live flush() re-sets it every DRAIN_SLICE, so no cut-short
                 # is lost).
                 self._kick.clear()
                 self._kick.wait(FLUSH_INTERVAL)
@@ -1176,18 +1181,22 @@ class ServingStore:
 
         Nothing is retried, so each op leaves the queue's unfinished count
         after one attempt; kicking the flusher out of its coalescing wait
-        keeps the drain prompt.  Gives up after :data:`DRAIN_TIMEOUT` — a
-        stalled write (a latency fault, another process's lock) must not
-        hang the caller.
+        keeps the drain prompt, and waiting on the queue's
+        ``all_tasks_done`` condition returns at the last ``task_done()``,
+        not at the next tick of a poll.  Gives up after
+        :data:`DRAIN_TIMEOUT` — a stalled write (a latency fault, another
+        process's lock) must not hang the caller — or when the flush thread
+        has exited.
         """
         deadline = time.monotonic() + DRAIN_TIMEOUT
-        while (
-            self._pending.unfinished_tasks
-            and self._flusher.is_alive()
-            and time.monotonic() < deadline
-        ):
-            self._kick.set()
-            time.sleep(0.001)
+        drained = self._pending.all_tasks_done
+        with drained:
+            while self._pending.unfinished_tasks and self._flusher.is_alive():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                self._kick.set()
+                drained.wait(min(remaining, DRAIN_SLICE))
 
     def close(self) -> None:
         """Drain pending writes, checkpoint the WAL, close both connections.

@@ -21,12 +21,16 @@ share one shared object:
   ``+inf`` in the inactive lanes (``inf + w`` never wins), and every edge
   relaxes the whole row four lanes at a time with AVX2 add / compare /
   blend, ORing the improved lanes into the next-frontier word once per
-  edge.  Every other vertex takes the *scalar* arm, which walks its active
-  lanes with ``ctz``.  Both give exactly the same values and words.  The
-  dense body is compiled under ``__attribute__((target("avx2")))`` and
-  chosen at run time by the ``repro_dense_arm`` probe
-  (``__builtin_cpu_supports``), so the object carries no ``-march`` flag:
-  hosts without AVX2, and words of fewer than 4 lanes, run the scalar arm.
+  edge.  Every other vertex takes the *scalar* arm, which takes its active
+  lanes one at a time with ``ctz`` and walks the vertex's edges once per
+  lane, with the lane's snapshot value and bit held in registers and no
+  branch per edge (a select stores the smaller value, the comparison is ORed
+  into the next-frontier word).  Both give exactly the same values and
+  words.  The dense body is compiled under
+  ``__attribute__((target("avx2")))`` and chosen at run time by the
+  ``repro_dense_arm`` probe (``__builtin_cpu_supports``), so the object
+  carries no ``-march`` flag: hosts without AVX2, and words of fewer than 4
+  lanes, run the scalar arm.
   The probe's answer is :data:`_dense_arm`, read as a word binds its sweep
   (tests patch it to force an arm).  The weights are the graph's float32
   list, read in place: float32 → float64 is exact;
@@ -50,7 +54,8 @@ share one shared object:
   every sweep of a traced word and every lane the calling engine prices,
   the edges, vertices and request counts of the lane's own frontier, one
   ``ctz`` walk over each union frontier vertex's lane word masked to those
-  lanes;
+  lanes, compiled with constant table widths for the four shapes
+  zero-copy engines build;
 * ``repro_uvm_replay`` — a traced run's UVM pricing (:func:`uvm_replay`,
   called by :meth:`repro.memsim.uvm.UVMSpace.replay_lanes` with
   ``native=True``), one call per region, in place on the space's residency
@@ -219,6 +224,36 @@ static void relax_row_avx2(const double *snap,
 }
 #endif
 
+/* The scalar arm: relax one active lane of one frontier vertex along its
+ * edges [edge, end).  source is the lane's snapshot value and column the
+ * lane's first cell of the (num_vertices, lanes) value matrix, so a
+ * destination d's cell is column[d * lanes].  The loop has no branch: every
+ * edge stores the smaller of the candidate and the stored value (a tie keeps
+ * the stored one) and ORs the comparison into the destination's word, so
+ * values and next_bits are exactly those of a compare-and-store.  weight is
+ * NULL on an unweighted graph, where every candidate adds 1.0; always
+ * inlined, so each call site compiles a loop for its own case.
+ */
+static inline __attribute__((always_inline)) void relax_lane(const int64_t *edge,
+                                                             const int64_t *end,
+                                                             const float *weight,
+                                                             double source,
+                                                             double *column,
+                                                             uint64_t *next_bits,
+                                                             int64_t lanes,
+                                                             int lane)
+{
+    for (; edge < end; edge++) {
+        int64_t destination = *edge;
+        double candidate = source + (weight ? (double)*weight++ : 1.0);
+        double *stored = column + destination * lanes;
+        double old = *stored;
+        int lt = candidate < old;
+        *stored = lt ? candidate : old;
+        next_bits[destination] |= (uint64_t)lt << lane;
+    }
+}
+
 /* Append the next frontier to a word's trace: one ascending scan of
  * next_bits writes every vertex with a bit set, and its lane word, from
  * entry end on, and zeroes the word.  Returns the number of entries
@@ -259,7 +294,10 @@ static int64_t append_frontier(int64_t *vertices, uint64_t *masks, int64_t end,
  * A frontier vertex on which at least a quarter of the word's lanes are
  * active takes the dense arm (relax_row_avx2) when dense is nonzero, the
  * word has at least 4 lanes and repro_dense_arm() holds; every other vertex
- * walks its active lanes with ctz, one branch per (edge, lane).
+ * takes its active lanes one at a time with ctz and walks its edges once per
+ * lane (relax_lane), branch-free.  Either order is exact: each (destination,
+ * lane) cell sees the same candidates, all read from the snapshot, and a
+ * tie keeps the stored value.
  */
 int64_t repro_sssp_sweep(int64_t *vertices,
                          uint64_t *masks,
@@ -307,19 +345,15 @@ int64_t repro_sssp_sweep(int64_t *vertices,
             continue;
         }
 #endif
-        for (int64_t e = edge_start; e < edge_end; e++) {
-            int64_t destination = edges[e];
-            double weight = weights ? (double)weights[e] : 1.0;
-            double *drow = dist + destination * lanes;
-            uint64_t b = bits;
-            while (b) {
-                int lane = __builtin_ctzll(b);
-                b &= b - 1;
-                double candidate = snap[lane] + weight;
-                if (candidate < drow[lane]) {
-                    drow[lane] = candidate;
-                    next_bits[destination] |= 1ull << (uint64_t)lane;
-                }
+        const int64_t *first = edges + edge_start, *last = edges + edge_end;
+        while (bits) {
+            int lane = __builtin_ctzll(bits);
+            bits &= bits - 1;
+            if (weights) {
+                relax_lane(first, last, weights + edge_start, snap[lane], dist + lane,
+                           next_bits, lanes, lane);
+            } else {
+                relax_lane(first, last, 0, snap[lane], dist + lane, next_bits, lanes, lane);
             }
         }
     }
@@ -464,20 +498,24 @@ int64_t repro_pagerank_step(const int64_t *offsets,
  * rows of sweep k's entries whose mask has bit lanes[i] set; the other bits
  * are never read.  An entry on which more than half the given lanes are
  * active adds its row to the sweep's total and takes it back from the given
- * lanes it lacks, so no entry visits more than half of them.  Returns 0.
+ * lanes it lacks, so no entry visits more than half of them.
+ *
+ * Always inlined, so a call with constant widths compiles every per-column
+ * loop to straight-line code: a solo word's pass is a few adds per entry,
+ * and the loop overhead of run-time widths cost as much as the sums.
  */
-int64_t repro_lane_rows(const int64_t *frontier,
-                        const uint64_t *masks,
-                        const int64_t *bounds,
-                        int64_t num_sweeps,
-                        const int64_t *offsets,
-                        const int64_t *table0,
-                        int64_t width0,
-                        const int64_t *table1,
-                        int64_t width1,
-                        const int64_t *lanes,
-                        int64_t num_lanes,
-                        int64_t *rows)
+static inline __attribute__((always_inline)) void lane_rows(const int64_t *frontier,
+                                                            const uint64_t *masks,
+                                                            const int64_t *bounds,
+                                                            int64_t num_sweeps,
+                                                            const int64_t *offsets,
+                                                            const int64_t *table0,
+                                                            int64_t width0,
+                                                            const int64_t *table1,
+                                                            int64_t width1,
+                                                            const int64_t *lanes,
+                                                            int64_t num_lanes,
+                                                            int64_t *rows)
 {
     int64_t width = 2 + width0 + width1;
     int64_t slot[64];
@@ -522,6 +560,36 @@ int64_t repro_lane_rows(const int64_t *frontier,
             for (int64_t j = 0; j < width; j++) dst[j] += total[j];
         }
     }
+}
+
+/* lane_rows, with constant widths for the four table shapes zero-copy
+ * engines build: a warp per vertex (4 request sizes) or a thread per vertex
+ * (1 column of sectors), over the edge list alone or over edges and
+ * weights.  Any other shape (a UVM engine's no tables, or a direct
+ * caller's) runs the same body with run-time widths.  Returns 0.
+ */
+int64_t repro_lane_rows(const int64_t *frontier,
+                        const uint64_t *masks,
+                        const int64_t *bounds,
+                        int64_t num_sweeps,
+                        const int64_t *offsets,
+                        const int64_t *table0,
+                        int64_t width0,
+                        const int64_t *table1,
+                        int64_t width1,
+                        const int64_t *lanes,
+                        int64_t num_lanes,
+                        int64_t *rows)
+{
+#define REPRO_LANE_ROWS(w0, w1) \
+    lane_rows(frontier, masks, bounds, num_sweeps, offsets, table0, w0, table1, w1, lanes, \
+              num_lanes, rows)
+    if (width0 == 4 && width1 == 4) REPRO_LANE_ROWS(4, 4);
+    else if (width0 == 4 && width1 == 0) REPRO_LANE_ROWS(4, 0);
+    else if (width0 == 1 && width1 == 1) REPRO_LANE_ROWS(1, 1);
+    else if (width0 == 1 && width1 == 0) REPRO_LANE_ROWS(1, 0);
+    else REPRO_LANE_ROWS(width0, width1);
+#undef REPRO_LANE_ROWS
     return 0;
 }
 

@@ -349,6 +349,42 @@ class TestLaneRows:
         native = engine._lane_rows(trace, lanes, True)
         assert np.array_equal(native, engine._lane_rows(trace, lanes, False))
 
+    @pytest.mark.parametrize("widths", [(2, 3), (3, 0), (1, 4), (0, 0)])
+    @pytest.mark.parametrize("picked", ["all", "few", "one"])
+    def test_any_table_widths_match_the_definition(self, random_graph, widths, picked):
+        # Engines build tables of widths (4, 4), (4, 0), (1, 1), (1, 0) and
+        # none; any other shape a caller passes is summed the same way.  The
+        # reference is the definition: for each lane and sweep, the sum of
+        # (degree, 1, table rows) over the entries carrying the lane's bit.
+        sources = list(range(0, 480, 12))
+        _, trace, _, _ = multisource._sssp_word(random_graph, sources, "scatter")
+        frontier, masks, bounds = trace.flat()
+        offsets = random_graph.offsets
+        rng = np.random.default_rng(sum(widths))
+        tables = tuple(
+            rng.integers(-1000, 1000, (random_graph.num_vertices, width), dtype=np.int64)
+            for width in widths
+            if width
+        )
+        lanes = np.array(
+            {"all": range(len(sources)), "few": [7, 3, 30], "one": [12]}[picked],
+            dtype=np.int64,
+        )
+        rows = np.empty((lanes.size, trace.sweeps, 2 + sum(widths)), dtype=np.int64)
+        _native.lane_rows(frontier, masks, bounds, offsets, tables, lanes, rows)
+
+        columns = np.column_stack(
+            [offsets[frontier + 1] - offsets[frontier], np.ones_like(frontier)]
+            + [table[frontier] for table in tables]
+        )
+        expected = np.zeros_like(rows)
+        for i, lane in enumerate(lanes.tolist()):
+            carried = (masks >> np.uint64(lane)) & np.uint64(1) == 1
+            for sweep in range(trace.sweeps):
+                entries = slice(bounds[sweep], bounds[sweep + 1])
+                expected[i, sweep] = columns[entries][carried[entries]].sum(axis=0)
+        assert np.array_equal(rows, expected)
+
     def test_refuses_repeated_lanes(self, random_graph):
         _, trace, _, _ = multisource._bfs_word(random_graph, [0, 1], "scatter")
         engine = TraversalEngine(random_graph, AccessStrategy.MERGED_ALIGNED)

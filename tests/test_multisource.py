@@ -698,6 +698,16 @@ class TestNativeWordMatchesNumpy:
             ("native", "scatter") if application == "sssp" else (None, None)
         )
 
+    @pytest.mark.parametrize("dense_arm", (0, 1))
+    def test_one_lane_sssp_on_an_unweighted_graph(self, uniform_graph, dense_arm):
+        # A solo SSSP on unit weights: the scalar arm's weightless loop.
+        with mock.patch.object(_native, "_dense_arm", dense_arm):
+            for source in (0, 17, 401):
+                native = multisource._sssp_word(uniform_graph, [source], "native")
+                numpy = multisource._sssp_word(uniform_graph, [source], "scatter")
+                assert _word_bytes(native) == _word_bytes(numpy)
+                assert native[1].sweeps > 1
+
     @pytest.mark.parametrize("capacity", (0, 64))
     def test_trace_growth_keeps_the_sweeps(self, random_graph, capacity):
         # A 64-lane word on a trace of no capacity grows several times; one

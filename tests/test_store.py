@@ -14,6 +14,7 @@ import os
 import pickle
 import sqlite3
 import time
+from unittest import mock
 
 import pytest
 
@@ -902,6 +903,23 @@ class TestSweepWrites:
         finally:
             faults.deactivate()
             store.close()
+
+    def test_flush_returns_drained_without_sleeping(self, tmp_path):
+        # flush() waits on the queue's all_tasks_done condition: it wakes at
+        # the write's task_done(), never on a sleep poll.
+        graph = make_graph()
+        result = run("bfs", graph, source=0)
+        with ServingStore(tmp_path / "store.db") as store:
+            store.record_load("durable", graph)
+            with mock.patch(
+                "repro.service.store.time.sleep",
+                side_effect=AssertionError("flush() polled with time.sleep"),
+            ):
+                store.record_sweep(graph, [(KEY, result)], {}.get)
+                store.flush()
+                assert store._pending.unfinished_tasks == 0
+            assert store.stats().result_rows == 1
+            assert (store.lookup(KEY).values == result.values).all()
 
     def test_flush_and_close_give_up_on_a_stalled_write(self, tmp_path, monkeypatch):
         monkeypatch.setattr(store_module, "DRAIN_TIMEOUT", 0.2)
