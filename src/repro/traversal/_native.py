@@ -16,24 +16,28 @@ share one shared object:
   occasionally store, over vertex-major ``(num_vertices, lanes)`` value rows
   so one vertex's lanes share cache lines, then scan the improved lanes'
   words and append them to the trace as the next frontier.  The relaxation
-  has two arms.  A frontier vertex on which at least a quarter of the
-  word's lanes are active takes the *dense* arm: its snapshot row holds
-  ``+inf`` in the inactive lanes (``inf + w`` never wins), and every edge
-  relaxes the whole row four lanes at a time with AVX2 add / compare /
-  blend, ORing the improved lanes into the next-frontier word once per
-  edge.  Every other vertex takes the *scalar* arm, which takes its active
-  lanes one at a time with ``ctz`` and walks the vertex's edges once per
-  lane, with the lane's snapshot value and bit held in registers and no
-  branch per edge (a select stores the smaller value, the comparison is ORed
-  into the next-frontier word).  Both give exactly the same values and
-  words.  The dense body is compiled under
-  ``__attribute__((target("avx2")))`` and chosen at run time by the
-  ``repro_dense_arm`` probe (``__builtin_cpu_supports``), so the object
-  carries no ``-march`` flag: hosts without AVX2, and words of fewer than 4
-  lanes, run the scalar arm.
-  The probe's answer is :data:`_dense_arm`, read as a word binds its sweep
-  (tests patch it to force an arm).  The weights are the graph's float32
-  list, read in place: float32 → float64 is exact;
+  has a dense and a scalar arm.  A frontier vertex on which at least a
+  quarter of the word's lanes are active takes the *dense* arm: its
+  snapshot row holds ``+inf`` in the inactive lanes (``inf + w`` never
+  wins), filled without a branch per lane, and every edge relaxes the whole
+  row, ORing the improved lanes into the next-frontier word once per edge.
+  With AVX-512F that is eight lanes per instruction: add, compare into a
+  ``__mmask8``, a store under that mask, and a masked tail for the last
+  ``lanes % 8``; with AVX2 it is four, with a compare and a blend.  Every
+  other vertex takes the *scalar* arm, which takes its active lanes one at
+  a time with ``ctz`` and walks the vertex's edges once per lane, with the
+  lane's snapshot value and bit held in registers and no branch per edge (a
+  select stores the smaller value, the comparison is ORed into the
+  next-frontier word).  Every arm gives exactly the same values and words.
+  The dense bodies are compiled under ``__attribute__((target("avx512f")))``
+  and ``__attribute__((target("avx2")))`` and chosen at run time by the
+  ``repro_dense_arm`` probe (``__builtin_cpu_supports``: 2 AVX-512F, 1
+  AVX2, 0 neither), so the object carries no ``-march`` flag: a host runs
+  the widest arm it has, and words of fewer than 4 lanes run the scalar
+  arm.  The probe's answer is :data:`_dense_arm`, read as a word binds its
+  sweep (tests patch it to force an arm; the kernel runs the smaller of it
+  and its own probe) and named by :func:`status`.  The weights are the
+  graph's float32 list, read in place: float32 → float64 is exact;
 * ``repro_bfs_sweep`` — one BFS sweep of a word (:func:`bfs_sweep`, driven
   by :func:`repro.traversal.multisource._bfs_word`): OR-scatter of the
   frontier words read from the trace, and one pass over the vertices that
@@ -55,7 +59,9 @@ share one shared object:
   the edges, vertices and request counts of the lane's own frontier, one
   ``ctz`` walk over each union frontier vertex's lane word masked to those
   lanes, compiled with constant table widths for the four shapes
-  zero-copy engines build;
+  zero-copy engines build.  Its first pass checks the lanes, the sweep
+  bounds and the frontier's vertex ids before any row is written (made in
+  numpy, they took ≈ 8 µs of the wrapper's ≈ 25 µs per call);
 * ``repro_uvm_replay`` — a traced run's UVM pricing (:func:`uvm_replay`,
   called by :meth:`repro.memsim.uvm.UVMSpace.replay_lanes` with
   ``native=True``), one call per region, in place on the space's residency
@@ -104,7 +110,10 @@ microseconds per call, more than a small sweep.  The wrappers make the
 checks ``ndpointer`` made (dtype and C-contiguity) besides their length
 checks: a word sweep's buffers once per word (:class:`TraceSweep`) and its
 trace's again after each growth, a UVM space's once per space
-(:class:`Pins`), and every other kernel's on every call.
+(:class:`Pins`), and every other kernel's on every call.  Checks that read
+every entry of a buffer are made by the kernel that reads it, before it
+writes anything: the UVM replay's ranges and the lane-row pass's lanes,
+bounds and frontier.
 """
 
 from __future__ import annotations
@@ -163,14 +172,17 @@ _SOURCE = r"""
 #define REPRO_DENSE_ARM 0
 #endif
 
-/* 1 when this host can run the dense relaxation arm: the object was built
- * for x86 and the CPU reports AVX2.  Decided at run time, so the object
- * needs no -mavx2 / -march flag and loads on every x86-64 host.
+/* The widest dense relaxation arm this host can run: 2 (AVX-512F) or 1
+ * (AVX2) when the object was built for x86 and the CPU reports that
+ * extension, else 0 (the scalar arm alone).  Decided at run time, so the
+ * object needs no -mavx2 / -mavx512f / -march flag and loads on every
+ * x86-64 host.
  */
 int repro_dense_arm(void)
 {
 #if REPRO_DENSE_ARM
     __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) return 2;
     return __builtin_cpu_supports("avx2") != 0;
 #else
     return 0;
@@ -178,7 +190,30 @@ int repro_dense_arm(void)
 }
 
 #if REPRO_DENSE_ARM
-/* The dense arm: relax every lane of one frontier vertex along its edges.
+/* The dense arm's snapshot of one frontier vertex: its whole value row,
+ * with +inf in the lanes inactive in bits.  No branch per lane: each
+ * 4-lane group compares the broadcast lane word, masked to the group's
+ * bits {1, 2, 4, 8}, with those bits and blends the row over +inf; the
+ * lanes after the last full group take a select each.
+ */
+__attribute__((target("avx2")))
+static void snapshot_row_avx2(const double *row, double *snap, uint64_t bits, int64_t lanes)
+{
+    const __m256i select = _mm256_set_epi64x(8, 4, 2, 1);
+    const __m256d inf = _mm256_set1_pd(__builtin_inf());
+    int64_t groups = lanes & ~(int64_t)3, lane = 0;
+    for (; lane < groups; lane += 4) {
+        __m256i word = _mm256_and_si256(_mm256_set1_epi64x((int64_t)(bits >> lane)), select);
+        __m256d active = _mm256_castsi256_pd(_mm256_cmpeq_epi64(word, select));
+        _mm256_storeu_pd(snap + lane, _mm256_blendv_pd(inf, _mm256_loadu_pd(row + lane), active));
+    }
+    for (; lane < lanes; lane++) {
+        snap[lane] = (bits >> lane) & 1 ? row[lane] : __builtin_inf();
+    }
+}
+
+/* The dense arm on AVX2: relax every lane of one frontier vertex along its
+ * edges.
  *
  * snap is the vertex's whole snapshot row, +inf in its inactive lanes:
  * inf + w never beats a stored value, so an inactive lane can never win and
@@ -218,6 +253,68 @@ static void relax_row_avx2(const double *snap,
                 drow[lane] = candidate;
                 mask |= 1ull << (uint64_t)lane;
             }
+        }
+        if (mask) next_bits[destination] |= mask;
+    }
+}
+
+/* The dense arm's snapshot on AVX-512F: per 8 lanes, one load of the row
+ * masked by the lane word's 8 bits over a +inf vector; the last lanes % 8
+ * are loaded and stored under a mask of the lanes that remain, so nothing
+ * past the row is touched.
+ */
+__attribute__((target("avx512f")))
+static void snapshot_row_avx512(const double *row, double *snap, uint64_t bits, int64_t lanes)
+{
+    const __m512d inf = _mm512_set1_pd(__builtin_inf());
+    int64_t groups = lanes & ~(int64_t)7, lane = 0;
+    for (; lane < groups; lane += 8) {
+        __m512d loaded = _mm512_mask_loadu_pd(inf, (__mmask8)(bits >> lane), row + lane);
+        _mm512_storeu_pd(snap + lane, loaded);
+    }
+    if (lane < lanes) {
+        __mmask8 tail = (__mmask8)((1u << (lanes - lane)) - 1);
+        __m512d loaded = _mm512_mask_loadu_pd(inf, (__mmask8)(bits >> lane) & tail, row + lane);
+        _mm512_mask_storeu_pd(snap + lane, tail, loaded);
+    }
+}
+
+/* The dense arm on AVX-512F: relax_row_avx2's contract, 8 lanes per
+ * instruction.  Each 8-lane group computes c = snap + w, compares it with
+ * the stored values into a __mmask8 of the improved lanes, stores c under
+ * that mask (no blend: a lane that did not improve is not written) and
+ * shifts the mask into the next-frontier word.  The last lanes % 8 are
+ * loaded, compared and stored under a mask of the lanes that remain.
+ */
+__attribute__((target("avx512f")))
+static void relax_row_avx512(const double *snap,
+                             const int64_t *edge,
+                             const int64_t *end,
+                             const float *weight,
+                             double *dist,
+                             uint64_t *next_bits,
+                             int64_t lanes)
+{
+    int64_t groups = lanes & ~(int64_t)7;
+    __mmask8 tail = (__mmask8)((1u << (lanes - groups)) - 1);
+    for (; edge < end; edge++) {
+        int64_t destination = *edge;
+        __m512d wide = _mm512_set1_pd(weight ? (double)*weight++ : 1.0);
+        double *drow = dist + destination * lanes;
+        uint64_t mask = 0;
+        int64_t lane = 0;
+        for (; lane < groups; lane += 8) {
+            __m512d candidate = _mm512_add_pd(_mm512_loadu_pd(snap + lane), wide);
+            __mmask8 lt = _mm512_cmp_pd_mask(candidate, _mm512_loadu_pd(drow + lane), _CMP_LT_OQ);
+            _mm512_mask_storeu_pd(drow + lane, lt, candidate);
+            mask |= (uint64_t)lt << lane;
+        }
+        if (tail) {
+            __m512d candidate = _mm512_add_pd(_mm512_maskz_loadu_pd(tail, snap + lane), wide);
+            __mmask8 lt = _mm512_mask_cmp_pd_mask(
+                tail, candidate, _mm512_maskz_loadu_pd(tail, drow + lane), _CMP_LT_OQ);
+            _mm512_mask_storeu_pd(drow + lane, lt, candidate);
+            mask |= (uint64_t)lt << lane;
         }
         if (mask) next_bits[destination] |= mask;
     }
@@ -291,11 +388,14 @@ static int64_t append_frontier(int64_t *vertices, uint64_t *masks, int64_t end,
  * leaves next_bits zeroed.  Returns the number of entries appended: the
  * next frontier's size.
  *
- * A frontier vertex on which at least a quarter of the word's lanes are
- * active takes the dense arm (relax_row_avx2) when dense is nonzero, the
- * word has at least 4 lanes and repro_dense_arm() holds; every other vertex
- * takes its active lanes one at a time with ctz and walks its edges once per
- * lane (relax_lane), branch-free.  Either order is exact: each (destination,
+ * dense asks for a dense arm: 2 AVX-512F (snapshot_row_avx512 and
+ * relax_row_avx512), 1 AVX2 (snapshot_row_avx2 and relax_row_avx2), 0 none.
+ * The sweep runs the smaller of dense and repro_dense_arm(), so asking for
+ * an arm the host lacks steps down, and a word of fewer than 4 lanes runs
+ * none.  With an arm, a frontier vertex on which at least a quarter of the
+ * word's lanes are active takes it; every other vertex takes its active
+ * lanes one at a time with ctz and walks its edges once per lane
+ * (relax_lane), branch-free.  Every order is exact: each (destination,
  * lane) cell sees the same candidates, all read from the snapshot, and a
  * tie keeps the stored value.
  */
@@ -316,15 +416,20 @@ int64_t repro_sssp_sweep(int64_t *vertices,
     const int64_t *frontier = vertices + start;
     const uint64_t *active_bits = masks + start;
     int64_t num_frontier = end - start;
-    dense = dense && lanes >= 4 && repro_dense_arm();
+    int widest = repro_dense_arm();
+    int arm = lanes < 4 ? 0 : dense < widest ? dense : widest;
     for (int64_t f = 0; f < num_frontier; f++) {
         const double *row = dist + frontier[f] * lanes;
         double *snap = snapshot + f * lanes;
         uint64_t bits = active_bits[f];
-        if (dense && 4 * __builtin_popcountll(bits) >= lanes) {
-            for (int64_t lane = 0; lane < lanes; lane++) {
-                snap[lane] = (bits >> lane) & 1 ? row[lane] : __builtin_inf();
+        if (arm > 0 && 4 * __builtin_popcountll(bits) >= lanes) {
+#if REPRO_DENSE_ARM
+            if (arm == 2) {
+                snapshot_row_avx512(row, snap, bits, lanes);
+            } else {
+                snapshot_row_avx2(row, snap, bits, lanes);
             }
+#endif
             continue;
         }
         while (bits) {
@@ -338,13 +443,19 @@ int64_t repro_sssp_sweep(int64_t *vertices,
         if (!bits) continue;
         const double *snap = snapshot + f * lanes;
         int64_t edge_start = offsets[frontier[f]], edge_end = offsets[frontier[f] + 1];
+        if (arm > 0 && 4 * __builtin_popcountll(bits) >= lanes) {
 #if REPRO_DENSE_ARM
-        if (dense && 4 * __builtin_popcountll(bits) >= lanes) {
-            relax_row_avx2(snap, edges + edge_start, edges + edge_end,
-                           weights ? weights + edge_start : 0, dist, next_bits, lanes);
+            const float *weight = weights ? weights + edge_start : 0;
+            if (arm == 2) {
+                relax_row_avx512(snap, edges + edge_start, edges + edge_end, weight, dist,
+                                 next_bits, lanes);
+            } else {
+                relax_row_avx2(snap, edges + edge_start, edges + edge_end, weight, dist,
+                               next_bits, lanes);
+            }
+#endif
             continue;
         }
-#endif
         const int64_t *first = edges + edge_start, *last = edges + edge_end;
         while (bits) {
             int lane = __builtin_ctzll(bits);
@@ -566,13 +677,22 @@ static inline __attribute__((always_inline)) void lane_rows(const int64_t *front
  * engines build: a warp per vertex (4 request sizes) or a thread per vertex
  * (1 column of sectors), over the edge list alone or over edges and
  * weights.  Any other shape (a UVM engine's no tables, or a direct
- * caller's) runs the same body with run-time widths.  Returns 0.
+ * caller's) runs the same body with run-time widths.
+ *
+ * frontier and masks hold num_entries entries and offsets num_vertices + 1.
+ * A first pass checks what lane_rows trusts, before any row is written, and
+ * returns the first fault it finds: -1 when lanes[] are not distinct lane
+ * indices below 64, -2 when bounds (num_sweeps > 0) does not run from 0 to
+ * num_entries without descending, -3 when a frontier entry is not a vertex
+ * id below num_vertices.  Returns 0 once the rows are written.
  */
 int64_t repro_lane_rows(const int64_t *frontier,
                         const uint64_t *masks,
+                        int64_t num_entries,
                         const int64_t *bounds,
                         int64_t num_sweeps,
                         const int64_t *offsets,
+                        int64_t num_vertices,
                         const int64_t *table0,
                         int64_t width0,
                         const int64_t *table1,
@@ -581,6 +701,20 @@ int64_t repro_lane_rows(const int64_t *frontier,
                         int64_t num_lanes,
                         int64_t *rows)
 {
+    uint64_t seen = 0;
+    for (int64_t i = 0; i < num_lanes; i++) {
+        if (lanes[i] < 0 || lanes[i] >= 64 || (seen >> lanes[i]) & 1) return -1;
+        seen |= 1ull << lanes[i];
+    }
+    if (num_sweeps && (bounds[0] != 0 || bounds[num_sweeps] != num_entries)) return -2;
+    for (int64_t k = 0; k < num_sweeps; k++) {
+        if (bounds[k + 1] < bounds[k]) return -2;
+    }
+    int64_t outside = 0;
+    for (int64_t e = 0; e < num_entries; e++) {
+        outside |= (uint64_t)frontier[e] >= (uint64_t)num_vertices;
+    }
+    if (outside) return -3;
 #define REPRO_LANE_ROWS(w0, w1) \
     lane_rows(frontier, masks, bounds, num_sweeps, offsets, table0, w0, table1, w1, lanes, \
               num_lanes, rows)
@@ -873,12 +1007,16 @@ _lock = tracked_lock("traversal._native._lock")
 _library: ctypes.CDLL | None = None
 _status: str | None = None  # None = not yet probed
 
-#: 1 when ``repro_sssp_sweep`` may take its dense (AVX2) arm: set once per
-#: load from the ``repro_dense_arm`` probe and read as each SSSP word binds
-#: its sweep, so a test can force either arm by patching it.  The kernel
-#: still re-checks the CPU, so forcing 1 on a host without AVX2 runs the
-#: scalar arm.
+#: The dense arm ``repro_sssp_sweep`` may take: 0 none (the scalar arm
+#: alone), 1 AVX2, 2 AVX-512F.  Set once per load from the
+#: ``repro_dense_arm`` probe (the widest arm the CPU runs) and read as each
+#: SSSP word binds its sweep, so a test can force any arm by patching it.
+#: The kernel runs the smaller of this and its own probe, so forcing an arm
+#: the host lacks steps down to the widest one it has.
 _dense_arm = 0
+
+#: How :func:`status` names each :data:`_dense_arm`.
+_DENSE_ARMS = ("scalar", "avx2", "avx512f")
 
 _fault_check = None
 
@@ -1041,9 +1179,11 @@ def _build() -> tuple[ctypes.CDLL | None, str]:
         library.repro_lane_rows.argtypes = [
             pointer,  # frontier
             pointer,  # masks
+            integer,  # num_entries
             pointer,  # bounds
             integer,  # num_sweeps
             pointer,  # offsets
+            integer,  # num_vertices
             pointer,  # table0 (nullable)
             integer,  # width0
             pointer,  # table1 (nullable)
@@ -1084,6 +1224,8 @@ def _ensure_loaded() -> ctypes.CDLL | None:
             if _status is None:
                 library, status = _build()
                 _dense_arm = int(library.repro_dense_arm()) if library else 0
+                if library:
+                    status += f"; dense arm {_DENSE_ARMS[_dense_arm]}"
                 _library, _status = library, status
     return _library
 
@@ -1116,7 +1258,9 @@ def wanted(relax_method: str | None) -> bool:
 
 
 def status() -> str:
-    """Human-readable availability note (for benchmark reports)."""
+    """Human-readable availability note (for benchmark reports): how the
+    kernels were built and which dense SSSP arm the host runs, e.g.
+    ``compiled with /usr/bin/cc; dense arm avx512f``."""
     _ensure_loaded()
     return _status or "unknown"
 
@@ -1416,6 +1560,14 @@ def pagerank_step(
     )
 
 
+#: What ``repro_lane_rows``'s check pass refused, by its return code.
+_LANE_ROWS_REFUSALS = {
+    -1: "lane_rows lanes must be distinct lane indices below 64",
+    -2: "lane_rows bounds must cut the frontier into sweeps",
+    -3: "lane_rows frontier holds vertex ids outside the offsets",
+}
+
+
 def lane_rows(
     frontier: np.ndarray,
     masks: np.ndarray,
@@ -1432,7 +1584,9 @@ def lane_rows(
     request tables (width at most 4); ``lanes`` (int64) names the distinct
     lanes whose rows ``rows`` (``(len(lanes), sweeps, 2 + widths)`` int64)
     receives, overwritten.  Every buffer is checked for its dtype,
-    C-contiguity and length on every call.
+    C-contiguity and length on every call; the lanes, the bounds and the
+    frontier's vertex ids by the kernel, before it writes any row, each
+    refusal raising :class:`ValueError`.
     """
     num_lanes, sweeps, width = rows.shape
     widths = [table.shape[1] for table in tables]
@@ -1446,26 +1600,18 @@ def lane_rows(
         and width == 2 + sum(widths)
     ):
         raise ValueError("lane_rows buffers do not match the (lanes, sweeps, width) rows")
-    if lanes.size and not (
-        0 <= lanes.min() and lanes.max() < 64 and len(set(lanes.tolist())) == lanes.size
-    ):
-        raise ValueError("lane_rows lanes must be distinct lane indices below 64")
-    if sweeps and not (
-        bounds[0] == 0 and bounds[-1] == frontier.size and (bounds[1:] >= bounds[:-1]).all()
-    ):
-        raise ValueError("lane_rows bounds must cut the frontier into sweeps")
-    if frontier.size and not (0 <= frontier.min() and frontier.max() < num_vertices):
-        raise ValueError("lane_rows frontier holds vertex ids outside the offsets")
     kernel = "lane_rows"
     tables = list(tables) + [None] * (2 - len(tables))
     widths += [0] * (2 - len(widths))
-    _invoke(
+    code = _invoke(
         kernel,
         _address(frontier, _INT64, kernel),
         _address(masks, _UINT64, kernel),
+        frontier.size,
         _address(bounds, _INT64, kernel),
         sweeps,
         _address(offsets, _INT64, kernel),
+        num_vertices,
         None if tables[0] is None else _address(tables[0], _INT64, kernel),
         widths[0],
         None if tables[1] is None else _address(tables[1], _INT64, kernel),
@@ -1474,6 +1620,8 @@ def lane_rows(
         num_lanes,
         _address(rows, _INT64, kernel),
     )
+    if code:
+        raise ValueError(_LANE_ROWS_REFUSALS[code])
 
 
 def uvm_replay(

@@ -34,11 +34,13 @@ compiler, an SSSP word instead runs each sweep as one call of the compiled
 frontier from the word's trace, relaxes it over the bit-packed lane words
 and appends the next frontier.  Its loop has two arms, chosen per frontier
 vertex: when at least a quarter of the word's lanes are active on it, a
-*dense* arm relaxes the vertex's whole contiguous lane row per edge with
-AVX2 (inactive lanes snapshot as ``+inf``, so they can never win); every
-other vertex, every word of fewer than 4 lanes and every host whose CPU
-lacks AVX2 (probed at run time, not at build time) takes the *scalar* arm,
-one ``ctz`` step per active lane.  The two arms are exactly equal.  Both
+*dense* arm relaxes the vertex's whole contiguous lane row per edge, eight
+lanes per instruction with AVX-512F or four with AVX2, whichever is the
+widest the CPU has (probed at run time, not at build time; inactive lanes
+snapshot as ``+inf``, so they can never win); every other vertex, every
+word of fewer than 4 lanes and every host whose CPU lacks AVX2 takes the
+*scalar* arm, one ``ctz`` step per active lane.  The arms are exactly
+equal.  Both
 backends are checked against the independent references: the plain
 :func:`~repro.traversal.sssp.sssp_distances` loop and networkx.
 

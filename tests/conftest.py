@@ -17,6 +17,26 @@ from repro.config import default_system, volta_pcie3
 from repro.errors import AdmissionError
 from repro.graph.builder import from_edge_array, from_neighbor_lists
 from repro.graph.generators import random_weights, rmat_graph, uniform_random_graph
+from repro.traversal import _native
+
+#: The widest dense SSSP arm this host runs (0 without the native kernels).
+WIDEST_DENSE_ARM = _native._dense_arm if _native.available() else 0
+
+#: Every arm of ``repro_sssp_sweep``, as parameters of a test that forces it
+#: through ``_native._dense_arm``.  The kernel steps an arm the host lacks
+#: down to a narrower one, so a test of that arm would pass without running
+#: it: it is skipped instead, with the reason.
+DENSE_ARMS = tuple(
+    pytest.param(
+        arm,
+        id=name,
+        marks=pytest.mark.skipif(
+            arm > WIDEST_DENSE_ARM,
+            reason=f"host has no {name} arm (probe: {_native._DENSE_ARMS[WIDEST_DENSE_ARM]})",
+        ),
+    )
+    for arm, name in enumerate(_native._DENSE_ARMS)
+)
 
 
 @pytest.fixture(scope="session")

@@ -385,15 +385,65 @@ class TestLaneRows:
                 expected[i, sweep] = columns[entries][carried[entries]].sum(axis=0)
         assert np.array_equal(rows, expected)
 
-    def test_refuses_repeated_lanes(self, random_graph):
+    @staticmethod
+    def _break(case, frontier, bounds, lanes, rows, offsets):
+        """The arguments of a two-lane BFS word's lane-row pass with one
+        fault ``case`` put in; the rows are left filled with a sentinel."""
+        frontier, bounds, lanes = frontier.copy(), bounds.copy(), lanes.copy()
+        if case == "repeated lane":
+            lanes[:] = 1
+        elif case == "lane 64":
+            lanes[1] = 64
+        elif case == "negative lane":
+            lanes[0] = -1
+        elif case == "vertex past the offsets":
+            frontier[-1] = offsets.size - 1
+        elif case == "negative vertex":
+            frontier[0] = -1
+        elif case == "bounds short of the frontier":
+            bounds[-1] -= 1
+        elif case == "bounds descending":
+            bounds[1], bounds[2] = bounds[2], bounds[1]
+        elif case == "bounds not from zero":
+            bounds[0] = 1
+        elif case == "rows of another width":
+            rows = np.empty(rows.shape[:2] + (rows.shape[2] + 1,), dtype=np.int64)
+        elif case == "lanes unlike the rows":
+            lanes = lanes[:1]
+        rows.fill(-7)
+        return frontier, bounds, lanes, rows
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("repeated lane", "distinct lane indices"),
+            ("lane 64", "distinct lane indices"),
+            ("negative lane", "distinct lane indices"),
+            ("vertex past the offsets", "vertex ids outside the offsets"),
+            ("negative vertex", "vertex ids outside the offsets"),
+            ("bounds short of the frontier", "cut the frontier into sweeps"),
+            ("bounds descending", "cut the frontier into sweeps"),
+            ("bounds not from zero", "cut the frontier into sweeps"),
+            ("rows of another width", "do not match the"),
+            ("lanes unlike the rows", "do not match the"),
+        ],
+    )
+    def test_refuses_a_bad_argument_before_writing_a_row(self, random_graph, case, message):
         _, trace, _, _ = multisource._bfs_word(random_graph, [0, 1], "scatter")
+        frontier, masks, bounds = trace.flat()
+        assert trace.sweeps >= 3 and bounds[2] > bounds[1]
         engine = TraversalEngine(random_graph, AccessStrategy.MERGED_ALIGNED)
         rows = np.empty((2, trace.sweeps, 6), dtype=np.int64)
-        lanes = np.array([1, 1], dtype=np.int64)
-        with pytest.raises(ValueError, match="distinct lane indices"):
+        lanes = np.array([0, 1], dtype=np.int64)
+        frontier, bounds, lanes, rows = self._break(
+            case, frontier, bounds, lanes, rows, random_graph.offsets
+        )
+        with pytest.raises(ValueError, match=message):
             _native.lane_rows(
-                *trace.flat(), random_graph.offsets, engine.request_tables, lanes, rows
+                frontier, masks, bounds, random_graph.offsets, engine.request_tables,
+                lanes, rows,
             )
+        assert (rows == -7).all()
 
 
 class TestPricingMatchesAFreshEngine:

@@ -30,7 +30,7 @@ from repro.traversal.pagerank import run_pagerank
 from repro.traversal.sssp import run_sssp, sssp_distances
 from repro.types import AccessStrategy, Application
 
-from .conftest import metrics_fields
+from .conftest import DENSE_ARMS, metrics_fields
 
 ALL_STRATEGIES = tuple(AccessStrategy)
 
@@ -671,19 +671,19 @@ def _word_bytes(word):
 class TestNativeWordMatchesNumpy:
     """A whole native word against the numpy word loop: the same values and
     the same ``trace.flat()`` (frontiers, lane words, bounds), whether the
-    trace grows from its initial capacity or from none, with either relax
-    arm, and when an SSSP word stops at its iteration cap."""
+    trace grows from its initial capacity or from none, with every relax
+    arm the host runs, and when an SSSP word stops at its iteration cap."""
 
     RUNNERS = {"bfs": multisource._bfs_word, "sssp": multisource._sssp_word}
 
+    @pytest.mark.parametrize("dense_arm", DENSE_ARMS)
     @given(
         word=traced_words(),
         application=st.sampled_from(("bfs", "sssp")),
-        dense_arm=st.sampled_from((0, 1)),
         grow=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_words_match(self, word, application, dense_arm, grow):
+    def test_words_match(self, dense_arm, word, application, grow):
         graph, sources = word
         runner = self.RUNNERS[application]
         # A fresh trace of no capacity grows at its first write.
@@ -698,7 +698,7 @@ class TestNativeWordMatchesNumpy:
             ("native", "scatter") if application == "sssp" else (None, None)
         )
 
-    @pytest.mark.parametrize("dense_arm", (0, 1))
+    @pytest.mark.parametrize("dense_arm", DENSE_ARMS)
     def test_one_lane_sssp_on_an_unweighted_graph(self, uniform_graph, dense_arm):
         # A solo SSSP on unit weights: the scalar arm's weightless loop.
         with mock.patch.object(_native, "_dense_arm", dense_arm):

@@ -3,8 +3,8 @@
 Every backend (native C when available, indexed-ufunc scatter) must produce
 per-source SSSP distances bit-identical to the solo ``run_sssp`` runs — across
 random weighted graphs with duplicate edges, zero-weight edges, unreachable
-components, and word-boundary lane counts.  The native sweep's two arms
-(dense AVX2 rows and scalar ``ctz`` lanes, forced through
+components, and word-boundary lane counts.  The native sweep's three arms
+(dense rows on AVX-512F or AVX2 and scalar ``ctz`` lanes, forced through
 ``_native._dense_arm``) must agree with each other and with the numpy
 ``relax_lanes`` sweep for sweep.
 """
@@ -36,6 +36,8 @@ from repro.traversal.sssp import run_sssp
 from repro.traversal.streaming import run_streaming_batch
 from repro.types import Application
 
+from .conftest import DENSE_ARMS, WIDEST_DENSE_ARM
+
 NUMPY_METHODS = ("scatter",)
 METHODS = tuple(
     method
@@ -43,8 +45,8 @@ METHODS = tuple(
     if method != "native" or _native.available()
 )
 
-#: The host runs the dense arm (probed when the kernels loaded).
-HAS_DENSE_ARM = _native.available() and _native._dense_arm == 1
+#: The host runs a dense arm (probed when the kernels loaded).
+HAS_DENSE_ARM = WIDEST_DENSE_ARM >= 1
 
 
 def messy_graph(seed: int, num_vertices: int = 120, num_edges: int = 900):
@@ -367,7 +369,9 @@ class TestNativeSweepBuffers:
         assert sweep() > 0
 
 
-LANE_COUNTS = (1, 3, 4, 15, 16, 17, 63, 64)
+#: Both sides of each arm's group width (4 lanes for AVX2, 8 for AVX-512F),
+#: so every masked or scalar tail runs.
+LANE_COUNTS = (1, 3, 4, 5, 12, 15, 16, 17, 63, 64)
 
 
 @st.composite
@@ -427,23 +431,40 @@ def _native_sweep(graph, weights, values, frontier, active_bits, dense_arm):
 
 @pytest.mark.skipif(not _native.available(), reason="native kernels unavailable")
 class TestDenseArm:
-    """The dense arm against the scalar arm and the numpy scatter sweep: the
-    same values and next-frontier words."""
+    """Each arm, forced in turn, against the numpy scatter sweep: the same
+    values and next-frontier words; and which arm each setting takes."""
 
+    @pytest.mark.parametrize("dense_arm", DENSE_ARMS)
     @given(sweep=relax_sweeps())
     @settings(max_examples=150, deadline=None)
-    def test_arms_match_each_other_and_scatter(self, sweep):
+    def test_arms_match_each_other_and_scatter(self, dense_arm, sweep):
         graph, weights, values, frontier, active_bits = sweep
-        dense = _native_sweep(graph, weights, values, frontier, active_bits, 1)
-        scalar = _native_sweep(graph, weights, values, frontier, active_bits, 0)
+        native = _native_sweep(graph, weights, values, frontier, active_bits, dense_arm)
         numpy_values = values.copy()
         next_bits = relax_lanes(
             numpy_values, graph.edges, frontier, graph.offsets[frontier],
             graph.offsets[frontier + 1], active_bits, weights=weights,
         )
-        for arm in (dense, scalar):
-            assert arm[0].tobytes() == numpy_values.tobytes()
-            assert arm[1].tolist() == next_bits.tolist()
+        assert native[0].tobytes() == numpy_values.tobytes()
+        assert native[1].tolist() == next_bits.tolist()
+
+    @pytest.mark.skipif(not HAS_DENSE_ARM, reason="host has no dense arm")
+    def test_an_arm_past_the_probe_steps_down(self):
+        # Asking for one arm more than the host has runs the widest it has.
+        graph = messy_graph(5, num_vertices=40, num_edges=300)
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 12, (graph.num_vertices, 13)) / 4.0
+        frontier = np.arange(graph.num_vertices, dtype=np.int64)
+        active_bits = rng.integers(0, 1 << 13, frontier.size).astype(np.uint64)
+        arms = [
+            _native_sweep(graph, graph.weights, values, frontier, active_bits, arm)
+            for arm in (WIDEST_DENSE_ARM, WIDEST_DENSE_ARM + 1)
+        ]
+        assert arms[0][0].tobytes() == arms[1][0].tobytes()
+        assert arms[0][1].tolist() == arms[1][1].tolist()
+        assert self._inactive_snapshot_lanes(8, [0b101, 0b1], WIDEST_DENSE_ARM + 1) == [
+            {np.inf}, {-1.0}
+        ]
 
     @staticmethod
     def _inactive_snapshot_lanes(lanes, bits, dense_arm):
@@ -466,18 +487,25 @@ class TestDenseArm:
             for row, mask in zip(snapshot, bits)
         ]
 
-    @pytest.mark.skipif(not HAS_DENSE_ARM, reason="host has no AVX2")
-    def test_dense_arm_taken_from_a_quarter_of_the_lanes(self):
-        # Row 0 has 2 of 8 lanes active (a quarter: dense), row 1 one lane.
-        assert self._inactive_snapshot_lanes(8, [0b101, 0b1], 1) == [{np.inf}, {-1.0}]
+    @pytest.mark.parametrize("dense_arm", DENSE_ARMS[1:])
+    @pytest.mark.parametrize(
+        "lanes, bits",
+        # Row 0 has a quarter of the lanes active (dense), row 1 one lane.
+        # At 13 lanes both arms end in a tail (AVX2 1 lane, AVX-512F 5), and
+        # one of row 0's active lanes sits in it.
+        [(8, [0b101, 0b1]), (13, [0b1_1000_0000_0101, 0b1])],
+    )
+    def test_dense_arm_taken_from_a_quarter_of_the_lanes(self, dense_arm, lanes, bits):
+        assert self._inactive_snapshot_lanes(lanes, bits, dense_arm) == [{np.inf}, {-1.0}]
 
     def test_scalar_arm_taken_when_forced(self):
         assert self._inactive_snapshot_lanes(8, [0b101, 0b1], 0) == [{-1.0}, {-1.0}]
 
-    def test_words_under_four_lanes_stay_scalar(self):
+    @pytest.mark.parametrize("dense_arm", DENSE_ARMS[1:])
+    def test_words_under_four_lanes_stay_scalar(self, dense_arm):
         # Two of three lanes is well over a quarter, but a 3-lane word has no
         # full 4-lane group.
-        assert self._inactive_snapshot_lanes(3, [0b011, 0b1], 1) == [{-1.0}, {-1.0}]
+        assert self._inactive_snapshot_lanes(3, [0b011, 0b1], dense_arm) == [{-1.0}, {-1.0}]
 
 
 class TestSanitizerBuildMode:
